@@ -4,12 +4,14 @@
 // (A, NS, CNAME, SOA, PTR, MX, TXT, AAAA, SRV, DS, RRSIG) and the EDNS0
 // OPT pseudo-record (RFC 6891).
 //
-// The package is written in the style of gopacket's DecodingLayerParser:
-// a Message can be unpacked repeatedly into the same value, reusing its
-// backing slices, so steady-state parsing performs no allocations beyond
-// what the record data itself requires.
+// There is one parser, Walk: it validates a message in place and hands a
+// Visitor offsets and decoded scalars, allocating nothing itself. A
+// Message can be unpacked repeatedly into the same value — Unpack is
+// Walk with a visitor that materializes every name and RDATA, so it
+// reuses the section slices but allocates per record; consumers that
+// need a few fields (sie.Summarizer) visit the message directly.
 //
-// Concurrency: a Message is single-owner — the buffer reuse that makes
-// Unpack allocation-free also means one goroutine per Message. Give each
-// worker its own Message value; the package itself holds no shared state.
+// Concurrency: a Message is single-owner — the section-slice reuse means
+// one goroutine per Message. Give each worker its own Message value;
+// the package itself holds no shared state.
 package dnswire

@@ -180,76 +180,35 @@ func appendRR(dst []byte, rr RR, cmap map[string]int) ([]byte, error) {
 }
 
 // Unpack decodes msg into m, replacing its contents. Section slices are
-// reused when capacity allows.
-func (m *Message) Unpack(msg []byte) error {
-	h, err := UnpackHeader(msg)
-	if err != nil {
-		return &ParseError{Section: "header", Err: err}
-	}
-	m.Reset()
-	m.ID = h.ID
-	m.Flags = h.Flags
-	// A record needs at least 11 octets (root name + fixed fields), a
-	// question at least 5; reject counts the message cannot possibly hold.
-	if int(h.QD)*5+(int(h.AN)+int(h.NS)+int(h.AR))*11 > len(msg)-HeaderLen {
-		return &ParseError{Section: "header", Err: ErrTooManyRecords}
-	}
-	off := HeaderLen
-	for i := 0; i < int(h.QD); i++ {
-		var q Question
-		q.Name, off, err = ReadName(msg, off)
-		if err != nil {
-			return &ParseError{Section: "question", Index: i, Err: err}
-		}
-		if off+4 > len(msg) {
-			return &ParseError{Section: "question", Index: i, Err: ErrMessageTruncated}
-		}
-		q.Type = Type(uint16(msg[off])<<8 | uint16(msg[off+1]))
-		q.Class = Class(uint16(msg[off+2])<<8 | uint16(msg[off+3]))
-		off += 4
-		m.Questions = append(m.Questions, q)
-	}
-	for _, sec := range [...]struct {
-		name string
-		rrs  *[]RR
-		n    int
-	}{
-		{"answer", &m.Answers, int(h.AN)},
-		{"authority", &m.Authority, int(h.NS)},
-		{"additional", &m.Additional, int(h.AR)},
-	} {
-		for i := 0; i < sec.n; i++ {
-			var rr RR
-			rr, off, err = unpackRR(msg, off)
-			if err != nil {
-				return &ParseError{Section: sec.name, Index: i, Err: err}
-			}
-			*sec.rrs = append(*sec.rrs, rr)
-		}
-	}
-	return nil
+// reused when capacity allows. It is Walk with a visitor that
+// materializes every name and RDATA; on a *ParseError m holds the
+// entries decoded before the malformed one.
+func (m *Message) Unpack(msg []byte) error { return Walk(msg, (*unpacker)(m)) }
+
+// unpacker is the Visitor that fills a Message.
+type unpacker Message
+
+func (u *unpacker) Header(h Header) {
+	(*Message)(u).Reset()
+	u.ID = h.ID
+	u.Flags = h.Flags
 }
 
-func unpackRR(msg []byte, off int) (RR, int, error) {
-	var rr RR
-	var err error
-	rr.Name, off, err = ReadName(msg, off)
-	if err != nil {
-		return rr, off, err
+func (u *unpacker) Question(msg []byte, nameOff int, typ Type, class Class) {
+	name, _, _ := ReadName(msg, nameOff) // validated by Walk
+	u.Questions = append(u.Questions, Question{Name: name, Type: typ, Class: class})
+}
+
+func (u *unpacker) Record(sec string, r Record) {
+	rr := RR{Name: r.Name(), Type: r.Type, Class: r.Class, TTL: r.TTL, Data: r.Data()}
+	switch sec {
+	case SectionAnswer:
+		u.Answers = append(u.Answers, rr)
+	case SectionAuthority:
+		u.Authority = append(u.Authority, rr)
+	default:
+		u.Additional = append(u.Additional, rr)
 	}
-	if off+10 > len(msg) {
-		return rr, off, ErrMessageTruncated
-	}
-	rr.Type = Type(uint16(msg[off])<<8 | uint16(msg[off+1]))
-	rr.Class = Class(uint16(msg[off+2])<<8 | uint16(msg[off+3]))
-	rr.TTL = uint32(msg[off+4])<<24 | uint32(msg[off+5])<<16 | uint32(msg[off+6])<<8 | uint32(msg[off+7])
-	n := int(msg[off+8])<<8 | int(msg[off+9])
-	off += 10
-	if off+n > len(msg) {
-		return rr, off, ErrMessageTruncated
-	}
-	rr.Data, err = unpackRData(rr.Type, msg, off, n)
-	return rr, off + n, err
 }
 
 // String renders the message in dig-like presentation form.

@@ -67,14 +67,33 @@ func AppendName(dst []byte, name string, cmap map[string]int) ([]byte, error) {
 
 // ReadName decodes a (possibly compressed) name starting at msg[off].
 // It returns the canonical presentation form (lower-case, trailing dot)
-// and the offset just past the name in the original byte stream.
+// and the offset just past the name in the original byte stream. The
+// name is assembled on the stack, so the returned string is the only
+// allocation.
 func ReadName(msg []byte, off int) (string, int, error) {
-	var sb strings.Builder
+	var buf [maxNameLen]byte
+	n, end, err := walkName(msg, off, &buf)
+	if err != nil {
+		return "", 0, err
+	}
+	if n == 0 {
+		return ".", end, nil
+	}
+	return string(buf[:n]), end, nil
+}
+
+// walkName validates the (possibly compressed) name at msg[off] and
+// returns its presentation length (0 for the root) and the offset just
+// past it in the top-level stream. With a non-nil buf the lower-cased
+// presentation form is written there; labels that would overflow it are
+// only counted, since such a name fails the length check at its
+// terminator anyway.
+func walkName(msg []byte, off int, buf *[maxNameLen]byte) (n, end int, err error) {
 	ptrBudget := maxPointers
-	end := -1 // offset after the name in the top-level stream
+	end = -1 // offset after the name in the top-level stream
 	for {
 		if off >= len(msg) {
-			return "", 0, ErrNameTruncated
+			return 0, 0, ErrNameTruncated
 		}
 		b := msg[off]
 		switch {
@@ -82,16 +101,13 @@ func ReadName(msg []byte, off int) (string, int, error) {
 			if end < 0 {
 				end = off + 1
 			}
-			if sb.Len() == 0 {
-				return ".", end, nil
+			if n > maxNameLen {
+				return 0, 0, ErrNameTooLong
 			}
-			if sb.Len() > maxNameLen {
-				return "", 0, ErrNameTooLong
-			}
-			return sb.String(), end, nil
+			return n, end, nil
 		case b&0xc0 == 0xc0:
 			if off+1 >= len(msg) {
-				return "", 0, ErrNameTruncated
+				return 0, 0, ErrNameTruncated
 			}
 			if end < 0 {
 				end = off + 2
@@ -100,28 +116,31 @@ func ReadName(msg []byte, off int) (string, int, error) {
 			if ptr >= off {
 				// Forward (or self) pointers are invalid: compression
 				// may only reference earlier data (RFC 1035 §4.1.4).
-				return "", 0, ErrBadPointer
+				return 0, 0, ErrBadPointer
 			}
 			ptrBudget--
 			if ptrBudget <= 0 {
-				return "", 0, ErrTooManyPointers
+				return 0, 0, ErrTooManyPointers
 			}
 			off = ptr
 		case b&0xc0 != 0:
-			return "", 0, ErrBadLabelType
+			return 0, 0, ErrBadLabelType
 		default:
-			n := int(b)
-			if off+1+n > len(msg) {
-				return "", 0, ErrNameTruncated
+			l := int(b)
+			if off+1+l > len(msg) {
+				return 0, 0, ErrNameTruncated
 			}
-			for _, c := range msg[off+1 : off+1+n] {
-				if c >= 'A' && c <= 'Z' {
-					c += 'a' - 'A'
+			if buf != nil && n+l+1 <= maxNameLen {
+				for i, c := range msg[off+1 : off+1+l] {
+					if c >= 'A' && c <= 'Z' {
+						c += 'a' - 'A'
+					}
+					buf[n+i] = c
 				}
-				sb.WriteByte(c)
+				buf[n+l] = '.'
 			}
-			sb.WriteByte('.')
-			off += 1 + n
+			n += l + 1
+			off += 1 + l
 		}
 	}
 }

@@ -290,143 +290,3 @@ func AppendRData(dst []byte, rr RR) ([]byte, error) {
 	}
 	return rr.Data.appendRData(dst, nil)
 }
-
-// unpackRData decodes the RDATA of typ occupying msg[off:off+n]; msg is
-// the whole message so compressed names inside RDATA resolve.
-func unpackRData(typ Type, msg []byte, off, n int) (RData, error) {
-	if off+n > len(msg) {
-		return nil, ErrRDataTruncated
-	}
-	rd := msg[off : off+n]
-	switch typ {
-	case TypeA:
-		if n != 4 {
-			return nil, ErrRDataTruncated
-		}
-		return ARData{netip.AddrFrom4([4]byte(rd))}, nil
-	case TypeAAAA:
-		if n != 16 {
-			return nil, ErrRDataTruncated
-		}
-		return AAAARData{netip.AddrFrom16([16]byte(rd))}, nil
-	case TypeNS:
-		name, _, err := ReadName(msg, off)
-		return NSRData{name}, err
-	case TypeCNAME:
-		name, _, err := ReadName(msg, off)
-		return CNAMERData{name}, err
-	case TypePTR:
-		name, _, err := ReadName(msg, off)
-		return PTRRData{name}, err
-	case TypeSOA:
-		mname, p, err := ReadName(msg, off)
-		if err != nil {
-			return nil, err
-		}
-		rname, p, err := ReadName(msg, p)
-		if err != nil {
-			return nil, err
-		}
-		if p+20 > off+n {
-			return nil, ErrRDataTruncated
-		}
-		u32 := func(i int) uint32 {
-			return uint32(msg[i])<<24 | uint32(msg[i+1])<<16 | uint32(msg[i+2])<<8 | uint32(msg[i+3])
-		}
-		return SOARData{
-			MName: mname, RName: rname,
-			Serial: u32(p), Refresh: u32(p + 4), Retry: u32(p + 8),
-			Expire: u32(p + 12), Minimum: u32(p + 16),
-		}, nil
-	case TypeMX:
-		if n < 3 {
-			return nil, ErrRDataTruncated
-		}
-		name, _, err := ReadName(msg, off+2)
-		return MXRData{uint16(rd[0])<<8 | uint16(rd[1]), name}, err
-	case TypeTXT:
-		var ss []string
-		for i := 0; i < n; {
-			l := int(rd[i])
-			if i+1+l > n {
-				return nil, ErrRDataTruncated
-			}
-			ss = append(ss, string(rd[i+1:i+1+l]))
-			i += 1 + l
-		}
-		return TXTRData{ss}, nil
-	case TypeSRV:
-		if n < 7 {
-			return nil, ErrRDataTruncated
-		}
-		name, _, err := ReadName(msg, off+6)
-		return SRVRData{
-			Priority: uint16(rd[0])<<8 | uint16(rd[1]),
-			Weight:   uint16(rd[2])<<8 | uint16(rd[3]),
-			Port:     uint16(rd[4])<<8 | uint16(rd[5]),
-			Target:   name,
-		}, err
-	case TypeDS:
-		if n < 4 {
-			return nil, ErrRDataTruncated
-		}
-		return DSRData{
-			KeyTag:     uint16(rd[0])<<8 | uint16(rd[1]),
-			Algorithm:  rd[2],
-			DigestType: rd[3],
-			Digest:     append([]byte(nil), rd[4:]...),
-		}, nil
-	case TypeRRSIG:
-		if n < 18 {
-			return nil, ErrRDataTruncated
-		}
-		signer, p, err := ReadName(msg, off+18)
-		if err != nil {
-			return nil, err
-		}
-		if p > off+n {
-			return nil, ErrRDataTruncated
-		}
-		u32 := func(i int) uint32 {
-			return uint32(rd[i])<<24 | uint32(rd[i+1])<<16 | uint32(rd[i+2])<<8 | uint32(rd[i+3])
-		}
-		return RRSIGRData{
-			TypeCovered: Type(uint16(rd[0])<<8 | uint16(rd[1])),
-			Algorithm:   rd[2],
-			Labels:      rd[3],
-			OriginalTTL: u32(4),
-			Expiration:  u32(8),
-			Inception:   u32(12),
-			KeyTag:      uint16(rd[16])<<8 | uint16(rd[17]),
-			SignerName:  signer,
-			Signature:   append([]byte(nil), msg[p:off+n]...),
-		}, nil
-	case TypeDNSKEY:
-		if n < 4 {
-			return nil, ErrRDataTruncated
-		}
-		return DNSKEYRData{
-			Flags:     uint16(rd[0])<<8 | uint16(rd[1]),
-			Protocol:  rd[2],
-			Algorithm: rd[3],
-			PublicKey: append([]byte(nil), rd[4:]...),
-		}, nil
-	case TypeOPT:
-		var opts []EDNSOption
-		for i := 0; i < n; {
-			if i+4 > n {
-				return nil, ErrRDataTruncated
-			}
-			code := uint16(rd[i])<<8 | uint16(rd[i+1])
-			l := int(rd[i+2])<<8 | int(rd[i+3])
-			if i+4+l > n {
-				return nil, ErrRDataTruncated
-			}
-			opts = append(opts, EDNSOption{code, append([]byte(nil), rd[i+4:i+4+l]...)})
-			i += 4 + l
-		}
-		return OPTRData{opts}, nil
-	default:
-		return RawRData{append([]byte(nil), rd...)}, nil
-	}
-}

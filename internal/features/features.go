@@ -16,7 +16,8 @@ type Config struct {
 	// DelayMaxMs / SizeMax bound the quartile histograms.
 	DelayMaxMs float64
 	SizeMax    float64
-	// TTLTracked caps distinct TTL values tracked per object.
+	// TTLTracked caps distinct TTL values tracked per object (at most
+	// sketch.MaxTracked).
 	TTLTracked int
 	// Suffixes drives eTLD/eSLD extraction; nil uses the embedded list.
 	Suffixes *publicsuffix.List
@@ -101,29 +102,37 @@ type Set struct {
 	Sizes  *sketch.Histogram // response sizes [B]
 }
 
-// NewSet returns an empty feature set.
+// slab is the single allocation behind a Set: the set and every sketch
+// its pointer fields refer to. Only the histogram counts, whose length
+// depends on the configuration, live in a second one.
+type slab struct {
+	set  Set
+	hlls [10]hll.Sketch
+	tops [3]sketch.TopValues
+	hist [3]sketch.Histogram
+}
+
+// NewSet returns an empty feature set. It costs two allocations however
+// many sketches a set has.
 func NewSet(cfg Config) *Set {
 	cfg = cfg.withDefaults()
-	p := cfg.HLLPrecision
-	return &Set{
-		cfg:     cfg,
-		SrvIPs:  hll.MustNew(p),
-		SrcIPs:  hll.MustNew(p),
-		Sources: hll.MustNew(p),
-		QNamesA: hll.MustNew(p),
-		QNames:  hll.MustNew(p),
-		TLDs:    hll.MustNew(p),
-		ESLDs:   hll.MustNew(p),
-		QTypes:  hll.MustNew(p),
-		IP4s:    hll.MustNew(p),
-		IP6s:    hll.MustNew(p),
-		TTL:     sketch.NewTopValues(cfg.TTLTracked),
-		NSTTL:   sketch.NewTopValues(cfg.TTLTracked),
-		NegTTL:  sketch.NewTopValues(cfg.TTLTracked),
-		Delays:  sketch.NewHistogram(cfg.DelayMaxMs, 1.15),
-		Hops:    sketch.NewHistogram(64, 1.15),
-		Sizes:   sketch.NewHistogram(cfg.SizeMax, 1.15),
+	sl := new(slab)
+	s := &sl.set
+	s.cfg = cfg
+	for i, dst := range [...]**hll.Sketch{&s.SrvIPs, &s.SrcIPs, &s.Sources, &s.QNamesA, &s.QNames,
+		&s.TLDs, &s.ESLDs, &s.QTypes, &s.IP4s, &s.IP6s} {
+		if err := sl.hlls[i].Init(cfg.HLLPrecision); err != nil {
+			panic(err) // static configuration, as hll.MustNew
+		}
+		*dst = &sl.hlls[i]
 	}
+	for i, dst := range [...]**sketch.TopValues{&s.TTL, &s.NSTTL, &s.NegTTL} {
+		sl.tops[i].Init(cfg.TTLTracked)
+		*dst = &sl.tops[i]
+	}
+	sketch.InitHistograms(sl.hist[:], 1.15, cfg.DelayMaxMs, 64, cfg.SizeMax)
+	s.Delays, s.Hops, s.Sizes = &sl.hist[0], &sl.hist[1], &sl.hist[2]
+	return s
 }
 
 // Observe folds one transaction summary into the set. It consumes the

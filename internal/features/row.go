@@ -1,5 +1,7 @@
 package features
 
+import "dnsobservatory/internal/sketch"
+
 // Kind classifies a column for time aggregation (paper §2.4): counters
 // aggregate as mean rates with missing objects counting as zero; gauges
 // (averages, cardinality estimates, quantiles) aggregate as means over
@@ -85,8 +87,14 @@ var ColumnIndex = func() map[string]int {
 // Values extracts the snapshot row in Columns order. rate is the
 // Space-Saving decayed rate estimate attached by the pipeline.
 func (s *Set) Values(rate float64) []float64 {
-	v := make([]float64, 0, len(Columns))
-	v = append(v,
+	return s.AppendValues(make([]float64, 0, len(Columns)), rate)
+}
+
+// AppendValues appends the row Values returns to dst; with len(Columns)
+// spare capacity in dst it does not allocate, so a window dump can lay
+// all its rows out in one arena.
+func (s *Set) AppendValues(dst []float64, rate float64) []float64 {
+	dst = append(dst,
 		float64(s.Hits), float64(s.Unans),
 		float64(s.OK), float64(s.NXD), float64(s.RFS), float64(s.Fail),
 		float64(s.OKAns), float64(s.OKNS), float64(s.OKAdd), float64(s.OKNil),
@@ -98,29 +106,24 @@ func (s *Set) Values(rate float64) []float64 {
 		float64(s.TLDs.Count()), float64(s.ESLDs.Count()), float64(s.QTypes.Count()),
 		float64(s.IP4s.Count()), float64(s.IP6s.Count()),
 	)
-	top := s.TTL.Top(3)
-	for i := 0; i < 3; i++ {
-		if i < len(top) {
-			v = append(v, float64(top[i].Value), top[i].Share)
-		} else {
-			v = append(v, 0, 0)
+	// The dominant TTLs as (value, share) pairs, zero-padded: three for
+	// ANSWER records, one each for AUTHORITY NS and negative caching.
+	for _, m := range [...]struct {
+		top *sketch.TopValues
+		n   int
+	}{{s.TTL, 3}, {s.NSTTL, 1}, {s.NegTTL, 1}} {
+		var buf [3]sketch.ValueCount
+		top := m.top.TopInto(buf[:m.n])
+		for i := 0; i < m.n; i++ {
+			if i < len(top) {
+				dst = append(dst, float64(top[i].Value), top[i].Share)
+			} else {
+				dst = append(dst, 0, 0)
+			}
 		}
-	}
-	nstop := s.NSTTL.Top(1)
-	if len(nstop) > 0 {
-		v = append(v, float64(nstop[0].Value), nstop[0].Share)
-	} else {
-		v = append(v, 0, 0)
-	}
-	negtop := s.NegTTL.Top(1)
-	if len(negtop) > 0 {
-		v = append(v, float64(negtop[0].Value), negtop[0].Share)
-	} else {
-		v = append(v, 0, 0)
 	}
 	dq25, dq50, dq75 := s.Delays.Quartiles()
 	hq25, hq50, hq75 := s.Hops.Quartiles()
 	sq25, sq50, sq75 := s.Sizes.Quartiles()
-	v = append(v, dq25, dq50, dq75, hq25, hq50, hq75, sq25, sq50, sq75, rate)
-	return v
+	return append(dst, dq25, dq50, dq75, hq25, hq50, hq75, sq25, sq50, sq75, rate)
 }

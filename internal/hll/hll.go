@@ -58,10 +58,21 @@ var ErrPrecision = errors.New("hll: precision must be in [4, 18]")
 // New returns a sketch with 2^p registers. p=14 gives a typical error
 // of about 0.81 %; the Observatory default is p=10 (3.25 %).
 func New(p uint8) (*Sketch, error) {
-	if p < 4 || p > 18 {
-		return nil, ErrPrecision
+	s := new(Sketch)
+	if err := s.Init(p); err != nil {
+		return nil, err
 	}
-	return &Sketch{p: p}, nil
+	return s, nil
+}
+
+// Init makes s an empty sketch with 2^p registers, in place — for
+// owners that embed their sketches in one allocation.
+func (s *Sketch) Init(p uint8) error {
+	if p < 4 || p > 18 {
+		return ErrPrecision
+	}
+	*s = Sketch{p: p}
+	return nil
 }
 
 // MustNew is New for static configuration; it panics on bad precision.

@@ -1,8 +1,9 @@
 package observatory
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -228,29 +229,53 @@ func (st *aggState) fold(e *spacesaving.Entry, sum *sie.Summary, cfg *Config) {
 	st.seenAfter++
 }
 
+// reportable returns e's feature set when e belongs in the current
+// window's snapshot: fresh objects (§2.4) and idle entries do not.
+func reportable(e *spacesaving.Entry, cfg *Config, windowStart float64) *features.Set {
+	if cfg.SkipFreshObjects && e.InsertedAt > windowStart {
+		return nil // has not survived a full window yet (§2.4)
+	}
+	if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
+		return set
+	}
+	return nil
+}
+
 // windowRows appends one TSV row per reportable entry of the current
-// window (skipping fresh objects per §2.4 and idle entries).
+// window. The rows' values share one arena sized by a counting pass, so
+// a dump allocates per aggregation, not per row.
 func (st *aggState) windowRows(rows []tsv.Row, cfg *Config, windowStart, windowEnd float64) []tsv.Row {
+	n := 0
 	st.cache.Entries(func(e *spacesaving.Entry) {
-		if cfg.SkipFreshObjects && e.InsertedAt > windowStart {
-			return // has not survived a full window yet (§2.4)
+		if reportable(e, cfg, windowStart) != nil {
+			n++
 		}
-		set, ok := e.State.(*features.Set)
-		if !ok || set.Hits == 0 {
+	})
+	if n == 0 {
+		return rows
+	}
+	rows = slices.Grow(rows, n)
+	arena := make([]float64, 0, n*len(features.Columns))
+	st.cache.Entries(func(e *spacesaving.Entry) {
+		set := reportable(e, cfg, windowStart)
+		if set == nil {
 			return
 		}
 		// Rates are read decayed to the window end, so idle objects do
 		// not report their last burst forever.
-		rate := st.cache.RateAt(e, windowEnd)
-		rows = append(rows, tsv.Row{Key: e.Key, Values: set.Values(rate)})
+		from := len(arena)
+		arena = set.AppendValues(arena, st.cache.RateAt(e, windowEnd))
+		rows = append(rows, tsv.Row{Key: e.Key, Values: arena[from:len(arena):len(arena)]})
 	})
 	return rows
 }
 
-// resetWindow clears per-window statistics, keeping the top-k list.
+// resetWindow clears per-window statistics, keeping the top-k list. Sets
+// nothing hit this window are already clear (every Observe counts a
+// hit), and in a large cache they are the majority.
 func (st *aggState) resetWindow() {
 	st.cache.Entries(func(e *spacesaving.Entry) {
-		if set, ok := e.State.(*features.Set); ok {
+		if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
 			set.Reset()
 		}
 	})
@@ -263,12 +288,11 @@ func (st *aggState) resetWindow() {
 // sortRows orders snapshot rows by descending hits (column 0), ties
 // broken by key — the canonical snapshot order.
 func sortRows(rows []tsv.Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		hi, hj := rows[i].Values[0], rows[j].Values[0]
-		if hi != hj {
-			return hi > hj
+	slices.SortFunc(rows, func(a, b tsv.Row) int {
+		if c := cmp.Compare(b.Values[0], a.Values[0]); c != 0 {
+			return c
 		}
-		return rows[i].Key < rows[j].Key
+		return cmp.Compare(a.Key, b.Key)
 	})
 }
 

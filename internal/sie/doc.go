@@ -4,10 +4,10 @@
 // channel stream the Observatory ingests (paper §2.1).
 //
 // Concurrency and ownership: a Reader and a Summarizer are each
-// single-owner — they reuse internal buffers between calls, so one
-// goroutine each. A Summary filled by Summarize borrows the
-// summarizer's buffers and is valid only until the next Summarize call;
-// deep-copy (or use the pooled path below) to keep it. Shared wraps a
+// single-owner — they keep parse state between calls, so one goroutine
+// each. Summarize reuses the slices of the Summary it fills, so a
+// Summary is valid only until the next Summarize into it; deep-copy (or
+// use the pooled path below) to keep it. Shared wraps a
 // Summary in a reference-counted pool buffer so the sharded engine can
 // hand one decoded summary to several workers without copying —
 // Retain/Release manage the count atomically. The package-wide decode

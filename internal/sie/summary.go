@@ -178,14 +178,91 @@ var (
 	ErrIPMismatch = errors.New("sie: response addresses do not mirror query")
 )
 
-// Summarizer converts transactions to summaries, reusing parse buffers
-// so a steady-state ingest loop allocates only per-record data.
+// Summarizer converts transactions to summaries. It walks each DNS
+// payload in place (dnswire.Walk) instead of unpacking it, so per
+// transaction only what the summary stores becomes a string: the QNAME,
+// the NS targets, and the address texts (resolver and nameserver share
+// one allocation).
 type Summarizer struct {
-	qmsg, rmsg dnswire.Message
 	// KeepUnparsableResponses degrades a transaction with a malformed
 	// response to an unanswered one instead of failing, matching a
 	// tolerant production ingest path.
 	KeepUnparsableResponses bool
+
+	query    queryVisitor
+	response responseVisitor
+}
+
+// queryVisitor keeps what a summary takes from the query message: the
+// first question and the EDNS0 DO bit of the first OPT record.
+type queryVisitor struct {
+	nameOff int // offset of the first QNAME; 0 when there is no question
+	qtype   dnswire.Type
+	opt, do bool
+}
+
+func (v *queryVisitor) Header(dnswire.Header) { *v = queryVisitor{} }
+
+func (v *queryVisitor) Question(_ []byte, nameOff int, typ dnswire.Type, _ dnswire.Class) {
+	if v.nameOff == 0 {
+		v.nameOff, v.qtype = nameOff, typ
+	}
+}
+
+func (v *queryVisitor) Record(sec string, r dnswire.Record) {
+	if sec == dnswire.SectionAdditional && r.Type == dnswire.TypeOPT && !v.opt {
+		// The DO bit is the top bit of the OPT TTL field (RFC 4035 §3).
+		v.opt, v.do = true, r.TTL&(1<<15) != 0
+	}
+}
+
+// responseVisitor folds the response message into out as it is walked.
+type responseVisitor struct{ out *Summary }
+
+func (v *responseVisitor) Header(h dnswire.Header) {
+	v.out.RCode = h.Flags.RCode
+	v.out.AA = h.Flags.Authoritative
+	v.out.Trunc = h.Flags.Truncated
+	v.out.AnswerCount = int(h.AN)
+	v.out.HasAnswerData = h.AN > 0
+}
+
+func (v *responseVisitor) Question([]byte, int, dnswire.Type, dnswire.Class) {}
+
+func (v *responseVisitor) Record(sec string, r dnswire.Record) {
+	out := v.out
+	switch sec {
+	case dnswire.SectionAnswer:
+		out.AnswerTTLs = append(out.AnswerTTLs, r.TTL)
+		switch r.Type {
+		case dnswire.TypeA:
+			a := r.Addr()
+			out.V4Addrs, out.V4Strs = append(out.V4Addrs, a), append(out.V4Strs, a.String())
+		case dnswire.TypeAAAA:
+			a := r.Addr()
+			out.V6Addrs, out.V6Strs = append(out.V6Addrs, a), append(out.V6Strs, a.String())
+		case dnswire.TypeRRSIG:
+			out.HasRRSIG = true
+		}
+	case dnswire.SectionAuthority:
+		switch r.Type {
+		case dnswire.TypeNS:
+			out.AuthorityNS++
+			out.NSTTLs = append(out.NSTTLs, r.TTL)
+			out.NSNames = append(out.NSNames, r.Target())
+		case dnswire.TypeSOA:
+			out.HasSOA = true
+			// RFC 2308: the negative-caching TTL is the lesser of the
+			// SOA minimum and the SOA record's own TTL.
+			out.SOAMinimum = min(r.SOAMinimum(), r.TTL)
+		case dnswire.TypeRRSIG:
+			out.HasRRSIG = true
+		}
+	case dnswire.SectionAdditional:
+		if r.Type != dnswire.TypeOPT {
+			out.HasAdditional = true
+		}
+	}
 }
 
 // Summarize parses tx into out. out is fully overwritten; its slices are
@@ -198,23 +275,32 @@ func (s *Summarizer) Summarize(tx *Transaction, out *Summary) error {
 	if qpkt.DstPort != ipwire.DNSPort {
 		return ErrNotDNSPort
 	}
-	if err := s.qmsg.Unpack(qpkt.Payload); err != nil {
+	if err := dnswire.Walk(qpkt.Payload, &s.query); err != nil {
 		return err
 	}
-	q := s.qmsg.Question()
+	var qname string
+	if s.query.nameOff != 0 {
+		qname, _, _ = dnswire.ReadName(qpkt.Payload, s.query.nameOff) // validated by Walk
+	}
+	// Both endpoint texts in one allocation (an address prints in at most
+	// 45 octets, so the scratch stays on the stack).
+	var ab [96]byte
+	text := qpkt.Src.AppendTo(ab[:0])
+	nres := len(text)
+	endpoints := string(qpkt.Dst.AppendTo(text))
 
 	*out = Summary{
 		Resolver:        qpkt.Src,
 		Nameserver:      qpkt.Dst,
-		ResolverStr:     qpkt.Src.String(),
-		NameserverStr:   qpkt.Dst.String(),
+		ResolverStr:     endpoints[:nres],
+		NameserverStr:   endpoints[nres:],
 		SensorID:        tx.SensorID,
 		Workload:        tx.Workload,
 		ClientTransport: tx.ClientTransport,
-		QName:           q.Name,
-		QType:           q.Type,
-		QDots:           dnswire.CountLabels(q.Name),
-		DNSSECOK:        s.qmsg.EDNSDo(),
+		QName:           qname,
+		QType:           s.query.qtype,
+		QDots:           dnswire.CountLabels(qname),
+		DNSSECOK:        s.query.do,
 		TCP:             qTCP,
 		V4Addrs:         out.V4Addrs[:0],
 		V6Addrs:         out.V6Addrs[:0],
@@ -240,62 +326,21 @@ func (s *Summarizer) Summarize(tx *Transaction, out *Summary) error {
 	if rpkt.Src != qpkt.Dst || rpkt.Dst != qpkt.Src {
 		return ErrIPMismatch
 	}
-	if err := s.rmsg.Unpack(rpkt.Payload); err != nil {
+	// The visitor writes into out while the message is still being
+	// validated; a malformed response rolls back to the unanswered form.
+	unanswered := *out
+	s.response.out = out
+	if err := dnswire.Walk(rpkt.Payload, &s.response); err != nil {
+		*out = unanswered
 		if s.KeepUnparsableResponses {
 			return nil
 		}
 		return err
 	}
-
 	out.Answered = true
 	out.DelayMs = float64(tx.Delay().Microseconds()) / 1000
 	out.Hops = ipwire.InferHops(rpkt.TTL)
 	out.RespSize = len(tx.ResponsePacket)
-	out.RCode = s.rmsg.Flags.RCode
-	out.AA = s.rmsg.Flags.Authoritative
-	out.Trunc = s.rmsg.Flags.Truncated
-	out.AnswerCount = len(s.rmsg.Answers)
-	out.HasAnswerData = len(s.rmsg.Answers) > 0
-
-	for i := range s.rmsg.Answers {
-		rr := &s.rmsg.Answers[i]
-		out.AnswerTTLs = append(out.AnswerTTLs, rr.TTL)
-		switch d := rr.Data.(type) {
-		case dnswire.ARData:
-			out.V4Addrs = append(out.V4Addrs, d.Addr)
-			out.V4Strs = append(out.V4Strs, d.Addr.String())
-		case dnswire.AAAARData:
-			out.V6Addrs = append(out.V6Addrs, d.Addr)
-			out.V6Strs = append(out.V6Strs, d.Addr.String())
-		case dnswire.RRSIGRData:
-			out.HasRRSIG = true
-		}
-	}
-	for i := range s.rmsg.Authority {
-		rr := &s.rmsg.Authority[i]
-		switch d := rr.Data.(type) {
-		case dnswire.NSRData:
-			out.AuthorityNS++
-			out.NSTTLs = append(out.NSTTLs, rr.TTL)
-			out.NSNames = append(out.NSNames, d.NS)
-		case dnswire.SOARData:
-			out.HasSOA = true
-			out.SOAMinimum = d.Minimum
-			// RFC 2308: the negative-caching TTL is the lesser of the
-			// SOA minimum and the SOA record's own TTL.
-			if rr.TTL < out.SOAMinimum {
-				out.SOAMinimum = rr.TTL
-			}
-		case dnswire.RRSIGRData:
-			out.HasRRSIG = true
-		}
-	}
-	for i := range s.rmsg.Additional {
-		if s.rmsg.Additional[i].Type != dnswire.TypeOPT {
-			out.HasAdditional = true
-			break
-		}
-	}
 	return nil
 }
 

@@ -3,14 +3,15 @@ package sketch
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // Histogram is a log-scale bucketed histogram of non-negative values.
 // Buckets grow geometrically, so quantiles keep constant relative error
 // (about half the growth factor) over the full range. The zero value is
-// not usable; create one with NewHistogram.
+// not usable; create one with NewHistogram or InitHistograms.
 type Histogram struct {
-	bounds []float64 // upper bound of each bucket, ascending
+	bounds []float64 // upper bound of each bucket, ascending; shared, read-only
 	counts []uint64
 	n      uint64
 	sum    float64
@@ -18,27 +19,64 @@ type Histogram struct {
 	max    float64
 }
 
-// NewHistogram returns a histogram covering (0, max] with the given
-// growth factor (e.g. 1.2 gives ~10 % relative quantile error). Values
-// above max land in the final overflow bucket; zero and negatives count
-// into the first bucket.
-func NewHistogram(maxValue, growth float64) *Histogram {
+// boundsMemo holds one immutable bounds slice per (max, growth): every
+// histogram of a shape shares it, so a feature set pays for its counts
+// only.
+var boundsMemo struct {
+	sync.Mutex
+	m map[[2]float64][]float64
+}
+
+// bucketBounds returns the shared bucket bounds for the (normalized)
+// shape, deriving them on first use.
+func bucketBounds(maxValue, growth float64) []float64 {
 	if growth <= 1.01 {
 		growth = 1.2
 	}
 	if maxValue <= 1 {
 		maxValue = 1
 	}
-	var bounds []float64
-	for b := 1.0; b < maxValue*growth; b *= growth {
-		bounds = append(bounds, b)
+	key := [2]float64{maxValue, growth}
+	boundsMemo.Lock()
+	defer boundsMemo.Unlock()
+	bounds, ok := boundsMemo.m[key]
+	if !ok {
+		for b := 1.0; b < maxValue*growth; b *= growth {
+			bounds = append(bounds, b)
+		}
+		bounds = append(bounds, math.Inf(1))
+		if boundsMemo.m == nil {
+			boundsMemo.m = make(map[[2]float64][]float64)
+		}
+		boundsMemo.m[key] = bounds
 	}
-	bounds = append(bounds, math.Inf(1))
-	return &Histogram{
-		bounds: bounds,
-		counts: make([]uint64, len(bounds)),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
+	return bounds
+}
+
+// NewHistogram returns a histogram covering (0, max] with the given
+// growth factor (e.g. 1.2 gives ~10 % relative quantile error). Values
+// above max land in the final overflow bucket; zero and negatives count
+// into the first bucket.
+func NewHistogram(maxValue, growth float64) *Histogram {
+	hs := new([1]Histogram)
+	InitHistograms(hs[:], growth, maxValue)
+	return &hs[0]
+}
+
+// InitHistograms makes hs[i] an empty histogram covering
+// (0, maxValues[i]], as NewHistogram would, with the counts of all of
+// them in one allocation — for owners that embed several histograms.
+func InitHistograms(hs []Histogram, growth float64, maxValues ...float64) {
+	words := 0
+	for i, maxValue := range maxValues {
+		hs[i] = Histogram{bounds: bucketBounds(maxValue, growth)}
+		words += len(hs[i].bounds)
+	}
+	counts := make([]uint64, words)
+	for i := range maxValues {
+		n := len(hs[i].bounds)
+		hs[i].counts, counts = counts[:n:n], counts[n:]
+		hs[i].Reset()
 	}
 }
 

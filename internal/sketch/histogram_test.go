@@ -238,3 +238,44 @@ func TestTopValuesReset(t *testing.T) {
 		t.Error("reset incomplete")
 	}
 }
+
+// Histograms of one shape share a single immutable bounds slice, and
+// sharing it never couples their contents.
+func TestHistogramSharesBounds(t *testing.T) {
+	a, b := NewHistogram(60_000, 1.15), NewHistogram(60_000, 1.15)
+	if &a.bounds[0] != &b.bounds[0] {
+		t.Fatal("same-shape histograms hold separate bounds")
+	}
+	if c := NewHistogram(65_536, 1.15); &c.bounds[0] == &a.bounds[0] || len(c.bounds) == 0 {
+		t.Fatal("different shapes share bounds")
+	}
+	if &a.counts[0] == &b.counts[0] {
+		t.Fatal("histograms share counts")
+	}
+	for _, v := range []float64{3, 40, 40, 900} {
+		b.Observe(v)
+	}
+	q25, q50, q75 := b.Quartiles()
+	for i := 0; i < 1000; i++ {
+		a.Observe(float64(i * 17 % 50_000))
+	}
+	a.Reset()
+	a.Observe(7)
+	if g25, g50, g75 := b.Quartiles(); g25 != q25 || g50 != q50 || g75 != q75 || b.N() != 4 {
+		t.Errorf("b changed under a's Observe/Reset: %v %v %v (n=%d), was %v %v %v", g25, g50, g75, b.N(), q25, q50, q75)
+	}
+	if a.N() != 1 || a.Quantile(0.5) != 7 {
+		t.Errorf("a after Reset+Observe: n=%d q50=%v", a.N(), a.Quantile(0.5))
+	}
+
+	// InitHistograms carves consecutive histograms out of one counts slice.
+	var hs [2]Histogram
+	InitHistograms(hs[:], 1.15, 64, 60_000)
+	if &hs[0].bounds[0] == &hs[1].bounds[0] || &hs[1].bounds[0] != &a.bounds[0] {
+		t.Error("embedded histograms do not share the memoized bounds")
+	}
+	hs[0].Observe(1e9) // overflow bucket: the last word of hs[0]'s share
+	if hs[1].N() != 0 || hs[1].counts[0] != 0 || cap(hs[0].counts) != len(hs[0].bounds) {
+		t.Error("carved histograms overlap")
+	}
+}

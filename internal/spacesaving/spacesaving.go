@@ -2,7 +2,7 @@ package spacesaving
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Admitter decides whether a previously unmonitored key may evict the
@@ -257,7 +257,15 @@ func less(a, b *Entry) bool {
 }
 
 func sortEntries(es []*Entry) {
-	sort.Slice(es, func(i, j int) bool { return less(es[i], es[j]) })
+	slices.SortFunc(es, func(a, b *Entry) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // Top returns up to n entries ordered by descending count (ties broken
