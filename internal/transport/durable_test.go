@@ -280,7 +280,12 @@ func TestBlockPolicyBackpressure(t *testing.T) {
 	coll, addr := startCollector(t, CollectorConfig{QueueLen: queueLen, Overload: Block})
 	s := NewSensor(SensorConfig{
 		Addr: addr, Name: "bp", Epoch: 5, FlushBytes: 64,
-		WriteTimeout: 500 * time.Millisecond, AckTimeout: 200 * time.Millisecond,
+		// Both timeouts sit well above the stall below. This test is
+		// about TCP backpressure, not ack-timeout redial: a timeout
+		// inside the stall makes the sensor reconnect, and on the
+		// journal-less Block path the old, still-blocked handler and
+		// its successor then interleave their enqueues.
+		WriteTimeout: 5 * time.Second, AckTimeout: 5 * time.Second,
 		MaxAttempts: -1, BackoffMin: time.Millisecond, BackoffMax: 8 * time.Millisecond,
 	})
 
@@ -325,7 +330,12 @@ func TestBlockPolicyBackpressure(t *testing.T) {
 			t.Fatalf("transaction %d duplicated or reordered under backpressure", i)
 		}
 	}
+	// The handler counts a transaction after the channel send returns,
+	// so the last one may be in the test's hands before it is counted.
 	st := coll.Stats()
+	for deadline := time.Now().Add(2 * time.Second); st.Enqueued != n && time.Now().Before(deadline); st = coll.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Shed != 0 || st.Enqueued != n {
 		t.Errorf("final stats: %+v", st)
 	}

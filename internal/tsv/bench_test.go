@@ -8,7 +8,7 @@ import (
 // benchStore fills a store of the given backend with nWindows minutely
 // snapshots of nRows objects and wide paper-like schemas (many columns,
 // only a few of which any one query touches).
-func benchStore(b *testing.B, backend string, nWindows, nRows int) *Store {
+func benchStore(b testing.TB, backend string, nWindows, nRows int) *Store {
 	b.Helper()
 	st, err := NewStoreBackend(b.TempDir(), backend)
 	if err != nil {

@@ -1,12 +1,16 @@
 package tsv
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"slices"
+	"strings"
+	"sync"
 )
 
 // The columnar snapshot format. One file holds the same logical content
@@ -124,18 +128,6 @@ func (f *colBloom) add(s string) {
 		b := (h1 + uint64(i)*h2) & mask
 		f.words[b/64] |= 1 << (b % 64)
 	}
-}
-
-func (f *colBloom) has(s string) bool {
-	h1, h2 := bloomHash2(s)
-	mask := uint64(len(f.words)*64 - 1)
-	for i := 0; i < f.k; i++ {
-		b := (h1 + uint64(i)*h2) & mask
-		if f.words[b/64]&(1<<(b%64)) == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // --- encoding ---------------------------------------------------------------
@@ -329,27 +321,57 @@ type colStats struct {
 	blocksDecoded uint64
 	blocksSkipped uint64
 	bloomSkips    uint64
+	readBytes     uint64
+	readCalls     uint64
 }
 
-// colReader is a bounds-checked cursor over the file bytes. Every read
-// failure is a typed ErrBadColumnar: the decoder must never panic or
-// allocate proportionally to a hostile length field.
+// colReader is a bounds-checked cursor over file bytes held in memory.
+// Every read failure is a typed ErrBadColumnar: the decoder must never
+// panic or allocate proportionally to a hostile length field.
+//
+// data is either a whole section (rest == 0) or a window of the file
+// whose tail was not read yet (rest > 0 bytes follow it). Lengths are
+// always checked against what the file still holds, not against the
+// window; a read that runs off the window's end sets short, telling
+// colFile.window to retry with a larger one.
 type colReader struct {
-	data []byte
-	off  int
+	data  []byte
+	off   int
+	base  int64 // file offset of data[0], for error messages
+	rest  int64
+	short bool
 }
 
 func (r *colReader) fail(what string) error {
-	return fmt.Errorf("%w: %s at byte %d", ErrBadColumnar, what, r.off)
+	return fmt.Errorf("%w: %s at byte %d", ErrBadColumnar, what, r.base+int64(r.off))
+}
+
+// remaining is how many file bytes lie at or after the cursor.
+func (r *colReader) remaining() uint64 {
+	return uint64(len(r.data)-r.off) + uint64(r.rest)
 }
 
 func (r *colReader) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 {
+		r.short = n == 0 && r.rest > 0
 		return 0, r.fail("bad varint: " + what)
 	}
 	r.off += n
 	return v, nil
+}
+
+// uvarint1 reads the uvarint at the cursor if it is a single byte, as
+// nearly every key length, row id and counter delta is: small enough to
+// inline into the walks over them, which fall back to uvarint.
+func (r *colReader) uvarint1() (uint64, bool) {
+	if r.off < len(r.data) {
+		if b := r.data[r.off]; b < 0x80 {
+			r.off++
+			return uint64(b), true
+		}
+	}
+	return 0, false
 }
 
 // length reads a uvarint that counts not-yet-read items each at least
@@ -363,7 +385,7 @@ func (r *colReader) length(what string, minSize int) (int, error) {
 	if minSize < 1 {
 		minSize = 1
 	}
-	if v > uint64(len(r.data)-r.off)/uint64(minSize) {
+	if v > r.remaining()/uint64(minSize) {
 		return 0, r.fail("oversized length: " + what)
 	}
 	return int(v), nil
@@ -371,6 +393,7 @@ func (r *colReader) length(what string, minSize int) (int, error) {
 
 func (r *colReader) bytes(n int, what string) ([]byte, error) {
 	if n < 0 || n > len(r.data)-r.off {
+		r.short = n >= 0 && uint64(n) <= r.remaining()
 		return nil, r.fail("truncated: " + what)
 	}
 	b := r.data[r.off : r.off+n]
@@ -379,12 +402,11 @@ func (r *colReader) bytes(n int, what string) ([]byte, error) {
 }
 
 func (r *colReader) byte1(what string) (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, r.fail("truncated: " + what)
+	b, err := r.bytes(1, what)
+	if err != nil {
+		return 0, err
 	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
+	return b[0], nil
 }
 
 func (r *colReader) f64(what string) (float64, error) {
@@ -396,12 +418,12 @@ func (r *colReader) f64(what string) (float64, error) {
 }
 
 // lazyCol is one column's parsed block metadata with per-block lazy
-// value decoding.
+// value decoding. Its slices are reused from file to file.
 type lazyCol struct {
 	nrows     int
 	blockRows int
 	blocks    []colBlockMeta
-	vals      []float64 // allocated on first decode
+	vals      []float64 // sized on first decode; only decoded blocks hold values
 	decoded   []bool
 }
 
@@ -411,35 +433,36 @@ type colBlockMeta struct {
 	payload  []byte
 }
 
-// parseColSection scans a column section's block headers, validating
-// payload bounds without decoding any values.
-func parseColSection(sect []byte, nrows, blockRows int) (*lazyCol, error) {
+// parse scans a column section's block headers, validating payload
+// bounds without decoding any values.
+func (c *lazyCol) parse(sect []byte, base int64, nrows, blockRows int) error {
 	nblocks := 0
 	if nrows > 0 {
 		nblocks = (nrows + blockRows - 1) / blockRows
 	}
-	c := &lazyCol{nrows: nrows, blockRows: blockRows, blocks: make([]colBlockMeta, nblocks)}
-	r := &colReader{data: sect}
+	c.nrows, c.blockRows = nrows, blockRows
+	c.blocks = c.blocks[:0]
+	r := &colReader{data: sect, base: base}
 	for b := 0; b < nblocks; b++ {
 		mn, err := r.f64("block min")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mx, err := r.f64("block max")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		enc, err := r.byte1("block encoding")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		plen, err := r.length("block payload", 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		payload, err := r.bytes(plen, "block payload")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		count := blockRows
 		if b == nblocks-1 {
@@ -448,23 +471,25 @@ func parseColSection(sect []byte, nrows, blockRows int) (*lazyCol, error) {
 		switch enc {
 		case encConst:
 			if plen != 8 {
-				return nil, r.fail("const block payload size")
+				return r.fail("const block payload size")
 			}
 		case encRaw:
 			if plen != 8*count {
-				return nil, r.fail("raw block payload size")
+				return r.fail("raw block payload size")
 			}
 		case encIntDelta:
 			// Lengths are validated on decode (varint count must match).
 		default:
-			return nil, r.fail("unknown block encoding")
+			return r.fail("unknown block encoding")
 		}
-		c.blocks[b] = colBlockMeta{min: mn, max: mx, enc: enc, payload: payload}
+		c.blocks = append(c.blocks, colBlockMeta{min: mn, max: mx, enc: enc, payload: payload})
 	}
 	if r.off != len(sect) {
-		return nil, r.fail("trailing bytes in column section")
+		return r.fail("trailing bytes in column section")
 	}
-	return c, nil
+	c.decoded = growSlice(c.decoded, nblocks)
+	clear(c.decoded)
+	return nil
 }
 
 // blockRange returns the row range [lo, hi) of block b.
@@ -479,13 +504,10 @@ func (c *lazyCol) blockRange(b int) (int, int) {
 
 // ensure decodes block b into c.vals.
 func (c *lazyCol) ensure(b int, stats *colStats) error {
-	if c.decoded == nil {
-		c.vals = make([]float64, c.nrows)
-		c.decoded = make([]bool, len(c.blocks))
-	}
 	if c.decoded[b] {
 		return nil
 	}
+	c.vals = growSlice(c.vals, c.nrows)
 	lo, hi := c.blockRange(b)
 	m := &c.blocks[b]
 	switch m.enc {
@@ -500,26 +522,35 @@ func (c *lazyCol) ensure(b int, stats *colStats) error {
 				binary.LittleEndian.Uint64(m.payload[(i-lo)*8:]))
 		}
 	case encIntDelta:
-		off := 0
+		r := colReader{data: m.payload}
 		prev := int64(0)
 		for i := lo; i < hi; i++ {
-			u, n := binary.Uvarint(m.payload[off:])
-			if n <= 0 {
-				return fmt.Errorf("%w: truncated delta block", ErrBadColumnar)
+			u, ok := r.uvarint1()
+			if !ok {
+				var err error
+				if u, err = r.uvarint("block delta"); err != nil {
+					return err
+				}
 			}
-			off += n
 			prev += unzigzag(u)
 			c.vals[i] = float64(prev)
 		}
-		if off != len(m.payload) {
-			return fmt.Errorf("%w: trailing bytes in delta block", ErrBadColumnar)
+		if r.off != len(m.payload) {
+			return r.fail("trailing bytes in delta block")
 		}
 	}
 	c.decoded[b] = true
-	if stats != nil {
-		stats.blocksDecoded++
-	}
+	stats.blocksDecoded++
 	return nil
+}
+
+// growSlice returns s with length n, reallocating only when its
+// capacity is short. The contents are unspecified.
+func growSlice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // DecodeColumnar decodes a columnar snapshot file in full. Aggregation,
@@ -535,378 +566,658 @@ func IsColumnar(data []byte) bool {
 	return len(data) >= len(colMagic) && string(data[:len(colMagic)]) == colMagic
 }
 
-// decodeColumnar decodes data, materializing only what proj selects.
-// The result is exactly applyProjection(fullDecode(data), proj); the
-// point of the format is reaching it without decoding skipped blocks.
+// decodeColumnar is the in-memory form of the section reader: the same
+// code the store runs over an open file, here over a bytes.Reader. The
+// result is exactly applyProjection(fullDecode(data), proj).
 func decodeColumnar(data []byte, proj *Projection, stats *colStats) (*Snapshot, error) {
-	r := &colReader{data: data}
-	if m, err := r.bytes(len(colMagic), "magic"); err != nil || string(m) != colMagic {
+	f := colFilePool.Get().(*colFile)
+	defer f.release()
+	if err := f.open(bytes.NewReader(data), int64(len(data)), proj, stats); err != nil {
+		return nil, err
+	}
+	return f.snapshot(), nil
+}
+
+// colProbeBytes is the first read of every file. The header is not
+// length-prefixed, so its size is unknown until parsed: 512 bytes hold
+// the header of the widest standard aggregation (48 columns, ~400
+// bytes), and window doubles the read for anything wider.
+const colProbeBytes = 512
+
+// colFile reads one DNSC1 file section by section through an
+// io.ReaderAt: header, bloom + column directory and footer always, the
+// key section unless the bloom rejects a point lookup, and of the
+// column sections only those the projection or a predicate names.
+//
+// A colFile is pooled scratch. Every slice below is reused from file to
+// file, and every []byte is a view into arena that dies at the next
+// open: whatever outlives the file (a materialized Snapshot, the
+// accumulator's keys) copies out of it first.
+type colFile struct {
+	src   io.ReaderAt
+	size  int64
+	stats *colStats
+	arena []byte // every byte read from the current file
+	whole []byte // the file, when all of it is wanted: reads are views
+
+	// Header.
+	names       [][]byte
+	kinds       []Kind
+	nrows       int
+	totalBefore uint64
+	totalAfter  uint64
+	windows     int
+	keyOff      int64
+	keyLen      int
+
+	// Bloom and column directory.
+	bloomK    int
+	bloom     []byte // the filter's words as stored: little-endian uint64s
+	blockRows int
+	sectOff   []int64
+	sectLen   []int
+	footOff   int64
+
+	// The projection resolved against this file's schema.
+	colIdx  []int
+	predIdx []int
+
+	// Key section: dictionary entry d is dict[dictOff[d]:dictOff[d+1]];
+	// row i holds entry ids[i], or entry i when ids is nil.
+	dict    []byte
+	dictOff []int
+	ids     []int
+
+	// The selected rows, ascending, and the column sections read so far.
+	// colSlot maps a file column to its index in cols, -1 while unread.
+	sel     []int
+	cols    []lazyCol
+	colSlot []int32
+
+	counts colStats // the file's counters, when the caller brings none
+}
+
+var colFilePool = sync.Pool{New: func() any { return new(colFile) }}
+
+// detach drops what would pin f's source while f waits in a pool.
+func (f *colFile) detach() { f.src, f.stats = nil, nil }
+
+// release returns f to the pool.
+func (f *colFile) release() {
+	f.detach()
+	colFilePool.Put(f)
+}
+
+// open reads and validates what proj needs of the file behind src, in
+// the order the whole-buffer decoder used to check it: structure first
+// (header, bloom, directory, section extents, footer), then the
+// projection against the schema — so an unknown column errors
+// identically on every path, even a bloom-rejected point lookup — then
+// bloom, keys, predicates, and the projected blocks that still hold
+// selected rows. On a nil return the file's selected rows are fully
+// decoded; nothing is left to fail in snapshot or in a fold.
+func (f *colFile) open(src io.ReaderAt, size int64, proj *Projection, stats *colStats) error {
+	f.attach(src, size, stats)
+	f.sel = f.sel[:0]
+	f.cols = f.cols[:0]
+	var key string
+	var preds []Pred
+	if proj != nil {
+		key, preds = proj.Key, proj.Where
+	}
+	if proj.empty() {
+		// Every byte is needed: one read, and every section a view.
+		whole, err := f.read(0, int(size))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return nil, r.fail("bad magic")
+		f.whole = whole
+	}
+	if err := f.window(0, colProbeBytes, (*colFile).parseHeader); err != nil {
+		return err
+	}
+	if err := f.window(f.keyOff+int64(f.keyLen), f.metaGuess(), (*colFile).parseMeta); err != nil {
+		return err
+	}
+	if err := f.checkFooter(); err != nil {
+		return err
+	}
+	if err := f.resolve(proj); err != nil {
+		return err
+	}
+	// Bloom pushdown: a negative point lookup ends here — no key or
+	// value section is even read.
+	if key != "" && f.bloomK > 0 && !bloomHas(f.bloom, f.bloomK, key) {
+		f.stats.bloomSkips++
+		return nil
+	}
+	if err := f.readKeys(key); err != nil {
+		return err
+	}
+	if err := f.filter(preds); err != nil {
+		return err
+	}
+	return f.decodeSelected()
+}
+
+// attach points f at a new file, dropping every view of the last one.
+func (f *colFile) attach(src io.ReaderAt, size int64, stats *colStats) {
+	if stats == nil {
+		stats = &f.counts
+	}
+	f.src, f.size, f.stats = src, size, stats
+	f.arena, f.whole = f.arena[:0], nil
+}
+
+// read returns file bytes [off, off+n), read into the arena. Callers
+// have checked n against the file size, so the arena outgrows the file
+// by no more than the windows read twice.
+func (f *colFile) read(off int64, n int) ([]byte, error) {
+	if f.whole != nil {
+		return f.whole[off : off+int64(n) : off+int64(n)], nil
+	}
+	start := len(f.arena)
+	f.arena = slices.Grow(f.arena, n)[:start+n]
+	b := f.arena[start : start+n : start+n]
+	if n == 0 {
+		return b, nil
+	}
+	f.stats.readBytes += uint64(n)
+	f.stats.readCalls++
+	if m, err := f.src.ReadAt(b, off); m < n {
+		if err == io.EOF {
+			// Shorter than its size said: cut under the reader.
+			return nil, fmt.Errorf("%w: truncated: file ends at byte %d", ErrBadColumnar, off+int64(m))
+		}
+		return nil, err
+	}
+	return b, nil
+}
+
+// window parses the file from off, where the parsed structure has no
+// length prefix: it reads guess bytes and doubles the read for as long
+// as parse runs off the window's end before the file's.
+func (f *colFile) window(off int64, guess int, parse func(*colFile, *colReader) error) error {
+	mark := len(f.arena)
+	for {
+		n := int(min(int64(guess), f.size-off))
+		f.arena = f.arena[:mark]
+		win, err := f.read(off, n)
+		if err != nil {
+			return err
+		}
+		r := colReader{data: win, base: off, rest: f.size - off - int64(n)}
+		if err = parse(f, &r); !r.short {
+			return err
+		}
+		guess = 2 * n
+	}
+}
+
+func (f *colFile) parseHeader(r *colReader) error {
+	if m, err := r.bytes(len(colMagic), "magic"); err != nil {
+		return err
+	} else if string(m) != colMagic {
+		return r.fail("bad magic")
 	}
 	ncols, err := r.length("column count", 2)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s := &Snapshot{
-		Columns: make([]string, ncols),
-		Kinds:   make([]Kind, ncols),
-	}
+	f.names, f.kinds = f.names[:0], f.kinds[:0]
 	for i := 0; i < ncols; i++ {
 		nameLen, err := r.length("column name", 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		name, err := r.bytes(nameLen, "column name")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		kb, err := r.byte1("column kind")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		kind, ok := kindFromByte(kb)
 		if !ok {
-			return nil, r.fail("unknown column kind")
+			return r.fail("unknown column kind")
 		}
-		s.Columns[i] = string(name)
-		s.Kinds[i] = kind
+		f.names = append(f.names, name)
+		f.kinds = append(f.kinds, kind)
 	}
-	nrows, err := r.length("row count", 1)
-	if err != nil {
-		return nil, err
+	if f.nrows, err = r.length("row count", 1); err != nil {
+		return err
 	}
-	if s.TotalBefore, err = r.uvarint("total_before"); err != nil {
-		return nil, err
+	if f.totalBefore, err = r.uvarint("total_before"); err != nil {
+		return err
 	}
-	if s.TotalAfter, err = r.uvarint("total_after"); err != nil {
-		return nil, err
+	if f.totalAfter, err = r.uvarint("total_after"); err != nil {
+		return err
 	}
 	windows, err := r.uvarint("windows")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if windows > uint64(math.MaxInt32) {
-		return nil, r.fail("oversized windows")
+		return r.fail("oversized windows")
 	}
-	s.Windows = int(windows)
+	f.windows = int(windows)
+	if f.keyLen, err = r.length("key section", 1); err != nil {
+		return err
+	}
+	f.keyOff = r.base + int64(r.off)
+	return nil
+}
 
-	keySectLen, err := r.length("key section", 1)
-	if err != nil {
-		return nil, err
+// metaGuess sizes the read of bloom + directory so that one ReadAt
+// holds both for any file EncodeColumnar wrote: its bloom is the power
+// of two at or above 10 bits per distinct key, and there are at most
+// nrows of those.
+func (f *colFile) metaGuess() int {
+	bloomBits := 64
+	for bloomBits < f.nrows*10 {
+		bloomBits <<= 1
 	}
-	keySect, err := r.bytes(keySectLen, "key section")
-	if err != nil {
-		return nil, err
-	}
+	return 1 + binary.MaxVarintLen64 + bloomBits/8 + binary.MaxVarintLen64 + 3*len(f.names)
+}
 
+func (f *colFile) parseMeta(r *colReader) error {
 	bloomK, err := r.byte1("bloom k")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var bloom *colBloom
+	f.bloomK, f.bloom = 0, nil
 	if bloomK > 0 {
 		if bloomK > 32 {
-			return nil, r.fail("oversized bloom k")
+			return r.fail("oversized bloom k")
 		}
 		nwords, err := r.length("bloom words", 8)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if nwords == 0 || bits.OnesCount(uint(nwords)) != 1 {
-			return nil, r.fail("bloom size not a power of two")
+			return r.fail("bloom size not a power of two")
 		}
-		wordBytes, err := r.bytes(nwords*8, "bloom bits")
-		if err != nil {
-			return nil, err
+		if f.bloom, err = r.bytes(nwords*8, "bloom bits"); err != nil {
+			return err
 		}
-		bloom = &colBloom{k: int(bloomK), words: make([]uint64, nwords)}
-		for i := range bloom.words {
-			bloom.words[i] = binary.LittleEndian.Uint64(wordBytes[i*8:])
-		}
+		f.bloomK = int(bloomK)
 	}
-
-	blockRows64, err := r.uvarint("block rows")
+	blockRows, err := r.uvarint("block rows")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if blockRows64 == 0 || blockRows64 > 1<<20 {
-		return nil, r.fail("bad block rows")
+	if blockRows == 0 || blockRows > 1<<20 {
+		return r.fail("bad block rows")
 	}
-	blockRows := int(blockRows64)
-	sectLens := make([]int, ncols)
-	for i := range sectLens {
-		if sectLens[i], err = r.length("column section length", 1); err != nil {
-			return nil, err
-		}
-	}
-	sects := make([][]byte, ncols)
-	for i := range sects {
-		if sects[i], err = r.bytes(sectLens[i], "column section"); err != nil {
-			return nil, err
-		}
-	}
-	if f, err := r.bytes(len(colFooter), "footer"); err != nil || string(f) != colFooter {
+	f.blockRows = int(blockRows)
+	f.sectLen = f.sectLen[:0]
+	for range f.names {
+		n, err := r.length("column section length", 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return nil, r.fail("bad footer")
+		f.sectLen = append(f.sectLen, n)
 	}
-	if r.off != len(data) {
-		return nil, r.fail("trailing bytes after footer")
-	}
-
-	// Resolve the projection against the schema before touching any row
-	// data, so unknown columns error identically on every path (even a
-	// bloom-rejected point lookup).
-	outCols := s.Columns
-	if proj != nil && len(proj.Columns) > 0 {
-		outCols = proj.Columns
-	}
-	colIdx := make([]int, len(outCols))
-	outKinds := make([]Kind, len(outCols))
-	for i, name := range outCols {
-		j, err := s.columnIndex(name)
-		if err != nil {
-			return nil, err
-		}
-		colIdx[i] = j
-		outKinds[i] = s.Kinds[j]
-	}
-	var preds []Pred
-	var predIdx []int
-	if proj != nil {
-		preds = proj.Where
-		predIdx = make([]int, len(preds))
-		for i, p := range preds {
-			j, err := s.columnIndex(p.Col)
-			if err != nil {
-				return nil, err
-			}
-			predIdx[i] = j
+	// The sections follow the directory back to back and the footer
+	// follows them: their extents must fit the file.
+	f.sectOff = f.sectOff[:0]
+	off := r.base + int64(r.off)
+	for _, n := range f.sectLen {
+		f.sectOff = append(f.sectOff, off)
+		if off += int64(n); off > f.size {
+			return fmt.Errorf("%w: truncated: column section at byte %d", ErrBadColumnar, f.size)
 		}
 	}
-	out := &Snapshot{
-		Aggregation: s.Aggregation,
-		Level:       s.Level,
-		Start:       s.Start,
-		Columns:     append([]string(nil), outCols...),
-		Kinds:       outKinds,
-		TotalBefore: s.TotalBefore,
-		TotalAfter:  s.TotalAfter,
-		Windows:     s.Windows,
-	}
-
-	// Bloom pushdown: a negative point lookup ends here — no key or
-	// value data is decoded at all.
-	if proj != nil && proj.Key != "" && bloom != nil && !bloom.has(proj.Key) {
-		if stats != nil {
-			stats.bloomSkips++
-		}
-		return out, nil
-	}
-
-	keys, err := decodeKeySection(keySect, nrows)
-	if err != nil {
-		return nil, err
-	}
-
-	// Row selection: key filter first, then predicate pushdown per
-	// column with block skipping.
-	selected := make([]bool, nrows)
-	nSel := 0
-	if proj != nil && proj.Key != "" {
-		for i, k := range keys {
-			if k == proj.Key {
-				selected[i] = true
-				nSel++
-			}
-		}
-	} else {
-		for i := range selected {
-			selected[i] = true
-		}
-		nSel = nrows
-	}
-
-	cols := make([]*lazyCol, ncols) // parsed lazily, shared by preds and projection
-	getCol := func(j int) (*lazyCol, error) {
-		if cols[j] == nil {
-			c, err := parseColSection(sects[j], nrows, blockRows)
-			if err != nil {
-				return nil, err
-			}
-			cols[j] = c
-		}
-		return cols[j], nil
-	}
-
-	for pi, p := range preds {
-		if nSel == 0 {
-			break
-		}
-		c, err := getCol(predIdx[pi])
-		if err != nil {
-			return nil, err
-		}
-		for b := range c.blocks {
-			lo, hi := c.blockRange(b)
-			any := false
-			for i := lo; i < hi; i++ {
-				if selected[i] {
-					any = true
-					break
-				}
-			}
-			if !any {
-				continue
-			}
-			m := &c.blocks[b]
-			// Block fully outside the range: every row fails. NaN
-			// bounds fail both comparisons, forcing the slow path.
-			if m.max < p.Min || m.min > p.Max {
-				for i := lo; i < hi; i++ {
-					if selected[i] {
-						selected[i] = false
-						nSel--
-					}
-				}
-				if stats != nil {
-					stats.blocksSkipped++
-				}
-				continue
-			}
-			// Block fully inside: every row passes, nothing to decode.
-			if m.min >= p.Min && m.max <= p.Max {
-				if stats != nil {
-					stats.blocksSkipped++
-				}
-				continue
-			}
-			if err := c.ensure(b, stats); err != nil {
-				return nil, err
-			}
-			for i := lo; i < hi; i++ {
-				if selected[i] && !p.matches(c.vals[i]) {
-					selected[i] = false
-					nSel--
-				}
-			}
-		}
-	}
-
-	if nSel == 0 {
-		return out, nil
-	}
-
-	// Materialize: decode only the blocks of projected columns that
-	// still hold selected rows.
-	flat := make([]float64, nSel*len(colIdx))
-	out.Rows = make([]Row, 0, nSel)
-	for oi, j := range colIdx {
-		c, err := getCol(j)
-		if err != nil {
-			return nil, err
-		}
-		k := 0
-		for b := range c.blocks {
-			lo, hi := c.blockRange(b)
-			decodedBlock := false
-			for i := lo; i < hi; i++ {
-				if !selected[i] {
-					continue
-				}
-				if !decodedBlock {
-					if err := c.ensure(b, stats); err != nil {
-						return nil, err
-					}
-					decodedBlock = true
-				}
-				flat[k*len(colIdx)+oi] = c.vals[i]
-				k++
-			}
-			if !decodedBlock && stats != nil {
-				stats.blocksSkipped++
-			}
-		}
-	}
-	k := 0
-	for i := 0; i < nrows; i++ {
-		if !selected[i] {
-			continue
-		}
-		out.Rows = append(out.Rows, Row{
-			Key:    keys[i],
-			Values: flat[k*len(colIdx) : (k+1)*len(colIdx) : (k+1)*len(colIdx)],
-		})
-		k++
-	}
-	return out, nil
+	f.footOff = off
+	return nil
 }
 
-// decodeKeySection decodes the dictionary and per-row key slice. All
-// keys are substrings of one backing string, so a 30 k-row file costs
-// one allocation for key bytes, not one per key.
-func decodeKeySection(sect []byte, nrows int) ([]string, error) {
-	r := &colReader{data: sect}
+func (f *colFile) checkFooter() error {
+	if f.size-f.footOff < int64(len(colFooter)) {
+		return fmt.Errorf("%w: truncated: footer at byte %d", ErrBadColumnar, f.footOff)
+	}
+	foot, err := f.read(f.footOff, len(colFooter))
+	if err != nil {
+		return err
+	}
+	if string(foot) != colFooter {
+		return fmt.Errorf("%w: bad footer at byte %d", ErrBadColumnar, f.footOff)
+	}
+	if end := f.footOff + int64(len(colFooter)); end != f.size {
+		return fmt.Errorf("%w: trailing bytes after footer at byte %d", ErrBadColumnar, end)
+	}
+	return nil
+}
+
+// columnIndex resolves name against the header without allocating.
+func (f *colFile) columnIndex(name string) (int, error) {
+	for j, n := range f.names {
+		if string(n) == name {
+			return j, nil
+		}
+	}
+	return 0, &UnknownColumnError{Column: name}
+}
+
+// resolve maps the projected and predicate columns to file columns.
+func (f *colFile) resolve(proj *Projection) error {
+	f.colIdx, f.predIdx = f.colIdx[:0], f.predIdx[:0]
+	if proj == nil || len(proj.Columns) == 0 {
+		for j := range f.names {
+			f.colIdx = append(f.colIdx, j)
+		}
+	} else {
+		for _, name := range proj.Columns {
+			j, err := f.columnIndex(name)
+			if err != nil {
+				return err
+			}
+			f.colIdx = append(f.colIdx, j)
+		}
+	}
+	if proj != nil {
+		for _, p := range proj.Where {
+			j, err := f.columnIndex(p.Col)
+			if err != nil {
+				return err
+			}
+			f.predIdx = append(f.predIdx, j)
+		}
+	}
+	f.colSlot = growSlice(f.colSlot, len(f.names))
+	for j := range f.colSlot {
+		f.colSlot[j] = -1
+	}
+	return nil
+}
+
+// bloomHas probes the stored filter in place: bit b of the word array
+// is bit b%8 of byte b/8, the words being little-endian.
+func bloomHas(words []byte, k int, key string) bool {
+	h1, h2 := bloomHash2(key)
+	mask := uint64(len(words)*8 - 1)
+	for i := 0; i < k; i++ {
+		b := (h1 + uint64(i)*h2) & mask
+		if words[b/8]&(1<<(b%8)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// readKeys reads and validates the key section — every dictionary
+// length and every row id, whatever the query — and sets the initial
+// row selection: every row, or with a key the rows that hold it. Keys
+// stay where they were read; dictKey returns views.
+func (f *colFile) readKeys(key string) error {
+	sect, err := f.read(f.keyOff, f.keyLen)
+	if err != nil {
+		return err
+	}
+	r := &colReader{data: sect, base: f.keyOff}
 	dictN, err := r.length("dictionary count", 1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	concatLen, err := r.length("dictionary bytes", 1)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	concat, err := r.bytes(concatLen, "dictionary bytes")
-	if err != nil {
-		return nil, err
+	if f.dict, err = r.bytes(concatLen, "dictionary bytes"); err != nil {
+		return err
 	}
-	backing := string(concat)
-	dict := make([]string, dictN)
+	// With a key, the dictionary walk doubles as the search: only
+	// entries of the key's length are compared.
+	f.dictOff = growSlice(f.dictOff, dictN+1)
+	f.sel = f.sel[:0]
 	off := 0
-	for i := 0; i < dictN; i++ {
-		l, err := r.uvarint("dictionary entry length")
-		if err != nil {
-			return nil, err
+	for d := 0; d < dictN; d++ {
+		l, ok := r.uvarint1()
+		if !ok {
+			if l, err = r.uvarint("dictionary entry length"); err != nil {
+				return err
+			}
 		}
-		if l > uint64(len(backing)-off) {
-			return nil, r.fail("dictionary entry length")
+		if l > uint64(len(f.dict)-off) {
+			return r.fail("dictionary entry length")
 		}
-		dict[i] = backing[off : off+int(l)]
+		f.dictOff[d] = off
+		if key != "" && int(l) == len(key) && string(f.dict[off:off+int(l)]) == key {
+			f.sel = append(f.sel, d) // entries for now; rows below
+		}
 		off += int(l)
 	}
-	if off != len(backing) {
-		return nil, r.fail("dictionary bytes not fully consumed")
+	f.dictOff[dictN] = off
+	if off != len(f.dict) {
+		return r.fail("dictionary bytes not fully consumed")
 	}
 	idsPresent, err := r.byte1("ids flag")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	keys := make([]string, nrows)
 	switch idsPresent {
 	case 0:
-		if dictN != nrows {
-			return nil, r.fail("identity ids with mismatched dictionary")
+		if dictN != f.nrows {
+			return r.fail("identity ids with mismatched dictionary")
 		}
-		copy(keys, dict)
+		f.ids = nil
 	case 1:
-		for i := 0; i < nrows; i++ {
-			id, err := r.uvarint("row key id")
-			if err != nil {
-				return nil, err
+		f.ids = growSlice(f.ids, f.nrows)
+		if f.nrows == 0 {
+			f.ids = f.ids[:0:0] // not nil: nil means identity
+		}
+		for i := range f.ids {
+			id, ok := r.uvarint1()
+			if !ok {
+				if id, err = r.uvarint("row key id"); err != nil {
+					return err
+				}
 			}
 			if id >= uint64(dictN) {
-				return nil, r.fail("row key id out of range")
+				return r.fail("row key id out of range")
 			}
-			keys[i] = dict[id]
+			f.ids[i] = int(id)
 		}
 	default:
-		return nil, r.fail("bad ids flag")
+		return r.fail("bad ids flag")
 	}
 	if r.off != len(sect) {
-		return nil, r.fail("trailing bytes in key section")
+		return r.fail("trailing bytes in key section")
 	}
-	return keys, nil
+
+	switch {
+	case key == "":
+		f.sel = growSlice(f.sel, f.nrows)
+		for i := range f.sel {
+			f.sel[i] = i
+		}
+	case f.ids != nil && len(f.sel) > 0:
+		// Rows share entries: select the rows that hold a matching one.
+		hits := len(f.sel)
+		for i, id := range f.ids {
+			if slices.Contains(f.sel[:hits], id) {
+				f.sel = append(f.sel, i)
+			}
+		}
+		f.sel = f.sel[:copy(f.sel, f.sel[hits:])]
+	}
+	return nil
+}
+
+// dictID returns the dictionary entry row i holds.
+func (f *colFile) dictID(i int) int {
+	if f.ids == nil {
+		return i
+	}
+	return f.ids[i]
+}
+
+// dictKey returns dictionary entry d as a view into the arena.
+func (f *colFile) dictKey(d int) []byte { return f.dict[f.dictOff[d]:f.dictOff[d+1]] }
+
+// col returns file column j's block metadata, reading and parsing its
+// section on first use. The pointer is valid until the next col call.
+func (f *colFile) col(j int) (*lazyCol, error) {
+	if s := f.colSlot[j]; s >= 0 {
+		return &f.cols[s], nil
+	}
+	sect, err := f.read(f.sectOff[j], f.sectLen[j])
+	if err != nil {
+		return nil, err
+	}
+	s := len(f.cols)
+	if s < cap(f.cols) {
+		f.cols = f.cols[:s+1] // reuse the slot's slices
+	} else {
+		f.cols = append(f.cols, lazyCol{})
+	}
+	c := &f.cols[s]
+	if err := c.parse(sect, f.sectOff[j], f.nrows, f.blockRows); err != nil {
+		f.cols = f.cols[:s]
+		return nil, err
+	}
+	f.colSlot[j] = int32(s)
+	return c, nil
+}
+
+// blockEnd returns the end of the run of selected rows, starting at
+// sel[from], that lie in one block, and that block.
+func (f *colFile) blockEnd(from int) (to, block int) {
+	block = f.sel[from] / f.blockRows
+	hi := (block + 1) * f.blockRows
+	for to = from + 1; to < len(f.sel) && f.sel[to] < hi; to++ {
+	}
+	return to, block
+}
+
+// filter narrows the selection by predicate pushdown, per column with
+// block skipping. Blocks without a selected row are not even looked at.
+func (f *colFile) filter(preds []Pred) error {
+	for pi, p := range preds {
+		if len(f.sel) == 0 {
+			break
+		}
+		c, err := f.col(f.predIdx[pi])
+		if err != nil {
+			return err
+		}
+		kept := 0
+		for from := 0; from < len(f.sel); {
+			to, b := f.blockEnd(from)
+			run := f.sel[from:to]
+			from = to
+			m := &c.blocks[b]
+			switch {
+			case m.max < p.Min || m.min > p.Max:
+				// Block fully outside the range: every row fails. NaN
+				// bounds fail both comparisons, forcing the slow path.
+				f.stats.blocksSkipped++
+			case m.min >= p.Min && m.max <= p.Max:
+				// Block fully inside: every row passes, nothing to decode.
+				f.stats.blocksSkipped++
+				kept += copy(f.sel[kept:], run)
+			default:
+				if err := c.ensure(b, f.stats); err != nil {
+					return err
+				}
+				for _, i := range run {
+					if p.matches(c.vals[i]) {
+						f.sel[kept] = i
+						kept++
+					}
+				}
+			}
+		}
+		f.sel = f.sel[:kept]
+	}
+	return nil
+}
+
+// decodeSelected decodes only the blocks of projected columns that
+// still hold selected rows; a point hit decodes one block per column.
+func (f *colFile) decodeSelected() error {
+	if len(f.sel) == 0 {
+		return nil
+	}
+	for _, j := range f.colIdx {
+		c, err := f.col(j)
+		if err != nil {
+			return err
+		}
+		held := 0
+		for from := 0; from < len(f.sel); held++ {
+			to, b := f.blockEnd(from)
+			if err := c.ensure(b, f.stats); err != nil {
+				return err
+			}
+			from = to
+		}
+		f.stats.blocksSkipped += uint64(len(c.blocks) - held)
+	}
+	return nil
+}
+
+// projected returns the decoded values of projected column oi, indexed
+// by row; only selected rows hold a value.
+func (f *colFile) projected(oi int) []float64 {
+	return f.cols[f.colSlot[f.colIdx[oi]]].vals
+}
+
+// columnNames returns the projected schema as strings the caller owns:
+// substrings of one backing string, since a full Get names 48 columns.
+func (f *colFile) columnNames() []string {
+	var sb strings.Builder
+	for _, j := range f.colIdx {
+		sb.Write(f.names[j])
+	}
+	backing, out := sb.String(), make([]string, len(f.colIdx))
+	for oi, j := range f.colIdx {
+		n := len(f.names[j])
+		out[oi], backing = backing[:n], backing[n:]
+	}
+	return out
+}
+
+// snapshot materializes the opened file's selected rows: the form Get
+// and GetProjected return. Keys are substrings of one backing string
+// and values slices of one array, so a 30 k-row file costs a handful
+// of allocations, not one per row.
+func (f *colFile) snapshot() *Snapshot {
+	out := &Snapshot{
+		Columns:     f.columnNames(),
+		Kinds:       make([]Kind, len(f.colIdx)),
+		TotalBefore: f.totalBefore,
+		TotalAfter:  f.totalAfter,
+		Windows:     f.windows,
+	}
+	for oi, j := range f.colIdx {
+		out.Kinds[oi] = f.kinds[j]
+	}
+	if len(f.sel) == 0 {
+		return out
+	}
+	ncols := len(f.colIdx)
+	flat := make([]float64, len(f.sel)*ncols)
+	for oi := range f.colIdx {
+		vals := f.projected(oi)
+		for k, i := range f.sel {
+			flat[k*ncols+oi] = vals[i]
+		}
+	}
+	var sb strings.Builder
+	if len(f.sel) == f.nrows {
+		sb.Grow(len(f.dict)) // exact unless rows share keys
+	}
+	for _, i := range f.sel {
+		sb.Write(f.dictKey(f.dictID(i)))
+	}
+	backing := sb.String()
+	out.Rows = make([]Row, len(f.sel))
+	for k, i := range f.sel {
+		n := len(f.dictKey(f.dictID(i)))
+		out.Rows[k] = Row{Key: backing[:n], Values: flat[k*ncols : (k+1)*ncols : (k+1)*ncols]}
+		backing = backing[n:]
+	}
+	return out
 }

@@ -1,16 +1,33 @@
 // Package tsv implements the Observatory's on-disk time series (paper
-// §2.4): TSV snapshot files whose names encode the aggregation, time
-// granularity and collection start; cascading time aggregation from
-// minutely files up to yearly ones (mean rates for counters, zero-filled
-// for missing objects; means over present windows for gauges); and the
-// per-granularity retention policy that keeps disk usage bounded.
+// §2.4): snapshot files whose names encode the aggregation, time
+// granularity and collection start, in a TSV text codec and a columnar
+// binary one (DNSC1); cascading time aggregation from minutely files up
+// to yearly ones (mean rates for counters, zero-filled for missing
+// objects; means over present windows for gauges; window-weighted
+// majority for modes); the per-granularity retention policy that keeps
+// disk usage bounded; and the query engine that answers top-k, point
+// and range-predicate questions over a time range, reading only the
+// file sections a question needs.
 //
-// Concurrency: Store methods are safe for concurrent use. Put writes to
-// a uniquely numbered temp file and renames it into place atomically,
-// so concurrent puts (the parallel engines' snapshot callbacks) never
-// interleave bytes; the operation counters are atomics. CascadeAll runs
-// its own bounded worker pool (Store.Parallelism) whose output is
-// byte-identical to the serial cascade. Instrument publishes the store
-// counters and per-level cascade-duration histograms to a metrics
-// registry without adding work to Put itself.
+// Concurrency: Store and Engine methods are safe for concurrent use.
+// Put writes to a uniquely numbered temp file and renames it into place
+// atomically, so concurrent puts (the parallel engines' snapshot
+// callbacks) never interleave bytes; the operation counters are
+// atomics. CascadeAll runs its own bounded worker pool
+// (Store.Parallelism) whose output is byte-identical to the serial
+// cascade. Instrument publishes the store counters and per-level
+// cascade-duration histograms to a metrics registry without adding work
+// to Put itself.
+//
+// Reads decode into pooled scratch: a query borrows one accumulator,
+// which carries the reader scratch every file of the range is read
+// through, and returns it when it is done, so concurrent queries never
+// share scratch and a query's steady-state allocation does not depend
+// on the bytes in range. Byte views of a file die when the next file is
+// opened; whatever a caller receives — a Snapshot from Get or
+// GetProjected, a Result from Engine.Run — owns its memory and stays
+// valid after any number of later reads. A file that was listed but is
+// gone by the time a query opens it (Retention deletes before it
+// invalidates the listing) is skipped as a window that no longer
+// exists; one that cannot be parsed is skipped and counted corrupt.
 package tsv

@@ -3,6 +3,8 @@ package tsv
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -148,46 +150,68 @@ func (e *Engine) run(q Query) (*Result, error) {
 	if q.K < 0 {
 		return nil, fmt.Errorf("%w: negative k", ErrBadQuery)
 	}
-	all, err := e.Store.List(q.Agg, q.Level)
+	starts, err := e.Store.List(q.Agg, q.Level)
 	if err != nil {
 		return nil, err
 	}
-	var starts []int64
-	for _, s := range all {
+	n := 0
+	for _, s := range starts { // the listing is ours: filter it in place
 		if s >= q.From && (q.To == 0 || s < q.To) {
-			starts = append(starts, s)
+			starts[n] = s
+			n++
 		}
 	}
-	if len(starts) == 0 {
+	if starts = starts[:n]; n == 0 {
 		return nil, fmt.Errorf("%w: %s/%s in [%d, %d)", ErrNoData, q.Agg, q.Level.Name(), q.From, q.To)
 	}
 
 	proj := &Projection{Key: q.Key, Where: q.Where}
 	if len(q.Columns) > 0 {
 		proj.Columns = append([]string(nil), q.Columns...)
-		if q.OrderBy != "" {
-			found := false
-			for _, c := range proj.Columns {
-				if c == q.OrderBy {
-					found = true
-					break
-				}
-			}
-			if !found {
-				proj.Columns = append(proj.Columns, q.OrderBy)
-			}
+		if q.OrderBy != "" && !slices.Contains(proj.Columns, q.OrderBy) {
+			proj.Columns = append(proj.Columns, q.OrderBy)
 		}
 	}
 
+	// The first readable file is materialized and every later one
+	// folded into the accumulator as it is read, the first going in
+	// ahead of the second: one window passes through untouched, so a
+	// single-file query returns the file's rows bit-exactly, and nothing
+	// but the first file and the accumulator outlives the file it came
+	// from.
 	res := &Result{Agg: q.Agg, Level: q.Level}
-	var snaps []*Snapshot
+	acc := newAccumulator()
+	defer acc.release()
+	var first *Snapshot
+	orderIdx := 0
 	for _, s := range starts {
-		snap, err := e.Store.GetProjected(q.Agg, q.Level, s, proj)
-		if err != nil {
-			if errors.Is(err, ErrCorruptSnapshot) {
-				res.CorruptSkipped++
-				continue
+		var err error
+		if first == nil {
+			if first, err = e.Store.GetProjected(q.Agg, q.Level, s, proj); err == nil && q.OrderBy != "" {
+				// Every column the query names is now resolved against
+				// a schema, before any other file is read.
+				if orderIdx, err = first.columnIndex(q.OrderBy); err != nil {
+					return res, err
+				}
 			}
+		} else {
+			if acc.files == 0 {
+				err = acc.foldSnapshot(first)
+			}
+			if err == nil {
+				err = e.fold(acc, q.Agg, q.Level, s, proj)
+			}
+		}
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrCorruptSnapshot):
+			res.CorruptSkipped++
+			continue
+		case errors.Is(err, fs.ErrNotExist):
+			// Listed, then deleted (Retention removes files before it
+			// invalidates the listing): the window is no longer there.
+			continue
+		default:
 			return res, err
 		}
 		if res.Files == 0 {
@@ -195,125 +219,45 @@ func (e *Engine) run(q Query) (*Result, error) {
 		}
 		res.To = s
 		res.Files++
-		snaps = append(snaps, snap)
 	}
-	if len(snaps) == 0 {
-		return res, fmt.Errorf("%w: every file in range was corrupt", ErrNoData)
-	}
-
-	rows, err := mergeWindows(snaps, res)
-	if err != nil {
-		return res, err
+	if first == nil {
+		return res, fmt.Errorf("%w: every file in range was corrupt or gone", ErrNoData)
 	}
 
-	orderIdx := 0
-	if q.OrderBy != "" {
-		first := snaps[0]
-		j, err := first.columnIndex(q.OrderBy)
-		if err != nil {
-			return res, err
-		}
-		orderIdx = j
+	res.Columns = append([]string(nil), first.Columns...)
+	res.Kinds = append([]Kind(nil), first.Kinds...)
+	if res.Files == 1 {
+		res.Windows, res.TotalBefore, res.TotalAfter = first.Windows, first.TotalBefore, first.TotalAfter
+		res.Rows = topRows(first.Rows, orderIdx, q.K)
+		return res, nil
 	}
-	res.Rows = topRows(rows, orderIdx, q.K)
+	res.Windows, res.TotalBefore, res.TotalAfter = acc.windows, acc.totalBefore, acc.totalAfter
+	acc.rowBuf, acc.flatBuf = acc.rows(acc.rowBuf, acc.flatBuf)
+	res.Rows = topRows(acc.rowBuf, orderIdx, q.K)
+	// The survivors' values still live in the accumulator: copy them
+	// out, so the Result owns its memory.
+	own := make([]float64, 0, len(res.Rows)*len(res.Columns))
+	for i := range res.Rows {
+		at := len(own)
+		own = append(own, res.Rows[i].Values...)
+		res.Rows[i].Values = own[at:len(own):len(own)]
+	}
 	return res, nil
 }
 
-// mergeWindows aggregates the projected snapshots of a range with the
-// cascade's semantics — counters average over all windows with missing
-// objects as zero, gauges average over present windows, modes take the
-// window-weighted majority — and fills the result's schema and totals.
-// One window passes through untouched, so a single-file query returns
-// the file's rows bit-exactly.
-func mergeWindows(snaps []*Snapshot, res *Result) ([]Row, error) {
-	first := snaps[0]
-	res.Columns = append([]string(nil), first.Columns...)
-	res.Kinds = append([]Kind(nil), first.Kinds...)
-	if len(snaps) == 1 {
-		res.Windows = first.Windows
-		res.TotalBefore = first.TotalBefore
-		res.TotalAfter = first.TotalAfter
-		return first.Rows, nil
+// fold reads one more file of the range into acc. The store's own
+// backends fold from the reader's scratch; any other SnapshotStore is
+// asked for the projected snapshot.
+func (e *Engine) fold(acc *accumulator, agg string, level Level, start int64, proj *Projection) error {
+	if st, ok := e.Store.(*Store); ok {
+		_, err := st.scan(agg, level, start, proj, acc)
+		return err
 	}
-	type acc struct {
-		sum     []float64
-		present []int
-		modes   []map[float64]int
+	snap, err := e.Store.GetProjected(agg, level, start, proj)
+	if err != nil {
+		return err
 	}
-	hasModes := false
-	for _, k := range first.Kinds {
-		if k == Mode {
-			hasModes = true
-			break
-		}
-	}
-	accs := map[string]*acc{}
-	var order []string // first-appearance order, for deterministic iteration
-	totalWindows := 0
-	for _, s := range snaps {
-		if len(s.Columns) != len(first.Columns) {
-			return nil, ErrSchemaChange
-		}
-		for i := range s.Columns {
-			if s.Columns[i] != first.Columns[i] || s.Kinds[i] != first.Kinds[i] {
-				return nil, ErrSchemaChange
-			}
-		}
-		totalWindows += s.Windows
-		res.TotalBefore += s.TotalBefore
-		res.TotalAfter += s.TotalAfter
-		for _, r := range s.Rows {
-			a, ok := accs[r.Key]
-			if !ok {
-				a = &acc{sum: make([]float64, len(first.Columns)), present: make([]int, len(first.Columns))}
-				if hasModes {
-					a.modes = make([]map[float64]int, len(first.Columns))
-				}
-				accs[r.Key] = a
-				order = append(order, r.Key)
-			}
-			for i, v := range r.Values {
-				a.sum[i] += v * float64(s.Windows)
-				a.present[i] += s.Windows
-				if first.Kinds[i] == Mode && v != 0 {
-					if a.modes[i] == nil {
-						a.modes[i] = map[float64]int{}
-					}
-					a.modes[i][v] += s.Windows
-				}
-			}
-		}
-	}
-	res.Windows = totalWindows
-	rows := make([]Row, 0, len(accs))
-	flat := make([]float64, 0, len(accs)*len(first.Columns))
-	for _, k := range order {
-		a := accs[k]
-		start := len(flat)
-		for i := range first.Columns {
-			switch first.Kinds[i] {
-			case Counter:
-				flat = append(flat, a.sum[i]/float64(totalWindows))
-			case Mode:
-				var best float64
-				bestW := -1
-				for v, w := range a.modes[i] {
-					if w > bestW || (w == bestW && v < best) {
-						best, bestW = v, w
-					}
-				}
-				flat = append(flat, best)
-			default:
-				if a.present[i] > 0 {
-					flat = append(flat, a.sum[i]/float64(a.present[i]))
-				} else {
-					flat = append(flat, 0)
-				}
-			}
-		}
-		rows = append(rows, Row{Key: k, Values: flat[start:len(flat):len(flat)]})
-	}
-	return rows, nil
+	return acc.foldSnapshot(snap)
 }
 
 // rowLess is the report order: descending value in the order column,
@@ -336,8 +280,8 @@ func topRows(rows []Row, orderIdx, k int) []Row {
 		return nil
 	}
 	if orderIdx >= len(rows[0].Values) {
-		// Zero-column projection: nothing to order by; return as-is.
-		return rows
+		// Zero-column projection: nothing to order by; keep the order.
+		return append([]Row(nil), rows...)
 	}
 	if k <= 0 || k >= len(rows) {
 		out := append([]Row(nil), rows...)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -24,22 +25,35 @@ type storeCodec struct {
 	name   string // backend name (BackendTSV, BackendColumnar)
 	ext    string // file extension, with dot
 	encode func(*Snapshot, io.Writer) (int64, error)
-	decode func(data []byte, proj *Projection, stats *colStats) (*Snapshot, error)
+	// load reads what proj needs of the size-byte file behind src, with
+	// f as its scratch and its read counters. Without acc it returns the
+	// projected snapshot; with one it folds the projected rows into it —
+	// straight from f where the codec reads selectively, so that no
+	// Snapshot is ever built — and returns nil.
+	load func(f *colFile, src io.ReaderAt, size int64, proj *Projection, acc *accumulator) (*Snapshot, error)
 }
 
 var tsvCodec = storeCodec{
 	name:   BackendTSV,
 	ext:    ".tsv",
 	encode: (*Snapshot).WriteTo,
-	decode: func(data []byte, proj *Projection, stats *colStats) (*Snapshot, error) {
-		// The row-oriented text format cannot skip anything: decode
-		// fully, then filter. The result is identical to the columnar
-		// fast path by construction.
+	load: func(f *colFile, src io.ReaderAt, size int64, proj *Projection, acc *accumulator) (*Snapshot, error) {
+		// The row-oriented text format cannot skip anything: read and
+		// decode fully, then filter. The result is identical to the
+		// columnar fast path by construction.
+		f.attach(src, size, nil)
+		data, err := f.read(0, int(size))
+		if err != nil {
+			return nil, err
+		}
 		s, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return nil, err
 		}
-		return applyProjection(s, proj)
+		if s, err = applyProjection(s, proj); err != nil || acc == nil {
+			return s, err
+		}
+		return nil, acc.foldSnapshot(s)
 	},
 }
 
@@ -47,7 +61,15 @@ var columnarCodec = storeCodec{
 	name:   BackendColumnar,
 	ext:    ".col",
 	encode: EncodeColumnar,
-	decode: decodeColumnar,
+	load: func(f *colFile, src io.ReaderAt, size int64, proj *Projection, acc *accumulator) (*Snapshot, error) {
+		if err := f.open(src, size, proj, nil); err != nil {
+			return nil, err
+		}
+		if acc == nil {
+			return f.snapshot(), nil
+		}
+		return nil, acc.foldFile(f)
+	},
 }
 
 // ErrCorruptSnapshot matches (via errors.Is) any snapshot file the store
@@ -121,10 +143,14 @@ type Store struct {
 	listHits   atomic.Uint64
 	listMisses atomic.Uint64
 
-	// Selective-read accounting from the columnar codec.
+	// Selective-read accounting from the columnar codec, and what both
+	// codecs asked of the file system: bytes read over files visited is
+	// the read amplification.
 	blocksDecoded atomic.Uint64
 	blocksSkipped atomic.Uint64
 	bloomSkips    atomic.Uint64
+	readBytes     atomic.Uint64
+	readCalls     atomic.Uint64
 
 	// cascadeSeconds[level] is the per-level cascade duration histogram,
 	// populated by Instrument; nil slots are simply not observed.
@@ -149,6 +175,8 @@ func (st *Store) Instrument(reg *metrics.Registry) {
 	reg.CounterFunc("dnsobs_store_blocks_decoded_total", "columnar value blocks decoded", st.BlocksDecoded)
 	reg.CounterFunc("dnsobs_store_blocks_skipped_total", "columnar value blocks skipped by projection or predicate pushdown", st.BlocksSkipped)
 	reg.CounterFunc("dnsobs_store_bloom_skips_total", "point lookups answered negatively by the per-file key bloom", st.BloomSkips)
+	reg.CounterFunc("dnsobs_store_read_bytes_total", "snapshot file bytes read by Get, GetProjected and queries", st.ReadBytes)
+	reg.CounterFunc("dnsobs_store_read_calls_total", "positional reads issued against snapshot files", st.ReadCalls)
 	for level := Minutely; level < MaxLevel; level++ {
 		st.cascadeSeconds[level] = reg.Histogram("dnsobs_store_cascade_seconds",
 			"duration of one cascade pass per source level", metrics.DurationBuckets,
@@ -297,32 +325,75 @@ func (st *Store) Get(agg string, level Level, start int64) (*Snapshot, error) {
 
 // GetProjected loads the snapshot restricted to proj: only the
 // projected columns are materialized and only rows passing the key and
-// range predicates are returned. The columnar backend skips whole
-// blocks and answers negative point lookups from the bloom index; the
-// TSV backend decodes fully and filters, with identical results. A nil
-// or zero proj is a plain Get.
+// range predicates are returned. The columnar backend reads only the
+// file sections the projection needs, skips whole blocks and answers
+// negative point lookups from the bloom index; the TSV backend decodes
+// fully and filters, with identical results. A nil or zero proj is a
+// plain Get.
 func (st *Store) GetProjected(agg string, level Level, start int64, proj *Projection) (*Snapshot, error) {
-	snap := &Snapshot{Aggregation: agg, Level: level, Start: start}
-	path := filepath.Join(st.dir, st.FileName(snap))
-	data, err := os.ReadFile(path)
+	return st.scan(agg, level, start, proj, nil)
+}
+
+// scan reads the file of (agg, level, start) under proj. With acc nil
+// it returns the projected snapshot; otherwise it folds the projected
+// rows into acc — from the reader's scratch where the codec allows, so
+// no Snapshot is built — and returns nil.
+func (st *Store) scan(agg string, level Level, start int64, proj *Projection, acc *accumulator) (*Snapshot, error) {
+	path := st.path(agg, level, start)
+	file, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var cs colStats
-	s, err := st.codec.decode(data, proj, &cs)
+	defer file.Close()
+	// Seek, not Stat: the size is all that is needed, and Stat allocates
+	// a FileInfo per file in range.
+	size, err := file.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
+	}
+	// A query reads all its files through the one scratch its
+	// accumulator carries; a lone Get borrows one.
+	var f *colFile
+	if acc != nil {
+		f = &acc.file
+	} else {
+		f = colFilePool.Get().(*colFile)
+		defer f.release()
+	}
+	f.counts = colStats{}
+	s, err := st.codec.load(f, file, size, proj, acc)
+	cs := &f.counts
 	st.blocksDecoded.Add(cs.blocksDecoded)
 	st.blocksSkipped.Add(cs.blocksSkipped)
 	st.bloomSkips.Add(cs.bloomSkips)
+	st.readBytes.Add(cs.readBytes)
+	st.readCalls.Add(cs.readCalls)
 	if err != nil {
-		if errors.Is(err, ErrUnknownColumn) {
+		var ioErr *fs.PathError
+		if errors.Is(err, ErrUnknownColumn) || errors.Is(err, ErrSchemaChange) || errors.As(err, &ioErr) {
 			// A schema mismatch between query and file is the caller's
-			// error, not file damage.
+			// error and a failed read the system's; neither is file
+			// damage.
 			return nil, err
 		}
 		return nil, &CorruptError{Path: path, Err: err}
 	}
-	s.Aggregation, s.Level, s.Start = agg, level, start
+	if s != nil {
+		s.Aggregation, s.Level, s.Start = agg, level, start
+	}
 	return s, nil
+}
+
+// path names the file of (agg, level, start) the way FileName and
+// filepath.Join would, in one allocation: the read path opens a file per
+// window in range.
+func (st *Store) path(agg string, level Level, start int64) string {
+	b := append(make([]byte, 0, 128), st.dir...)
+	if n := len(b); n > 0 && !os.IsPathSeparator(b[n-1]) {
+		b = append(b, filepath.Separator)
+	}
+	b = appendFileStem(b, agg, level, start)
+	return string(append(b, st.codec.ext...))
 }
 
 // BlocksDecoded, BlocksSkipped and BloomSkips report the columnar
@@ -336,14 +407,25 @@ func (st *Store) BlocksSkipped() uint64 { return st.blocksSkipped.Load() }
 // negatively without decoding row data.
 func (st *Store) BloomSkips() uint64 { return st.bloomSkips.Load() }
 
+// ReadBytes returns how many snapshot file bytes reads have fetched.
+// Divided by the files visited (the query engine's FilesScanned) it is
+// the read amplification of the workload.
+func (st *Store) ReadBytes() uint64 { return st.readBytes.Load() }
+
+// ReadCalls returns how many positional reads fetched them.
+func (st *Store) ReadCalls() uint64 { return st.readCalls.Load() }
+
 // List returns the start times of stored files for (agg, level),
-// ascending. The result is the caller's to keep.
+// ascending. The result is the caller's to keep: a copy of that one
+// aggregation's listing.
 func (st *Store) List(agg string, level Level) ([]int64, error) {
-	byAgg, err := st.listLevel(level)
+	st.listMu.Lock()
+	defer st.listMu.Unlock()
+	cached, err := st.cachedLevel(level)
 	if err != nil {
 		return nil, err
 	}
-	return byAgg[agg], nil
+	return append([]int64(nil), cached[agg]...), nil
 }
 
 // ListCacheHits and ListCacheMisses report directory-listing cache
@@ -355,41 +437,50 @@ func (st *Store) ListCacheHits() uint64 { return st.listHits.Load() }
 func (st *Store) ListCacheMisses() uint64 { return st.listMisses.Load() }
 
 // listLevel returns the start times of every stored file at one level,
-// grouped by aggregation and ascending. The listing is cached per
-// level: Put inserts into it and Retention invalidates it, so the read
-// path (cascade grouping, web UI listings, query-engine ranges) stops
-// paying a full directory scan per call. The returned map is a copy the
-// caller may keep.
+// grouped by aggregation and ascending, as a copy the caller may keep.
 func (st *Store) listLevel(level Level) (map[string][]int64, error) {
 	st.listMu.Lock()
 	defer st.listMu.Unlock()
-	cached := st.listCache[level]
-	if cached == nil {
-		st.listMisses.Add(1)
-		entries, err := os.ReadDir(st.dir)
-		if err != nil {
-			return nil, err
-		}
-		cached = map[string][]int64{}
-		for _, e := range entries {
-			a, l, start, ext, err := parseStoreFileName(e.Name())
-			if err != nil || l != level || ext != st.codec.ext {
-				continue
-			}
-			cached[a] = append(cached[a], start)
-		}
-		for _, starts := range cached {
-			sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		}
-		st.listCache[level] = cached
-	} else {
-		st.listHits.Add(1)
+	cached, err := st.cachedLevel(level)
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[string][]int64, len(cached))
 	for a, starts := range cached {
 		out[a] = append([]int64(nil), starts...)
 	}
 	return out, nil
+}
+
+// cachedLevel returns the level's listing from the cache, scanning the
+// directory to fill it when cold. The listing is cached per level: Put
+// inserts into it and Retention invalidates it, so the read path
+// (cascade grouping, web UI listings, query-engine ranges) stops paying
+// a full directory scan per call. The caller holds listMu and must copy
+// what it hands out.
+func (st *Store) cachedLevel(level Level) (map[string][]int64, error) {
+	if cached := st.listCache[level]; cached != nil {
+		st.listHits.Add(1)
+		return cached, nil
+	}
+	st.listMisses.Add(1)
+	entries, err := os.ReadDir(st.dir)
+	if err != nil {
+		return nil, err
+	}
+	cached := map[string][]int64{}
+	for _, e := range entries {
+		a, l, start, ext, err := parseStoreFileName(e.Name())
+		if err != nil || l != level || ext != st.codec.ext {
+			continue
+		}
+		cached[a] = append(cached[a], start)
+	}
+	for _, starts := range cached {
+		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	}
+	st.listCache[level] = cached
+	return cached, nil
 }
 
 // notePut inserts a freshly committed file into the level's cached

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -111,7 +112,17 @@ var (
 // granularity and the collection start moment are both encoded, per the
 // paper. The store appends its backend's extension.
 func (s *Snapshot) fileStem() string {
-	return fmt.Sprintf("%s-%s-%d", s.Aggregation, s.Level.Name(), s.Start)
+	return string(appendFileStem(make([]byte, 0, 64), s.Aggregation, s.Level, s.Start))
+}
+
+// appendFileStem appends the stem to b. The read path names a file per
+// window in range, so the name is built without fmt.
+func appendFileStem(b []byte, agg string, level Level, start int64) []byte {
+	b = append(b, agg...)
+	b = append(b, '-')
+	b = append(b, level.Name()...)
+	b = append(b, '-')
+	return strconv.AppendInt(b, start, 10)
 }
 
 // FileName returns the canonical TSV file name. Stores name files
@@ -344,62 +355,18 @@ func Aggregate(snaps []*Snapshot) (*Snapshot, error) {
 	if first.Level >= MaxLevel {
 		return nil, ErrMixedLevels
 	}
-	type acc struct {
-		sum     []float64
-		present []int // windows in which the value appeared (gauges)
-		modes   []map[float64]int
-	}
-	hasModes := false
-	for _, k := range first.Kinds {
-		if k == Mode {
-			hasModes = true
-			break
-		}
-	}
-	accs := map[string]*acc{}
-	totalWindows := 0
-	var totalBefore, totalAfter uint64
+	acc := newAccumulator()
+	defer acc.release()
 	minStart := first.Start
 	for _, s := range snaps {
 		if s.Level != first.Level {
 			return nil, ErrMixedLevels
 		}
-		if len(s.Columns) != len(first.Columns) {
-			return nil, ErrSchemaChange
-		}
-		for i := range s.Columns {
-			if s.Columns[i] != first.Columns[i] || s.Kinds[i] != first.Kinds[i] {
-				return nil, ErrSchemaChange
-			}
+		if err := acc.foldSnapshot(s); err != nil {
+			return nil, err
 		}
 		if s.Start < minStart {
 			minStart = s.Start
-		}
-		totalWindows += s.Windows
-		totalBefore += s.TotalBefore
-		totalAfter += s.TotalAfter
-		for _, r := range s.Rows {
-			a, ok := accs[r.Key]
-			if !ok {
-				a = &acc{sum: make([]float64, len(first.Columns)), present: make([]int, len(first.Columns))}
-				if hasModes {
-					a.modes = make([]map[float64]int, len(first.Columns))
-				}
-				accs[r.Key] = a
-			}
-			for i, v := range r.Values {
-				a.sum[i] += v * float64(s.Windows)
-				a.present[i] += s.Windows
-				if first.Kinds[i] == Mode && v != 0 {
-					// Zero means "nothing observed this window" for the
-					// TTL-mode columns, not a zero TTL; skip it like
-					// gauges skip missing data points.
-					if a.modes[i] == nil {
-						a.modes[i] = map[float64]int{}
-					}
-					a.modes[i][v] += s.Windows
-				}
-			}
 		}
 	}
 	out := &Snapshot{
@@ -408,42 +375,13 @@ func Aggregate(snaps []*Snapshot) (*Snapshot, error) {
 		Start:       minStart,
 		Columns:     first.Columns,
 		Kinds:       first.Kinds,
-		TotalBefore: totalBefore,
-		TotalAfter:  totalAfter,
-		Windows:     totalWindows,
+		TotalBefore: acc.totalBefore,
+		TotalAfter:  acc.totalAfter,
+		Windows:     acc.windows,
 	}
-	keys := make([]string, 0, len(accs))
-	for k := range accs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		a := accs[k]
-		vals := make([]float64, len(first.Columns))
-		for i := range vals {
-			switch first.Kinds[i] {
-			case Counter:
-				// Average rate per base window over the whole period;
-				// absent windows count as zero.
-				vals[i] = a.sum[i] / float64(totalWindows)
-			case Mode:
-				// Window-weighted majority value; ties break low.
-				var best float64
-				bestW := -1
-				for v, w := range a.modes[i] {
-					if w > bestW || (w == bestW && v < best) {
-						best, bestW = v, w
-					}
-				}
-				vals[i] = best
-			default:
-				// Mean over the windows where the object was present.
-				if a.present[i] > 0 {
-					vals[i] = a.sum[i] / float64(a.present[i])
-				}
-			}
-		}
-		out.Rows = append(out.Rows, Row{Key: k, Values: vals})
+	if len(acc.keys) > 0 {
+		out.Rows, _ = acc.rows(make([]Row, 0, len(acc.keys)), make([]float64, 0, len(acc.sum)))
+		slices.SortFunc(out.Rows, func(a, b Row) int { return strings.Compare(a.Key, b.Key) })
 	}
 	return out, nil
 }

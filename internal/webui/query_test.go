@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -194,5 +196,49 @@ func TestQueryEndpointMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestQueryEndpointFileGoneAfterListing is the Retention race: a file
+// the store listed is deleted before the query opens it (Retention
+// removes files before it invalidates the listing). The window is no
+// longer there; the query answers from the rest instead of failing.
+func TestQueryEndpointFileGoneAfterListing(t *testing.T) {
+	for _, backend := range []string{tsv.BackendTSV, tsv.BackendColumnar} {
+		t.Run(backend, func(t *testing.T) {
+			store, err := tsv.NewStoreBackend(t.TempDir(), backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 3; i++ {
+				if err := store.Put(snapshotFixture("srvip", i*60)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := NewServer(store)
+			s.Registry = metrics.NewRegistry()
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(ts.Close)
+
+			// Warm the listing, then delete behind the store's back.
+			if code, resp, body := getQuery(t, ts, "agg=srvip"); code != http.StatusOK || resp.Files != 3 {
+				t.Fatalf("warm-up: status %d: %s", code, body)
+			}
+			gone := store.FileName(&tsv.Snapshot{Aggregation: "srvip", Level: tsv.Minutely, Start: 60})
+			if err := os.Remove(filepath.Join(store.Dir(), gone)); err != nil {
+				t.Fatal(err)
+			}
+			code, resp, body := getQuery(t, ts, "agg=srvip")
+			if code != http.StatusOK {
+				t.Fatalf("status %d: %s", code, body)
+			}
+			if resp.Files != 2 || resp.Windows != 2 || resp.CorruptSkipped != 0 {
+				t.Fatalf("meta = %+v", resp)
+			}
+			// Nothing left in the range is 404, as for an empty range.
+			if code, _, body := getQuery(t, ts, "agg=srvip&from=60&to=120"); code != http.StatusNotFound {
+				t.Fatalf("all gone: status %d: %s", code, body)
+			}
+		})
 	}
 }
