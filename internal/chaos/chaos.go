@@ -370,7 +370,7 @@ type faultWriter struct {
 
 // Write rolls the store faults before delegating. A short write reports
 // success for a prefix — exactly what a crashed or full disk produces —
-// which bufio surfaces as io.ErrShortWrite.
+// which the snapshot writer surfaces as io.ErrShortWrite.
 func (fw *faultWriter) Write(p []byte) (int, error) {
 	fw.inj.mu.Lock()
 	fail := fw.inj.roll(fw.inj.cfg.WriteErrRate)

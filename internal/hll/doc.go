@@ -12,9 +12,15 @@
 // kept as a small insertion buffer plus a sorted, deduplicated list.
 // Once the sparse list would cost as much memory as the dense register
 // array it promotes to classic 2^p byte registers. Estimates are
-// identical in both forms — both are computed from the same register
-// rank histogram, which the dense form maintains incrementally so
-// Estimate never scans the register array.
+// identical in both forms. The dense form maintains its register rank
+// histogram incrementally, so Estimate never scans the register array.
+// Up to the promotion threshold of m/4 registers the histogram formula
+// always takes its linear-counting branch, m ln(m / (m - n)), which
+// depends on the number n of registers set and not on their ranks, so a
+// sparse sketch's Estimate is a lookup of that expression by n in a
+// per-precision table: it sorts, merges and allocates nothing, and
+// leaves the sketch as it found it. The two sparse lists are disjoint
+// by register, so n is the sum of their lengths.
 //
 // Concurrency: a Sketch is single-owner, like the feature Set that
 // embeds it. The one piece of shared state is the process-wide

@@ -1,0 +1,472 @@
+package observatory
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"dnsobservatory/internal/dnswire"
+	"dnsobservatory/internal/features"
+	"dnsobservatory/internal/metrics"
+	"dnsobservatory/internal/sie"
+	"dnsobservatory/internal/spacesaving"
+	"dnsobservatory/internal/tsv"
+)
+
+// The window close as it was before ISSUE 18, frozen as the reference
+// for closeWindow: two walks of the whole cache to count and fill the
+// rows, a third to reset.
+
+func refReportable(e *spacesaving.Entry, cfg *Config, windowStart float64) *features.Set {
+	if cfg.SkipFreshObjects && e.InsertedAt > windowStart {
+		return nil
+	}
+	if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
+		return set
+	}
+	return nil
+}
+
+func (st *aggState) refWindowRows(rows []tsv.Row, cfg *Config, windowStart, windowEnd float64) []tsv.Row {
+	n := 0
+	st.cache.Entries(func(e *spacesaving.Entry) {
+		if refReportable(e, cfg, windowStart) != nil {
+			n++
+		}
+	})
+	if n == 0 {
+		return rows
+	}
+	rows = slices.Grow(rows, n)
+	arena := make([]float64, 0, n*len(features.Columns))
+	st.cache.Entries(func(e *spacesaving.Entry) {
+		set := refReportable(e, cfg, windowStart)
+		if set == nil {
+			return
+		}
+		from := len(arena)
+		arena = set.AppendValues(arena, st.cache.RateAt(e, windowEnd))
+		rows = append(rows, tsv.Row{Key: e.Key, Values: arena[from:len(arena):len(arena)]})
+	})
+	return rows
+}
+
+func (st *aggState) refResetWindow() {
+	st.cache.Entries(func(e *spacesaving.Entry) {
+		if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
+			set.Reset()
+		}
+	})
+	if st.admitter != nil {
+		st.admitter.Reset()
+	}
+	st.seenBefore, st.seenAfter = 0, 0
+	st.touched = st.touched[:0] // not the reference's: fold fills it regardless
+}
+
+// refEngine is the engines' window logic — the serial pipeline's with
+// one shard of capacity K, the sharded engine's with S of its shard
+// capacity — over the frozen close. Shards partition the keys and every
+// worker sees every window boundary, so what the sharded engine emits
+// does not depend on its worker count, only on S.
+type refEngine struct {
+	cfg         Config
+	aggs        []Aggregation
+	states      [][]*aggState // [aggregation][shard]
+	windowStart float64
+	started     bool
+	out         []*tsv.Snapshot
+}
+
+func newRefEngine(cfg Config, aggs []Aggregation, shards int, capacity func(k int) int) *refEngine {
+	cfg.withDefaults()
+	r := &refEngine{cfg: cfg, aggs: aggs, states: make([][]*aggState, len(aggs))}
+	for a, agg := range aggs {
+		for s := 0; s < shards; s++ {
+			r.states[a] = append(r.states[a], newAggState(agg, &r.cfg, capacity(agg.K)))
+		}
+	}
+	return r
+}
+
+// ingest folds one summary; quarantined is a summary a worker's chaos
+// hook panicked on, which is counted before filtering and folded nowhere.
+func (r *refEngine) ingest(sum *sie.Summary, now float64, quarantined bool) {
+	if !r.started {
+		r.windowStart = now - mod(now, r.cfg.WindowSec)
+		r.started = true
+	}
+	if now < r.windowStart {
+		now = r.windowStart
+	}
+	for now >= r.windowStart+r.cfg.WindowSec {
+		r.dump()
+		r.windowStart += r.cfg.WindowSec
+	}
+	for a, agg := range r.aggs {
+		r.states[a][0].seenBefore++
+		if quarantined {
+			continue
+		}
+		if key, ok := agg.Key(sum); ok {
+			shard := hashKey(key) % uint64(len(r.states[a]))
+			r.states[a][shard].observe(key, sum, now, &r.cfg)
+		}
+	}
+}
+
+func (r *refEngine) dump() {
+	cols, kinds := snapshotSchema()
+	for a, agg := range r.aggs {
+		parts := make([]*tsv.Snapshot, len(r.states[a]))
+		for s, st := range r.states[a] {
+			parts[s] = &tsv.Snapshot{
+				Aggregation: agg.Name, Level: tsv.Minutely, Start: int64(r.windowStart),
+				Columns: cols, Kinds: kinds, Windows: 1,
+				TotalBefore: st.seenBefore, TotalAfter: st.seenAfter,
+				Rows: st.refWindowRows(nil, &r.cfg, r.windowStart, r.windowStart+r.cfg.WindowSec),
+			}
+			st.refResetWindow()
+		}
+		snap, err := tsv.MergeParts(agg.K, parts...)
+		if err != nil {
+			panic(err)
+		}
+		r.out = append(r.out, snap)
+	}
+}
+
+// churnAggs are capacities far below the key universe of churnEvents, so
+// every window evicts entries and re-admits keys it evicted. NoAdmitter:
+// a Bloom seed is random per filter, and two engines with different
+// seeds would admit different keys.
+func churnAggs() []Aggregation {
+	return []Aggregation{
+		{Name: "srvip", K: 24, Key: SrvIPKey, NoAdmitter: true},
+		{Name: "qname", K: 60, Key: QNameKey, NoAdmitter: true},
+		{Name: "qtype", K: 16, Key: QTypeKey, NoAdmitter: true},
+		{Name: "srcsrv", K: 40, Key: SrcSrvKey, KeyBytes: SrcSrvKeyBytes, NoAdmitter: true},
+	}
+}
+
+// churnEvents is a seeded stream over ~7 windows: a few hot keys, a long
+// tail, two windows with nothing in them, a partial last window, and a
+// "poison." name every 41st event for the chaos hook.
+func churnEvents() []shardedEvent {
+	var events []shardedEvent
+	x := uint64(18)
+	now := 30.0 // the first window starts mid-minute
+	for i := 0; i < 9000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		r := x
+		e := shardedEvent{
+			resolver: fmt.Sprintf("192.0.2.%d", r%13+1),
+			ns:       fmt.Sprintf("198.51.100.%d", (r>>8)%150+1),
+			qname:    fmt.Sprintf("h%d.zone%d.example.", (r>>16)%5, (r>>24)%400),
+			qtype:    []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA, dnswire.TypeMX}[(r>>40)%3],
+		}
+		if r%4 == 0 { // the hot head
+			e.ns, e.qname = fmt.Sprintf("198.51.100.%d", r%7+1), fmt.Sprintf("www.hot%d.example.", r%9)
+		}
+		if i%41 == 40 {
+			e.qname = "poison." + e.qname
+		}
+		now += 0.035
+		if i == 4000 {
+			now += 150 // two whole windows pass with no traffic
+		}
+		e.now = now
+		events = append(events, e)
+	}
+	return events
+}
+
+func poisoned(s *sie.Summary) bool { return strings.HasPrefix(s.QName, "poison.") }
+
+// TestCloseWindowMatchesFullScan holds the touched-entry close to the
+// frozen full scan, row for row: through both engines against the
+// reference engine, and on one state against the reference's walk of
+// that same state, which is where a close that panicked half-way can be
+// followed into the next window.
+func TestCloseWindowMatchesFullScan(t *testing.T) {
+	events := churnEvents()
+	for _, skipFresh := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.SkipFreshObjects = skipFresh
+
+		t.Run(fmt.Sprintf("serial/skipfresh=%v", skipFresh), func(t *testing.T) {
+			ref := newRefEngine(cfg, churnAggs(), 1, func(k int) int { return k })
+			var got []*tsv.Snapshot
+			p := New(cfg, churnAggs(), func(s *tsv.Snapshot) { got = append(got, s) })
+			for _, e := range events {
+				ref.ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now, false)
+				p.Ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
+			}
+			ref.dump()
+			p.Flush()
+			requireChurned(t, ref.out, p.Cache("qname").Evictions())
+			sortSnaps(ref.out)
+			sortSnaps(got)
+			requireSnapsEqual(t, ref.out, got)
+		})
+
+		const shards = 4
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("sharded-w%d/skipfresh=%v", workers, skipFresh), func(t *testing.T) {
+				ref := newRefEngine(cfg, churnAggs(), shards, func(k int) int { return shardCapacity(k, shards) })
+				hooked := cfg
+				hooked.ChaosHook = func(s *sie.Summary) {
+					if poisoned(s) {
+						panic("injected mid-fold")
+					}
+				}
+				var got []*tsv.Snapshot
+				eng := NewSharded(ShardedConfig{Config: hooked, Shards: shards, Workers: workers, BatchSize: 64},
+					churnAggs(), func(s *tsv.Snapshot) { got = append(got, s) })
+				for _, e := range events {
+					s := sum(e.resolver, e.ns, e.qname, e.qtype)
+					ref.ingest(s, e.now, poisoned(s))
+					eng.Ingest(s, e.now)
+				}
+				ref.dump()
+				eng.Close()
+				if es := eng.Stats(); es.Quarantined == 0 {
+					t.Fatal("the chaos hook never fired")
+				}
+				var evictions uint64
+				for _, c := range eng.Caches("qname") {
+					evictions += c.Evictions()
+				}
+				requireChurned(t, ref.out, evictions)
+				sortSnaps(ref.out)
+				sortSnaps(got)
+				requireSnapsEqual(t, ref.out, got)
+			})
+		}
+
+		t.Run(fmt.Sprintf("state/skipfresh=%v", skipFresh), func(t *testing.T) {
+			testCloseWindowOnOneState(t, cfg, events)
+		})
+	}
+}
+
+// requireChurned checks the stream did what the comparison needs of it:
+// at least five windows, an empty one among them, and evictions.
+func requireChurned(t *testing.T, snaps []*tsv.Snapshot, evictions uint64) {
+	t.Helper()
+	windows, empty := 0, 0
+	for _, s := range snaps {
+		if s.Aggregation == "qname" {
+			windows++
+			if len(s.Rows) == 0 {
+				empty++
+			}
+		}
+	}
+	if windows < 5 || empty == 0 || evictions < 1000 {
+		t.Fatalf("stream too tame: %d windows, %d empty, %d evictions", windows, empty, evictions)
+	}
+}
+
+// testCloseWindowOnOneState closes one admitter-guarded state window by
+// window. Before each close the frozen walk says what the rows should
+// be; after it, the state must be what the frozen reset leaves. In one
+// window an entry's feature set is swapped for a corrupt one, so the
+// close panics part-way as a worker's would; the set is put back and
+// the next close must still report exactly what the full scan finds,
+// the entries the broken pass never reached included.
+func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) {
+	cfg.withDefaults()
+	cfg.AdmitterN = 1 << 12
+	st := newAggState(Aggregation{Name: "qname", K: 60, Key: QNameKey}, &cfg, 60)
+	const panicWindow = 2
+	var windowStart float64
+	windows, relisted, carried := 0, 0, 0
+
+	closeAndCompare := func() {
+		t.Helper()
+		end := windowStart + cfg.WindowSec
+		want := st.refWindowRows(nil, &cfg, windowStart, end)
+		sortRows(want)
+		hit := 0
+		st.cache.Entries(func(e *spacesaving.Entry) {
+			if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
+				hit++
+			}
+		})
+		relisted += len(st.touched) - hit
+		before, after := st.seenBefore, st.seenAfter
+
+		if windows == panicWindow && len(st.touched) > 8 {
+			// Corrupt the set of an entry in the middle of the list.
+			victim := st.touched[len(st.touched)/2]
+			good := victim.State
+			victim.State = &features.Set{Hits: 1} // no sketches behind it
+			var part shardPart
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("closing over a corrupt feature set did not panic")
+					}
+				}()
+				st.closeWindow(&part, &cfg, windowStart, end)
+			}()
+			victim.State = good
+			if st.seenBefore != before || st.seenAfter != after || part.seenBefore != 0 || len(st.touched) == 0 {
+				t.Fatal("a close that panicked moved the window counters or dropped its list")
+			}
+			st.cache.Entries(func(e *spacesaving.Entry) {
+				if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
+					carried++
+				}
+			})
+			// What the pass reached is in the part and cleared; the rest
+			// still holds its hits. Nothing is in both, nothing in neither.
+			if len(part.rows) == 0 || part.active+carried != hit {
+				t.Fatalf("the panicked close reported %d rows and cleared %d entries, %d still hold hits, of %d",
+					len(part.rows), part.active, carried, hit)
+			}
+			return // the window stays open, as in a worker whose dump panicked
+		}
+
+		var part shardPart
+		st.closeWindow(&part, &cfg, windowStart, end)
+		sortRows(part.rows)
+		cols, _ := snapshotSchema()
+		requireSnapsEqual(t,
+			[]*tsv.Snapshot{{Aggregation: "qname", Start: int64(windowStart), Rows: want, Columns: cols, TotalBefore: before, TotalAfter: after}},
+			[]*tsv.Snapshot{{Aggregation: "qname", Start: int64(windowStart), Rows: part.rows, Columns: cols, TotalBefore: part.seenBefore, TotalAfter: part.seenAfter}})
+		if part.active != hit || part.occupancy != st.cache.Len() {
+			t.Fatalf("window %d: closeWindow counted %d active of %d entries, the cache holds %d with hits of %d",
+				windows, part.active, part.occupancy, hit, st.cache.Len())
+		}
+		st.cache.Entries(func(e *spacesaving.Entry) {
+			if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
+				t.Fatalf("window %d: %q still holds %d hits after the close", windows, e.Key, set.Hits)
+			}
+		})
+		if st.seenBefore != 0 || st.seenAfter != 0 || st.admitter.Count() != 0 || len(st.touched) != 0 {
+			t.Fatalf("window %d: counters %d/%d, admitter %d, list %d after the close", windows,
+				st.seenBefore, st.seenAfter, st.admitter.Count(), len(st.touched))
+		}
+	}
+
+	for i, e := range events {
+		if i == 0 {
+			windowStart = e.now - mod(e.now, cfg.WindowSec)
+		}
+		for e.now >= windowStart+cfg.WindowSec {
+			closeAndCompare()
+			windows++
+			windowStart += cfg.WindowSec
+		}
+		st.seenBefore++
+		s := sum(e.resolver, e.ns, e.qname, e.qtype)
+		st.observe(s.QName, s, e.now, &cfg)
+	}
+	closeAndCompare()
+	if windows < 5 || relisted == 0 || carried == 0 || st.cache.Dropped() == 0 {
+		t.Fatalf("stream too tame: %d windows, %d re-listed entries, %d carried over the panic, %d refused by the admitter",
+			windows, relisted, carried, st.cache.Dropped())
+	}
+}
+
+// TestCloseWindowVisitsOnlyTouched: closing a window costs what the
+// window folded. With 50 active keys the pass is 50 entries long (plus
+// one per entry evicted and re-admitted) and allocates the rows and
+// their arena, whether the cache holds a thousand keys or a hundred
+// thousand.
+func TestCloseWindowVisitsOnlyTouched(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.withDefaults()
+	const active = 50
+	for _, k := range []int{1000, 100_000} {
+		st := newAggState(Aggregation{Name: "qname", K: k, Key: QNameKey, NoAdmitter: true}, &cfg, k)
+		for i := 0; i < k; i++ { // fill the cache; idle entries carry no feature set
+			st.cache.Observe(fmt.Sprintf("idle%d.example.", i), 1)
+		}
+		sums := make([]*sie.Summary, active)
+		for i := range sums {
+			sums[i] = sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("idle%d.example.", i*7), dnswire.TypeA)
+			sums[i].PrecomputeHashes(cfg.Features.Suffixes)
+		}
+		window := func(start float64) (visited, rows, counted int) {
+			for round := 0; round < 3; round++ {
+				for _, s := range sums {
+					st.observe(s.QName, s, start+float64(round), &cfg)
+				}
+			}
+			visited = len(st.touched)
+			var part shardPart
+			st.closeWindow(&part, &cfg, start, start+60)
+			return visited, len(part.rows), part.active
+		}
+		window(60) // the active entries get their feature sets
+		if visited, rows, counted := window(120); visited != active || rows != active || counted != active {
+			t.Errorf("K=%d: visited %d entries for %d rows (%d counted active), want %d each", k, visited, rows, counted, active)
+		}
+		start := 180.0
+		// The rows and their arena; a -race build does not elide
+		// slices.Grow's temporary and so allocates the rows twice.
+		if allocs := testing.AllocsPerRun(10, func() { window(start); start += 60 }); allocs > 3 {
+			t.Errorf("K=%d: a window of %d active keys allocates %.0f objects, want the rows and their arena", k, active, allocs)
+		}
+
+		// Five newcomers each take over an idle entry: five more visits,
+		// and no more rows, since a fresh object is not reported.
+		for i := 0; i < 5; i++ {
+			s := sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("new%d.example.", i), dnswire.TypeA)
+			st.observe(s.QName, s, start+1, &cfg)
+		}
+		if visited, rows, counted := window(start); visited != active+5 || rows != active || counted != active+5 {
+			t.Errorf("K=%d: with 5 admissions visited %d entries for %d rows (%d counted active), want %d, %d and %d",
+				k, visited, rows, counted, active+5, active, active+5)
+		}
+	}
+}
+
+// TestTopkActiveGauge: both engines publish how many monitored keys the
+// closed window folded, next to how many they monitor.
+func TestTopkActiveGauge(t *testing.T) {
+	aggs := []Aggregation{{Name: "qname", K: 100, Key: QNameKey, NoAdmitter: true}}
+	feed := func(ingest func(*sie.Summary, float64)) {
+		for i := 0; i < 40; i++ { // window 0: 40 names
+			ingest(sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("n%d.example.", i), dnswire.TypeA), float64(i))
+		}
+		for i := 0; i < 30; i++ { // window 1: 10 of them, three times each
+			ingest(sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("n%d.example.", i%10), dnswire.TypeA), 60+float64(i))
+		}
+		ingest(sum("192.0.2.1", "198.51.100.1", "n0.example.", dnswire.TypeA), 120) // closes window 1
+	}
+	check := func(t *testing.T, reg *metrics.Registry) {
+		t.Helper()
+		if occ, act := reg.Sum(MetricTopkOccupancy), reg.Sum(MetricTopkActive); occ != 40 || act != 10 {
+			t.Errorf("after window 1: occupancy %v, active %v, want 40 and 10", occ, act)
+		}
+	}
+	t.Run("serial", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Metrics = metrics.NewRegistry()
+		p := New(cfg, aggs, nil)
+		feed(p.Ingest)
+		check(t, cfg.Metrics)
+	})
+	t.Run("sharded", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Metrics = metrics.NewRegistry()
+		windows := make(chan int64, 8)
+		eng := NewSharded(ShardedConfig{Config: cfg, Shards: 4, Workers: 2, BatchSize: 1}, aggs,
+			func(s *tsv.Snapshot) { windows <- s.Start })
+		feed(eng.Ingest)
+		for start := range windows { // the merger publishes before it delivers
+			if start == 60 {
+				break
+			}
+		}
+		check(t, cfg.Metrics)
+		eng.Close()
+	})
+}

@@ -3,7 +3,9 @@
 // per aggregation with Space-Saving caches guarded by Bloom admission
 // filters, accumulates per-object traffic features, and every 60 seconds
 // dumps a TSV snapshot per aggregation — resetting the statistics but
-// keeping the top-k lists.
+// keeping the top-k lists. Closing a window visits the entries the
+// window folded (each aggregation state lists them as they take their
+// first hit), not the whole cache.
 //
 // Three ingest engines share the same aggregation state machinery:
 //

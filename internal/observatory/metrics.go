@@ -20,6 +20,7 @@ const (
 	MetricQueueDepth  = "dnsobs_engine_queue_depth"
 
 	MetricTopkOccupancy = "dnsobs_topk_occupancy"
+	MetricTopkActive    = "dnsobs_topk_active"
 	MetricTopkMinCount  = "dnsobs_topk_min_count"
 	MetricTopkEvictions = "dnsobs_topk_evictions_total"
 	MetricTopkDropped   = "dnsobs_topk_dropped_total"
@@ -79,20 +80,23 @@ func (m *engineMetrics) stats() EngineStats {
 	}
 }
 
-// publishAggMetrics publishes one aggregation's cache health: live
-// occupancy and min-count (the overestimation bound), plus eviction and
-// admission-drop deltas accumulated since the last publish. Engines
-// call it at window-dump time, the only moment the publisher has
-// exclusive access to the cache counters (workers own their caches; the
-// sharded engine sums shard deltas on the merger before publishing).
-func publishAggMetrics(reg *metrics.Registry, agg string, occupancy int, minCount, evictDelta, droppedDelta uint64) {
-	reg.Gauge(MetricTopkOccupancy, "monitored keys across the aggregation's top-k cache(s)", "agg", agg).Set(float64(occupancy))
-	reg.Gauge(MetricTopkMinCount, "smallest monitored count — the frequency overestimation bound", "agg", agg).Set(float64(minCount))
-	if evictDelta > 0 {
-		reg.Counter(MetricTopkEvictions, "top-k minimum-entry displacements", "agg", agg).Add(evictDelta)
+// publishAggMetrics publishes one aggregation's cache health from the
+// part(s) its window close collected: live occupancy, how many of those
+// keys the window just closed folded, and min-count (the overestimation
+// bound), plus the eviction and admission-drop deltas since the close
+// before. Engines call it at window-dump time, the only moment the
+// publisher has exclusive access to the cache counters (workers own
+// their caches; the sharded engine sums shard parts on the merger
+// before publishing).
+func publishAggMetrics(reg *metrics.Registry, agg string, part *shardPart) {
+	reg.Gauge(MetricTopkOccupancy, "monitored keys across the aggregation's top-k cache(s)", "agg", agg).Set(float64(part.occupancy))
+	reg.Gauge(MetricTopkActive, "monitored keys that took hits in the window just closed", "agg", agg).Set(float64(part.active))
+	reg.Gauge(MetricTopkMinCount, "smallest monitored count — the frequency overestimation bound", "agg", agg).Set(float64(part.minCount))
+	if part.evictions > 0 {
+		reg.Counter(MetricTopkEvictions, "top-k minimum-entry displacements", "agg", agg).Add(part.evictions)
 	}
-	if droppedDelta > 0 {
-		reg.Counter(MetricTopkDropped, "observations refused by the Bloom admission filter", "agg", agg).Add(droppedDelta)
+	if part.dropped > 0 {
+		reg.Counter(MetricTopkDropped, "observations refused by the Bloom admission filter", "agg", agg).Add(part.dropped)
 	}
 }
 

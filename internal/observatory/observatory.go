@@ -158,20 +158,16 @@ type aggState struct {
 	seenBefore uint64 // window transactions before filtering
 	seenAfter  uint64 // window transactions aggregated into some object
 	free       []*features.Set
-	keyBuf     []byte // reusable KeyBytes buffer (serial ingest path)
+	// touched lists the entries whose feature set took its first hit in
+	// the open window, so closing the window visits what the window
+	// folded, not the cache. An entry evicted and re-admitted inside the
+	// window is listed once per feature set it held.
+	touched []*spacesaving.Entry
+	keyBuf  []byte // reusable KeyBytes buffer (serial ingest path)
 	// lastEvict/lastDropped remember the cache counters at the previous
 	// metrics publish, so each window adds only its delta.
 	lastEvict   uint64
 	lastDropped uint64
-}
-
-// publishMetrics publishes this state's cache health to reg (see
-// publishAggMetrics for the exclusive-access requirement).
-func (st *aggState) publishMetrics(reg *metrics.Registry) {
-	ev, dr := st.cache.Evictions(), st.cache.Dropped()
-	publishAggMetrics(reg, st.agg.Name, st.cache.Len(), st.cache.MinCount(),
-		ev-st.lastEvict, dr-st.lastDropped)
-	st.lastEvict, st.lastDropped = ev, dr
 }
 
 // newAggState builds one aggregation state with a cache of the given
@@ -225,64 +221,74 @@ func (st *aggState) fold(e *spacesaving.Entry, sum *sie.Summary, cfg *Config) {
 		set = st.featureSet(cfg)
 		e.State = set
 	}
+	if set.Hits == 0 {
+		// Every Observe counts a hit, so this is the set's first fold of
+		// the window.
+		st.touched = append(st.touched, e)
+	}
 	set.Observe(sum)
 	st.seenAfter++
 }
 
-// reportable returns e's feature set when e belongs in the current
-// window's snapshot: fresh objects (§2.4) and idle entries do not.
-func reportable(e *spacesaving.Entry, cfg *Config, windowStart float64) *features.Set {
-	if cfg.SkipFreshObjects && e.InsertedAt > windowStart {
-		return nil // has not survived a full window yet (§2.4)
-	}
-	if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
-		return set
-	}
-	return nil
+// fresh reports whether e entered the cache during the window and so has
+// not yet survived a full one (§2.4); such objects are not reported.
+func fresh(e *spacesaving.Entry, cfg *Config, windowStart float64) bool {
+	return cfg.SkipFreshObjects && e.InsertedAt > windowStart
 }
 
-// windowRows appends one TSV row per reportable entry of the current
-// window. The rows' values share one arena sized by a counting pass, so
-// a dump allocates per aggregation, not per row.
-func (st *aggState) windowRows(rows []tsv.Row, cfg *Config, windowStart, windowEnd float64) []tsv.Row {
+// closeWindow ends the window for this state and adds what it held to
+// part, visiting only the touched entries: one TSV row per entry that
+// took hits and is not fresh, the window counters, and the cache health
+// the engines publish. It clears every feature set that took hits and
+// the admission filter, keeping the top-k list. The rows' values share
+// one arena sized by a counting pass, so a close allocates per
+// aggregation, not per row.
+//
+// A set is cleared as soon as it is reported, which is what makes a
+// twice-listed entry report once: its second visit finds no hits. Sets of
+// evicted entries are not here to be cleared; featureSet clears them on
+// reuse. If a corrupt set panics the pass, what was visited is already in
+// part and cleared, and the rest is left as it was: the list is emptied
+// and the counters move only after the pass, so the entries not reached
+// keep their hits and their listing and report with the next close.
+func (st *aggState) closeWindow(part *shardPart, cfg *Config, windowStart, windowEnd float64) {
 	n := 0
-	st.cache.Entries(func(e *spacesaving.Entry) {
-		if reportable(e, cfg, windowStart) != nil {
+	for _, e := range st.touched {
+		if set, ok := e.State.(*features.Set); ok && set.Hits > 0 && !fresh(e, cfg, windowStart) {
 			n++
 		}
-	})
-	if n == 0 {
-		return rows
 	}
-	rows = slices.Grow(rows, n)
+	part.rows = slices.Grow(part.rows, n)
 	arena := make([]float64, 0, n*len(features.Columns))
-	st.cache.Entries(func(e *spacesaving.Entry) {
-		set := reportable(e, cfg, windowStart)
-		if set == nil {
-			return
+	for _, e := range st.touched {
+		set, ok := e.State.(*features.Set)
+		if !ok || set.Hits == 0 {
+			continue
 		}
-		// Rates are read decayed to the window end, so idle objects do
-		// not report their last burst forever.
-		from := len(arena)
-		arena = set.AppendValues(arena, st.cache.RateAt(e, windowEnd))
-		rows = append(rows, tsv.Row{Key: e.Key, Values: arena[from:len(arena):len(arena)]})
-	})
-	return rows
-}
-
-// resetWindow clears per-window statistics, keeping the top-k list. Sets
-// nothing hit this window are already clear (every Observe counts a
-// hit), and in a large cache they are the majority.
-func (st *aggState) resetWindow() {
-	st.cache.Entries(func(e *spacesaving.Entry) {
-		if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
-			set.Reset()
+		if !fresh(e, cfg, windowStart) {
+			// Rates are read decayed to the window end, so idle objects do
+			// not report their last burst forever.
+			from := len(arena)
+			arena = set.AppendValues(arena, st.cache.RateAt(e, windowEnd))
+			part.rows = append(part.rows, tsv.Row{Key: e.Key, Values: arena[from:len(arena):len(arena)]})
 		}
-	})
+		set.Reset()
+		part.active++
+	}
+	st.touched = st.touched[:0]
 	if st.admitter != nil {
 		st.admitter.Reset()
 	}
+	part.seenBefore += st.seenBefore
+	part.seenAfter += st.seenAfter
 	st.seenBefore, st.seenAfter = 0, 0
+
+	part.occupancy += st.cache.Len()
+	part.minCount = max(part.minCount, st.cache.MinCount())
+	ev, dr := st.cache.Evictions(), st.cache.Dropped()
+	part.evictions += ev - st.lastEvict
+	part.dropped += dr - st.lastDropped
+	st.lastEvict, st.lastDropped = ev, dr
 }
 
 // sortRows orders snapshot rows by descending hits (column 0), ties
@@ -392,15 +398,27 @@ func (p *Pipeline) Flush() {
 // dump emits one snapshot per aggregation and resets window state.
 func (p *Pipeline) dump() {
 	start := time.Now()
+	cols, kinds := snapshotSchema()
 	for _, st := range p.aggs {
-		snap := p.snapshot(st)
+		var part shardPart // the serial pipeline is the one-shard case
+		st.closeWindow(&part, &p.cfg, p.windowStart, p.windowStart+p.cfg.WindowSec)
+		sortRows(part.rows)
 		if p.onSnapshot != nil {
-			p.onSnapshot(snap)
+			p.onSnapshot(&tsv.Snapshot{
+				Aggregation: st.agg.Name,
+				Level:       tsv.Minutely,
+				Start:       int64(p.windowStart),
+				Columns:     cols,
+				Kinds:       kinds,
+				TotalBefore: part.seenBefore,
+				TotalAfter:  part.seenAfter,
+				Windows:     1,
+				Rows:        part.rows,
+			})
 		}
 		if p.m.reg != nil {
-			st.publishMetrics(p.m.reg)
+			publishAggMetrics(p.m.reg, st.agg.Name, &part)
 		}
-		st.resetWindow()
 	}
 	if p.det != nil {
 		parts := p.det.CollectAll(p.windowStart, p.windowStart+p.cfg.WindowSec)
@@ -412,24 +430,6 @@ func (p *Pipeline) dump() {
 		p.det.PublishWindow(parts)
 	}
 	p.m.flush.Observe(time.Since(start).Seconds())
-}
-
-// snapshot builds the TSV snapshot for one aggregation's current window.
-func (p *Pipeline) snapshot(st *aggState) *tsv.Snapshot {
-	cols, kinds := snapshotSchema()
-	snap := &tsv.Snapshot{
-		Aggregation: st.agg.Name,
-		Level:       tsv.Minutely,
-		Start:       int64(p.windowStart),
-		Columns:     cols,
-		Kinds:       kinds,
-		TotalBefore: st.seenBefore,
-		TotalAfter:  st.seenAfter,
-		Windows:     1,
-	}
-	snap.Rows = st.windowRows(snap.Rows, &p.cfg, p.windowStart, p.windowStart+p.cfg.WindowSec)
-	sortRows(snap.Rows)
-	return snap
 }
 
 // Detector returns the attached detection layer, or nil when

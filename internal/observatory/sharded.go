@@ -137,15 +137,19 @@ type shardDump struct {
 	det []detect.WindowPart
 }
 
+// shardPart is what closing a window takes out of the aggregation states
+// it is handed to (aggState.closeWindow): all of one worker's shards of
+// an aggregation here, the one state of an aggregation in the serial
+// pipeline.
 type shardPart struct {
 	rows       []tsv.Row
 	seenBefore uint64
 	seenAfter  uint64
-	// Cache-health contribution of this worker's shards, collected at
-	// dump time when the worker has exclusive access; the merger sums
-	// the parts and publishes one value per aggregation, so per-agg
-	// metrics never race with worker ingest.
+	// Cache health, collected at close time when the closer has exclusive
+	// access; the merger sums the workers' parts and publishes one value
+	// per aggregation, so per-agg metrics never race with worker ingest.
 	occupancy int
+	active    int    // entries that took hits this window
 	minCount  uint64 // max over shards: the worst-case bound
 	evictions uint64 // delta since the previous window
 	dropped   uint64 // delta since the previous window
@@ -614,9 +618,10 @@ func (w *shardWorker) processItem(b *shardBatch, i int, now float64) {
 // dumpWindow ships this worker's share of the closing window to the
 // merger and resets its window state. A panic while collecting rows
 // (corrupt feature state) is recovered and counted; the dump — possibly
-// missing the aggregations after the panic point — is still sent, so
-// the merger always receives one dump per worker per window and no
-// window is ever silently dropped.
+// missing what the pass had not reached, which stays open and reports
+// with the next window (see closeWindow) — is still sent, so the merger
+// always receives one dump per worker per window and no window is ever
+// silently dropped.
 func (w *shardWorker) dumpWindow() {
 	d := &shardDump{windowStart: w.windowStart, parts: make([]shardPart, len(w.eng.aggs))}
 	windowEnd := w.windowStart + w.eng.cfg.WindowSec
@@ -627,20 +632,8 @@ func (w *shardWorker) dumpWindow() {
 			}
 		}()
 		for a := range w.eng.aggs {
-			part := &d.parts[a]
 			for _, st := range w.states[a] {
-				part.rows = st.windowRows(part.rows, &w.eng.cfg, w.windowStart, windowEnd)
-				part.seenBefore += st.seenBefore
-				part.seenAfter += st.seenAfter
-				part.occupancy += st.cache.Len()
-				if mc := st.cache.MinCount(); mc > part.minCount {
-					part.minCount = mc
-				}
-				ev, dr := st.cache.Evictions(), st.cache.Dropped()
-				part.evictions += ev - st.lastEvict
-				part.dropped += dr - st.lastDropped
-				st.lastEvict, st.lastDropped = ev, dr
-				st.resetWindow()
+				st.closeWindow(&d.parts[a], &w.eng.cfg, w.windowStart, windowEnd)
 			}
 		}
 		if det := w.eng.det; det != nil {
@@ -692,18 +685,16 @@ func (s *Sharded) emitWindow(windowStart float64, dumps []*shardDump) {
 	parts := make([]*tsv.Snapshot, len(dumps))
 	for a, agg := range s.aggs {
 		if reg := s.m.reg; reg != nil {
-			var occupancy int
-			var minCount, evictions, dropped uint64
+			var sum shardPart
 			for _, d := range dumps {
 				p := &d.parts[a]
-				occupancy += p.occupancy
-				if p.minCount > minCount {
-					minCount = p.minCount
-				}
-				evictions += p.evictions
-				dropped += p.dropped
+				sum.occupancy += p.occupancy
+				sum.active += p.active
+				sum.minCount = max(sum.minCount, p.minCount)
+				sum.evictions += p.evictions
+				sum.dropped += p.dropped
 			}
-			publishAggMetrics(reg, agg.Name, occupancy, minCount, evictions, dropped)
+			publishAggMetrics(reg, agg.Name, &sum)
 		}
 		for i, d := range dumps {
 			parts[i] = &tsv.Snapshot{

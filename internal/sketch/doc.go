@@ -4,6 +4,11 @@
 // network_hops, resp_size), and a top-N value tracker with counts
 // (the top-3 TTL values and their distributions).
 //
+// A histogram tracks the range of buckets it has counted into: its
+// quartiles come from one pass over that range, and Reset clears that
+// range only, so a window's cost follows what the window observed and
+// not the ~80 buckets of a delay histogram.
+//
 // Concurrency: every structure here is single-owner, embedded in a
 // features.Set and touched only by the goroutine that owns the
 // corresponding top-k entry. No internal locking.

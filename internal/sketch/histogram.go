@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -13,6 +12,9 @@ import (
 type Histogram struct {
 	bounds []float64 // upper bound of each bucket, ascending; shared, read-only
 	counts []uint64
+	// Every non-zero count lies in counts[lo:hi], so the quantile scan and
+	// Reset cost what the window observed, not the bucket count.
+	lo, hi int32
 	n      uint64
 	sum    float64
 	min    float64
@@ -82,11 +84,26 @@ func InitHistograms(hs []Histogram, growth float64, maxValues ...float64) {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	idx := sort.SearchFloat64s(h.bounds, v)
-	if idx == len(h.bounds) {
-		idx--
+	// The first bucket whose bound is >= v, as sort.SearchFloat64s finds
+	// it, without the closure call per probe. NaN compares false with
+	// every bound and so runs off the end, into the overflow bucket.
+	i, j := 0, len(h.bounds)
+	for i < j {
+		mid := int(uint(i+j) >> 1)
+		if h.bounds[mid] >= v {
+			j = mid
+		} else {
+			i = mid + 1
+		}
 	}
+	idx := int32(min(i, len(h.bounds)-1))
 	h.counts[idx]++
+	if idx < h.lo {
+		h.lo = idx
+	}
+	if idx >= h.hi {
+		h.hi = idx + 1
+	}
 	h.n++
 	h.sum += v
 	if v < h.min {
@@ -136,11 +153,37 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q >= 1 {
 		return h.max
 	}
-	target := q * float64(h.n)
+	var out [1]float64
+	h.quantiles([]float64{q}, out[:])
+	return out[0]
+}
+
+// Quartiles returns the 25th, 50th and 75th percentiles, the form the
+// paper stores for resp_delays, network_hops and resp_size.
+func (h *Histogram) Quartiles() (q25, q50, q75 float64) {
+	if h.n == 0 {
+		return 0, 0, 0
+	}
+	var out [3]float64
+	h.quantiles([]float64{0.25, 0.5, 0.75}, out[:])
+	return out[0], out[1], out[2]
+}
+
+// quantiles sets out[i] to the qs[i]-quantile of a non-empty histogram,
+// for ascending qs inside (0, 1), in one pass over the occupied buckets:
+// the targets ascend with qs, so each is met at or after the bucket that
+// met the one before, by the same running count.
+func (h *Histogram) quantiles(qs, out []float64) {
+	t := 0
+	target := qs[0] * float64(h.n)
 	var cum float64
-	for i, c := range h.counts {
+	for i := int(h.lo); i < int(h.hi); i++ {
+		c := h.counts[i]
+		if c == 0 {
+			continue
+		}
 		next := cum + float64(c)
-		if next >= target && c > 0 {
+		for next >= target {
 			lo := 0.0
 			if i > 0 {
 				lo = h.bounds[i-1]
@@ -159,29 +202,29 @@ func (h *Histogram) Quantile(q float64) float64 {
 				hi = lo
 			}
 			frac := (target - cum) / float64(c)
-			return lo + (hi-lo)*frac
+			out[t] = lo + (hi-lo)*frac
+			if t++; t == len(qs) {
+				return
+			}
+			target = qs[t] * float64(h.n)
 		}
 		cum = next
 	}
-	return h.max
-}
-
-// Quartiles returns the 25th, 50th and 75th percentiles, the form the
-// paper stores for resp_delays, network_hops and resp_size.
-func (h *Histogram) Quartiles() (q25, q50, q75 float64) {
-	return h.Quantile(0.25), h.Quantile(0.5), h.Quantile(0.75)
+	for ; t < len(qs); t++ {
+		out[t] = h.max
+	}
 }
 
 // Merge adds other's observations into h. Both histograms must have been
 // created with the same parameters; mismatched shapes are merged
 // bucket-by-index up to the shorter length.
 func (h *Histogram) Merge(other *Histogram) {
-	n := len(h.counts)
-	if len(other.counts) < n {
-		n = len(other.counts)
-	}
-	for i := 0; i < n; i++ {
+	from, to := other.lo, min(other.hi, int32(len(h.counts)))
+	for i := from; i < to; i++ {
 		h.counts[i] += other.counts[i]
+	}
+	if from < to {
+		h.lo, h.hi = min(h.lo, from), max(h.hi, to)
 	}
 	h.n += other.n
 	h.sum += other.sum
@@ -197,7 +240,10 @@ func (h *Histogram) Merge(other *Histogram) {
 
 // Reset clears the histogram for the next time window.
 func (h *Histogram) Reset() {
-	clear(h.counts)
+	if h.lo < h.hi {
+		clear(h.counts[h.lo:h.hi])
+	}
+	h.lo, h.hi = int32(len(h.counts)), 0
 	h.n = 0
 	h.sum = 0
 	h.min = math.Inf(1)

@@ -354,6 +354,21 @@ func allocated(n int, fn func()) (bytes, objects float64) {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n), float64(after.Mallocs-before.Mallocs) / float64(n)
 }
 
+// skipIfPoolDrops skips an allocation budget when sync.Pool is dropping
+// what it is given, as it does on purpose under the race detector: the
+// budgets are those of pools that keep it.
+func skipIfPoolDrops(t *testing.T) {
+	t.Helper()
+	var probe sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		probe.Put(x)
+		if probe.Get() != any(x) {
+			t.Skip("sync.Pool is dropping objects (race detector): allocation is not what it is in production")
+		}
+	}
+}
+
 // TestQueryAllocBudget is the property the streaming read path exists
 // for: what a query allocates depends on its answer, not on the bytes
 // in range. A point miss costs a small constant per file — the path and
@@ -364,16 +379,7 @@ func TestQueryAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two stores")
 	}
-	// The race detector makes sync.Pool drop a quarter of what it is
-	// given, on purpose; the budgets are those of pools that keep it.
-	var probe sync.Pool
-	for i := 0; i < 64; i++ {
-		x := new(int)
-		probe.Put(x)
-		if probe.Get() != any(x) {
-			t.Skip("sync.Pool is dropping objects (race detector): allocation is not what it is in production")
-		}
-	}
+	skipIfPoolDrops(t)
 	const files = 16
 	miss := Query{Agg: "srvip", Key: "absent.invalid.", Columns: []string{"hits", "f05", "f20"}, K: 50}
 	small, big := benchStore(t, BackendColumnar, files, 2000), benchStore(t, BackendColumnar, files, 8000)

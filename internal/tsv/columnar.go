@@ -135,32 +135,29 @@ func (f *colBloom) add(s string) {
 // EncodeColumnar writes s in the columnar format. The same snapshot
 // always produces the same bytes.
 func EncodeColumnar(s *Snapshot, w io.Writer) (int64, error) {
+	return encodeTo(w, s, encodeColumnar)
+}
+
+// encodeColumnar builds the columnar form in eb.file. The file is
+// assembled once, in a buffer sized from its parts: the column sections
+// are encoded first (the directory ahead of them carries their lengths)
+// into eb.sects, and the key section is sized before it is written.
+func encodeColumnar(s *Snapshot, eb *encodeBuf) error {
 	ncols := len(s.Columns)
 	for i := range s.Rows {
 		if len(s.Rows[i].Values) != ncols {
-			return 0, fmt.Errorf("tsv: row %d has %d values for %d columns",
+			return fmt.Errorf("tsv: row %d has %d values for %d columns",
 				i, len(s.Rows[i].Values), ncols)
 		}
 	}
-	buf := make([]byte, 0, 64+len(s.Rows)*(8+ncols*4))
-	buf = append(buf, colMagic...)
-	buf = binary.AppendUvarint(buf, uint64(ncols))
-	for i, name := range s.Columns {
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		buf = append(buf, colKindByte(s.Kinds[i]))
-	}
 	nrows := len(s.Rows)
-	buf = binary.AppendUvarint(buf, uint64(nrows))
-	buf = binary.AppendUvarint(buf, s.TotalBefore)
-	buf = binary.AppendUvarint(buf, s.TotalAfter)
-	buf = binary.AppendUvarint(buf, uint64(s.Windows))
 
-	// Key section: dictionary in first-appearance order; per-row ids
-	// only when a duplicate key makes them necessary.
+	// Key dictionary in first-appearance order; per-row ids only when a
+	// duplicate key makes them necessary.
 	dictID := make(map[string]int, nrows)
-	var dictKeys []string
+	dictKeys := make([]string, 0, nrows)
 	ids := make([]int, nrows)
+	concatLen, keyLens, idLens := 0, 0, 0
 	for i := range s.Rows {
 		k := s.Rows[i].Key
 		id, ok := dictID[k]
@@ -168,77 +165,95 @@ func EncodeColumnar(s *Snapshot, w io.Writer) (int64, error) {
 			id = len(dictKeys)
 			dictID[k] = id
 			dictKeys = append(dictKeys, k)
+			concatLen += len(k)
+			keyLens += uvarintLen(uint64(len(k)))
 		}
 		ids[i] = id
-	}
-	var keySect []byte
-	keySect = binary.AppendUvarint(keySect, uint64(len(dictKeys)))
-	concatLen := 0
-	for _, k := range dictKeys {
-		concatLen += len(k)
-	}
-	keySect = binary.AppendUvarint(keySect, uint64(concatLen))
-	for _, k := range dictKeys {
-		keySect = append(keySect, k...)
-	}
-	for _, k := range dictKeys {
-		keySect = binary.AppendUvarint(keySect, uint64(len(k)))
+		idLens += uvarintLen(uint64(id))
 	}
 	if len(dictKeys) == nrows {
-		keySect = append(keySect, 0) // ids are the identity
-	} else {
-		keySect = append(keySect, 1)
-		for _, id := range ids {
-			keySect = binary.AppendUvarint(keySect, uint64(id))
-		}
+		idLens = 0 // ids are the identity and are not stored
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(keySect)))
-	buf = append(buf, keySect...)
+	keySectLen := uvarintLen(uint64(len(dictKeys))) + uvarintLen(uint64(concatLen)) +
+		concatLen + keyLens + 1 + idLens
 
-	// Bloom over distinct keys.
 	bloom := newColBloom(len(dictKeys))
 	for _, k := range dictKeys {
 		bloom.add(k)
 	}
+
+	// Column sections, back to back.
+	sects := eb.sects[:0]
+	sectLens := make([]int, ncols)
+	colVals := make([]float64, nrows)
+	for c := 0; c < ncols; c++ {
+		for r := 0; r < nrows; r++ {
+			colVals[r] = s.Rows[r].Values[c]
+		}
+		from := len(sects)
+		for off := 0; off < nrows; off += colBlockRows {
+			sects = encodeBlock(sects, colVals[off:min(off+colBlockRows, nrows)])
+		}
+		sectLens[c] = len(sects) - from
+	}
+
+	// The file's size from its parts, every small varint taken at its
+	// longest: nothing below grows buf.
+	size := len(colMagic) + (8+2*ncols)*binary.MaxVarintLen64 + 1 + keySectLen +
+		8*len(bloom.words) + len(sects) + len(colFooter)
+	for _, name := range s.Columns {
+		size += len(name) + 1
+	}
+
+	buf := slices.Grow(eb.file[:0], size)
+	buf = append(buf, colMagic...)
+	buf = binary.AppendUvarint(buf, uint64(ncols))
+	for i, name := range s.Columns {
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
+		buf = append(buf, name...)
+		buf = append(buf, colKindByte(s.Kinds[i]))
+	}
+	buf = binary.AppendUvarint(buf, uint64(nrows))
+	buf = binary.AppendUvarint(buf, s.TotalBefore)
+	buf = binary.AppendUvarint(buf, s.TotalAfter)
+	buf = binary.AppendUvarint(buf, uint64(s.Windows))
+
+	buf = binary.AppendUvarint(buf, uint64(keySectLen))
+	buf = binary.AppendUvarint(buf, uint64(len(dictKeys)))
+	buf = binary.AppendUvarint(buf, uint64(concatLen))
+	for _, k := range dictKeys {
+		buf = append(buf, k...)
+	}
+	for _, k := range dictKeys {
+		buf = binary.AppendUvarint(buf, uint64(len(k)))
+	}
+	if len(dictKeys) == nrows {
+		buf = append(buf, 0) // ids are the identity
+	} else {
+		buf = append(buf, 1)
+		for _, id := range ids {
+			buf = binary.AppendUvarint(buf, uint64(id))
+		}
+	}
+
 	buf = append(buf, byte(bloom.k))
 	buf = binary.AppendUvarint(buf, uint64(len(bloom.words)))
 	for _, wd := range bloom.words {
 		buf = binary.LittleEndian.AppendUint64(buf, wd)
 	}
 
-	// Column sections, then the directory so a reader can skip columns.
-	sects := make([][]byte, ncols)
-	colVals := make([]float64, nrows)
-	for c := 0; c < ncols; c++ {
-		for r := 0; r < nrows; r++ {
-			colVals[r] = s.Rows[r].Values[c]
-		}
-		sects[c] = encodeColumn(colVals)
-	}
+	// The directory, so a reader can skip columns, then the sections.
 	buf = binary.AppendUvarint(buf, colBlockRows)
-	for _, sect := range sects {
-		buf = binary.AppendUvarint(buf, uint64(len(sect)))
+	for _, n := range sectLens {
+		buf = binary.AppendUvarint(buf, uint64(n))
 	}
-	for _, sect := range sects {
-		buf = append(buf, sect...)
-	}
-	buf = append(buf, colFooter...)
-	n, err := w.Write(buf)
-	return int64(n), err
+	buf = append(buf, sects...)
+	eb.file, eb.sects = append(buf, colFooter...), sects
+	return nil
 }
 
-// encodeColumn encodes one column's values as blocks.
-func encodeColumn(vals []float64) []byte {
-	var out []byte
-	for off := 0; off < len(vals); off += colBlockRows {
-		end := off + colBlockRows
-		if end > len(vals) {
-			end = len(vals)
-		}
-		out = encodeBlock(out, vals[off:end])
-	}
-	return out
-}
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // encodeBlock appends one block: min/max, encoding tag, payload.
 func encodeBlock(out []byte, vals []float64) []byte {
@@ -281,15 +296,19 @@ func encodeBlock(out []byte, vals []float64) []byte {
 		out = binary.LittleEndian.AppendUint64(out, firstBits)
 	case allInt:
 		out = append(out, encIntDelta)
-		var payload []byte
-		prev := int64(0)
+		// The payload follows its own length: size it, then write it in
+		// place.
+		size, prev := 0, int64(0)
 		for _, v := range vals {
-			iv := int64(v)
-			payload = binary.AppendUvarint(payload, zigzag(iv-prev))
-			prev = iv
+			size += uvarintLen(zigzag(int64(v) - prev))
+			prev = int64(v)
 		}
-		out = binary.AppendUvarint(out, uint64(len(payload)))
-		out = append(out, payload...)
+		out = binary.AppendUvarint(out, uint64(size))
+		prev = 0
+		for _, v := range vals {
+			out = binary.AppendUvarint(out, zigzag(int64(v)-prev))
+			prev = int64(v)
+		}
 	default:
 		out = append(out, encRaw)
 		out = binary.AppendUvarint(out, uint64(8*len(vals)))

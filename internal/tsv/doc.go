@@ -19,6 +19,15 @@
 // cascade-duration histograms to a metrics registry without adding work
 // to Put itself.
 //
+// Writes encode into pooled buffers too: either codec builds the whole
+// file in a recycled buffer and hands it to the file in one Write, so a
+// warm store's Put allocates the file's names and handle and nothing
+// that grows with the snapshot. The text codec writes a cell that is a
+// non-negative integer below 1e6 as its digits and reads a field of up
+// to 15 digits by accumulation — byte for byte and bit for bit what
+// strconv's shortest 'g' formatting and ParseFloat, which take every
+// other cell, make of them.
+//
 // Reads decode into pooled scratch: a query borrows one accumulator,
 // which carries the reader scratch every file of the range is read
 // through, and returns it when it is done, so concurrent queries never

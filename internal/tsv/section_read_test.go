@@ -149,14 +149,6 @@ func layoutOf(t *testing.T, data []byte) colLayout {
 	return l
 }
 
-func uvarintLen(v uint64) int {
-	n := 1
-	for ; v >= 0x80; v >>= 7 {
-		n++
-	}
-	return n
-}
-
 // TestSectionBoundaryCorruption damages a valid file at every section
 // boundary and asks every query shape for it, materialized and folded:
 // structural damage is ErrCorruptSnapshot for each of them — the

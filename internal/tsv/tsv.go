@@ -2,13 +2,15 @@ package tsv
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
-	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Kind mirrors features.Kind without importing it, keeping this package
@@ -176,53 +178,103 @@ func ParseFileName(name string) (agg string, level Level, start int64, err error
 	return agg, level, start, nil
 }
 
+// encodeBuf is the scratch a snapshot file is built in: the file, which
+// is encoded whole and handed to the writer in one Write, and for the
+// columnar codec the column sections, which are encoded before the
+// directory that precedes them.
+type encodeBuf struct{ file, sects []byte }
+
+// encodeBufs recycles them: a buffer grows to the largest file it has
+// held, so a warm store allocates nothing per Put that grows with the
+// snapshot, and concurrent puts (the cascade's jobs) each take their own.
+var encodeBufs = sync.Pool{New: func() any { return new(encodeBuf) }}
+
+// encodeTo builds s's file with encode in a recycled buffer and hands it
+// to w in one Write. A writer that takes a prefix without an error (a
+// full disk) is reported as io.ErrShortWrite.
+func encodeTo(w io.Writer, s *Snapshot, encode func(*Snapshot, *encodeBuf) error) (int64, error) {
+	eb := encodeBufs.Get().(*encodeBuf)
+	defer encodeBufs.Put(eb)
+	if err := encode(s, eb); err != nil {
+		return 0, err
+	}
+	n, err := w.Write(eb.file)
+	if err == nil && n < len(eb.file) {
+		err = io.ErrShortWrite
+	}
+	return int64(n), err
+}
+
 // WriteTo writes the snapshot in TSV form: a header row with column
 // names, one row per object, and a trailing statistics row.
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(line string) error {
-		m, err := bw.WriteString(line)
-		n += int64(m)
-		return err
+	return encodeTo(w, s, (*Snapshot).encodeText)
+}
+
+// encodeText builds the TSV form in eb.file. It cannot fail; the error
+// is the codec signature's.
+func (s *Snapshot) encodeText(eb *encodeBuf) error {
+	b := append(eb.file[:0], "#key\t"...)
+	for i, c := range s.Columns {
+		if i > 0 {
+			b = append(b, '\t')
+		}
+		b = append(b, c...)
 	}
-	kinds := make([]string, len(s.Kinds))
+	b = append(b, "\n#kind\t"...)
 	for i, k := range s.Kinds {
-		switch k {
-		case Counter:
-			kinds[i] = "c"
-		case Mode:
-			kinds[i] = "m"
-		default:
-			kinds[i] = "g"
+		if i > 0 {
+			b = append(b, '\t')
 		}
+		b = append(b, colKindByte(k))
 	}
-	if err := write("#key\t" + strings.Join(s.Columns, "\t") + "\n"); err != nil {
-		return n, err
-	}
-	if err := write("#kind\t" + strings.Join(kinds, "\t") + "\n"); err != nil {
-		return n, err
-	}
-	var buf []byte // reused across rows; AppendFloat avoids FormatFloat's string alloc
+	b = append(b, '\n')
 	for _, r := range s.Rows {
-		buf = append(buf[:0], r.Key...)
+		b = append(b, r.Key...)
 		for _, v := range r.Values {
-			buf = append(buf, '\t')
-			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+			b = append(b, '\t')
+			b = appendValue(b, v)
 		}
-		buf = append(buf, '\n')
-		m, err := bw.Write(buf)
-		n += int64(m)
-		if err != nil {
-			return n, err
+		b = append(b, '\n')
+	}
+	b = append(b, "#stats\ttotal_before="...)
+	b = strconv.AppendUint(b, s.TotalBefore, 10)
+	b = append(b, "\ttotal_after="...)
+	b = strconv.AppendUint(b, s.TotalAfter, 10)
+	b = append(b, "\twindows="...)
+	b = strconv.AppendInt(b, int64(s.Windows), 10)
+	eb.file = append(b, '\n')
+	return nil
+}
+
+// appendValue appends one cell as strconv's shortest 'g' form prints it.
+// Most cells are small counts: shortest 'g' switches to exponent form
+// only from a decimal exponent of 6 up, so a non-negative integer below
+// 1e6 prints as its plain digits (except -0, which prints its sign).
+func appendValue(b []byte, v float64) []byte {
+	if v >= 0 && v < 1e6 {
+		if u := uint64(v); float64(u) == v && !(u == 0 && math.Signbit(v)) {
+			return strconv.AppendUint(b, u, 10)
 		}
 	}
-	stats := fmt.Sprintf("#stats\ttotal_before=%d\ttotal_after=%d\twindows=%d\n",
-		s.TotalBefore, s.TotalAfter, s.Windows)
-	if err := write(stats); err != nil {
-		return n, err
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// parseValue parses one cell as strconv.ParseFloat does. A field of 1 to
+// 15 digits is an integer below 2^53, exact in a float64, and is
+// accumulated directly; ParseFloat takes everything else.
+func parseValue(f []byte) (float64, error) {
+	var u uint64
+	ok := len(f) >= 1 && len(f) <= 15
+	for i := 0; ok && i < len(f); i++ {
+		d := f[i] - '0'
+		ok = d <= 9
+		u = u*10 + uint64(d)
 	}
-	return n, bw.Flush()
+	if !ok {
+		return strconv.ParseFloat(string(f), 64)
+	}
+	return float64(u), nil
 }
 
 // Read parses a snapshot written by WriteTo. Aggregation, Level and
@@ -245,12 +297,14 @@ func Read(r io.Reader) (*Snapshot, error) {
 	// 30k-row file costs a handful of allocations, not one per row.
 	var flat []float64
 	for sc.Scan() {
-		line := sc.Text()
+		// The scanner's own bytes: a row is split and parsed in place and
+		// only its key is copied out.
+		line := sc.Bytes()
 		switch {
-		case strings.HasPrefix(line, "#key\t"):
-			s.Columns = strings.Split(line, "\t")[1:]
-		case strings.HasPrefix(line, "#kind\t"):
-			for _, k := range strings.Split(line, "\t")[1:] {
+		case bytes.HasPrefix(line, []byte("#key\t")):
+			s.Columns = strings.Split(string(line), "\t")[1:]
+		case bytes.HasPrefix(line, []byte("#kind\t")):
+			for _, k := range strings.Split(string(line), "\t")[1:] {
 				switch k {
 				case "c":
 					s.Kinds = append(s.Kinds, Counter)
@@ -260,11 +314,11 @@ func Read(r io.Reader) (*Snapshot, error) {
 					s.Kinds = append(s.Kinds, Gauge)
 				}
 			}
-		case strings.HasPrefix(line, "#stats\t"):
+		case bytes.HasPrefix(line, []byte("#stats\t")):
 			// All three keys must parse: a file cut mid-way through this
 			// line would otherwise still pass the end-of-file check.
 			statKeys := 0
-			for _, f := range strings.Split(line, "\t")[1:] {
+			for _, f := range strings.Split(string(line), "\t")[1:] {
 				k, v, ok := strings.Cut(f, "=")
 				if !ok {
 					continue
@@ -289,16 +343,14 @@ func Read(r io.Reader) (*Snapshot, error) {
 				return nil, ErrBadFile
 			}
 			sawStats = true
-		case line == "" || strings.HasPrefix(line, "#"):
+		case len(line) == 0 || line[0] == '#':
 			// Skip blanks and unknown comments.
 		default:
 			if s.Columns == nil {
 				return nil, ErrBadFile
 			}
-			// The hot path: split fields in place (no []string per row)
-			// and parse values into the shared chunk.
 			nCols := len(s.Columns)
-			tab := strings.IndexByte(line, '\t')
+			tab := bytes.IndexByte(line, '\t')
 			if tab < 0 {
 				return nil, ErrBadFile
 			}
@@ -312,26 +364,26 @@ func Read(r io.Reader) (*Snapshot, error) {
 			}
 			start := len(flat)
 			for i := 0; i < nCols; i++ {
-				var f string
+				var f []byte
 				if i == nCols-1 {
-					if strings.IndexByte(rest, '\t') >= 0 {
+					if bytes.IndexByte(rest, '\t') >= 0 {
 						return nil, ErrBadFile // too many fields
 					}
 					f = rest
 				} else {
-					t := strings.IndexByte(rest, '\t')
+					t := bytes.IndexByte(rest, '\t')
 					if t < 0 {
 						return nil, ErrBadFile // too few fields
 					}
 					f, rest = rest[:t], rest[t+1:]
 				}
-				v, err := strconv.ParseFloat(f, 64)
+				v, err := parseValue(f)
 				if err != nil {
 					return nil, ErrBadFile
 				}
 				flat = append(flat, v)
 			}
-			s.Rows = append(s.Rows, Row{Key: key, Values: flat[start:len(flat):len(flat)]})
+			s.Rows = append(s.Rows, Row{Key: string(key), Values: flat[start:len(flat):len(flat)]})
 		}
 	}
 	if err := sc.Err(); err != nil {
