@@ -248,31 +248,61 @@ func BenchmarkSnapshotRowExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkFeatureSetBytes reports the steady-state heap bytes per
-// tracked object: the live footprint of a feature set that has observed
-// tail-like traffic (the vast majority of Top-k entries). Reported as
-// bytes/object via ReadMemStats around a batch of live sets.
+// BenchmarkFeatureSetBytes reports what a tracked object costs the
+// engine, by what its window has seen of it: the live heap of a
+// one-aggregation serial pipeline, per monitored key, when every key is
+// idle (the cache entry and nothing else), when every key has taken
+// three hits in the open window (a record block each), and when every
+// key has taken thirteen (a feature set each, the blocks back in the
+// engine's pool). Read with ReadMemStats after a collection; DESIGN.md
+// "Feature state lifecycle" has the table.
 func BenchmarkFeatureSetBytes(b *testing.B) {
 	sums := parallelBenchSummaries()
 	const objects = 2000
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	sets := make([]*features.Set, objects)
-	for i := range sets {
-		sets[i] = features.NewSet(features.Config{HLLPrecision: 10})
-		for j := 0; j < 3; j++ { // tail object: a few hits per window
-			sets[i].Observe(&sums[(i*131+j)%len(sums)])
+	liveHeap := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	base := liveHeap()
+	pipe := observatory.New(observatory.DefaultConfig(),
+		[]observatory.Aggregation{{Name: "qname", K: objects, Key: observatory.QNameKey, NoAdmitter: true}}, nil)
+	n := 0
+	hit := func(key int, now float64) {
+		sum := sums[n%len(sums)] // a copy: the corpus stays unkeyed and unhashed
+		n++
+		sum.QName = fmt.Sprintf("host%d.example.com.", key)
+		pipe.Ingest(&sum, now)
+	}
+	// 50 new keys a window, so the pools end up sized for 50 objects and
+	// not for the cache; then a window goes by with no traffic.
+	const perWindow = 50
+	for key := 0; key < objects; key++ {
+		hit(key, float64(key/perWindow)*60)
+	}
+	now := float64(objects/perWindow+1) * 60
+	hit(0, now)
+	idle := liveHeap()
+	for round := 0; round < 3; round++ {
+		for key := 0; key < objects; key++ {
+			hit(key, now+1)
 		}
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perObj := float64(after.HeapAlloc-before.HeapAlloc) / objects
+	tail := liveHeap()
+	for round := 0; round < 10; round++ {
+		for key := 0; key < objects; key++ {
+			hit(key, now+2)
+		}
+	}
+	heavy := liveHeap()
 	for i := 0; i < b.N; i++ {
-		_ = sets[i%len(sets)].Hits // keep sets live across the measurement
+		_ = pipe.Total() // keep the engine live across the measurement
 	}
 	runtime.KeepAlive(sums) // the corpus must stay live between readings
-	b.ReportMetric(perObj, "bytes/object")
+	b.ReportMetric((idle-base)/objects, "idle-B/object")
+	b.ReportMetric((tail-base)/objects, "tail-B/object")
+	b.ReportMetric((heavy-base)/objects, "heavy-B/object")
 	b.ReportMetric(0, "ns/op")
 }
 

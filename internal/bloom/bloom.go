@@ -9,8 +9,11 @@ import (
 // Filter is a Bloom filter. Create one with New; the zero value is not
 // usable. Filter is not safe for concurrent use.
 type Filter struct {
+	// bits is allocated by the first insertion: a filter nothing was ever
+	// added to — the admitter of a cache that never fills — costs its
+	// header, not its bit array.
 	bits  []uint64
-	mask  uint64 // len(bits)*64 - 1; size is a power of two
+	mask  uint64 // bit count - 1; the bit count is a power of two
 	k     int
 	seed  maphash.Seed
 	det   bool   // deterministic hashing (NewSeeded)
@@ -67,11 +70,7 @@ func sized(n int, fp float64) *Filter {
 	if k > 16 {
 		k = 16
 	}
-	return &Filter{
-		bits: make([]uint64, size/64),
-		mask: size - 1,
-		k:    k,
-	}
+	return &Filter{mask: size - 1, k: k}
 }
 
 // hash2 derives two independent 64-bit hashes of s; the k index
@@ -175,6 +174,9 @@ func (f *Filter) AddBytes(b []byte) {
 }
 
 func (f *Filter) set(h1, h2 uint64) {
+	if f.bits == nil {
+		f.bits = make([]uint64, (f.mask+1)/64)
+	}
 	for i := 0; i < f.k; i++ {
 		idx := (h1 + uint64(i)*h2) & f.mask
 		f.bits[idx/64] |= 1 << (idx % 64)
@@ -196,6 +198,9 @@ func (f *Filter) ContainsBytes(b []byte) bool {
 }
 
 func (f *Filter) test(h1, h2 uint64) bool {
+	if f.count == 0 {
+		return false // empty, and maybe without a bit array yet
+	}
 	for i := 0; i < f.k; i++ {
 		idx := (h1 + uint64(i)*h2) & f.mask
 		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
@@ -208,8 +213,10 @@ func (f *Filter) test(h1, h2 uint64) bool {
 // Reset clears the filter. The Observatory resets its admission filter
 // periodically so that the "seen once before" signal stays fresh.
 func (f *Filter) Reset() {
-	clear(f.bits)
-	f.count = 0
+	if f.count != 0 {
+		clear(f.bits)
+		f.count = 0
+	}
 }
 
 // Count returns the number of Add calls since the last Reset.
@@ -221,5 +228,5 @@ func (f *Filter) FillRatio() float64 {
 	for _, w := range f.bits {
 		set += bits.OnesCount64(w)
 	}
-	return float64(set) / float64(len(f.bits)*64)
+	return float64(set) / float64(f.mask+1)
 }

@@ -55,6 +55,23 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestBitsAllocatedByFirstAdd: a filter nothing was added to answers
+// like an empty one without holding its bit array.
+func TestBitsAllocatedByFirstAdd(t *testing.T) {
+	f := New(1<<20, 0.01)
+	if f.Contains("alpha") || f.ContainsBytes([]byte("alpha")) || f.FillRatio() != 0 {
+		t.Error("a fresh filter is not empty")
+	}
+	f.Reset()
+	if f.bits != nil {
+		t.Fatal("reading or resetting a fresh filter allocated its bits")
+	}
+	f.AddBytes([]byte("alpha"))
+	if len(f.bits) != 1<<18 || !f.Contains("alpha") || f.Contains("beta") {
+		t.Errorf("after the first add: %d words, alpha %v, beta %v", len(f.bits), f.Contains("alpha"), f.Contains("beta"))
+	}
+}
+
 func TestFillRatioGrows(t *testing.T) {
 	f := New(1000, 0.01)
 	if f.FillRatio() != 0 {

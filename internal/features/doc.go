@@ -3,14 +3,25 @@
 // and section sizes, HyperLogLog cardinalities for name/address sets,
 // top-TTL trackers and quartile histograms for delays, hops and sizes.
 //
-// One Set hangs off each live Space-Saving entry (as its State); Observe
-// folds in a transaction summary, Snapshot extracts a Row for the TSV
-// time series, and Reset clears the statistics at each window boundary
-// without touching the top-k list itself (§2.4).
+// Observe folds a transaction summary into a Set, Values/AppendValues
+// extract the row for the TSV time series, and Reset clears the
+// statistics without releasing the sketches, so an engine can hand the
+// same Set to one object after another (§2.4 resets the statistics and
+// keeps the top-k list). A Set is ~5 KB; an Obs is the 136-byte record of
+// exactly what Observe reads from one summary, for engines that hold an
+// object's first few transactions of a window back and give it a Set
+// only when it has earned one: From records a summary or refuses it
+// (never truncates), Fill turns the record back into Observe's operand,
+// and Observe itself stays the one implementation of every feature.
 //
-// Concurrency: a Set inherits the ownership of the cache entry it hangs
-// off — single-owner, no internal locking. In the serial and parallel
-// engines that owner is the pipeline goroutine; in the sharded engine it
-// is the worker that owns the entry's shard, and sets never migrate
-// between shards.
+// Ownership and concurrency: Sets and Obs records have no internal
+// locking and belong to whoever holds them. In the observatory engines
+// that is the aggregation state that owns the cache entry's shard — the
+// pipeline goroutine in the serial and parallel engines, one worker in
+// the sharded engine — which leases a Set to an entry for the windows in
+// which the entry is busy and takes it back when the window closes or
+// the entry is evicted; sets never migrate between shards. Observe,
+// From and Fill only read the summary once its hashes are memoized
+// (sie.Summary.PrecomputeHashes), so one summary may feed many owners
+// concurrently.
 package features

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dnsobservatory/internal/bloom"
 	"dnsobservatory/internal/dnswire"
 	"dnsobservatory/internal/features"
 	"dnsobservatory/internal/metrics"
@@ -14,21 +15,73 @@ import (
 	"dnsobservatory/internal/tsv"
 )
 
-// The window close as it was before ISSUE 18, frozen as the reference
-// for closeWindow: two walks of the whole cache to count and fill the
-// rows, a third to reset.
+// The engine state as it was before ISSUE 19, frozen as the reference
+// for aggState: eager — an object is given a feature set at its first
+// hit and keeps it, across windows, until it is evicted — and closed by
+// the full scan of before ISSUE 18: two walks of the whole cache to
+// count and fill the rows, a third to reset. It shares nothing with
+// fold and closeWindow but Set.Observe and Set.AppendValues.
+type eagerState struct {
+	agg        Aggregation
+	cache      *spacesaving.Cache
+	admitter   *bloom.Filter
+	seenBefore uint64
+	seenAfter  uint64
+	free       []*features.Set
+}
 
-func refReportable(e *spacesaving.Entry, cfg *Config, windowStart float64) *features.Set {
-	if cfg.SkipFreshObjects && e.InsertedAt > windowStart {
-		return nil
+// newEagerState mirrors newAggState. admitter may be nil.
+func newEagerState(a Aggregation, cfg *Config, capacity int, admitter *bloom.Filter) *eagerState {
+	st := &eagerState{agg: a, admitter: admitter}
+	var adm spacesaving.Admitter
+	if admitter != nil {
+		adm = admitter
 	}
+	st.cache = spacesaving.New(capacity, cfg.HalfLifeSec, adm)
+	st.cache.OnEvictState = func(state any) {
+		if set, ok := state.(*features.Set); ok {
+			st.free = append(st.free, set)
+		}
+	}
+	return st
+}
+
+func (st *eagerState) observe(key string, sum *sie.Summary, now float64, cfg *Config) {
+	e := st.cache.Observe(key, now)
+	if e == nil {
+		return
+	}
+	set, ok := e.State.(*features.Set)
+	if !ok {
+		if n := len(st.free); n > 0 {
+			set = st.free[n-1]
+			st.free = st.free[:n-1]
+			set.Reset()
+		} else {
+			set = features.NewSet(cfg.Features)
+		}
+		e.State = set
+	}
+	set.Observe(sum)
+	st.seenAfter++
+}
+
+// hitSet returns e's feature set if it took hits this window.
+func hitSet(e *spacesaving.Entry) *features.Set {
 	if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
 		return set
 	}
 	return nil
 }
 
-func (st *aggState) refWindowRows(rows []tsv.Row, cfg *Config, windowStart, windowEnd float64) []tsv.Row {
+func refReportable(e *spacesaving.Entry, cfg *Config, windowStart float64) *features.Set {
+	if cfg.SkipFreshObjects && e.InsertedAt > windowStart {
+		return nil
+	}
+	return hitSet(e)
+}
+
+func (st *eagerState) refWindowRows(rows []tsv.Row, cfg *Config, windowStart, windowEnd float64) []tsv.Row {
 	n := 0
 	st.cache.Entries(func(e *spacesaving.Entry) {
 		if refReportable(e, cfg, windowStart) != nil {
@@ -52,9 +105,9 @@ func (st *aggState) refWindowRows(rows []tsv.Row, cfg *Config, windowStart, wind
 	return rows
 }
 
-func (st *aggState) refResetWindow() {
+func (st *eagerState) refResetWindow() {
 	st.cache.Entries(func(e *spacesaving.Entry) {
-		if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
+		if set := hitSet(e); set != nil {
 			set.Reset()
 		}
 	})
@@ -62,29 +115,45 @@ func (st *aggState) refResetWindow() {
 		st.admitter.Reset()
 	}
 	st.seenBefore, st.seenAfter = 0, 0
-	st.touched = st.touched[:0] // not the reference's: fold fills it regardless
+}
+
+// hits counts the entries whose object took hits this window.
+func (st *eagerState) hits() int {
+	n := 0
+	st.cache.Entries(func(e *spacesaving.Entry) {
+		if hitSet(e) != nil {
+			n++
+		}
+	})
+	return n
 }
 
 // refEngine is the engines' window logic — the serial pipeline's with
 // one shard of capacity K, the sharded engine's with S of its shard
-// capacity — over the frozen close. Shards partition the keys and every
+// capacity — over the frozen state. Shards partition the keys and every
 // worker sees every window boundary, so what the sharded engine emits
 // does not depend on its worker count, only on S.
 type refEngine struct {
 	cfg         Config
 	aggs        []Aggregation
-	states      [][]*aggState // [aggregation][shard]
+	states      [][]*eagerState // [aggregation][shard]
 	windowStart float64
 	started     bool
 	out         []*tsv.Snapshot
 }
 
+// newRefEngine builds the reference over aggregations without admitters
+// (a Bloom seed is random per filter, so two engines would not admit the
+// same keys).
 func newRefEngine(cfg Config, aggs []Aggregation, shards int, capacity func(k int) int) *refEngine {
 	cfg.withDefaults()
-	r := &refEngine{cfg: cfg, aggs: aggs, states: make([][]*aggState, len(aggs))}
+	r := &refEngine{cfg: cfg, aggs: aggs, states: make([][]*eagerState, len(aggs))}
 	for a, agg := range aggs {
+		if !agg.NoAdmitter {
+			panic("refEngine: " + agg.Name + " has an admitter")
+		}
 		for s := 0; s < shards; s++ {
-			r.states[a] = append(r.states[a], newAggState(agg, &r.cfg, capacity(agg.K)))
+			r.states[a] = append(r.states[a], newEagerState(agg, &r.cfg, capacity(agg.K), nil))
 		}
 	}
 	return r
@@ -272,36 +341,51 @@ func requireChurned(t *testing.T, snaps []*tsv.Snapshot, evictions uint64) {
 }
 
 // testCloseWindowOnOneState closes one admitter-guarded state window by
-// window. Before each close the frozen walk says what the rows should
-// be; after it, the state must be what the frozen reset leaves. In one
-// window an entry's feature set is swapped for a corrupt one, so the
-// close panics part-way as a worker's would; the set is put back and
-// the next close must still report exactly what the full scan finds,
-// the entries the broken pass never reached included.
+// window, next to an eager state fed the same stream behind an
+// identically seeded admitter. Before each close the frozen walk of the
+// eager state says what the rows should be; after it, the state must
+// hold no feature state at all. In one window an entry's state is
+// swapped for a corrupt set, so the close panics part-way as a worker's
+// would; the state is put back, the eager state is reset for exactly the
+// entries the broken pass released, and the next close must still report
+// what the full scan finds, the entries the pass never reached included.
 func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) {
 	cfg.withDefaults()
-	cfg.AdmitterN = 1 << 12
-	st := newAggState(Aggregation{Name: "qname", K: 60, Key: QNameKey}, &cfg, 60)
+	agg := Aggregation{Name: "qname", K: 60, Key: QNameKey}
+	st := newAggState(agg, &cfg, 60)
+	st.admitter = bloom.NewSeeded(1<<12, cfg.AdmitterFP, 19)
+	st.cache = spacesaving.New(60, cfg.HalfLifeSec, st.admitter)
+	st.cache.OnEvictState = st.recycle
+	ref := newEagerState(agg, &cfg, 60, bloom.NewSeeded(1<<12, cfg.AdmitterFP, 19))
 	const panicWindow = 2
 	var windowStart float64
-	windows, relisted, carried := 0, 0, 0
+	windows, relisted, carried, logs, slabs := 0, 0, 0, 0, 0
 
+	held := func() (n int) {
+		st.cache.Entries(func(e *spacesaving.Entry) {
+			if e.State != nil {
+				n++
+			}
+		})
+		return n
+	}
 	closeAndCompare := func() {
 		t.Helper()
 		end := windowStart + cfg.WindowSec
-		want := st.refWindowRows(nil, &cfg, windowStart, end)
+		want := ref.refWindowRows(nil, &cfg, windowStart, end)
 		sortRows(want)
-		hit := 0
-		st.cache.Entries(func(e *spacesaving.Entry) {
-			if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
-				hit++
-			}
-		})
+		hit := ref.hits()
+		if got := held(); got != hit {
+			t.Fatalf("window %d: %d entries hold state, %d took hits", windows, got, hit)
+		}
 		relisted += len(st.touched) - hit
 		before, after := st.seenBefore, st.seenAfter
+		if before != ref.seenBefore || after != ref.seenAfter {
+			t.Fatalf("window %d: counters %d/%d, the eager state's %d/%d", windows, before, after, ref.seenBefore, ref.seenAfter)
+		}
 
 		if windows == panicWindow && len(st.touched) > 8 {
-			// Corrupt the set of an entry in the middle of the list.
+			// Corrupt the state of an entry in the middle of the list.
 			victim := st.touched[len(st.touched)/2]
 			good := victim.State
 			victim.State = &features.Set{Hits: 1} // no sketches behind it
@@ -318,36 +402,40 @@ func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) 
 			if st.seenBefore != before || st.seenAfter != after || part.seenBefore != 0 || len(st.touched) == 0 {
 				t.Fatal("a close that panicked moved the window counters or dropped its list")
 			}
-			st.cache.Entries(func(e *spacesaving.Entry) {
-				if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
-					carried++
-				}
-			})
-			// What the pass reached is in the part and cleared; the rest
-			// still holds its hits. Nothing is in both, nothing in neither.
+			carried = held()
+			// What the pass reached is in the part and released; the rest
+			// still holds its state. Nothing is in both, nothing in neither.
 			if len(part.rows) == 0 || part.active+carried != hit {
-				t.Fatalf("the panicked close reported %d rows and cleared %d entries, %d still hold hits, of %d",
+				t.Fatalf("the panicked close reported %d rows and released %d entries, %d still hold state, of %d",
 					len(part.rows), part.active, carried, hit)
 			}
-			return // the window stays open, as in a worker whose dump panicked
+			// The window stays open, as in a worker whose dump panicked:
+			// the eager state forgets what the pass released and no more.
+			ref.cache.Entries(func(e *spacesaving.Entry) {
+				if set := hitSet(e); set != nil && st.cache.Get(e.Key).State == nil {
+					set.Reset()
+				}
+			})
+			return
 		}
 
 		var part shardPart
 		st.closeWindow(&part, &cfg, windowStart, end)
+		ref.refResetWindow()
 		sortRows(part.rows)
 		cols, _ := snapshotSchema()
 		requireSnapsEqual(t,
 			[]*tsv.Snapshot{{Aggregation: "qname", Start: int64(windowStart), Rows: want, Columns: cols, TotalBefore: before, TotalAfter: after}},
 			[]*tsv.Snapshot{{Aggregation: "qname", Start: int64(windowStart), Rows: part.rows, Columns: cols, TotalBefore: part.seenBefore, TotalAfter: part.seenAfter}})
-		if part.active != hit || part.occupancy != st.cache.Len() {
-			t.Fatalf("window %d: closeWindow counted %d active of %d entries, the cache holds %d with hits of %d",
-				windows, part.active, part.occupancy, hit, st.cache.Len())
+		if part.active != hit || part.occupancy != st.cache.Len() || part.slabs > part.active {
+			t.Fatalf("window %d: closeWindow counted %d active (%d with a set) of %d entries, %d took hits of %d",
+				windows, part.active, part.slabs, part.occupancy, hit, st.cache.Len())
 		}
-		st.cache.Entries(func(e *spacesaving.Entry) {
-			if set, ok := e.State.(*features.Set); ok && set.Hits > 0 {
-				t.Fatalf("window %d: %q still holds %d hits after the close", windows, e.Key, set.Hits)
-			}
-		})
+		slabs += part.slabs
+		logs += part.active - part.slabs
+		if n := held(); n != 0 {
+			t.Fatalf("window %d: %d entries still hold state after the close", windows, n)
+		}
 		if st.seenBefore != 0 || st.seenAfter != 0 || st.admitter.Count() != 0 || len(st.touched) != 0 {
 			t.Fatalf("window %d: counters %d/%d, admitter %d, list %d after the close", windows,
 				st.seenBefore, st.seenAfter, st.admitter.Count(), len(st.touched))
@@ -364,13 +452,16 @@ func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) 
 			windowStart += cfg.WindowSec
 		}
 		st.seenBefore++
+		ref.seenBefore++
 		s := sum(e.resolver, e.ns, e.qname, e.qtype)
+		s.PrecomputeHashes(cfg.Features.Suffixes)
 		st.observe(s.QName, s, e.now, &cfg)
+		ref.observe(s.QName, s, e.now, &cfg)
 	}
 	closeAndCompare()
-	if windows < 5 || relisted == 0 || carried == 0 || st.cache.Dropped() == 0 {
-		t.Fatalf("stream too tame: %d windows, %d re-listed entries, %d carried over the panic, %d refused by the admitter",
-			windows, relisted, carried, st.cache.Dropped())
+	if windows < 5 || relisted == 0 || carried == 0 || st.cache.Dropped() == 0 || logs == 0 || slabs == 0 {
+		t.Fatalf("stream too tame: %d windows, %d re-listed entries, %d carried over the panic, %d refused by the admitter, "+
+			"%d objects closed on records and %d on a set", windows, relisted, carried, st.cache.Dropped(), logs, slabs)
 	}
 }
 
@@ -429,22 +520,27 @@ func TestCloseWindowVisitsOnlyTouched(t *testing.T) {
 }
 
 // TestTopkActiveGauge: both engines publish how many monitored keys the
-// closed window folded, next to how many they monitor.
+// closed window folded, next to how many they monitor, and how many of
+// the folded ones took more hits than a record log holds.
 func TestTopkActiveGauge(t *testing.T) {
 	aggs := []Aggregation{{Name: "qname", K: 100, Key: QNameKey, NoAdmitter: true}}
 	feed := func(ingest func(*sie.Summary, float64)) {
 		for i := 0; i < 40; i++ { // window 0: 40 names
 			ingest(sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("n%d.example.", i), dnswire.TypeA), float64(i))
 		}
-		for i := 0; i < 30; i++ { // window 1: 10 of them, three times each
+		for i := 0; i < 30; i++ { // window 1: 10 of them, foldDefer times each
 			ingest(sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("n%d.example.", i%10), dnswire.TypeA), 60+float64(i))
+		}
+		for i := 0; i < 2; i++ { // and two of those once more
+			ingest(sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("n%d.example.", i), dnswire.TypeA), 100+float64(i))
 		}
 		ingest(sum("192.0.2.1", "198.51.100.1", "n0.example.", dnswire.TypeA), 120) // closes window 1
 	}
 	check := func(t *testing.T, reg *metrics.Registry) {
 		t.Helper()
-		if occ, act := reg.Sum(MetricTopkOccupancy), reg.Sum(MetricTopkActive); occ != 40 || act != 10 {
-			t.Errorf("after window 1: occupancy %v, active %v, want 40 and 10", occ, act)
+		occ, act, slabs := reg.Sum(MetricTopkOccupancy), reg.Sum(MetricTopkActive), reg.Sum(MetricTopkSlabs)
+		if occ != 40 || act != 10 || slabs != 2 {
+			t.Errorf("after window 1: occupancy %v, active %v, slabs %v, want 40, 10 and 2", occ, act, slabs)
 		}
 	}
 	t.Run("serial", func(t *testing.T) {

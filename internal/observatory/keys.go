@@ -60,6 +60,10 @@ func ETLDKeyFunc(list *publicsuffix.List) KeyFunc {
 		list = publicsuffix.Default
 	}
 	return func(sum *sie.Summary) (string, bool) {
+		// As ESLDKeyFunc: the memoized walk, the list as fallback.
+		if etld, ok := sum.ETLD(); ok {
+			return etld, true
+		}
 		return list.ETLD(sum.QName), true
 	}
 }

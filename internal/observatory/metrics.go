@@ -21,6 +21,7 @@ const (
 
 	MetricTopkOccupancy = "dnsobs_topk_occupancy"
 	MetricTopkActive    = "dnsobs_topk_active"
+	MetricTopkSlabs     = "dnsobs_topk_slabs"
 	MetricTopkMinCount  = "dnsobs_topk_min_count"
 	MetricTopkEvictions = "dnsobs_topk_evictions_total"
 	MetricTopkDropped   = "dnsobs_topk_dropped_total"
@@ -82,7 +83,8 @@ func (m *engineMetrics) stats() EngineStats {
 
 // publishAggMetrics publishes one aggregation's cache health from the
 // part(s) its window close collected: live occupancy, how many of those
-// keys the window just closed folded, and min-count (the overestimation
+// keys the window just closed folded and how many of these took more
+// hits than a record log holds, and min-count (the overestimation
 // bound), plus the eviction and admission-drop deltas since the close
 // before. Engines call it at window-dump time, the only moment the
 // publisher has exclusive access to the cache counters (workers own
@@ -91,6 +93,7 @@ func (m *engineMetrics) stats() EngineStats {
 func publishAggMetrics(reg *metrics.Registry, agg string, part *shardPart) {
 	reg.Gauge(MetricTopkOccupancy, "monitored keys across the aggregation's top-k cache(s)", "agg", agg).Set(float64(part.occupancy))
 	reg.Gauge(MetricTopkActive, "monitored keys that took hits in the window just closed", "agg", agg).Set(float64(part.active))
+	reg.Gauge(MetricTopkSlabs, "monitored keys that closed the window holding a full feature set, not a record log", "agg", agg).Set(float64(part.slabs))
 	reg.Gauge(MetricTopkMinCount, "smallest monitored count — the frequency overestimation bound", "agg", agg).Set(float64(part.minCount))
 	if part.evictions > 0 {
 		reg.Counter(MetricTopkEvictions, "top-k minimum-entry displacements", "agg", agg).Add(part.evictions)

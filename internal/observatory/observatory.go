@@ -146,22 +146,47 @@ var snapshotSchema = sync.OnceValues(func() ([]string, []tsv.Kind) {
 	return cols, kinds
 })
 
+// foldDefer is how many transactions of a window an object keeps as
+// records before it is given a feature set. A constant, not an option:
+// DESIGN.md ("Feature state lifecycle") has the sweep — the peak RSS of
+// the replay benchmark is flat from 3 up.
+const foldDefer = 3
+
+// obsLog is the state of an object that has taken at most foldDefer
+// hits in the open window: those transactions, in arrival order.
+type obsLog struct {
+	n    int
+	recs [foldDefer]features.Obs
+}
+
 // aggState is one aggregation's (or one shard of one aggregation's)
 // runtime state: the Space-Saving cache, its admission filter, window
-// statistics, and a free list of recycled feature sets — allocating a
-// fresh ~10 kB feature set per eviction is what used to dominate the
-// ingest profile on churny streams.
+// statistics, and the feature state of the objects the open window has
+// folded. An entry's State is nil while its window has no hits, an
+// *obsLog for its first foldDefer hits and a *features.Set after that;
+// closing the window or evicting the entry hands either back to the
+// pools here, so feature memory is sized by the traffic of one window
+// and not by what the cache holds.
 type aggState struct {
 	agg        Aggregation
 	cache      *spacesaving.Cache
 	admitter   *bloom.Filter
 	seenBefore uint64 // window transactions before filtering
 	seenAfter  uint64 // window transactions aggregated into some object
-	free       []*features.Set
-	// touched lists the entries whose feature set took its first hit in
-	// the open window, so closing the window visits what the window
-	// folded, not the cache. An entry evicted and re-admitted inside the
-	// window is listed once per feature set it held.
+	// free and freeLogs hold the feature sets (all reset) and record
+	// blocks no entry owns. Nothing is dropped from them, so after a
+	// close their lengths are how many of each this state ever made.
+	free     []*features.Set
+	freeLogs []*obsLog
+	// scratch is the set a close replays each records-only object into,
+	// one after the other (replayScratch); replaySum is the summary every
+	// replay fills.
+	scratch   *features.Set
+	replaySum sie.Summary
+	// touched lists the entries that took their first hit of the open
+	// window, so closing the window visits what the window folded, not
+	// the cache. An entry evicted and re-admitted inside the window is
+	// listed once per object it monitored.
 	touched []*spacesaving.Entry
 	keyBuf  []byte // reusable KeyBytes buffer (serial ingest path)
 	// lastEvict/lastDropped remember the cache counters at the previous
@@ -182,23 +207,62 @@ func newAggState(a Aggregation, cfg *Config, capacity int) *aggState {
 		adm = st.admitter
 	}
 	st.cache = spacesaving.New(capacity, cfg.HalfLifeSec, adm)
-	st.cache.OnEvictState = func(state any) {
-		if set, ok := state.(*features.Set); ok {
-			st.free = append(st.free, set)
-		}
-	}
+	st.cache.OnEvictState = st.recycle
 	return st
 }
 
-// featureSet returns a recycled (reset) feature set, or a fresh one.
+// featureSet returns an empty feature set, recycled if there is one.
 func (st *aggState) featureSet(cfg *Config) *features.Set {
 	if n := len(st.free); n > 0 {
 		set := st.free[n-1]
 		st.free = st.free[:n-1]
-		set.Reset()
 		return set
 	}
 	return features.NewSet(cfg.Features)
+}
+
+// recordLog returns an empty record block, recycled if there is one.
+func (st *aggState) recordLog() *obsLog {
+	if n := len(st.freeLogs); n > 0 {
+		log := st.freeLogs[n-1]
+		st.freeLogs = st.freeLogs[:n-1]
+		return log
+	}
+	return new(obsLog)
+}
+
+// recycle takes back the feature state of an entry that is done with it
+// (its window closed, or it was evicted), clearing it on the way in.
+func (st *aggState) recycle(state any) {
+	switch s := state.(type) {
+	case *features.Set:
+		s.Reset()
+		st.free = append(st.free, s)
+	case *obsLog:
+		s.n = 0
+		st.freeLogs = append(st.freeLogs, s)
+	}
+}
+
+// replay folds a log's records into set in arrival order, through the
+// one Set.Observe and with the operands the summaries had, so set ends
+// as it would have had it folded the summaries themselves.
+func (st *aggState) replay(log *obsLog, set *features.Set) {
+	for i := range log.recs[:log.n] {
+		log.recs[i].Fill(&st.replaySum)
+		set.Observe(&st.replaySum)
+	}
+}
+
+// replayScratch returns the scratch set holding log's records and
+// nothing else, good until the next call.
+func (st *aggState) replayScratch(log *obsLog, cfg *Config) *features.Set {
+	if st.scratch == nil {
+		st.scratch = features.NewSet(cfg.Features)
+	}
+	st.scratch.Reset()
+	st.replay(log, st.scratch)
+	return st.scratch
 }
 
 // observe folds one summary (already keyed) into the aggregation state.
@@ -212,19 +276,32 @@ func (st *aggState) observeBytes(key []byte, sum *sie.Summary, now float64, cfg 
 	st.fold(st.cache.ObserveBytes(key, now), sum, cfg)
 }
 
+// fold adds sum to what e's object has seen this window: a record while
+// the object's log has room and the record can hold sum exactly, the
+// feature set otherwise — taking one, and replaying the log into it
+// first, when the object has none yet.
 func (st *aggState) fold(e *spacesaving.Entry, sum *sie.Summary, cfg *Config) {
 	if e == nil {
 		return
 	}
-	set, ok := e.State.(*features.Set)
-	if !ok {
+	set, _ := e.State.(*features.Set)
+	if set == nil {
+		log, _ := e.State.(*obsLog)
+		if log == nil {
+			// No state: the entry's first fold of the window.
+			st.touched = append(st.touched, e)
+			log = st.recordLog()
+			e.State = log
+		}
+		if log.n < foldDefer && log.recs[log.n].From(sum) {
+			log.n++
+			st.seenAfter++
+			return
+		}
 		set = st.featureSet(cfg)
+		st.replay(log, set)
+		st.recycle(log)
 		e.State = set
-	}
-	if set.Hits == 0 {
-		// Every Observe counts a hit, so this is the set's first fold of
-		// the window.
-		st.touched = append(st.touched, e)
 	}
 	set.Observe(sum)
 	st.seenAfter++
@@ -239,40 +316,46 @@ func fresh(e *spacesaving.Entry, cfg *Config, windowStart float64) bool {
 // closeWindow ends the window for this state and adds what it held to
 // part, visiting only the touched entries: one TSV row per entry that
 // took hits and is not fresh, the window counters, and the cache health
-// the engines publish. It clears every feature set that took hits and
-// the admission filter, keeping the top-k list. The rows' values share
-// one arena sized by a counting pass, so a close allocates per
-// aggregation, not per row.
+// the engines publish. It takes back the feature state of every entry it
+// visits and clears the admission filter, keeping the top-k list. The
+// rows' values share one arena sized by a counting pass, so a close
+// allocates per aggregation, not per row.
 //
-// A set is cleared as soon as it is reported, which is what makes a
-// twice-listed entry report once: its second visit finds no hits. Sets of
-// evicted entries are not here to be cleared; featureSet clears them on
-// reuse. If a corrupt set panics the pass, what was visited is already in
-// part and cleared, and the rest is left as it was: the list is emptied
-// and the counters move only after the pass, so the entries not reached
-// keep their hits and their listing and report with the next close.
+// An entry gives up its state as soon as it is reported, which is what
+// makes a twice-listed entry report once: its second visit finds none.
+// If a corrupt set panics the pass, what was visited is already in part
+// and released, and the rest is left as it was: the list is emptied and
+// the counters move only after the pass, so the entries not reached keep
+// their state and their listing and report with the next close.
 func (st *aggState) closeWindow(part *shardPart, cfg *Config, windowStart, windowEnd float64) {
 	n := 0
 	for _, e := range st.touched {
-		if set, ok := e.State.(*features.Set); ok && set.Hits > 0 && !fresh(e, cfg, windowStart) {
+		if e.State != nil && !fresh(e, cfg, windowStart) {
 			n++
 		}
 	}
 	part.rows = slices.Grow(part.rows, n)
 	arena := make([]float64, 0, n*len(features.Columns))
 	for _, e := range st.touched {
-		set, ok := e.State.(*features.Set)
-		if !ok || set.Hits == 0 {
+		if e.State == nil {
 			continue
 		}
+		set, heavy := e.State.(*features.Set)
+		if heavy {
+			part.slabs++
+		}
 		if !fresh(e, cfg, windowStart) {
+			if !heavy {
+				set = st.replayScratch(e.State.(*obsLog), cfg)
+			}
 			// Rates are read decayed to the window end, so idle objects do
 			// not report their last burst forever.
 			from := len(arena)
 			arena = set.AppendValues(arena, st.cache.RateAt(e, windowEnd))
 			part.rows = append(part.rows, tsv.Row{Key: e.Key, Values: arena[from:len(arena):len(arena)]})
 		}
-		set.Reset()
+		st.recycle(e.State)
+		e.State = nil
 		part.active++
 	}
 	st.touched = st.touched[:0]
@@ -343,7 +426,9 @@ func New(cfg Config, aggs []Aggregation, onSnapshot func(*tsv.Snapshot)) *Pipeli
 // Crossing a window boundary dumps snapshots first. A now earlier than
 // the current window (a reordered or backdated transaction) is clamped
 // to the window start: late data folds into the open window instead of
-// corrupting decay state.
+// corrupting decay state. Ingest memoizes sum's hashes in place
+// (PrecomputeHashes); a summary other goroutines read must have them
+// memoized before it is shared.
 func (p *Pipeline) Ingest(sum *sie.Summary, now float64) {
 	if !p.started {
 		p.windowStart = now - mod(now, p.cfg.WindowSec)
@@ -358,6 +443,9 @@ func (p *Pipeline) Ingest(sum *sie.Summary, now float64) {
 	}
 	p.m.ingested.Inc()
 	p.m.accepted.Inc()
+	// Once per transaction, before any key function: the esld and etld
+	// keys read the suffix walk it memoizes, and a fold records the hashes.
+	sum.PrecomputeHashes(p.cfg.Features.Suffixes)
 	for _, st := range p.aggs {
 		st.seenBefore++
 		if st.agg.KeyBytes != nil {

@@ -184,6 +184,45 @@ func TestRCodeKey(t *testing.T) {
 	}
 }
 
+// TestSuffixKeysUseMemo: the etld and esld keys are the public-suffix
+// list's answer whether they come from the walk PrecomputeHashes
+// memoized or, for a summary nobody prepared or a QNAME the memo cannot
+// express (not canonical), from the list itself.
+func TestSuffixKeysUseMemo(t *testing.T) {
+	etldKey, esldKey := ETLDKeyFunc(nil), ESLDKeyFunc(nil)
+	for _, c := range []struct {
+		qname      string
+		etld, esld string
+		memoized   bool
+	}{
+		{"www.bbc.co.uk.", "co.uk.", "bbc.co.uk.", true},
+		{"a.b.example.com.", "com.", "example.com.", true},
+		{"co.uk.", "co.uk.", "co.uk.", true},  // a bare public suffix
+		{"x.y.ck.", "y.ck.", "x.y.ck.", true}, // wildcard rule
+		{"www.ck.", "ck.", "www.ck.", true},   // exception rule
+		{"host.unlisted.", "unlisted.", "host.unlisted.", true},
+		{".", ".", ".", true},
+		{"WWW.BBC.CO.UK.", "co.uk.", "bbc.co.uk.", false},
+		{"www.bbc.co.uk", "co.uk.", "bbc.co.uk.", false},
+		{"", ".", ".", false},
+	} {
+		s := sum("192.0.2.1", "198.51.100.1", c.qname, dnswire.TypeA)
+		for _, prepared := range []bool{false, true} {
+			if prepared {
+				s.PrecomputeHashes(nil)
+				if (s.ETLDOff != 0) != c.memoized || (s.ESLDOff != 0) != c.memoized {
+					t.Errorf("%q: memo offsets %d/%d, want memoized=%v", c.qname, s.ETLDOff, s.ESLDOff, c.memoized)
+				}
+			}
+			etld, ok1 := etldKey(s)
+			esld, ok2 := esldKey(s)
+			if etld != c.etld || esld != c.esld || !ok1 || !ok2 {
+				t.Errorf("%q (prepared=%v): keys %q / %q, want %q / %q", c.qname, prepared, etld, esld, c.etld, c.esld)
+			}
+		}
+	}
+}
+
 func TestSrcSrvKey(t *testing.T) {
 	s := sum("192.0.2.1", "198.51.100.1", "x.example.com.", dnswire.TypeA)
 	if k, _ := SrcSrvKey(s); k != "192.0.2.1>198.51.100.1" {

@@ -150,6 +150,7 @@ type shardPart struct {
 	// per aggregation, so per-agg metrics never race with worker ingest.
 	occupancy int
 	active    int    // entries that took hits this window
+	slabs     int    // those of them that outgrew their record log
 	minCount  uint64 // max over shards: the worst-case bound
 	evictions uint64 // delta since the previous window
 	dropped   uint64 // delta since the previous window
@@ -690,6 +691,7 @@ func (s *Sharded) emitWindow(windowStart float64, dumps []*shardDump) {
 				p := &d.parts[a]
 				sum.occupancy += p.occupancy
 				sum.active += p.active
+				sum.slabs += p.slabs
 				sum.minCount = max(sum.minCount, p.minCount)
 				sum.evictions += p.evictions
 				sum.dropped += p.dropped

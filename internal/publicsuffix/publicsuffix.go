@@ -44,8 +44,7 @@ func NewList(rules []string) *List {
 
 // etldStart returns the byte offset where name's eTLD begins. name must
 // be canonical and not ".". Every candidate suffix is a slice of name,
-// so the scan is allocation-free — this runs twice per transaction on
-// the etld/esld ingest path.
+// so the scan is allocation-free.
 func (l *List) etldStart(name string) int {
 	off := 0
 	for {
@@ -74,36 +73,39 @@ func (l *List) etldStart(name string) int {
 	}
 }
 
-// ETLD returns the effective TLD of name in canonical form ("co.uk."),
-// or "." if the name is the root. A name that is itself a public suffix
-// is its own eTLD. Unlisted TLDs fall back to the last label, per the
-// PSL's implicit "*" rule.
-func (l *List) ETLD(name string) string {
+// Split returns both effective suffixes of name from one walk of the
+// list: the eTLD in canonical form ("co.uk."), and the eSLD (eTLD plus
+// one label, "bbc.co.uk."), which is the eTLD itself when the name is a
+// bare public suffix. Both are "." for the root. A name that is itself a
+// public suffix is its own eTLD; unlisted TLDs fall back to the last
+// label, per the PSL's implicit "*" rule.
+func (l *List) Split(name string) (etld, esld string) {
 	name = dnswire.Canonical(name)
 	if name == "." {
-		return "."
-	}
-	return name[l.etldStart(name):]
-}
-
-// ESLD returns the effective SLD (eTLD plus one label, e.g.
-// "bbc.co.uk.") of name, or the eTLD itself when the name is a bare
-// public suffix.
-func (l *List) ESLD(name string) string {
-	name = dnswire.Canonical(name)
-	if name == "." {
-		return "."
+		return ".", "."
 	}
 	off := l.etldStart(name)
 	if off == 0 {
-		return name // the name is itself a public suffix
+		return name, name // the name is itself a public suffix
 	}
 	// Extend one label to the left; still a slice of name.
 	p := off - 1 // the dot ending the previous label
 	for p > 0 && name[p-1] != '.' {
 		p--
 	}
-	return name[p:]
+	return name[off:], name[p:]
+}
+
+// ETLD returns the effective TLD of name (see Split).
+func (l *List) ETLD(name string) string {
+	etld, _ := l.Split(name)
+	return etld
+}
+
+// ESLD returns the effective SLD of name (see Split).
+func (l *List) ESLD(name string) string {
+	_, esld := l.Split(name)
+	return esld
 }
 
 // IsSuffix reports whether name is exactly a public suffix.

@@ -81,12 +81,13 @@ type Summary struct {
 	V6Hashes       []uint64
 	HashesReady    bool
 
-	// ESLDOff memoizes eSLD extraction the same way: 1 + the start
-	// offset of the eSLD suffix-substring within QName, or 0 when not
-	// yet memoized. The esld aggregation and the detection layer both
-	// key on the eSLD, so the public-suffix walk happens once per
+	// ESLDOff and ETLDOff memoize the public-suffix walk the same way:
+	// 1 + the start offset of the eSLD (eTLD) suffix-substring within
+	// QName, or 0 when not memoized. The esld and etld aggregations and
+	// the detection layer key on them, so the walk happens once per
 	// transaction instead of once per consumer.
 	ESLDOff uint16
+	ETLDOff uint16
 }
 
 // ESLD returns the memoized eSLD view of QName. ok is false until
@@ -98,6 +99,26 @@ func (sum *Summary) ESLD() (string, bool) {
 		return "", false
 	}
 	return sum.QName[sum.ESLDOff-1:], true
+}
+
+// ETLD returns the memoized eTLD view of QName, under ESLD's contract.
+func (sum *Summary) ETLD() (string, bool) {
+	if sum.ETLDOff == 0 {
+		return "", false
+	}
+	return sum.QName[sum.ETLDOff-1:], true
+}
+
+// suffixOff returns the memo (1 + start offset) of suffix as a view of
+// qname, or 0 when it is not one. Only a literal suffix view is
+// memoized: the list canonicalizes internally, so a non-canonical QName
+// yields a string the offset cannot express.
+func suffixOff(qname, suffix string) uint16 {
+	n := len(qname) - len(suffix)
+	if n < 0 || n >= 1<<16-1 || qname[n:] != suffix {
+		return 0
+	}
+	return uint16(n) + 1
 }
 
 // PrecomputeHashes memoizes the hll hashes of every field the feature
@@ -117,12 +138,8 @@ func (sum *Summary) PrecomputeHashes(suffixes *publicsuffix.List) {
 	sum.QNameHash = hll.HashString(sum.QName)
 	sum.ResolverHash = hll.HashString(sum.ResolverText())
 	sum.NameserverHash = hll.HashString(sum.NameserverText())
-	esld := suffixes.ESLD(sum.QName)
-	// Memoize only a literal suffix view: ESLD canonicalizes internally,
-	// so a non-canonical QName yields a string the offset cannot express.
-	if n := len(sum.QName) - len(esld); n >= 0 && sum.QName[n:] == esld {
-		sum.ESLDOff = uint16(n) + 1
-	}
+	etld, esld := suffixes.Split(sum.QName)
+	sum.ETLDOff, sum.ESLDOff = suffixOff(sum.QName, etld), suffixOff(sum.QName, esld)
 	if sum.Answered && sum.RCode == dnswire.RCodeNoError {
 		sum.TLDHash = hll.HashString(dnswire.TLD(sum.QName))
 		sum.ESLDHash = hll.HashString(esld)
