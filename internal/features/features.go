@@ -135,21 +135,43 @@ func NewSet(cfg Config) *Set {
 	return s
 }
 
-// Observe folds one transaction summary into the set. It consumes the
-// summary's memoized field hashes — hashed once per transaction, shared
-// by every aggregation × sketch — memoizing them itself when the caller
-// has not (which mutates sum: engines that fan one summary out to
-// concurrent Observers must call PrecomputeHashes first).
+// Prepare memoizes on sum what every set of s's configuration would
+// otherwise work out for itself in Observe: the field hashes
+// (sie.Summary.PrecomputeHashes) and, as hints, the histogram buckets of
+// the delay, the hops and the size. It writes sum and only reads s — its
+// configuration and the bucket bounds, which never change — so an engine
+// calls it once per transaction, on any one set it keeps for the
+// purpose, before the summary is shared. A summary whose hashes are
+// ready is left alone: it is read-only from then on, to Prepare as to
+// every Observe.
+func (s *Set) Prepare(sum *sie.Summary) {
+	if sum.HashesReady {
+		return
+	}
+	sum.PrecomputeHashes(s.cfg.Suffixes)
+	if sum.Answered {
+		sum.DelayBucket = uint16(s.Delays.Bucket(sum.DelayMs))
+		sum.HopsBucket = uint16(s.Hops.Bucket(float64(sum.Hops)))
+		sum.SizeBucket = uint16(s.Sizes.Bucket(float64(sum.RespSize)))
+	}
+}
+
+// Observe folds one transaction summary into the set. It consumes what
+// Prepare memoizes — hashed and bucketed once per transaction, shared by
+// every aggregation × sketch — preparing sum itself when its hashes are
+// not ready (which mutates sum: engines that fan one summary out to
+// concurrent Observers must prepare it first). Hashes are trusted once
+// marked ready; bucket hints never are (sketch.Histogram.ObserveAt).
 func (s *Set) Observe(sum *sie.Summary) {
 	if !sum.HashesReady {
-		sum.PrecomputeHashes(s.cfg.Suffixes)
+		s.Prepare(sum)
 	}
 	s.Hits++
 	s.SrvIPs.AddHash(sum.NameserverHash)
 	s.SrcIPs.AddHash(sum.ResolverHash)
-	s.Sources.AddUint64(uint64(sum.SensorID))
+	s.Sources.AddHash(sum.SensorHash)
 	s.QNamesA.AddHash(sum.QNameHash)
-	s.QTypes.AddUint64(uint64(sum.QType))
+	s.QTypes.AddHash(sum.QTypeHash)
 	s.qdotsSum += float64(sum.QDots)
 	if sum.TCP {
 		s.TCP++
@@ -165,9 +187,9 @@ func (s *Set) Observe(sum *sie.Summary) {
 	s.answered++
 	s.lvlSum += float64(sum.AnswerCount)
 	s.nslvlSum += float64(sum.AuthorityNS)
-	s.Delays.Observe(sum.DelayMs)
-	s.Hops.Observe(float64(sum.Hops))
-	s.Sizes.Observe(float64(sum.RespSize))
+	s.Delays.ObserveAt(sum.DelayMs, int(sum.DelayBucket))
+	s.Hops.ObserveAt(float64(sum.Hops), int(sum.HopsBucket))
+	s.Sizes.ObserveAt(float64(sum.RespSize), int(sum.SizeBucket))
 
 	switch sum.RCode {
 	case dnswire.RCodeNoError:

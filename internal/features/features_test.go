@@ -2,10 +2,12 @@ package features
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"testing"
 
 	"dnsobservatory/internal/dnswire"
+	"dnsobservatory/internal/hll"
 	"dnsobservatory/internal/sie"
 )
 
@@ -267,5 +269,64 @@ func TestReset(t *testing.T) {
 	s.Observe(okSummary("after.example.com.", dnswire.TypeA))
 	if s.Hits != 1 || s.QDots() != 3 {
 		t.Error("set unusable after reset")
+	}
+}
+
+// TestPrepareHintsAreCheckedNotTrusted: Prepare leaves on a summary the
+// buckets its values count into and the hashes Observe reads, once — a
+// ready summary is read-only to it — and a set folds the same stream to
+// the same values whoever prepared it: a set of its own configuration,
+// one whose histograms have another shape, or nobody (hashes only, the
+// hints left at whatever was there).
+func TestPrepareHintsAreCheckedNotTrusted(t *testing.T) {
+	stream := func() []*sie.Summary {
+		var sums []*sie.Summary
+		for i := 0; i < 400; i++ {
+			sum := okSummary(fmt.Sprintf("h%d.example.com.", i%37), []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA}[i%2])
+			sum.SensorID = uint32(i % 3)
+			sum.DelayMs = []float64{0, 0.4, 1, 1.15, 19.99, 300, 59_999, 60_000, 1e6, math.NaN(), -2}[i%11]
+			sum.Hops, sum.RespSize = i%70, (i*131)%70_000
+			sum.Answered = i%9 != 0
+			sums = append(sums, sum)
+		}
+		return sums
+	}
+	own, otherShape := NewSet(Config{}), NewSet(Config{DelayMaxMs: 500, SizeMax: 1 << 20})
+	var sets [3]*Set
+	for i, prepare := range []func(*sie.Summary){
+		own.Prepare,
+		otherShape.Prepare,
+		func(sum *sie.Summary) {
+			sum.PrecomputeHashes(nil)
+			sum.DelayBucket, sum.HopsBucket, sum.SizeBucket = 7, 1<<16-1, uint16(sum.RespSize)
+		},
+	} {
+		sets[i] = NewSet(Config{})
+		for _, sum := range stream() {
+			prepare(sum)
+			sets[i].Observe(sum)
+		}
+	}
+	want := sets[0].Values(1.5)
+	for i, s := range sets[1:] {
+		for c, v := range s.Values(1.5) {
+			if math.Float64bits(v) != math.Float64bits(want[c]) {
+				t.Errorf("preparation %d: column %s = %v, want %v", i+1, Columns[c].Name, v, want[c])
+			}
+		}
+	}
+
+	sum := okSummary("www.example.com.", dnswire.TypeAAAA)
+	own.Prepare(sum)
+	if !sum.HashesReady || int(sum.DelayBucket) != own.Delays.Bucket(sum.DelayMs) ||
+		int(sum.HopsBucket) != own.Hops.Bucket(float64(sum.Hops)) || int(sum.SizeBucket) != own.Sizes.Bucket(float64(sum.RespSize)) ||
+		sum.SensorHash != hll.HashUint64(1) || sum.QTypeHash != hll.HashUint64(uint64(dnswire.TypeAAAA)) {
+		t.Errorf("Prepare left %+v", sum)
+	}
+	prepared := *sum
+	sum.DelayMs, sum.SensorID = 5000, 9
+	own.Prepare(sum)
+	if sum.DelayBucket != prepared.DelayBucket || sum.SensorHash != prepared.SensorHash {
+		t.Error("Prepare wrote a summary whose hashes were ready")
 	}
 }

@@ -2,6 +2,7 @@ package features
 
 import (
 	"dnsobservatory/internal/dnswire"
+	"dnsobservatory/internal/hll"
 	"dnsobservatory/internal/sie"
 )
 
@@ -101,11 +102,15 @@ func (o *Obs) From(sum *sie.Summary) bool {
 // Fill makes sum the operand Set.Observe needs to repeat the fold of the
 // summary From recorded: every field Observe reads, hashes marked ready,
 // nothing else (sum is a scratch value, good for Observe only). Its
-// slices alias o until the next Fill.
+// slices alias o until the next Fill. The two hashes a record has no
+// room for are taken again from the values it keeps, and the bucket
+// hints are left as they are: a record is replayed once, and Observe
+// finds the buckets of a summary whose hints say nothing.
 func (o *Obs) Fill(sum *sie.Summary) {
 	sum.HashesReady = true
 	sum.QNameHash, sum.TLDHash, sum.ESLDHash = o.qnameHash, o.tldHash, o.esldHash
 	sum.ResolverHash, sum.NameserverHash = o.resolverHash, o.nameserverHash
+	sum.SensorHash, sum.QTypeHash = hll.HashUint64(uint64(o.sensorID)), hll.HashUint64(uint64(o.qtype))
 	sum.DelayMs = o.delayMs
 	sum.SOAMinimum = o.soaMinimum
 	sum.SensorID = o.sensorID

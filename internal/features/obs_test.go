@@ -7,12 +7,17 @@ import (
 	"unsafe"
 
 	"dnsobservatory/internal/dnswire"
+	"dnsobservatory/internal/hll"
 	"dnsobservatory/internal/sie"
 )
 
 // obsFuzzSummary builds the summary one fuzz input describes. lists
 // drives the four variable-length fields: its first four bytes are their
 // lengths (mod 9, so every slot count is crossed), the rest their values.
+// The two hashes that are functions of a kept field are set as
+// PrecomputeHashes sets them, which is what ready means; the bucket
+// hints are whatever bits the input has to spare — right by chance, out
+// of range, anything — since no hint may change a fold.
 func obsFuzzSummary(lists []byte, delay float64, hops, respSize, answerCount, authorityNS, qdots int64,
 	qtype uint16, rcode uint8, flags uint16, sensor, soa uint32) *sie.Summary {
 	sum := &sie.Summary{
@@ -27,6 +32,11 @@ func obsFuzzSummary(lists []byte, delay float64, hops, respSize, answerCount, au
 		RCode:         dnswire.RCode(rcode),
 		SensorID:      sensor,
 		SOAMinimum:    soa,
+		SensorHash:    hll.HashUint64(uint64(sensor)),
+		QTypeHash:     hll.HashUint64(uint64(qtype)),
+		DelayBucket:   uint16(soa),
+		HopsBucket:    uint16(sensor >> 3),
+		SizeBucket:    uint16(soa>>16) ^ uint16(flags>>9),
 		TCP:           flags&(1<<0) != 0,
 		Trunc:         flags&(1<<1) != 0,
 		Answered:      flags&(1<<2) != 0,
@@ -80,7 +90,8 @@ func obsFits(sum *sie.Summary) bool {
 // FuzzObsRoundTrip: a record either refuses a summary — exactly when the
 // summary does not fit, never otherwise and never by cutting it down —
 // or Observe(Fill(From(sum))) leaves a set as Observe(sum) does, to the
-// bit of every reported value.
+// bit of every reported value — whatever bucket hints sum came with,
+// none of which the record keeps.
 func FuzzObsRoundTrip(f *testing.F) {
 	ok := uint16(1<<2 | 1<<3) // answered, with answer data
 	f.Add([]byte{1, 0, 1, 0, 7, 7, 7}, 12.5, int64(9), int64(120), int64(1), int64(0), int64(3), uint16(1), uint8(0), ok, uint32(3), uint32(0))

@@ -4,17 +4,17 @@ import (
 	"errors"
 	"math"
 	"math/bits"
-	"slices"
 	"sync/atomic"
+	"unsafe"
 )
 
-// promotions counts sparse→dense promotions across every sketch in the
+// promotions counts small→dense promotions across every sketch in the
 // process. Sketches are single-owner, but distinct sketches promote
 // concurrently on different engine workers, hence the atomic.
 var promotions atomic.Uint64
 
-// Promotions returns the process-wide count of sparse→dense promotions
-// — the signal that objects are outgrowing the compact representation
+// Promotions returns the process-wide count of small→dense promotions
+// — the signal that objects are outgrowing the in-struct array
 // (observatory.InstrumentPlatform exposes it as a metric).
 func Promotions() uint64 { return promotions.Load() }
 
@@ -23,14 +23,16 @@ func Promotions() uint64 { return promotions.Load() }
 type Sketch struct {
 	p     uint8
 	dense bool
-
-	// Sparse form: packed idx<<rankBits|rank entries. sparse is sorted
-	// by register index and deduplicated (max rank wins); buf is the
-	// unsorted insertion buffer folded in by compact. addSparse keeps the
-	// two disjoint by register index, so len(sparse)+len(buf) is the
-	// number of distinct registers set.
-	sparse []uint32
-	buf    []uint32
+	// seen says last is the hash of the previous add since Init or Reset.
+	// Adding is idempotent, so an add that repeats it changes nothing and
+	// is skipped before any register is looked at.
+	seen bool
+	// Small form: the first n slots hold packed idx<<rankBits|rank entries
+	// of distinct register indices (max rank wins), in arrival order. The
+	// array lives in the struct, so a small sketch owns no heap at all.
+	n     uint8
+	last  uint64
+	small [smallLen]uint32
 
 	// Dense form: 2^p registers plus the incrementally-maintained rank
 	// histogram (hist[r] = number of registers holding r; hist[0] is the
@@ -41,7 +43,7 @@ type Sketch struct {
 }
 
 const (
-	// rankBits packs the rank into the low bits of a sparse entry; the
+	// rankBits packs the rank into the low bits of a small-form entry; the
 	// register index occupies the bits above (p <= 18 fits, and
 	// rank <= 65-p <= 61 < 64).
 	rankBits = 6
@@ -49,9 +51,10 @@ const (
 	// histLen covers every possible rank value (1..61) plus slot 0 for
 	// empty registers.
 	histLen = 64
-	// bufCap bounds the unsorted insertion buffer; a full buffer is
-	// merged into the sorted sparse list.
-	bufCap = 32
+	// smallLen is how many distinct registers a sketch holds in its array
+	// before it promotes to the register file. A constant, not an option:
+	// DESIGN.md ("Fold kernel") has the sweep.
+	smallLen = 32
 )
 
 // ErrPrecision is returned for precisions outside [4, 18].
@@ -101,6 +104,17 @@ func HashString(s string) uint64 {
 	return mix64(h)
 }
 
+// HashBytes is HashString(string(b)) without the string: for text that
+// is formatted into a scratch buffer only to be hashed.
+func HashBytes(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return mix64(h)
+}
+
 // HashUint64 returns the fixed 64-bit hash of v, matching HashString's
 // determinism contract.
 func HashUint64(v uint64) uint64 {
@@ -128,6 +142,15 @@ func (s *Sketch) AddUint64(v uint64) { s.AddHash(HashUint64(v)) }
 // a caller-memoized copy of one). This is the fast path for feeding one
 // string to many sketches: hash once, AddHash everywhere.
 func (s *Sketch) AddHash(h uint64) {
+	if h == s.last && s.seen {
+		return
+	}
+	s.add(h)
+}
+
+// add is AddHash past the repeat check.
+func (s *Sketch) add(h uint64) {
+	s.last, s.seen = h, true
 	idx := uint32(h >> (64 - s.p))
 	// Rank of the first set bit in the remaining 64-p bits, 1-based.
 	rest := h<<s.p | 1<<(s.p-1) // guard bit bounds the rank
@@ -136,7 +159,7 @@ func (s *Sketch) AddHash(h uint64) {
 		s.setDense(idx, rank)
 		return
 	}
-	s.addSparse(idx, rank)
+	s.addSmall(idx<<rankBits | uint32(rank))
 }
 
 // setDense raises register idx to rank if larger, maintaining the rank
@@ -149,103 +172,33 @@ func (s *Sketch) setDense(idx uint32, rank uint8) {
 	}
 }
 
-// addSparse records (idx, rank) in the sparse form: an in-place update
-// when the index is already tracked, otherwise an append to the
-// insertion buffer.
-func (s *Sketch) addSparse(idx uint32, rank uint8) {
-	packed := idx<<rankBits | uint32(rank)
-	if i, ok := s.findSparse(idx); ok {
-		if uint32(rank) > s.sparse[i]&rankMask {
-			s.sparse[i] = packed // same idx: sort order is unchanged
-		}
-		return
-	}
-	for i, e := range s.buf {
-		if e>>rankBits == idx {
+// smallCap is how many registers the small form holds at precision p:
+// smallLen, or a quarter of the registers where that is fewer, which is
+// as far as Estimate's table is exact (linearCounts).
+func smallCap(p uint8) int { return min(smallLen, 1<<p/4) }
+
+// addSmall folds one packed (idx, rank) into the small form: an in-place
+// update when the register is already held, a new slot otherwise, and
+// the register file once the slots are used up.
+func (s *Sketch) addSmall(packed uint32) {
+	for i, e := range s.small[:s.n] {
+		if (e^packed)>>rankBits == 0 {
 			if packed > e {
-				s.buf[i] = packed
+				s.small[i] = packed
 			}
 			return
 		}
 	}
-	s.buf = append(s.buf, packed)
-	if len(s.buf) >= bufCap {
-		s.compact()
+	if int(s.n) < smallCap(s.p) {
+		s.small[s.n] = packed
+		s.n++
+		return
 	}
+	s.promote()
+	s.setDense(packed>>rankBits, uint8(packed&rankMask))
 }
 
-// findSparse binary-searches the sorted sparse list for a register
-// index.
-func (s *Sketch) findSparse(idx uint32) (int, bool) {
-	lo, hi := 0, len(s.sparse)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.sparse[mid]>>rankBits < idx {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(s.sparse) && s.sparse[lo]>>rankBits == idx
-}
-
-// promoteLen is the sparse-entry count at which the sparse list costs as
-// much memory as the dense register array (4 bytes/entry vs 2^p bytes).
-func (s *Sketch) promoteLen() int { return 1 << s.p / 4 }
-
-// compact folds the insertion buffer into the sorted sparse list with a
-// backward in-place merge, deduplicating by register index (max rank
-// wins), then promotes to dense once the list outgrows the register
-// array's cost. Amortized alloc-free: the sparse slice only grows.
-func (s *Sketch) compact() {
-	// Packed entries sort by index first, rank second, so after sorting
-	// the last entry of an index run carries its max rank.
-	slices.Sort(s.buf)
-	w := 0
-	for i, e := range s.buf {
-		if i+1 < len(s.buf) && s.buf[i+1]>>rankBits == e>>rankBits {
-			continue
-		}
-		s.buf[w] = e
-		w++
-	}
-	buf := s.buf[:w]
-
-	n, m := len(s.sparse), len(buf)
-	s.sparse = slices.Grow(s.sparse, m)[:n+m]
-	// Merge from the ends; duplicate indices shrink the result, leaving
-	// a gap at the front that is shifted out afterwards.
-	i, j, k := n-1, m-1, n+m-1
-	for j >= 0 {
-		switch {
-		case i < 0 || s.sparse[i]>>rankBits < buf[j]>>rankBits:
-			s.sparse[k] = buf[j]
-			j--
-		case s.sparse[i]>>rankBits == buf[j]>>rankBits:
-			s.sparse[k] = max(s.sparse[i], buf[j])
-			i--
-			j--
-		default:
-			s.sparse[k] = s.sparse[i]
-			i--
-		}
-		k--
-	}
-	for ; i >= 0; i-- {
-		s.sparse[k] = s.sparse[i]
-		k--
-	}
-	if gap := k + 1; gap > 0 {
-		copy(s.sparse, s.sparse[gap:])
-		s.sparse = s.sparse[:n+m-gap]
-	}
-	s.buf = s.buf[:0]
-	if len(s.sparse) > s.promoteLen() {
-		s.promote()
-	}
-}
-
-// promote switches to the dense form, replaying the sparse entries into
+// promote switches to the dense form, replaying the small form into
 // freshly cleared registers. The register array and histogram are
 // allocated once and reused across Reset.
 func (s *Sketch) promote() {
@@ -259,30 +212,20 @@ func (s *Sketch) promote() {
 	}
 	s.hist[0] = uint32(len(s.regs))
 	s.dense = true
-	for _, e := range s.sparse {
+	for _, e := range s.small[:s.n] {
 		s.setDense(e>>rankBits, uint8(e&rankMask))
 	}
-	for _, e := range s.buf {
-		s.setDense(e>>rankBits, uint8(e&rankMask))
-	}
-	s.sparse = s.sparse[:0]
-	s.buf = s.buf[:0]
+	s.n = 0
 }
 
-// Estimate returns the estimated number of distinct values added.
-// Sparse and dense forms of the same observations produce identical
-// estimates: a dense sketch evaluates estimateHist over its rank
-// histogram, and a sparse one reads what estimateHist returns for its
-// register count from linearCounts. A sparse sketch is not modified
-// unless it is past the promotion threshold, where only the entries
-// still in its insertion buffer can carry it; it promotes then, as it
-// would at its next compaction.
+// Estimate returns the estimated number of distinct values added. It
+// does not modify the sketch. Small and dense forms of the same
+// observations produce identical estimates: a dense sketch evaluates
+// estimateHist over its rank histogram, and a small one reads what
+// estimateHist returns for its register count from linearCounts.
 func (s *Sketch) Estimate() float64 {
 	if !s.dense {
-		if n := len(s.sparse) + len(s.buf); n <= s.promoteLen() {
-			return linearCounts(s.p)[n]
-		}
-		s.promote()
+		return linearCounts(s.p)[s.n]
 	}
 	return estimateHist(s.hist, s.p)
 }
@@ -291,18 +234,18 @@ func (s *Sketch) Estimate() float64 {
 var linearTabs [19]atomic.Pointer[[]float64]
 
 // linearCounts returns the estimates of a precision-p sketch with n
-// registers set, for every n up to the promotion threshold m/4. Up to
-// there the estimate depends on n alone: the harmonic sum is at least
-// the zero-register count m-n >= 0.75 m, so raw = alpha m^2 / sum is at
-// most 0.97 m, under the 2.5 m cut, and estimateHist takes its
-// linear-counting branch m ln(m / (m-n)) — the expression tabulated
-// here, on the same operands.
+// registers set, for every n the small form can hold (smallCap, never
+// more than m/4). Up to m/4 the estimate depends on n alone: the
+// harmonic sum is at least the zero-register count m-n >= 0.75 m, so
+// raw = alpha m^2 / sum is at most 0.97 m, under the 2.5 m cut, and
+// estimateHist takes its linear-counting branch m ln(m / (m-n)) — the
+// expression tabulated here, on the same operands.
 func linearCounts(p uint8) []float64 {
 	if t := linearTabs[p].Load(); t != nil {
 		return *t
 	}
 	m := float64(uint64(1) << p)
-	tab := make([]float64, 1<<p/4+1)
+	tab := make([]float64, smallCap(p)+1)
 	for n := range tab {
 		tab[n] = m * math.Log(m/float64(uint32(1)<<p-uint32(n)))
 	}
@@ -341,8 +284,8 @@ func (s *Sketch) Count() uint64 {
 }
 
 // Merge folds other into s (register-wise max) across any combination
-// of sparse and dense forms. Both sketches must have the same
-// precision. other is read-only.
+// of small and dense forms. Both sketches must have the same precision.
+// other is read-only.
 func (s *Sketch) Merge(other *Sketch) error {
 	if s.p != other.p {
 		return ErrPrecision
@@ -356,34 +299,21 @@ func (s *Sketch) Merge(other *Sketch) error {
 		}
 		return nil
 	}
-	// other is sparse; its buffer may duplicate list entries, which the
-	// max-rank fold handles either way.
-	for _, e := range other.sparse {
-		s.addEntry(e)
-	}
-	for _, e := range other.buf {
-		s.addEntry(e)
+	for _, e := range other.small[:other.n] {
+		if s.dense { // s may promote mid-merge
+			s.setDense(e>>rankBits, uint8(e&rankMask))
+		} else {
+			s.addSmall(e)
+		}
 	}
 	return nil
 }
 
-// addEntry folds one packed (idx, rank) into whichever form s currently
-// has (s may promote mid-merge).
-func (s *Sketch) addEntry(e uint32) {
-	if s.dense {
-		s.setDense(e>>rankBits, uint8(e&rankMask))
-	} else {
-		s.addSparse(e>>rankBits, uint8(e&rankMask))
-	}
-}
-
-// Reset clears the sketch back to the (empty) sparse form. O(1): dense
+// Reset clears the sketch back to the (empty) small form. O(1): dense
 // registers are cleared lazily at the next promotion, so pooled feature
-// sets pay nothing per window for sketches that stay sparse.
+// sets pay nothing per window for sketches that stay small.
 func (s *Sketch) Reset() {
-	s.dense = false
-	s.sparse = s.sparse[:0]
-	s.buf = s.buf[:0]
+	s.dense, s.seen, s.n = false, false, 0
 }
 
 // Precision returns the sketch's precision parameter p.
@@ -392,12 +322,12 @@ func (s *Sketch) Precision() uint8 { return s.p }
 // Dense reports whether the sketch has promoted to dense registers.
 func (s *Sketch) Dense() bool { return s.dense }
 
-// SizeBytes returns the sketch's current heap footprint (slice
-// capacities plus the struct itself) — the per-object memory the
-// Observatory accounts per feature.
+// SizeBytes returns the sketch's current footprint (the struct itself,
+// small-form array included, plus the register file and histogram once
+// promoted) — the per-object memory the Observatory accounts per
+// feature.
 func (s *Sketch) SizeBytes() int {
-	const structSize = 8 + 4*24 // fixed fields plus four slice headers
-	return structSize + cap(s.sparse)*4 + cap(s.buf)*4 + cap(s.regs) + cap(s.hist)*4
+	return int(unsafe.Sizeof(*s)) + cap(s.regs) + cap(s.hist)*4
 }
 
 // alphaM is the standard bias-correction constant.

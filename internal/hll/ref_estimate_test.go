@@ -9,9 +9,12 @@ import (
 )
 
 // refSketch is the sketch as it was before ISSUE 18, frozen as the
-// reference for the memoised sparse estimate: its Estimate folds the
-// insertion buffer into the sorted list, promotes past the threshold,
-// and otherwise rebuilds a rank histogram for refEstimateHist.
+// reference for the table estimate and (ISSUE 20) for the in-struct
+// small form that replaced its lists: a sorted, deduplicated list of
+// packed registers plus a 32-entry insertion buffer, promoted to dense
+// registers past m/4 entries. Its Estimate folds the buffer into the
+// list, promotes past the threshold, and otherwise rebuilds a rank
+// histogram for refEstimateHist.
 type refSketch struct {
 	p      uint8
 	dense  bool
@@ -66,10 +69,13 @@ func (s *refSketch) addSparse(idx uint32, rank uint8) {
 		}
 	}
 	s.buf = append(s.buf, packed)
-	if len(s.buf) >= bufCap {
+	if len(s.buf) >= refBufCap {
 		s.compact()
 	}
 }
+
+// refBufCap bounds the reference's insertion buffer.
+const refBufCap = 32
 
 func (s *refSketch) compact() {
 	if len(s.buf) == 0 {
@@ -201,13 +207,13 @@ func (s *refSketch) reset() {
 }
 
 // TestSparseEstimateTable: at every precision, for every register count
-// a sparse sketch can hold without promoting, the table entry is what
-// the frozen histogram path computes — whatever the ranks, which are
-// drawn here from the whole range a register can take.
+// the small form can hold, the table entry is what the frozen histogram
+// path computes — whatever the ranks, which are drawn here from the
+// whole range a register can take.
 func TestSparseEstimateTable(t *testing.T) {
 	for p := uint8(4); p <= 18; p++ {
 		tab := linearCounts(p)
-		if want := 1<<p/4 + 1; len(tab) != want {
+		if want := min(smallLen, 1<<p/4) + 1; len(tab) != want {
 			t.Fatalf("p=%d: table holds %d entries, want %d", p, len(tab), want)
 		}
 		var hist [histLen]uint32
@@ -224,27 +230,25 @@ func TestSparseEstimateTable(t *testing.T) {
 	}
 }
 
-// TestEstimateDoesNotMutateSparse: below the promotion threshold an
-// Estimate reads the register count and nothing else. The sketch holds
-// what it held, in the same two lists, and grows afterwards as a twin
-// that was never estimated does.
+// TestEstimateDoesNotMutateSparse: an Estimate reads the register count
+// and nothing else. The sketch holds what it held, in the same slots,
+// and grows afterwards — through its promotion — as a twin that was
+// never estimated does.
 func TestEstimateDoesNotMutateSparse(t *testing.T) {
 	s, twin := MustNew(10), MustNew(10)
-	// Some registers in the sorted list and some still in the insertion
-	// buffer, which is what an estimate used to fold.
 	next := uint64(0)
-	for ; len(s.sparse) == 0 || len(s.buf) < 5; next++ {
+	for ; s.n < 20; next++ {
 		s.AddUint64(next)
 		twin.AddUint64(next)
 	}
-	nSparse, nBuf, size := len(s.sparse), len(s.buf), s.SizeBytes()
+	held, size := *s, s.SizeBytes()
 	var est float64
 	if avg := testing.AllocsPerRun(100, func() { est = s.Estimate() }); avg != 0 {
-		t.Errorf("sparse Estimate allocates %v per call", avg)
+		t.Errorf("small-form Estimate allocates %v per call", avg)
 	}
-	if len(s.sparse) != nSparse || len(s.buf) != nBuf || s.SizeBytes() != size || s.Dense() {
-		t.Errorf("Estimate changed the sketch: sparse %d -> %d, buf %d -> %d, %d -> %d B, dense %v",
-			nSparse, len(s.sparse), nBuf, len(s.buf), size, s.SizeBytes(), s.Dense())
+	if s.n != held.n || s.small != held.small || s.last != held.last || s.SizeBytes() != size || s.Dense() {
+		t.Errorf("Estimate changed the sketch: %d -> %d registers, %d -> %d B, dense %v",
+			held.n, s.n, size, s.SizeBytes(), s.Dense())
 	}
 	ref := &refSketch{p: 10}
 	for i := uint64(0); i < next; i++ {
@@ -256,8 +260,12 @@ func TestEstimateDoesNotMutateSparse(t *testing.T) {
 	for ; next < 400; next++ {
 		s.AddUint64(next)
 		twin.AddUint64(next)
-		if !slices.Equal(s.sparse, twin.sparse) || !slices.Equal(s.buf, twin.buf) || s.Dense() != twin.Dense() {
+		ref.addHash(HashUint64(next))
+		if s.n != twin.n || s.small != twin.small || s.Dense() != twin.Dense() || !slices.Equal(s.regs, twin.regs) {
 			t.Fatalf("after %d adds the estimated sketch and its twin differ", next+1)
+		}
+		if got, want := s.Estimate(), ref.estimate(); got != want {
+			t.Fatalf("after %d adds: estimate %v, reference %v", next+1, got, want)
 		}
 	}
 	if !s.Dense() {
@@ -266,13 +274,13 @@ func TestEstimateDoesNotMutateSparse(t *testing.T) {
 }
 
 // FuzzEstimateMatchesReference drives a sketch and the frozen one
-// through the same adds, merges, resets and estimates. Every estimate
-// must agree bit for bit. The dense flag is compared right after an
-// estimate, where both have applied the same rule to the same register
-// count; between estimates the two may promote a few adds apart, since
-// the frozen one also compacts when it estimates. p = 4 is the
-// precision whose insertion buffer outgrows the promotion threshold
-// without ever filling.
+// through the same adds (by hash and by AddUint64, single and in runs of
+// one repeated hash), merges, resets and estimates. Every estimate must
+// agree bit for bit, whichever form either is in — the sketch promotes
+// at its 33rd register, the reference past m/4 of them — and the dense
+// flag must be what the register count says: set once the sketch has
+// held more registers than its array has slots, or has merged a dense
+// one, which from m/4 registers on is where the reference has it too.
 func FuzzEstimateMatchesReference(f *testing.F) {
 	seed := func(p uint8, ops ...uint64) []byte {
 		b := []byte{p}
@@ -292,6 +300,22 @@ func FuzzEstimateMatchesReference(f *testing.F) {
 	f.Add(seed(6, many...))
 	f.Add(seed(1, many[:200]...))
 	f.Add(seed(0, append(many[:20:20], 1, 2, 3, 0, 3)...))
+	// The precisions of ISSUE 20's matrix (p = 4 + first byte), both
+	// operands crossing the array's threshold: b by 40 adds, a by merging it.
+	var cross []uint64
+	for i := uint64(0); i < 40; i++ {
+		cross = append(cross, mix64(i)&^7|5, mix64(i+100)&^7|6) // an add to b, an AddUint64 to a
+		if i%8 == 7 {
+			cross = append(cross, 4, 1, 3, 3)
+		}
+	}
+	for _, p := range []uint8{0, 2, 3, 6, 10, 14} {
+		f.Add(seed(p, cross...))
+	}
+	// A repeated hash is skipped only while it is the last one handed in:
+	// not across a Reset, and not after a Reset and the merge of a dense b.
+	f.Add(seed(6, 15, 15, 3, 0, 3, 15, 3, 23, 15, 15, 3))
+	f.Add(seed(6, append(append([]uint64{15, 3}, cross...), 0, 1, 15, 3, 0, 15, 3)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -305,8 +329,11 @@ func FuzzEstimateMatchesReference(f *testing.F) {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: estimate %v, reference %v", what, got, want)
 			}
-			if s.Dense() != r.dense {
-				t.Fatalf("%s: dense %v after an estimate, reference %v", what, s.Dense(), r.dense)
+			// The reference has just folded its buffer: a sparse one's
+			// list is its register count.
+			if wantDense := r.dense || len(r.sparse) > smallCap(p); s.Dense() != wantDense {
+				t.Fatalf("%s: dense %v, want %v (reference dense %v with %d sparse registers)",
+					what, s.Dense(), wantDense, r.dense, len(r.sparse))
 			}
 		}
 		for data = data[1:]; len(data) >= 8; data = data[8:] {
@@ -330,9 +357,14 @@ func FuzzEstimateMatchesReference(f *testing.F) {
 			case 5:
 				b.AddHash(mix64(op))
 				rb.addHash(mix64(op))
-			default:
-				a.AddHash(mix64(op))
-				ra.addHash(mix64(op))
+			case 6:
+				a.AddUint64(op)
+				ra.addHash(HashUint64(op))
+			default: // a run of one hash, as a key's own column is in its own aggregation
+				for n := op>>3&3 + 1; n > 0; n-- {
+					a.AddHash(mix64(op))
+					ra.addHash(mix64(op))
+				}
 			}
 		}
 		check("a at the end", a, ra)

@@ -3,8 +3,10 @@ package hll
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // forceDense promotes a sketch immediately so tests can pin the form.
@@ -27,6 +29,9 @@ func TestHashGolden(t *testing.T) {
 	for s, want := range strings {
 		if got := HashString(s); got != want {
 			t.Errorf("HashString(%q) = %#x, want %#x", s, got, want)
+		}
+		if got := HashBytes([]byte(s)); got != want {
+			t.Errorf("HashBytes(%q) = %#x, want HashString's %#x", s, got, want)
 		}
 	}
 	ints := map[uint64]uint64{
@@ -104,8 +109,11 @@ func TestSparseDenseIdenticalEstimates(t *testing.T) {
 	}
 }
 
-// TestMergeFormMatrix checks every sparse/dense merge combination
-// produces the exact estimate of the dense union.
+// TestMergeFormMatrix checks every small/dense merge combination, in
+// either order, produces the exact estimate of the dense union and of
+// the frozen reference's merge: two small sketches whose union still
+// fits the array, two whose union outgrows it in mid-merge, small with
+// dense (naturally promoted and forced), dense with dense.
 func TestMergeFormMatrix(t *testing.T) {
 	fill := func(s *Sketch, prefix string, n int) *Sketch {
 		for i := 0; i < n; i++ {
@@ -113,24 +121,59 @@ func TestMergeFormMatrix(t *testing.T) {
 		}
 		return s
 	}
-	// Reference: a single dense sketch over the union.
-	want := fill(fill(forceDense(MustNew(10)), "a", 120), "b", 150).Estimate()
-
+	refFill := func(prefix string, n int) *refSketch {
+		r := &refSketch{p: 10}
+		for i := 0; i < n; i++ {
+			r.addHash(HashString(fmt.Sprintf("%s-%d", prefix, i)))
+		}
+		return r
+	}
+	natural := func() *Sketch { return MustNew(10) }
+	forced := func() *Sketch { return forceDense(MustNew(10)) }
 	cases := []struct {
-		name string
-		a, b *Sketch
+		name           string
+		a, b           func() *Sketch
+		na, nb         int
+		aDense, bDense bool // the operands' forms going in
+		dense          bool // the result's
 	}{
-		{"sparse+sparse", fill(MustNew(10), "a", 120), fill(MustNew(10), "b", 150)},
-		{"sparse+dense", fill(MustNew(10), "a", 120), fill(forceDense(MustNew(10)), "b", 150)},
-		{"dense+sparse", fill(forceDense(MustNew(10)), "a", 120), fill(MustNew(10), "b", 150)},
-		{"dense+dense", fill(forceDense(MustNew(10)), "a", 120), fill(forceDense(MustNew(10)), "b", 150)},
+		{"small+small", natural, natural, 12, 15, false, false, false},
+		{"small+small, crossing", natural, natural, 25, 25, false, false, true},
+		{"small+dense", natural, natural, 20, 150, false, true, true},
+		{"small+forced dense", natural, forced, 20, 10, false, true, true},
+		{"dense+small", natural, natural, 150, 20, true, false, true},
+		{"forced dense+small", forced, natural, 10, 20, true, false, true},
+		{"dense+dense", natural, natural, 120, 150, true, true, true},
+		{"dense+forced dense", natural, forced, 120, 150, true, true, true},
 	}
 	for _, tc := range cases {
-		if err := tc.a.Merge(tc.b); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := tc.a.Estimate(); got != want {
-			t.Errorf("%s: merged estimate %v, want %v", tc.name, got, want)
+		for _, swap := range []bool{false, true} {
+			name := tc.name
+			if swap {
+				name += ", swapped"
+				tc.a, tc.b, tc.na, tc.nb = tc.b, tc.a, tc.nb, tc.na
+				tc.aDense, tc.bDense = tc.bDense, tc.aDense
+			}
+			a, b := fill(tc.a(), "a", tc.na), fill(tc.b(), "b", tc.nb)
+			if a.Dense() != tc.aDense || b.Dense() != tc.bDense {
+				t.Fatalf("%s: operands dense %v and %v, want %v and %v", name, a.Dense(), b.Dense(), tc.aDense, tc.bDense)
+			}
+			held := *b
+			if err := a.Merge(b); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if b.n != held.n || b.small != held.small || b.dense != held.dense {
+				t.Errorf("%s: Merge changed its read-only operand", name)
+			}
+			want := fill(fill(forced(), "a", tc.na), "b", tc.nb).Estimate()
+			ra := refFill("a", tc.na)
+			ra.merge(refFill("b", tc.nb))
+			if got := a.Estimate(); got != want || got != ra.estimate() {
+				t.Errorf("%s: merged estimate %v, dense union %v, reference %v", name, got, want, ra.estimate())
+			}
+			if a.Dense() != tc.dense {
+				t.Errorf("%s: merged sketch dense %v, want %v", name, a.Dense(), tc.dense)
+			}
 		}
 	}
 }
@@ -201,56 +244,131 @@ func TestSparseMemoryStaysSmall(t *testing.T) {
 	}
 }
 
-// TestAddAllocationFree pins the hot paths at zero allocations once the
-// sketch has reached steady state (dense, or sparse with stable
-// capacity).
+// TestAddAllocationFree: a sketch allocates at its first promotion and
+// never else — nothing for any number of adds while its registers fit
+// the array, exactly the register file and the histogram when they no
+// longer do, nothing at a later promotion after Reset, nothing dense.
 func TestAddAllocationFree(t *testing.T) {
+	for _, p := range []uint8{4, 6, 10, 14} {
+		s := MustNew(p)
+		var vals []uint64 // distinct registers, more than the array holds
+		seen := map[uint64]bool{}
+		for v := uint64(0); len(vals) < smallCap(p)+8; v++ {
+			if idx := HashUint64(v) >> (64 - p); !seen[idx] {
+				seen[idx] = true
+				vals = append(vals, v)
+			}
+		}
+		small := vals[:smallCap(p)]
+		fillSmall := func() {
+			for round := 0; round < 3; round++ {
+				for _, v := range small {
+					s.AddUint64(v)
+				}
+			}
+		}
+		if avg := testing.AllocsPerRun(10, func() { s.Reset(); fillSmall() }); avg != 0 || s.Dense() {
+			t.Errorf("p=%d: %d registers, added three times over: %v allocs per fill, dense %v", p, len(small), avg, s.Dense())
+		}
+		// Once only, so counted by hand: AllocsPerRun warms up first.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.AddUint64(vals[len(small)])
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 2 || !s.Dense() {
+			t.Errorf("p=%d: register %d: %d allocs, dense %v; want the register file and the histogram", p, len(small)+1, n, s.Dense())
+		}
+		promote := func() {
+			s.Reset()
+			for _, v := range vals {
+				s.AddUint64(v)
+			}
+		}
+		if avg := testing.AllocsPerRun(10, promote); avg != 0 || !s.Dense() {
+			t.Errorf("p=%d: a promotion after Reset: %v allocs, dense %v", p, avg, s.Dense())
+		}
+	}
 	dense := forceDense(MustNew(10))
 	if avg := testing.AllocsPerRun(1000, func() { dense.AddUint64(12345) }); avg != 0 {
 		t.Errorf("dense AddUint64 allocates %v per op", avg)
-	}
-	sparse := MustNew(10)
-	for i := 0; i < 8; i++ {
-		sparse.AddUint64(uint64(i))
-	}
-	if avg := testing.AllocsPerRun(1000, func() { sparse.AddUint64(3) }); avg != 0 {
-		t.Errorf("sparse duplicate AddUint64 allocates %v per op", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() { dense.Add("steady.example.com.") }); avg != 0 {
 		t.Errorf("dense Add allocates %v per op", avg)
 	}
 }
 
-// TestCompactMergesCorrectly hammers the buffer/compaction machinery
-// against a map-based model.
-func TestCompactMergesCorrectly(t *testing.T) {
+// TestSketchFootprintBound: whatever was added, a sketch occupies its
+// struct, and once promoted its 2^p registers and the 64-slot histogram.
+func TestSketchFootprintBound(t *testing.T) {
+	for _, p := range []uint8{4, 7, 10, 14} {
+		s := MustNew(p)
+		bound := int(unsafe.Sizeof(*s)) + 1<<p + 4*histLen
+		for round := 0; round < 3; round++ {
+			for i := uint64(0); i < 5000; i++ {
+				s.AddUint64(i * uint64(round+1))
+				if i < 40 || i%500 == 0 {
+					if got := s.SizeBytes(); got > bound || round == 0 && !s.Dense() && got != int(unsafe.Sizeof(*s)) {
+						t.Fatalf("p=%d round %d after %d adds: %d B (dense %v), bound %d", p, round, i+1, got, s.Dense(), bound)
+					}
+				}
+			}
+			s.Reset()
+		}
+		if got := s.SizeBytes(); got != bound {
+			t.Errorf("p=%d: a sketch that has been dense occupies %d B, want %d", p, got, bound)
+		}
+	}
+}
+
+// TestSmallFormMatchesModel hammers the array — in-place rank raises,
+// new slots, the promotion and the dense registers after it — against a
+// map-based model.
+func TestSmallFormMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	s := MustNew(12) // large m so the sketch stays sparse throughout
-	model := map[uint32]uint8{}
-	for i := 0; i < 5000; i++ {
-		idx := uint32(rng.Intn(900))
-		rank := uint8(rng.Intn(50) + 1)
-		s.addSparse(idx, rank)
-		if rank > model[idx] {
-			model[idx] = rank
+	for _, universe := range []int{smallLen, 900} { // registers that fit the array; registers that do not
+		s := MustNew(12)
+		model := map[uint32]uint8{}
+		requireModel := func(i int) {
+			t.Helper()
+			got := map[uint32]uint8{}
+			for _, e := range s.small[:s.n] {
+				if _, dup := got[e>>rankBits]; dup {
+					t.Fatalf("after %d adds: register %d is held twice", i, e>>rankBits)
+				}
+				got[e>>rankBits] = uint8(e & rankMask)
+			}
+			for idx, r := range s.regs {
+				if s.dense && r != 0 {
+					got[uint32(idx)] = r
+				}
+			}
+			if len(got) != len(model) {
+				t.Fatalf("after %d adds: %d registers held, model %d", i, len(got), len(model))
+			}
+			for idx, r := range model {
+				if got[idx] != r {
+					t.Fatalf("after %d adds: register %d at rank %d, model %d", i, idx, got[idx], r)
+				}
+			}
+			if s.Dense() != (len(model) > smallLen) {
+				t.Fatalf("after %d adds: dense %v with %d registers", i, s.Dense(), len(model))
+			}
 		}
-	}
-	s.compact()
-	if s.Dense() {
-		t.Fatal("sketch promoted; model comparison needs sparse form")
-	}
-	if len(s.sparse) != len(model) {
-		t.Fatalf("sparse holds %d indices, model %d", len(s.sparse), len(model))
-	}
-	prev := int64(-1)
-	for _, e := range s.sparse {
-		idx, rank := e>>rankBits, uint8(e&rankMask)
-		if int64(idx) <= prev {
-			t.Fatalf("sparse list not strictly sorted at idx %d", idx)
+		for i := 0; i < 5000; i++ {
+			idx := uint32(rng.Intn(universe))
+			rank := uint8(rng.Intn(50) + 1)
+			if s.dense {
+				s.setDense(idx, rank)
+			} else {
+				s.addSmall(idx<<rankBits | uint32(rank))
+			}
+			if rank > model[idx] {
+				model[idx] = rank
+			}
+			if i < 200 || i%97 == 0 {
+				requireModel(i + 1)
+			}
 		}
-		prev = int64(idx)
-		if model[idx] != rank {
-			t.Fatalf("idx %d: rank %d, model %d", idx, rank, model[idx])
-		}
+		requireModel(5000)
 	}
 }

@@ -347,8 +347,10 @@ func requireChurned(t *testing.T, snaps []*tsv.Snapshot, evictions uint64) {
 // hold no feature state at all. In one window an entry's state is
 // swapped for a corrupt set, so the close panics part-way as a worker's
 // would; the state is put back, the eager state is reset for exactly the
-// entries the broken pass released, and the next close must still report
-// what the full scan finds, the entries the pass never reached included.
+// entries the broken pass released (and, with SkipFreshObjects, those
+// fresh in that window, which hold a marker and no hits), and the next
+// close must still report what the full scan finds, the entries the
+// pass never reached included.
 func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) {
 	cfg.withDefaults()
 	agg := Aggregation{Name: "qname", K: 60, Key: QNameKey}
@@ -359,16 +361,23 @@ func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) 
 	ref := newEagerState(agg, &cfg, 60, bloom.NewSeeded(1<<12, cfg.AdmitterFP, 19))
 	const panicWindow = 2
 	var windowStart float64
-	windows, relisted, carried, logs, slabs := 0, 0, 0, 0, 0
+	windows, relisted, carried, logs, slabs, markers := 0, 0, 0, 0, 0, 0
 
-	held := func() (n int) {
+	// A marker is state only while its entry is fresh: one a panicked
+	// close left on an entry that has since aged is stale — the next close
+	// releases it, counted with that window's, and has nothing to report.
+	holders := func() (held, stale int) {
 		st.cache.Entries(func(e *spacesaving.Entry) {
-			if e.State != nil {
-				n++
+			switch {
+			case e.State == freshMarker && !fresh(e, &cfg, windowStart):
+				stale++
+			case e.State != nil:
+				held++
 			}
 		})
-		return n
+		return held, stale
 	}
+	held := func() int { n, _ := holders(); return n }
 	closeAndCompare := func() {
 		t.Helper()
 		end := windowStart + cfg.WindowSec
@@ -411,14 +420,18 @@ func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) 
 			}
 			// The window stays open, as in a worker whose dump panicked:
 			// the eager state forgets what the pass released and no more.
+			// The post-panic rule of ISSUE 20, the one place the oracle is
+			// told about it: an entry fresh in the panicked window folded
+			// nothing there, so what the eager state folded for it goes too.
 			ref.cache.Entries(func(e *spacesaving.Entry) {
-				if set := hitSet(e); set != nil && st.cache.Get(e.Key).State == nil {
+				if set := hitSet(e); set != nil && (st.cache.Get(e.Key).State == nil || fresh(e, &cfg, windowStart)) {
 					set.Reset()
 				}
 			})
 			return
 		}
 
+		_, stale := holders()
 		var part shardPart
 		st.closeWindow(&part, &cfg, windowStart, end)
 		ref.refResetWindow()
@@ -427,12 +440,14 @@ func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) 
 		requireSnapsEqual(t,
 			[]*tsv.Snapshot{{Aggregation: "qname", Start: int64(windowStart), Rows: want, Columns: cols, TotalBefore: before, TotalAfter: after}},
 			[]*tsv.Snapshot{{Aggregation: "qname", Start: int64(windowStart), Rows: part.rows, Columns: cols, TotalBefore: part.seenBefore, TotalAfter: part.seenAfter}})
-		if part.active != hit || part.occupancy != st.cache.Len() || part.slabs > part.active {
-			t.Fatalf("window %d: closeWindow counted %d active (%d with a set) of %d entries, %d took hits of %d",
-				windows, part.active, part.slabs, part.occupancy, hit, st.cache.Len())
+		if part.active != hit+stale || part.occupancy != st.cache.Len() || part.slabs+part.fresh > part.active ||
+			len(part.rows) != part.active-part.fresh {
+			t.Fatalf("window %d: closeWindow counted %d active (%d with a set, %d with a marker) of %d entries for %d rows, %d took hits and %d held a stale marker of %d",
+				windows, part.active, part.slabs, part.fresh, part.occupancy, len(part.rows), hit, stale, st.cache.Len())
 		}
 		slabs += part.slabs
-		logs += part.active - part.slabs
+		markers += part.fresh
+		logs += part.active - part.slabs - part.fresh
 		if n := held(); n != 0 {
 			t.Fatalf("window %d: %d entries still hold state after the close", windows, n)
 		}
@@ -455,13 +470,142 @@ func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) 
 		ref.seenBefore++
 		s := sum(e.resolver, e.ns, e.qname, e.qtype)
 		s.PrecomputeHashes(cfg.Features.Suffixes)
-		st.observe(s.QName, s, e.now, &cfg)
+		st.observe(s.QName, s, e.now, windowStart, &cfg)
 		ref.observe(s.QName, s, e.now, &cfg)
 	}
 	closeAndCompare()
-	if windows < 5 || relisted == 0 || carried == 0 || st.cache.Dropped() == 0 || logs == 0 || slabs == 0 {
+	if windows < 5 || relisted == 0 || carried == 0 || st.cache.Dropped() == 0 || logs == 0 || slabs == 0 || (markers > 0) != cfg.SkipFreshObjects {
 		t.Fatalf("stream too tame: %d windows, %d re-listed entries, %d carried over the panic, %d refused by the admitter, "+
-			"%d objects closed on records and %d on a set", windows, relisted, carried, st.cache.Dropped(), logs, slabs)
+			"%d objects closed on records, %d on a set and %d on a marker", windows, relisted, carried, st.cache.Dropped(), logs, slabs, markers)
+	}
+}
+
+// TestFreshEntriesTakeNoFold: an entry that entered the cache in the
+// open window holds the shared marker — no log, no set, nothing folded —
+// and everything else folds as the eager engine folds it. Over
+// TestCloseWindowMatchesFullScan's matrix (serial; sharded over 1, 2 and
+// 4 workers with folds lost to chaos panics; SkipFreshObjects on and off)
+// and its stream (evictions and re-admissions inside a window, a
+// mid-minute start, empty windows, a partial last one) with every 53rd
+// event back-dated past its window's start, so that the clamp admits
+// keys at the window start exactly, where an entry is not fresh. Row for
+// row against the eager oracle, which knows no marker; and per window
+// the gauges account for every row: what was active and not fresh is
+// what is reported. With SkipFreshObjects off not one fold is skipped.
+func TestFreshEntriesTakeNoFold(t *testing.T) {
+	events := churnEvents()
+	for i := range events {
+		if i%53 == 52 {
+			events[i].now -= 70
+		}
+	}
+	type gauges struct{ active, fresh int }
+	// collect returns the engines' snapshot callback: the merger and the
+	// serial dump publish an aggregation's gauges just before they deliver
+	// its snapshot, so this reads the closed window's.
+	collect := func(reg *metrics.Registry, got *[]*tsv.Snapshot, seen map[string]gauges) func(*tsv.Snapshot) {
+		return func(s *tsv.Snapshot) {
+			*got = append(*got, s)
+			seen[snapKey(s)] = gauges{
+				active: int(reg.Gauge(MetricTopkActive, "", "agg", s.Aggregation).Value()),
+				fresh:  int(reg.Gauge(MetricTopkFresh, "", "agg", s.Aggregation).Value()),
+			}
+		}
+	}
+	requireAccounted := func(t *testing.T, cfg Config, got []*tsv.Snapshot, seen map[string]gauges) {
+		t.Helper()
+		k := map[string]int{}
+		for _, a := range churnAggs() {
+			k[a.Name] = a.K
+		}
+		markers, atWindowStart := 0, 0
+		for _, s := range got {
+			g := seen[snapKey(s)]
+			if want := min(k[s.Aggregation], g.active-g.fresh); len(s.Rows) != want {
+				t.Fatalf("%s: %d rows for %d active entries of which %d held a marker", snapKey(s), len(s.Rows), g.active, g.fresh)
+			}
+			markers += g.fresh
+			if s.Start == 0 {
+				atWindowStart += len(s.Rows) // the first window reports only what the clamp admitted at its start
+			}
+		}
+		if (markers > 0) != cfg.SkipFreshObjects || atWindowStart == 0 {
+			t.Fatalf("SkipFreshObjects %v: %d entries closed on a marker, %d rows in the first window", cfg.SkipFreshObjects, markers, atWindowStart)
+		}
+	}
+
+	for _, skipFresh := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.SkipFreshObjects = skipFresh
+
+		t.Run(fmt.Sprintf("serial/skipfresh=%v", skipFresh), func(t *testing.T) {
+			ref := newRefEngine(cfg, churnAggs(), 1, func(k int) int { return k })
+			cfg.Metrics = metrics.NewRegistry()
+			var got []*tsv.Snapshot
+			seen := map[string]gauges{}
+			p := New(cfg, churnAggs(), collect(cfg.Metrics, &got, seen))
+			skipped, clamped := 0, 0
+			for _, e := range events {
+				ref.ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now, false)
+				p.Ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
+				// Whatever holds state holds the marker exactly if it is fresh.
+				for _, st := range p.aggs {
+					st.cache.Entries(func(en *spacesaving.Entry) {
+						isFresh := fresh(en, &p.cfg, p.windowStart)
+						if en.State != nil && (en.State == freshMarker) != isFresh {
+							t.Fatalf("%s at %v: entry %q (inserted at %v, window from %v) holds %T", st.agg.Name, e.now, en.Key, en.InsertedAt, p.windowStart, en.State)
+						}
+						if en.State == freshMarker {
+							skipped++
+						}
+						if en.State != nil && en.InsertedAt == p.windowStart {
+							clamped++
+						}
+					})
+				}
+			}
+			ref.dump()
+			p.Flush()
+			if (skipped > 0) != skipFresh || clamped == 0 {
+				t.Fatalf("%d marker sightings, %d of entries admitted at a window start", skipped, clamped)
+			}
+			sortSnaps(ref.out)
+			sortSnaps(got)
+			requireSnapsEqual(t, ref.out, got)
+			requireAccounted(t, cfg, got, seen)
+		})
+
+		const shards = 4
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("sharded-w%d/skipfresh=%v", workers, skipFresh), func(t *testing.T) {
+				ref := newRefEngine(cfg, churnAggs(), shards, func(k int) int { return shardCapacity(k, shards) })
+				hooked := cfg
+				hooked.Metrics = metrics.NewRegistry()
+				hooked.ChaosHook = func(s *sie.Summary) {
+					if poisoned(s) {
+						panic("injected mid-fold")
+					}
+				}
+				var got []*tsv.Snapshot
+				seen := map[string]gauges{}
+				eng := NewSharded(ShardedConfig{Config: hooked, Shards: shards, Workers: workers, BatchSize: 64},
+					churnAggs(), collect(hooked.Metrics, &got, seen))
+				for _, e := range events {
+					s := sum(e.resolver, e.ns, e.qname, e.qtype)
+					ref.ingest(s, e.now, poisoned(s))
+					eng.Ingest(s, e.now)
+				}
+				ref.dump()
+				eng.Close()
+				if es := eng.Stats(); es.Quarantined == 0 {
+					t.Fatal("the chaos hook never fired")
+				}
+				sortSnaps(ref.out)
+				sortSnaps(got)
+				requireSnapsEqual(t, ref.out, got)
+				requireAccounted(t, hooked, got, seen)
+			})
+		}
 	}
 }
 
@@ -487,7 +631,7 @@ func TestCloseWindowVisitsOnlyTouched(t *testing.T) {
 		window := func(start float64) (visited, rows, counted int) {
 			for round := 0; round < 3; round++ {
 				for _, s := range sums {
-					st.observe(s.QName, s, start+float64(round), &cfg)
+					st.observe(s.QName, s, start+float64(round), start, &cfg)
 				}
 			}
 			visited = len(st.touched)
@@ -510,7 +654,7 @@ func TestCloseWindowVisitsOnlyTouched(t *testing.T) {
 		// and no more rows, since a fresh object is not reported.
 		for i := 0; i < 5; i++ {
 			s := sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("new%d.example.", i), dnswire.TypeA)
-			st.observe(s.QName, s, start+1, &cfg)
+			st.observe(s.QName, s, start+1, start, &cfg)
 		}
 		if visited, rows, counted := window(start); visited != active+5 || rows != active || counted != active+5 {
 			t.Errorf("K=%d: with 5 admissions visited %d entries for %d rows (%d counted active), want %d, %d and %d",
@@ -520,8 +664,9 @@ func TestCloseWindowVisitsOnlyTouched(t *testing.T) {
 }
 
 // TestTopkActiveGauge: both engines publish how many monitored keys the
-// closed window folded, next to how many they monitor, and how many of
-// the folded ones took more hits than a record log holds.
+// closed window folded, next to how many they monitor, how many of the
+// folded ones took more hits than a record log holds, and how many were
+// too new to report and so folded nothing.
 func TestTopkActiveGauge(t *testing.T) {
 	aggs := []Aggregation{{Name: "qname", K: 100, Key: QNameKey, NoAdmitter: true}}
 	feed := func(ingest func(*sie.Summary, float64)) {
@@ -534,13 +679,16 @@ func TestTopkActiveGauge(t *testing.T) {
 		for i := 0; i < 2; i++ { // and two of those once more
 			ingest(sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("n%d.example.", i), dnswire.TypeA), 100+float64(i))
 		}
+		for i := 0; i < 15; i++ { // and five names the cache has not seen, three times each
+			ingest(sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("new%d.example.", i%5), dnswire.TypeA), 105+float64(i))
+		}
 		ingest(sum("192.0.2.1", "198.51.100.1", "n0.example.", dnswire.TypeA), 120) // closes window 1
 	}
 	check := func(t *testing.T, reg *metrics.Registry) {
 		t.Helper()
-		occ, act, slabs := reg.Sum(MetricTopkOccupancy), reg.Sum(MetricTopkActive), reg.Sum(MetricTopkSlabs)
-		if occ != 40 || act != 10 || slabs != 2 {
-			t.Errorf("after window 1: occupancy %v, active %v, slabs %v, want 40, 10 and 2", occ, act, slabs)
+		occ, act, slabs, fresh := reg.Sum(MetricTopkOccupancy), reg.Sum(MetricTopkActive), reg.Sum(MetricTopkSlabs), reg.Sum(MetricTopkFresh)
+		if occ != 45 || act != 15 || slabs != 2 || fresh != 5 {
+			t.Errorf("after window 1: occupancy %v, active %v, slabs %v, fresh %v, want 45, 15, 2 and 5", occ, act, slabs, fresh)
 		}
 	}
 	t.Run("serial", func(t *testing.T) {

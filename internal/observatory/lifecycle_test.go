@@ -72,7 +72,6 @@ func simnetSummaries(t *testing.T, duration float64) []timedSummary {
 		}
 		ts := timedSummary{copySummary(&s), tx.QueryTime.Sub(cfg.Start).Seconds()}
 		if ts.sum.OKData() && len(out)%37 == 0 {
-			ts.sum.V4Strs = nil // formatted from the addresses on demand
 			for len(ts.sum.AnswerTTLs) < 8 {
 				n := byte(len(ts.sum.AnswerTTLs))
 				ts.sum.V4Addrs = append(ts.sum.V4Addrs, netip.AddrFrom4([4]byte{203, 0, 113, n}))
@@ -197,12 +196,13 @@ func filledState(cfg *Config, k int) *aggState {
 	return st
 }
 
-// hit folds n transactions for the i-th idle key at stream time now.
+// hit folds n transactions for the i-th idle key at stream time now, in
+// the window now falls in.
 func (st *aggState) hit(cfg *Config, i, n int, now float64) {
 	s := sum("192.0.2.1", "198.51.100.1", idleKey(i), dnswire.TypeA)
 	s.PrecomputeHashes(cfg.Features.Suffixes)
 	for ; n > 0; n-- {
-		st.observe(s.QName, s, now, cfg)
+		st.observe(s.QName, s, now, now-mod(now, cfg.WindowSec), cfg)
 	}
 }
 
@@ -276,19 +276,19 @@ func TestFoldAllocatesNothingWhenPooled(t *testing.T) {
 		sums[i].PrecomputeHashes(cfg.Features.Suffixes)
 	}
 	i := 0
-	if allocs := testing.AllocsPerRun(runs, func() { st.observe(sums[i].QName, sums[i], 121, &cfg); i++ }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(runs, func() { st.observe(sums[i].QName, sums[i], 121, 120, &cfg); i++ }); allocs != 0 {
 		t.Errorf("the first fold of an idle object allocates %.1f objects", allocs)
 	}
 	for _, s := range sums {
 		for n := 1; n < foldDefer; n++ {
-			st.observe(s.QName, s, 122, &cfg)
+			st.observe(s.QName, s, 122, 120, &cfg)
 		}
 	}
 	if slabs, _ := st.made(); len(st.free) != slabs {
 		t.Fatalf("%d of %d sets are out before any object has outgrown its records", slabs-len(st.free), slabs)
 	}
 	i = 0
-	if allocs := testing.AllocsPerRun(runs, func() { st.observe(sums[i].QName, sums[i], 123, &cfg); i++ }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(runs, func() { st.observe(sums[i].QName, sums[i], 123, 120, &cfg); i++ }); allocs != 0 {
 		t.Errorf("a promotion allocates %.1f objects", allocs)
 	}
 	if len(st.free) != 0 || len(st.freeLogs) != runs+1 {

@@ -22,6 +22,7 @@ const (
 	MetricTopkOccupancy = "dnsobs_topk_occupancy"
 	MetricTopkActive    = "dnsobs_topk_active"
 	MetricTopkSlabs     = "dnsobs_topk_slabs"
+	MetricTopkFresh     = "dnsobs_topk_fresh"
 	MetricTopkMinCount  = "dnsobs_topk_min_count"
 	MetricTopkEvictions = "dnsobs_topk_evictions_total"
 	MetricTopkDropped   = "dnsobs_topk_dropped_total"
@@ -83,17 +84,18 @@ func (m *engineMetrics) stats() EngineStats {
 
 // publishAggMetrics publishes one aggregation's cache health from the
 // part(s) its window close collected: live occupancy, how many of those
-// keys the window just closed folded and how many of these took more
-// hits than a record log holds, and min-count (the overestimation
-// bound), plus the eviction and admission-drop deltas since the close
-// before. Engines call it at window-dump time, the only moment the
-// publisher has exclusive access to the cache counters (workers own
-// their caches; the sharded engine sums shard parts on the merger
-// before publishing).
+// keys the window just closed folded, how many of these took more hits
+// than a record log holds and how many were too new to report, and
+// min-count (the overestimation bound), plus the eviction and
+// admission-drop deltas since the close before. Engines call it at
+// window-dump time, the only moment the publisher has exclusive access
+// to the cache counters (workers own their caches; the sharded engine
+// sums shard parts on the merger before publishing).
 func publishAggMetrics(reg *metrics.Registry, agg string, part *shardPart) {
 	reg.Gauge(MetricTopkOccupancy, "monitored keys across the aggregation's top-k cache(s)", "agg", agg).Set(float64(part.occupancy))
 	reg.Gauge(MetricTopkActive, "monitored keys that took hits in the window just closed", "agg", agg).Set(float64(part.active))
 	reg.Gauge(MetricTopkSlabs, "monitored keys that closed the window holding a full feature set, not a record log", "agg", agg).Set(float64(part.slabs))
+	reg.Gauge(MetricTopkFresh, "monitored keys that closed the window too new to report: their hits were counted and folded nowhere", "agg", agg).Set(float64(part.fresh))
 	reg.Gauge(MetricTopkMinCount, "smallest monitored count — the frequency overestimation bound", "agg", agg).Set(float64(part.minCount))
 	if part.evictions > 0 {
 		reg.Counter(MetricTopkEvictions, "top-k minimum-entry displacements", "agg", agg).Add(part.evictions)
@@ -109,7 +111,7 @@ func publishAggMetrics(reg *metrics.Registry, agg string, part *shardPart) {
 // Call it once alongside wiring Config.Metrics.
 func InstrumentPlatform(reg *metrics.Registry) {
 	reg.CounterFunc("dnsobs_hll_promotions_total",
-		"HyperLogLog sparse-to-dense promotions across all sketches", hll.Promotions)
+		"HyperLogLog promotions from the in-struct array to dense registers (a sketch's 33rd register of a window) across all sketches", hll.Promotions)
 	reg.CounterFunc("dnsobs_sie_decode_errors_total",
 		"well-framed SIE records that failed to decode", sie.DecodeErrors)
 }

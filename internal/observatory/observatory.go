@@ -159,14 +159,25 @@ type obsLog struct {
 	recs [foldDefer]features.Obs
 }
 
+// freshState is the State of an entry that took hits in a window it
+// cannot report in — it entered the cache during it (fresh): the hits are
+// counted, and folded nowhere. One value shared by all such entries, and
+// no state for any other purpose: eviction drops it, a close releases it
+// without a row, and a fold that finds it on an entry no longer fresh
+// starts from nothing.
+type freshState struct{}
+
+var freshMarker = new(freshState)
+
 // aggState is one aggregation's (or one shard of one aggregation's)
 // runtime state: the Space-Saving cache, its admission filter, window
 // statistics, and the feature state of the objects the open window has
-// folded. An entry's State is nil while its window has no hits, an
-// *obsLog for its first foldDefer hits and a *features.Set after that;
-// closing the window or evicting the entry hands either back to the
-// pools here, so feature memory is sized by the traffic of one window
-// and not by what the cache holds.
+// folded. An entry's State is nil while its window has no hits, the
+// freshMarker while it is fresh, and otherwise an *obsLog for its first
+// foldDefer hits and a *features.Set after that; closing the window or
+// evicting the entry hands log and set back to the pools here, so
+// feature memory is sized by the traffic of one window and not by what
+// the cache holds.
 type aggState struct {
 	agg        Aggregation
 	cache      *spacesaving.Cache
@@ -265,22 +276,25 @@ func (st *aggState) replayScratch(log *obsLog, cfg *Config) *features.Set {
 	return st.scratch
 }
 
-// observe folds one summary (already keyed) into the aggregation state.
-func (st *aggState) observe(key string, sum *sie.Summary, now float64, cfg *Config) {
-	st.fold(st.cache.Observe(key, now), sum, cfg)
+// observe folds one summary (already keyed) into the aggregation state,
+// at stream time now of the window that began at windowStart.
+func (st *aggState) observe(key string, sum *sie.Summary, now, windowStart float64, cfg *Config) {
+	st.fold(st.cache.Observe(key, now), sum, windowStart, cfg)
 }
 
 // observeBytes is observe for a byte-slice key (no string materialized
 // unless the key enters the cache).
-func (st *aggState) observeBytes(key []byte, sum *sie.Summary, now float64, cfg *Config) {
-	st.fold(st.cache.ObserveBytes(key, now), sum, cfg)
+func (st *aggState) observeBytes(key []byte, sum *sie.Summary, now, windowStart float64, cfg *Config) {
+	st.fold(st.cache.ObserveBytes(key, now), sum, windowStart, cfg)
 }
 
 // fold adds sum to what e's object has seen this window: a record while
 // the object's log has room and the record can hold sum exactly, the
 // feature set otherwise — taking one, and replaying the log into it
-// first, when the object has none yet.
-func (st *aggState) fold(e *spacesaving.Entry, sum *sie.Summary, cfg *Config) {
+// first, when the object has none yet. A fresh entry takes the marker
+// and no fold: it stays fresh to the end of the window (InsertedAt only
+// moves forward), so the close would throw away whatever it was given.
+func (st *aggState) fold(e *spacesaving.Entry, sum *sie.Summary, windowStart float64, cfg *Config) {
 	if e == nil {
 		return
 	}
@@ -288,8 +302,16 @@ func (st *aggState) fold(e *spacesaving.Entry, sum *sie.Summary, cfg *Config) {
 	if set == nil {
 		log, _ := e.State.(*obsLog)
 		if log == nil {
-			// No state: the entry's first fold of the window.
-			st.touched = append(st.touched, e)
+			if e.State == nil {
+				// No state: the entry's first fold of the window.
+				st.touched = append(st.touched, e)
+			}
+			if fresh(e, cfg, windowStart) {
+				e.State = freshMarker
+				st.seenAfter++
+				return
+			}
+			// Not fresh; a marker still here is a panicked close's leftover.
 			log = st.recordLog()
 			e.State = log
 		}
@@ -315,11 +337,12 @@ func fresh(e *spacesaving.Entry, cfg *Config, windowStart float64) bool {
 
 // closeWindow ends the window for this state and adds what it held to
 // part, visiting only the touched entries: one TSV row per entry that
-// took hits and is not fresh, the window counters, and the cache health
-// the engines publish. It takes back the feature state of every entry it
-// visits and clears the admission filter, keeping the top-k list. The
-// rows' values share one arena sized by a counting pass, so a close
-// allocates per aggregation, not per row.
+// took hits and is not fresh (nor holds the marker of having been), the
+// window counters, and the cache health the engines publish. It takes
+// back the feature state of every entry it visits and clears the
+// admission filter, keeping the top-k list. The rows' values share one
+// arena sized by a counting pass, so a close allocates per aggregation,
+// not per row.
 //
 // An entry gives up its state as soon as it is reported, which is what
 // makes a twice-listed entry report once: its second visit finds none.
@@ -328,9 +351,12 @@ func fresh(e *spacesaving.Entry, cfg *Config, windowStart float64) bool {
 // the counters move only after the pass, so the entries not reached keep
 // their state and their listing and report with the next close.
 func (st *aggState) closeWindow(part *shardPart, cfg *Config, windowStart, windowEnd float64) {
+	reported := func(e *spacesaving.Entry) bool {
+		return e.State != nil && e.State != freshMarker && !fresh(e, cfg, windowStart)
+	}
 	n := 0
 	for _, e := range st.touched {
-		if e.State != nil && !fresh(e, cfg, windowStart) {
+		if reported(e) {
 			n++
 		}
 	}
@@ -344,7 +370,10 @@ func (st *aggState) closeWindow(part *shardPart, cfg *Config, windowStart, windo
 		if heavy {
 			part.slabs++
 		}
-		if !fresh(e, cfg, windowStart) {
+		if e.State == freshMarker {
+			part.fresh++
+		}
+		if reported(e) {
 			if !heavy {
 				set = st.replayScratch(e.State.(*obsLog), cfg)
 			}
@@ -399,6 +428,8 @@ type Pipeline struct {
 	started     bool
 	det         *detect.Detector
 	m           *engineMetrics
+	// prep folds nothing: it is the set Ingest prepares summaries on.
+	prep *features.Set
 }
 
 // New builds a pipeline over the given aggregations. onSnapshot may be
@@ -406,6 +437,7 @@ type Pipeline struct {
 func New(cfg Config, aggs []Aggregation, onSnapshot func(*tsv.Snapshot)) *Pipeline {
 	cfg.withDefaults()
 	p := &Pipeline{cfg: cfg, onSnapshot: onSnapshot, byName: make(map[string]*aggState, len(aggs))}
+	p.prep = features.NewSet(cfg.Features)
 	p.m = newEngineMetrics(cfg.Metrics, "serial")
 	if cfg.Detect != nil {
 		dc := *cfg.Detect
@@ -426,9 +458,9 @@ func New(cfg Config, aggs []Aggregation, onSnapshot func(*tsv.Snapshot)) *Pipeli
 // Crossing a window boundary dumps snapshots first. A now earlier than
 // the current window (a reordered or backdated transaction) is clamped
 // to the window start: late data folds into the open window instead of
-// corrupting decay state. Ingest memoizes sum's hashes in place
-// (PrecomputeHashes); a summary other goroutines read must have them
-// memoized before it is shared.
+// corrupting decay state. Ingest prepares sum in place
+// (features.Set.Prepare); a summary other goroutines read must be
+// prepared before it is shared.
 func (p *Pipeline) Ingest(sum *sie.Summary, now float64) {
 	if !p.started {
 		p.windowStart = now - mod(now, p.cfg.WindowSec)
@@ -445,14 +477,14 @@ func (p *Pipeline) Ingest(sum *sie.Summary, now float64) {
 	p.m.accepted.Inc()
 	// Once per transaction, before any key function: the esld and etld
 	// keys read the suffix walk it memoizes, and a fold records the hashes.
-	sum.PrecomputeHashes(p.cfg.Features.Suffixes)
+	p.prep.Prepare(sum)
 	for _, st := range p.aggs {
 		st.seenBefore++
 		if st.agg.KeyBytes != nil {
 			kb, ok := st.agg.KeyBytes(sum, st.keyBuf[:0])
 			st.keyBuf = kb[:0]
 			if ok {
-				st.observeBytes(kb, sum, now, &p.cfg)
+				st.observeBytes(kb, sum, now, p.windowStart, &p.cfg)
 			}
 			continue
 		}
@@ -460,7 +492,7 @@ func (p *Pipeline) Ingest(sum *sie.Summary, now float64) {
 		if !ok {
 			continue
 		}
-		st.observe(key, sum, now, &p.cfg)
+		st.observe(key, sum, now, p.windowStart, &p.cfg)
 	}
 	if p.det != nil {
 		p.det.Observe(sum, now)
@@ -491,6 +523,12 @@ func (p *Pipeline) dump() {
 		var part shardPart // the serial pipeline is the one-shard case
 		st.closeWindow(&part, &p.cfg, p.windowStart, p.windowStart+p.cfg.WindowSec)
 		sortRows(part.rows)
+		// Published before the snapshot is delivered, as the sharded
+		// engine's merger does: a consumer reads the gauges of the window
+		// it is handed.
+		if p.m.reg != nil {
+			publishAggMetrics(p.m.reg, st.agg.Name, &part)
+		}
 		if p.onSnapshot != nil {
 			p.onSnapshot(&tsv.Snapshot{
 				Aggregation: st.agg.Name,
@@ -503,9 +541,6 @@ func (p *Pipeline) dump() {
 				Windows:     1,
 				Rows:        part.rows,
 			})
-		}
-		if p.m.reg != nil {
-			publishAggMetrics(p.m.reg, st.agg.Name, &part)
 		}
 	}
 	if p.det != nil {

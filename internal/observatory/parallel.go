@@ -4,7 +4,7 @@ import (
 	"net/netip"
 	"sync"
 
-	"dnsobservatory/internal/publicsuffix"
+	"dnsobservatory/internal/features"
 	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/tsv"
 )
@@ -20,8 +20,8 @@ import (
 // Create with NewParallel, feed with Ingest, and always Close (which
 // flushes the final window).
 type Parallel struct {
-	workers  []*aggWorker
-	suffixes *publicsuffix.List
+	workers []*aggWorker
+	prep    *features.Set // folds nothing: the set Ingest prepares summaries on
 
 	mu     sync.Mutex // serializes onSnapshot
 	batch  []ingestItem
@@ -49,7 +49,7 @@ const batchSize = 256
 
 // NewParallel builds one single-aggregation pipeline per entry of aggs.
 func NewParallel(cfg Config, aggs []Aggregation, onSnapshot func(*tsv.Snapshot)) *Parallel {
-	p := &Parallel{suffixes: cfg.Features.Suffixes}
+	p := &Parallel{prep: features.NewSet(cfg.Features)}
 	p.m = newEngineMetrics(cfg.Metrics, "parallel")
 	// The sub-pipelines must not publish: each would count the same
 	// stream again under engine="serial". Only this engine's counters
@@ -116,9 +116,9 @@ func (p *Parallel) Ingest(sum *sie.Summary, now float64) {
 	}
 	p.m.ingested.Inc()
 	p.m.accepted.Inc()
-	// Batch items are shared by every worker, so hashes must be memoized
-	// before dispatch — workers only read them.
-	sum.PrecomputeHashes(p.suffixes)
+	// Batch items are shared by every worker, so a summary must be
+	// prepared before dispatch — workers only read it.
+	p.prep.Prepare(sum)
 	p.batch = append(p.batch, ingestItem{sum: copySummary(sum), now: now})
 	if len(p.batch) >= batchSize {
 		p.dispatch()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dnsobservatory/internal/detect"
+	"dnsobservatory/internal/features"
 	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/spacesaving"
 	"dnsobservatory/internal/tsv"
@@ -44,6 +45,7 @@ type Sharded struct {
 	// plus one trailing detect slot when the detection layer is on.
 	slots      int
 	det        *detect.Detector
+	prep       *features.Set // folds nothing: the set add prepares summaries on
 	overload   OverloadPolicy
 	workers    []*shardWorker
 	pool       *sie.SummaryPool
@@ -151,6 +153,7 @@ type shardPart struct {
 	occupancy int
 	active    int    // entries that took hits this window
 	slabs     int    // those of them that outgrew their record log
+	fresh     int    // those of them too new to report, which folded nothing
 	minCount  uint64 // max over shards: the worst-case bound
 	evictions uint64 // delta since the previous window
 	dropped   uint64 // delta since the previous window
@@ -232,6 +235,7 @@ func NewSharded(cfg ShardedConfig, aggs []Aggregation, onSnapshot func(*tsv.Snap
 		aggs:       aggs,
 		aggIdx:     make(map[string]int, len(aggs)),
 		shards:     shards,
+		prep:       features.NewSet(cfg.Config.Features),
 		overload:   cfg.Overload,
 		pool:       sie.NewSummaryPool(),
 		merges:     make(chan *shardDump, workers),
@@ -361,9 +365,10 @@ func (s *Sharded) add(ps *sie.Shared, now float64) {
 	b.sums = append(b.sums, ps)
 	b.nows = append(b.nows, now)
 	sum := &ps.Summary
-	// Memoize feature hashes here, on the single dispatcher, before the
-	// buffer is frozen and fanned out to concurrently-reading workers.
-	sum.PrecomputeHashes(s.cfg.Features.Suffixes)
+	// Memoize feature hashes and bucket hints here, on the single
+	// dispatcher, before the buffer is frozen and fanned out to
+	// concurrently-reading workers.
+	s.prep.Prepare(sum)
 	for i := range s.aggs {
 		start := len(b.keyBuf)
 		var ok bool
@@ -604,7 +609,7 @@ func (w *shardWorker) processItem(b *shardBatch, i int, now float64) {
 		if shard%nWorkers != w.id {
 			continue
 		}
-		w.states[a][shard/nWorkers].observeBytes(b.key(base+a), sum, now, &w.eng.cfg)
+		w.states[a][shard/nWorkers].observeBytes(b.key(base+a), sum, now, w.windowStart, &w.eng.cfg)
 	}
 	if det != nil {
 		if m := b.meta[base+nAggs]; m != 0 {
@@ -692,6 +697,7 @@ func (s *Sharded) emitWindow(windowStart float64, dumps []*shardDump) {
 				sum.occupancy += p.occupancy
 				sum.active += p.active
 				sum.slabs += p.slabs
+				sum.fresh += p.fresh
 				sum.minCount = max(sum.minCount, p.minCount)
 				sum.evictions += p.evictions
 				sum.dropped += p.dropped

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dnsobservatory/internal/dnswire"
+	"dnsobservatory/internal/hll"
 	"dnsobservatory/internal/ipwire"
 )
 
@@ -55,15 +56,16 @@ func budgetTx(t *testing.T, answered bool) *Transaction {
 
 // TestSummarizeAllocBudget pins the summarizer's per-transaction heap
 // traffic to the strings a Summary stores: QNAME, one endpoint-text
-// pair, one text per answer address, one string per NS target.
+// pair, one string per NS target — and none per answer address, whose
+// text is only ever hashed (PrecomputeHashes, which allocates nothing).
 func TestSummarizeAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		answered bool
 		budget   float64
 	}{
-		{"answered 2xA + 2xNS", true, 6},
-		{"unanswered", false, 3},
+		{"answered 2xA + 2xNS", true, 4},
+		{"unanswered", false, 2},
 	} {
 		tx := budgetTx(t, c.answered)
 		var s Summarizer
@@ -71,14 +73,18 @@ func TestSummarizeAllocBudget(t *testing.T) {
 		if err := s.Summarize(tx, &sum); err != nil { // warm the reused slices
 			t.Fatal(err)
 		}
-		if c.answered && (len(sum.V4Strs) != 2 || len(sum.NSNames) != 2 || !sum.DNSSECOK) {
+		if c.answered && (len(sum.V4Addrs) != 2 || len(sum.V4Strs) != 0 || len(sum.NSNames) != 2 || !sum.DNSSECOK) {
 			t.Fatalf("%s: canned transaction summarized wrong: %+v", c.name, sum)
 		}
 		got := testing.AllocsPerRun(200, func() {
 			if err := s.Summarize(tx, &sum); err != nil {
 				t.Fatal(err)
 			}
+			sum.PrecomputeHashes(nil)
 		})
+		if c.answered && (len(sum.V4Hashes) != 2 || sum.V4Hashes[0] != hll.HashString("203.0.113.5") || sum.V4Hashes[1] != hll.HashString("203.0.113.6")) {
+			t.Errorf("%s: the answer addresses hash to %x, not as their texts do", c.name, sum.V4Hashes)
+		}
 		if got > c.budget {
 			t.Errorf("%s: %.1f allocs per Summarize, budget %.0f", c.name, got, c.budget)
 		}

@@ -35,6 +35,29 @@ func TestPrecomputeHashes(t *testing.T) {
 	if len(sum.V4Hashes) != len(sum.V4Addrs) {
 		t.Errorf("V4Hashes: %d for %d addrs", len(sum.V4Hashes), len(sum.V4Addrs))
 	}
+	if sum.SensorHash != hll.HashUint64(uint64(sum.SensorID)) || sum.QTypeHash != hll.HashUint64(uint64(sum.QType)) {
+		t.Error("SensorHash/QTypeHash mismatch")
+	}
+	// An answer address hashes as its text does, whichever way the text
+	// is had: formatted on the fly (every family, a mapped address, the
+	// zero Addr) or memoized by hand.
+	addrs := Summary{
+		V4Addrs: []netip.Addr{netip.MustParseAddr("203.0.113.5"), netip.MustParseAddr("198.51.100.255"), {}},
+		V4Strs:  []string{"memo-v4"},
+		V6Addrs: []netip.Addr{netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("::ffff:192.0.2.1"),
+			netip.MustParseAddr("fe80::1%eth0"), netip.MustParseAddr("2001:db8:1111:2222:3333:4444:5555:6666")},
+	}
+	addrs.PrecomputeHashes(nil)
+	for i := range addrs.V4Addrs {
+		if addrs.V4Hashes[i] != hll.HashString(addrs.V4Text(i)) {
+			t.Errorf("V4Hashes[%d] is not the hash of %q", i, addrs.V4Text(i))
+		}
+	}
+	for i := range addrs.V6Addrs {
+		if addrs.V6Hashes[i] != hll.HashString(addrs.V6Text(i)) {
+			t.Errorf("V6Hashes[%d] is not the hash of %q", i, addrs.V6Text(i))
+		}
+	}
 	// Idempotent: a second call must not rehash (mutate a source field
 	// and confirm the memoized hash is untouched).
 	qh := sum.QNameHash

@@ -56,11 +56,13 @@ type Summary struct {
 	HasSOA     bool
 
 	// Memoized textual forms. Formatting an address costs an allocation,
-	// and every aggregation and feature set downstream wants the same
-	// string — so the Summarizer formats each address exactly once and
-	// the accessors below fall back to formatting on demand for
-	// summaries built by hand. Empty string / short slice means "not
-	// memoized".
+	// and the endpoint texts are keys of several aggregations — so the
+	// Summarizer formats both exactly once and the accessors below fall
+	// back to formatting on demand for summaries built by hand. The
+	// answer addresses are only ever hashed (PrecomputeHashes, from a
+	// stack buffer), so the Summarizer leaves V4Strs/V6Strs empty; a
+	// summary built by hand may fill them. Empty string / short slice
+	// means "not memoized".
 	ResolverStr   string
 	NameserverStr string
 	V4Strs        []string
@@ -68,7 +70,7 @@ type Summary struct {
 
 	// Memoized 64-bit hll hashes of the fields every feature set
 	// downstream counts cardinalities over. Eight aggregations × ten
-	// sketches would otherwise re-hash the same strings dozens of times
+	// sketches would otherwise re-hash the same values dozens of times
 	// per transaction; PrecomputeHashes fills these once and HashesReady
 	// marks them valid. TLDHash/ESLDHash are only computed for NoError
 	// answers (the only case the feature extractor reads them).
@@ -77,9 +79,18 @@ type Summary struct {
 	ESLDHash       uint64
 	ResolverHash   uint64
 	NameserverHash uint64
+	SensorHash     uint64 // of SensorID
+	QTypeHash      uint64 // of QType
 	V4Hashes       []uint64
 	V6Hashes       []uint64
 	HashesReady    bool
+
+	// DelayBucket, HopsBucket and SizeBucket are hints: the histogram
+	// buckets DelayMs, Hops and RespSize count into, as whoever prepared
+	// the summary found them (features.Set.Prepare). A histogram checks a
+	// hint before it takes it, so a summary nobody prepared, or one
+	// prepared for histograms of another shape, folds as exactly.
+	DelayBucket, HopsBucket, SizeBucket uint16
 
 	// ESLDOff and ETLDOff memoize the public-suffix walk the same way:
 	// 1 + the start offset of the eSLD (eTLD) suffix-substring within
@@ -122,12 +133,13 @@ func suffixOff(qname, suffix string) uint16 {
 }
 
 // PrecomputeHashes memoizes the hll hashes of every field the feature
-// extractor counts, so each string is hashed once per transaction
-// instead of once per aggregation × sketch. suffixes drives eSLD
-// extraction (nil uses the embedded default list) and must match the
-// list the downstream feature sets are configured with. Engines that
-// fan one summary out to concurrent readers must call this before
-// sharing it; after it returns the summary's hash fields are frozen.
+// extractor counts, so each value is hashed once per transaction instead
+// of once per aggregation × sketch, and the public-suffix walk of QName.
+// suffixes drives eSLD extraction (nil uses the embedded default list)
+// and must match the list the downstream feature sets are configured
+// with. Engines that fan one summary out to concurrent readers must
+// call this (features.Set.Prepare does) before sharing it; after it
+// returns the summary's hash fields are frozen.
 func (sum *Summary) PrecomputeHashes(suffixes *publicsuffix.List) {
 	if sum.HashesReady {
 		return
@@ -144,15 +156,30 @@ func (sum *Summary) PrecomputeHashes(suffixes *publicsuffix.List) {
 		sum.TLDHash = hll.HashString(dnswire.TLD(sum.QName))
 		sum.ESLDHash = hll.HashString(esld)
 	}
-	sum.V4Hashes = sum.V4Hashes[:0]
-	for i := range sum.V4Addrs {
-		sum.V4Hashes = append(sum.V4Hashes, hll.HashString(sum.V4Text(i)))
-	}
-	sum.V6Hashes = sum.V6Hashes[:0]
-	for i := range sum.V6Addrs {
-		sum.V6Hashes = append(sum.V6Hashes, hll.HashString(sum.V6Text(i)))
-	}
+	sum.SensorHash = hll.HashUint64(uint64(sum.SensorID))
+	sum.QTypeHash = hll.HashUint64(uint64(sum.QType))
+	sum.V4Hashes = hashAddrs(sum.V4Hashes[:0], sum.V4Addrs, sum.V4Strs)
+	sum.V6Hashes = hashAddrs(sum.V6Hashes[:0], sum.V6Addrs, sum.V6Strs)
 	sum.HashesReady = true
+}
+
+// hashAddrs appends the hll hash of each address's text — what V4Text
+// and V6Text return — to hashes. An address no memo covers is formatted
+// into a stack buffer: the text is hashed and dropped, so it is never
+// made a string.
+func hashAddrs(hashes []uint64, addrs []netip.Addr, memo []string) []uint64 {
+	var buf [64]byte
+	for i, a := range addrs {
+		switch {
+		case i < len(memo):
+			hashes = append(hashes, hll.HashString(memo[i]))
+		case a.IsValid():
+			hashes = append(hashes, hll.HashBytes(a.AppendTo(buf[:0])))
+		default: // String says "invalid IP", AppendTo nothing
+			hashes = append(hashes, hll.HashString(a.String()))
+		}
+	}
+	return hashes
 }
 
 // ResolverText returns the resolver address as text, using the memoized
@@ -198,7 +225,7 @@ var (
 // Summarizer converts transactions to summaries. It walks each DNS
 // payload in place (dnswire.Walk) instead of unpacking it, so per
 // transaction only what the summary stores becomes a string: the QNAME,
-// the NS targets, and the address texts (resolver and nameserver share
+// the NS targets, and the endpoint texts (resolver and nameserver share
 // one allocation).
 type Summarizer struct {
 	// KeepUnparsableResponses degrades a transaction with a malformed
@@ -253,11 +280,9 @@ func (v *responseVisitor) Record(sec string, r dnswire.Record) {
 		out.AnswerTTLs = append(out.AnswerTTLs, r.TTL)
 		switch r.Type {
 		case dnswire.TypeA:
-			a := r.Addr()
-			out.V4Addrs, out.V4Strs = append(out.V4Addrs, a), append(out.V4Strs, a.String())
+			out.V4Addrs = append(out.V4Addrs, r.Addr())
 		case dnswire.TypeAAAA:
-			a := r.Addr()
-			out.V6Addrs, out.V6Strs = append(out.V6Addrs, a), append(out.V6Strs, a.String())
+			out.V6Addrs = append(out.V6Addrs, r.Addr())
 		case dnswire.TypeRRSIG:
 			out.HasRRSIG = true
 		}

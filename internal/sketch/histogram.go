@@ -82,11 +82,11 @@ func InitHistograms(hs []Histogram, growth float64, maxValues ...float64) {
 	}
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	// The first bucket whose bound is >= v, as sort.SearchFloat64s finds
-	// it, without the closure call per probe. NaN compares false with
-	// every bound and so runs off the end, into the overflow bucket.
+// Bucket returns the index of the bucket v counts into: the first whose
+// bound is >= v, as sort.SearchFloat64s finds it, without the closure
+// call per probe. NaN compares false with every bound and so runs off
+// the end, into the overflow bucket.
+func (h *Histogram) Bucket(v float64) int {
 	i, j := 0, len(h.bounds)
 	for i < j {
 		mid := int(uint(i+j) >> 1)
@@ -96,7 +96,23 @@ func (h *Histogram) Observe(v float64) {
 			i = mid + 1
 		}
 	}
-	idx := int32(min(i, len(h.bounds)-1))
+	return min(i, len(h.bounds)-1)
+}
+
+// Observe records one value.
+func (h *Histogram) Observe(v float64) { h.ObserveAt(v, -1) }
+
+// ObserveAt records one value whose bucket the caller may already know
+// (Bucket, of this histogram or one of the same shape). The hint is
+// checked, not trusted: it is taken only if it is the bucket a search
+// would find — bounded below v by its predecessor, at or above v itself
+// — and anything else, out of range or another shape's, costs the
+// search and changes nothing.
+func (h *Histogram) ObserveAt(v float64, hint int) {
+	if uint(hint) >= uint(len(h.bounds)) || !(h.bounds[hint] >= v) || hint > 0 && !(h.bounds[hint-1] < v) {
+		hint = h.Bucket(v)
+	}
+	idx := int32(hint)
 	h.counts[idx]++
 	if idx < h.lo {
 		h.lo = idx

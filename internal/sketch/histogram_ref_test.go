@@ -192,6 +192,59 @@ func FuzzQuartilesMatchQuantile(f *testing.F) {
 	})
 }
 
+// FuzzBucketHintMatchesSearch: whatever hint comes with a value, the
+// histogram holds what the frozen Observe, which knows no hints, holds.
+// Each 16 bytes are a value (zero of either sign, negatives, exact
+// bounds, values past the last one, infinities and NaN among them) and
+// the hint it arrives with: the right bucket, a neighbour, one of a
+// histogram of another shape, anything out of range.
+func FuzzBucketHintMatchesSearch(f *testing.F) {
+	seed := func(ops ...float64) []byte {
+		var b []byte
+		for _, op := range ops {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(op))
+		}
+		return b
+	}
+	bounds := bucketBounds(1000, 1.15)
+	negZero := math.Copysign(0, -1)
+	// Value, then the hint's bits: the low three say how it is derived.
+	f.Add(seed(0, 0, negZero, 1, -3, 2, 1, 3, 17.5, 4, 64, 5, 1e9, 6, math.Inf(1), 7, math.Inf(-1), 0, math.NaN(), 0, math.NaN(), 5))
+	f.Add(seed(bounds[0], 0, bounds[1], 1, bounds[1], 2, bounds[7], 3, bounds[len(bounds)-2], 0, bounds[len(bounds)-2], 4, 1001, 0))
+	f.Add(seed(5, 5e-324, 5, -1, 900, 1e300, 901, math.NaN()))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, ref := NewHistogram(1000, 1.15), newRefHistogram(1000, 1.15)
+		other := NewHistogram(60_000, 1.2) // another shape's buckets
+		for ; len(data) >= 16; data = data[16:] {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			bits := binary.LittleEndian.Uint64(data[8:])
+			var hint int
+			switch bits & 7 {
+			case 0:
+				hint = h.Bucket(v)
+			case 1:
+				hint = h.Bucket(v) - 1
+			case 2:
+				hint = h.Bucket(v) + 1
+			case 3:
+				hint = other.Bucket(v)
+			case 4:
+				hint = len(h.bounds) - 1
+			case 5:
+				hint = len(h.bounds)
+			case 6:
+				hint = int(bits >> 3 % uint64(len(h.bounds)))
+			default:
+				hint = int(int64(bits)) >> 3 // anything, negative half the time
+			}
+			h.ObserveAt(v, hint)
+			ref.observe(v)
+			sameAsRef(t, "hinted", h, ref)
+		}
+	})
+}
+
 // TestHistogramMatchesReference runs the fuzzer's comparison over a
 // seeded stream long enough to fill, merge and reuse every bucket.
 func TestHistogramMatchesReference(t *testing.T) {
