@@ -102,9 +102,9 @@ func BenchmarkPipelineIngest(b *testing.B) {
 	}
 }
 
-// parallelBenchSummaries prebuilds a deep-copied summary corpus shared
-// by the parallel-ingest benchmark variants.
-func parallelBenchSummaries() []sie.Summary {
+// engineBenchSummaries prebuilds a deep-copied summary corpus shared
+// by the engine-ingest benchmark variants.
+func engineBenchSummaries() []sie.Summary {
 	cfg := simnet.DefaultConfig()
 	cfg.Duration = 30
 	cfg.QPS = 2000
@@ -125,12 +125,13 @@ func parallelBenchSummaries() []sie.Summary {
 	return sums
 }
 
-// BenchmarkParallelIngest compares the three ingest engines on the same
-// 8-aggregation load: the serial Pipeline, the per-aggregation Parallel
-// fan-out, and the key-hash-sharded engine. Run with -cpu 1,4 to see the
-// scaling behaviour; BENCH_1.json records the harness baseline.
-func BenchmarkParallelIngest(b *testing.B) {
-	sums := parallelBenchSummaries()
+// BenchmarkEngineIngest compares the two ways into the engine on the same
+// 8-aggregation load: the serial Pipeline, and the key-hash-sharded
+// engine with and without the copy into a pooled buffer. Run with
+// -cpu 1,4 to see the scaling behaviour; docs/BENCH_HISTORY.md (PR 1)
+// has the first baseline.
+func BenchmarkEngineIngest(b *testing.B) {
+	sums := engineBenchSummaries()
 	cfg := observatory.DefaultConfig()
 	b.Run("serial", func(b *testing.B) {
 		pipe := observatory.New(cfg, observatory.StandardAggregations(0.01), nil)
@@ -139,16 +140,6 @@ func BenchmarkParallelIngest(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pipe.Ingest(&sums[i%len(sums)], float64(i)/2000)
 		}
-	})
-	b.Run("peragg", func(b *testing.B) {
-		pipe := observatory.NewParallel(cfg, observatory.StandardAggregations(0.01), nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pipe.Ingest(&sums[i%len(sums)], float64(i)/2000)
-		}
-		b.StopTimer()
-		pipe.Close()
 	})
 	b.Run("sharded", func(b *testing.B) {
 		eng := observatory.NewSharded(observatory.ShardedConfig{Config: cfg},
@@ -180,9 +171,10 @@ func BenchmarkParallelIngest(b *testing.B) {
 // on the standard 8-aggregation load: the serial and sharded engines
 // with detection off vs on. The detect-on delta is the per-transaction
 // price of eSLD extraction, information-content folding, and the
-// rotating NOD seen-set; BENCH_9.json records the budget (≤ 10 %).
+// rotating NOD seen-set; docs/BENCH_HISTORY.md (PR 9) records the budget
+// (≤ 10 %).
 func BenchmarkDetectIngest(b *testing.B) {
-	sums := parallelBenchSummaries()
+	sums := engineBenchSummaries()
 	run := func(b *testing.B, detectOn bool, sharded bool) {
 		cfg := observatory.DefaultConfig()
 		if detectOn {
@@ -220,7 +212,7 @@ func BenchmarkDetectIngest(b *testing.B) {
 // distinct values and a long tail of objects that see a handful — the
 // shape of a real Top-k table.
 func snapshotBenchSets(n int) []*features.Set {
-	sums := parallelBenchSummaries()
+	sums := engineBenchSummaries()
 	sets := make([]*features.Set, n)
 	for i := range sets {
 		sets[i] = features.NewSet(features.Config{HLLPrecision: 10})
@@ -257,7 +249,7 @@ func BenchmarkSnapshotRowExtract(b *testing.B) {
 // engine's pool). Read with ReadMemStats after a collection; DESIGN.md
 // "Feature state lifecycle" has the table.
 func BenchmarkFeatureSetBytes(b *testing.B) {
-	sums := parallelBenchSummaries()
+	sums := engineBenchSummaries()
 	const objects = 2000
 	liveHeap := func() float64 {
 		var ms runtime.MemStats
@@ -297,7 +289,7 @@ func BenchmarkFeatureSetBytes(b *testing.B) {
 	}
 	heavy := liveHeap()
 	for i := 0; i < b.N; i++ {
-		_ = pipe.Total() // keep the engine live across the measurement
+		_ = pipe.Stats() // keep the engine live across the measurement
 	}
 	runtime.KeepAlive(sums) // the corpus must stay live between readings
 	b.ReportMetric((idle-base)/objects, "idle-B/object")

@@ -69,7 +69,6 @@ func main() {
 		factor   = flag.Float64("k", 0.1, "top-k capacity factor (1.0 = paper scale)")
 		retain   = flag.Int("retain-min", 0, "minutely files to retain (0 = all)")
 		httpAddr = flag.String("http", "", "serve the live web UI on this address (e.g. :8053)")
-		parallel = flag.Bool("parallel", false, "run each aggregation on its own goroutine (legacy fan-out)")
 		detectOn = flag.Bool("detect", false, "enable the streaming detection layer (information-content heavy hitters + newly-observed domains; snapshots under detect_esld/detect_nod, live view at /api/detect)")
 		sharded  = flag.Bool("sharded", false, "use the key-hash-sharded engine (implied by -shards/-workers)")
 		shards   = flag.Int("shards", 0, "sharded engine: key-hash shards per aggregation (0 = one per worker)")
@@ -141,9 +140,6 @@ func main() {
 		aggNames = append(aggNames, a.Name)
 	}
 	if *detectOn {
-		if *parallel {
-			fatal(errors.New("-detect is not supported with -parallel (the legacy fan-out would duplicate the detection layer per aggregation); use the serial or sharded engine"))
-		}
 		// Detection snapshots persist and cascade like any aggregation.
 		aggNames = append(aggNames, "detect_esld", "detect_nod")
 	}
@@ -189,10 +185,10 @@ func main() {
 			r.Count(), encErrs, *encIn)
 	}
 
-	// The parallel and sharded engines call onSnapshot from their own
-	// goroutines, so store state is mutex-guarded. checkpoint, when set
-	// (serial engine over a -wal collector), advances the journal's
-	// consumer checkpoint after each snapshot lands.
+	// The sharded engine calls onSnapshot from its merger goroutine, so
+	// store state is mutex-guarded. checkpoint, when set (serial engine
+	// over a -wal collector), advances the journal's consumer checkpoint
+	// after each snapshot lands.
 	var mu sync.Mutex
 	var snapErr error
 	var lastStart int64 = -1
@@ -219,7 +215,7 @@ func main() {
 		return snapErr
 	}
 
-	// borrow/ingest/discard/flush/reject/stats abstract over the three
+	// borrow/ingest/discard/flush/reject/stats abstract over the two
 	// engines. borrow returns the summary to fill; ingest commits it at a
 	// stream time, discard drops it after a summarize failure, reject
 	// additionally accounts it in the engine's ingest statistics.
@@ -237,8 +233,8 @@ func main() {
 		dc := detect.DefaultConfig()
 		engineCfg.Detect = &dc
 	}
-	switch {
-	case *sharded || *shards > 0 || *workers > 0:
+	useSharded := *sharded || *shards > 0 || *workers > 0
+	if useSharded {
 		eng := observatory.NewSharded(observatory.ShardedConfig{
 			Config:  engineCfg,
 			Shards:  *shards,
@@ -254,16 +250,7 @@ func main() {
 		stats = eng.Stats
 		fmt.Fprintf(os.Stderr, "dnsobs: sharded engine: %d shards, %d workers\n",
 			eng.Shards(), eng.Workers())
-	case *parallel:
-		pipe := observatory.NewParallel(engineCfg, aggs, onSnapshot)
-		var sum sie.Summary
-		borrow = func() *sie.Summary { return &sum }
-		ingest = func(now float64) { pipe.Ingest(&sum, now) }
-		discard = func() {}
-		flush = pipe.Close
-		reject = pipe.RecordRejected
-		stats = pipe.Stats
-	default:
+	} else {
 		pipe := observatory.New(engineCfg, aggs, onSnapshot)
 		var sum sie.Summary
 		borrow = func() *sie.Summary { return &sum }
@@ -371,12 +358,11 @@ func main() {
 		src = csrc
 		stop = func() { coll.Close() }
 		if *walDir != "" {
-			serial := !*parallel && !*sharded && *shards == 0 && *workers == 0
-			if serial {
+			if !useSharded {
 				// Snapshot n lands when transaction n+1 opens the next
 				// window, so everything before the current read is
-				// durably applied. Parallel engines apply out of order;
-				// they only checkpoint at shutdown.
+				// durably applied. The sharded engine applies out of
+				// order; it only checkpoints at shutdown.
 				ckptBroken := false
 				checkpoint = func() {
 					if csrc.n == 0 || ckptBroken {

@@ -1,6 +1,7 @@
 // Web status: run the Observatory over live synthetic traffic with the
-// parallel pipeline and serve the current top-k lists over HTTP while
-// the stream flows — the paper's planned public web interface, end to
+// sharded engine, whose snapshot callbacks arrive from an engine
+// goroutine, and serve the current top-k lists over HTTP while the
+// stream flows — the paper's planned public web interface, end to
 // end. The program prints a few polls of its own API and exits.
 package main
 
@@ -34,11 +35,11 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("web UI listening on %s\n\n", base)
 
-	// Observatory over a parallel pipeline.
+	// Observatory over the sharded engine.
 	cfg := dnsobs.DefaultPipelineConfig()
 	cfg.SkipFreshObjects = false
 	cfg.Metrics = reg
-	pipe := observatory.NewParallel(cfg,
+	pipe := observatory.NewSharded(observatory.ShardedConfig{Config: cfg},
 		[]dnsobs.Aggregation{
 			{Name: "srvip", K: 1000, Key: dnsobs.SrvIPKey},
 			{Name: "qtype", K: 32, Key: dnsobs.QTypeKey, NoAdmitter: true},

@@ -100,8 +100,8 @@ func (d *Detector) CollectWindow(part int, windowStart, windowEnd float64) Windo
 	return wp
 }
 
-// CollectAll runs CollectWindow over every partition — the serial
-// pipeline's dump path, where one goroutine owns all of them.
+// CollectAll runs CollectWindow over every partition, for a caller that
+// owns all of them (the engines collect per worker: CollectWindow).
 func (d *Detector) CollectAll(windowStart, windowEnd float64) []WindowPart {
 	out := make([]WindowPart, len(d.parts))
 	for i := range d.parts {
@@ -135,8 +135,8 @@ func (d *Detector) MergeWindow(parts []WindowPart) (ic, nod *tsv.Snapshot, err e
 }
 
 // PublishWindow folds one window's counter deltas into the
-// dnsobs_detect_* metric families. Call it from the dump path (serial
-// pipeline or sharded merger), never from workers.
+// dnsobs_detect_* metric families. Call it where a window's parts come
+// together (the engines' emit), never from concurrent workers.
 func (d *Detector) PublishWindow(parts []WindowPart) {
 	var w WindowPart
 	tracked := 0

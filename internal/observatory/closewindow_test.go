@@ -159,6 +159,18 @@ func newRefEngine(cfg Config, aggs []Aggregation, shards int, capacity func(k in
 	return r
 }
 
+// hashKey is hashKeyBytes over a string (identical output for identical
+// bytes): the oracle keys on strings and must land a key on the shard
+// the engine's byte hash lands it on.
+func hashKey(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // ingest folds one summary; quarantined is a summary a worker's chaos
 // hook panicked on, which is counted before filtering and folded nowhere.
 func (r *refEngine) ingest(sum *sie.Summary, now float64, quarantined bool) {
@@ -256,8 +268,8 @@ func churnEvents() []shardedEvent {
 func poisoned(s *sie.Summary) bool { return strings.HasPrefix(s.QName, "poison.") }
 
 // TestCloseWindowMatchesFullScan holds the touched-entry close to the
-// frozen full scan, row for row: through both engines against the
-// reference engine, and on one state against the reference's walk of
+// frozen full scan, row for row: through every engine shape against the
+// reference engine of that shape, and on one state against the reference's walk of
 // that same state, which is where a close that panicked half-way can be
 // followed into the next window.
 func TestCloseWindowMatchesFullScan(t *testing.T) {
@@ -266,47 +278,24 @@ func TestCloseWindowMatchesFullScan(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.SkipFreshObjects = skipFresh
 
-		t.Run(fmt.Sprintf("serial/skipfresh=%v", skipFresh), func(t *testing.T) {
-			ref := newRefEngine(cfg, churnAggs(), 1, func(k int) int { return k })
-			var got []*tsv.Snapshot
-			p := New(cfg, churnAggs(), func(s *tsv.Snapshot) { got = append(got, s) })
-			for _, e := range events {
-				ref.ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now, false)
-				p.Ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
-			}
-			ref.dump()
-			p.Flush()
-			requireChurned(t, ref.out, p.Cache("qname").Evictions())
-			sortSnaps(ref.out)
-			sortSnaps(got)
-			requireSnapsEqual(t, ref.out, got)
-		})
-
-		const shards = 4
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("sharded-w%d/skipfresh=%v", workers, skipFresh), func(t *testing.T) {
-				ref := newRefEngine(cfg, churnAggs(), shards, func(k int) int { return shardCapacity(k, shards) })
-				hooked := cfg
-				hooked.ChaosHook = func(s *sie.Summary) {
-					if poisoned(s) {
-						panic("injected mid-fold")
-					}
-				}
+		for _, shape := range engineMatrix {
+			t.Run(fmt.Sprintf("%s/skipfresh=%v", shape.name, skipFresh), func(t *testing.T) {
+				ref := shape.oracle(cfg, churnAggs())
+				hooked, poison := shape.poisonHook(cfg)
 				var got []*tsv.Snapshot
-				eng := NewSharded(ShardedConfig{Config: hooked, Shards: shards, Workers: workers, BatchSize: 64},
-					churnAggs(), func(s *tsv.Snapshot) { got = append(got, s) })
+				eng := shape.build(hooked, churnAggs(), func(s *tsv.Snapshot) { got = append(got, s) })
 				for _, e := range events {
 					s := sum(e.resolver, e.ns, e.qname, e.qtype)
-					ref.ingest(s, e.now, poisoned(s))
-					eng.Ingest(s, e.now)
+					ref.ingest(s, e.now, poison && poisoned(s))
+					eng.ingest(s, e.now)
 				}
 				ref.dump()
-				eng.Close()
-				if es := eng.Stats(); es.Quarantined == 0 {
+				eng.close()
+				if es := eng.stats(); poison && es.Quarantined == 0 {
 					t.Fatal("the chaos hook never fired")
 				}
 				var evictions uint64
-				for _, c := range eng.Caches("qname") {
+				for _, c := range eng.caches("qname") {
 					evictions += c.Evictions()
 				}
 				requireChurned(t, ref.out, evictions)
@@ -483,8 +472,8 @@ func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) 
 // TestFreshEntriesTakeNoFold: an entry that entered the cache in the
 // open window holds the shared marker — no log, no set, nothing folded —
 // and everything else folds as the eager engine folds it. Over
-// TestCloseWindowMatchesFullScan's matrix (serial; sharded over 1, 2 and
-// 4 workers with folds lost to chaos panics; SkipFreshObjects on and off)
+// TestCloseWindowMatchesFullScan's matrix (every engine shape, the worker
+// engines with folds lost to chaos panics; SkipFreshObjects on and off)
 // and its stream (evictions and re-admissions inside a window, a
 // mid-minute start, empty windows, a partial last one) with every 53rd
 // event back-dated past its window's start, so that the clamp admits
@@ -538,67 +527,46 @@ func TestFreshEntriesTakeNoFold(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.SkipFreshObjects = skipFresh
 
-		t.Run(fmt.Sprintf("serial/skipfresh=%v", skipFresh), func(t *testing.T) {
-			ref := newRefEngine(cfg, churnAggs(), 1, func(k int) int { return k })
-			cfg.Metrics = metrics.NewRegistry()
-			var got []*tsv.Snapshot
-			seen := map[string]gauges{}
-			p := New(cfg, churnAggs(), collect(cfg.Metrics, &got, seen))
-			skipped, clamped := 0, 0
-			for _, e := range events {
-				ref.ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now, false)
-				p.Ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
-				// Whatever holds state holds the marker exactly if it is fresh.
-				for _, st := range p.aggs {
-					st.cache.Entries(func(en *spacesaving.Entry) {
-						isFresh := fresh(en, &p.cfg, p.windowStart)
-						if en.State != nil && (en.State == freshMarker) != isFresh {
-							t.Fatalf("%s at %v: entry %q (inserted at %v, window from %v) holds %T", st.agg.Name, e.now, en.Key, en.InsertedAt, p.windowStart, en.State)
-						}
-						if en.State == freshMarker {
-							skipped++
-						}
-						if en.State != nil && en.InsertedAt == p.windowStart {
-							clamped++
-						}
-					})
-				}
-			}
-			ref.dump()
-			p.Flush()
-			if (skipped > 0) != skipFresh || clamped == 0 {
-				t.Fatalf("%d marker sightings, %d of entries admitted at a window start", skipped, clamped)
-			}
-			sortSnaps(ref.out)
-			sortSnaps(got)
-			requireSnapsEqual(t, ref.out, got)
-			requireAccounted(t, cfg, got, seen)
-		})
-
-		const shards = 4
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("sharded-w%d/skipfresh=%v", workers, skipFresh), func(t *testing.T) {
-				ref := newRefEngine(cfg, churnAggs(), shards, func(k int) int { return shardCapacity(k, shards) })
-				hooked := cfg
+		for _, shape := range engineMatrix {
+			t.Run(fmt.Sprintf("%s/skipfresh=%v", shape.name, skipFresh), func(t *testing.T) {
+				ref := shape.oracle(cfg, churnAggs())
+				hooked, poison := shape.poisonHook(cfg)
 				hooked.Metrics = metrics.NewRegistry()
-				hooked.ChaosHook = func(s *sie.Summary) {
-					if poisoned(s) {
-						panic("injected mid-fold")
-					}
-				}
 				var got []*tsv.Snapshot
 				seen := map[string]gauges{}
-				eng := NewSharded(ShardedConfig{Config: hooked, Shards: shards, Workers: workers, BatchSize: 64},
-					churnAggs(), collect(hooked.Metrics, &got, seen))
+				eng := shape.build(hooked, churnAggs(), collect(hooked.Metrics, &got, seen))
+				skipped, clamped := 0, 0
 				for _, e := range events {
 					s := sum(e.resolver, e.ns, e.qname, e.qtype)
-					ref.ingest(s, e.now, poisoned(s))
-					eng.Ingest(s, e.now)
+					ref.ingest(s, e.now, poison && poisoned(s))
+					eng.ingest(s, e.now)
+					if eng.pipe == nil {
+						continue // a worker's states are its own while it runs
+					}
+					// Whatever holds state holds the marker exactly if it is fresh.
+					w, states := eng.pipe.inlineStates()
+					for _, st := range states {
+						st.cache.Entries(func(en *spacesaving.Entry) {
+							isFresh := fresh(en, &eng.pipe.cfg, w.windowStart)
+							if en.State != nil && (en.State == freshMarker) != isFresh {
+								t.Fatalf("%s at %v: entry %q (inserted at %v, window from %v) holds %T", st.agg.Name, e.now, en.Key, en.InsertedAt, w.windowStart, en.State)
+							}
+							if en.State == freshMarker {
+								skipped++
+							}
+							if en.State != nil && en.InsertedAt == w.windowStart {
+								clamped++
+							}
+						})
+					}
 				}
 				ref.dump()
-				eng.Close()
-				if es := eng.Stats(); es.Quarantined == 0 {
+				eng.close()
+				if es := eng.stats(); poison && es.Quarantined == 0 {
 					t.Fatal("the chaos hook never fired")
+				}
+				if eng.pipe != nil && ((skipped > 0) != skipFresh || clamped == 0) {
+					t.Fatalf("%d marker sightings, %d of entries admitted at a window start", skipped, clamped)
 				}
 				sortSnaps(ref.out)
 				sortSnaps(got)

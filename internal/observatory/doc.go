@@ -12,18 +12,21 @@
 // either back to the aggregation state's pools (DESIGN.md, "Feature
 // state lifecycle").
 //
-// Three ingest engines share the same aggregation state machinery:
+// There is one engine core (core.go) — the window state machine, the
+// worker-side close, the emit, the accounting — and two ways in:
 //
-//   - Pipeline: the serial reference implementation.
-//   - Parallel: one goroutine per aggregation (the legacy fan-out; kept
-//     as a comparison baseline).
-//   - Sharded: key-hash-sharded workers with pooled summary buffers and
-//     mergeable per-shard snapshots — the production shape.
+//   - Pipeline: one worker, one shard of capacity K per aggregation, fed
+//     inline on the caller's goroutine. No goroutines, and synchronous:
+//     a window's snapshots are delivered inside the Ingest or Flush call
+//     that closes it.
+//   - Sharded: key-hash shards dealt to worker goroutines, fed through
+//     batches of pooled summary buffers, a merger goroutine reuniting the
+//     per-worker parts of each window — the production shape.
 //
 // Concurrency and ownership: a Pipeline is single-owner (one producer
-// goroutine, which also runs dumps). Parallel and Sharded accept one
-// producer on Ingest — Sharded accepts any number — and do their own
-// internal synchronization; snapshot callbacks run on engine goroutines
+// goroutine, which also runs the closes and the snapshot callbacks).
+// Sharded accepts any number of producers and does its own internal
+// synchronization; its snapshot callbacks run on the merger goroutine
 // and must not call back into the engine. Aggregation state (cache,
 // record blocks, feature sets, pools) is only ever touched by the
 // goroutine that owns its shard, which is what lets the per-object

@@ -1,0 +1,170 @@
+package observatory
+
+import (
+	"net/netip"
+	"runtime"
+	"testing"
+
+	"dnsobservatory/internal/dnswire"
+	"dnsobservatory/internal/sie"
+	"dnsobservatory/internal/spacesaving"
+	"dnsobservatory/internal/tsv"
+)
+
+// engineShape is one configuration of the engine core: the inline
+// pipeline (no shards), or shards dealt to workers goroutines.
+type engineShape struct {
+	name            string
+	shards, workers int
+}
+
+// engineMatrix is every configuration the engine-equivalence tests run:
+// the inline pipeline, then one shard, four on one worker (the merger is
+// handed one part of more than K rows), four on two, one each, and a
+// worker count that does not divide the shards. The rows keep the names
+// they had in the tests that grew into this table.
+var engineMatrix = []engineShape{
+	{name: "serial"},
+	{"s1w1", 1, 1},
+	{"sharded-w1", 4, 1},
+	{"sharded-w2", 4, 2},
+	{"sharded-w4", 4, 4},
+	{"s7w3", 7, 3},
+}
+
+func (sh engineShape) inline() bool { return sh.shards == 0 }
+
+// oracle is the reference engine that states this shape's window logic:
+// one shard of capacity K inline, S of the shard capacity otherwise.
+func (sh engineShape) oracle(cfg Config, aggs []Aggregation) *refEngine {
+	if sh.inline() {
+		return newRefEngine(cfg, aggs, 1, func(k int) int { return k })
+	}
+	return newRefEngine(cfg, aggs, sh.shards, func(k int) int { return shardCapacity(k, sh.shards) })
+}
+
+// testEngine is an engine of either kind behind the calls the matrix
+// tests make of it.
+type testEngine struct {
+	ingest func(*sie.Summary, float64)
+	close  func() // Flush or Close: ends the stream
+	caches func(name string) []*spacesaving.Cache
+	stats  func() EngineStats
+	pipe   *Pipeline // the inline engine, for white-box reads; nil otherwise
+}
+
+// build constructs the engine of this shape.
+func (sh engineShape) build(cfg Config, aggs []Aggregation, onSnapshot func(*tsv.Snapshot)) testEngine {
+	if sh.inline() {
+		p := New(cfg, aggs, onSnapshot)
+		return testEngine{p.Ingest, p.Flush, p.Caches, p.Stats, p}
+	}
+	eng := NewSharded(ShardedConfig{Config: cfg, Shards: sh.shards, Workers: sh.workers, BatchSize: 64}, aggs, onSnapshot)
+	return testEngine{eng.Ingest, eng.Close, eng.Caches, eng.Stats, nil}
+}
+
+// poisonHook is the chaos hook of the matrix tests: a worker panics on a
+// "poison." name. Only worker engines run a hook, so it returns cfg
+// unchanged, and false, for the inline shape.
+func (sh engineShape) poisonHook(cfg Config) (Config, bool) {
+	if sh.inline() {
+		return cfg, false
+	}
+	cfg.ChaosHook = func(s *sie.Summary) {
+		if poisoned(s) {
+			panic("injected mid-fold")
+		}
+	}
+	return cfg, true
+}
+
+// inlineStates is the white-box view of a pipeline: its one worker, and
+// that worker's states, one per aggregation.
+func (p *Pipeline) inlineStates() (*worker, []*aggState) {
+	w := p.workers[0]
+	states := make([]*aggState, len(w.states))
+	for a := range w.states {
+		states[a] = w.states[a][0]
+	}
+	return w, states
+}
+
+// copySummary deep-copies the slices that the Summarizer reuses.
+func copySummary(sum *sie.Summary) sie.Summary {
+	out := *sum
+	out.V4Addrs = append([]netip.Addr(nil), sum.V4Addrs...)
+	out.V6Addrs = append([]netip.Addr(nil), sum.V6Addrs...)
+	out.V4Strs = append([]string(nil), sum.V4Strs...)
+	out.V6Strs = append([]string(nil), sum.V6Strs...)
+	out.V4Hashes = append([]uint64(nil), sum.V4Hashes...)
+	out.V6Hashes = append([]uint64(nil), sum.V6Hashes...)
+	out.AnswerTTLs = append([]uint32(nil), sum.AnswerTTLs...)
+	out.NSTTLs = append([]uint32(nil), sum.NSTTLs...)
+	out.NSNames = append([]string(nil), sum.NSNames...)
+	return out
+}
+
+// TestPipelineIsSynchronous: the pipeline starts no goroutine, and every
+// snapshot of a window has been delivered when the Ingest that crosses
+// its boundary returns — the final ones when Flush returns. dnsbench's
+// dump spans and dnsobs's per-snapshot WAL checkpoint depend on it.
+func TestPipelineIsSynchronous(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SkipFreshObjects = false
+	cfg.Detect = detectTestConfig()
+	const perWindow = 2 + 2 // two aggregations, two detect snapshots
+	before := runtime.NumGoroutine()
+	delivered := 0
+	p := New(cfg, statsAggs(), func(*tsv.Snapshot) { delivered++ })
+	s := sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA)
+	p.Ingest(s, 5)
+	p.Ingest(s, 59)
+	if delivered != 0 {
+		t.Fatalf("%d snapshots delivered inside the first window", delivered)
+	}
+	p.Ingest(s, 60)
+	if delivered != perWindow {
+		t.Fatalf("%d snapshots delivered when the crossing Ingest returned, want %d", delivered, perWindow)
+	}
+	p.Ingest(s, 245) // closes [60,120) and two empty windows
+	if delivered != 4*perWindow {
+		t.Fatalf("%d snapshots delivered after crossing three boundaries at once, want %d", delivered, 4*perWindow)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines before New, %d after four windows", before, n)
+	}
+	p.Flush()
+	if delivered != 5*perWindow {
+		t.Fatalf("%d snapshots delivered when Flush returned, want %d", delivered, 5*perWindow)
+	}
+}
+
+// TestSnapshotCallbackPanicIsRecovered: a consumer that panics costs its
+// snapshot and nothing else. The engine keeps ingesting, delivers the
+// next window, ends the stream, and reports the panic in Stats — on the
+// merger goroutine of the sharded engine, and on the caller's goroutine
+// of the pipeline, which it used to unwind.
+func TestSnapshotCallbackPanicIsRecovered(t *testing.T) {
+	for _, shape := range []engineShape{engineMatrix[0], engineMatrix[3]} {
+		t.Run(shape.name, func(t *testing.T) {
+			var starts []int64
+			eng := shape.build(DefaultConfig(), statsAggs()[:1], func(s *tsv.Snapshot) {
+				starts = append(starts, s.Start)
+				if s.Start == 0 {
+					panic("consumer failed")
+				}
+			})
+			s := sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA)
+			for _, now := range []float64{1, 61, 62, 121} {
+				eng.ingest(s, now)
+			}
+			eng.close()
+			if len(starts) != 3 || starts[0] != 0 || starts[1] != 60 || starts[2] != 120 {
+				t.Fatalf("windows delivered: %v, want 0, 60 and 120", starts)
+			}
+			if es := eng.stats(); es.Panics != 1 || es.Quarantined != 0 || es.Accepted != 4 {
+				t.Errorf("Stats() = %+v, want 4 accepted, 1 panic, nothing quarantined", es)
+			}
+		})
+	}
+}

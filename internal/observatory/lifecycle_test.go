@@ -121,13 +121,15 @@ func TestDeferredFoldMatchesEager(t *testing.T) {
 	cfg.Features.TTLTracked = 2
 
 	t.Run("serial", func(t *testing.T) {
-		ref := newRefEngine(cfg, lifecycleAggs(), 1, func(k int) int { return k })
+		shape := engineMatrix[0]
+		ref := shape.oracle(cfg, lifecycleAggs())
 		mcfg := cfg
 		mcfg.Metrics = metrics.NewRegistry()
 		var got []*tsv.Snapshot
-		p := New(mcfg, lifecycleAggs(), func(s *tsv.Snapshot) { got = append(got, s) })
+		eng := shape.build(mcfg, lifecycleAggs(), func(s *tsv.Snapshot) { got = append(got, s) })
 		var evictedLogs, evictedSets, refused, closedOnRecords, closedOnSets int
-		for _, st := range p.aggs {
+		w, states := eng.pipe.inlineStates()
+		for _, st := range states {
 			recycle := st.cache.OnEvictState
 			st.cache.OnEvictState = func(state any) {
 				if _, ok := state.(*obsLog); ok {
@@ -142,20 +144,20 @@ func TestDeferredFoldMatchesEager(t *testing.T) {
 		windowStart := -1.0
 		for i := range stream {
 			ts := &stream[i]
-			if p.started && p.WindowStart() != windowStart {
-				windowStart = p.WindowStart()
+			if w.started && eng.pipe.WindowStart() != windowStart {
+				windowStart = eng.pipe.WindowStart()
 				active, slabs := int(mcfg.Metrics.Sum(MetricTopkActive)), int(mcfg.Metrics.Sum(MetricTopkSlabs))
 				closedOnSets += slabs
 				closedOnRecords += active - slabs
 			}
 			ref.ingest(&ts.sum, ts.now, false)
-			p.Ingest(&ts.sum, ts.now)
+			eng.ingest(&ts.sum, ts.now)
 			if !probe.From(&ts.sum) {
 				refused++
 			}
 		}
 		ref.dump()
-		p.Flush()
+		eng.close()
 		if evictedLogs == 0 || evictedSets == 0 || refused == 0 || closedOnRecords == 0 || closedOnSets == 0 {
 			t.Fatalf("stream too tame: %d record blocks and %d sets evicted, %d summaries refused, %d objects closed on records, %d on a set",
 				evictedLogs, evictedSets, refused, closedOnRecords, closedOnSets)
@@ -166,21 +168,23 @@ func TestDeferredFoldMatchesEager(t *testing.T) {
 	})
 
 	t.Run("sharded", func(t *testing.T) {
-		const shards = 4
-		ref := newRefEngine(cfg, lifecycleAggs(), shards, func(k int) int { return shardCapacity(k, shards) })
-		var got []*tsv.Snapshot
-		eng := NewSharded(ShardedConfig{Config: cfg, Shards: shards, Workers: 2, BatchSize: 64},
-			lifecycleAggs(), func(s *tsv.Snapshot) { got = append(got, s) })
-		for i := range stream {
-			ts := &stream[i]
-			ref.ingest(&ts.sum, ts.now, false)
-			eng.Ingest(&ts.sum, ts.now)
+		for _, shape := range engineMatrix[1:] {
+			t.Run(shape.name, func(t *testing.T) {
+				ref := shape.oracle(cfg, lifecycleAggs())
+				var got []*tsv.Snapshot
+				eng := shape.build(cfg, lifecycleAggs(), func(s *tsv.Snapshot) { got = append(got, s) })
+				for i := range stream {
+					ts := &stream[i]
+					ref.ingest(&ts.sum, ts.now, false)
+					eng.ingest(&ts.sum, ts.now)
+				}
+				ref.dump()
+				eng.close()
+				sortSnaps(ref.out)
+				sortSnaps(got)
+				requireSnapsEqual(t, ref.out, got)
+			})
 		}
-		ref.dump()
-		eng.Close()
-		sortSnaps(ref.out)
-		sortSnaps(got)
-		requireSnapsEqual(t, ref.out, got)
 	})
 }
 
@@ -359,8 +363,9 @@ func TestStateBoundedUnderChurn(t *testing.T) {
 
 	t.Run("serial", func(t *testing.T) {
 		p := New(DefaultConfig(), churnAggs(), func(*tsv.Snapshot) {})
+		_, states := p.inlineStates()
 		made := func() (n int) {
-			for _, st := range p.aggs {
+			for _, st := range states {
 				slabs, logs := st.made()
 				n += slabs + logs
 			}

@@ -2,10 +2,8 @@ package observatory
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"dnsobservatory/internal/bloom"
 	"dnsobservatory/internal/detect"
@@ -58,10 +56,12 @@ type Config struct {
 	// from its snapshot — they have not yet survived a full window
 	// (§2.4). Disable for ablation.
 	SkipFreshObjects bool
-	// ChaosHook, when set, runs for every summary a supervised engine
-	// worker processes, inside that worker's panic-recovery scope. It is
-	// the chaos-injection point for worker panics (chaos.Injector's
-	// PanicHook); leave nil in production.
+	// ChaosHook, when set, runs for every summary a worker goroutine of
+	// the sharded engine processes, inside that worker's panic-recovery
+	// scope. It is the chaos-injection point for worker panics
+	// (chaos.Injector's PanicHook); leave nil in production. The pipeline
+	// folds on its caller's goroutine, outside any recovery scope, and
+	// runs no hook.
 	ChaosHook func(*sie.Summary)
 	// Metrics, when set, is the registry the engine publishes its ingest
 	// accounting and per-aggregation cache health to. Nil means the
@@ -84,10 +84,14 @@ type Config struct {
 //	Ingested = Accepted + Rejected + Shed
 //
 // Panics and Quarantined are diagnostics on top: Panics counts recovered
-// worker panics (including those recovered while dumping a window), and
-// Quarantined counts per-worker summary folds that were abandoned to a
-// panic — the summary stays accepted, only the panicking worker's
-// contribution is lost, so quarantining never kills a window.
+// panics, and Quarantined counts per-worker summary folds that were
+// abandoned to one — the summary stays accepted, only the panicking
+// worker's contribution is lost, so quarantining never kills a window.
+// What is supervised: on both engines the close of a window (collecting
+// its rows) and the delivery of each snapshot to the callback, which are
+// the same code; the per-transaction fold only on the sharded engine's
+// worker goroutines. A panic in the pipeline's fold unwinds its caller,
+// so a pipeline never quarantines.
 type EngineStats struct {
 	// Ingested counts every transaction offered to the platform,
 	// including ones rejected before reaching the engine.
@@ -99,7 +103,7 @@ type EngineStats struct {
 	Rejected uint64
 	// Shed counts summaries dropped by the overload policy.
 	Shed uint64
-	// Panics counts recovered worker panics.
+	// Panics counts recovered panics: folds, closes and snapshot callbacks.
 	Panics uint64
 	// Quarantined counts (worker, summary) folds abandoned to a panic.
 	Quarantined uint64
@@ -414,77 +418,53 @@ func sortRows(rows []tsv.Row) {
 	})
 }
 
-// Pipeline is the Observatory core. It is not safe for concurrent use;
-// use the Sharded engine (or shard streams across pipelines) to
-// parallelize.
+// Pipeline is the serial engine: the one-worker, one-shard configuration
+// of the engine core, fed inline on the caller's goroutine and with no
+// goroutine of its own. It is synchronous — every snapshot of a window
+// is delivered inside the Ingest or Flush call that closes it — and not
+// safe for concurrent use; use the Sharded engine (or shard streams
+// across pipelines) to parallelize.
 type Pipeline struct {
-	cfg    Config
-	aggs   []*aggState
-	byName map[string]*aggState
-	// OnSnapshot receives each window's snapshot per aggregation.
-	onSnapshot func(*tsv.Snapshot)
-
-	windowStart float64
-	started     bool
-	det         *detect.Detector
-	m           *engineMetrics
-	// prep folds nothing: it is the set Ingest prepares summaries on.
-	prep *features.Set
+	core
 }
 
-// New builds a pipeline over the given aggregations. onSnapshot may be
-// nil when snapshots are collected via Flush's return value only.
+// New builds a pipeline over the given aggregations. onSnapshot, which
+// may be nil, receives each window's snapshot per aggregation.
 func New(cfg Config, aggs []Aggregation, onSnapshot func(*tsv.Snapshot)) *Pipeline {
-	cfg.withDefaults()
-	p := &Pipeline{cfg: cfg, onSnapshot: onSnapshot, byName: make(map[string]*aggState, len(aggs))}
-	p.prep = features.NewSet(cfg.Features)
-	p.m = newEngineMetrics(cfg.Metrics, "serial")
-	if cfg.Detect != nil {
-		dc := *cfg.Detect
-		if dc.Metrics == nil {
-			dc.Metrics = cfg.Metrics
-		}
-		p.det = detect.New(dc)
-	}
-	for _, a := range aggs {
-		st := newAggState(a, &p.cfg, a.K)
-		p.aggs = append(p.aggs, st)
-		p.byName[a.Name] = st
-	}
+	p := new(Pipeline)
+	p.init(cfg, "serial", aggs, onSnapshot, 1, 1, func(k int) int { return k })
 	return p
 }
 
 // Ingest processes one summary observed at stream time now (seconds).
-// Crossing a window boundary dumps snapshots first. A now earlier than
-// the current window (a reordered or backdated transaction) is clamped
-// to the window start: late data folds into the open window instead of
-// corrupting decay state. Ingest prepares sum in place
-// (features.Set.Prepare); a summary other goroutines read must be
-// prepared before it is shared.
+// Crossing a window boundary closes the window and delivers its
+// snapshots first (see worker.enter for late data). Ingest prepares sum
+// in place (features.Set.Prepare); a summary other goroutines read must
+// be prepared before it is shared. After Flush it does nothing.
+//
+// Keys stay as the key functions return them — a string goes to
+// Cache.Observe as a string — and are not staged through a batch's byte
+// buffer as the sharded engine's are: a key that enters a cache as bytes
+// is copied where a string is kept.
 func (p *Pipeline) Ingest(sum *sie.Summary, now float64) {
-	if !p.started {
-		p.windowStart = now - mod(now, p.cfg.WindowSec)
-		p.started = true
+	if p.closed {
+		return
 	}
-	if now < p.windowStart {
-		now = p.windowStart
-	}
-	for now >= p.windowStart+p.cfg.WindowSec {
-		p.dump()
-		p.windowStart += p.cfg.WindowSec
-	}
+	w := p.workers[0]
+	now = w.enter(now)
 	p.m.ingested.Inc()
 	p.m.accepted.Inc()
 	// Once per transaction, before any key function: the esld and etld
 	// keys read the suffix walk it memoizes, and a fold records the hashes.
 	p.prep.Prepare(sum)
-	for _, st := range p.aggs {
+	for _, shards := range w.states {
+		st := shards[0]
 		st.seenBefore++
 		if st.agg.KeyBytes != nil {
 			kb, ok := st.agg.KeyBytes(sum, st.keyBuf[:0])
 			st.keyBuf = kb[:0]
 			if ok {
-				st.observeBytes(kb, sum, now, p.windowStart, &p.cfg)
+				st.observeBytes(kb, sum, now, w.windowStart, &p.cfg)
 			}
 			continue
 		}
@@ -492,103 +472,32 @@ func (p *Pipeline) Ingest(sum *sie.Summary, now float64) {
 		if !ok {
 			continue
 		}
-		st.observe(key, sum, now, p.windowStart, &p.cfg)
+		st.observe(key, sum, now, w.windowStart, &p.cfg)
 	}
 	if p.det != nil {
 		p.det.Observe(sum, now)
 	}
 }
 
-func mod(x, m float64) float64 {
-	r := x - float64(int64(x/m))*m
-	if r < 0 {
-		r += m
-	}
-	return r
-}
-
-// Flush dumps the current (possibly partial) window. Call at end of
-// stream.
+// Flush ends the stream: it closes the open (possibly partial) window
+// and delivers its snapshots. Like Sharded.Close it does so once; later
+// Flush and Ingest calls do nothing.
 func (p *Pipeline) Flush() {
-	if p.started {
-		p.dump()
+	if p.closed {
+		return
 	}
+	p.closed = true
+	p.workers[0].finish()
 }
-
-// dump emits one snapshot per aggregation and resets window state.
-func (p *Pipeline) dump() {
-	start := time.Now()
-	cols, kinds := snapshotSchema()
-	for _, st := range p.aggs {
-		var part shardPart // the serial pipeline is the one-shard case
-		st.closeWindow(&part, &p.cfg, p.windowStart, p.windowStart+p.cfg.WindowSec)
-		sortRows(part.rows)
-		// Published before the snapshot is delivered, as the sharded
-		// engine's merger does: a consumer reads the gauges of the window
-		// it is handed.
-		if p.m.reg != nil {
-			publishAggMetrics(p.m.reg, st.agg.Name, &part)
-		}
-		if p.onSnapshot != nil {
-			p.onSnapshot(&tsv.Snapshot{
-				Aggregation: st.agg.Name,
-				Level:       tsv.Minutely,
-				Start:       int64(p.windowStart),
-				Columns:     cols,
-				Kinds:       kinds,
-				TotalBefore: part.seenBefore,
-				TotalAfter:  part.seenAfter,
-				Windows:     1,
-				Rows:        part.rows,
-			})
-		}
-	}
-	if p.det != nil {
-		parts := p.det.CollectAll(p.windowStart, p.windowStart+p.cfg.WindowSec)
-		ic, nod, err := p.det.MergeWindow(parts)
-		if err == nil && p.onSnapshot != nil {
-			p.onSnapshot(ic)
-			p.onSnapshot(nod)
-		}
-		p.det.PublishWindow(parts)
-	}
-	p.m.flush.Observe(time.Since(start).Seconds())
-}
-
-// Detector returns the attached detection layer, or nil when
-// Config.Detect was unset. Read its counters only while no ingest is in
-// flight.
-func (p *Pipeline) Detector() *detect.Detector { return p.det }
 
 // Cache exposes an aggregation's Space-Saving cache (for analyses that
 // read live state); nil if the aggregation does not exist.
 func (p *Pipeline) Cache(name string) *spacesaving.Cache {
-	if st, ok := p.byName[name]; ok {
-		return st.cache
+	if caches := p.Caches(name); caches != nil {
+		return caches[0]
 	}
 	return nil
 }
 
-// Total returns the number of summaries ingested.
-func (p *Pipeline) Total() uint64 { return p.m.accepted.Value() }
-
-// RecordRejected accounts one transaction rejected before reaching the
-// pipeline (malformed wire input the summarizer refused).
-func (p *Pipeline) RecordRejected() {
-	p.m.ingested.Inc()
-	p.m.rejected.Inc()
-}
-
-// Stats returns the pipeline's ingest accounting. The serial pipeline
-// never sheds or panics, so Accepted always equals Ingested − Rejected.
-// Stats reads the same counters the engine publishes to its metrics
-// registry, so the two views agree by construction.
-func (p *Pipeline) Stats() EngineStats { return p.m.stats() }
-
 // WindowStart returns the start of the current window.
-func (p *Pipeline) WindowStart() float64 { return p.windowStart }
-
-// String describes the pipeline configuration.
-func (p *Pipeline) String() string {
-	return fmt.Sprintf("observatory: %d aggregations, window %.0fs", len(p.aggs), p.cfg.WindowSec)
-}
+func (p *Pipeline) WindowStart() float64 { return p.workers[0].windowStart }

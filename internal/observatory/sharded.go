@@ -5,27 +5,24 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"dnsobservatory/internal/detect"
-	"dnsobservatory/internal/features"
 	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/spacesaving"
 	"dnsobservatory/internal/tsv"
 )
 
 // Sharded is the key-hash-sharded ingest engine — the production shape
-// for a 200 k tx/s feed (paper §2, §3.1). Instead of fanning the whole
-// stream to one goroutine per aggregation (see Parallel) it:
+// for a 200 k tx/s feed (paper §2, §3.1) — and the many-worker
+// configuration of the engine core. It:
 //
 //   - extracts every aggregation's key exactly once per summary and
 //     hashes it to one of S shards, so each worker runs an independent
 //     spacesaving.Cache (capacity ⌈K/S⌉ + slack) plus Bloom admitter per
 //     shard per aggregation and carries 1/S of every aggregation's load
-//     — throughput is no longer capped by the heaviest aggregation;
+//     — throughput is not capped by the heaviest aggregation;
 //   - fans summaries out through sync.Pool-backed, reference-counted
 //     sie.Shared buffers released when the last worker finishes its
-//     batch, eliminating the per-Ingest deep copy of the legacy path;
+//     batch, so no Ingest pays a deep copy;
 //   - merges per-shard state into one Top-k snapshot per aggregation at
 //     each window boundary (the standard parallel Space-Saving merge:
 //     key partitions are disjoint, so the union is exact and the
@@ -37,31 +34,17 @@ import (
 // serialized on the merger goroutine. Always Close (it flushes the final
 // window).
 type Sharded struct {
-	cfg    Config
-	aggs   []Aggregation
-	aggIdx map[string]int
-	shards int
+	core
 	// slots is the per-item slot count in a batch: one per aggregation,
 	// plus one trailing detect slot when the detection layer is on.
-	slots      int
-	det        *detect.Detector
-	prep       *features.Set // folds nothing: the set add prepares summaries on
-	overload   OverloadPolicy
-	workers    []*shardWorker
-	pool       *sie.SummaryPool
-	batchPool  sync.Pool
-	merges     chan *shardDump
-	mergeDone  chan struct{}
-	onSnapshot func(*tsv.Snapshot)
+	slots     int
+	overload  OverloadPolicy
+	pool      *sie.SummaryPool
+	batchPool sync.Pool
+	mergeDone chan struct{}
 
-	mu     sync.Mutex
-	cur    *shardBatch
-	closed bool
-	total  uint64
-
-	// Ingest accounting (see EngineStats). Counters are atomic: workers
-	// bump panic counters concurrently with producers bumping the rest.
-	m *engineMetrics
+	mu  sync.Mutex // guards cur and closed
+	cur *shardBatch
 }
 
 // OverloadPolicy selects what dispatch does when a worker queue is full.
@@ -111,7 +94,7 @@ type ShardedConfig struct {
 // instead of per-slot strings means composite keys (srcsrv) are built
 // without allocating, and recycling a batch never needs to clear string
 // pointers. Batches are pooled and recycled by whichever worker
-// finishes last.
+// finishes last (run).
 type shardBatch struct {
 	refs   atomic.Int32
 	sums   []*sie.Shared
@@ -130,44 +113,15 @@ func (b *shardBatch) key(j int) []byte {
 	return b.keyBuf[start:b.ends[j]]
 }
 
-// shardDump is one worker's contribution to one window's snapshots.
-type shardDump struct {
-	windowStart float64
-	parts       []shardPart // indexed like aggs
-	// det holds the detection window parts of the partitions this worker
-	// owns (empty when detection is off).
-	det []detect.WindowPart
-}
-
-// shardPart is what closing a window takes out of the aggregation states
-// it is handed to (aggState.closeWindow): all of one worker's shards of
-// an aggregation here, the one state of an aggregation in the serial
-// pipeline.
-type shardPart struct {
-	rows       []tsv.Row
-	seenBefore uint64
-	seenAfter  uint64
-	// Cache health, collected at close time when the closer has exclusive
-	// access; the merger sums the workers' parts and publishes one value
-	// per aggregation, so per-agg metrics never race with worker ingest.
-	occupancy int
-	active    int    // entries that took hits this window
-	slabs     int    // those of them that outgrew their record log
-	fresh     int    // those of them too new to report, which folded nothing
-	minCount  uint64 // max over shards: the worst-case bound
-	evictions uint64 // delta since the previous window
-	dropped   uint64 // delta since the previous window
-}
-
-type shardWorker struct {
-	id   int
-	eng  *Sharded
-	in   chan *shardBatch
-	done chan struct{}
-	// states[a][l] is the state of shard l*workers+id of aggregation a.
-	states      [][]*aggState
-	windowStart float64
-	started     bool
+// reset empties the batch, dropping its references to summaries. The key
+// buffer holds no pointers, so truncation is enough.
+func (b *shardBatch) reset() {
+	clear(b.sums)
+	b.sums = b.sums[:0]
+	b.nows = b.nows[:0]
+	b.keyBuf = b.keyBuf[:0]
+	b.ends = b.ends[:0]
+	b.meta = b.meta[:0]
 }
 
 // shardCapacity sizes one shard's Space-Saving cache: an even split of K
@@ -177,20 +131,8 @@ func shardCapacity(k, shards int) int {
 	return base + base/8 + 16
 }
 
-// hashKey is FNV-1a; allocation-free and stable, so a key always lands
-// on the same shard regardless of whether it arrives as a string or as
-// bytes.
-func hashKey(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// hashKeyBytes is hashKey over a byte slice (identical output for
-// identical bytes).
+// hashKeyBytes is FNV-1a; allocation-free and stable, so a key always
+// lands on the same shard.
 func hashKeyBytes(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
@@ -204,7 +146,6 @@ func hashKeyBytes(b []byte) uint64 {
 // it receives every window's merged snapshot per aggregation, serialized
 // on one goroutine. It must not call back into the engine.
 func NewSharded(cfg ShardedConfig, aggs []Aggregation, onSnapshot func(*tsv.Snapshot)) *Sharded {
-	cfg.Config.withDefaults()
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -231,29 +172,14 @@ func NewSharded(cfg ShardedConfig, aggs []Aggregation, onSnapshot func(*tsv.Snap
 		queue = 4
 	}
 	s := &Sharded{
-		cfg:        cfg.Config,
-		aggs:       aggs,
-		aggIdx:     make(map[string]int, len(aggs)),
-		shards:     shards,
-		prep:       features.NewSet(cfg.Config.Features),
-		overload:   cfg.Overload,
-		pool:       sie.NewSummaryPool(),
-		merges:     make(chan *shardDump, workers),
-		mergeDone:  make(chan struct{}),
-		onSnapshot: onSnapshot,
+		overload:  cfg.Overload,
+		pool:      sie.NewSummaryPool(),
+		mergeDone: make(chan struct{}),
 	}
-	s.m = newEngineMetrics(cfg.Config.Metrics, "sharded")
-	for i, a := range aggs {
-		s.aggIdx[a.Name] = i
-	}
-	nAggs := len(aggs)
-	s.slots = nAggs
-	if cfg.Config.Detect != nil {
-		dc := *cfg.Config.Detect
-		if dc.Metrics == nil {
-			dc.Metrics = cfg.Config.Metrics
-		}
-		s.det = detect.New(dc)
+	s.init(cfg.Config, "sharded", aggs, onSnapshot, shards, workers, func(k int) int { return shardCapacity(k, shards) })
+	s.merges = make(chan *shardDump, workers)
+	s.slots = len(aggs)
+	if s.det != nil {
 		s.slots++
 	}
 	nSlots := s.slots
@@ -267,22 +193,10 @@ func NewSharded(cfg ShardedConfig, aggs []Aggregation, onSnapshot func(*tsv.Snap
 		}
 	}
 	s.cur = s.batchPool.Get().(*shardBatch)
-	for id := 0; id < workers; id++ {
-		w := &shardWorker{
-			id:     id,
-			eng:    s,
-			in:     make(chan *shardBatch, queue),
-			done:   make(chan struct{}),
-			states: make([][]*aggState, nAggs),
-		}
-		for a, agg := range aggs {
-			capPer := shardCapacity(agg.K, shards)
-			for sh := id; sh < shards; sh += workers {
-				w.states[a] = append(w.states[a], newAggState(agg, &s.cfg, capPer))
-			}
-		}
-		s.workers = append(s.workers, w)
-		go w.run()
+	for _, w := range s.workers {
+		w.in = make(chan *shardBatch, queue)
+		w.done = make(chan struct{})
+		go s.run(w)
 	}
 	if reg := s.m.reg; reg != nil {
 		reg.GaugeFunc(MetricQueueDepth, "batches queued across shard workers", func() float64 {
@@ -300,33 +214,16 @@ func NewSharded(cfg ShardedConfig, aggs []Aggregation, onSnapshot func(*tsv.Snap
 // Workers returns the number of shard worker goroutines.
 func (s *Sharded) Workers() int { return len(s.workers) }
 
-// Detector returns the attached detection layer, or nil when
-// Config.Detect was unset. Read its counters only after Close.
-func (s *Sharded) Detector() *detect.Detector { return s.det }
-
 // Shards returns the number of key-hash shards per aggregation.
 func (s *Sharded) Shards() int { return s.shards }
-
-// Total returns the number of summaries ingested so far.
-func (s *Sharded) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
 
 // Ingest enqueues one summary. The summary is copied into a pooled
 // buffer; the caller may reuse it (and its slices) immediately. Safe for
 // concurrent producers.
 func (s *Sharded) Ingest(sum *sie.Summary, now float64) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	ps := s.pool.Get(int32(len(s.workers)))
+	ps := s.Borrow()
 	ps.CopyFrom(sum)
-	s.add(ps, now)
-	s.mu.Unlock()
+	s.IngestShared(ps, now)
 }
 
 // Borrow returns a pooled summary buffer for the zero-copy ingest path:
@@ -404,7 +301,6 @@ func (s *Sharded) add(ps *sie.Shared, now float64) {
 			b.meta = append(b.meta, 0)
 		}
 	}
-	s.total++
 	s.m.ingested.Inc()
 	if len(b.sums) >= cap(b.sums) {
 		s.dispatchLocked()
@@ -430,12 +326,7 @@ func (s *Sharded) dispatchLocked() {
 				for _, ps := range b.sums {
 					s.Discard(ps)
 				}
-				clear(b.sums)
-				b.sums = b.sums[:0]
-				b.nows = b.nows[:0]
-				b.keyBuf = b.keyBuf[:0]
-				b.ends = b.ends[:0]
-				b.meta = b.meta[:0]
+				b.reset()
 				return
 			}
 		}
@@ -446,33 +337,6 @@ func (s *Sharded) dispatchLocked() {
 	for _, w := range s.workers {
 		w.in <- b
 	}
-}
-
-// RecordRejected accounts one transaction rejected before reaching the
-// engine (malformed wire input the summarizer refused).
-func (s *Sharded) RecordRejected() {
-	s.m.ingested.Inc()
-	s.m.rejected.Inc()
-}
-
-// Stats returns the engine's ingest accounting. Once the stream has
-// been dispatched (after Close, or any moment no partial batch is
-// pending), Ingested = Accepted + Rejected + Shed. Stats reads the
-// counters the engine publishes to its metrics registry, so the two
-// views agree by construction.
-func (s *Sharded) Stats() EngineStats { return s.m.stats() }
-
-// recycleBatch clears a fully-processed batch (dropping its references
-// to summaries) and returns it to the pool. The key buffer holds no
-// pointers, so truncation is enough.
-func (s *Sharded) recycleBatch(b *shardBatch) {
-	clear(b.sums)
-	b.sums = b.sums[:0]
-	b.nows = b.nows[:0]
-	b.keyBuf = b.keyBuf[:0]
-	b.ends = b.ends[:0]
-	b.meta = b.meta[:0]
-	s.batchPool.Put(b)
 }
 
 // Close flushes pending batches and the final partial window, waits for
@@ -497,24 +361,6 @@ func (s *Sharded) Close() {
 	<-s.mergeDone
 }
 
-// Caches returns the live per-shard Space-Saving caches of an
-// aggregation (shard order), or nil if it does not exist. Like
-// Pipeline.Cache this reads live state: only use it when no ingest is in
-// flight (typically after Close).
-func (s *Sharded) Caches(name string) []*spacesaving.Cache {
-	a, ok := s.aggIdx[name]
-	if !ok {
-		return nil
-	}
-	caches := make([]*spacesaving.Cache, s.shards)
-	for _, w := range s.workers {
-		for l, st := range w.states[a] {
-			caches[l*len(s.workers)+w.id] = st.cache
-		}
-	}
-	return caches
-}
-
 // MergedTop merges the per-shard caches of an aggregation into a single
 // top-n list (spacesaving.Merge; exact because shards partition the key
 // space). Same liveness caveat as Caches.
@@ -526,62 +372,40 @@ func (s *Sharded) MergedTop(name string, n int) []*spacesaving.Entry {
 	return spacesaving.Merge(n, caches...)
 }
 
-// run is the worker loop: process every batch, then flush the final
-// window when the engine closes.
-func (w *shardWorker) run() {
+// run is the loop of one worker goroutine: fold every batch into the
+// worker's shards, then close the final window when the engine closes.
+// Every worker scans every batch (the scan is a cheap modulo filter per
+// item×agg; feature accumulation, the expensive part, runs only on the
+// owner), so all workers observe identical window boundaries.
+func (s *Sharded) run(w *worker) {
 	defer close(w.done)
 	for b := range w.in {
-		w.process(b)
-		if b.refs.Add(-1) == 0 {
-			w.eng.recycleBatch(b)
+		for i, now := range b.nows {
+			s.processItem(w, b, i, w.enter(now))
+			b.sums[i].Release()
+		}
+		if b.refs.Add(-1) == 0 { // the last worker to finish a batch recycles it
+			b.reset()
+			s.batchPool.Put(b)
 		}
 	}
-	if w.started {
-		w.dumpWindow()
-	}
+	w.finish()
 }
 
-// process folds one batch into this worker's shards. Every worker scans
-// the whole batch (the scan is a cheap modulo filter per item×agg;
-// feature accumulation, the expensive part, runs only on the owner), so
-// all workers observe identical window boundaries. A now earlier than
-// the current window (reordered or backdated input) is clamped to the
-// window start — identically on every worker, since they see the same
-// batch sequence.
-func (w *shardWorker) process(b *shardBatch) {
-	win := w.eng.cfg.WindowSec
-	for i, now := range b.nows {
-		if !w.started {
-			w.windowStart = now - mod(now, win)
-			w.started = true
-		}
-		if now < w.windowStart {
-			now = w.windowStart
-		}
-		for now >= w.windowStart+win {
-			w.dumpWindow()
-			w.windowStart += win
-		}
-		w.processItem(b, i, now)
-		b.sums[i].Release()
-	}
-}
-
-// processItem folds one summary into this worker's shards, recovering a
-// panic (from corrupt data or an injected fault) by quarantining the
-// summary: this worker's contribution is abandoned and counted, every
-// other worker and every later summary proceeds, and the window stays
-// alive.
-func (w *shardWorker) processItem(b *shardBatch, i int, now float64) {
+// processItem folds one summary into w's shards, recovering a panic
+// (from corrupt data or an injected fault) by quarantining the summary:
+// this worker's contribution is abandoned and counted, every other
+// worker and every later summary proceeds, and the window stays alive.
+func (s *Sharded) processItem(w *worker, b *shardBatch, i int, now float64) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.eng.m.panics.Inc()
-			w.eng.m.quarantined.Inc()
+			s.m.panics.Inc()
+			s.m.quarantined.Inc()
 		}
 	}()
-	nAggs := len(w.eng.aggs)
-	nWorkers := len(w.eng.workers)
-	det := w.eng.det
+	nAggs := len(s.aggs)
+	nWorkers := len(s.workers)
+	det := s.det
 	if w.id == 0 {
 		// Worker 0 keeps the before-filtering count for every
 		// aggregation (it sees every item; counting it once keeps the
@@ -596,10 +420,10 @@ func (w *shardWorker) processItem(b *shardBatch, i int, now float64) {
 		}
 	}
 	sum := &b.sums[i].Summary
-	if hook := w.eng.cfg.ChaosHook; hook != nil {
+	if hook := s.cfg.ChaosHook; hook != nil {
 		hook(sum)
 	}
-	base := i * w.eng.slots
+	base := i * s.slots
 	for a := 0; a < nAggs; a++ {
 		m := b.meta[base+a]
 		if m == 0 {
@@ -609,7 +433,7 @@ func (w *shardWorker) processItem(b *shardBatch, i int, now float64) {
 		if shard%nWorkers != w.id {
 			continue
 		}
-		w.states[a][shard/nWorkers].observeBytes(b.key(base+a), sum, now, w.windowStart, &w.eng.cfg)
+		w.states[a][shard/nWorkers].observeBytes(b.key(base+a), sum, now, w.windowStart, &s.cfg)
 	}
 	if det != nil {
 		if m := b.meta[base+nAggs]; m != 0 {
@@ -621,44 +445,13 @@ func (w *shardWorker) processItem(b *shardBatch, i int, now float64) {
 	}
 }
 
-// dumpWindow ships this worker's share of the closing window to the
-// merger and resets its window state. A panic while collecting rows
-// (corrupt feature state) is recovered and counted; the dump — possibly
-// missing what the pass had not reached, which stays open and reports
-// with the next window (see closeWindow) — is still sent, so the merger
-// always receives one dump per worker per window and no window is ever
-// silently dropped.
-func (w *shardWorker) dumpWindow() {
-	d := &shardDump{windowStart: w.windowStart, parts: make([]shardPart, len(w.eng.aggs))}
-	windowEnd := w.windowStart + w.eng.cfg.WindowSec
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				w.eng.m.panics.Inc()
-			}
-		}()
-		for a := range w.eng.aggs {
-			for _, st := range w.states[a] {
-				st.closeWindow(&d.parts[a], &w.eng.cfg, w.windowStart, windowEnd)
-			}
-		}
-		if det := w.eng.det; det != nil {
-			nWorkers := len(w.eng.workers)
-			for p := w.id; p < det.Partitions(); p += nWorkers {
-				d.det = append(d.det, det.CollectWindow(p, w.windowStart, windowEnd))
-			}
-		}
-	}()
-	w.eng.merges <- d
-}
-
 // mergeLoop collects the workers' dumps; once a window has one dump per
-// worker it merges them into final snapshots. Workers emit windows in
-// order and the channel is FIFO, so windows complete in order too. Any
-// window still partial when the engine closes (a worker died before
-// contributing — impossible under normal supervision, which always
-// sends a dump, but defended against anyway) is flushed from whatever
-// dumps arrived rather than dropped.
+// worker it emits its snapshots. Workers close windows in order and the
+// channel is FIFO, so windows complete in order too. Any window still
+// partial when the engine closes (a worker died before contributing —
+// impossible under normal supervision, which always sends a dump, but
+// defended against anyway) is emitted from whatever dumps arrived rather
+// than dropped.
 func (s *Sharded) mergeLoop() {
 	defer close(s.mergeDone)
 	pending := make(map[float64][]*shardDump)
@@ -679,77 +472,4 @@ func (s *Sharded) mergeLoop() {
 	for _, ws := range starts {
 		s.emitWindow(ws, pending[ws])
 	}
-}
-
-// emitWindow merges one window's per-shard parts into one snapshot per
-// aggregation, delivers them to the callback, and publishes the summed
-// per-aggregation cache health collected by the workers at dump time.
-func (s *Sharded) emitWindow(windowStart float64, dumps []*shardDump) {
-	start := time.Now()
-	defer func() { s.m.flush.Observe(time.Since(start).Seconds()) }()
-	cols, kinds := snapshotSchema()
-	parts := make([]*tsv.Snapshot, len(dumps))
-	for a, agg := range s.aggs {
-		if reg := s.m.reg; reg != nil {
-			var sum shardPart
-			for _, d := range dumps {
-				p := &d.parts[a]
-				sum.occupancy += p.occupancy
-				sum.active += p.active
-				sum.slabs += p.slabs
-				sum.fresh += p.fresh
-				sum.minCount = max(sum.minCount, p.minCount)
-				sum.evictions += p.evictions
-				sum.dropped += p.dropped
-			}
-			publishAggMetrics(reg, agg.Name, &sum)
-		}
-		for i, d := range dumps {
-			parts[i] = &tsv.Snapshot{
-				Aggregation: agg.Name,
-				Level:       tsv.Minutely,
-				Start:       int64(windowStart),
-				Columns:     cols,
-				Kinds:       kinds,
-				TotalBefore: d.parts[a].seenBefore,
-				TotalAfter:  d.parts[a].seenAfter,
-				Windows:     1,
-				Rows:        d.parts[a].rows,
-			}
-		}
-		snap, err := tsv.MergeParts(agg.K, parts...)
-		if err != nil {
-			// Cannot happen: parts share one schema and window by
-			// construction.
-			continue
-		}
-		if s.onSnapshot != nil {
-			s.deliver(snap)
-		}
-	}
-	if s.det != nil {
-		var dparts []detect.WindowPart
-		for _, d := range dumps {
-			dparts = append(dparts, d.det...)
-		}
-		if len(dparts) > 0 {
-			ic, nod, err := s.det.MergeWindow(dparts)
-			if err == nil && s.onSnapshot != nil {
-				s.deliver(ic)
-				s.deliver(nod)
-			}
-			s.det.PublishWindow(dparts)
-		}
-	}
-}
-
-// deliver runs the snapshot callback, recovering a panic so a faulty
-// consumer cannot kill the merger (which would wedge Close).
-func (s *Sharded) deliver(snap *tsv.Snapshot) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.m.panics.Inc()
-		}
-	}()
-	s.onSnapshot(snap)
 }

@@ -84,37 +84,28 @@ func requireSnapsEqual(t *testing.T, want, got []*tsv.Snapshot) {
 }
 
 // TestShardedMatchesSerial is the determinism contract: a fixed stream
-// fed through the sharded engine must yield the same snapshots as the
-// serial pipeline — keys partition across shards, every worker crosses
-// window boundaries at the same item, and MergeParts reunites the rows.
+// fed through any configuration of the engine must yield the snapshots
+// the inline pipeline yields — keys partition across shards, every
+// worker crosses window boundaries at the same item, and the emit
+// reunites the rows (one sorted part, or MergeParts over several).
 func TestShardedMatchesSerial(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SkipFreshObjects = false
 	events := shardedTestEvents(5000)
-
-	var serial []*tsv.Snapshot
-	sp := New(cfg, shardedTestAggs(), func(s *tsv.Snapshot) { serial = append(serial, s) })
-	for _, e := range events {
-		sp.Ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
+	run := func(shape engineShape) []*tsv.Snapshot {
+		var snaps []*tsv.Snapshot
+		eng := shape.build(cfg, shardedTestAggs(), func(s *tsv.Snapshot) { snaps = append(snaps, s) })
+		for _, e := range events {
+			eng.ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
+		}
+		eng.close()
+		sortSnaps(snaps)
+		return snaps
 	}
-	sp.Flush()
-	sortSnaps(serial)
-
-	for _, tc := range []struct{ shards, workers int }{
-		{1, 1}, {4, 2}, {4, 4}, {7, 3},
-	} {
-		t.Run(fmt.Sprintf("s%dw%d", tc.shards, tc.workers), func(t *testing.T) {
-			var sharded []*tsv.Snapshot
-			eng := NewSharded(
-				ShardedConfig{Config: cfg, Shards: tc.shards, Workers: tc.workers, BatchSize: 64},
-				shardedTestAggs(),
-				func(s *tsv.Snapshot) { sharded = append(sharded, s) })
-			for _, e := range events {
-				eng.Ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
-			}
-			eng.Close()
-			sortSnaps(sharded)
-			requireSnapsEqual(t, serial, sharded)
+	serial := run(engineMatrix[0])
+	for _, shape := range engineMatrix[1:] {
+		t.Run(fmt.Sprintf("s%dw%d", shape.shards, shape.workers), func(t *testing.T) {
+			requireSnapsEqual(t, serial, run(shape))
 		})
 	}
 }
@@ -177,8 +168,8 @@ func TestShardedConcurrentProducers(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	if got := eng.Total(); got != producers*perProducer {
-		t.Fatalf("Total() = %d, want %d", got, producers*perProducer)
+	if got := eng.Stats().Ingested; got != producers*perProducer {
+		t.Fatalf("Stats().Ingested = %d, want %d", got, producers*perProducer)
 	}
 	eng.Close()
 	var qnameRows int
@@ -229,15 +220,43 @@ func TestShardedCallerMayReuseSummary(t *testing.T) {
 	}
 }
 
+// TestShardedCloseIdempotent: ending the stream is idempotent on both
+// engines. The open window is closed once — a second Flush or Close
+// delivers nothing, where the pipeline's used to publish the window
+// again, empty, over the first — and an Ingest after it is a no-op that
+// re-opens no window.
 func TestShardedCloseIdempotent(t *testing.T) {
-	eng := NewSharded(ShardedConfig{Config: DefaultConfig()},
-		[]Aggregation{{Name: "srvip", K: 10, Key: SrvIPKey}}, nil)
-	eng.Ingest(sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA), 1)
+	aggs := []Aggregation{{Name: "srvip", K: 10, Key: SrvIPKey, NoAdmitter: true}}
+	cfg := DefaultConfig()
+	cfg.SkipFreshObjects = false
+	for _, shape := range []engineShape{engineMatrix[0], engineMatrix[3]} {
+		t.Run(shape.name, func(t *testing.T) {
+			var snaps []*tsv.Snapshot
+			eng := shape.build(cfg, aggs, func(s *tsv.Snapshot) { snaps = append(snaps, s) })
+			eng.ingest(sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA), 5)
+			eng.close()
+			eng.close() // must not panic, deadlock or deliver
+			eng.ingest(sum("192.0.2.1", "198.51.100.2", "b.example.com.", dnswire.TypeA), 6)
+			eng.ingest(sum("192.0.2.1", "198.51.100.2", "b.example.com.", dnswire.TypeA), 70)
+			eng.close()
+			if len(snaps) != 1 {
+				t.Fatalf("%d snapshots after ending the stream three times, want the one of window 0", len(snaps))
+			}
+			if s := snaps[0]; s.Start != 0 || s.TotalBefore != 1 || len(s.Rows) != 1 {
+				t.Fatalf("window %d holds %d rows of %d transactions, want window 0 with its one", s.Start, len(s.Rows), s.TotalBefore)
+			}
+			if es := eng.stats(); es.Ingested != 1 || es.Accepted != 1 {
+				t.Errorf("Stats() = %+v, want the one summary ingested before the end", es)
+			}
+		})
+	}
+	// A borrowed buffer handed to a closed engine is released, not ingested.
+	eng := NewSharded(ShardedConfig{Config: cfg}, aggs, nil)
 	eng.Close()
-	eng.Close() // must not panic or deadlock
-	// Ingest after close is a no-op; a borrowed buffer is released too.
-	eng.Ingest(sum("192.0.2.1", "198.51.100.1", "b.example.com.", dnswire.TypeA), 2)
 	eng.IngestShared(eng.Borrow(), 3)
+	if es := eng.Stats(); es.Ingested != 0 {
+		t.Errorf("Stats() = %+v after IngestShared on a closed engine", es)
+	}
 }
 
 // TestShardedMergedTop checks the live-state accessors after Close: the

@@ -32,48 +32,6 @@ func TestPipelineStats(t *testing.T) {
 	}
 }
 
-func TestParallelStatsAndQuarantine(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SkipFreshObjects = false
-	cfg.ChaosHook = func(s *sie.Summary) {
-		if strings.HasPrefix(s.QName, "poison.") {
-			panic("injected")
-		}
-	}
-	var snaps []*tsv.Snapshot
-	p := NewParallel(cfg, statsAggs(), func(s *tsv.Snapshot) { snaps = append(snaps, s) })
-	for i := 0; i < 100; i++ {
-		qname := "a.example.com."
-		if i%10 == 0 {
-			qname = "poison.example.com."
-		}
-		p.Ingest(sum("192.0.2.1", "198.51.100.1", qname, dnswire.TypeA), float64(i))
-	}
-	p.RecordRejected()
-	p.Close()
-
-	es := p.Stats()
-	if es.Ingested != es.Accepted+es.Rejected+es.Shed {
-		t.Errorf("accounting broken: %+v", es)
-	}
-	if es.Ingested != 101 || es.Rejected != 1 {
-		t.Errorf("Stats() = %+v, want 101 ingested / 1 rejected", es)
-	}
-	// One panic per (worker, poisoned summary): 2 aggregations x 10.
-	if es.Panics != 20 || es.Quarantined != 20 {
-		t.Errorf("panics/quarantined = %d/%d, want 20/20", es.Panics, es.Quarantined)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots after quarantined panics")
-	}
-	// The poisoned key must be absent: its folds were abandoned.
-	for _, s := range snaps {
-		if s.Aggregation == "qname" && s.Find("poison.example.com.") != nil {
-			t.Error("quarantined summary leaked into snapshot")
-		}
-	}
-}
-
 func TestShardedQuarantineKeepsWindowAlive(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SkipFreshObjects = false

@@ -21,8 +21,8 @@ func benchConfig() Config {
 
 // BenchmarkEncIngest measures event generation for the plaintext path
 // and for each encrypted mode (framing, padding, connection tracking
-// and observation emit included). The CI contract for BENCH_10.json is
-// that every encrypted mode stays within 15% of plain.
+// and observation emit included). The contract (docs/BENCH_HISTORY.md,
+// PR 10) is that every encrypted mode stays within 15% of plain.
 func BenchmarkEncIngest(b *testing.B) {
 	cases := []struct {
 		name string

@@ -747,9 +747,9 @@ func (c *Collector) claimLocked(name string, epoch, seq uint64) bool {
 // Bye, an error, or Close. A torn trailing frame (the sensor died or
 // was cut mid-frame) is discarded here; the sensor retransmits it in
 // full on its next connection, so the stream resumes on a frame
-// boundary. Sequenced frames are deduplicated and acknowledged —
-// effectively-once across reconnects; bare v1 Data frames stay
-// at-least-once.
+// boundary. Frames of a sensor that named its epoch are deduplicated
+// and acknowledged — effectively-once across reconnects; those of a
+// version-1 sensor (no epoch) stay at-least-once.
 func (c *Collector) handle(conn net.Conn) {
 	defer c.connWG.Done()
 	defer c.dropConn(conn)
@@ -825,30 +825,6 @@ func (c *Collector) handle(conn net.Conn) {
 			return
 		}
 		switch typ {
-		case FrameData:
-			c.m.frames.Inc()
-			c.noteFrame(st)
-			// The frame reader reuses its buffer, so the transaction
-			// decodes from its own copy — the consumer owns it outright.
-			body := make([]byte, len(payload))
-			copy(body, payload)
-			tx := new(sie.Transaction)
-			if err := tx.Unmarshal(body); err != nil {
-				c.m.decodeErrors.Inc()
-				if c.cfg.OnReject != nil {
-					c.cfg.OnReject(err)
-				}
-				continue
-			}
-			if c.ws != nil {
-				if ok, _, err := c.journalAndDeliver(name, 0, 0, payload, tx, false); err != nil || !ok {
-					reason = "collector closing"
-					return
-				}
-			} else if !c.enqueue(tx) {
-				reason = "collector closing"
-				return
-			}
 		case FrameSeqData:
 			c.m.frames.Inc()
 			seq, txb, perr := ParseSeqData(payload)
@@ -907,7 +883,7 @@ func (c *Collector) handle(conn net.Conn) {
 			maybeAck(true)
 			c.m.disconnectEOF.Inc()
 			return
-		default: // a second Hello mid-stream
+		default: // a second Hello mid-stream, the reserved 0x02, an unknown type
 			c.m.disconnectProt.Inc()
 			reason = "protocol violation"
 			return

@@ -5,7 +5,7 @@
 //
 // The wire format is a sequence of typed, length-prefixed frames over
 // TCP or a Unix socket: a Hello handshake naming the sensor and its
-// epoch, then Data or SeqData frames each carrying one serialized
+// epoch, then SeqData frames each carrying one serialized
 // sie.Transaction, then an optional Bye. SeqData prefixes the payload
 // with a per-sensor sequence number; the collector acknowledges the
 // highest contiguous sequence with Ack frames (every AckEvery frames

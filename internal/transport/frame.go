@@ -12,7 +12,7 @@ import (
 //	[type: 1 byte][payload length: uvarint][payload]
 //
 // The first frame on every connection must be a Hello; after it the
-// sensor streams Data frames (each payload one serialized
+// sensor streams SeqData frames (each carrying one serialized
 // sie.Transaction) and optionally ends with a Bye. A clean EOF on a
 // frame boundary is equivalent to a Bye.
 const (
@@ -21,9 +21,9 @@ const (
 	// where the epoch identifies the sensor incarnation for
 	// effectively-once dedup. The collector rejects unknown versions.
 	FrameHello = 0x01
-	// FrameData carries one serialized sie.Transaction with no sequence
-	// number (version-1 sensors; at-least-once only).
-	FrameData = 0x02
+	// 0x02 is reserved: it was the unsequenced Data frame, which no
+	// sender used. The number is never reused; a peer that sends it
+	// violates the protocol.
 	// FrameBye marks a clean end of stream; its payload is empty.
 	FrameBye = 0x03
 	// FrameSeqData carries [seq: uvarint][serialized sie.Transaction].

@@ -21,18 +21,18 @@ func FuzzReadFrame(f *testing.F) {
 	// Well-formed streams.
 	f.Add(AppendHello(nil, "seed"))
 	tx := &sie.Transaction{QueryPacket: []byte("q"), QueryTime: time.Unix(1, 0)}
-	f.Add(AppendFrame(AppendHello(nil, "s"), FrameData, tx.Append(nil)))
+	f.Add(AppendFrame(AppendHello(nil, "s"), frameOpaque, tx.Append(nil)))
 	f.Add(AppendFrame(nil, FrameBye, nil))
 	f.Add(AppendSeqData(AppendHelloEpoch(nil, "s2", 77), 9, tx.Append(nil)))
 	f.Add(AppendAck(nil, 1<<40))
 	// Malformed seeds steering the fuzzer at each error path.
-	f.Add([]byte{FrameData})                               // missing length
-	f.Add([]byte{FrameData, 0x80})                         // truncated varint
-	f.Add([]byte{FrameData, 0x10, 'x'})                    // mid-frame EOF
-	f.Add([]byte{FrameData, 0x80, 0x80, 0x80, 0x80, 0x01}) // oversized length
-	f.Add([]byte{0x7f, 0x00})                              // unknown type
-	f.Add(bytes.Repeat([]byte{0xff}, 12))                  // varint overflow
-	f.Add(AppendFrame(nil, FrameData, bytes.Repeat([]byte("p"), 4096))[:100])
+	f.Add([]byte{frameOpaque})                               // missing length
+	f.Add([]byte{frameOpaque, 0x80})                         // truncated varint
+	f.Add([]byte{frameOpaque, 0x10, 'x'})                    // mid-frame EOF
+	f.Add([]byte{frameOpaque, 0x80, 0x80, 0x80, 0x80, 0x01}) // oversized length
+	f.Add([]byte{0x7f, 0x00})                                // unknown type
+	f.Add(bytes.Repeat([]byte{0xff}, 12))                    // varint overflow
+	f.Add(AppendFrame(nil, frameOpaque, bytes.Repeat([]byte("p"), 4096))[:100])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))

@@ -26,12 +26,17 @@ func testTx(i int) *sie.Transaction {
 	}
 }
 
+// frameOpaque is a frame type the codec tests carry payloads under: the
+// frame reader does not interpret types, and 0x02 — once the
+// unsequenced Data frame, now reserved — is one no codec helper builds.
+const frameOpaque = 0x02
+
 func TestFrameRoundTrip(t *testing.T) {
 	var wire []byte
 	wire = AppendHello(wire, "s1")
 	payloads := [][]byte{[]byte("a"), {}, bytes.Repeat([]byte("xy"), 5000)}
 	for _, p := range payloads {
-		wire = AppendFrame(wire, FrameData, p)
+		wire = AppendFrame(wire, frameOpaque, p)
 	}
 	wire = AppendFrame(wire, FrameBye, nil)
 
@@ -46,7 +51,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	for i, want := range payloads {
 		typ, p, err = fr.Next()
-		if err != nil || typ != FrameData {
+		if err != nil || typ != frameOpaque {
 			t.Fatalf("frame %d: typ=%d err=%v", i, typ, err)
 		}
 		if !bytes.Equal(p, want) {
@@ -70,11 +75,11 @@ func TestFrameDecoderTypedErrors(t *testing.T) {
 	}{
 		{"clean EOF", nil, io.EOF},
 		{"unknown type", []byte{0x7f, 0x00}, ErrUnknownFrameType},
-		{"truncated length prefix", []byte{FrameData, 0x80}, io.ErrUnexpectedEOF},
-		{"missing length prefix", []byte{FrameData}, io.ErrUnexpectedEOF},
-		{"mid-frame EOF", append([]byte{FrameData, 0x10}, []byte("short")...), io.ErrUnexpectedEOF},
-		{"oversized declared length", []byte{FrameData, 0x80, 0x80, 0x80, 0x80, 0x01}, ErrFrameTooLarge},
-		{"varint overflow", []byte{FrameData, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, ErrVarintOverflow},
+		{"truncated length prefix", []byte{frameOpaque, 0x80}, io.ErrUnexpectedEOF},
+		{"missing length prefix", []byte{frameOpaque}, io.ErrUnexpectedEOF},
+		{"mid-frame EOF", append([]byte{frameOpaque, 0x10}, []byte("short")...), io.ErrUnexpectedEOF},
+		{"oversized declared length", []byte{frameOpaque, 0x80, 0x80, 0x80, 0x80, 0x01}, ErrFrameTooLarge},
+		{"varint overflow", []byte{frameOpaque, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, ErrVarintOverflow},
 	}
 	for _, tc := range cases {
 		_, _, err := NewFrameReader(bytes.NewReader(tc.wire)).Next()
@@ -357,7 +362,7 @@ func TestCollectorRejectsBadHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.Write(AppendFrame(nil, FrameData, []byte("x")))
+	conn.Write(AppendSeqData(nil, 1, []byte("x")))
 	assertConnClosed(t, conn)
 
 	waitFor(t, func() bool {
@@ -365,6 +370,38 @@ func TestCollectorRejectsBadHandshake(t *testing.T) {
 	})
 	if len(coll.Sensors()) != 0 {
 		t.Errorf("unhandshaken connections registered sensors: %+v", coll.Sensors())
+	}
+}
+
+// TestCollectorRejectsReservedFrame: 0x02 was the unsequenced Data frame.
+// A peer that sends one after a valid Hello — even with a transaction in
+// it — violates the protocol: the connection is cut, counted under
+// reason="protocol", and nothing reaches the queue.
+func TestCollectorRejectsReservedFrame(t *testing.T) {
+	reg := metrics.NewRegistry()
+	coll, addr := startCollector(t, CollectorConfig{Metrics: reg})
+	got := make(chan []*sie.Transaction, 1)
+	go func() { got <- drain(coll) }()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := AppendHelloEpoch(nil, "old-sensor", 1)
+	wire = AppendFrame(wire, 0x02, testTx(1).Append(nil))
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	assertConnClosed(t, conn)
+	waitFor(t, func() bool {
+		return reg.Counter(MetricDisconnects, "", "role", "collector", "reason", "protocol").Value() == 1
+	})
+	coll.Close()
+	if txs := <-got; len(txs) != 0 {
+		t.Errorf("%d transactions enqueued from a reserved frame", len(txs))
+	}
+	if st := coll.Stats(); st.Frames != 0 || st.DecodeErrors != 0 {
+		t.Errorf("Stats() = %+v, want no frame and no decode error counted", st)
 	}
 }
 
@@ -383,10 +420,10 @@ func TestCollectorCountsDecodeErrors(t *testing.T) {
 	}
 	wire := AppendHello(nil, "bad")
 	// A well-framed payload that is not a transaction (no query packet).
-	wire = AppendFrame(wire, FrameData, []byte{0xff, 0xff, 0xff})
+	wire = AppendSeqData(wire, 1, []byte{0xff, 0xff, 0xff})
 	// Followed by a good one: the stream stays in sync.
 	good := testTx(1)
-	wire = AppendFrame(wire, FrameData, good.Append(nil))
+	wire = AppendSeqData(wire, 2, good.Append(nil))
 	wire = AppendFrame(wire, FrameBye, nil)
 	if _, err := conn.Write(wire); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,8 @@
 //
 // Concurrency: Store and Engine methods are safe for concurrent use.
 // Put writes to a uniquely numbered temp file and renames it into place
-// atomically, so concurrent puts (the parallel engines' snapshot
-// callbacks) never interleave bytes; the operation counters are
+// atomically, so concurrent puts (snapshot callbacks of engines that
+// share a store) never interleave bytes; the operation counters are
 // atomics. CascadeAll runs its own bounded worker pool
 // (Store.Parallelism) whose output is byte-identical to the serial
 // cascade. Instrument publishes the store counters and per-level
