@@ -2,8 +2,11 @@ package dnsobservatory_test
 
 // The benchmark harness: one benchmark per table and figure of the
 // paper's evaluation (each regenerates the artifact end to end from
-// synthetic traffic), micro-benchmarks for the stream-processing hot
-// path, and ablations for the design choices called out in DESIGN.md.
+// synthetic traffic), the engine and store micro-benchmarks cmd/dnsbench
+// has no drive for, and ablations for the design choices called out in
+// DESIGN.md. The per-layer hot-path costs (summarize, unpack, observe,
+// HLL add, serial and detect ingest) are cmd/dnsbench's isolated drives:
+// go run ./cmd/dnsbench -workload replay-serial -trace 1.
 //
 // Run everything with:
 //
@@ -22,8 +25,6 @@ import (
 	"testing"
 
 	"dnsobservatory/internal/bloom"
-	"dnsobservatory/internal/detect"
-	"dnsobservatory/internal/dnswire"
 	"dnsobservatory/internal/experiments"
 	"dnsobservatory/internal/features"
 	"dnsobservatory/internal/hll"
@@ -71,36 +72,6 @@ func BenchmarkFig9NegativeCaching(b *testing.B)      { runExperiment(b, "fig9") 
 func BenchmarkIPv6Enablement(b *testing.B)           { runExperiment(b, "v6on") }
 
 // ---- hot-path micro-benchmarks ----
-
-// BenchmarkPipelineIngest measures the end-to-end per-transaction cost
-// of the Observatory core: summary → 8 aggregations → features.
-func BenchmarkPipelineIngest(b *testing.B) {
-	cfg := simnet.DefaultConfig()
-	cfg.Duration = 30
-	cfg.QPS = 2000
-	sim := simnet.New(cfg)
-	var sums []sie.Summary
-	var s sie.Summarizer
-	sim.Run(func(tx *sie.Transaction) {
-		var sum sie.Summary
-		if err := s.Summarize(tx, &sum); err == nil {
-			// Deep-copy slices out of the reused buffers.
-			sum.V4Addrs = append([]netip.Addr(nil), sum.V4Addrs...)
-			sum.V6Addrs = append([]netip.Addr(nil), sum.V6Addrs...)
-			sum.AnswerTTLs = append([]uint32(nil), sum.AnswerTTLs...)
-			sum.NSTTLs = append([]uint32(nil), sum.NSTTLs...)
-			sum.NSNames = append([]string(nil), sum.NSNames...)
-			sums = append(sums, sum)
-		}
-	})
-	pipe := observatory.New(observatory.DefaultConfig(), observatory.StandardAggregations(0.01), nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := &sums[i%len(sums)]
-		pipe.Ingest(sum, float64(i)/2000)
-	}
-}
 
 // engineBenchSummaries prebuilds a deep-copied summary corpus shared
 // by the engine-ingest benchmark variants.
@@ -165,46 +136,6 @@ func BenchmarkEngineIngest(b *testing.B) {
 		b.StopTimer()
 		eng.Close()
 	})
-}
-
-// BenchmarkDetectIngest measures the detection layer's ingest overhead
-// on the standard 8-aggregation load: the serial and sharded engines
-// with detection off vs on. The detect-on delta is the per-transaction
-// price of eSLD extraction, information-content folding, and the
-// rotating NOD seen-set; docs/BENCH_HISTORY.md (PR 9) records the budget
-// (≤ 10 %).
-func BenchmarkDetectIngest(b *testing.B) {
-	sums := engineBenchSummaries()
-	run := func(b *testing.B, detectOn bool, sharded bool) {
-		cfg := observatory.DefaultConfig()
-		if detectOn {
-			dc := detect.DefaultConfig()
-			cfg.Detect = &dc
-		}
-		b.ReportAllocs()
-		if sharded {
-			eng := observatory.NewSharded(observatory.ShardedConfig{Config: cfg},
-				observatory.StandardAggregations(0.01), nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Ingest(&sums[i%len(sums)], float64(i)/2000)
-			}
-			b.StopTimer()
-			eng.Close()
-			return
-		}
-		pipe := observatory.New(cfg, observatory.StandardAggregations(0.01), nil)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pipe.Ingest(&sums[i%len(sums)], float64(i)/2000)
-		}
-		b.StopTimer()
-		pipe.Flush()
-	}
-	b.Run("serial-off", func(b *testing.B) { run(b, false, false) })
-	b.Run("serial-on", func(b *testing.B) { run(b, true, false) })
-	b.Run("sharded-off", func(b *testing.B) { run(b, false, true) })
-	b.Run("sharded-on", func(b *testing.B) { run(b, true, true) })
 }
 
 // snapshotBenchSets builds a corpus of feature sets populated with a
@@ -361,108 +292,6 @@ func BenchmarkMetricsRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkSummarize measures raw-packet parsing into a Summary.
-func BenchmarkSummarize(b *testing.B) {
-	cfg := simnet.DefaultConfig()
-	cfg.Duration = 5
-	cfg.QPS = 500
-	sim := simnet.New(cfg)
-	var frames [][]byte
-	sim.Run(func(tx *sie.Transaction) {
-		frames = append(frames, tx.Append(nil))
-	})
-	var s sie.Summarizer
-	var tx sie.Transaction
-	var sum sie.Summary
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tx.Unmarshal(frames[i%len(frames)]); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Summarize(&tx, &sum); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDNSMessageUnpack measures the wire-format decoder alone.
-func BenchmarkDNSMessageUnpack(b *testing.B) {
-	m := &dnswire.Message{
-		ID:    1,
-		Flags: dnswire.Flags{Response: true, Authoritative: true},
-		Questions: []dnswire.Question{
-			{Name: "www.example.com.", Type: dnswire.TypeA, Class: dnswire.ClassINET}},
-		Answers: []dnswire.RR{
-			{Name: "www.example.com.", Type: dnswire.TypeCNAME, Class: dnswire.ClassINET, TTL: 300,
-				Data: dnswire.CNAMERData{Target: "edge.example.com."}},
-			{Name: "edge.example.com.", Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 60,
-				Data: dnswire.ARData{Addr: addr4(203, 0, 113, 7)}},
-		},
-		Authority: []dnswire.RR{
-			{Name: "example.com.", Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 86400,
-				Data: dnswire.NSRData{NS: "ns1.example.com."}},
-		},
-	}
-	wire, err := m.Pack(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var out dnswire.Message
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := out.Unpack(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSpaceSavingObserve measures top-k tracking on a Zipf stream.
-func BenchmarkSpaceSavingObserve(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	zipf := rand.NewZipf(rng, 1.2, 1, 1<<20)
-	keys := make([]string, 1<<16)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key%07d", zipf.Uint64())
-	}
-	c := spacesaving.New(10000, 60, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Observe(keys[i%len(keys)], float64(i)/1000)
-	}
-}
-
-// BenchmarkHLLAdd measures one cardinality-estimate insertion.
-func BenchmarkHLLAdd(b *testing.B) {
-	keys := make([]string, 1<<12)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("item-%d", i)
-	}
-	b.Run("string", func(b *testing.B) {
-		s := hll.MustNew(10)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.Add(keys[i%len(keys)])
-		}
-	})
-	// The path the feature sets actually take now: the hash is computed
-	// once per summary field and shared by every sketch that counts it.
-	b.Run("hash", func(b *testing.B) {
-		hashes := make([]uint64, len(keys))
-		for i, k := range keys {
-			hashes[i] = hll.HashString(k)
-		}
-		s := hll.MustNew(10)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.AddHash(hashes[i%len(hashes)])
-		}
-	})
-}
-
 // ---- ablations (design choices from DESIGN.md) ----
 
 // BenchmarkAblationAdmission compares Space-Saving with and without the
@@ -558,5 +387,3 @@ func BenchmarkAblationFreshSkip(b *testing.B) {
 		})
 	}
 }
-
-func addr4(a, b, c, d byte) netip.Addr { return netip.AddrFrom4([4]byte{a, b, c, d}) }

@@ -1,6 +1,7 @@
 package encwire
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"time"
@@ -60,35 +61,20 @@ const (
 	wireBytes  = 2
 )
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
 func readUvarint(b []byte) (uint64, int, error) {
-	var v uint64
-	for i := 0; i < len(b); i++ {
-		if i == 10 {
-			return 0, 0, ErrObsOverflow
-		}
-		c := b[i]
-		if c < 0x80 {
-			if i == 9 && c > 1 {
-				return 0, 0, ErrObsOverflow
-			}
-			return v | uint64(c)<<(7*i), i + 1, nil
-		}
-		v |= uint64(c&0x7f) << (7 * i)
+	v, n := binary.Uvarint(b)
+	switch {
+	case n == 0:
+		return 0, 0, ErrObsTruncated
+	case n < 0:
+		return 0, 0, ErrObsOverflow
 	}
-	return 0, 0, ErrObsTruncated
+	return v, n, nil
 }
 
 func appendVarintField(dst []byte, field int, v uint64) []byte {
-	dst = appendUvarint(dst, uint64(field)<<3|wireVarint)
-	return appendUvarint(dst, v)
+	dst = binary.AppendUvarint(dst, uint64(field)<<3|wireVarint)
+	return binary.AppendUvarint(dst, v)
 }
 
 // Append serializes obs in protobuf wire format. All scalar fields are
@@ -108,8 +94,8 @@ func (obs *Observation) Append(dst []byte) []byte {
 	dst = appendVarintField(dst, obsFieldHandshake, hs)
 	dst = appendVarintField(dst, obsFieldWorkload, uint64(obs.Workload))
 	if obs.Domain != "" {
-		dst = appendUvarint(dst, uint64(obsFieldDomain)<<3|wireBytes)
-		dst = appendUvarint(dst, uint64(len(obs.Domain)))
+		dst = binary.AppendUvarint(dst, uint64(obsFieldDomain)<<3|wireBytes)
+		dst = binary.AppendUvarint(dst, uint64(len(obs.Domain)))
 		dst = append(dst, obs.Domain...)
 	}
 	return dst

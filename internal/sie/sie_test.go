@@ -2,6 +2,7 @@ package sie
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net/netip"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 func TestVarintRoundTrip(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<63 - 1, 1 << 63, ^uint64(0)} {
-		buf := appendUvarint(nil, v)
+		buf := binary.AppendUvarint(nil, v)
 		got, n, err := readUvarint(buf)
 		if err != nil || got != v || n != len(buf) {
 			t.Errorf("varint %d: got %d n=%d err=%v", v, got, n, err)
@@ -31,6 +32,12 @@ func TestVarintErrors(t *testing.T) {
 	over := bytes.Repeat([]byte{0xff}, 11)
 	if _, _, err := readUvarint(over); err != ErrVarintOverflow {
 		t.Errorf("overflow: %v", err)
+	}
+	// Ten bytes whose last carries bits past the 64th: this once read as
+	// (0, 10, nil), so an overflowing length prefix or tag was a zero.
+	tenth := append(bytes.Repeat([]byte{0x80}, 9), 0x02)
+	if v, n, err := readUvarint(tenth); err != ErrVarintOverflow {
+		t.Errorf("overflow in the tenth byte: got (%d, %d, %v)", v, n, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sie
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 )
@@ -19,50 +20,35 @@ const (
 	wireBytes  = 2
 )
 
-// appendUvarint appends v in base-128 varint encoding.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
 // readUvarint decodes a varint from b, returning the value and the
 // number of bytes consumed (0 with an error on malformed input).
 func readUvarint(b []byte) (uint64, int, error) {
-	var v uint64
-	var shift uint
-	for i := 0; i < len(b); i++ {
-		if shift >= 64 {
-			return 0, 0, ErrVarintOverflow
-		}
-		c := b[i]
-		v |= uint64(c&0x7f) << shift
-		if c < 0x80 {
-			return v, i + 1, nil
-		}
-		shift += 7
+	v, n := binary.Uvarint(b)
+	switch {
+	case n == 0:
+		return 0, 0, ErrTruncatedFrame
+	case n < 0:
+		return 0, 0, ErrVarintOverflow
 	}
-	return 0, 0, ErrTruncatedFrame
+	return v, n, nil
 }
 
 // appendTag appends a field tag.
 func appendTag(dst []byte, field int, wt int) []byte {
-	return appendUvarint(dst, uint64(field)<<3|uint64(wt))
+	return binary.AppendUvarint(dst, uint64(field)<<3|uint64(wt))
 }
 
 // appendBytesField appends a length-delimited field.
 func appendBytesField(dst []byte, field int, b []byte) []byte {
 	dst = appendTag(dst, field, wireBytes)
-	dst = appendUvarint(dst, uint64(len(b)))
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
 
 // appendVarintField appends a varint field.
 func appendVarintField(dst []byte, field int, v uint64) []byte {
 	dst = appendTag(dst, field, wireVarint)
-	return appendUvarint(dst, v)
+	return binary.AppendUvarint(dst, v)
 }
 
 // MaxFrameLen bounds a single serialized transaction; two full-size UDP
@@ -74,7 +60,7 @@ func WriteFrame(w io.Writer, frame []byte) error {
 	if len(frame) > MaxFrameLen {
 		return ErrFrameTooLarge
 	}
-	hdr := appendUvarint(make([]byte, 0, 5), uint64(len(frame)))
+	hdr := binary.AppendUvarint(make([]byte, 0, 5), uint64(len(frame)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}

@@ -30,8 +30,15 @@ const (
 )
 
 // ackWriteTimeout bounds one acknowledgement write; a sensor that
-// stopped reading acks cannot wedge its handler.
-const ackWriteTimeout = 5 * time.Second
+// stopped reading acks cannot wedge its handler. helloTimeout bounds the
+// wait for the handshake frame on a new connection. ackEvery forces an
+// acknowledgement at least that often on a busy connection; on an idle
+// one the collector acks as soon as its read buffer drains.
+const (
+	ackWriteTimeout = 5 * time.Second
+	helloTimeout    = 10 * time.Second
+	ackEvery        = 256
+)
 
 // dedupWindowSize is the per-(sensor, epoch) sliding window of sequence
 // numbers the collector remembers, as a bitmap ring. Retransmission is
@@ -50,22 +57,16 @@ type CollectorConfig struct {
 	// QueueLen is the capacity of the ordered ingest channel (default
 	// 4096 transactions).
 	QueueLen int
-	// Overload selects the bounded-queue policy: Block (default)
-	// applies backpressure, Shed drops with accounting. A collector
-	// with a WAL (OpenWAL) ignores it: a full queue spills to the log
-	// and a tailer replays, so reads never stall and nothing drops.
+	// Overload selects what a journal-less collector does with a full
+	// queue: Block (default) applies backpressure, Shed drops with
+	// accounting. A collector with a WAL (OpenWAL) needs neither: the
+	// frame is already in the log, so it spills and a tailer replays —
+	// reads never stall and nothing drops.
 	Overload OverloadPolicy
 	// ReadTimeout, when positive, is the per-frame read deadline: a
 	// sensor that stalls mid-stream longer than this is cut (it will
 	// reconnect and resume). 0 disables deadlines.
 	ReadTimeout time.Duration
-	// HelloTimeout bounds the wait for the handshake frame on a new
-	// connection (default 10s).
-	HelloTimeout time.Duration
-	// AckEvery forces an acknowledgement at least every N sequenced
-	// frames on a busy connection (default 256); on an idle one the
-	// collector acks as soon as its read buffer drains.
-	AckEvery int
 	// DisableAcks suppresses acknowledgements entirely (chaos tests:
 	// a collector that accepts frames but never confirms them, forcing
 	// full retransmission to its successor).
@@ -89,18 +90,20 @@ type CollectorConfig struct {
 
 // Collector accepts many concurrent sensor connections and fans their
 // transaction streams into one ordered ingest channel: per-sensor
-// frame order is preserved (TCP FIFO per connection), interleaving
-// between sensors is arrival order. Transactions on the channel own
-// their buffers; the consumer may hold them indefinitely.
+// sequence order is preserved — across a redial too, even while the
+// old connection's handler is still working through its buffer (see
+// deliver) — and interleaving between sensors is arrival order.
+// Transactions on the channel own their buffers; the consumer may hold
+// them indefinitely.
 //
-// Sequenced sensors (version-2 hello) get effectively-once delivery:
-// the collector deduplicates (sensor, epoch, seq) replays against a
-// sliding window and acknowledges accepted sequence numbers, so a
-// reconnecting sensor retransmits its unacknowledged batch and only
-// the genuinely-new frames pass. With a WAL attached (OpenWAL),
-// accepted frames are journaled before they are acknowledged, overload
-// spills to the log instead of dropping or stalling, and a restart
-// replays everything past the last consumer checkpoint.
+// Delivery is effectively-once: the collector deduplicates (sensor,
+// epoch, seq) replays against a sliding window and acknowledges
+// accepted sequence numbers, so a reconnecting sensor retransmits its
+// unacknowledged batch and only the genuinely-new frames pass. With a
+// WAL attached (OpenWAL), accepted frames are journaled before they are
+// acknowledged, overload spills to the log instead of dropping or
+// stalling, and a restart replays everything past the last consumer
+// checkpoint.
 //
 // Concurrency contract: Serve may be called for several listeners
 // (e.g. one TCP, one Unix); each connection runs on its own goroutine.
@@ -112,35 +115,32 @@ type CollectorConfig struct {
 type Collector struct {
 	cfg CollectorConfig
 	out chan *sie.Transaction
-	// stop unblocks handlers waiting on a full ingest channel under
-	// the Block policy once Close begins.
+	// stop unblocks whoever waits on a full ingest channel — a handler
+	// under the Block policy, the spill tailer — once Close begins.
 	stop chan struct{}
 
+	// mu guards the connections and the liveness records. It is never
+	// held across anything that can wait, so /healthz answers while
+	// delivery is stalled.
 	mu        sync.Mutex
 	closed    bool
 	listeners []net.Listener
 	conns     map[net.Conn]struct{}
 	sensors   map[string]*sensorState
+
+	// dmu is the delivery section (see deliver); it guards everything
+	// down to recovered. A journal-less collector has the same state
+	// with no log in it.
+	dmu sync.Mutex
 	// dedup is the seen-sequence state, keyed sensor name → epoch.
 	// Deliberately separate from the liveness records: those are pruned
 	// after SensorGrace, dedup marks must outlive a long disconnect.
 	dedup map[string]map[uint64]*epochWindow
-
-	ws *walState // nil without OpenWAL
-
-	serveWG sync.WaitGroup // accept loops
-	connWG  sync.WaitGroup // connection handlers
-
-	m *collectorMetrics
-}
-
-// walState is the durable-ingest half of a collector: the journal, the
-// spill tailer's position, and the consumed-position log that turns
-// consumer progress into checkpoints.
-type walState struct {
+	// log is the journal, nil until OpenWAL. OpenWAL runs before the
+	// first connection and the pointer never changes afterwards, so it
+	// is also read without dmu, by callers that must not wait behind a
+	// blocked delivery (Checkpoint, WALStatus, the ack barrier).
 	log *wal.Log
-
-	mu sync.Mutex
 	// behind is true while the tailer owns delivery: frames journaled
 	// at a position the tailer has not reached yet must not be enqueued
 	// directly, or they would jump the queue order.
@@ -153,13 +153,16 @@ type walState struct {
 	// Checkpoint(consumed) indexes it to find the trim position.
 	posLog       []uint64
 	consumedBase uint64
-	lastCkpt     uint64
-	err          error // first journal failure; poisons acks
+	jerr         error  // first journal failure; poisons acks
+	recovered    uint64 // data records re-enqueued by restart recovery
 
-	kick chan struct{}
-	wg   sync.WaitGroup
+	kick chan struct{} // wakes the spill tailer
 
-	recovered uint64 // data records re-enqueued by restart recovery
+	serveWG sync.WaitGroup // accept loops
+	connWG  sync.WaitGroup // connection handlers
+	tailWG  sync.WaitGroup // the spill tailer, once a journal is attached
+
+	m *collectorMetrics
 }
 
 // epochWindow is the dedup window for one (sensor, epoch): a bitmap
@@ -292,12 +295,6 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 4096
 	}
-	if cfg.HelloTimeout <= 0 {
-		cfg.HelloTimeout = 10 * time.Second
-	}
-	if cfg.AckEvery <= 0 {
-		cfg.AckEvery = 256
-	}
 	if cfg.SensorGrace <= 0 {
 		cfg.SensorGrace = 10 * time.Minute
 	}
@@ -308,6 +305,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		conns:   map[net.Conn]struct{}{},
 		sensors: map[string]*sensorState{},
 		dedup:   map[string]map[uint64]*epochWindow{},
+		kick:    make(chan struct{}, 1),
 		m:       newCollectorMetrics(cfg.Metrics),
 	}
 	if reg := cfg.Metrics; reg != nil {
@@ -323,31 +321,26 @@ func NewCollector(cfg CollectorConfig) *Collector {
 // rebuilt from every retained record, and records past the last
 // checkpoint — journaled but never confirmed consumed — are re-
 // enqueued in position order. Call it after NewCollector and before
-// Serve. With a WAL attached the overload policy is spill-then-replay
-// regardless of cfg.Overload, and acknowledgements are sent only after
+// the first connection. From then on a full queue spills to the journal
+// whatever cfg.Overload says, and acknowledgements are sent only after
 // the journal is synced.
 func (c *Collector) OpenWAL(dir string, opts wal.Options) error {
-	if c.ws != nil {
+	c.dmu.Lock()
+	defer c.dmu.Unlock()
+	if c.log != nil {
 		return errors.New("transport: collector WAL already open")
 	}
 	log, err := wal.Open(dir, opts)
 	if err != nil {
 		return err
 	}
-	ws := &walState{log: log, kick: make(chan struct{}, 1)}
+	ckpt := log.Checkpointed()
 	var pending uint64
 	err = log.Replay(func(pos uint64, r wal.Record) error {
-		switch r.Kind {
-		case wal.KindData:
-			if r.Epoch != 0 {
-				c.claim(r.Sensor, r.Epoch, r.Seq)
-			}
-			if pos > ws.lastCkpt {
+		if r.Kind == wal.KindData {
+			c.claim(r.Sensor, r.Epoch, r.Seq)
+			if pos > ckpt {
 				pending++
-			}
-		case wal.KindCheckpoint:
-			if r.Seq > ws.lastCkpt {
-				ws.lastCkpt = r.Seq
 			}
 		}
 		return nil
@@ -356,31 +349,14 @@ func (c *Collector) OpenWAL(dir string, opts wal.Options) error {
 		log.Close()
 		return err
 	}
-	// Records checkpointed before positions counted as pending above —
-	// a checkpoint record follows the data it covers, so recount.
-	if ws.lastCkpt > 0 {
-		pending = 0
-		err = log.Replay(func(pos uint64, r wal.Record) error {
-			if r.Kind == wal.KindData && pos > ws.lastCkpt {
-				pending++
-			}
-			return nil
-		})
-		if err != nil {
-			log.Close()
-			return err
-		}
-	}
-	ws.nextRead = ws.lastCkpt + 1
-	ws.recovered = pending
-	if pending > 0 {
-		ws.behind = true
-	}
-	c.ws = ws
-	ws.wg.Add(1)
+	c.log = log
+	c.nextRead = ckpt + 1
+	c.recovered = pending
+	c.behind = pending > 0
+	c.tailWG.Add(1)
 	go c.tailer()
-	if pending > 0 {
-		ws.kickTailer()
+	if c.behind {
+		c.kickTailer()
 	}
 	if reg := c.cfg.Metrics; reg != nil {
 		reg.GaugeFunc(MetricWALSize, "journal size on disk",
@@ -388,7 +364,7 @@ func (c *Collector) OpenWAL(dir string, opts wal.Options) error {
 		reg.GaugeFunc(MetricWALSegments, "journal segment count",
 			func() float64 { return float64(log.Segments()) }, "role", "collector")
 		reg.GaugeFunc(MetricWALCheckpoint, "highest checkpointed journal position",
-			func() float64 { ws.mu.Lock(); defer ws.mu.Unlock(); return float64(ws.lastCkpt) }, "role", "collector")
+			func() float64 { return float64(log.Checkpointed()) }, "role", "collector")
 		reg.CounterFunc(MetricWALAppends, "journal record appends",
 			func() uint64 { return log.Stats().Appends }, "role", "collector")
 	}
@@ -397,24 +373,23 @@ func (c *Collector) OpenWAL(dir string, opts wal.Options) error {
 
 // WALStatus reports journal health; ok is false without an open WAL.
 func (c *Collector) WALStatus() (WALStatus, bool) {
-	ws := c.ws
-	if ws == nil {
+	log := c.log
+	if log == nil {
 		return WALStatus{}, false
 	}
-	ws.mu.Lock()
 	st := WALStatus{
-		Dir:        ws.log.Dir(),
-		Segments:   ws.log.Segments(),
-		SizeBytes:  ws.log.Size(),
-		LastPos:    ws.log.LastPos(),
-		Checkpoint: ws.lastCkpt,
-		Behind:     ws.behind,
-		Recovered:  ws.recovered,
+		Dir:        log.Dir(),
+		Segments:   log.Segments(),
+		SizeBytes:  log.Size(),
+		LastPos:    log.LastPos(),
+		Checkpoint: log.Checkpointed(),
 	}
-	if ws.err != nil {
-		st.Error = ws.err.Error()
+	c.dmu.Lock()
+	st.Behind, st.Recovered = c.behind, c.recovered
+	if c.jerr != nil {
+		st.Error = c.jerr.Error()
 	}
-	ws.mu.Unlock()
+	c.dmu.Unlock()
 	return st, true
 }
 
@@ -424,84 +399,55 @@ func (c *Collector) WALStatus() (WALStatus, bool) {
 // Call it when consumed state hits stable storage — after a snapshot
 // flush — and once more after the final drain. No-op without a WAL.
 func (c *Collector) Checkpoint(consumed uint64) error {
-	ws := c.ws
-	if ws == nil {
+	log := c.log
+	if log == nil {
 		return nil
 	}
-	ws.mu.Lock()
-	if consumed <= ws.consumedBase || len(ws.posLog) == 0 {
-		ws.mu.Unlock()
+	c.dmu.Lock()
+	if consumed <= c.consumedBase || len(c.posLog) == 0 {
+		c.dmu.Unlock()
 		return nil
 	}
-	n := consumed - ws.consumedBase
-	if n > uint64(len(ws.posLog)) {
-		n = uint64(len(ws.posLog))
+	n := consumed - c.consumedBase
+	if n > uint64(len(c.posLog)) {
+		n = uint64(len(c.posLog))
 	}
-	pos := ws.posLog[n-1]
-	ws.posLog = append(ws.posLog[:0], ws.posLog[n:]...)
-	ws.consumedBase += n
-	ws.lastCkpt = pos
-	ws.mu.Unlock()
-	if _, err := ws.log.Append(wal.Record{Kind: wal.KindCheckpoint, Seq: pos}); err != nil {
+	pos := c.posLog[n-1]
+	c.posLog = append(c.posLog[:0], c.posLog[n:]...)
+	c.consumedBase += n
+	c.dmu.Unlock()
+	if _, err := log.Append(wal.Record{Kind: wal.KindCheckpoint, Seq: pos}); err != nil {
 		return err
 	}
-	if err := ws.log.Sync(); err != nil {
+	if err := log.Sync(); err != nil {
 		return err
 	}
-	return ws.log.TrimTo(pos)
+	return log.TrimTo(pos)
 }
 
 // AbsorbLog replays a dead peer collector's journal into this one:
 // every data record past the peer's last checkpoint — accepted by the
-// peer but never confirmed consumed — runs through this collector's
-// dedup, journal and queue as if its sensor had retransmitted it. keep
-// filters by sensor name (nil takes everything): in a fleet, each
-// survivor absorbs exactly the sensors the rebalanced ring assigns to
-// it. Returns how many were absorbed and how many were already seen.
-// The peer's log must not have a live writer.
+// peer but never confirmed consumed — goes through deliver as if its
+// sensor had retransmitted it. keep filters by sensor name (nil takes
+// everything): in a fleet, each survivor absorbs exactly the sensors
+// the rebalanced ring assigns to it. Returns how many were absorbed and
+// how many were already seen. The peer's log must not have a live
+// writer.
 func (c *Collector) AbsorbLog(peer *wal.Log, keep func(sensor string) bool) (absorbed, deduped uint64, err error) {
-	var peerCkpt uint64
-	err = peer.Replay(func(_ uint64, r wal.Record) error {
-		if r.Kind == wal.KindCheckpoint && r.Seq > peerCkpt {
-			peerCkpt = r.Seq
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
+	ckpt := peer.Checkpointed()
 	err = peer.Replay(func(pos uint64, r wal.Record) error {
-		if r.Kind != wal.KindData || pos <= peerCkpt {
+		if r.Kind != wal.KindData || pos <= ckpt || (keep != nil && !keep(r.Sensor)) {
 			return nil
 		}
-		if keep != nil && !keep(r.Sensor) {
-			return nil
-		}
-		if r.Epoch != 0 && !c.claim(r.Sensor, r.Epoch, r.Seq) {
+		fresh, err := c.deliver(r.Sensor, r.Epoch, r.Seq, r.Payload, true)
+		switch {
+		case err != nil:
+			return err
+		case fresh:
+			absorbed++
+		default:
 			deduped++
-			c.m.deduped.Inc()
-			return nil
 		}
-		tx := new(sie.Transaction)
-		body := append([]byte(nil), r.Payload...)
-		if uerr := tx.Unmarshal(body); uerr != nil {
-			c.m.decodeErrors.Inc()
-			return nil
-		}
-		if c.ws != nil {
-			if _, _, jerr := c.journalAndDeliver(r.Sensor, r.Epoch, r.Seq, r.Payload, tx, true); jerr != nil {
-				return jerr
-			}
-		} else {
-			select {
-			case c.out <- tx:
-				c.m.enqueued.Inc()
-				c.m.replayed.Inc()
-			case <-c.stop:
-				return errors.New("transport: collector closing")
-			}
-		}
-		absorbed++
 		return nil
 	})
 	return absorbed, deduped, err
@@ -639,23 +585,17 @@ func (c *Collector) Close() {
 	}
 	c.serveWG.Wait()
 	c.connWG.Wait()
-	if c.ws != nil {
-		c.ws.wg.Wait()
-	}
+	c.tailWG.Wait()
 	close(c.out)
 }
 
 // CloseWAL syncs and closes the journal. Call after the final
 // Checkpoint; the collector must already be closed.
 func (c *Collector) CloseWAL() error {
-	if c.ws == nil {
+	if c.log == nil {
 		return nil
 	}
-	if err := c.ws.log.Sync(); err != nil {
-		c.ws.log.Close()
-		return err
-	}
-	return c.ws.log.Close()
+	return c.log.Close()
 }
 
 // dropConn forgets a finished connection.
@@ -701,26 +641,9 @@ func (c *Collector) noteFrame(st *sensorState) {
 	c.mu.Unlock()
 }
 
-// noteSeqFrame is noteFrame plus the dedup claim, one lock for both.
-// fresh reports whether (epoch, seq) was first-seen.
-func (c *Collector) noteSeqFrame(st *sensorState, name string, epoch, seq uint64) (fresh bool) {
-	c.mu.Lock()
-	st.frames++
-	st.lastFrame = time.Now()
-	fresh = c.claimLocked(name, epoch, seq)
-	c.mu.Unlock()
-	return fresh
-}
-
 // claim marks (name, epoch, seq) seen, reporting whether it was fresh.
+// The caller holds dmu.
 func (c *Collector) claim(name string, epoch, seq uint64) bool {
-	c.mu.Lock()
-	fresh := c.claimLocked(name, epoch, seq)
-	c.mu.Unlock()
-	return fresh
-}
-
-func (c *Collector) claimLocked(name string, epoch, seq uint64) bool {
 	epochs := c.dedup[name]
 	if epochs == nil {
 		epochs = map[uint64]*epochWindow{}
@@ -747,16 +670,15 @@ func (c *Collector) claimLocked(name string, epoch, seq uint64) bool {
 // Bye, an error, or Close. A torn trailing frame (the sensor died or
 // was cut mid-frame) is discarded here; the sensor retransmits it in
 // full on its next connection, so the stream resumes on a frame
-// boundary. Frames of a sensor that named its epoch are deduplicated
-// and acknowledged — effectively-once across reconnects; those of a
-// version-1 sensor (no epoch) stay at-least-once.
+// boundary. Every frame is deduplicated and acknowledged —
+// effectively-once across reconnects.
 func (c *Collector) handle(conn net.Conn) {
 	defer c.connWG.Done()
 	defer c.dropConn(conn)
 	defer conn.Close()
 	fr := NewFrameReader(conn)
 
-	conn.SetReadDeadline(time.Now().Add(c.cfg.HelloTimeout))
+	conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	typ, payload, err := fr.Next()
 	if err != nil || typ != FrameHello {
 		c.m.disconnectProt.Inc()
@@ -771,32 +693,17 @@ func (c *Collector) handle(conn net.Conn) {
 	reason := "eof"
 	defer func() { c.unregister(st, reason) }()
 
-	// Acks flow only on sequenced (v2) connections: a v1 sensor never
-	// reads, and unread acks would eventually wedge the write.
-	acks := epoch != 0 && !c.cfg.DisableAcks
 	var lastSeq, ackedSeq uint64
 	var ackBuf []byte
 	maybeAck := func(force bool) bool {
-		if !acks || lastSeq == ackedSeq {
+		if c.cfg.DisableAcks || lastSeq == ackedSeq {
 			return true
 		}
-		if !force && fr.Buffered() > 0 && lastSeq-ackedSeq < uint64(c.cfg.AckEvery) {
+		if !force && fr.Buffered() > 0 && lastSeq-ackedSeq < ackEvery {
 			return true
 		}
-		if ws := c.ws; ws != nil {
-			// Durability barrier: never acknowledge a frame the journal
-			// has not persisted. A failed journal stops acks entirely —
-			// the sensor keeps buffering instead of being lied to.
-			ws.mu.Lock()
-			broken := ws.err != nil
-			ws.mu.Unlock()
-			if broken {
-				return true
-			}
-			if err := ws.log.Sync(); err != nil {
-				c.walFail(err)
-				return true
-			}
+		if !c.synced() {
+			return true
 		}
 		conn.SetWriteDeadline(time.Now().Add(ackWriteTimeout))
 		ackBuf = AppendAck(ackBuf[:0], lastSeq)
@@ -836,43 +743,11 @@ func (c *Collector) handle(conn net.Conn) {
 			if seq > lastSeq {
 				lastSeq = seq
 			}
-			fresh := true
-			if epoch != 0 {
-				fresh = c.noteSeqFrame(st, name, epoch, seq)
-			} else {
-				c.noteFrame(st)
-			}
-			if !fresh {
-				c.m.deduped.Inc()
-				if !maybeAck(false) {
-					reason = "ack write failed"
-					return
-				}
-				continue
-			}
-			body := make([]byte, len(txb))
-			copy(body, txb)
-			tx := new(sie.Transaction)
-			if err := tx.Unmarshal(body); err != nil {
-				// Accounted and acknowledged: retransmitting an
-				// undecodable payload cannot help.
-				c.m.decodeErrors.Inc()
-				if c.cfg.OnReject != nil {
-					c.cfg.OnReject(err)
-				}
-				if !maybeAck(false) {
-					reason = "ack write failed"
-					return
-				}
-				continue
-			}
-			if c.ws != nil {
-				if ok, _, err := c.journalAndDeliver(name, epoch, seq, txb, tx, false); err != nil || !ok {
-					reason = "collector closing"
-					return
-				}
-			} else if !c.enqueue(tx) {
-				reason = "collector closing"
+			c.noteFrame(st)
+			// A duplicate and an undecodable frame are acknowledged like
+			// any other: retransmitting either cannot help.
+			if _, err := c.deliver(name, epoch, seq, txb, false); err != nil {
+				reason = err.Error()
 				return
 			}
 			if !maybeAck(false) {
@@ -891,180 +766,230 @@ func (c *Collector) handle(conn net.Conn) {
 	}
 }
 
-// journalAndDeliver is the durable ingest path: append the raw
-// transaction bytes to the journal, then either enqueue directly (tx,
-// already decoded) or leave delivery to the spill tailer when the
-// queue is full or the tailer is already behind — order through the
-// queue always matches journal position order. replay marks the
-// transaction as journal-sourced (AbsorbLog) for the Replayed counter.
-// ok is false only when the collector is closing.
-func (c *Collector) journalAndDeliver(name string, epoch, seq uint64, raw []byte, tx *sie.Transaction, replay bool) (ok bool, spilled bool, err error) {
-	ws := c.ws
-	// The append happens under ws.mu: concurrent handlers must enqueue
-	// in journal order, or nextRead can regress past a position another
-	// handler already delivered and the tailer would deliver it twice.
-	ws.mu.Lock()
-	pos, err := ws.log.Append(wal.Record{Kind: wal.KindData, Sensor: name, Epoch: epoch, Seq: seq, Payload: raw})
-	if err != nil {
-		ws.mu.Unlock()
-		c.walFail(err)
-		return false, false, err
-	}
-	if !ws.behind {
-		select {
-		case c.out <- tx:
-			ws.posLog = append(ws.posLog, pos)
-			ws.nextRead = pos + 1
-			ws.mu.Unlock()
-			c.m.enqueued.Inc()
-			if replay {
-				c.m.replayed.Inc()
-			}
-			return true, false, nil
-		case <-c.stop:
-			// Closing with a full queue: the frame is safely journaled
-			// past nextRead; the next OpenWAL replays it.
-			ws.mu.Unlock()
-			return false, true, nil
-		default:
-			ws.behind = true
+// deliver is the one path a frame takes to the ingest channel, from a
+// connection or (replay) from an absorbed journal. Inside one critical
+// section it claims (sensor, epoch, seq), appends the raw bytes to the
+// journal if there is one, and offers the decoded transaction to the
+// queue. fresh is false for a sequence number already claimed; err is
+// non-nil when the caller should stop (a failed journal append, or
+// Close while waiting for room).
+//
+// Order holds by construction. Two connections of one (sensor, epoch) —
+// a redial and the predecessor still working through its buffer — each
+// run through the sequence numbers in ascending order; a number is
+// claimed by exactly one of them; and nothing with a later number can
+// be claimed, let alone journaled or enqueued, before that claim's
+// section has ended. Queue order is journal-position order for the
+// same reason: an append and its enqueue cannot be separated by
+// another handler's, so nextRead never regresses past a position
+// already delivered and the tailer never delivers one twice.
+//
+// A full queue is the only place the configurations differ. With a
+// journal the frame is already durable: it spills, and the tailer
+// replays it. Without one, Shed drops it, and Block waits for room
+// holding the section — deliberately across a channel send — so every
+// other handler queues up behind this one in the order it will enqueue
+// in, instead of overtaking it.
+func (c *Collector) deliver(name string, epoch, seq uint64, raw []byte, replay bool) (fresh bool, err error) {
+	// Decoding stays outside the section; a duplicate pays for one it
+	// did not need, which only a retransmission ever does.
+	tx, derr := decode(raw)
+	c.dmu.Lock()
+	if fresh = c.claim(name, epoch, seq); !fresh || derr != nil {
+		// Claimed first, counted second: a retransmission of an
+		// undecodable frame is a duplicate, not a second reject.
+		c.dmu.Unlock()
+		if !fresh {
+			c.m.deduped.Inc()
+			return false, nil
 		}
+		c.m.decodeErrors.Inc()
+		if c.cfg.OnReject != nil {
+			c.cfg.OnReject(derr)
+		}
+		return true, nil
 	}
-	ws.mu.Unlock()
-	c.m.spilled.Inc()
+	defer c.dmu.Unlock()
 	if replay {
 		// An absorbed frame that spills counts as a replay now (the
 		// absorb accepted it) and again when the tailer drains it —
 		// both sides of the accounting identity see the spill cycle.
 		c.m.replayed.Inc()
 	}
-	ws.kickTailer()
-	return true, true, nil
-}
-
-// walFail records the first journal failure. Acknowledgements stop;
-// delivery of what is already queued continues.
-func (c *Collector) walFail(err error) {
-	ws := c.ws
-	ws.mu.Lock()
-	if ws.err == nil {
-		ws.err = err
+	var pos uint64
+	if c.log != nil {
+		pos, err = c.log.Append(wal.Record{Kind: wal.KindData, Sensor: name, Epoch: epoch, Seq: seq, Payload: raw})
+		if err != nil {
+			c.journalFailed(err)
+			return true, err
+		}
 	}
-	ws.mu.Unlock()
+	switch {
+	case !c.behind && c.offer(tx, false):
+		if c.log != nil {
+			c.posLog = append(c.posLog, pos)
+			c.nextRead = pos + 1
+		}
+	case c.log != nil:
+		c.behind = true
+		c.m.spilled.Inc()
+		c.kickTailer()
+	case c.cfg.Overload == Shed:
+		c.m.shed.Inc()
+	default: // Block
+		if !c.offer(tx, true) {
+			return true, errors.New("transport: collector closing")
+		}
+	}
+	return true, nil
 }
 
-func (ws *walState) kickTailer() {
+// decode parses one frame body into a transaction that owns its bytes
+// (raw is a read buffer the next frame overwrites).
+func decode(raw []byte) (*sie.Transaction, error) {
+	body := make([]byte, len(raw))
+	copy(body, raw)
+	tx := new(sie.Transaction)
+	if err := tx.Unmarshal(body); err != nil {
+		return nil, err
+	}
+	return tx, nil
+}
+
+// offer puts tx on the ingest channel if there is room and, when wait
+// is set, as soon as there is. It reports false for a full queue, or
+// for Close having begun while it waited.
+func (c *Collector) offer(tx *sie.Transaction, wait bool) bool {
 	select {
-	case ws.kick <- struct{}{}:
+	case c.out <- tx:
+	default:
+		if !wait {
+			return false
+		}
+		select {
+		case c.out <- tx:
+		case <-c.stop:
+			return false
+		}
+	}
+	c.m.enqueued.Inc()
+	return true
+}
+
+// journalFailed records the first journal failure. Acknowledgements
+// stop; delivery of what is already queued continues. The caller holds
+// dmu.
+func (c *Collector) journalFailed(err error) {
+	if c.jerr == nil {
+		c.jerr = err
+	}
+}
+
+// synced is the durability barrier in front of an acknowledgement:
+// never acknowledge a frame the journal has not persisted. It reports
+// false once the journal has failed — acks stop entirely, and the
+// sensor keeps buffering instead of being lied to. Without a journal an
+// acknowledgement promises the queue only, and that has happened.
+func (c *Collector) synced() bool {
+	if c.log == nil {
+		return true
+	}
+	c.dmu.Lock()
+	broken := c.jerr != nil
+	c.dmu.Unlock()
+	if broken {
+		return false
+	}
+	if err := c.log.Sync(); err != nil {
+		c.dmu.Lock()
+		c.journalFailed(err)
+		c.dmu.Unlock()
+		return false
+	}
+	return true
+}
+
+func (c *Collector) kickTailer() {
+	select {
+	case c.kick <- struct{}{}:
 	default:
 	}
 }
 
 // tailer is the replay half of spill-then-replay: whenever delivery
-// falls behind the journal, it reads forward from nextRead and feeds
-// the queue (blocking — backpressure lands on the journal, which is
-// exactly where it is durable), then hands delivery back to the direct
-// path once caught up.
+// falls behind the journal it drains the journal into the queue, then
+// hands delivery back to the direct path.
 func (c *Collector) tailer() {
-	ws := c.ws
-	defer ws.wg.Done()
-	var cur *wal.Cursor
-	defer func() {
-		if cur != nil {
-			cur.Close()
-		}
-	}()
+	defer c.tailWG.Done()
 	for {
 		select {
 		case <-c.stop:
 			return
-		case <-ws.kick:
-		}
-		for {
-			ws.mu.Lock()
-			if !ws.behind {
-				ws.mu.Unlock()
-				break
-			}
-			start := ws.nextRead
-			ws.mu.Unlock()
-			if cur == nil {
-				cur = ws.log.NewCursor(start)
-			}
-			pos, rec, ok, err := cur.Next()
-			if err != nil {
-				c.walFail(err)
-				ws.mu.Lock()
-				ws.behind = false
-				ws.mu.Unlock()
-				cur.Close()
-				cur = nil
-				break
-			}
-			if !ok {
-				// Caught up — unless an append slipped in between the read
-				// and this check, in which case keep going.
-				ws.mu.Lock()
-				if cur.Pos() > ws.log.LastPos() {
-					ws.behind = false
-					ws.mu.Unlock()
-					cur.Close()
-					cur = nil
-					break
-				}
-				ws.mu.Unlock()
-				continue
-			}
-			if rec.Kind != wal.KindData {
-				ws.mu.Lock()
-				ws.nextRead = pos + 1
-				ws.mu.Unlock()
-				continue
-			}
-			tx := new(sie.Transaction)
-			body := append([]byte(nil), rec.Payload...)
-			if uerr := tx.Unmarshal(body); uerr != nil {
-				// Journaled records decoded once already; treat a failure
-				// here as corruption-equivalent and skip it, accounted.
-				c.m.decodeErrors.Inc()
-				ws.mu.Lock()
-				ws.nextRead = pos + 1
-				ws.mu.Unlock()
-				continue
-			}
-			select {
-			case c.out <- tx:
-			case <-c.stop:
+		case <-c.kick:
+			if !c.drainJournal() {
 				return
 			}
-			ws.mu.Lock()
-			ws.posLog = append(ws.posLog, pos)
-			ws.nextRead = pos + 1
-			ws.mu.Unlock()
-			c.m.enqueued.Inc()
-			c.m.replayed.Inc()
 		}
 	}
 }
 
-// enqueue applies the overload policy (the no-WAL path). It reports
-// false only when the collector is closing (the handler should exit).
-func (c *Collector) enqueue(tx *sie.Transaction) bool {
-	if c.cfg.Overload == Shed {
-		select {
-		case c.out <- tx:
-			c.m.enqueued.Inc()
-		default:
-			c.m.shed.Inc()
-		}
+// drainJournal reads forward from nextRead and feeds the queue until it
+// has caught up with the appends (blocking — backpressure lands on the
+// journal, which is exactly where it is durable). While behind is set
+// it is the only sender, so it offers outside the delivery section and
+// handlers keep spilling meanwhile. It reports false when Close began
+// before it was done; what it did not reach stays journaled past
+// nextRead, and the next OpenWAL re-enqueues it.
+func (c *Collector) drainJournal() bool {
+	c.dmu.Lock()
+	behind, start := c.behind, c.nextRead
+	c.dmu.Unlock()
+	if !behind {
 		return true
 	}
-	select {
-	case c.out <- tx:
-		c.m.enqueued.Inc()
-		return true
-	case <-c.stop:
-		return false
+	cur := c.log.NewCursor(start)
+	defer cur.Close()
+	for {
+		pos, rec, ok, err := cur.Next()
+		if err != nil || !ok {
+			// A failed journal ends the spill; otherwise this is caught
+			// up — unless an append slipped in between the read and this
+			// check, in which case keep going.
+			c.dmu.Lock()
+			if err != nil {
+				c.journalFailed(err)
+			}
+			done := err != nil || cur.Pos() > c.log.LastPos()
+			if done {
+				c.behind = false
+			}
+			c.dmu.Unlock()
+			if done {
+				return true
+			}
+			continue
+		}
+		sent := false
+		if rec.Kind == wal.KindData {
+			tx, derr := decode(rec.Payload)
+			switch {
+			case derr != nil:
+				// Only decodable frames are ever journaled: treat this as
+				// corruption-equivalent and skip it, accounted.
+				c.m.decodeErrors.Inc()
+			case !c.offer(tx, true):
+				return false
+			default:
+				c.m.replayed.Inc()
+				sent = true
+			}
+		}
+		c.dmu.Lock()
+		if sent {
+			c.posLog = append(c.posLog, pos)
+		}
+		c.nextRead = pos + 1
+		c.dmu.Unlock()
 	}
 }
 

@@ -277,72 +277,79 @@ func TestCollectorAbsorbLog(t *testing.T) {
 // TestBlockPolicyBackpressure pins the Block overload contract: a slow
 // consumer stalls the sensor through TCP backpressure — the queue
 // holds, nothing is shed, nothing is lost — and delivery completes
-// exactly-once when the consumer resumes.
+// exactly-once, in order, when the consumer resumes. That holds whether
+// the sensor waits the stall out or gives up on its acknowledgements
+// inside it and redials, leaving a blocked handler with frames still
+// buffered next to its successor.
 func TestBlockPolicyBackpressure(t *testing.T) {
-	const queueLen, n = 4, 120
-	coll, addr := startCollector(t, CollectorConfig{QueueLen: queueLen, Overload: Block})
-	s := NewSensor(SensorConfig{
-		Addr: addr, Name: "bp", Epoch: 5, FlushBytes: 64,
-		// Both timeouts sit well above the stall below. This test is
-		// about TCP backpressure, not ack-timeout redial: a timeout
-		// inside the stall makes the sensor reconnect, and on the
-		// journal-less Block path the old, still-blocked handler and
-		// its successor then interleave their enqueues.
-		WriteTimeout: 5 * time.Second, AckTimeout: 5 * time.Second,
-		MaxAttempts: -1, BackoffMin: time.Millisecond, BackoffMax: 8 * time.Millisecond,
-	})
+	for _, tc := range []struct {
+		name       string
+		ackTimeout time.Duration
+	}{
+		{"sensor-waits", 5 * time.Second},
+		{"sensor-redials", 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const queueLen, n = 4, 120
+			coll, addr := startCollector(t, CollectorConfig{QueueLen: queueLen, Overload: Block})
+			s := NewSensor(SensorConfig{
+				Addr: addr, Name: "bp", Epoch: 5, FlushBytes: 64,
+				WriteTimeout: 5 * time.Second, AckTimeout: tc.ackTimeout,
+				MaxAttempts: -1, BackoffMin: time.Millisecond, BackoffMax: 8 * time.Millisecond,
+			})
 
-	sent := make(chan error, 1)
-	go func() {
-		for i := 0; i < n; i++ {
-			if err := s.Write(testTx(i)); err != nil {
-				sent <- err
-				return
+			sent := make(chan error, 1)
+			go func() {
+				for i := 0; i < n; i++ {
+					if err := s.Write(testTx(i)); err != nil {
+						sent <- err
+						return
+					}
+				}
+				sent <- s.Close()
+			}()
+
+			// Nobody consumes: the pipeline must wedge with at most the
+			// queue plus one in-flight transaction enqueued, and shed
+			// nothing.
+			time.Sleep(300 * time.Millisecond)
+			if st := coll.Stats(); st.Shed != 0 || st.Enqueued > queueLen+1 {
+				t.Fatalf("stalled-consumer stats: %+v", st)
 			}
-		}
-		sent <- s.Close()
-	}()
+			select {
+			case err := <-sent:
+				t.Fatalf("sensor finished against a stalled consumer: %v", err)
+			default:
+			}
 
-	// Nobody consumes: the pipeline must wedge with at most the queue
-	// plus one in-flight transaction enqueued, and shed nothing.
-	time.Sleep(300 * time.Millisecond)
-	if st := coll.Stats(); st.Shed != 0 || st.Enqueued > queueLen+1 {
-		t.Fatalf("stalled-consumer stats: %+v", st)
+			// Resume consumption: everything arrives exactly once, in order.
+			var txs []*sie.Transaction
+			for len(txs) < n {
+				select {
+				case tx := <-coll.C():
+					txs = append(txs, tx)
+				case <-time.After(10 * time.Second):
+					t.Fatalf("stalled at %d of %d transactions", len(txs), n)
+				}
+			}
+			if err := <-sent; err != nil {
+				t.Fatalf("sensor error: %v", err)
+			}
+			for i, tx := range txs {
+				if !bytes.Equal(tx.QueryPacket, testTx(i).QueryPacket) {
+					t.Fatalf("transaction %d duplicated or reordered under backpressure", i)
+				}
+			}
+			// The handler counts a transaction after the channel send
+			// returns, so the last one may be in the test's hands before it
+			// is counted.
+			waitFor(t, func() bool { return coll.Stats().Enqueued == n })
+			if st := coll.Stats(); st.Shed != 0 {
+				t.Errorf("final stats: %+v", st)
+			}
+			coll.Close()
+		})
 	}
-	select {
-	case err := <-sent:
-		t.Fatalf("sensor finished against a stalled consumer: %v", err)
-	default:
-	}
-
-	// Resume consumption: everything arrives exactly once, in order.
-	var txs []*sie.Transaction
-	for len(txs) < n {
-		select {
-		case tx := <-coll.C():
-			txs = append(txs, tx)
-		case <-time.After(10 * time.Second):
-			t.Fatalf("stalled at %d of %d transactions", len(txs), n)
-		}
-	}
-	if err := <-sent; err != nil {
-		t.Fatalf("sensor error: %v", err)
-	}
-	for i, tx := range txs {
-		if !bytes.Equal(tx.QueryPacket, testTx(i).QueryPacket) {
-			t.Fatalf("transaction %d duplicated or reordered under backpressure", i)
-		}
-	}
-	// The handler counts a transaction after the channel send returns,
-	// so the last one may be in the test's hands before it is counted.
-	st := coll.Stats()
-	for deadline := time.Now().Add(2 * time.Second); st.Enqueued != n && time.Now().Before(deadline); st = coll.Stats() {
-		time.Sleep(time.Millisecond)
-	}
-	if st.Shed != 0 || st.Enqueued != n {
-		t.Errorf("final stats: %+v", st)
-	}
-	coll.Close()
 }
 
 // TestUnackedGaugeAndLiveness covers the two observability satellites:

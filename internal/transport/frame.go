@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"io"
 )
@@ -13,13 +14,15 @@ import (
 //
 // The first frame on every connection must be a Hello; after it the
 // sensor streams SeqData frames (each carrying one serialized
-// sie.Transaction) and optionally ends with a Bye. A clean EOF on a
-// frame boundary is equivalent to a Bye.
+// sie.Transaction) and optionally ends with a Bye, while the collector
+// answers with Ack frames. A clean EOF on a frame boundary is
+// equivalent to a Bye.
 const (
-	// FrameHello opens a connection. A version-1 payload is [1][sensor
-	// name]; a version-2 payload is [2][epoch: uvarint][sensor name],
-	// where the epoch identifies the sensor incarnation for
-	// effectively-once dedup. The collector rejects unknown versions.
+	// FrameHello opens a connection. Its payload is [2][epoch: uvarint]
+	// [sensor name], where the non-zero epoch identifies the sensor
+	// incarnation for effectively-once dedup. The collector rejects any
+	// other version — 1 was the epoch-less hello, which no sender has
+	// used since every frame got a sequence number.
 	FrameHello = 0x01
 	// 0x02 is reserved: it was the unsequenced Data frame, which no
 	// sender used. The number is never reused; a peer that sends it
@@ -38,13 +41,9 @@ const (
 	FrameAck = 0x05
 )
 
-// ProtocolVersion is the baseline hello version (name only).
-// ProtocolVersionSeq is the sequenced-delivery version carrying the
-// sensor epoch. The collector accepts both.
-const (
-	ProtocolVersion    = 1
-	ProtocolVersionSeq = 2
-)
+// ProtocolVersionSeq is the hello version: sequenced delivery, the
+// sensor epoch in the handshake.
+const ProtocolVersionSeq = 2
 
 // MaxFramePayload bounds a single frame payload. It matches
 // sie.MaxFrameLen — a Data payload is exactly one sie transaction
@@ -66,65 +65,40 @@ var (
 	ErrBadVersion       = errors.New("transport: unsupported protocol version")
 )
 
-// appendUvarint appends v in base-128 varint encoding.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
 // AppendFrame appends one frame to dst. The caller is responsible for
 // keeping len(payload) within MaxFramePayload (Sensor.Write checks).
 func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
 	dst = append(dst, typ)
-	dst = appendUvarint(dst, uint64(len(payload)))
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	return append(dst, payload...)
 }
 
-// AppendHello appends a version-1 Hello frame carrying the sensor
-// name only.
-func AppendHello(dst []byte, name string) []byte {
-	payload := make([]byte, 0, 1+len(name))
-	payload = append(payload, ProtocolVersion)
-	payload = append(payload, name...)
-	return AppendFrame(dst, FrameHello, payload)
-}
-
-// AppendHelloEpoch appends a version-2 Hello frame carrying the sensor
-// name and its incarnation epoch.
+// AppendHelloEpoch appends a Hello frame carrying the sensor name and
+// its incarnation epoch.
 func AppendHelloEpoch(dst []byte, name string, epoch uint64) []byte {
-	payload := make([]byte, 0, 1+10+len(name))
+	payload := make([]byte, 0, 1+binary.MaxVarintLen64+len(name))
 	payload = append(payload, ProtocolVersionSeq)
-	payload = appendUvarint(payload, epoch)
+	payload = binary.AppendUvarint(payload, epoch)
 	payload = append(payload, name...)
 	return AppendFrame(dst, FrameHello, payload)
 }
 
-// ParseHello decodes a Hello payload into the sensor name and epoch.
-// Version-1 hellos have no epoch; they report 0, which disables dedup.
+// ParseHello decodes a Hello payload into the sensor name and epoch,
+// neither of which is ever empty or zero when err is nil: dedup is keyed
+// on both.
 func ParseHello(payload []byte) (name string, epoch uint64, err error) {
 	if len(payload) < 2 {
 		return "", 0, ErrBadHello
 	}
-	switch payload[0] {
-	case ProtocolVersion:
-		payload = payload[1:]
-	case ProtocolVersionSeq:
-		var n int
-		epoch, n = uvarint(payload[1:])
-		if n <= 0 {
-			return "", 0, ErrBadHello
-		}
-		payload = payload[1+n:]
-		if len(payload) == 0 {
-			return "", 0, ErrBadHello
-		}
-	default:
+	if payload[0] != ProtocolVersionSeq {
 		return "", 0, ErrBadVersion
 	}
-	if len(payload) > MaxHelloName {
+	epoch, n := binary.Uvarint(payload[1:])
+	if n <= 0 || epoch == 0 {
+		return "", 0, ErrBadHello
+	}
+	payload = payload[1+n:]
+	if len(payload) == 0 || len(payload) > MaxHelloName {
 		return "", 0, ErrBadHello
 	}
 	return string(payload), epoch, nil
@@ -134,9 +108,9 @@ func ParseHello(payload []byte) (name string, epoch uint64, err error) {
 // serialized transaction bytes.
 func AppendSeqData(dst []byte, seq uint64, tx []byte) []byte {
 	dst = append(dst, FrameSeqData)
-	var pre [10]byte
-	n := len(appendUvarint(pre[:0], seq))
-	dst = appendUvarint(dst, uint64(n+len(tx)))
+	var pre [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(pre[:], seq)
+	dst = binary.AppendUvarint(dst, uint64(n+len(tx)))
 	dst = append(dst, pre[:n]...)
 	return append(dst, tx...)
 }
@@ -144,7 +118,7 @@ func AppendSeqData(dst []byte, seq uint64, tx []byte) []byte {
 // ParseSeqData splits a SeqData payload into the sequence number and
 // the transaction bytes.
 func ParseSeqData(payload []byte) (seq uint64, tx []byte, err error) {
-	seq, n := uvarint(payload)
+	seq, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return 0, nil, ErrVarintOverflow
 	}
@@ -153,37 +127,17 @@ func ParseSeqData(payload []byte) (seq uint64, tx []byte, err error) {
 
 // AppendAck appends an Ack frame for the cumulative sequence number.
 func AppendAck(dst []byte, seq uint64) []byte {
-	var pre [10]byte
-	return AppendFrame(dst, FrameAck, appendUvarint(pre[:0], seq))
+	var pre [binary.MaxVarintLen64]byte
+	return AppendFrame(dst, FrameAck, binary.AppendUvarint(pre[:0], seq))
 }
 
 // ParseAck decodes an Ack payload.
 func ParseAck(payload []byte) (seq uint64, err error) {
-	seq, n := uvarint(payload)
+	seq, n := binary.Uvarint(payload)
 	if n <= 0 || n != len(payload) {
 		return 0, ErrVarintOverflow
 	}
 	return seq, nil
-}
-
-// uvarint decodes a base-128 varint from the head of b, returning the
-// value and the bytes consumed (<= 0 on truncated or overflowing
-// input) — the slice-based twin of FrameReader.readUvarint.
-func uvarint(b []byte) (uint64, int) {
-	var v uint64
-	var shift uint
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if shift >= 64 || (shift == 63 && c > 1) {
-			return 0, -1
-		}
-		v |= uint64(c&0x7f) << shift
-		if c < 0x80 {
-			return v, i + 1
-		}
-		shift += 7
-	}
-	return 0, 0
 }
 
 // FrameReader decodes frames from a stream through one per-connection
@@ -243,7 +197,9 @@ func (fr *FrameReader) Next() (typ byte, payload []byte, err error) {
 
 // readUvarint decodes a length prefix. A stream ending inside the
 // varint is io.ErrUnexpectedEOF — a frame had started with the type
-// byte already consumed.
+// byte already consumed. (binary.ReadUvarint would do but for its
+// overflow error, which is unexported: the typed ErrVarintOverflow
+// could not be told apart from an I/O error through it.)
 func (fr *FrameReader) readUvarint() (uint64, error) {
 	var v uint64
 	var shift uint

@@ -19,9 +19,10 @@ import (
 // ErrUnknownFrameType for unknown envelope types.
 func FuzzReadFrame(f *testing.F) {
 	// Well-formed streams.
-	f.Add(AppendHello(nil, "seed"))
+	f.Add(AppendHelloEpoch(nil, "seed", 1))
 	tx := &sie.Transaction{QueryPacket: []byte("q"), QueryTime: time.Unix(1, 0)}
-	f.Add(AppendFrame(AppendHello(nil, "s"), frameOpaque, tx.Append(nil)))
+	f.Add(AppendFrame(AppendHelloEpoch(nil, "s", 1<<63), frameOpaque, tx.Append(nil)))
+	f.Add(AppendFrame(nil, FrameHello, append([]byte{1}, "v1"...))) // the retired epoch-less hello
 	f.Add(AppendFrame(nil, FrameBye, nil))
 	f.Add(AppendSeqData(AppendHelloEpoch(nil, "s2", 77), 9, tx.Append(nil)))
 	f.Add(AppendAck(nil, 1<<40))
@@ -60,9 +61,12 @@ func FuzzReadFrame(f *testing.F) {
 			// Payload parsers must succeed or fail with typed errors too.
 			switch typ {
 			case FrameHello:
-				if _, _, err := ParseHello(payload); err != nil &&
-					!errors.Is(err, ErrBadHello) && !errors.Is(err, ErrBadVersion) {
+				name, epoch, err := ParseHello(payload)
+				if err != nil && !errors.Is(err, ErrBadHello) && !errors.Is(err, ErrBadVersion) {
 					t.Fatalf("untyped hello error: %v", err)
+				}
+				if err == nil && (epoch == 0 || name == "") {
+					t.Fatalf("hello accepted with name %q, epoch %d: dedup is keyed on both", name, epoch)
 				}
 			case FrameSeqData:
 				if _, _, err := ParseSeqData(payload); err != nil &&

@@ -255,9 +255,7 @@ func (s *Sensor) openWAL() error {
 			if r.Seq > s.seq {
 				s.seq = r.Seq
 			}
-			if r.Epoch != 0 {
-				s.epoch = r.Epoch
-			}
+			s.epoch = r.Epoch
 			pend = append(pend, pending{seq: r.Seq, payload: append([]byte(nil), r.Payload...)})
 		case wal.KindAck:
 			if r.Seq > lastAck {
@@ -491,7 +489,7 @@ func (s *Sensor) parseAcks() bool {
 		if len(b) < 2 {
 			break
 		}
-		plen, n := uvarint(b[1:])
+		plen, n := binary.Uvarint(b[1:])
 		if n < 0 {
 			return false
 		}

@@ -33,7 +33,7 @@ const frameOpaque = 0x02
 
 func TestFrameRoundTrip(t *testing.T) {
 	var wire []byte
-	wire = AppendHello(wire, "s1")
+	wire = AppendHelloEpoch(wire, "s1", 1)
 	payloads := [][]byte{[]byte("a"), {}, bytes.Repeat([]byte("xy"), 5000)}
 	for _, p := range payloads {
 		wire = AppendFrame(wire, frameOpaque, p)
@@ -46,7 +46,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("hello: typ=%d err=%v", typ, err)
 	}
 	name, epoch, err := ParseHello(p)
-	if err != nil || name != "s1" || epoch != 0 {
+	if err != nil || name != "s1" || epoch != 1 {
 		t.Fatalf("hello name=%q epoch=%d err=%v", name, epoch, err)
 	}
 	for i, want := range payloads {
@@ -93,13 +93,20 @@ func TestParseHelloErrors(t *testing.T) {
 	if _, _, err := ParseHello(nil); !errors.Is(err, ErrBadHello) {
 		t.Errorf("empty hello: %v", err)
 	}
-	if _, _, err := ParseHello([]byte{ProtocolVersion}); !errors.Is(err, ErrBadHello) {
-		t.Errorf("nameless hello: %v", err)
+	if _, _, err := ParseHello([]byte{ProtocolVersionSeq}); !errors.Is(err, ErrBadHello) {
+		t.Errorf("one-byte hello: %v", err)
 	}
 	if _, _, err := ParseHello(append([]byte{99}, "x"...)); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version: %v", err)
 	}
-	long := append([]byte{ProtocolVersion}, bytes.Repeat([]byte("n"), MaxHelloName+1)...)
+	// Version 1 was [1][sensor name], no epoch: gone with its last sender.
+	if _, _, err := ParseHello(append([]byte{1}, "s1"...)); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("v1 hello: %v", err)
+	}
+	if _, _, err := ParseHello(append([]byte{ProtocolVersionSeq, 0}, "s1"...)); !errors.Is(err, ErrBadHello) {
+		t.Errorf("epoch-0 hello: %v", err)
+	}
+	long := append([]byte{ProtocolVersionSeq, 0x07}, bytes.Repeat([]byte("n"), MaxHelloName+1)...)
 	if _, _, err := ParseHello(long); !errors.Is(err, ErrBadHello) {
 		t.Errorf("oversized name: %v", err)
 	}
@@ -107,11 +114,11 @@ func TestParseHelloErrors(t *testing.T) {
 		t.Errorf("truncated epoch: %v", err)
 	}
 	if _, _, err := ParseHello([]byte{ProtocolVersionSeq, 0x07}); !errors.Is(err, ErrBadHello) {
-		t.Errorf("nameless v2 hello: %v", err)
+		t.Errorf("nameless hello: %v", err)
 	}
 	name, epoch, err := ParseHello(AppendHelloEpoch(nil, "s9", 1<<40)[2:])
 	if err != nil || name != "s9" || epoch != 1<<40 {
-		t.Errorf("v2 hello round trip: name=%q epoch=%d err=%v", name, epoch, err)
+		t.Errorf("hello round trip: name=%q epoch=%d err=%v", name, epoch, err)
 	}
 }
 
@@ -365,8 +372,22 @@ func TestCollectorRejectsBadHandshake(t *testing.T) {
 	conn.Write(AppendSeqData(nil, 1, []byte("x")))
 	assertConnClosed(t, conn)
 
+	// The version-1 hello ([1][name]) and a hello that names epoch 0:
+	// dedup is keyed on the epoch, a sensor without one is not served.
+	for _, hello := range [][]byte{
+		AppendFrame(nil, FrameHello, append([]byte{1}, "old-sensor"...)),
+		AppendFrame(nil, FrameHello, append([]byte{ProtocolVersionSeq, 0}, "no-epoch"...)),
+	} {
+		conn, err = net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(hello)
+		assertConnClosed(t, conn)
+	}
+
 	waitFor(t, func() bool {
-		return reg.SumCounter(MetricDisconnects) == 2
+		return reg.Counter(MetricDisconnects, "", "role", "collector", "reason", "protocol").Value() == 4
 	})
 	if len(coll.Sensors()) != 0 {
 		t.Errorf("unhandshaken connections registered sensors: %+v", coll.Sensors())
@@ -414,31 +435,40 @@ func TestCollectorCountsDecodeErrors(t *testing.T) {
 	got := make(chan []*sie.Transaction, 1)
 	go func() { got <- drain(coll) }()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	send := func(wire []byte) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(AppendFrame(wire, FrameBye, nil)); err != nil {
+			t.Fatal(err)
+		}
+		// Read the acknowledgements until the collector hangs up after
+		// the Bye: closing with acks unread would reset the connection.
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		io.Copy(io.Discard, conn)
+		conn.Close()
 	}
-	wire := AppendHello(nil, "bad")
 	// A well-framed payload that is not a transaction (no query packet).
-	wire = AppendSeqData(wire, 1, []byte{0xff, 0xff, 0xff})
+	bad := AppendSeqData(AppendHelloEpoch(nil, "bad", 3), 1, []byte{0xff, 0xff, 0xff})
 	// Followed by a good one: the stream stays in sync.
 	good := testTx(1)
-	wire = AppendSeqData(wire, 2, good.Append(nil))
-	wire = AppendFrame(wire, FrameBye, nil)
-	if _, err := conn.Write(wire); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-
+	send(AppendSeqData(bad, 2, good.Append(nil)))
 	<-rejected
-	waitFor(t, func() bool { return coll.Stats().Frames == 2 })
+	// The sensor redials and retransmits the undecodable frame: it was
+	// claimed before it was counted, so it is a duplicate now — not a
+	// second reject, or EngineStats.Rejected would drift.
+	send(bad)
+
+	waitFor(t, func() bool { return coll.Stats().Frames == 3 })
 	coll.Close()
 	txs := <-got
 	if len(txs) != 1 || !bytes.Equal(txs[0].QueryPacket, good.QueryPacket) {
 		t.Fatalf("good transaction lost after a decode error: %d", len(txs))
 	}
-	if st := coll.Stats(); st.DecodeErrors != 1 {
-		t.Errorf("DecodeErrors = %d, want 1", st.DecodeErrors)
+	if st := coll.Stats(); st.DecodeErrors != 1 || st.Deduped != 1 {
+		t.Errorf("DecodeErrors = %d, Deduped = %d, want 1 and 1", st.DecodeErrors, st.Deduped)
 	}
 	if rejects != 1 {
 		t.Errorf("OnReject ran %d times, want 1", rejects)
@@ -454,7 +484,7 @@ func TestCollectorReadTimeoutCutsStalledSensor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(AppendHello(nil, "staller")); err != nil {
+	if _, err := conn.Write(AppendHelloEpoch(nil, "staller", 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Send nothing more: the collector must cut us, not wait forever.

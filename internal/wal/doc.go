@@ -17,9 +17,8 @@
 //
 // Durability is explicit: Append leaves the record in the OS page
 // cache; Sync is the barrier (the transport syncs before it lets a
-// frame onto the wire, and before it acknowledges a journaled frame).
-// Options.SyncEvery adds an every-N-appends policy for callers without
-// a natural batch boundary.
+// frame onto the wire, before it acknowledges a journaled frame, and
+// at a checkpoint). Rotation and Close sync as well.
 //
 // Cursor tails the log while appends continue — the replay half of
 // spill-then-replay. TrimTo garbage-collects sealed segments below a

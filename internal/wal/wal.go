@@ -99,11 +99,6 @@ type Options struct {
 	// that would grow the active segment past it seals the segment and
 	// starts a new one.
 	SegmentBytes int
-	// SyncEvery fsyncs the active segment after every N appends. 0 (the
-	// default) leaves syncing to explicit Sync calls — the writing layer
-	// aligns durability barriers with its own batching — plus the
-	// implicit sync on rotation and Close.
-	SyncEvery int
 }
 
 // Stats is a snapshot of a log's counters.
@@ -141,7 +136,8 @@ type Log struct {
 	segs    []*segment
 	active  *os.File // append handle for the last segment
 	nextPos uint64
-	dirty   int // appends since the last fsync
+	ckpt    uint64 // highest KindCheckpoint Seq scanned at Open or appended since
+	dirty   int    // appends since the last fsync
 	scratch []byte
 	closed  bool
 
@@ -254,7 +250,7 @@ func (l *Log) scanSegment(s *segment, last bool) error {
 	}
 	off := len(segMagic)
 	for off < len(b) {
-		_, n, err := parseRecord(b[off:])
+		rec, n, err := parseRecord(b[off:])
 		if err != nil {
 			if !last {
 				return fmt.Errorf("%w: %s: offset %d: %v", ErrBadSegment, s.path, off, err)
@@ -265,6 +261,7 @@ func (l *Log) scanSegment(s *segment, last bool) error {
 			}
 			break
 		}
+		l.noteCheckpoint(rec)
 		s.records++
 		l.recovered++
 		off += n
@@ -335,13 +332,12 @@ func decodeBody(body []byte, rec *Record) error {
 	return nil
 }
 
-// appendUvarint appends v in base-128 varint encoding.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
+// noteCheckpoint keeps the highest checkpoint the log has seen, so a
+// reader need not replay the whole log to find where to start.
+func (l *Log) noteCheckpoint(r Record) {
+	if r.Kind == KindCheckpoint && r.Seq > l.ckpt {
+		l.ckpt = r.Seq
 	}
-	return append(dst, byte(v))
 }
 
 // addSegment creates a fresh segment starting at pos and makes it the
@@ -375,10 +371,9 @@ func syncDir(dir string) {
 	}
 }
 
-// Append writes one record and returns its position. Durability
-// follows the sync policy: the record is in the OS page cache on
-// return, on stable storage after the next Sync (or immediately when
-// SyncEvery batches fill).
+// Append writes one record and returns its position. The record is in
+// the OS page cache on return, on stable storage after the next Sync,
+// rotation or Close: every writer places its own durability barrier.
 func (l *Log) Append(r Record) (uint64, error) {
 	if len(r.Sensor) > MaxSensorName {
 		return 0, ErrRecordTooLarge
@@ -390,10 +385,10 @@ func (l *Log) Append(r Record) (uint64, error) {
 	}
 	l.scratch = append(l.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
 	l.scratch = append(l.scratch, byte(r.Kind))
-	l.scratch = appendUvarint(l.scratch, r.Epoch)
-	l.scratch = appendUvarint(l.scratch, uint64(len(r.Sensor)))
+	l.scratch = binary.AppendUvarint(l.scratch, r.Epoch)
+	l.scratch = binary.AppendUvarint(l.scratch, uint64(len(r.Sensor)))
 	l.scratch = append(l.scratch, r.Sensor...)
-	l.scratch = appendUvarint(l.scratch, r.Seq)
+	l.scratch = binary.AppendUvarint(l.scratch, r.Seq)
 	l.scratch = append(l.scratch, r.Payload...)
 	body := l.scratch[recHeader:]
 	if len(body) > MaxRecordBody {
@@ -424,11 +419,7 @@ func (l *Log) Append(r Record) (uint64, error) {
 	l.nextPos++
 	l.dirty++
 	l.appends.Add(1)
-	if l.opts.SyncEvery > 0 && l.dirty >= l.opts.SyncEvery {
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
+	l.noteCheckpoint(r)
 	return pos, nil
 }
 
@@ -574,12 +565,14 @@ func (l *Log) LastPos() uint64 {
 	return l.nextPos - 1
 }
 
-// FirstPos returns the position of the oldest retained record, or
-// LastPos+1 when the log is empty.
-func (l *Log) FirstPos() uint64 {
+// Checkpointed returns the highest KindCheckpoint Seq the log holds or
+// has held since Open — the position up to which its writer declared
+// every record consumed — and 0 when it has never seen one. Trimming
+// the segment an older checkpoint record sits in does not lower it.
+func (l *Log) Checkpointed() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.segs[0].base
+	return l.ckpt
 }
 
 // Size returns the total committed bytes across segments.

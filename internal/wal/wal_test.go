@@ -74,8 +74,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if got := l.LastPos(); got != uint64(len(want)) {
 		t.Fatalf("LastPos = %d, want %d", got, len(want))
 	}
-	if got := l.FirstPos(); got != 1 {
-		t.Fatalf("FirstPos = %d, want 1", got)
+	if got := l.Checkpointed(); got != 3 {
+		t.Fatalf("Checkpointed = %d, want 3", got)
 	}
 	pos, recs := collect(t, l)
 	if len(recs) != len(want) {
@@ -313,9 +313,10 @@ func TestTrimToAndCursorSkip(t *testing.T) {
 	if l.Segments() >= segsBefore {
 		t.Fatalf("trim removed nothing: %d -> %d segments", segsBefore, l.Segments())
 	}
-	first := l.FirstPos()
+	retained, _ := collect(t, l)
+	first := retained[0]
 	if first <= 1 || first > 31 {
-		t.Fatalf("FirstPos after trim = %d", first)
+		t.Fatalf("first position after trim = %d", first)
 	}
 	if st := l.Stats(); st.Trims == 0 {
 		t.Error("trims not counted")
@@ -373,9 +374,9 @@ func TestResetKeepsPositionsMonotone(t *testing.T) {
 	}
 }
 
-func TestAppendLimitsAndSyncEvery(t *testing.T) {
+func TestAppendLimits(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SyncEvery: 2})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,9 +387,64 @@ func TestAppendLimitsAndSyncEvery(t *testing.T) {
 	if _, err := l.Append(Record{Kind: KindData, Sensor: string(make([]byte, MaxSensorName+1))}); !errors.Is(err, ErrRecordTooLarge) {
 		t.Errorf("oversized sensor name: %v", err)
 	}
-	appendN(t, l, 4)
-	if st := l.Stats(); st.Syncs < 2 {
-		t.Errorf("SyncEvery=2 after 4 appends: %d syncs", st.Syncs)
+}
+
+// TestCheckpointedSurvivesReopenAndTrim: the log knows its own highest
+// checkpoint — from the scan Open makes anyway, and from Append — so a
+// reader finds where to resume without a replay of its own, and
+// trimming away the segment an older checkpoint record sits in moves
+// nothing.
+func TestCheckpointedSurvivesReopenAndTrim(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 256}
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// data 1..20, checkpoint(12) at 21, data 22..31, checkpoint(25) at
+	// 32, data 33..37.
+	for _, step := range []struct{ data, ckpt int }{{20, 12}, {10, 25}, {5, 0}} {
+		appendN(t, l, step.data)
+		if step.ckpt > 0 {
+			if _, err := l.Append(Record{Kind: KindCheckpoint, Seq: uint64(step.ckpt)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pending := func(l *Log) (n int) {
+		t.Helper()
+		pos, recs := collect(t, l)
+		for i, r := range recs {
+			if r.Kind == KindData && pos[i] > l.Checkpointed() {
+				n++
+			}
+		}
+		return n
+	}
+	const wantPending = 6 + 5 // data at 26..31 and at 33..37
+	if got := l.Checkpointed(); got != 25 {
+		t.Fatalf("Checkpointed after appends = %d, want 25", got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if l, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := l.Checkpointed(); got != 25 || pending(l) != wantPending {
+		t.Fatalf("after reopen: Checkpointed = %d, %d data records past it; want 25 and %d", got, pending(l), wantPending)
+	}
+	first, _ := collect(t, l)
+	if err := l.TrimTo(25); err != nil {
+		t.Fatal(err)
+	}
+	if kept, _ := collect(t, l); kept[0] <= 21 || kept[0] > 26 || first[0] != 1 {
+		t.Fatalf("TrimTo(25) kept positions from %d (was %d): the first checkpoint record, at 21, should be gone", kept[0], first[0])
+	}
+	if got := l.Checkpointed(); got != 25 || pending(l) != wantPending {
+		t.Fatalf("after trim: Checkpointed = %d, %d data records past it; want 25 and %d", got, pending(l), wantPending)
 	}
 }
 
