@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"dnsobservatory/internal/metrics"
 	"dnsobservatory/internal/sie"
@@ -222,10 +223,12 @@ type SensorStatus struct {
 	// Connects counts connections ever accepted under this name — a
 	// value above 1 means the sensor reconnected.
 	Connects uint64 `json:"connects"`
-	// Frames counts Data frames received from this sensor.
+	// Frames counts Data frames received from this sensor: exact at every
+	// acknowledgement and at disconnect, at most 256 behind per live
+	// connection in between (a handler publishes per batch).
 	Frames uint64 `json:"frames"`
-	// LastFrameAgeSec is the age of the newest frame, or -1 when the
-	// sensor completed its handshake but has sent no data yet.
+	// LastFrameAgeSec is the age of the newest frame counted, or -1 when
+	// the sensor completed its handshake but has sent no data yet.
 	LastFrameAgeSec float64 `json:"last_frame_age_sec"`
 	// LastError is why the newest connection ended ("eof" for a clean
 	// close), empty while none has.
@@ -359,7 +362,7 @@ func (c *Collector) OpenWAL(dir string, opts wal.Options) error {
 		c.kickTailer()
 	}
 	if reg := c.cfg.Metrics; reg != nil {
-		reg.GaugeFunc(MetricWALSize, "journal size on disk",
+		reg.GaugeFunc(MetricWALSize, "journal bytes appended and retained (up to 256 KiB of them staged, not yet written)",
 			func() float64 { return float64(log.Size()) }, "role", "collector")
 		reg.GaugeFunc(MetricWALSegments, "journal segment count",
 			func() float64 { return float64(log.Segments()) }, "role", "collector")
@@ -367,6 +370,10 @@ func (c *Collector) OpenWAL(dir string, opts wal.Options) error {
 			func() float64 { return float64(log.Checkpointed()) }, "role", "collector")
 		reg.CounterFunc(MetricWALAppends, "journal record appends",
 			func() uint64 { return log.Stats().Appends }, "role", "collector")
+		reg.CounterFunc(MetricWALWrites, "journal segment write calls (appends per write: how well the journal batches)",
+			func() uint64 { return log.Stats().Writes }, "role", "collector")
+		reg.CounterFunc(MetricWALSyncs, "journal fsyncs (appends per sync: the frames behind one acknowledgement barrier)",
+			func() uint64 { return log.Stats().Syncs }, "role", "collector")
 	}
 	return nil
 }
@@ -431,15 +438,16 @@ func (c *Collector) Checkpoint(consumed uint64) error {
 // sensor had retransmitted it. keep filters by sensor name (nil takes
 // everything): in a fleet, each survivor absorbs exactly the sensors
 // the rebalanced ring assigns to it. Returns how many were absorbed and
-// how many were already seen. The peer's log must not have a live
-// writer.
+// how many were already seen; with a nil error they are synced into
+// this collector's journal. The peer's log must not have a live writer.
 func (c *Collector) AbsorbLog(peer *wal.Log, keep func(sensor string) bool) (absorbed, deduped uint64, err error) {
 	ckpt := peer.Checkpointed()
+	var a arena
 	err = peer.Replay(func(pos uint64, r wal.Record) error {
 		if r.Kind != wal.KindData || pos <= ckpt || (keep != nil && !keep(r.Sensor)) {
 			return nil
 		}
-		fresh, err := c.deliver(r.Sensor, r.Epoch, r.Seq, r.Payload, true)
+		fresh, err := c.deliver(&a, r.Sensor, r.Epoch, r.Seq, r.Payload, true)
 		switch {
 		case err != nil:
 			return err
@@ -450,11 +458,15 @@ func (c *Collector) AbsorbLog(peer *wal.Log, keep func(sensor string) bool) (abs
 		}
 		return nil
 	})
+	if err == nil {
+		err = c.synced()
+	}
 	return absorbed, deduped, err
 }
 
 // C returns the ordered ingest channel. It closes after Close, once
-// every handler has exited; queued transactions remain readable.
+// every handler has exited; queued transactions remain readable. One
+// may be held indefinitely: what it pins meanwhile is under arena.
 func (c *Collector) C() <-chan *sie.Transaction { return c.out }
 
 // Stats returns a snapshot of the collector's counters.
@@ -633,12 +645,17 @@ func (c *Collector) unregister(st *sensorState, reason string) {
 	c.mu.Unlock()
 }
 
-// noteFrame updates a sensor's liveness for one received Data frame.
-func (c *Collector) noteFrame(st *sensorState) {
+// noteFrames moves *n received Data frames into a sensor's liveness, once
+// per acknowledgement opportunity: the lock and the clock are per batch.
+func (c *Collector) noteFrames(st *sensorState, n *uint64) {
+	if *n == 0 {
+		return
+	}
 	c.mu.Lock()
-	st.frames++
+	st.frames += *n
 	st.lastFrame = time.Now()
 	c.mu.Unlock()
+	*n = 0
 }
 
 // claim marks (name, epoch, seq) seen, reporting whether it was fresh.
@@ -676,7 +693,8 @@ func (c *Collector) handle(conn net.Conn) {
 	defer c.connWG.Done()
 	defer c.dropConn(conn)
 	defer conn.Close()
-	fr := NewFrameReader(conn)
+	wire := &deadlineReader{Conn: conn} // armed after the handshake, which has one deadline
+	fr := NewFrameReader(wire)
 
 	conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	typ, payload, err := fr.Next()
@@ -689,38 +707,42 @@ func (c *Collector) handle(conn net.Conn) {
 		c.m.disconnectProt.Inc()
 		return
 	}
+	conn.SetReadDeadline(time.Time{})
+	wire.timeout = c.cfg.ReadTimeout
 	st := c.register(name)
 	reason := "eof"
-	defer func() { c.unregister(st, reason) }()
+	var unseen uint64 // Data frames since the last acknowledgement opportunity: not in the liveness record yet
+	defer func() {
+		c.synced() // nothing later flushes this connection's last frames; a failure is in WALStatus
+		c.noteFrames(st, &unseen)
+		c.unregister(st, reason)
+	}()
 
+	var a arena
 	var lastSeq, ackedSeq uint64
 	var ackBuf []byte
-	maybeAck := func(force bool) bool {
+	maybeAck := func(force bool) error { // an error ends the connection
+		if !force && fr.Buffered() > 0 && unseen < ackEvery {
+			return nil
+		}
+		c.noteFrames(st, &unseen)
 		if c.cfg.DisableAcks || lastSeq == ackedSeq {
-			return true
+			return nil
 		}
-		if !force && fr.Buffered() > 0 && lastSeq-ackedSeq < ackEvery {
-			return true
-		}
-		if !c.synced() {
-			return true
+		if err := c.synced(); err != nil {
+			return err
 		}
 		conn.SetWriteDeadline(time.Now().Add(ackWriteTimeout))
 		ackBuf = AppendAck(ackBuf[:0], lastSeq)
 		if _, err := conn.Write(ackBuf); err != nil {
-			return false
+			return errors.New("ack write failed")
 		}
 		ackedSeq = lastSeq
 		c.m.acks.Inc()
-		return true
+		return nil
 	}
 
 	for {
-		if c.cfg.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-		} else {
-			conn.SetReadDeadline(time.Time{})
-		}
 		typ, payload, err := fr.Next()
 		if err == io.EOF {
 			c.m.disconnectEOF.Inc()
@@ -743,15 +765,15 @@ func (c *Collector) handle(conn net.Conn) {
 			if seq > lastSeq {
 				lastSeq = seq
 			}
-			c.noteFrame(st)
+			unseen++
 			// A duplicate and an undecodable frame are acknowledged like
 			// any other: retransmitting either cannot help.
-			if _, err := c.deliver(name, epoch, seq, txb, false); err != nil {
-				reason = err.Error()
-				return
+			_, err := c.deliver(&a, name, epoch, seq, txb, false)
+			if err == nil {
+				err = maybeAck(false)
 			}
-			if !maybeAck(false) {
-				reason = "ack write failed"
+			if err != nil {
+				reason = err.Error()
 				return
 			}
 		case FrameBye:
@@ -764,6 +786,22 @@ func (c *Collector) handle(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// deadlineReader arms the read deadline where a read reaches the wire,
+// not per frame (most come from the read buffer): a sensor is cut a
+// timeout after it went quiet, inside a frame or between two, whatever
+// time its handler spent delivering. A zero timeout arms nothing.
+type deadlineReader struct {
+	net.Conn
+	timeout time.Duration
+}
+
+func (r *deadlineReader) Read(p []byte) (int, error) {
+	if r.timeout > 0 {
+		r.SetReadDeadline(time.Now().Add(r.timeout))
+	}
+	return r.Conn.Read(p)
 }
 
 // deliver is the one path a frame takes to the ingest channel, from a
@@ -785,15 +823,15 @@ func (c *Collector) handle(conn net.Conn) {
 // already delivered and the tailer never delivers one twice.
 //
 // A full queue is the only place the configurations differ. With a
-// journal the frame is already durable: it spills, and the tailer
+// journal the frame is already in it: it spills, and the tailer
 // replays it. Without one, Shed drops it, and Block waits for room
 // holding the section — deliberately across a channel send — so every
 // other handler queues up behind this one in the order it will enqueue
 // in, instead of overtaking it.
-func (c *Collector) deliver(name string, epoch, seq uint64, raw []byte, replay bool) (fresh bool, err error) {
+func (c *Collector) deliver(a *arena, name string, epoch, seq uint64, raw []byte, replay bool) (fresh bool, err error) {
 	// Decoding stays outside the section; a duplicate pays for one it
 	// did not need, which only a retransmission ever does.
-	tx, derr := decode(raw)
+	tx, derr := a.decode(raw)
 	c.dmu.Lock()
 	if fresh = c.claim(name, epoch, seq); !fresh || derr != nil {
 		// Claimed first, counted second: a retransmission of an
@@ -818,7 +856,8 @@ func (c *Collector) deliver(name string, epoch, seq uint64, raw []byte, replay b
 	}
 	var pos uint64
 	if c.log != nil {
-		pos, err = c.log.Append(wal.Record{Kind: wal.KindData, Sensor: name, Epoch: epoch, Seq: seq, Payload: raw})
+		// Staged: synced writes it, in front of the first promise it survives.
+		pos, err = c.log.Stage(wal.Record{Kind: wal.KindData, Sensor: name, Epoch: epoch, Seq: seq, Payload: raw})
 		if err != nil {
 			c.journalFailed(err)
 			return true, err
@@ -844,15 +883,40 @@ func (c *Collector) deliver(name string, epoch, seq uint64, raw []byte, replay b
 	return true, nil
 }
 
+const (
+	// ≈ 65 frame bodies a malloc, and inside the allocator's size classes:
+	// from 32 KiB a block is a span of its own, faulted in afresh.
+	chunkBytes = 16 << 10
+	// What fills the 8 KiB class: a slab rounds up to nothing.
+	slabTxs = 8192 / int(unsafe.Sizeof(sie.Transaction{}))
+)
+
+// arena is what one reader of frames — a connection handler, the spill
+// tailer, an AbsorbLog call — decodes into: bodies carved from chunks,
+// transactions from slabs, not two mallocs a frame. Nothing is reused, so
+// as far as a holder can tell a transaction owns its bytes; holding one
+// pins its slab and the chunks under that slab's transactions, ≈ 40 KiB.
+type arena struct {
+	chunk []byte            // unused tail of the current chunk
+	slab  []sie.Transaction // unused tail of the current slab
+}
+
 // decode parses one frame body into a transaction that owns its bytes
-// (raw is a read buffer the next frame overwrites).
-func decode(raw []byte) (*sie.Transaction, error) {
-	body := make([]byte, len(raw))
+// (raw is a read buffer the next frame overwrites). An undecodable frame
+// takes nothing: its bytes and its slot go to the next one.
+func (a *arena) decode(raw []byte) (*sie.Transaction, error) {
+	if len(raw) > len(a.chunk) { // what is left of the old chunk goes
+		a.chunk = make([]byte, max(chunkBytes, len(raw)))
+	}
+	if len(a.slab) == 0 {
+		a.slab = make([]sie.Transaction, slabTxs)
+	}
+	body, tx := a.chunk[:len(raw):len(raw)], &a.slab[0]
 	copy(body, raw)
-	tx := new(sie.Transaction)
 	if err := tx.Unmarshal(body); err != nil {
 		return nil, err
 	}
+	a.chunk, a.slab = a.chunk[len(raw):], a.slab[1:]
 	return tx, nil
 }
 
@@ -886,27 +950,27 @@ func (c *Collector) journalFailed(err error) {
 }
 
 // synced is the durability barrier in front of an acknowledgement:
-// never acknowledge a frame the journal has not persisted. It reports
-// false once the journal has failed — acks stop entirely, and the
-// sensor keeps buffering instead of being lied to. Without a journal an
-// acknowledgement promises the queue only, and that has happened.
-func (c *Collector) synced() bool {
+// never acknowledge a frame the journal has not persisted. It writes
+// what any connection staged since the last one, and fsyncs. Once the
+// journal has failed it returns that first failure — acks stop entirely,
+// and the sensor keeps buffering instead of being lied to. Without a
+// journal an acknowledgement promises the queue only, and that is done.
+func (c *Collector) synced() error {
 	if c.log == nil {
-		return true
+		return nil
 	}
 	c.dmu.Lock()
-	broken := c.jerr != nil
+	err := c.jerr
 	c.dmu.Unlock()
-	if broken {
-		return false
+	if err != nil {
+		return err
 	}
-	if err := c.log.Sync(); err != nil {
+	if err = c.log.Sync(); err != nil {
 		c.dmu.Lock()
 		c.journalFailed(err)
 		c.dmu.Unlock()
-		return false
 	}
-	return true
+	return err
 }
 
 func (c *Collector) kickTailer() {
@@ -921,12 +985,13 @@ func (c *Collector) kickTailer() {
 // hands delivery back to the direct path.
 func (c *Collector) tailer() {
 	defer c.tailWG.Done()
+	var a arena // one for all drains: a fresh one per drain, let alone per record, wastes a chunk each
 	for {
 		select {
 		case <-c.stop:
 			return
 		case <-c.kick:
-			if !c.drainJournal() {
+			if !c.drainJournal(&a) {
 				return
 			}
 		}
@@ -940,7 +1005,7 @@ func (c *Collector) tailer() {
 // handlers keep spilling meanwhile. It reports false when Close began
 // before it was done; what it did not reach stays journaled past
 // nextRead, and the next OpenWAL re-enqueues it.
-func (c *Collector) drainJournal() bool {
+func (c *Collector) drainJournal(a *arena) bool {
 	c.dmu.Lock()
 	behind, start := c.behind, c.nextRead
 	c.dmu.Unlock()
@@ -971,7 +1036,7 @@ func (c *Collector) drainJournal() bool {
 		}
 		sent := false
 		if rec.Kind == wal.KindData {
-			tx, derr := decode(rec.Payload)
+			tx, derr := a.decode(rec.Payload)
 			switch {
 			case derr != nil:
 				// Only decodable frames are ever journaled: treat this as

@@ -24,10 +24,13 @@
 // connections and fans their streams into one ordered ingest channel
 // with a bounded queue. Every frame takes one path to that channel
 // (Collector.deliver): claimed, journaled if there is a journal, and
-// enqueued inside one critical section. A full queue is the only place
-// configurations differ — a journal spills, and without one the
-// Block/Shed overload policy decides, mirroring the sharded engine one
-// layer up. Retransmission makes delivery at-least-once on the wire;
+// enqueued inside one critical section. It is decoded into memory its
+// reader shares out (bodies from 16 KiB chunks, transactions from 8 KiB
+// slabs) and never reuses: a consumer may hold a transaction forever, and
+// pins its slab and that slab's chunks while it does. A full queue is the
+// only place configurations differ — a journal spills, and without one
+// the Block/Shed overload policy decides, mirroring the sharded engine
+// one layer up. Retransmission makes delivery at-least-once on the wire;
 // the collector turns it into effectively-once at the channel by
 // deduplicating on (sensor, epoch, seq) — a sequence number already
 // claimed for that sensor epoch is counted in Deduped and dropped. The
@@ -37,11 +40,13 @@
 //
 // A collector can itself journal: OpenWAL attaches a write-ahead log
 // that absorbs bursts the bounded queue cannot (frames spill to disk
-// and a tailer replays them in order), persists accepted-but-unconsumed
-// frames across a crash, and is the unit of hand-off between fleet
-// members — AbsorbLog replays a dead peer's journal through the same
-// dedup gate, so a surviving collector adopts the dead one's sensors
-// without loss or double counting (see internal/fleet).
+// and a tailer replays them in order), persists acknowledged-but-
+// unconsumed frames across a crash (a frame is staged in memory until the
+// Sync in front of its acknowledgement; one lost before that is one its
+// sensor still holds), and is the unit of hand-off
+// between fleet members — AbsorbLog replays a dead peer's journal
+// through the same dedup gate, so a surviving collector adopts the dead
+// one's sensors without loss or double counting (see internal/fleet).
 //
 // Concurrency contract: a Sensor is owned by one goroutine (Stats is
 // the exception). A Collector runs one goroutine per connection plus

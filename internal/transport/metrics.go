@@ -52,7 +52,11 @@ const (
 	MetricWALReplayed = "dnsobs_wal_replayed_total"
 	// MetricWALAppends counts journal record appends.
 	MetricWALAppends = "dnsobs_wal_appends_total"
-	// MetricWALSize is the journal's on-disk size in bytes.
+	// MetricWALWrites and MetricWALSyncs count write calls and fsyncs on
+	// journal segments: appends over either is the batch.
+	MetricWALWrites = "dnsobs_wal_writes_total"
+	MetricWALSyncs  = "dnsobs_wal_syncs_total"
+	// MetricWALSize is the journal's size in bytes, ≤ 256 KiB staged included.
 	MetricWALSize = "dnsobs_wal_size_bytes"
 	// MetricWALSegments is the journal's segment-file count.
 	MetricWALSegments = "dnsobs_wal_segments"

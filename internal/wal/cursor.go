@@ -1,26 +1,33 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
 
+// cursorWindow is how much of a segment a cursor reads at a time: ≈ 250
+// collector records per pread (a larger record gets its own).
+const cursorWindow = 64 << 10
+
 // Cursor reads records in position order while appends continue — the
 // tailing reader behind spill-then-replay. It holds its own read
 // handle, so it never blocks the appender beyond the brief metadata
-// lookups under the log lock. A Cursor is for one goroutine; it is
-// safe against concurrent Append/Sync/TrimTo on the same log.
+// lookups under the log lock (and the flush, once it has caught up with
+// what is staged). A Cursor is for one goroutine; it is safe against
+// concurrent Append/Stage/Sync/TrimTo on the same log.
 type Cursor struct {
 	l    *Log
 	next uint64 // position the next Next returns
 
 	f    *os.File
-	base uint64 // base of the open segment
-	off  int64  // read offset in the open segment
+	r    io.ReaderAt // f, or what wrap made of it
+	base uint64      // base of the open segment
+	off  int64       // segment offset of win[0]
+	win  []byte      // read from the segment and not yet returned; part of buf
+	skip uint64      // whole records between off and next: a cursor opened mid-segment walks there
 	buf  []byte
+	wrap func(io.ReaderAt) io.ReaderAt // tests only: counts the reads
 }
 
 // NewCursor returns a cursor positioned at start (1-based). A start
@@ -35,102 +42,88 @@ func (l *Log) NewCursor(start uint64) *Cursor {
 // Pos returns the position the next Next call will return.
 func (c *Cursor) Pos() uint64 { return c.next }
 
-// Next returns the next committed record. ok is false when the cursor
-// has caught up with the appender (call again after more appends). The
-// record payload is valid until the following Next.
+// Next returns the next record. ok is false when the cursor has caught
+// up with the appender (call again after more appends). The record
+// payload is valid until the following Next.
 func (c *Cursor) Next() (pos uint64, rec Record, ok bool, err error) {
-	c.l.mu.Lock()
-	if c.l.closed {
-		c.l.mu.Unlock()
-		return 0, rec, false, ErrClosed
-	}
-	if c.next >= c.l.nextPos {
-		c.l.mu.Unlock()
-		return 0, rec, false, nil
-	}
-	if c.l.segs[0].base > c.next {
+	l := c.l
+	l.mu.Lock()
+	if l.segs[0].base > c.next {
 		// Everything below the oldest segment was trimmed away — those
 		// records were checkpointed, skip to what is retained.
-		c.next = c.l.segs[0].base
+		c.next = l.segs[0].base
 	}
-	var seg *segment
-	for _, s := range c.l.segs {
-		if s.base <= c.next && c.next < s.base+s.records {
+	switch {
+	case l.closed:
+		err = ErrClosed
+	case c.next >= l.nextPos: // caught up
+	case c.next >= l.nextPos-l.staged:
+		// Everything the files hold has been read: the record is staged.
+		err = l.flushLocked()
+	}
+	if err != nil || c.next >= l.nextPos {
+		l.mu.Unlock()
+		return 0, rec, false, err
+	}
+	seg := l.segs[0] // the last one that starts at or below c.next
+	for _, s := range l.segs[1:] {
+		if s.base <= c.next {
 			seg = s
-			break
 		}
 	}
-	if seg == nil { // cannot happen given the checks above
-		c.l.mu.Unlock()
-		return 0, rec, false, fmt.Errorf("wal: position %d not found", c.next)
+	base, path, flushed := seg.base, seg.path, seg.size
+	if seg == l.segs[len(l.segs)-1] {
+		flushed -= int64(len(l.stage))
 	}
-	base, path, committed := seg.base, seg.path, seg.size
-	c.l.mu.Unlock()
+	l.mu.Unlock()
 
 	if c.f == nil || c.base != base {
-		if c.f != nil {
-			c.f.Close()
-			c.f = nil
-		}
+		c.Close()
 		f, err := os.Open(path)
 		if err != nil {
 			return 0, rec, false, err
 		}
-		c.f, c.base, c.off = f, base, int64(len(segMagic))
-		// Skip forward to c.next by walking record headers.
-		for skip := c.next - base; skip > 0; skip-- {
-			n, err := c.recordLen(committed)
-			if err != nil {
-				return 0, rec, false, err
-			}
-			c.off += int64(n)
+		c.f, c.r, c.base = f, f, base
+		if c.wrap != nil {
+			c.r = c.wrap(f)
 		}
+		c.off, c.win, c.skip = int64(len(segMagic)), nil, c.next-base
 	}
-
-	n, err := c.recordLen(committed)
-	if err != nil {
-		return 0, rec, false, err
+	for {
+		r, n, err := parseRecord(c.win)
+		if err == nil {
+			c.win, c.off = c.win[n:], c.off+int64(n)
+			if c.skip > 0 {
+				c.skip--
+				continue
+			}
+			c.next++
+			// When the segment is exhausted the next call re-resolves: the
+			// same file may have grown (handle and offset stay valid), or
+			// the cursor rolls over to the next segment.
+			return c.next - 1, r, true, nil
+		}
+		// The window ends inside the record at c.off: read on from there, a
+		// window of the flushed bytes or, if it was one already, as much as
+		// any record takes. Less than it held means the log counts a record
+		// the file does not hold.
+		want := int64(cursorWindow)
+		if len(c.win) >= cursorWindow {
+			want = recHeader + MaxRecordBody
+		}
+		want = min(want, flushed-c.off)
+		if (err != io.EOF && err != io.ErrUnexpectedEOF) || want <= int64(len(c.win)) {
+			return 0, rec, false, fmt.Errorf("%w: %s: offset %d: %v", ErrBadSegment, path, c.off, err)
+		}
+		if int64(cap(c.buf)) < want {
+			c.buf = make([]byte, want)
+		}
+		c.win = nil // it is part of buf, which the read overwrites
+		if _, err := c.r.ReadAt(c.buf[:want], c.off); err != nil {
+			return 0, rec, false, err
+		}
+		c.win = c.buf[:want]
 	}
-	if cap(c.buf) < n {
-		c.buf = make([]byte, n)
-	}
-	if _, err := c.f.ReadAt(c.buf[:n], c.off); err != nil {
-		return 0, rec, false, err
-	}
-	r, _, err := parseRecord(c.buf[:n])
-	if err != nil {
-		return 0, rec, false, fmt.Errorf("%w: %s: offset %d: %v", ErrBadSegment, path, c.off, err)
-	}
-	c.off += int64(n)
-	pos = c.next
-	c.next++
-	// When the segment is exhausted the next call re-resolves: the same
-	// file may have grown (it is still active — the open handle and
-	// offset stay valid), or the cursor rolls over to the next segment
-	// (base changes, handle is replaced).
-	return pos, r, true, nil
-}
-
-// recordLen reads the length prefix of the record at c.off and returns
-// the full encoded record length, validating it against the committed
-// segment size.
-func (c *Cursor) recordLen(committed int64) (int, error) {
-	var hdr [recHeader]byte
-	if c.off+recHeader > committed {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if _, err := c.f.ReadAt(hdr[:], c.off); err != nil {
-		return 0, err
-	}
-	bl := binary.LittleEndian.Uint32(hdr[:])
-	if bl == 0 || bl > MaxRecordBody {
-		return 0, ErrBadRecord
-	}
-	n := recHeader + int(bl)
-	if c.off+int64(n) > committed {
-		return 0, io.ErrUnexpectedEOF
-	}
-	return n, nil
 }
 
 // Close releases the cursor's read handle.
@@ -140,6 +133,3 @@ func (c *Cursor) Close() {
 		c.f = nil
 	}
 }
-
-// crcOf is a test hook: the checksum the log writes for a body.
-func crcOf(body []byte) uint32 { return crc32.ChecksumIEEE(body) }

@@ -15,10 +15,25 @@
 // a sealed segment — data that was fully written and synced — fails
 // with the typed ErrBadSegment so the caller decides about the loss.
 //
-// Durability is explicit: Append leaves the record in the OS page
-// cache; Sync is the barrier (the transport syncs before it lets a
-// frame onto the wire, before it acknowledges a journaled frame, and
-// at a checkpoint). Rotation and Close sync as well.
+// Durability is explicit, a ladder of three rungs, and every writer says
+// which one it stands on:
+//
+//	staged    Stage   process memory    survives nothing
+//	appended  Append  OS page cache     survives the process
+//	synced    Sync    stable storage    survives the machine
+//
+// Staged records reach the segment in one write when something needs
+// them there — Sync, Append, a rotation (which syncs, as Close does),
+// Replay, a Cursor that has caught up with them, or 256 KiB of them — so
+// the file holds the same bytes whichever rung they waited on. A
+// collector's frames are staged until the Sync in front of their
+// acknowledgement: it promises the frame is synced, and nothing before it
+// promises anything (the sensor still holds the frame). A sensor's spill
+// records and a collector's checkpoints are appended: a sensor's log is
+// the only copy of what it captured and must survive its own kill -9.
+// Anything acknowledged, put on the wire or checkpointed is synced first.
+// A write that fails is cut back out of the file, so nothing flushed
+// later lands behind a torn record.
 //
 // Cursor tails the log while appends continue — the replay half of
 // spill-then-replay. TrimTo garbage-collects sealed segments below a

@@ -41,6 +41,10 @@ const (
 // the length prefix claims.
 const MaxRecordBody = 1<<17 + 512
 
+// stageCap is where Stage flushes by itself: ≈ 1 000 collector frames, far
+// past where a write(2) is amortised, and all a writer that never syncs holds.
+const stageCap = 256 << 10
+
 // MaxSensorName bounds the sensor name carried in a record. It matches
 // the transport hello limit.
 const MaxSensorName = 256
@@ -103,8 +107,10 @@ type Options struct {
 
 // Stats is a snapshot of a log's counters.
 type Stats struct {
-	// Appends counts records appended in this process.
+	// Appends counts records appended or staged in this process.
 	Appends uint64
+	// Writes counts the write calls that carried them into segments.
+	Writes uint64
 	// Syncs counts fsyncs of the active segment.
 	Syncs uint64
 	// Resets counts whole-log resets.
@@ -122,7 +128,7 @@ type segment struct {
 	base    uint64 // position of its first record
 	path    string
 	records uint64
-	size    int64 // committed bytes, magic included
+	size    int64 // bytes of whole records, magic included; on the active segment the staged ones too
 }
 
 // Log is a crash-safe, segment-based append log. All methods are safe
@@ -137,11 +143,15 @@ type Log struct {
 	active  *os.File // append handle for the last segment
 	nextPos uint64
 	ckpt    uint64 // highest KindCheckpoint Seq scanned at Open or appended since
-	dirty   int    // appends since the last fsync
-	scratch []byte
+	stage   []byte // the newest `staged` records, encoded, not yet written to the active segment
+	staged  uint64
+	dirty   bool  // written since the last fsync
+	broken  error // a torn write that could not be cut back; every later call returns it
 	closed  bool
+	write   func(*os.File, []byte) (int, error) // (*os.File).Write, or a test's that tears
 
 	appends   atomic.Uint64
+	writes    atomic.Uint64
 	syncs     atomic.Uint64
 	resets    atomic.Uint64
 	trims     atomic.Uint64
@@ -160,7 +170,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: dir, opts: opts, write: (*os.File).Write}
 	names, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
 	if err != nil {
 		return nil, err
@@ -371,34 +381,50 @@ func syncDir(dir string) {
 	}
 }
 
-// Append writes one record and returns its position. The record is in
-// the OS page cache on return, on stable storage after the next Sync,
-// rotation or Close: every writer places its own durability barrier.
-func (l *Log) Append(r Record) (uint64, error) {
-	if len(r.Sensor) > MaxSensorName {
-		return 0, ErrRecordTooLarge
-	}
+// Stage encodes one record at the tail of the staging buffer and
+// returns its position. The record is in process memory and survives
+// nothing; it reaches the active segment, with everything staged before
+// it, in one write when something needs it there (see the package
+// comment), at the latest when the buffer passes stageCap.
+func (l *Log) Stage(r Record) (uint64, error) { return l.put(r, false) }
+
+// Append is Stage, then flush: the record is in the OS page cache on
+// return — it survives this process — and on stable storage after the
+// next Sync, rotation or Close. A record whose write failed (a position
+// comes back with the error) stays staged for the next flush.
+func (l *Log) Append(r Record) (uint64, error) { return l.put(r, true) }
+
+func (l *Log) put(r Record, flush bool) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	switch {
+	case len(r.Sensor) > MaxSensorName:
+		return 0, ErrRecordTooLarge
+	case l.closed:
 		return 0, ErrClosed
+	case l.broken != nil:
+		return 0, l.broken
 	}
-	l.scratch = append(l.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	l.scratch = append(l.scratch, byte(r.Kind))
-	l.scratch = binary.AppendUvarint(l.scratch, r.Epoch)
-	l.scratch = binary.AppendUvarint(l.scratch, uint64(len(r.Sensor)))
-	l.scratch = append(l.scratch, r.Sensor...)
-	l.scratch = binary.AppendUvarint(l.scratch, r.Seq)
-	l.scratch = append(l.scratch, r.Payload...)
-	body := l.scratch[recHeader:]
+	// The record lies past len(l.stage) until it is accounted below: an
+	// early return leaves the buffer as it was.
+	b := append(l.stage, 0, 0, 0, 0, 0, 0, 0, 0, byte(r.Kind))
+	b = binary.AppendUvarint(b, r.Epoch)
+	b = binary.AppendUvarint(b, uint64(len(r.Sensor)))
+	b = append(b, r.Sensor...)
+	b = binary.AppendUvarint(b, r.Seq)
+	b = append(b, r.Payload...)
+	rec := b[len(l.stage):]
+	body := rec[recHeader:]
 	if len(body) > MaxRecordBody {
 		return 0, ErrRecordTooLarge
 	}
-	binary.LittleEndian.PutUint32(l.scratch, uint32(len(body)))
-	binary.LittleEndian.PutUint32(l.scratch[4:], crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint32(rec, uint32(len(body)))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(body))
 
 	s := l.segs[len(l.segs)-1]
-	if s.records > 0 && s.size+int64(len(l.scratch)) > int64(l.opts.SegmentBytes) {
+	if s.records > 0 && s.size+int64(len(rec)) > int64(l.opts.SegmentBytes) {
+		// Seal the segment, what was staged before this record included,
+		// and move the record to the front of the emptied buffer.
 		if err := l.syncLocked(); err != nil {
 			return 0, err
 		}
@@ -409,21 +435,46 @@ func (l *Log) Append(r Record) (uint64, error) {
 			return 0, err
 		}
 		s = l.segs[len(l.segs)-1]
+		b = append(b[:0], rec...)
 	}
-	if _, err := l.active.Write(l.scratch); err != nil {
-		return 0, err
-	}
-	s.size += int64(len(l.scratch))
+	l.stage = b
+	l.staged++
+	s.size += int64(len(rec))
 	s.records++
 	pos := l.nextPos
 	l.nextPos++
-	l.dirty++
 	l.appends.Add(1)
 	l.noteCheckpoint(r)
+	if flush || len(l.stage) >= stageCap {
+		return pos, l.flushLocked()
+	}
 	return pos, nil
 }
 
-// Sync fsyncs the active segment if it has unsynced appends.
+// flushLocked writes everything staged to the active segment, in one
+// write. A failed or short one leaves part of a record in the file, and
+// Open truncates at the first bad record: whatever was flushed behind it
+// later would be lost with it, synced or not. So the file is cut back —
+// the records stay staged — and if that fails too the log is broken.
+func (l *Log) flushLocked() error {
+	if l.broken != nil || len(l.stage) == 0 {
+		return l.broken
+	}
+	l.writes.Add(1)
+	if _, err := l.write(l.active, l.stage); err != nil {
+		flushed := l.segs[len(l.segs)-1].size - int64(len(l.stage))
+		if terr := l.active.Truncate(flushed); terr != nil {
+			l.broken = fmt.Errorf("wal: torn write left in place (%v): %w", terr, err)
+			return l.broken
+		}
+		return err
+	}
+	l.stage, l.staged, l.dirty = l.stage[:0], 0, true
+	return nil
+}
+
+// Sync flushes and fsyncs the active segment, if there is anything to:
+// every record so far is on stable storage when it returns nil.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -434,13 +485,16 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncLocked() error {
-	if l.dirty == 0 {
+	if err := l.flushLocked(); err != nil {
+		return err
+	}
+	if !l.dirty {
 		return nil
 	}
 	if err := l.active.Sync(); err != nil {
 		return err
 	}
-	l.dirty = 0
+	l.dirty = false
 	l.syncs.Add(1)
 	return nil
 }
@@ -460,43 +514,23 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Replay calls fn for every record currently in the log, in position
-// order, holding the log's lock (appends wait). A decode failure —
-// possible only for corruption that appeared after Open — returns
-// ErrBadSegment. fn errors abort the replay. The record payload is
-// valid only during the call.
+// Replay calls fn for every record in the log, in position order (what
+// is staged is flushed on the way), until it has caught up: it is a
+// Cursor from the first position. Corruption that appeared after Open
+// returns ErrBadSegment. fn errors abort the replay. The record payload
+// is valid only during the call.
 func (l *Log) Replay(fn func(pos uint64, r Record) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	for _, s := range l.segs {
-		b, err := os.ReadFile(s.path)
-		if err != nil {
+	c := l.NewCursor(1)
+	defer c.Close()
+	for {
+		pos, r, ok, err := c.Next()
+		if err == nil && ok {
+			err = fn(pos, r)
+		}
+		if err != nil || !ok {
 			return err
 		}
-		if int64(len(b)) > s.size {
-			b = b[:s.size] // never read past the committed bytes
-		}
-		if len(b) < len(segMagic) || string(b[:len(segMagic)]) != segMagic {
-			return fmt.Errorf("%w: %s: bad segment header", ErrBadSegment, s.path)
-		}
-		off := len(segMagic)
-		pos := s.base
-		for off < len(b) {
-			rec, n, err := parseRecord(b[off:])
-			if err != nil {
-				return fmt.Errorf("%w: %s: offset %d: %v", ErrBadSegment, s.path, off, err)
-			}
-			if err := fn(pos, rec); err != nil {
-				return err
-			}
-			pos++
-			off += n
-		}
 	}
-	return nil
 }
 
 // TrimTo garbage-collects sealed segments whose records all have
@@ -549,7 +583,7 @@ func (l *Log) Reset() error {
 	if err := l.addSegment(l.nextPos); err != nil {
 		return err
 	}
-	l.dirty = 0
+	l.stage, l.staged, l.dirty = l.stage[:0], 0, false
 	l.resets.Add(1)
 	return nil
 }
@@ -575,7 +609,7 @@ func (l *Log) Checkpointed() uint64 {
 	return l.ckpt
 }
 
-// Size returns the total committed bytes across segments.
+// Size returns the total bytes across segments, staged records included.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -600,6 +634,7 @@ func (l *Log) Stats() Stats {
 	l.mu.Unlock()
 	return Stats{
 		Appends:        l.appends.Load(),
+		Writes:         l.writes.Load(),
 		Syncs:          l.syncs.Load(),
 		Resets:         l.resets.Load(),
 		Trims:          l.trims.Load(),

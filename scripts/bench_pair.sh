@@ -12,7 +12,12 @@
 # seed, as does a run whose correctness gate misses and a store_digest
 # that differs from the parent's: the same seed must leave the same
 # store, byte for byte. peak_rss_mb repeats to a few percent and is
-# judged at BENCHMARK.json's 15 % bound.
+# judged at BENCHMARK.json's 15 % bound. One count does not repeat on one
+# workload: net-durable's alloc_kb_per_op follows how far acknowledgements
+# lagged in the run, on either build — the sensor's unacknowledged buffer
+# doubles once more in a slow one (0.450-0.474 KB over twenty runs of one
+# commit, 5 of 10 clean pairs past 1 %) — so there it is judged at 5 %;
+# the object count, allocs_per_op, repeats to 0.1 % and keeps the 1 % rule.
 #
 # Timing spreads 10-20 % on a shared runner (cmd/dnsbench/NOISE.md).
 # Without <pairs> there is one pair per seed and timing is printed side
@@ -87,6 +92,8 @@ else
     plan=$(echo "$seeds" | awk -v n="$pairs" '{ for (i = 0; i < n; i++) printf "%s ", $(i % NF + 1) }')
 fi
 
+kb=0.01 # alloc_kb_per_op's bound; see the header for the exception
+[ "$workload" != net-durable ] || kb=0.05
 fail=0
 flip=0
 i=0
@@ -105,7 +112,7 @@ for seed in $plan; do
     c="$work/change-$i.txt"
     echo "== $workload, pair $i, seed $seed: parent $ref vs change"
     # <metric>:<bound>, the share by which the change may be worse.
-    for mb in allocs_per_op:0.01 alloc_kb_per_op:0.01 store_mb:0.01 peak_rss_mb:0.15; do
+    for mb in allocs_per_op:0.01 alloc_kb_per_op:$kb store_mb:0.01 peak_rss_mb:0.15; do
         m=${mb%:*}
         pv=$(metric "$p" "$m")
         cv=$(metric "$c" "$m")
@@ -159,7 +166,7 @@ if [ "$pairs" -gt 0 ]; then
 fi
 
 if [ "$fail" -ne 0 ]; then
-    echo "bench_pair: FAILED (against $ref: a count more than 1 % worse, peak_rss_mb more than 15 % worse, another store, or the claim not met)" >&2
+    echo "bench_pair: FAILED (against $ref: a count more than 1 % worse (alloc_kb_per_op on net-durable: 5 %), peak_rss_mb more than 15 % worse, another store, or the claim not met)" >&2
     exit 1
 fi
 echo "bench_pair: ok"
