@@ -312,7 +312,7 @@ func BenchmarkAblationAdmission(b *testing.B) {
 	}
 	b.Run("with-bloom", func(b *testing.B) {
 		keys := mkKeys()
-		c := spacesaving.New(1000, 60, bloom.New(1<<20, 0.01))
+		c := spacesaving.New(1000, 60, bloom.New(1<<20, 0.01, 0))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

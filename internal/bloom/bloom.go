@@ -1,7 +1,6 @@
 package bloom
 
 import (
-	"hash/maphash"
 	"math"
 	"math/bits"
 )
@@ -15,37 +14,18 @@ type Filter struct {
 	bits  []uint64
 	mask  uint64 // bit count - 1; the bit count is a power of two
 	k     int
-	seed  maphash.Seed
-	det   bool   // deterministic hashing (NewSeeded)
-	dseed uint64 // seed for the deterministic hash
+	seed  uint64 // folded into every digest (Sum64)
 	count uint64 // insertions, for saturation tracking
 }
 
 // New returns a filter sized for n expected elements at the given
-// false-positive rate (0 < fp < 1). The bit array is rounded up to a
-// power of two so hashing can mask instead of mod.
-func New(n int, fp float64) *Filter {
-	f := sized(n, fp)
-	f.seed = maphash.MakeSeed()
-	return f
-}
-
-// NewSeeded is New with a caller-supplied deterministic hash seed: two
-// filters built with identical parameters map identical keys to
-// identical bit patterns, in this process or any other. The detection
-// layer depends on this — its serial and sharded deployments must reach
-// byte-identical admission and seen-set state, which maphash's
-// per-filter random seed would break probabilistically.
-func NewSeeded(n int, fp float64, seed uint64) *Filter {
-	f := sized(n, fp)
-	f.det = true
-	f.dseed = seed
-	return f
-}
-
-// sized allocates a filter for n expected elements at false-positive
-// rate fp, with optimal m = -n ln(fp) / (ln 2)^2 and k = m/n ln 2.
-func sized(n int, fp float64) *Filter {
+// false-positive rate (0 < fp < 1), with the optimal m = -n ln(fp) /
+// (ln 2)^2 bits rounded up to a power of two so hashing can mask instead
+// of mod. Two filters built with identical parameters map identical keys
+// to identical bit patterns, in this process or any other; filters with
+// different seeds hash independently, so they do not share their false
+// positives.
+func New(n int, fp float64, seed uint64) *Filter {
 	if n < 1 {
 		n = 1
 	}
@@ -70,36 +50,35 @@ func sized(n int, fp float64) *Filter {
 	if k > 16 {
 		k = 16
 	}
-	return &Filter{mask: size - 1, k: k}
+	return &Filter{mask: size - 1, k: k, seed: seed}
 }
 
-// hash2 derives two independent 64-bit hashes of s; the k index
-// functions are Kirsch–Mitzenmacher combinations h1 + i*h2.
-func (f *Filter) hash2(s string) (uint64, uint64) {
-	if f.det {
-		h := f.dseed ^ 14695981039346656037
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-		return f.spread(mix64(h))
+// Sum64 returns the 64-bit digest the filter derives its bit positions
+// from: seeded FNV-1a over the key's bytes, finished by mix64. It is the
+// one place a key is hashed, for either view of it, so the string and
+// the byte view of one key always agree. A caller that probes several
+// filters of one seed and sizing with one key computes the digest once
+// and reuses it through AddHash and ContainsHash.
+func Sum64[K ~string | ~[]byte](f *Filter, key K) uint64 {
+	h := f.seed ^ 14695981039346656037
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
 	}
-	return f.spread(maphash.String(f.seed, s))
+	return mix64(h)
 }
 
-// hash2Bytes is hash2 over a byte slice; both hash functions guarantee
-// identical output for the string and byte views of one key, so
-// Contains(string(b)) == ContainsBytes(b) always holds.
-func (f *Filter) hash2Bytes(b []byte) (uint64, uint64) {
-	if f.det {
-		h := f.dseed ^ 14695981039346656037
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= 1099511628211
-		}
-		return f.spread(mix64(h))
+// Admit is the filter as an admission guard, one hash per key: it
+// reports whether key may have been added before, and adds it if not.
+// False positives occur at roughly the configured rate; false negatives
+// never.
+func Admit[K ~string | ~[]byte](f *Filter, key K) bool {
+	h1, h2 := spread(Sum64(f, key))
+	if f.test(h1, h2) {
+		return true
 	}
-	return f.spread(maphash.Bytes(f.seed, b))
+	f.set(h1, h2)
+	return false
 }
 
 // mix64 is the SplitMix64 finalizer: FNV-1a concentrates key entropy in
@@ -113,65 +92,20 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-func (f *Filter) spread(h uint64) (uint64, uint64) {
+// spread derives the two hashes the k index functions combine
+// (Kirsch–Mitzenmacher: h1 + i*h2) from one digest.
+func spread(h uint64) (uint64, uint64) {
 	h2 := h>>33 | h<<31
 	h2 = h2*0x9e3779b97f4a7c15 + 1 // odd multiplier keeps h2 odd-ish spread
 	return h, h2 | 1
 }
 
-// Sum64 returns the deterministic 64-bit digest of s, for callers that
-// probe several identically-seeded filters with one key: compute the
-// digest once and reuse it via AddHash/ContainsHash. Only seeded
-// filters have a stable digest; Sum64 panics on a random-seeded one.
-func (f *Filter) Sum64(s string) uint64 {
-	if !f.det {
-		panic("bloom: Sum64 on a random-seeded filter")
-	}
-	h := f.dseed ^ 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return mix64(h)
-}
-
-// Sum64Bytes is Sum64 for a byte-slice view; the digests agree.
-func (f *Filter) Sum64Bytes(b []byte) uint64 {
-	if !f.det {
-		panic("bloom: Sum64Bytes on a random-seeded filter")
-	}
-	h := f.dseed ^ 14695981039346656037
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return mix64(h)
-}
-
 // AddHash inserts a key by its Sum64 digest. Valid only across filters
 // sharing the seed and sizing of the filter that produced the digest.
-func (f *Filter) AddHash(h uint64) {
-	h1, h2 := f.spread(h)
-	f.set(h1, h2)
-}
+func (f *Filter) AddHash(h uint64) { f.set(spread(h)) }
 
-// ContainsHash is Contains for a Sum64 digest.
-func (f *Filter) ContainsHash(h uint64) bool {
-	h1, h2 := f.spread(h)
-	return f.test(h1, h2)
-}
-
-// Add inserts s.
-func (f *Filter) Add(s string) {
-	h1, h2 := f.hash2(s)
-	f.set(h1, h2)
-}
-
-// AddBytes inserts b without converting it to a string.
-func (f *Filter) AddBytes(b []byte) {
-	h1, h2 := f.hash2Bytes(b)
-	f.set(h1, h2)
-}
+// ContainsHash reports whether a key of digest h may have been added.
+func (f *Filter) ContainsHash(h uint64) bool { return f.test(spread(h)) }
 
 func (f *Filter) set(h1, h2 uint64) {
 	if f.bits == nil {
@@ -182,19 +116,6 @@ func (f *Filter) set(h1, h2 uint64) {
 		f.bits[idx/64] |= 1 << (idx % 64)
 	}
 	f.count++
-}
-
-// Contains reports whether s may have been added. False positives occur
-// at roughly the configured rate; false negatives never.
-func (f *Filter) Contains(s string) bool {
-	h1, h2 := f.hash2(s)
-	return f.test(h1, h2)
-}
-
-// ContainsBytes is Contains for a byte-slice view of the key.
-func (f *Filter) ContainsBytes(b []byte) bool {
-	h1, h2 := f.hash2Bytes(b)
-	return f.test(h1, h2)
 }
 
 func (f *Filter) test(h1, h2 uint64) bool {
@@ -219,7 +140,7 @@ func (f *Filter) Reset() {
 	}
 }
 
-// Count returns the number of Add calls since the last Reset.
+// Count returns the number of insertions since the last Reset.
 func (f *Filter) Count() uint64 { return f.count }
 
 // FillRatio returns the fraction of set bits, a saturation measure.

@@ -197,7 +197,7 @@ func (d *Detector) Observe(sum *sie.Summary, now float64) {
 		return // bare root — no eSLD to track
 	}
 	part := hashString(esld) % uint64(len(d.parts))
-	d.parts[part].observeStr(esld, sub, now)
+	observe(d.parts[part], esld, sub, now)
 }
 
 // esldSub splits sum's query name into its eSLD key and the subdomain
@@ -244,16 +244,10 @@ func (d *Detector) AppendKey(sum *sie.Summary, buf []byte) ([]byte, int, bool) {
 // folds one observation staged by AppendKey. key must be the eSLD bytes
 // AppendKey produced for sum.
 func (d *Detector) ObservePartition(part int, key []byte, sum *sie.Summary, now float64) {
-	// Re-derive the subdomain prefix the same way AppendKey derived the
-	// key, so the two views slice the same base string.
-	var sub string
-	if _, ok := sum.ESLD(); ok {
-		sub = sum.QName[:len(sum.QName)-len(key)]
-	} else {
-		cq := dnswire.Canonical(sum.QName)
-		sub = cq[:len(cq)-len(key)]
-	}
-	d.parts[part].observeBytes(key, sub, now)
+	// The subdomain is what AppendKey's key leaves of the name, split the
+	// way AppendKey split it.
+	_, sub, _ := d.esldSub(sum)
+	observe(d.parts[part], key, sub, now)
 }
 
 // partition is the single-owner detection state for one key-hash slice
@@ -287,7 +281,7 @@ const (
 
 func newPartition(id, capacity, admN, nodN int, cfg Config) *partition {
 	p := &partition{id: id}
-	p.admitter = bloom.NewSeeded(admN, cfg.AdmitterFP, icSeedBase+uint64(id))
+	p.admitter = bloom.New(admN, cfg.AdmitterFP, icSeedBase+uint64(id))
 	p.ic = spacesaving.New(capacity, cfg.HalfLifeSec, p.admitter)
 	p.ic.OnEvictState = func(st any) {
 		s := st.(*icStats)
@@ -305,31 +299,34 @@ func newPartition(id, capacity, admN, nodN int, cfg Config) *partition {
 	for i := range p.nod.buckets {
 		// One seed per partition is enough: the buckets never compare
 		// bit patterns with each other, only with their own inserts.
-		p.nod.buckets[i] = bloom.NewSeeded(nodN, cfg.NODFP, nodSeedBase+uint64(id))
+		p.nod.buckets[i] = bloom.New(nodN, cfg.NODFP, nodSeedBase+uint64(id))
 	}
 	return p
 }
 
-func (p *partition) observeStr(key, sub string, now float64) {
+// observe folds one observation of the eSLD key, in either view, into
+// both detectors: the serial path hands the string it extracted, the
+// sharded path the bytes its dispatcher staged, and bloom and
+// spacesaving hash and index the two alike.
+func observe[K ~string | ~[]byte](p *partition, key K, sub string, now float64) {
 	p.observed++
-	st := p.foldIC(p.ic.Observe(key, now), sub)
+	st := p.foldIC(spacesaving.Observe(p.ic, key, now), sub)
 	n := &p.nod
 	n.rollTo(now)
 	// Fast path for tracked repeat traffic: the entry remembers the last
 	// bucket it was inserted into, so while the bucket has not rotated
 	// the observation is seen-by-construction and the insert would only
 	// set already-set bits. No filter work, no digest.
-	if st != nil && st.nodBucket == n.curIdx+1 {
-		n.account(false, key, now)
-		return
+	isNew := false
+	if st == nil || st.nodBucket != n.curIdx+1 {
+		// All buckets share one seed and sizing, so the key digests once
+		// and every bucket probes and inserts with it.
+		isNew = n.probe(bloom.Sum64(n.buckets[0], key))
+		if st != nil {
+			st.nodBucket = n.curIdx + 1
+		}
 	}
-	// All buckets share one seed and sizing, so the key digests once and
-	// every bucket probes and inserts with it.
-	isNew := n.probe(n.buckets[0].Sum64(key))
-	if st != nil {
-		st.nodBucket = n.curIdx + 1
-	}
-	n.account(isNew, key, now)
+	account(n, isNew, key, now)
 }
 
 // probe folds one observation digest into the seen-set and reports
@@ -351,25 +348,6 @@ func (n *nodState) probe(h uint64) (isNew bool) {
 	}
 	cur.AddHash(h)
 	return isNew
-}
-
-// observeBytes is observeStr for the sharded byte-view key. The two
-// paths fold identical state because bloom and spacesaving guarantee
-// string/bytes hash agreement.
-func (p *partition) observeBytes(key []byte, sub string, now float64) {
-	p.observed++
-	st := p.foldIC(p.ic.ObserveBytes(key, now), sub)
-	n := &p.nod
-	n.rollTo(now)
-	if st != nil && st.nodBucket == n.curIdx+1 {
-		n.accountBytes(false, key, now)
-		return
-	}
-	isNew := n.probe(n.buckets[0].Sum64Bytes(key))
-	if st != nil {
-		st.nodBucket = n.curIdx + 1
-	}
-	n.accountBytes(isNew, key, now)
 }
 
 // icStats is the per-eSLD feature state hanging off a Space-Saving
@@ -492,23 +470,10 @@ func (n *nodState) rollTo(now float64) {
 	}
 }
 
-func (n *nodState) account(isNew bool, key string, now float64) {
-	if isNew {
-		if len(n.win) < n.maxWin {
-			n.firstSeen++
-			n.win[key] = &nodRow{hits: 1, firstSeen: now}
-		} else {
-			n.overflow++
-		}
-		return
-	}
-	n.seen++
-	if r, ok := n.win[key]; ok {
-		r.hits++
-	}
-}
-
-func (n *nodState) accountBytes(isNew bool, key []byte, now float64) {
+// account books one observation: a first-seen row for a new key while
+// the window has room for one (a byte view is copied there, and only
+// there), and a hit on the key's row, if this window has one, otherwise.
+func account[K ~string | ~[]byte](n *nodState, isNew bool, key K, now float64) {
 	if isNew {
 		if len(n.win) < n.maxWin {
 			n.firstSeen++

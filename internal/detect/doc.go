@@ -29,9 +29,12 @@
 // routing in every deployment. The serial pipeline observes all
 // partitions from one goroutine (Observe); the sharded engine assigns
 // each partition to exactly one worker (AppendKey on the dispatcher,
-// ObservePartition on the owning worker). Because each partition sees
-// the identical sub-stream either way, and all hashing is seeded and
-// deterministic (bloom.NewSeeded), the merged window snapshots
+// ObservePartition on the owning worker). Both end in the one observe
+// body, which takes the eSLD as the string the serial path extracted or
+// as the bytes the dispatcher staged. Because each partition sees the
+// identical sub-stream either way, and the one hash there is (bloom's,
+// a function of a per-partition seed and the key's bytes, the same for
+// either view) is deterministic, the merged window snapshots
 // (MergeWindow over CollectWindow parts) are byte-identical between a
 // serial and a sharded deployment of the same Config — the same
 // contract spacesaving.Merge gives the volume aggregations.

@@ -185,8 +185,8 @@ func (d *Detector) Counters() Counters {
 }
 
 // detectMetrics mirrors the engineMetrics convention: with a registry
-// the counters are registered families; without one they are standalone
-// so the publish path never nil-checks.
+// the counters are registered families; a nil one hands out standalone
+// counters, so the publish path never nil-checks.
 type detectMetrics struct {
 	observed     *metrics.Counter
 	nodFirstSeen *metrics.Counter
@@ -198,17 +198,6 @@ type detectMetrics struct {
 }
 
 func newDetectMetrics(reg *metrics.Registry) *detectMetrics {
-	if reg == nil {
-		return &detectMetrics{
-			observed:     metrics.NewCounter(),
-			nodFirstSeen: metrics.NewCounter(),
-			nodSeen:      metrics.NewCounter(),
-			nodOverflow:  metrics.NewCounter(),
-			icDropped:    metrics.NewCounter(),
-			icEvictions:  metrics.NewCounter(),
-			icTracked:    metrics.NewGauge(),
-		}
-	}
 	return &detectMetrics{
 		observed:     reg.Counter(MetricObserved, "eSLD observations folded into the detection layer"),
 		nodFirstSeen: reg.Counter(MetricNODFirstSeen, "eSLDs newly observed within the NOD horizon"),

@@ -50,7 +50,7 @@ func (c *Context) ablateAdmission(w io.Writer, rng *rand.Rand) {
 	}
 	trueTop := topNKeys(truth, topK)
 
-	precision := func(adm spacesaving.Admitter) float64 {
+	precision := func(adm *bloom.Filter) float64 {
 		cache := spacesaving.New(capacity, 60, adm)
 		for i, k := range keys {
 			cache.Observe(k, float64(i)/1000)
@@ -68,7 +68,7 @@ func (c *Context) ablateAdmission(w io.Writer, rng *rand.Rand) {
 		return float64(hits) / float64(len(trueTop))
 	}
 
-	pGuarded := precision(bloom.New(1<<21, 0.01))
+	pGuarded := precision(bloom.New(1<<21, 0.01, uint64(c.opts.Seed)))
 	pBare := precision(nil)
 	fmt.Fprintln(w, "Ablation 1: Bloom admission guard for Space-Saving eviction (§2.2)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

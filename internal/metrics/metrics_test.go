@@ -34,6 +34,27 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestNilRegistry: a nil registry registers nowhere. Its instruments
+// work and are nobody else's — two requests for one name are two
+// counters — the read-through forms do nothing, and no name is checked
+// against a family table that does not exist.
+func TestNilRegistry(t *testing.T) {
+	var r *Registry
+	c := r.Counter("test_total", "a counter", "engine", "a")
+	c.Add(5)
+	if other := r.Counter("test_total", "", "engine", "a"); other == c || other.Value() != 0 || c.Value() != 5 {
+		t.Error("a nil registry handed out a shared counter")
+	}
+	r.Gauge("test_total", "a gauge under a counter's name").Set(1.5)
+	h := r.Histogram("test_seconds", "", DurationBuckets)
+	h.Observe(0.01)
+	if got := h.Snapshot().Count; got != 1 {
+		t.Errorf("histogram counted %d observations, want 1", got)
+	}
+	r.CounterFunc("fn_total", "", func() uint64 { t.Error("a nil registry read a CounterFunc"); return 0 })
+	r.GaugeFunc("fn_depth", "", func() float64 { t.Error("a nil registry read a GaugeFunc"); return 0 })
+}
+
 func TestSum(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("tx_total", "", "engine", "a").Add(3)

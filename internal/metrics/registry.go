@@ -175,7 +175,15 @@ func (ch *child) scalar() float64 {
 // on it while the write lock is still held, so the slot is fully
 // initialized exactly once and two racing registrations of the same
 // (name, labels) can never each build a distinct metric.
+//
+// A nil registry registers nowhere: init runs on a slot nobody will
+// collect, so Counter, Gauge and Histogram hand out standalone
+// instruments and a component writes its metric list once.
 func (r *Registry) child(name, help string, typ Type, labels []string, init func(*child)) {
+	if r == nil {
+		init(new(child))
+		return
+	}
 	checkName(name)
 	key := renderLabels(labels)
 	r.mu.Lock()

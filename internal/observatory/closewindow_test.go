@@ -30,14 +30,17 @@ type eagerState struct {
 	free       []*features.Set
 }
 
-// newEagerState mirrors newAggState. admitter may be nil.
-func newEagerState(a Aggregation, cfg *Config, capacity int, admitter *bloom.Filter) *eagerState {
-	st := &eagerState{agg: a, admitter: admitter}
-	var adm spacesaving.Admitter
-	if admitter != nil {
-		adm = admitter
+// newEagerState mirrors newAggState, down to the admitter: the sizing
+// the engine is configured with and the seed rule, stated here a second
+// time — the shard's index past the hash of the aggregation's name — so
+// that an engine that seeds a shard any other way admits other keys than
+// its oracle and fails against it.
+func newEagerState(a Aggregation, cfg *Config, shard, capacity int) *eagerState {
+	st := &eagerState{agg: a}
+	if !a.NoAdmitter {
+		st.admitter = bloom.New(cfg.AdmitterN, cfg.AdmitterFP, hashKey(a.Name)+uint64(shard))
 	}
-	st.cache = spacesaving.New(capacity, cfg.HalfLifeSec, adm)
+	st.cache = spacesaving.New(capacity, cfg.HalfLifeSec, st.admitter)
 	st.cache.OnEvictState = func(state any) {
 		if set, ok := state.(*features.Set); ok {
 			st.free = append(st.free, set)
@@ -142,33 +145,18 @@ type refEngine struct {
 	out         []*tsv.Snapshot
 }
 
-// newRefEngine builds the reference over aggregations without admitters
-// (a Bloom seed is random per filter, so two engines would not admit the
-// same keys).
+// newRefEngine builds the reference over any aggregations, admitters
+// included: a filter's answers are a function of its seed and what it
+// was fed, so the reference admits what an engine of its shape admits.
 func newRefEngine(cfg Config, aggs []Aggregation, shards int, capacity func(k int) int) *refEngine {
 	cfg.withDefaults()
 	r := &refEngine{cfg: cfg, aggs: aggs, states: make([][]*eagerState, len(aggs))}
 	for a, agg := range aggs {
-		if !agg.NoAdmitter {
-			panic("refEngine: " + agg.Name + " has an admitter")
-		}
 		for s := 0; s < shards; s++ {
-			r.states[a] = append(r.states[a], newEagerState(agg, &r.cfg, capacity(agg.K), nil))
+			r.states[a] = append(r.states[a], newEagerState(agg, &r.cfg, s, capacity(agg.K)))
 		}
 	}
 	return r
-}
-
-// hashKey is hashKeyBytes over a string (identical output for identical
-// bytes): the oracle keys on strings and must land a key on the shard
-// the engine's byte hash lands it on.
-func hashKey(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // ingest folds one summary; quarantined is a summary a worker's chaos
@@ -220,8 +208,9 @@ func (r *refEngine) dump() {
 
 // churnAggs are capacities far below the key universe of churnEvents, so
 // every window evicts entries and re-admits keys it evicted. NoAdmitter:
-// a Bloom seed is random per filter, and two engines with different
-// seeds would admit different keys.
+// unguarded, every newcomer evicts, which is the most a close can be
+// made to follow; the matrix's admitter row (engineShape.guarded) runs
+// the same four behind their filters.
 func churnAggs() []Aggregation {
 	return []Aggregation{
 		{Name: "srvip", K: 24, Key: SrvIPKey, NoAdmitter: true},
@@ -294,11 +283,15 @@ func TestCloseWindowMatchesFullScan(t *testing.T) {
 				if es := eng.stats(); poison && es.Quarantined == 0 {
 					t.Fatal("the chaos hook never fired")
 				}
-				var evictions uint64
+				var evictions, refused uint64
 				for _, c := range eng.caches("qname") {
 					evictions += c.Evictions()
+					refused += c.Dropped()
 				}
 				requireChurned(t, ref.out, evictions)
+				if (refused > 0) != (shape.admitterN > 0) {
+					t.Fatalf("the filters refused %d keys", refused)
+				}
 				sortSnaps(ref.out)
 				sortSnaps(got)
 				requireSnapsEqual(t, ref.out, got)
@@ -330,8 +323,8 @@ func requireChurned(t *testing.T, snaps []*tsv.Snapshot, evictions uint64) {
 }
 
 // testCloseWindowOnOneState closes one admitter-guarded state window by
-// window, next to an eager state fed the same stream behind an
-// identically seeded admitter. Before each close the frozen walk of the
+// window, next to an eager state fed the same stream behind the
+// admitter of the same shard. Before each close the frozen walk of the
 // eager state says what the rows should be; after it, the state must
 // hold no feature state at all. In one window an entry's state is
 // swapped for a corrupt set, so the close panics part-way as a worker's
@@ -342,12 +335,10 @@ func requireChurned(t *testing.T, snaps []*tsv.Snapshot, evictions uint64) {
 // pass never reached included.
 func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) {
 	cfg.withDefaults()
+	cfg.AdmitterN = 1 << 12
 	agg := Aggregation{Name: "qname", K: 60, Key: QNameKey}
-	st := newAggState(agg, &cfg, 60)
-	st.admitter = bloom.NewSeeded(1<<12, cfg.AdmitterFP, 19)
-	st.cache = spacesaving.New(60, cfg.HalfLifeSec, st.admitter)
-	st.cache.OnEvictState = st.recycle
-	ref := newEagerState(agg, &cfg, 60, bloom.NewSeeded(1<<12, cfg.AdmitterFP, 19))
+	st := newAggState(agg, &cfg, 0, 60)
+	ref := newEagerState(agg, &cfg, 0, 60)
 	const panicWindow = 2
 	var windowStart float64
 	windows, relisted, carried, logs, slabs, markers := 0, 0, 0, 0, 0, 0
@@ -459,7 +450,7 @@ func testCloseWindowOnOneState(t *testing.T, cfg Config, events []shardedEvent) 
 		ref.seenBefore++
 		s := sum(e.resolver, e.ns, e.qname, e.qtype)
 		s.PrecomputeHashes(cfg.Features.Suffixes)
-		st.observe(s.QName, s, e.now, windowStart, &cfg)
+		st.fold(st.cache.Observe(s.QName, e.now), s, windowStart, &cfg)
 		ref.observe(s.QName, s, e.now, &cfg)
 	}
 	closeAndCompare()
@@ -587,7 +578,7 @@ func TestCloseWindowVisitsOnlyTouched(t *testing.T) {
 	cfg.withDefaults()
 	const active = 50
 	for _, k := range []int{1000, 100_000} {
-		st := newAggState(Aggregation{Name: "qname", K: k, Key: QNameKey, NoAdmitter: true}, &cfg, k)
+		st := newAggState(Aggregation{Name: "qname", K: k, Key: QNameKey, NoAdmitter: true}, &cfg, 0, k)
 		for i := 0; i < k; i++ { // fill the cache; idle entries carry no feature set
 			st.cache.Observe(fmt.Sprintf("idle%d.example.", i), 1)
 		}
@@ -599,7 +590,7 @@ func TestCloseWindowVisitsOnlyTouched(t *testing.T) {
 		window := func(start float64) (visited, rows, counted int) {
 			for round := 0; round < 3; round++ {
 				for _, s := range sums {
-					st.observe(s.QName, s, start+float64(round), start, &cfg)
+					st.fold(st.cache.Observe(s.QName, start+float64(round)), s, start, &cfg)
 				}
 			}
 			visited = len(st.touched)
@@ -622,7 +613,7 @@ func TestCloseWindowVisitsOnlyTouched(t *testing.T) {
 		// and no more rows, since a fresh object is not reported.
 		for i := 0; i < 5; i++ {
 			s := sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("new%d.example.", i), dnswire.TypeA)
-			st.observe(s.QName, s, start+1, start, &cfg)
+			st.fold(st.cache.Observe(s.QName, start+1), s, start, &cfg)
 		}
 		if visited, rows, counted := window(start); visited != active+5 || rows != active || counted != active+5 {
 			t.Errorf("K=%d: with 5 admissions visited %d entries for %d rows (%d counted active), want %d, %d and %d",

@@ -111,7 +111,7 @@ func (c *core) init(cfg Config, engine string, aggs []Aggregation, onSnapshot fu
 		w := &worker{id: id, eng: c, states: make([][]*aggState, len(aggs))}
 		for a, agg := range aggs {
 			for sh := id; sh < shards; sh += workers {
-				w.states[a] = append(w.states[a], newAggState(agg, &c.cfg, capacity(agg.K)))
+				w.states[a] = append(w.states[a], newAggState(agg, &c.cfg, sh, capacity(agg.K)))
 			}
 		}
 		c.workers = append(c.workers, w)

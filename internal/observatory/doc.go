@@ -21,7 +21,15 @@
 //     that closes it.
 //   - Sharded: key-hash shards dealt to worker goroutines, fed through
 //     batches of pooled summary buffers, a merger goroutine reuniting the
-//     per-worker parts of each window — the production shape.
+//     per-worker parts of each window — the production shape. A batch
+//     owns the summaries staged in it: the workers only read them, and
+//     the last worker to finish the batch returns them to the pool with
+//     it, so nothing is counted per summary.
+//
+// Both are functions of their input: the same stream through the same
+// shape leaves the same snapshots in any process. The one source of
+// chance there was, the hash seed of a Bloom admitter, is now derived
+// from the aggregation's name and the shard's index (newAggState).
 //
 // Concurrency and ownership: a Pipeline is single-owner (one producer
 // goroutine, which also runs the closes and the snapshot callbacks).

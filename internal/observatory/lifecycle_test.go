@@ -88,9 +88,10 @@ func simnetSummaries(t *testing.T, duration float64) []timedSummary {
 	return out
 }
 
-// lifecycleAggs are the eight standard datasets without admitters (see
-// newRefEngine) at capacities under the generator's key universe, so
-// the tail of every window is admitted by eviction.
+// lifecycleAggs are the eight standard datasets at capacities under the
+// generator's key universe, so the tail of every window is admitted by
+// eviction: of every newcomer as written here, and of those a filter
+// lets through under the matrix's admitter row.
 func lifecycleAggs() []Aggregation {
 	return []Aggregation{
 		{Name: "srvip", K: 300, Key: SrvIPKey, NoAdmitter: true},
@@ -193,7 +194,7 @@ func idleKey(i int) string { return fmt.Sprintf("idle%d.example.", i) }
 
 // filledState is a qname state whose cache monitors k idle keys.
 func filledState(cfg *Config, k int) *aggState {
-	st := newAggState(Aggregation{Name: "qname", K: k, Key: QNameKey, NoAdmitter: true}, cfg, k)
+	st := newAggState(Aggregation{Name: "qname", K: k, Key: QNameKey, NoAdmitter: true}, cfg, 0, k)
 	for i := 0; i < k; i++ {
 		st.cache.Observe(idleKey(i), 1)
 	}
@@ -206,7 +207,7 @@ func (st *aggState) hit(cfg *Config, i, n int, now float64) {
 	s := sum("192.0.2.1", "198.51.100.1", idleKey(i), dnswire.TypeA)
 	s.PrecomputeHashes(cfg.Features.Suffixes)
 	for ; n > 0; n-- {
-		st.observe(s.QName, s, now, now-mod(now, cfg.WindowSec), cfg)
+		st.fold(st.cache.Observe(s.QName, now), s, now-mod(now, cfg.WindowSec), cfg)
 	}
 }
 
@@ -280,19 +281,19 @@ func TestFoldAllocatesNothingWhenPooled(t *testing.T) {
 		sums[i].PrecomputeHashes(cfg.Features.Suffixes)
 	}
 	i := 0
-	if allocs := testing.AllocsPerRun(runs, func() { st.observe(sums[i].QName, sums[i], 121, 120, &cfg); i++ }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(runs, func() { st.fold(st.cache.Observe(sums[i].QName, 121), sums[i], 120, &cfg); i++ }); allocs != 0 {
 		t.Errorf("the first fold of an idle object allocates %.1f objects", allocs)
 	}
 	for _, s := range sums {
 		for n := 1; n < foldDefer; n++ {
-			st.observe(s.QName, s, 122, 120, &cfg)
+			st.fold(st.cache.Observe(s.QName, 122), s, 120, &cfg)
 		}
 	}
 	if slabs, _ := st.made(); len(st.free) != slabs {
 		t.Fatalf("%d of %d sets are out before any object has outgrown its records", slabs-len(st.free), slabs)
 	}
 	i = 0
-	if allocs := testing.AllocsPerRun(runs, func() { st.observe(sums[i].QName, sums[i], 123, 120, &cfg); i++ }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(runs, func() { st.fold(st.cache.Observe(sums[i].QName, 123), sums[i], 120, &cfg); i++ }); allocs != 0 {
 		t.Errorf("a promotion allocates %.1f objects", allocs)
 	}
 	if len(st.free) != 0 || len(st.freeLogs) != runs+1 {

@@ -31,11 +31,13 @@ const (
 // engineMetrics is the ingest accounting every engine keeps. The
 // counters are the single source of truth — Stats() reads them — so
 // registry totals and EngineStats can never disagree. With a registry
-// configured the counters are registered under one engine label; with
-// none they are standalone, so hot paths never nil-check and engines in
-// tests do not cross-contaminate a shared registry.
+// configured the counters are registered under one engine label; a nil
+// one hands out standalone counters, so hot paths never nil-check and
+// engines in tests do not cross-contaminate a shared registry.
 type engineMetrics struct {
-	reg         *metrics.Registry // nil when standalone
+	// reg is read for one thing: whether anybody will see the
+	// per-aggregation gauges, which cost a sum over the dumps to publish.
+	reg         *metrics.Registry
 	ingested    *metrics.Counter
 	accepted    *metrics.Counter
 	rejected    *metrics.Counter
@@ -47,17 +49,6 @@ type engineMetrics struct {
 
 // newEngineMetrics builds the counter set for one engine instance.
 func newEngineMetrics(reg *metrics.Registry, engine string) *engineMetrics {
-	if reg == nil {
-		return &engineMetrics{
-			ingested:    metrics.NewCounter(),
-			accepted:    metrics.NewCounter(),
-			rejected:    metrics.NewCounter(),
-			shed:        metrics.NewCounter(),
-			panics:      metrics.NewCounter(),
-			quarantined: metrics.NewCounter(),
-			flush:       metrics.NewHistogram(metrics.DurationBuckets),
-		}
-	}
 	return &engineMetrics{
 		reg:         reg,
 		ingested:    reg.Counter(MetricIngested, "transactions offered to the platform, including rejects", "engine", engine),

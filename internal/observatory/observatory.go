@@ -210,18 +210,18 @@ type aggState struct {
 	lastDropped uint64
 }
 
-// newAggState builds one aggregation state with a cache of the given
-// capacity (shards pass ⌈K/S⌉+slack; the serial pipeline passes K).
-func newAggState(a Aggregation, cfg *Config, capacity int) *aggState {
+// newAggState builds the state of one shard of an aggregation, with a
+// cache of the given capacity (shards pass ⌈K/S⌉+slack; the serial
+// pipeline passes K).
+func newAggState(a Aggregation, cfg *Config, shard, capacity int) *aggState {
 	st := &aggState{agg: a}
 	if !a.NoAdmitter {
-		st.admitter = bloom.New(cfg.AdmitterN, cfg.AdmitterFP)
+		// Seeded by what the filter guards and by nothing else, so the same
+		// stream through the same shape admits the same keys in any
+		// process; per shard, so shards do not share their false positives.
+		st.admitter = bloom.New(cfg.AdmitterN, cfg.AdmitterFP, hashKey(a.Name)+uint64(shard))
 	}
-	var adm spacesaving.Admitter
-	if st.admitter != nil {
-		adm = st.admitter
-	}
-	st.cache = spacesaving.New(capacity, cfg.HalfLifeSec, adm)
+	st.cache = spacesaving.New(capacity, cfg.HalfLifeSec, st.admitter)
 	st.cache.OnEvictState = st.recycle
 	return st
 }
@@ -280,24 +280,15 @@ func (st *aggState) replayScratch(log *obsLog, cfg *Config) *features.Set {
 	return st.scratch
 }
 
-// observe folds one summary (already keyed) into the aggregation state,
-// at stream time now of the window that began at windowStart.
-func (st *aggState) observe(key string, sum *sie.Summary, now, windowStart float64, cfg *Config) {
-	st.fold(st.cache.Observe(key, now), sum, windowStart, cfg)
-}
-
-// observeBytes is observe for a byte-slice key (no string materialized
-// unless the key enters the cache).
-func (st *aggState) observeBytes(key []byte, sum *sie.Summary, now, windowStart float64, cfg *Config) {
-	st.fold(st.cache.ObserveBytes(key, now), sum, windowStart, cfg)
-}
-
-// fold adds sum to what e's object has seen this window: a record while
-// the object's log has room and the record can hold sum exactly, the
-// feature set otherwise — taking one, and replaying the log into it
-// first, when the object has none yet. A fresh entry takes the marker
-// and no fold: it stays fresh to the end of the window (InsertedAt only
-// moves forward), so the close would throw away whatever it was given.
+// fold adds sum to what e's object has seen this window, which began at
+// windowStart; e is what observing the summary's key returned, in
+// whichever view the caller holds it, and nil if the key was refused. It
+// adds a record while the object's log has room and the record can hold
+// sum exactly, and folds the feature set otherwise — taking one, and
+// replaying the log into it first, when the object has none yet. A
+// fresh entry takes the marker and no fold: it stays fresh to the end of
+// the window (InsertedAt only moves forward), so the close would throw
+// away whatever it was given.
 func (st *aggState) fold(e *spacesaving.Entry, sum *sie.Summary, windowStart float64, cfg *Config) {
 	if e == nil {
 		return
@@ -464,15 +455,13 @@ func (p *Pipeline) Ingest(sum *sie.Summary, now float64) {
 			kb, ok := st.agg.KeyBytes(sum, st.keyBuf[:0])
 			st.keyBuf = kb[:0]
 			if ok {
-				st.observeBytes(kb, sum, now, w.windowStart, &p.cfg)
+				st.fold(st.cache.ObserveBytes(kb, now), sum, w.windowStart, &p.cfg)
 			}
 			continue
 		}
-		key, ok := st.agg.Key(sum)
-		if !ok {
-			continue
+		if key, ok := st.agg.Key(sum); ok {
+			st.fold(st.cache.Observe(key, now), sum, w.windowStart, &p.cfg)
 		}
-		st.observe(key, sum, now, w.windowStart, &p.cfg)
 	}
 	if p.det != nil {
 		p.det.Observe(sum, now)

@@ -20,9 +20,9 @@ import (
 //     spacesaving.Cache (capacity ⌈K/S⌉ + slack) plus Bloom admitter per
 //     shard per aggregation and carries 1/S of every aggregation's load
 //     — throughput is not capped by the heaviest aggregation;
-//   - fans summaries out through sync.Pool-backed, reference-counted
-//     sie.Shared buffers released when the last worker finishes its
-//     batch, so no Ingest pays a deep copy;
+//   - fans summaries out in batches of pooled sie.Shared buffers that
+//     every worker reads and the batch owns — the last worker to finish
+//     a batch returns them to the pool — so no Ingest pays a deep copy;
 //   - merges per-shard state into one Top-k snapshot per aggregation at
 //     each window boundary (the standard parallel Space-Saving merge:
 //     key partitions are disjoint, so the union is exact and the
@@ -39,7 +39,7 @@ type Sharded struct {
 	// plus one trailing detect slot when the detection layer is on.
 	slots     int
 	overload  OverloadPolicy
-	pool      *sie.SummaryPool
+	pool      sync.Pool // of *sie.Shared
 	batchPool sync.Pool
 	mergeDone chan struct{}
 
@@ -93,8 +93,8 @@ type ShardedConfig struct {
 // function filtered the item out, else the shard index + 1. One buffer
 // instead of per-slot strings means composite keys (srcsrv) are built
 // without allocating, and recycling a batch never needs to clear string
-// pointers. Batches are pooled and recycled by whichever worker
-// finishes last (run).
+// pointers. A batch owns the summaries staged in it. Batches are pooled
+// and recycled, summaries first, by whichever worker finishes last (run).
 type shardBatch struct {
 	refs   atomic.Int32
 	sums   []*sie.Shared
@@ -113,10 +113,13 @@ func (b *shardBatch) key(j int) []byte {
 	return b.keyBuf[start:b.ends[j]]
 }
 
-// reset empties the batch, dropping its references to summaries. The key
+// reset empties the batch, returning its summaries to pool. The key
 // buffer holds no pointers, so truncation is enough.
-func (b *shardBatch) reset() {
-	clear(b.sums)
+func (b *shardBatch) reset(pool *sync.Pool) {
+	for i, ps := range b.sums {
+		pool.Put(ps)
+		b.sums[i] = nil
+	}
 	b.sums = b.sums[:0]
 	b.nows = b.nows[:0]
 	b.keyBuf = b.keyBuf[:0]
@@ -131,12 +134,12 @@ func shardCapacity(k, shards int) int {
 	return base + base/8 + 16
 }
 
-// hashKeyBytes is FNV-1a; allocation-free and stable, so a key always
-// lands on the same shard.
-func hashKeyBytes(b []byte) uint64 {
+// hashKey is FNV-1a over either view of a key; allocation-free and
+// stable, so a key always lands on the same shard.
+func hashKey[K ~string | ~[]byte](key K) uint64 {
 	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
 	return h
@@ -173,9 +176,9 @@ func NewSharded(cfg ShardedConfig, aggs []Aggregation, onSnapshot func(*tsv.Snap
 	}
 	s := &Sharded{
 		overload:  cfg.Overload,
-		pool:      sie.NewSummaryPool(),
 		mergeDone: make(chan struct{}),
 	}
+	s.pool.New = func() any { return new(sie.Shared) }
 	s.init(cfg.Config, "sharded", aggs, onSnapshot, shards, workers, func(k int) int { return shardCapacity(k, shards) })
 	s.merges = make(chan *shardDump, workers)
 	s.slots = len(aggs)
@@ -198,15 +201,13 @@ func NewSharded(cfg ShardedConfig, aggs []Aggregation, onSnapshot func(*tsv.Snap
 		w.done = make(chan struct{})
 		go s.run(w)
 	}
-	if reg := s.m.reg; reg != nil {
-		reg.GaugeFunc(MetricQueueDepth, "batches queued across shard workers", func() float64 {
-			var n int
-			for _, w := range s.workers {
-				n += len(w.in)
-			}
-			return float64(n)
-		}, "engine", "sharded")
-	}
+	cfg.Metrics.GaugeFunc(MetricQueueDepth, "batches queued across shard workers", func() float64 {
+		var n int
+		for _, w := range s.workers {
+			n += len(w.in)
+		}
+		return float64(n)
+	}, "engine", "sharded")
 	go s.mergeLoop()
 	return s
 }
@@ -226,14 +227,12 @@ func (s *Sharded) Ingest(sum *sie.Summary, now float64) {
 	s.IngestShared(ps, now)
 }
 
-// Borrow returns a pooled summary buffer for the zero-copy ingest path:
-// fill &buf.Summary directly (e.g. with Summarizer.Summarize, whose
-// slice-reuse contract keeps warm buffers allocation-free) and hand it
-// to IngestShared. Each Borrow must be matched by exactly one
-// IngestShared or Discard call.
-func (s *Sharded) Borrow() *sie.Shared {
-	return s.pool.Get(int32(len(s.workers)))
-}
+// Borrow returns a pooled summary buffer for the zero-copy ingest path.
+// Its content is stale from a previous use: fill &buf.Summary directly
+// (e.g. with Summarizer.Summarize, whose slice-reuse contract keeps warm
+// buffers allocation-free) and hand it to IngestShared. Each Borrow must
+// be matched by exactly one IngestShared or Discard call.
+func (s *Sharded) Borrow() *sie.Shared { return s.pool.Get().(*sie.Shared) }
 
 // IngestShared enqueues a borrowed buffer without copying it. The caller
 // must not touch the buffer afterwards. Safe for concurrent producers.
@@ -248,12 +247,8 @@ func (s *Sharded) IngestShared(ps *sie.Shared, now float64) {
 	s.mu.Unlock()
 }
 
-// Discard releases a borrowed buffer that will not be ingested.
-func (s *Sharded) Discard(ps *sie.Shared) {
-	for i := 0; i < len(s.workers); i++ {
-		ps.Release()
-	}
-}
+// Discard takes back a borrowed buffer that will not be ingested.
+func (s *Sharded) Discard(ps *sie.Shared) { s.pool.Put(ps) }
 
 // add appends one pooled summary to the pending batch, extracting and
 // hashing every aggregation's key exactly once. Caller holds s.mu.
@@ -284,7 +279,7 @@ func (s *Sharded) add(ps *sie.Shared, now float64) {
 			continue
 		}
 		b.ends = append(b.ends, uint32(len(b.keyBuf)))
-		b.meta = append(b.meta, uint16(hashKeyBytes(b.keyBuf[start:])%uint64(s.shards))+1)
+		b.meta = append(b.meta, uint16(hashKey(b.keyBuf[start:])%uint64(s.shards))+1)
 	}
 	if s.det != nil {
 		// The trailing detect slot: eSLD key bytes plus the detector's
@@ -323,10 +318,7 @@ func (s *Sharded) dispatchLocked() {
 		for _, w := range s.workers {
 			if len(w.in) == cap(w.in) {
 				s.m.shed.Add(uint64(len(b.sums)))
-				for _, ps := range b.sums {
-					s.Discard(ps)
-				}
-				b.reset()
+				b.reset(&s.pool)
 				return
 			}
 		}
@@ -339,9 +331,10 @@ func (s *Sharded) dispatchLocked() {
 	}
 }
 
-// Close flushes pending batches and the final partial window, waits for
-// all workers and the snapshot merger, and releases every pooled buffer.
-// Safe to call once; later Ingests are no-ops.
+// Close flushes pending batches and the final partial window and waits
+// for all workers and the snapshot merger; every batch has by then
+// returned its buffers to the pool. Safe to call once; later Ingests are
+// no-ops.
 func (s *Sharded) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -382,10 +375,9 @@ func (s *Sharded) run(w *worker) {
 	for b := range w.in {
 		for i, now := range b.nows {
 			s.processItem(w, b, i, w.enter(now))
-			b.sums[i].Release()
 		}
 		if b.refs.Add(-1) == 0 { // the last worker to finish a batch recycles it
-			b.reset()
+			b.reset(&s.pool)
 			s.batchPool.Put(b)
 		}
 	}
@@ -433,7 +425,8 @@ func (s *Sharded) processItem(w *worker, b *shardBatch, i int, now float64) {
 		if shard%nWorkers != w.id {
 			continue
 		}
-		w.states[a][shard/nWorkers].observeBytes(b.key(base+a), sum, now, w.windowStart, &s.cfg)
+		st := w.states[a][shard/nWorkers]
+		st.fold(st.cache.ObserveBytes(b.key(base+a), now), sum, w.windowStart, &s.cfg)
 	}
 	if det != nil {
 		if m := b.meta[base+nAggs]; m != 0 {

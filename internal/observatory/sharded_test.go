@@ -2,19 +2,22 @@ package observatory
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
 
 	"dnsobservatory/internal/dnswire"
+	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/tsv"
 )
 
 func shardedTestAggs() []Aggregation {
-	// NoAdmitter everywhere: Bloom seeds are random per filter, so only
-	// admitter-free aggregations are bit-for-bit reproducible. Capacities
-	// exceed the distinct-key counts of the test stream so no Space-Saving
-	// eviction occurs and sharded output must match serial exactly.
+	// Capacities exceed the distinct-key counts of the test stream so no
+	// Space-Saving eviction occurs and sharded output must match serial
+	// exactly. NoAdmitter everywhere: a filter guards evictions, and here
+	// there are none.
 	return []Aggregation{
 		{Name: "srvip", K: 200, Key: SrvIPKey, NoAdmitter: true},
 		{Name: "qname", K: 800, Key: QNameKey, NoAdmitter: true},
@@ -104,7 +107,11 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 	serial := run(engineMatrix[0])
 	for _, shape := range engineMatrix[1:] {
-		t.Run(fmt.Sprintf("s%dw%d", shape.shards, shape.workers), func(t *testing.T) {
+		name := fmt.Sprintf("s%dw%d", shape.shards, shape.workers)
+		if shape.admitterN > 0 {
+			name += "-admit" // the filters are built and, the stream being eviction-free, never asked
+		}
+		t.Run(name, func(t *testing.T) {
 			requireSnapsEqual(t, serial, run(shape))
 		})
 	}
@@ -305,5 +312,71 @@ func TestShardedShardCapacity(t *testing.T) {
 		if got := shardCapacity(tc.k, tc.shards); got != tc.want {
 			t.Errorf("shardCapacity(%d, %d) = %d, want %d", tc.k, tc.shards, got, tc.want)
 		}
+	}
+}
+
+// TestBatchOwnsItsSummaries: a borrowed buffer has one owner at a time
+// and goes back to the pool once, whichever way it leaves the caller —
+// discarded, staged in a batch the workers fold, or staged in a batch
+// the overload policy sheds. N buffers are borrowed, sent down the three
+// ways, and read back from the pool after Close: no buffer twice, none
+// that was not borrowed, and all N where the pool keeps what it is given
+// (under the race detector it drops some on purpose).
+func TestBatchOwnsItsSummaries(t *testing.T) {
+	// One P, so that what the workers put this goroutine can get, and no
+	// collection to empty the pool in between.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	keeps := true
+	var probe sync.Pool
+	for i := 0; i < 64 && keeps; i++ {
+		x := new(int)
+		probe.Put(x)
+		keeps = probe.Get() == any(x)
+	}
+
+	cfg := DefaultConfig()
+	gate := make(chan struct{})
+	cfg.ChaosHook = func(*sie.Summary) { <-gate } // workers stall, queues fill, batches are shed
+	eng := NewSharded(ShardedConfig{Config: cfg, Shards: 2, Workers: 2, BatchSize: 4, QueueLen: 1, Overload: Shed},
+		[]Aggregation{{Name: "qname", K: 50, Key: QNameKey, NoAdmitter: true}}, nil)
+	const n = 48
+	borrowed := map[*sie.Shared]int{}
+	var bufs []*sie.Shared
+	for len(bufs) < n {
+		buf := eng.Borrow()
+		buf.Summary = *sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA)
+		borrowed[buf] = 0
+		bufs = append(bufs, buf)
+	}
+	if len(borrowed) != n {
+		t.Fatalf("%d borrows handed out %d buffers", n, len(borrowed))
+	}
+	for i, buf := range bufs {
+		if i%3 == 0 {
+			eng.Discard(buf)
+		} else {
+			eng.IngestShared(buf, float64(i))
+		}
+	}
+	close(gate)
+	eng.Close()
+	if es := eng.Stats(); es.Shed == 0 || es.Accepted == 0 || es.Accepted+es.Shed != n-n/3 {
+		t.Fatalf("Stats() = %+v, want %d summaries, some folded and some shed", es, n-n/3)
+	}
+
+	eng.pool.New = nil // an empty pool answers nil
+	back := 0
+	for x := eng.pool.Get(); x != nil; x = eng.pool.Get() {
+		buf := x.(*sie.Shared)
+		seen, ok := borrowed[buf]
+		if !ok || seen != 0 {
+			t.Fatalf("the pool held a buffer that was borrowed %v and read back %d times before", ok, seen)
+		}
+		borrowed[buf]++
+		back++
+	}
+	if keeps && back != n {
+		t.Errorf("%d of %d buffers came back to the pool", back, n)
 	}
 }

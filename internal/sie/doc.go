@@ -7,10 +7,11 @@
 // single-owner — they keep parse state between calls, so one goroutine
 // each. Summarize reuses the slices of the Summary it fills, so a
 // Summary is valid only until the next Summarize into it; deep-copy (or
-// use the pooled path below) to keep it. Shared wraps a
-// Summary in a reference-counted pool buffer so the sharded engine can
-// hand one decoded summary to several workers without copying —
-// Retain/Release manage the count atomically. The package-wide decode
+// summarize into a buffer borrowed from the sharded engine) to keep it.
+// Shared is that buffer: a Summary the engine lends out, takes back
+// filled, and hands to several workers without copying; it has one
+// owner at a time and nothing is counted per summary — the batch it is
+// staged in returns it to the engine's pool. The package-wide decode
 // error counter (DecodeErrors) is an atomic, exposed by the metrics
 // layer as dnsobs_sie_decode_errors_total.
 package sie

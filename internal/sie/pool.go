@@ -1,37 +1,18 @@
 package sie
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// Shared is a pooled, reference-counted Summary buffer. It is how the
-// sharded ingest engine fans one transaction out to many workers without
-// deep-copying slices per consumer: the producer acquires one buffer with
-// as many references as there are consumers, every consumer reads it
-// concurrently (reads only — the buffer is frozen once handed out), and
-// the last Release returns it to the pool for reuse.
+// Shared is a Summary buffer the sharded ingest engine lends out
+// (Borrow) and takes back filled (IngestShared) or unused (Discard). It
+// is how one transaction reaches many workers without a deep copy per
+// consumer: the buffer is frozen once handed in, every worker reads it
+// concurrently, and it has one owner at a time — the borrower, then the
+// batch it was staged in, which returns it to the engine's pool when the
+// last worker has finished the batch. Nothing is counted per summary.
 type Shared struct {
 	Summary
-	refs atomic.Int32
-	pool *SummaryPool
-}
-
-// Retain adds n references. Call before handing the buffer to n
-// additional consumers.
-func (s *Shared) Retain(n int32) { s.refs.Add(n) }
-
-// Release drops one reference; the last release returns the buffer (and
-// its slice capacity) to the pool. The caller must not touch the buffer
-// after releasing it.
-func (s *Shared) Release() {
-	if s.refs.Add(-1) == 0 {
-		s.pool.p.Put(s)
-	}
 }
 
 // CopyFrom overwrites the buffer with src, reusing the buffer's slice
-// capacity — zero heap allocations once the pool is warm. String fields
+// capacity — zero heap allocations once the buffer is warm. String fields
 // share src's immutable backing data; only slices are copied.
 func (s *Shared) CopyFrom(src *Summary) {
 	v4 := s.Summary.V4Addrs[:0]
@@ -53,27 +34,4 @@ func (s *Shared) CopyFrom(src *Summary) {
 	s.Summary.AnswerTTLs = append(attl, src.AnswerTTLs...)
 	s.Summary.NSTTLs = append(nsttl, src.NSTTLs...)
 	s.Summary.NSNames = append(nsn, src.NSNames...)
-}
-
-// SummaryPool recycles Shared summary buffers across ingest batches.
-// The zero value is not usable; create one with NewSummaryPool.
-type SummaryPool struct {
-	p sync.Pool
-}
-
-// NewSummaryPool returns an empty pool.
-func NewSummaryPool() *SummaryPool {
-	sp := &SummaryPool{}
-	sp.p.New = func() any { return &Shared{pool: sp} }
-	return sp
-}
-
-// Get returns a buffer holding refs references. Its Summary content is
-// undefined (stale from a previous use); fill it with CopyFrom or by
-// summarizing directly into &buf.Summary (the Summarizer's slice-reuse
-// contract composes with pooling: warm buffers keep their capacity).
-func (sp *SummaryPool) Get(refs int32) *Shared {
-	s := sp.p.Get().(*Shared)
-	s.refs.Store(refs)
-	return s
 }

@@ -2,12 +2,10 @@ package sie
 
 import (
 	"net/netip"
-	"sync"
 	"testing"
 )
 
 func TestSharedCopyFromDeepCopiesSlices(t *testing.T) {
-	sp := NewSummaryPool()
 	src := &Summary{
 		QName:      "a.example.com.",
 		V4Addrs:    []netip.Addr{netip.MustParseAddr("192.0.2.1")},
@@ -15,9 +13,9 @@ func TestSharedCopyFromDeepCopiesSlices(t *testing.T) {
 		AnswerTTLs: []uint32{300},
 		NSNames:    []string{"ns1.example.com."},
 	}
-	s := sp.Get(1)
+	s := new(Shared)
 	s.CopyFrom(src)
-	// Mutating the source must not affect the pooled copy.
+	// Mutating the source must not affect the copy.
 	src.V4Addrs[0] = netip.MustParseAddr("203.0.113.9")
 	src.AnswerTTLs[0] = 1
 	src.NSNames[0] = "evil."
@@ -30,84 +28,23 @@ func TestSharedCopyFromDeepCopiesSlices(t *testing.T) {
 	if s.NSNames[0] != "ns1.example.com." {
 		t.Error("NSNames aliased")
 	}
-	s.Release()
-}
-
-func TestSharedRefCounting(t *testing.T) {
-	sp := NewSummaryPool()
-	s := sp.Get(2)
-	s.QName = "x."
-	s.Release()
-	// Still one reference: the buffer must not have been recycled, so a
-	// fresh Get must return a different buffer (pool is empty).
-	other := sp.Get(1)
-	if other == s {
-		t.Fatal("buffer recycled while references remain")
-	}
-	other.Release()
-	s.Release() // last reference: back to the pool
-	got := sp.Get(1)
-	if got != s && got != other {
-		t.Error("released buffer not recycled")
-	}
-	got.Release()
-}
-
-func TestSharedRetain(t *testing.T) {
-	sp := NewSummaryPool()
-	s := sp.Get(1)
-	s.Retain(2)
-	s.Release()
-	s.Release()
-	fresh := sp.Get(1)
-	if fresh == s {
-		t.Fatal("buffer recycled while a retained reference remains")
-	}
-	s.Release()
-	fresh.Release()
 }
 
 func TestSharedCopyReusesCapacity(t *testing.T) {
-	sp := NewSummaryPool()
 	src := &Summary{
 		AnswerTTLs: []uint32{1, 2, 3, 4},
 		NSTTLs:     []uint32{5},
 		NSNames:    []string{"a.", "b."},
 	}
-	s := sp.Get(1)
+	s := new(Shared)
 	s.CopyFrom(src)
 	first := &s.AnswerTTLs[0]
-	s.Release()
-	again := sp.Get(1)
-	if again != s {
-		t.Skip("pool returned a different buffer; capacity reuse untestable")
-	}
-	again.CopyFrom(src)
-	if &again.AnswerTTLs[0] != first {
+	s.CopyFrom(src)
+	if &s.AnswerTTLs[0] != first {
 		t.Error("warm CopyFrom reallocated AnswerTTLs")
 	}
-	again.Release()
-}
-
-func TestSharedConcurrentReadersRace(t *testing.T) {
-	sp := NewSummaryPool()
-	src := &Summary{QName: "q.", AnswerTTLs: []uint32{60, 120}}
-	for iter := 0; iter < 100; iter++ {
-		const readers = 4
-		s := sp.Get(readers)
-		s.CopyFrom(src)
-		var wg sync.WaitGroup
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if s.QName != "q." || len(s.AnswerTTLs) != 2 {
-					t.Error("corrupted shared summary")
-				}
-				s.Release()
-			}()
-		}
-		wg.Wait()
+	if allocs := testing.AllocsPerRun(10, func() { s.CopyFrom(src) }); allocs != 0 {
+		t.Errorf("warm CopyFrom allocates %.0f objects", allocs)
 	}
 }
 

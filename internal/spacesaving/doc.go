@@ -16,6 +16,16 @@
 // Evicted entries bequeath their count to the newcomer (the classic
 // overestimation bound: error <= min count).
 //
+// A key is observed by one body (Observe), written once for the two
+// views a caller may hold of it: a string, or bytes in a buffer it goes
+// on to reuse. Lookup, admission and eviction do not tell them apart —
+// the filter hashes both alike, and neither allocates for a key that is
+// monitored or refused. They differ when a key enters the cache: a
+// string is kept, bytes are copied. That is why the key functions of the
+// engine stay as they are, strings where a string exists: ISSUE 21
+// measured 3.10 → 3.36 allocations per transaction for staging every
+// key as bytes.
+//
 // Caches over key-disjoint partitions of one stream compose: Merge sums
 // counts and errors per key and keeps the strongest entries, which is the
 // standard parallel Space-Saving merge used by the sharded ingest engine.

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dnsobservatory/internal/bloom"
 )
 
 // Space-Saving structural invariants, maintained across arbitrary
@@ -56,11 +58,15 @@ func TestStructuralInvariantsQuick(t *testing.T) {
 
 // With an admitter, the monitored-count sum can only lag the stream by
 // the number of dropped observations.
+// The filter is cleared before every observation, so it rejects every
+// first sighting and remembers nothing: the harshest admission policy.
 func TestAdmitterAccountingQuick(t *testing.T) {
-	c := New(16, 60, fakeAdmitter{})
+	adm := bloom.New(1024, 0.01, 0)
+	c := New(16, 60, adm)
 	var observations uint64
 	f := func(sel uint16) bool {
 		key := fmt.Sprintf("k%d", int(sel)%500)
+		adm.Reset()
 		c.Observe(key, float64(observations)*0.01)
 		observations++
 		var sum uint64
@@ -71,10 +77,3 @@ func TestAdmitterAccountingQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// fakeAdmitter rejects every first sighting (remembers nothing), the
-// harshest possible admission policy.
-type fakeAdmitter struct{}
-
-func (fakeAdmitter) Contains(string) bool { return false }
-func (fakeAdmitter) Add(string)           {}

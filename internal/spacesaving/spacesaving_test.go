@@ -98,7 +98,7 @@ func TestHeavyHittersSurvive(t *testing.T) {
 }
 
 func TestAdmissionFilterBlocksOneOffs(t *testing.T) {
-	f := bloom.New(100000, 0.01)
+	f := bloom.New(100000, 0.01, 0)
 	c := New(10, 60, f)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 5; j++ {

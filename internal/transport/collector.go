@@ -311,12 +311,11 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		kick:    make(chan struct{}, 1),
 		m:       newCollectorMetrics(cfg.Metrics),
 	}
-	if reg := cfg.Metrics; reg != nil {
-		reg.GaugeFunc(MetricQueueDepth, "transactions queued in the collector ingest channel",
-			func() float64 { return float64(len(c.out)) }, "role", "collector")
-		reg.GaugeFunc(MetricActiveConns, "live sensor connections",
-			func() float64 { return float64(c.activeConns()) }, "role", "collector")
-	}
+	reg := cfg.Metrics
+	reg.GaugeFunc(MetricQueueDepth, "transactions queued in the collector ingest channel",
+		func() float64 { return float64(len(c.out)) }, "role", "collector")
+	reg.GaugeFunc(MetricActiveConns, "live sensor connections",
+		func() float64 { return float64(c.activeConns()) }, "role", "collector")
 	return c
 }
 
@@ -361,20 +360,19 @@ func (c *Collector) OpenWAL(dir string, opts wal.Options) error {
 	if c.behind {
 		c.kickTailer()
 	}
-	if reg := c.cfg.Metrics; reg != nil {
-		reg.GaugeFunc(MetricWALSize, "journal bytes appended and retained (up to 256 KiB of them staged, not yet written)",
-			func() float64 { return float64(log.Size()) }, "role", "collector")
-		reg.GaugeFunc(MetricWALSegments, "journal segment count",
-			func() float64 { return float64(log.Segments()) }, "role", "collector")
-		reg.GaugeFunc(MetricWALCheckpoint, "highest checkpointed journal position",
-			func() float64 { return float64(log.Checkpointed()) }, "role", "collector")
-		reg.CounterFunc(MetricWALAppends, "journal record appends",
-			func() uint64 { return log.Stats().Appends }, "role", "collector")
-		reg.CounterFunc(MetricWALWrites, "journal segment write calls (appends per write: how well the journal batches)",
-			func() uint64 { return log.Stats().Writes }, "role", "collector")
-		reg.CounterFunc(MetricWALSyncs, "journal fsyncs (appends per sync: the frames behind one acknowledgement barrier)",
-			func() uint64 { return log.Stats().Syncs }, "role", "collector")
-	}
+	reg := c.cfg.Metrics
+	reg.GaugeFunc(MetricWALSize, "journal bytes appended and retained (up to 256 KiB of them staged, not yet written)",
+		func() float64 { return float64(log.Size()) }, "role", "collector")
+	reg.GaugeFunc(MetricWALSegments, "journal segment count",
+		func() float64 { return float64(log.Segments()) }, "role", "collector")
+	reg.GaugeFunc(MetricWALCheckpoint, "highest checkpointed journal position",
+		func() float64 { return float64(log.Checkpointed()) }, "role", "collector")
+	reg.CounterFunc(MetricWALAppends, "journal record appends",
+		func() uint64 { return log.Stats().Appends }, "role", "collector")
+	reg.CounterFunc(MetricWALWrites, "journal segment write calls (appends per write: how well the journal batches)",
+		func() uint64 { return log.Stats().Writes }, "role", "collector")
+	reg.CounterFunc(MetricWALSyncs, "journal fsyncs (appends per sync: the frames behind one acknowledgement barrier)",
+		func() uint64 { return log.Stats().Syncs }, "role", "collector")
 	return nil
 }
 

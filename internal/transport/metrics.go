@@ -66,8 +66,8 @@ const (
 
 // collectorMetrics is the collector's counter set. Like the engines'
 // accounting, the counters are the single source of truth — with a
-// registry configured they are registered under role="collector", with
-// none they are standalone so tests never contaminate a shared
+// registry configured they are registered under role="collector"; a nil
+// one hands out standalone counters, so tests never contaminate a shared
 // registry. Stats() reads the same storage either way.
 type collectorMetrics struct {
 	connections    *metrics.Counter
@@ -85,22 +85,6 @@ type collectorMetrics struct {
 }
 
 func newCollectorMetrics(reg *metrics.Registry) *collectorMetrics {
-	if reg == nil {
-		return &collectorMetrics{
-			connections:    metrics.NewCounter(),
-			frames:         metrics.NewCounter(),
-			shed:           metrics.NewCounter(),
-			decodeErrors:   metrics.NewCounter(),
-			disconnectEOF:  metrics.NewCounter(),
-			disconnectErr:  metrics.NewCounter(),
-			disconnectProt: metrics.NewCounter(),
-			deduped:        metrics.NewCounter(),
-			acks:           metrics.NewCounter(),
-			enqueued:       metrics.NewCounter(),
-			spilled:        metrics.NewCounter(),
-			replayed:       metrics.NewCounter(),
-		}
-	}
 	return &collectorMetrics{
 		connections:    reg.Counter(MetricConnections, "transport connections by role", "role", "collector"),
 		frames:         reg.Counter(MetricFrames, "transport frames by role and direction", "role", "collector", "dir", "rx"),
@@ -126,13 +110,6 @@ type sensorMetrics struct {
 }
 
 func newSensorMetrics(reg *metrics.Registry, name string) *sensorMetrics {
-	if reg == nil {
-		return &sensorMetrics{
-			connects:   metrics.NewCounter(),
-			reconnects: metrics.NewCounter(),
-			frames:     metrics.NewCounter(),
-		}
-	}
 	return &sensorMetrics{
 		connects:   reg.Counter(MetricConnections, "transport connections by role", "role", "sensor", "sensor", name),
 		reconnects: reg.Counter(MetricReconnects, "successful sensor re-dials after a lost connection", "sensor", name),

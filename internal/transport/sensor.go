@@ -212,10 +212,8 @@ func NewSensor(cfg SensorConfig) *Sensor {
 		s.epoch = randomEpoch()
 	}
 	s.hello = AppendHelloEpoch(nil, cfg.Name, s.epoch)
-	if reg := cfg.Metrics; reg != nil {
-		reg.GaugeFunc(MetricUnacked, "transactions written but not yet acknowledged by the collector",
-			func() float64 { return float64(s.unacked.Load()) }, "sensor", cfg.Name)
-	}
+	cfg.Metrics.GaugeFunc(MetricUnacked, "transactions written but not yet acknowledged by the collector",
+		func() float64 { return float64(s.unacked.Load()) }, "sensor", cfg.Name)
 	return s
 }
 

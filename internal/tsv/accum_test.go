@@ -235,7 +235,7 @@ func TestQuerySingleReadableFilePassthrough(t *testing.T) {
 		if res.Files != 1 || res.CorruptSkipped != 2 || res.From != 120 || res.To != 120 || res.Windows != 3 {
 			t.Fatalf("meta = %+v", res)
 		}
-		want := topRows(middle.Rows, 0, 0)
+		want := TopRows(middle.Rows, 0, 0)
 		dups := 0
 		for _, r := range want {
 			if r.Key == "dup-key" {

@@ -88,7 +88,8 @@ func kindFromByte(b byte) (Kind, bool) {
 
 // colBloom is a serializable bloom filter over keys. Hashing is
 // FNV-1a 64 finalized with the splitmix64 mixer — deterministic across
-// processes, unlike hash/maphash, so the filter can live in the file.
+// processes, unlike a per-process keyed hash, so the filter can live in
+// the file.
 type colBloom struct {
 	k     int
 	words []uint64

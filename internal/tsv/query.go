@@ -228,12 +228,12 @@ func (e *Engine) run(q Query) (*Result, error) {
 	res.Kinds = append([]Kind(nil), first.Kinds...)
 	if res.Files == 1 {
 		res.Windows, res.TotalBefore, res.TotalAfter = first.Windows, first.TotalBefore, first.TotalAfter
-		res.Rows = topRows(first.Rows, orderIdx, q.K)
+		res.Rows = TopRows(first.Rows, orderIdx, q.K)
 		return res, nil
 	}
 	res.Windows, res.TotalBefore, res.TotalAfter = acc.windows, acc.totalBefore, acc.totalAfter
 	acc.rowBuf, acc.flatBuf = acc.rows(acc.rowBuf, acc.flatBuf)
-	res.Rows = topRows(acc.rowBuf, orderIdx, q.K)
+	res.Rows = TopRows(acc.rowBuf, orderIdx, q.K)
 	// The survivors' values still live in the accumulator: copy them
 	// out, so the Result owns its memory.
 	own := make([]float64, 0, len(res.Rows)*len(res.Columns))
@@ -270,12 +270,13 @@ func rowLess(a, b *Row, idx int) bool {
 	return a.Key < b.Key
 }
 
-// topRows returns the strongest k rows by the order column (all rows
-// when k is 0 or exceeds the row count), sorted in report order. For
-// small k over a large row set it runs a partial selection over a
-// size-k min-heap — the spacesaving Cache.Top idiom — instead of
-// sorting everything.
-func topRows(rows []Row, orderIdx, k int) []Row {
+// TopRows returns the strongest k rows by the order column (all rows
+// when k is 0 or exceeds the row count), sorted in report order, in a
+// slice of its own: rows is read and never reordered, so a snapshot
+// other goroutines are reading can be ranked. For small k over a large
+// row set it runs a partial selection over a size-k min-heap — the
+// spacesaving Cache.Top idiom — instead of sorting everything.
+func TopRows(rows []Row, orderIdx, k int) []Row {
 	if len(rows) == 0 {
 		return nil
 	}

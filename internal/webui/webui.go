@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -186,6 +187,27 @@ type topRow struct {
 	Values map[string]float64 `json:"values"`
 }
 
+// ranked returns snap's strongest n rows by column col, or false when it
+// has no such column. It ranks a copy of the rows (tsv.TopRows) and only
+// reads the snapshot, which is shared: every request for the aggregation
+// is handed the same one, and whoever gave it to OnSnapshot may still be
+// using it — dnsobs goes on to store it.
+func ranked(snap *tsv.Snapshot, col string, n int) ([]topRow, bool) {
+	idx := slices.Index(snap.Columns, col)
+	if idx < 0 {
+		return nil, false
+	}
+	var rows []topRow
+	for i, r := range tsv.TopRows(snap.Rows, idx, n) {
+		row := topRow{Rank: i + 1, Key: r.Key, Values: map[string]float64{}}
+		for c, name := range snap.Columns {
+			row.Values[name] = r.Values[c]
+		}
+		rows = append(rows, row)
+	}
+	return rows, true
+}
+
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	agg := r.PathValue("agg")
 	s.mu.RLock()
@@ -208,33 +230,16 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	if col == "" {
 		col = "hits"
 	}
-	valid := false
-	for _, c := range snap.Columns {
-		if c == col {
-			valid = true
-			break
-		}
-	}
-	if !valid {
+	rows, ok := ranked(snap, col, n)
+	if !ok {
 		http.Error(w, "unknown column", http.StatusBadRequest)
 		return
 	}
-	snap.SortByColumn(col)
 	out := struct {
 		Aggregation string   `json:"aggregation"`
 		WindowStart int64    `json:"window_start"`
 		Rows        []topRow `json:"rows"`
-	}{Aggregation: agg, WindowStart: snap.Start}
-	for i := range snap.Rows {
-		if i >= n {
-			break
-		}
-		row := topRow{Rank: i + 1, Key: snap.Rows[i].Key, Values: map[string]float64{}}
-		for c, name := range snap.Columns {
-			row.Values[name] = snap.Rows[i].Values[c]
-		}
-		out.Rows = append(out.Rows, row)
-	}
+	}{Aggregation: agg, WindowStart: snap.Start, Rows: rows}
 	writeJSON(w, out)
 }
 
@@ -270,22 +275,11 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		n = v
 	}
 	rank := func(snap *tsv.Snapshot, col string) []topRow {
-		rows := []topRow{}
 		if snap == nil {
-			return rows
+			return []topRow{}
 		}
-		snap.SortByColumn(col)
-		for i := range snap.Rows {
-			if i >= n {
-				break
-			}
-			row := topRow{Rank: i + 1, Key: snap.Rows[i].Key, Values: map[string]float64{}}
-			for c, name := range snap.Columns {
-				row.Values[name] = snap.Rows[i].Values[c]
-			}
-			rows = append(rows, row)
-		}
-		return rows
+		rows, _ := ranked(snap, col, n)
+		return append([]topRow{}, rows...)
 	}
 	out := struct {
 		WindowStart   int64    `json:"window_start"`

@@ -5,7 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"dnsobservatory/internal/metrics"
@@ -429,5 +432,60 @@ func TestDetectEndpointOneSided(t *testing.T) {
 	}
 	if out.WindowStart != 60 || len(out.HeavyHitters) != 0 || len(out.NewlyObserved) != 2 {
 		t.Errorf("one-sided response wrong: %s", body)
+	}
+}
+
+// TestRankingLeavesTheSnapshotAlone: the snapshot behind /api/top and
+// /api/detect is shared — by every request, and with whoever handed it
+// to OnSnapshot, who goes on to store it — so a request ranks a copy of
+// its rows. Requests on two columns run next to an encoder of the same
+// snapshot (run under -race: sorting the shared rows in place was a
+// data race, and could store a window with rows doubled or missing),
+// and the rows are in the order they arrived in when it is all over.
+func TestRankingLeavesTheSnapshotAlone(t *testing.T) {
+	s, ts := newTestServer(t, false)
+	snap := snapshotFixture("srvip", 60)
+	det := snapshotFixture(detectNOD, 60)
+	for i := 0; i < 400; i++ {
+		row := tsv.Row{Key: "203.0.113." + strconv.Itoa(i), Values: []float64{float64(i * 7 % 401), float64(i * 3 % 397)}}
+		snap.Rows = append(snap.Rows, row)
+		det.Rows = append(det.Rows, row)
+	}
+	arrived := [2][]tsv.Row{slices.Clone(snap.Rows), slices.Clone(det.Rows)}
+	s.OnSnapshot(snap)
+	s.OnSnapshot(det)
+
+	var wg sync.WaitGroup
+	for _, path := range []string{"/api/top/srvip?n=5", "/api/top/srvip?n=500&col=nxd", "/api/detect?n=5"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != 200 {
+					t.Errorf("%s: code %d", path, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ { // the store's encode of the same snapshots
+		if _, err := snap.WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := det.WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	for i, sn := range []*tsv.Snapshot{snap, det} {
+		if !slices.EqualFunc(sn.Rows, arrived[i], func(a, b tsv.Row) bool { return a.Key == b.Key && &a.Values[0] == &b.Values[0] }) {
+			t.Errorf("%s: the requests reordered the shared snapshot's rows", sn.Aggregation)
+		}
 	}
 }
