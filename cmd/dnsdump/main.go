@@ -21,35 +21,39 @@ import (
 	"os"
 	"strings"
 
+	"dnsobservatory/internal/cli"
 	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/tsv"
 )
 
 func main() {
+	os.Exit(cli.Exit("dnsdump", run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)))
+}
+
+// run is main minus the process: it prints the stream (or -snap's
+// snapshot) to stdout and returns the first failure.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dnsdump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		in       = flag.String("i", "-", "input stream file ('-' for stdin)")
-		limit    = flag.Uint64("n", 0, "stop after N transactions (0 = all)")
-		qname    = flag.String("grep", "", "only show transactions whose QNAME contains this substring")
-		snapFile = flag.String("snap", "", "dump a stored snapshot file (TSV or columnar, auto-detected) as TSV text and exit")
+		in       = fs.String("i", "-", "input stream file ('-' for stdin)")
+		limit    = fs.Uint64("n", 0, "stop after N transactions (0 = all)")
+		qname    = fs.String("grep", "", "only show transactions whose QNAME contains this substring")
+		snapFile = fs.String("snap", "", "dump a stored snapshot file (TSV or columnar, auto-detected) as TSV text and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return cli.Usage(err)
+	}
 	if *snapFile != "" {
-		if err := dumpSnapshot(*snapFile); err != nil {
-			fatal(err)
-		}
-		return
+		return dumpSnapshot(*snapFile, stdout, stderr)
 	}
 
-	var r io.Reader = os.Stdin
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		r = f
+	r, err := cli.Open(*in, stdin)
+	if err != nil {
+		return err
 	}
-	out := bufio.NewWriter(os.Stdout)
+	defer r.Close()
+	out := bufio.NewWriter(stdout)
 	defer out.Flush()
 
 	reader := sie.NewReader(bufio.NewReaderSize(r, 1<<20))
@@ -64,7 +68,7 @@ func main() {
 			break
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := summarizer.Summarize(&tx, &sum); err != nil {
 			fmt.Fprintf(out, "%s UNPARSABLE: %v\n", tx.QueryTime.Format("15:04:05.000"), err)
@@ -98,12 +102,13 @@ func main() {
 			break
 		}
 	}
-	fmt.Fprintf(os.Stderr, "dnsdump: %d transactions read, %d shown\n", reader.Count(), shown)
+	fmt.Fprintf(stderr, "dnsdump: %d transactions read, %d shown\n", reader.Count(), shown)
+	return nil
 }
 
 // dumpSnapshot prints one snapshot file as TSV text, decoding the
 // columnar format when the file carries its magic.
-func dumpSnapshot(path string) error {
+func dumpSnapshot(path string, stdout, stderr io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -117,19 +122,14 @@ func dumpSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
-	out := bufio.NewWriter(os.Stdout)
+	out := bufio.NewWriter(stdout)
 	if _, err := snap.WriteTo(out); err != nil {
 		return err
 	}
 	if err := out.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "dnsdump: %s: %d rows, %d columns, %d windows\n",
+	fmt.Fprintf(stderr, "dnsdump: %s: %d rows, %d columns, %d windows\n",
 		path, len(snap.Rows), len(snap.Columns), snap.Windows)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dnsdump:", err)
-	os.Exit(1)
 }

@@ -5,48 +5,21 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"dnsobservatory/internal/chaos"
+	"dnsobservatory/internal/cli"
 	"dnsobservatory/internal/encwire"
-	"dnsobservatory/internal/fleet"
 	"dnsobservatory/internal/scenario"
-	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/simnet"
-	"dnsobservatory/internal/transport"
 )
 
-// parseConnect splits a -connect value: one bare address is a single
-// collector; a comma-separated list of name=addr pairs is a fleet.
-func parseConnect(s string) (names, addrs []string, isFleet bool, err error) {
-	parts := strings.Split(s, ",")
-	if len(parts) == 1 && !strings.Contains(parts[0], "=") {
-		return nil, []string{strings.TrimSpace(parts[0])}, false, nil
-	}
-	for _, p := range parts {
-		name, addr, ok := strings.Cut(strings.TrimSpace(p), "=")
-		if !ok || name == "" || addr == "" {
-			return nil, nil, false, fmt.Errorf("bad -connect fleet entry %q (want name=addr)", p)
-		}
-		names = append(names, name)
-		addrs = append(addrs, addr)
-	}
-	return names, addrs, true, nil
-}
-
 func main() {
-	if err := run(os.Args[1:], os.Stderr); err != nil {
-		if err != flag.ErrHelp {
-			fmt.Fprintln(os.Stderr, "dnsgen:", err)
-		}
-		os.Exit(1)
-	}
+	os.Exit(cli.Exit("dnsgen", run(os.Args[1:], os.Stderr)))
 }
 
 // run is main minus the exit code: every failure — including a write
@@ -77,7 +50,7 @@ func run(args []string, stderr io.Writer) error {
 		encOut     = fs.String("enc-out", "", "write the encrypted-leg size/timing observations to this file as framed records (requires -enc-mode)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cli.Usage(err)
 	}
 
 	var inj *chaos.Injector
@@ -92,10 +65,7 @@ func run(args []string, stderr io.Writer) error {
 	// -enc-out streams its size/timing observations to a framed file the
 	// dnsobs -enc-in flag (or encwire.Reader) consumes. The SIE stream
 	// itself is byte-identical with or without it.
-	var writeErr error
-	var encW *encwire.Writer
-	var encBW *bufio.Writer
-	var encFile *os.File
+	var encSink *cli.Sink[*encwire.Observation]
 	encCfg := func(cfg *simnet.Config) {}
 	if *encMode != "" {
 		mode, err := encwire.ParseMode(*encMode)
@@ -107,22 +77,18 @@ func run(args []string, stderr io.Writer) error {
 			return err
 		}
 		if *encOut != "" {
-			if encFile, err = os.Create(*encOut); err != nil {
+			w, closeFile, err := cli.Create(*encOut, nil)
+			if err != nil {
 				return err
 			}
-			encBW = bufio.NewWriterSize(encFile, 1<<20)
-			encW = encwire.NewWriter(encBW)
+			encSink = cli.NewSink(encwire.NewWriter(w).Write, closeFile)
 		}
 		encCfg = func(cfg *simnet.Config) {
 			cfg.EncMode = mode
 			cfg.EncPolicy = policy
 			cfg.EncBlock = *encBlock
-			if encW != nil {
-				cfg.EncEmit = func(o *encwire.Observation) {
-					if writeErr == nil {
-						writeErr = encW.Write(o)
-					}
-				}
+			if encSink != nil {
+				cfg.EncEmit = encSink.Emit
 			}
 		}
 	} else if *encOut != "" {
@@ -155,71 +121,17 @@ func run(args []string, stderr io.Writer) error {
 		sim = simnet.New(cfg)
 	}
 
-	// The sink: either a transport sensor streaming to a collector, or
-	// a framed file/stdout writer. finish flushes and closes it; its
-	// error matters as much as a mid-stream one (a buffered tail that
-	// never reached the output is still data loss).
-	var emit func(*sie.Transaction)
-	var finish func() error
-	if *connect != "" {
-		cfg := transport.SensorConfig{
-			Name:   *sensorName,
-			WALDir: *sensorWAL,
-		}
-		if names, addrs, isFleet, err := parseConnect(*connect); err != nil {
-			return err
-		} else if isFleet {
-			// A fleet: route by consistent hash of the sensor name, with
-			// automatic failover to the next ring member when the owner
-			// stops answering.
-			rt := fleet.NewRouter(fleet.RouterConfig{})
-			for i := range names {
-				rt.SetNode(names[i], addrs[i])
-			}
-			cfg.Dial = rt.DialFunc(*sensorName)
-		} else {
-			cfg.Addr = addrs[0]
-		}
-		sensor := transport.NewSensor(cfg)
-		emit = func(tx *sie.Transaction) {
-			if writeErr == nil {
-				writeErr = sensor.Write(tx)
-			}
-		}
-		finish = sensor.Close
-	} else {
-		var w io.Writer = os.Stdout
-		var f *os.File
-		if *out != "-" {
-			var err error
-			if f, err = os.Create(*out); err != nil {
-				return err
-			}
-			w = f
-		}
-		if *chaosWrite > 0 || *chaosShort > 0 {
-			// Wrap under bufio so injected faults hit the real write
-			// path, exactly where a full disk or closed pipe would.
-			w = inj.WrapWriter(w)
-		}
-		bw := bufio.NewWriterSize(w, 1<<20)
-		writer := sie.NewWriter(bw)
-		emit = func(tx *sie.Transaction) {
-			if writeErr == nil {
-				writeErr = writer.Write(tx)
-			}
-		}
-		finish = func() error {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			if f != nil {
-				return f.Close()
-			}
-			return nil
-		}
+	// The sink: a transport sensor streaming to a collector or a fleet,
+	// or a framed file/stdout writer.
+	sinkCfg := cli.SinkConfig{Out: *out, Connect: *connect, Sensor: *sensorName, WALDir: *sensorWAL}
+	if *chaosWrite > 0 || *chaosShort > 0 {
+		sinkCfg.Wrap = inj.WrapWriter
 	}
-
+	sink, err := cli.OpenSink(sinkCfg)
+	if err != nil {
+		return err
+	}
+	emit := sink.Emit
 	if inj != nil {
 		emit = inj.Transactions(emit)
 	}
@@ -228,22 +140,14 @@ func run(args []string, stderr io.Writer) error {
 	if inj != nil {
 		inj.Flush() // release reorder-held transactions
 	}
-	finishErr := finish()
-	if encFile != nil {
-		// Same contract as the main stream: a buffered observation tail
-		// that never hit the disk is data loss, not success.
-		if err := encBW.Flush(); err != nil && writeErr == nil {
-			writeErr = err
-		}
-		if err := encFile.Close(); err != nil && writeErr == nil {
-			writeErr = err
-		}
+	// Both streams' Close errors matter as much as mid-stream ones: a
+	// buffered tail that never reached the output is still data loss.
+	sinkErr := sink.Close()
+	if err := encSink.Close(); sinkErr == nil {
+		sinkErr = err
 	}
-	if writeErr != nil {
-		return writeErr
-	}
-	if finishErr != nil {
-		return finishErr
+	if sinkErr != nil {
+		return sinkErr
 	}
 	fmt.Fprintf(stderr, "dnsgen: %d transactions (%d client queries, %d cache hits) in %v\n",
 		stats.Transactions, stats.ClientQueries, stats.CacheHits, time.Since(start).Round(time.Millisecond))

@@ -8,11 +8,11 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -22,6 +22,7 @@ import (
 	"syscall"
 	"time"
 
+	"dnsobservatory/internal/cli"
 	"dnsobservatory/internal/detect"
 	"dnsobservatory/internal/encwire"
 	"dnsobservatory/internal/fleet"
@@ -61,67 +62,89 @@ func (s *collectorSource) Read(tx *sie.Transaction) error {
 func (s *collectorSource) Count() uint64 { return s.n }
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The first signal cancels ctx and run drains; stop puts the default
+	// handlers back, so a second signal kills the process.
+	context.AfterFunc(ctx, stop)
+	os.Exit(cli.Exit("dnsobs", run(ctx, os.Args[1:], os.Stdin, os.Stderr)))
+}
+
+// run is main minus the process. It ingests until the input ends or ctx
+// is cancelled, then drains what was read, flushes the final window,
+// cascades, applies retention and — with -wal — checkpoints the
+// journal. Every failure comes back as an error, so deferred closes run.
+func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dnsobs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		in       = flag.String("i", "-", "input stream file ('-' for stdin)")
-		listen   = flag.String("listen", "", "accept sensor connections on this address (host:port, tcp:host:port or unix:/path) instead of reading a stream")
-		dir      = flag.String("dir", "observatory-data", "snapshot store directory")
-		backend  = flag.String("store", tsv.BackendTSV, "snapshot store backend: tsv (plain text) or columnar (compressed, indexed)")
-		factor   = flag.Float64("k", 0.1, "top-k capacity factor (1.0 = paper scale)")
-		retain   = flag.Int("retain-min", 0, "minutely files to retain (0 = all)")
-		httpAddr = flag.String("http", "", "serve the live web UI on this address (e.g. :8053)")
-		detectOn = flag.Bool("detect", false, "enable the streaming detection layer (information-content heavy hitters + newly-observed domains; snapshots under detect_esld/detect_nod, live view at /api/detect)")
-		sharded  = flag.Bool("sharded", false, "use the key-hash-sharded engine (implied by -shards/-workers)")
-		shards   = flag.Int("shards", 0, "sharded engine: key-hash shards per aggregation (0 = one per worker)")
-		workers  = flag.Int("workers", 0, "sharded engine: worker goroutines (0 = GOMAXPROCS, capped at 16)")
-		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the web UI (requires -http)")
-		report   = flag.Duration("report", 60*time.Second, "self-report interval for the health log line (0 disables)")
-		walDir   = flag.String("wal", "", "with -listen: journal accepted frames to a write-ahead log in this directory (durable ingest: spill instead of shed, replay after a crash)")
-		overload = flag.String("overload", "block", "with -listen: full-queue policy, block (backpressure) or shed (drop with accounting); a -wal collector spills instead")
-		fleetN   = flag.String("fleet", "", "this collector's fleet member name (with -peers)")
-		peers    = flag.String("peers", "", "fleet membership as name=addr,name=addr,... including this member (with -fleet)")
-		absorb   = flag.String("absorb", "", "comma-separated WAL directories of dead fleet peers to absorb before serving (frames past their last checkpoint re-enter ingest; with -fleet, filtered to sensors this member now owns)")
-		encIn    = flag.String("enc-in", "", "encrypted client-leg observation file (from dnsgen -enc-out): accounted into per-mode counters served as dnsobs_encwire_* metrics and /api/encdns")
+		in       = fs.String("i", "-", "input stream file ('-' for stdin)")
+		listen   = fs.String("listen", "", "accept sensor connections on this address (host:port, tcp:host:port or unix:/path) instead of reading a stream")
+		dir      = fs.String("dir", "observatory-data", "snapshot store directory")
+		backend  = fs.String("store", tsv.BackendTSV, "snapshot store backend: tsv (plain text) or columnar (compressed, indexed)")
+		factor   = fs.Float64("k", 0.1, "top-k capacity factor (1.0 = paper scale)")
+		retain   = fs.Int("retain-min", 0, "minutely files to retain (0 = all)")
+		httpAddr = fs.String("http", "", "serve the live web UI on this address (e.g. :8053)")
+		detectOn = fs.Bool("detect", false, "enable the streaming detection layer (information-content heavy hitters + newly-observed domains; snapshots under detect_esld/detect_nod, live view at /api/detect)")
+		sharded  = fs.Bool("sharded", false, "use the key-hash-sharded engine (implied by -shards/-workers)")
+		shards   = fs.Int("shards", 0, "sharded engine: key-hash shards per aggregation (0 = one per worker)")
+		workers  = fs.Int("workers", 0, "sharded engine: worker goroutines (0 = GOMAXPROCS, capped at 16)")
+		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the web UI (requires -http)")
+		report   = fs.Duration("report", 60*time.Second, "self-report interval for the health log line (0 disables)")
+		walDir   = fs.String("wal", "", "with -listen: journal accepted frames to a write-ahead log in this directory (durable ingest: spill instead of shed, replay after a crash)")
+		overload = fs.String("overload", "block", "with -listen: full-queue policy, block (backpressure) or shed (drop with accounting); a -wal collector spills instead")
+		fleetN   = fs.String("fleet", "", "this collector's fleet member name (with -peers)")
+		peers    = fs.String("peers", "", "fleet membership as name=addr,name=addr,... including this member (with -fleet)")
+		absorb   = fs.String("absorb", "", "comma-separated WAL directories of dead fleet peers to absorb before serving (frames past their last checkpoint re-enter ingest; with -fleet, filtered to sensors this member now owns)")
+		encIn    = fs.String("enc-in", "", "encrypted client-leg observation file (from dnsgen -enc-out): accounted into per-mode counters served as dnsobs_encwire_* metrics and /api/encdns")
 	)
-	flag.Parse()
-	if *pprofOn && *httpAddr == "" {
-		fatal(errors.New("-pprof requires -http"))
-	}
-	if *listen != "" && *in != "-" {
-		fatal(errors.New("-listen and -i are mutually exclusive"))
-	}
-	if *listen == "" {
-		for name, v := range map[string]string{"-wal": *walDir, "-fleet": *fleetN, "-peers": *peers, "-absorb": *absorb} {
-			if v != "" {
-				fatal(errors.New(name + " requires -listen"))
-			}
-		}
-	}
-	if (*fleetN == "") != (*peers == "") {
-		fatal(errors.New("-fleet and -peers go together"))
-	}
-	var shedPolicy transport.OverloadPolicy
-	switch *overload {
-	case "block":
-		shedPolicy = transport.Block
-	case "shed":
-		shedPolicy = transport.Shed
-	default:
-		fatal(fmt.Errorf("unknown -overload policy %q (block or shed)", *overload))
+	if err := fs.Parse(args); err != nil {
+		return cli.Usage(err)
 	}
 
-	inFile := os.Stdin
-	if *listen == "" && *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
+	// Every flag is checked before anything is created under -dir.
+	for _, f := range [][2]string{{"-wal", *walDir}, {"-fleet", *fleetN}, {"-peers", *peers}, {"-absorb", *absorb}} {
+		if *listen == "" && f[1] != "" {
+			return errors.New(f[0] + " requires -listen")
 		}
-		defer f.Close()
-		inFile = f
 	}
+	switch {
+	case *pprofOn && *httpAddr == "":
+		return errors.New("-pprof requires -http")
+	case *listen != "" && *in != "-":
+		return errors.New("-listen and -i are mutually exclusive")
+	case (*fleetN == "") != (*peers == ""):
+		return errors.New("-fleet and -peers go together")
+	case *absorb != "" && *walDir == "":
+		// Without a journal of our own the absorbed backlog has nowhere
+		// to spill and could deadlock a full queue.
+		return errors.New("-absorb requires -wal")
+	case *overload != "block" && *overload != "shed":
+		return fmt.Errorf("unknown -overload policy %q (block or shed)", *overload)
+	case *shards < 0 || *workers < 0:
+		return errors.New("-shards and -workers must not be negative")
+	case *retain < 0:
+		return errors.New("-retain-min must not be negative")
+	}
+	var members map[string]string
+	if *peers != "" {
+		var err error
+		if members, err = fleet.ParseMembers(*peers); err != nil {
+			return fmt.Errorf("-peers: %w", err)
+		}
+		if _, ok := members[*fleetN]; !ok {
+			return fmt.Errorf("-fleet member %q is not in -peers", *fleetN)
+		}
+	}
+
+	input, err := cli.Open(*in, stdin)
+	if err != nil {
+		return err
+	}
+	defer input.Close()
 
 	store, err := tsv.NewStoreBackend(*dir, *backend)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *retain > 0 {
 		store.Retain[tsv.Minutely] = *retain
@@ -156,8 +179,9 @@ func main() {
 	if *encIn != "" {
 		f, err := os.Open(*encIn)
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		defer f.Close()
 		acc := encwire.NewAccumulator()
 		acc.Instrument(reg)
 		ui.Enc = acc.Status
@@ -176,13 +200,28 @@ func main() {
 				continue
 			}
 			if err != nil {
-				fatal(fmt.Errorf("enc-in: %w", err))
+				return fmt.Errorf("enc-in: %w", err)
 			}
 			acc.Add(&obs)
 		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "dnsobs: enc-in: %d observations (%d undecodable) from %s\n",
+		fmt.Fprintf(stderr, "dnsobs: enc-in: %d observations (%d undecodable) from %s\n",
 			r.Count(), encErrs, *encIn)
+	}
+
+	// settle cascades every window that closed by now and applies
+	// retention. It runs when the first snapshot of a window arrives —
+	// the engines deliver windows in order, so every earlier window is
+	// complete then — and once more after the final flush.
+	settle := func(now int64) error {
+		if err := store.CascadeAll(aggNames, now); err != nil {
+			return err
+		}
+		for _, name := range aggNames {
+			if err := store.Retention(name); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	// The sharded engine calls onSnapshot from its merger goroutine, so
@@ -200,8 +239,12 @@ func main() {
 		if snapErr != nil {
 			return
 		}
-		if err := store.Put(s); err != nil {
-			snapErr = err
+		if s.Start > lastStart {
+			if snapErr = settle(s.Start); snapErr != nil {
+				return
+			}
+		}
+		if snapErr = store.Put(s); snapErr != nil {
 			return
 		}
 		lastStart = s.Start
@@ -217,8 +260,8 @@ func main() {
 
 	// borrow/ingest/discard/flush/reject/stats abstract over the two
 	// engines. borrow returns the summary to fill; ingest commits it at a
-	// stream time, discard drops it after a summarize failure, reject
-	// additionally accounts it in the engine's ingest statistics.
+	// stream time, discard drops it when the record is rejected, reject
+	// accounts a rejected record in the engine's ingest statistics.
 	var (
 		borrow  func() *sie.Summary
 		ingest  func(now float64)
@@ -248,7 +291,7 @@ func main() {
 		flush = eng.Close
 		reject = eng.RecordRejected
 		stats = eng.Stats
-		fmt.Fprintf(os.Stderr, "dnsobs: sharded engine: %d shards, %d workers\n",
+		fmt.Fprintf(stderr, "dnsobs: sharded engine: %d shards, %d workers\n",
 			eng.Shards(), eng.Workers())
 	} else {
 		pipe := observatory.New(engineCfg, aggs, onSnapshot)
@@ -262,15 +305,21 @@ func main() {
 	}
 
 	// The transaction source. stop unblocks a Read in progress: closing
-	// the input file for the stream path, closing the collector (which
-	// drains its queue, then closes the channel) for the listen path.
+	// the input for the stream path, closing the collector (which drains
+	// its queue, then closes the channel) for the listen path. finalize,
+	// with -wal, writes the final checkpoint and closes the journal.
 	var src txSource
 	var stop func()
 	var finalize func()
 	if *listen != "" {
 		ln, err := transport.Listen(*listen)
 		if err != nil {
-			fatal(err)
+			return err
+		}
+		defer ln.Close()
+		shedPolicy := transport.Block
+		if *overload == "shed" {
+			shedPolicy = transport.Shed
 		}
 		coll := transport.NewCollector(transport.CollectorConfig{
 			Metrics:  reg,
@@ -281,82 +330,70 @@ func main() {
 			// this concurrently with the ingest loop.
 			OnReject: func(error) { reject() },
 		})
+		// Both are idempotent: on an early return the collector stops,
+		// then its journal closes; after finalize they are no-ops.
+		defer func() {
+			coll.Close()
+			coll.CloseWAL()
+		}()
 		if *walDir != "" {
 			if err := coll.OpenWAL(*walDir, wal.Options{}); err != nil {
-				fatal(err)
+				return err
 			}
 			if ws, ok := coll.WALStatus(); ok && ws.Recovered > 0 {
-				fmt.Fprintf(os.Stderr, "dnsobs: wal: replaying %d unconfirmed transactions from %s\n", ws.Recovered, *walDir)
+				fmt.Fprintf(stderr, "dnsobs: wal: replaying %d unconfirmed transactions from %s\n", ws.Recovered, *walDir)
 			}
 			ui.WAL = func() any { ws, _ := coll.WALStatus(); return ws }
 		}
 
 		// Fleet membership: the ring tells this member which sensors it
 		// owns — both for /healthz and for filtering absorbed journals.
+		// Nothing here dials, so no member is ever cooling down.
 		var keep func(sensor string) bool
-		if *fleetN != "" {
+		if members != nil {
 			rt := fleet.NewRouter(fleet.RouterConfig{})
-			ring := fleet.NewRing(0)
-			self := false
-			for _, kv := range strings.Split(*peers, ",") {
-				name, addr, ok := strings.Cut(strings.TrimSpace(kv), "=")
-				if !ok || name == "" || addr == "" {
-					fatal(fmt.Errorf("bad -peers entry %q (want name=addr)", kv))
-				}
+			for name, addr := range members {
 				rt.SetNode(name, addr)
-				ring.Add(name)
-				self = self || name == *fleetN
-			}
-			if !self {
-				fatal(fmt.Errorf("-fleet member %q is not in -peers", *fleetN))
 			}
 			ui.Fleet = func() any { return rt.Status() }
 			keep = func(sensor string) bool {
-				owner, ok := ring.Owner(sensor)
+				owner, _, ok := rt.Owner(sensor)
 				return ok && owner == *fleetN
 			}
-			fmt.Fprintf(os.Stderr, "dnsobs: fleet member %q of %d\n", *fleetN, len(ring.Nodes()))
+			fmt.Fprintf(stderr, "dnsobs: fleet member %q of %d\n", *fleetN, len(members))
 		}
 
 		// Absorb dead peers' journals before accepting connections, so
 		// their unconfirmed work re-enters ingest ahead of the displaced
 		// sensors' retransmissions (which then dedup cleanly).
-		if *absorb != "" {
-			if *walDir == "" {
-				// Without a journal of our own the absorbed backlog has
-				// nowhere to spill and could deadlock a full queue.
-				fatal(errors.New("-absorb requires -wal"))
+		for _, dir := range strings.Split(*absorb, ",") {
+			if dir = strings.TrimSpace(dir); dir == "" {
+				continue
 			}
-			for _, dir := range strings.Split(*absorb, ",") {
-				dir = strings.TrimSpace(dir)
-				if dir == "" {
-					continue
-				}
-				peerLog, err := wal.Open(dir, wal.Options{})
-				if err != nil {
-					fatal(fmt.Errorf("absorb %s: %w", dir, err))
-				}
-				absorbed, deduped, err := coll.AbsorbLog(peerLog, keep)
-				closeErr := peerLog.Close()
-				if err != nil {
-					fatal(fmt.Errorf("absorb %s: %w", dir, err))
-				}
-				if closeErr != nil {
-					fatal(closeErr)
-				}
-				fmt.Fprintf(os.Stderr, "dnsobs: absorbed %d transactions (%d duplicate) from %s\n", absorbed, deduped, dir)
+			peerLog, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				return fmt.Errorf("absorb %s: %w", dir, err)
 			}
+			absorbed, deduped, err := coll.AbsorbLog(peerLog, keep)
+			closeErr := peerLog.Close()
+			if err != nil {
+				return fmt.Errorf("absorb %s: %w", dir, err)
+			}
+			if closeErr != nil {
+				return closeErr
+			}
+			fmt.Fprintf(stderr, "dnsobs: absorbed %d transactions (%d duplicate) from %s\n", absorbed, deduped, dir)
 		}
 
 		go func() {
 			if err := coll.Serve(ln); err != nil {
-				fmt.Fprintln(os.Stderr, "dnsobs: listen:", err)
+				fmt.Fprintln(stderr, "dnsobs: listen:", err)
 			}
 		}()
 		ui.Sensors = func() any { return coll.Sensors() }
 		csrc := &collectorSource{c: coll.C()}
 		src = csrc
-		stop = func() { coll.Close() }
+		stop = coll.Close
 		if *walDir != "" {
 			if !useSharded {
 				// Snapshot n lands when transaction n+1 opens the next
@@ -369,63 +406,64 @@ func main() {
 						return
 					}
 					if err := coll.Checkpoint(csrc.n - 1); err != nil {
-						fmt.Fprintln(os.Stderr, "dnsobs: wal checkpoint:", err)
+						fmt.Fprintln(stderr, "dnsobs: wal checkpoint:", err)
 						ckptBroken = true
 					}
 				}
 			}
 			finalize = func() {
 				if err := coll.Checkpoint(csrc.n); err != nil {
-					fmt.Fprintln(os.Stderr, "dnsobs: wal checkpoint:", err)
+					fmt.Fprintln(stderr, "dnsobs: wal checkpoint:", err)
 				}
 				if err := coll.CloseWAL(); err != nil {
-					fmt.Fprintln(os.Stderr, "dnsobs: wal close:", err)
+					fmt.Fprintln(stderr, "dnsobs: wal close:", err)
 				}
 			}
 		}
-		fmt.Fprintf(os.Stderr, "dnsobs: listening for sensors on %s\n", *listen)
+		fmt.Fprintf(stderr, "dnsobs: listening for sensors on %s\n", *listen)
 	} else {
-		src = sie.NewReader(bufio.NewReaderSize(io.Reader(inFile), 1<<20))
-		stop = func() { inFile.Close() }
+		src = sie.NewReader(bufio.NewReaderSize(input, 1<<20))
+		stop = func() { input.Close() }
 	}
 
-	// On SIGINT/SIGTERM, drain what has been read, flush the final
-	// partial window and exit 0. stop unblocks a read in progress; a
-	// second signal aborts immediately.
+	// Once ctx is cancelled, drain what has been read, flush the final
+	// partial window and return nil; stop unblocks a read in progress.
 	var stopping atomic.Bool
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigc
-		fmt.Fprintf(os.Stderr, "dnsobs: %v: draining (signal again to abort)\n", sig)
+	defer context.AfterFunc(ctx, func() {
+		fmt.Fprintln(stderr, "dnsobs: draining (signal again to abort)")
 		stopping.Store(true)
 		stop()
-		<-sigc
-		os.Exit(1)
-	}()
+	})()
 
 	if *httpAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*httpAddr, ui.Handler()); err != nil {
-				fmt.Fprintln(os.Stderr, "dnsobs: http:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "dnsobs: web UI on http://%s\n", *httpAddr)
+		srv, err := cli.Serve(*httpAddr, ui.Handler())
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		fmt.Fprintf(stderr, "dnsobs: web UI on http://%s\n", *httpAddr)
 	}
 
 	// Periodic one-line self-report so headless runs log their own
 	// health: wall-clock ingest rate, heap in use, and live top-k
 	// occupancy summed over aggregations.
 	if *report > 0 {
+		tick := time.NewTicker(*report)
+		defer tick.Stop()
+		done := make(chan struct{})
+		defer close(done)
 		go func() {
-			tick := time.NewTicker(*report)
-			defer tick.Stop()
 			last := uint64(0)
-			for range tick.C {
+			for {
+				select {
+				case <-done:
+					return
+				case <-tick.C:
+				}
 				cur := stats().Ingested
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
-				fmt.Fprintf(os.Stderr, "dnsobs: report: %.0f tx/s, heap %d MiB, topk %.0f objects\n",
+				fmt.Fprintf(stderr, "dnsobs: report: %.0f tx/s, heap %d MiB, topk %.0f objects\n",
 					float64(cur-last)/report.Seconds(),
 					ms.HeapAlloc>>20,
 					reg.Sum(observatory.MetricTopkOccupancy))
@@ -456,25 +494,16 @@ func main() {
 				continue
 			}
 			if stopping.Load() {
-				break // interrupted mid-read by the signal handler
+				break // interrupted mid-read by stop
 			}
-			fatal(err)
-		}
-		if tx.QueryTime.IsZero() {
-			// An unset timestamp cannot be placed in any window.
-			errs++
-			reject()
-			continue
-		}
-		if !base.IsZero() && tx.QueryTime.Before(base) {
-			// Backdated beyond the very first window; no window exists
-			// to clamp it into.
-			errs++
-			reject()
-			continue
+			return err
 		}
 		sum := borrow()
-		if err := summarizer.Summarize(&tx, sum); err != nil {
+		if tx.QueryTime.IsZero() || tx.QueryTime.Before(base) || summarizer.Summarize(&tx, sum) != nil {
+			// Rejected: no timestamp; one backdated beyond the very first
+			// window, where no window exists to clamp it into (base is
+			// the zero time until then, so nothing is before it); or
+			// packets the summarizer cannot parse.
 			errs++
 			discard()
 			reject()
@@ -485,7 +514,7 @@ func main() {
 		}
 		ingest(tx.QueryTime.Sub(base).Seconds())
 		if err := failed(); err != nil {
-			fatal(err)
+			return err
 		}
 		if stopping.Load() && *listen == "" {
 			break
@@ -493,27 +522,18 @@ func main() {
 	}
 	flush()
 	if err := failed(); err != nil {
-		fatal(err)
+		return err
 	}
-	if err := store.CascadeAll(aggNames, lastStart+60); err != nil {
-		fatal(err)
-	}
-	for _, name := range aggNames {
-		if err := store.Retention(name); err != nil {
-			fatal(err)
-		}
+	if err := settle(lastStart + 60); err != nil {
+		return err
 	}
 	if finalize != nil {
 		finalize() // final WAL checkpoint: a clean shutdown replays nothing
 	}
 	es := stats()
-	fmt.Fprintf(os.Stderr, "dnsobs: %d transactions (%d unparsable) -> %s in %v\n",
+	fmt.Fprintf(stderr, "dnsobs: %d transactions (%d unparsable) -> %s in %v\n",
 		src.Count(), errs, *dir, time.Since(wall).Round(time.Millisecond))
-	fmt.Fprintf(os.Stderr, "dnsobs: engine: ingested %d accepted %d rejected %d shed %d panics %d quarantined %d; store: %d corrupt snapshots skipped\n",
+	fmt.Fprintf(stderr, "dnsobs: engine: ingested %d accepted %d rejected %d shed %d panics %d quarantined %d; store: %d corrupt snapshots skipped\n",
 		es.Ingested, es.Accepted, es.Rejected, es.Shed, es.Panics, es.Quarantined, store.CorruptSkipped())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dnsobs:", err)
-	os.Exit(1)
+	return nil
 }

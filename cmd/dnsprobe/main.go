@@ -11,29 +11,23 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"dnsobservatory/internal/chaos"
+	"dnsobservatory/internal/cli"
 	"dnsobservatory/internal/dnswire"
 	"dnsobservatory/internal/metrics"
 	"dnsobservatory/internal/probe"
 	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/simnet"
-	"dnsobservatory/internal/transport"
 	"dnsobservatory/internal/tsv"
 	"dnsobservatory/internal/webui"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stderr); err != nil {
-		if err != flag.ErrHelp {
-			fmt.Fprintln(os.Stderr, "dnsprobe:", err)
-		}
-		os.Exit(1)
-	}
+	os.Exit(cli.Exit("dnsprobe", run(os.Args[1:], os.Stderr)))
 }
 
 // run is main minus the exit code, so tests drive the full flag-to-
@@ -76,7 +70,7 @@ func run(args []string, stderr io.Writer) error {
 		chaosSeed     = fs.Int64("chaos-seed", 1, "fault injector seed (replay a failing run)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cli.Usage(err)
 	}
 
 	qt, err := parseQType(*qtype)
@@ -110,46 +104,15 @@ func run(args []string, stderr io.Writer) error {
 		exch = inj.WrapExchanger(auth)
 	}
 
-	// The transaction sink: collector, file, stdout, or none.
-	var writeErr error
+	// The transaction sink: collector, fleet, file, stdout, or none.
+	var sink *cli.Sink[*sie.Transaction]
 	var emit func(*sie.Transaction)
-	finish := func() error { return nil }
-	switch {
-	case *connect != "":
-		sensor := transport.NewSensor(transport.SensorConfig{
-			Addr: *connect, Name: *sensorName, WALDir: *sensorWAL,
-		})
-		emit = func(tx *sie.Transaction) {
-			if writeErr == nil {
-				writeErr = sensor.Write(tx)
-			}
+	if *connect != "" || *out != "" {
+		sink, err = cli.OpenSink(cli.SinkConfig{Out: *out, Connect: *connect, Sensor: *sensorName, WALDir: *sensorWAL})
+		if err != nil {
+			return err
 		}
-		finish = sensor.Close
-	case *out != "":
-		var w io.Writer = os.Stdout
-		var f *os.File
-		if *out != "-" {
-			if f, err = os.Create(*out); err != nil {
-				return err
-			}
-			w = f
-		}
-		bw := bufio.NewWriterSize(w, 1<<20)
-		writer := sie.NewWriter(bw)
-		emit = func(tx *sie.Transaction) {
-			if writeErr == nil {
-				writeErr = writer.Write(tx)
-			}
-		}
-		finish = func() error {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			if f != nil {
-				return f.Close()
-			}
-			return nil
-		}
+		emit = sink.Emit
 	}
 
 	reg := metrics.NewRegistry()
@@ -172,8 +135,10 @@ func run(args []string, stderr io.Writer) error {
 		ui := webui.NewServer(nil)
 		ui.Registry = reg
 		ui.Probe = func() any { return e.Status() }
-		srv := &http.Server{Addr: *httpAddr, Handler: ui.Handler()}
-		go srv.ListenAndServe()
+		srv, err := cli.Serve(*httpAddr, ui.Handler())
+		if err != nil {
+			return err
+		}
 		defer srv.Close()
 	}
 
@@ -197,13 +162,11 @@ func run(args []string, stderr io.Writer) error {
 	}
 	switch {
 	case *targets != "":
-		f := os.Stdin
-		if *targets != "-" {
-			if f, err = os.Open(*targets); err != nil {
-				return err
-			}
-			defer f.Close()
+		f, err := cli.Open(*targets, os.Stdin)
+		if err != nil {
+			return err
 		}
+		defer f.Close()
 		sc := bufio.NewScanner(f)
 		for sc.Scan() {
 			if err := submit(sc.Text()); err != nil {
@@ -245,11 +208,8 @@ func run(args []string, stderr io.Writer) error {
 	if err := e.Close(); err != nil {
 		return err
 	}
-	if err := finish(); err != nil && writeErr == nil {
-		writeErr = err
-	}
-	if writeErr != nil {
-		return writeErr
+	if err := sink.Close(); err != nil {
+		return err
 	}
 
 	st := e.Status()

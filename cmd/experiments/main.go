@@ -13,97 +13,104 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
 
+	"dnsobservatory/internal/cli"
 	"dnsobservatory/internal/experiments"
 	"dnsobservatory/internal/tsv"
 )
 
 func main() {
-	var (
-		run    = flag.String("run", "all", "experiment id or 'all'")
-		scale  = flag.Float64("scale", 1, "scenario duration multiplier")
-		seed   = flag.Int64("seed", 1, "simulation seed")
-		outdir = flag.String("outdir", "", "directory for binary artifacts (fig6 heatmap)")
-		list   = flag.Bool("list", false, "list experiments and exit")
+	os.Exit(cli.Exit("experiments", run(os.Args[1:], os.Stdout, os.Stderr)))
+}
 
-		storeDir = flag.String("store", "", "snapshot store directory for -ingest/-top")
-		backend  = flag.String("backend", tsv.BackendColumnar, "store backend for -ingest/-top: tsv or columnar")
-		ingest   = flag.Bool("ingest", false, "persist the main scenario's snapshots into -store and cascade")
-		top      = flag.String("top", "", "query -store for the top objects of this aggregation and exit")
-		col      = flag.String("col", "", "ranking column for -top (default: first column)")
-		cols     = flag.String("cols", "", "CSV column projection for -top (default: all)")
-		k        = flag.Int("k", 10, "row cap for -top (0 = all)")
-		level    = flag.String("level", "min", "cascade level name for -top (min, 10min, hour, ...)")
-		from     = flag.Int64("from", 0, "inclusive window-start lower bound for -top")
-		to       = flag.Int64("to", 0, "exclusive window-start upper bound for -top (0 = unbounded)")
+// run is main minus the process: it writes tables to stdout, progress
+// to stderr, and returns the first failure — a usage error for a
+// missing -store or an unknown experiment.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		runID  = fs.String("run", "all", "experiment id or 'all'")
+		scale  = fs.Float64("scale", 1, "scenario duration multiplier")
+		seed   = fs.Int64("seed", 1, "simulation seed")
+		outdir = fs.String("outdir", "", "directory for binary artifacts (fig6 heatmap)")
+		list   = fs.Bool("list", false, "list experiments and exit")
+
+		storeDir = fs.String("store", "", "snapshot store directory for -ingest/-top")
+		backend  = fs.String("backend", tsv.BackendColumnar, "store backend for -ingest/-top: tsv or columnar")
+		ingest   = fs.Bool("ingest", false, "persist the main scenario's snapshots into -store and cascade")
+		top      = fs.String("top", "", "query -store for the top objects of this aggregation and exit")
+		col      = fs.String("col", "", "ranking column for -top (default: first column)")
+		cols     = fs.String("cols", "", "CSV column projection for -top (default: all)")
+		k        = fs.Int("k", 10, "row cap for -top (0 = all)")
+		level    = fs.String("level", "min", "cascade level name for -top (min, 10min, hour, ...)")
+		from     = fs.Int64("from", 0, "inclusive window-start lower bound for -top")
+		to       = fs.Int64("to", 0, "exclusive window-start upper bound for -top (0 = unbounded)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return cli.Usage(err)
+	}
 
 	if *list {
 		for _, e := range experiments.Registry {
-			fmt.Printf("%-6s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-6s %s\n", e.ID, e.Title)
 		}
-		return
+		return nil
 	}
 
 	ctx := experiments.NewContext(experiments.Options{Scale: *scale, Seed: *seed, OutDir: *outdir})
 
 	if *ingest || *top != "" {
 		if *storeDir == "" {
-			fmt.Fprintln(os.Stderr, "experiments: -ingest/-top require -store")
-			os.Exit(2)
+			return cli.Usage(errors.New("-ingest/-top require -store"))
 		}
 		store, err := tsv.NewStoreBackend(*storeDir, *backend)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
 		if *ingest {
-			if err := ingestMain(ctx, store); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: ingest:", err)
-				os.Exit(1)
+			if err := ingestMain(ctx, store, stderr); err != nil {
+				return fmt.Errorf("ingest: %w", err)
 			}
 		}
 		if *top != "" {
-			if err := queryTop(store, *top, *level, *cols, *col, *k, *from, *to); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: top:", err)
-				os.Exit(1)
+			if err := queryTop(stdout, store, *top, *level, *cols, *col, *k, *from, *to); err != nil {
+				return fmt.Errorf("top: %w", err)
 			}
 		}
-		return
+		return nil
 	}
-	var todo []experiments.Experiment
-	if *run == "all" {
-		todo = experiments.Registry
-	} else {
-		e := experiments.Find(*run)
+	todo := experiments.Registry
+	if *runID != "all" {
+		e := experiments.Find(*runID)
 		if e == nil {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *run)
-			os.Exit(2)
+			return cli.Usage(fmt.Errorf("unknown experiment %q; use -list", *runID))
 		}
 		todo = []experiments.Experiment{*e}
 	}
 	for _, e := range todo {
-		fmt.Printf("==== %s — %s ====\n", e.ID, e.Title)
+		fmt.Fprintf(stdout, "==== %s — %s ====\n", e.ID, e.Title)
 		start := time.Now()
-		if err := e.Run(ctx, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			os.Exit(1)
+		if err := e.Run(ctx, stdout); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		fmt.Printf("---- %s done in %v ----\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "---- %s done in %v ----\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
 // ingestMain persists every main-scenario snapshot into the store and
 // cascades, so -top queries can range over any level.
-func ingestMain(ctx *experiments.Context, store *tsv.Store) error {
+func ingestMain(ctx *experiments.Context, store *tsv.Store, stderr io.Writer) error {
 	snaps := ctx.MainSnapshots()
 	var aggs []string
 	files := 0
@@ -124,23 +131,16 @@ func ingestMain(ctx *experiments.Context, store *tsv.Store) error {
 	if err := store.CascadeAll(aggs, last+60); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "experiments: ingested %d snapshots (%s) into %s [%s backend]\n",
+	fmt.Fprintf(stderr, "experiments: ingested %d snapshots (%s) into %s [%s backend]\n",
 		files, strings.Join(aggs, ", "), store.Dir(), store.Backend())
 	return nil
 }
 
 // queryTop answers one top-k question through the query engine and
 // prints the result as a table.
-func queryTop(store *tsv.Store, agg, levelName, colsCSV, orderBy string, k int, from, to int64) error {
-	var lv tsv.Level
-	found := false
-	for l := tsv.Minutely; l <= tsv.MaxLevel; l++ {
-		if l.Name() == levelName {
-			lv, found = l, true
-			break
-		}
-	}
-	if !found {
+func queryTop(stdout io.Writer, store *tsv.Store, agg, levelName, colsCSV, orderBy string, k int, from, to int64) error {
+	lv, ok := tsv.ParseLevel(levelName)
+	if !ok {
 		return fmt.Errorf("unknown level %q", levelName)
 	}
 	q := tsv.Query{Agg: agg, Level: lv, From: from, To: to, OrderBy: orderBy, K: k}
@@ -151,8 +151,8 @@ func queryTop(store *tsv.Store, agg, levelName, colsCSV, orderBy string, k int, 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("top %s (%s, %d windows over %d files)\n", agg, res.Level.Name(), res.Windows, res.Files)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(stdout, "top %s (%s, %d windows over %d files)\n", agg, res.Level.Name(), res.Windows, res.Files)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "rank\tkey\t%s\n", strings.Join(res.Columns, "\t"))
 	for i, r := range res.Rows {
 		fmt.Fprintf(tw, "%d\t%s", i+1, r.Key)

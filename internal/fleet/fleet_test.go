@@ -51,6 +51,21 @@ func TestRingDeterminism(t *testing.T) {
 	}
 }
 
+func TestParseMembers(t *testing.T) {
+	m, err := ParseMembers("A=127.0.0.1:1, B=unix:/tmp/b,A=h:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != 2 || m["A"] != "h:2" || m["B"] != "unix:/tmp/b" {
+		t.Fatalf("members = %v", m)
+	}
+	for _, bad := range []string{"", "A", "A=", "=h:1", "A=h:1,,B=h:2", "h:1,h:2"} {
+		if _, err := ParseMembers(bad); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
 // TestRingRebalanceMinimality: removing one member moves only that
 // member's keys; the displaced keys scatter across the survivors rather
 // than piling onto one.

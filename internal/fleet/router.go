@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -69,6 +70,21 @@ func NewRouter(cfg RouterConfig) *Router {
 		dialTimeout: cfg.DialTimeout,
 		dial:        net.DialTimeout,
 	}
+}
+
+// ParseMembers parses a fleet membership list, "name=addr,name=addr,…"
+// (the form dnsobs -peers and a sensor's -connect take), into a map
+// from member name to address. A repeated name keeps its last address.
+func ParseMembers(list string) (map[string]string, error) {
+	members := map[string]string{}
+	for _, kv := range strings.Split(list, ",") {
+		name, addr, ok := strings.Cut(strings.TrimSpace(kv), "=")
+		if !ok || name == "" || addr == "" {
+			return nil, fmt.Errorf("fleet: bad member %q (want name=addr)", kv)
+		}
+		members[name] = addr
+	}
+	return members, nil
 }
 
 // SetNode adds (or re-addresses) a member and clears its cooldown.

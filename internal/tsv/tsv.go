@@ -61,6 +61,17 @@ var levels = []levelSpec{
 // Name returns the level's short name used in file names.
 func (l Level) Name() string { return levels[l].name }
 
+// ParseLevel maps a short name ("min", "10min", "hour", "day", "month",
+// "year") to its level; ok is false for any other name.
+func ParseLevel(name string) (l Level, ok bool) {
+	for l = Minutely; l <= MaxLevel; l++ {
+		if l.Name() == name {
+			return l, true
+		}
+	}
+	return 0, false
+}
+
 // Seconds returns the level's window length.
 func (l Level) Seconds() int64 { return levels[l].seconds }
 
@@ -162,16 +173,8 @@ func ParseFileName(name string) (agg string, level Level, start int64, err error
 	if err != nil {
 		return "", 0, 0, ErrBadFile
 	}
-	lname := parts[len(parts)-2]
-	found := false
-	for i, spec := range levels {
-		if spec.name == lname {
-			level = Level(i)
-			found = true
-			break
-		}
-	}
-	if !found {
+	level, ok := ParseLevel(parts[len(parts)-2])
+	if !ok {
 		return "", 0, 0, ErrBadFile
 	}
 	agg = strings.Join(parts[:len(parts)-2], "-")

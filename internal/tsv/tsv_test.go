@@ -48,6 +48,22 @@ func TestParseFileNameErrors(t *testing.T) {
 	}
 }
 
+func TestParseLevel(t *testing.T) {
+	for name, want := range map[string]Level{
+		"min": Minutely, "10min": Decaminutely, "hour": Hourly,
+		"day": Daily, "month": Monthly, "year": Yearly,
+	} {
+		if got, ok := ParseLevel(name); !ok || got != want {
+			t.Errorf("ParseLevel(%q) = %v, %v; want %v", name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"", "minutely", "hourly", "Min", "week"} {
+		if _, ok := ParseLevel(name); ok {
+			t.Errorf("ParseLevel(%q) accepted", name)
+		}
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	s := snap("qname", Minutely, 120, []Row{
 		{Key: "www.example.com.", Values: []float64{42, 7}},

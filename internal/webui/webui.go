@@ -307,22 +307,11 @@ func (s *Server) handleEncDNS(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.Enc())
 }
 
-// parseLevel maps a level name ("minutely", "hourly", ...) to its
-// constant; ok is false for unknown names.
-func parseLevel(name string) (tsv.Level, bool) {
-	for l := tsv.Minutely; l <= tsv.MaxLevel; l++ {
-		if l.Name() == name {
-			return l, true
-		}
-	}
-	return 0, false
-}
-
 // handleQuery serves GET /api/query — the read path over the snapshot
 // store. Parameters:
 //
 //	agg    aggregation name (required)
-//	level  level name (default "minutely")
+//	level  level name: min, 10min, hour, day, month or year (default min)
 //	from   inclusive window-start lower bound, unix seconds (default 0)
 //	to     exclusive upper bound; 0 or absent means unbounded
 //	cols   CSV column projection (default: all columns)
@@ -342,7 +331,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
 	q := tsv.Query{Agg: qp.Get("agg"), Level: tsv.Minutely, K: 50, Key: qp.Get("key"), OrderBy: qp.Get("order")}
 	if lv := qp.Get("level"); lv != "" {
-		level, ok := parseLevel(lv)
+		level, ok := tsv.ParseLevel(lv)
 		if !ok {
 			http.Error(w, "unknown level", http.StatusBadRequest)
 			return
@@ -467,22 +456,13 @@ func (s *Server) handleFile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	agg := r.PathValue("agg")
-	levelName := r.PathValue("level")
 	start, err := strconv.ParseInt(r.PathValue("start"), 10, 64)
 	if err != nil {
 		http.Error(w, "bad start", http.StatusBadRequest)
 		return
 	}
-	var level tsv.Level
-	found := false
-	for l := tsv.Minutely; l <= tsv.MaxLevel; l++ {
-		if l.Name() == levelName {
-			level = l
-			found = true
-			break
-		}
-	}
-	if !found || strings.ContainsAny(agg, "/\\") {
+	level, ok := tsv.ParseLevel(r.PathValue("level"))
+	if !ok || strings.ContainsAny(agg, "/\\") {
 		http.Error(w, "bad path", http.StatusBadRequest)
 		return
 	}

@@ -6,10 +6,13 @@
 # columnar codec, the query HTTP surface, and the active probe engine
 # (cache, singleflight, rate limits, retry ladder), and the streaming
 # detection layer (partitioned heavy-hitter/NOD state whose serial and
-# sharded deployments must merge byte-identically), and the encrypted
-# client-leg model with its observation codec are exactly the code that
-# fails in production in ways unit demos never hit, so CI refuses any
-# change that drops their statement coverage below the floor.
+# sharded deployments must merge byte-identically), the encrypted
+# client-leg model with its observation codec, and the command plumbing
+# (internal/cli: the sensor and fleet dial path of dnsgen and dnsprobe,
+# and the sticky-error sink that keeps a truncated stream from exiting 0)
+# are exactly the code that fails in production in ways unit demos never
+# hit, so CI refuses any change that drops their statement coverage
+# below the floor.
 #
 # Run from the repository root: sh scripts/cover_gate.sh
 set -eu
@@ -17,7 +20,7 @@ set -eu
 FLOOR=80
 
 fail=0
-for pkg in ./internal/transport/ ./internal/wal/ ./internal/fleet/ ./internal/sie/ ./internal/tsv/ ./internal/webui/ ./internal/probe/ ./internal/detect/ ./internal/encwire/; do
+for pkg in ./internal/transport/ ./internal/wal/ ./internal/fleet/ ./internal/sie/ ./internal/tsv/ ./internal/webui/ ./internal/probe/ ./internal/detect/ ./internal/encwire/ ./internal/cli/; do
     out=$("$(command -v go)" test -count=1 -cover "$pkg" 2>&1) || {
         printf '%s\n' "$out" >&2
         echo "cover gate: tests failed in $pkg" >&2
