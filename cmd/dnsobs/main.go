@@ -149,6 +149,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 	if *retain > 0 {
 		store.Retain[tsv.Minutely] = *retain
 	}
+	// A checkpoint trims the journal behind the snapshots that consumed
+	// it, so under -wal those snapshots must be on stable storage first.
+	store.FsyncOnPut = *walDir != ""
 
 	// Every layer publishes into the process-wide registry: the engines
 	// via Config.Metrics, the store and the dependency-free platform

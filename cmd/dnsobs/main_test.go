@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsobservatory/internal/metrics"
 	"dnsobservatory/internal/observatory"
 	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/simnet"
@@ -285,7 +286,8 @@ func TestRunCascadesLive(t *testing.T) {
 // TestRunShutdownCheckpoints: cancelling a -wal collector after N
 // acknowledged transactions returns nil with the final (partial) window
 // on disk, and the journal it leaves is checkpointed through exactly
-// those N — a restart replays nothing.
+// those N — a restart replays nothing. The snapshots the checkpoints
+// confirm were fsynced before the journal let go of their input.
 func TestRunShutdownCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
@@ -298,6 +300,9 @@ func TestRunShutdownCheckpoints(t *testing.T) {
 	send(t, addr, "", txs)
 	if err := stop(); err != nil {
 		t.Fatal(err)
+	}
+	if n := metrics.Default().SumCounter("dnsobs_store_fsyncs_total"); n == 0 {
+		t.Fatal("-wal checkpointed the journal behind snapshots it never fsynced")
 	}
 
 	base := txs[0].QueryTime.Truncate(time.Minute)

@@ -254,9 +254,7 @@ func New(cfg Config) *Engine {
 		rl:    newRateLimiter(),
 		queue: newProbeQueue(cfg.QueueDepth),
 	}
-	if cfg.Metrics != nil {
-		e.instrument(cfg.Metrics)
-	}
+	e.instrument(cfg.Metrics)
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{e: e, rng: rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))}
 		e.wg.Add(1)
@@ -379,9 +377,7 @@ func (e *Engine) finish(res *Result) {
 	switch res.Outcome {
 	case OutcomeAnswered:
 		e.answered.Add(1)
-		if e.seconds != nil {
-			e.seconds.Observe(res.Latency.Seconds())
-		}
+		e.seconds.Observe(res.Latency.Seconds())
 	case OutcomeTimeout:
 		e.timeouts.Add(1)
 	case OutcomeRateLimited:

@@ -10,8 +10,8 @@ import (
 // semantics (§2.4): counters average over all windows with missing
 // objects as zero, gauges average over the windows where the object
 // appears, modes take the window-weighted majority. It is the one
-// implementation behind both Aggregate and the query engine, which
-// feeds it one file at a time and lets each go before the next.
+// implementation behind Aggregate, the cascade and the query engine; the
+// last two feed it one file at a time and let each go before the next.
 //
 // Sums are bit-reproducible because the fold order is fixed: callers
 // fold files in ascending start order, and each fold adds a file's rows
@@ -229,6 +229,19 @@ func (a *accumulator) foldFile(f *colFile) error {
 		}
 	}
 	return nil
+}
+
+// snapshot returns what a has folded as the snapshot of (agg, level,
+// start), rows in key order: the cascade's upper file. It owns its
+// memory and outlives release.
+func (a *accumulator) snapshot(agg string, level Level, start int64) *Snapshot {
+	out := &Snapshot{Aggregation: agg, Level: level, Start: start, Columns: a.cols, Kinds: a.kinds,
+		TotalBefore: a.totalBefore, TotalAfter: a.totalAfter, Windows: a.windows}
+	if len(a.keys) > 0 {
+		out.Rows, _ = a.rows(make([]Row, 0, len(a.keys)), make([]float64, 0, len(a.sum)))
+		slices.SortFunc(out.Rows, func(x, y Row) int { return strings.Compare(x.Key, y.Key) })
+	}
+	return out
 }
 
 // rows appends the aggregate row of every key, in first-appearance

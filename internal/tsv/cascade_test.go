@@ -164,6 +164,67 @@ func TestStoreManyAggregations(t *testing.T) {
 	}
 }
 
+// TestCascadeReadsOnlyItsInputs: "already built" is the upper level's
+// listing, so a pass with nothing new to build opens no file, and a pass
+// that builds one window reads that window's inputs once each — one read
+// per file, a whole-file read on either backend — and nothing else.
+func TestCascadeReadsOnlyItsInputs(t *testing.T) {
+	aggs := []string{"srvip", "esld"}
+	put := func(t *testing.T, st *Store, from, to int64) {
+		t.Helper()
+		for _, agg := range aggs {
+			for i := from; i < to; i++ {
+				if err := st.Put(&Snapshot{
+					Aggregation: agg, Level: Minutely, Start: i * 60,
+					Columns: []string{"hits", "qnames"},
+					Kinds:   []Kind{Counter, Gauge},
+					Rows: []Row{
+						{Key: agg + "-a", Values: []float64{float64(i), 3}},
+						{Key: agg + "-b", Values: []float64{1, float64(i % 4)}},
+					},
+					Windows: 1, TotalBefore: 9, TotalAfter: 8,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	bothBackends(t, func(t *testing.T, st *Store) {
+		cascade := func(now int64) {
+			t.Helper()
+			if err := st.CascadeAll(aggs, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		put(t, st, 0, 30)
+		cascade(1800)
+		if got := st.ReadCalls(); got != 60 {
+			t.Fatalf("first pass: %d reads, want the 60 inputs", got)
+		}
+		calls, read := st.ReadCalls(), st.ReadBytes()
+		cascade(1800)
+		cascade(1860)
+		if st.ReadCalls() != calls || st.ReadBytes() != read {
+			t.Fatalf("passes with nothing to build read %d calls, %d bytes",
+				st.ReadCalls()-calls, st.ReadBytes()-read)
+		}
+		put(t, st, 30, 40)
+		cascade(2400)
+		if got := st.ReadCalls() - calls; got != 20 {
+			t.Fatalf("building 10min-1800 read %d files, want its 20 inputs", got)
+		}
+		for _, agg := range aggs {
+			starts, err := st.List(agg, Decaminutely)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(starts) != "[0 600 1200 1800]" {
+				t.Errorf("%s 10min files at %v", agg, starts)
+			}
+		}
+	})
+}
+
 // TestCascadeAllMatchesSerial runs the same minutely corpus through the
 // serial per-aggregation cascade and the pooled CascadeAll and requires
 // byte-identical output files: parallelism must only change wall clock,

@@ -39,4 +39,10 @@
 // gone by the time a query opens it (Retention deletes before it
 // invalidates the listing) is skipped as a window that no longer
 // exists; one that cannot be parsed is skipped and counted corrupt.
+//
+// The cascade reads the way a query does. A window is built when the
+// upper level's listing holds it, so a pass opens only the inputs of
+// windows that closed since the last one, and each input folds into one
+// accumulator as it is read. A corrupt upper file is not rebuilt: its
+// readers skip and count it like any other.
 package tsv

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -549,30 +550,33 @@ func (st *Store) CascadeAll(aggs []string, now int64) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	for level := Minutely; level < MaxLevel; level++ {
-		upper := level + 1
-		// One directory scan serves every aggregation at this level.
+		step := (level + 1).Seconds()
+		// One listing of each level serves every aggregation: the lower
+		// one holds the inputs, the upper one what is already built — a
+		// pass with nothing new to build opens no file.
 		byAgg, err := st.listLevel(level)
+		if err != nil {
+			return err
+		}
+		built, err := st.listLevel(level + 1)
 		if err != nil {
 			return err
 		}
 		var jobs []cascadeJob
 		for _, agg := range aggs {
+			// Listings ascend: an upper window's inputs are one run of
+			// them, and the windows come in order.
 			starts := byAgg[agg]
-			groups := map[int64][]int64{}
-			for _, s := range starts {
-				w := s - s%upper.Seconds()
-				groups[w] = append(groups[w], s)
-			}
-			ws := make([]int64, 0, len(groups))
-			for w := range groups {
-				ws = append(ws, w)
-			}
-			sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-			for _, w := range ws {
-				if w+upper.Seconds() > now {
-					continue // window still open
+			for i, j := 0, 0; i < len(starts); i = j {
+				w := starts[i] - starts[i]%step
+				for j = i + 1; j < len(starts) && starts[j]-starts[j]%step == w; j++ {
 				}
-				jobs = append(jobs, cascadeJob{agg: agg, level: level, window: w, starts: groups[w]})
+				if w+step > now {
+					break // this window and every later one still open
+				}
+				if _, ok := slices.BinarySearch(built[agg], w); !ok {
+					jobs = append(jobs, cascadeJob{agg: agg, level: level, window: w, starts: starts[i:j]})
+				}
 			}
 		}
 		if len(jobs) == 0 {
@@ -610,37 +614,23 @@ func (st *Store) CascadeAll(aggs []string, now int64) error {
 	return nil
 }
 
-// buildUpper aggregates one closed upper-level window from its
-// lower-level files, skipping (and counting) corrupt inputs.
+// buildUpper aggregates one closed upper-level window: each lower-level
+// file folds into one accumulator as it is read, the way a query's
+// range does, and a corrupt one is skipped and counted.
 func (st *Store) buildUpper(j cascadeJob) error {
-	upper := j.level + 1
-	if _, err := st.Get(j.agg, upper, j.window); err == nil {
-		return nil // already aggregated
-	} else if errors.Is(err, ErrCorruptSnapshot) {
-		// A corrupt upper file: rebuild it from the lower level.
-		st.corruptSkipped.Add(1)
-	}
-	var snaps []*Snapshot
+	acc := newAccumulator()
+	defer acc.release()
 	for _, s := range j.starts {
-		snap, err := st.Get(j.agg, j.level, s)
-		if err != nil {
-			if errors.Is(err, ErrCorruptSnapshot) {
-				st.corruptSkipped.Add(1)
-				continue
-			}
+		if _, err := st.scan(j.agg, j.level, s, nil, acc); errors.Is(err, ErrCorruptSnapshot) {
+			st.corruptSkipped.Add(1)
+		} else if err != nil {
 			return err
 		}
-		snaps = append(snaps, snap)
 	}
-	if len(snaps) == 0 {
+	if acc.files == 0 {
 		return nil // every input corrupt; nothing to aggregate
 	}
-	out, err := Aggregate(snaps)
-	if err != nil {
-		return err
-	}
-	out.Start = j.window
-	return st.Put(out)
+	return st.Put(acc.snapshot(j.agg, j.level+1, j.window))
 }
 
 // Retention deletes the oldest files of each level beyond the configured

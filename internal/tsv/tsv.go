@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -420,25 +419,9 @@ func Aggregate(snaps []*Snapshot) (*Snapshot, error) {
 		if err := acc.foldSnapshot(s); err != nil {
 			return nil, err
 		}
-		if s.Start < minStart {
-			minStart = s.Start
-		}
+		minStart = min(minStart, s.Start)
 	}
-	out := &Snapshot{
-		Aggregation: first.Aggregation,
-		Level:       first.Level + 1,
-		Start:       minStart,
-		Columns:     first.Columns,
-		Kinds:       first.Kinds,
-		TotalBefore: acc.totalBefore,
-		TotalAfter:  acc.totalAfter,
-		Windows:     acc.windows,
-	}
-	if len(acc.keys) > 0 {
-		out.Rows, _ = acc.rows(make([]Row, 0, len(acc.keys)), make([]float64, 0, len(acc.sum)))
-		slices.SortFunc(out.Rows, func(a, b Row) int { return strings.Compare(a.Key, b.Key) })
-	}
-	return out, nil
+	return acc.snapshot(first.Aggregation, first.Level+1, minStart), nil
 }
 
 // Find returns the first row for key, or nil. The first call builds a
