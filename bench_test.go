@@ -36,9 +36,12 @@ import (
 	"dnsobservatory/internal/tsv"
 )
 
-// benchCtx builds a small-scale experiment context per benchmark.
-func benchCtx() *experiments.Context {
-	return experiments.NewContext(experiments.Options{Scale: 0.2, Seed: 7})
+// benchCtx builds a small-scale experiment context whose stores go when
+// the benchmark ends.
+func benchCtx(b *testing.B) *experiments.Context {
+	ctx := experiments.NewContext(experiments.Options{Scale: 0.2, Seed: 7})
+	b.Cleanup(ctx.Close)
+	return ctx
 }
 
 // runExperiment measures one full regeneration of a paper artifact.
@@ -51,7 +54,7 @@ func runExperiment(b *testing.B, id string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		// A fresh context per iteration: the run is the artifact.
-		if err := e.Run(benchCtx(), io.Discard); err != nil {
+		if err := e.Run(benchCtx(b), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,10 +3,11 @@
 // with -run all; ids follow the paper (fig2, tab1, tab2, fig3, tab3,
 // fig4, fig5, fig6, fig7, fig8, tab4, fig9, v6on).
 //
-// It is also a query client for the snapshot store: -ingest persists
-// the shared main scenario into a store directory (then cascades it),
-// and -top answers paper-style "top objects" questions through the
-// query engine instead of in-memory scans:
+// Every scenario runs into a columnar snapshot store of its own, in a
+// temporary directory removed at exit, and the figures are answered by
+// queries against it. -ingest runs the shared main scenario straight into
+// the -store directory instead (then cascades it), and -top answers
+// paper-style "top objects" questions from that store:
 //
 //	$ experiments -store data -backend columnar -ingest
 //	$ experiments -store data -backend columnar -top srvip -k 10 -col hits
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -68,6 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	ctx := experiments.NewContext(experiments.Options{Scale: *scale, Seed: *seed, OutDir: *outdir})
+	defer ctx.Close()
 
 	if *ingest || *top != "" {
 		if *storeDir == "" {
@@ -108,31 +109,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// ingestMain persists every main-scenario snapshot into the store and
+// ingestMain runs the main scenario straight into the store and
 // cascades, so -top queries can range over any level.
 func ingestMain(ctx *experiments.Context, store *tsv.Store, stderr io.Writer) error {
-	snaps := ctx.MainSnapshots()
-	var aggs []string
-	files := 0
+	res := ctx.MainInto(store)
+	if res.Err != nil {
+		return res.Err
+	}
+	files := store.Puts()
 	var last int64
-	for agg, list := range snaps {
-		aggs = append(aggs, agg)
-		for _, s := range list {
-			if err := store.Put(s); err != nil {
-				return err
-			}
-			files++
-			if s.Start > last {
-				last = s.Start
-			}
+	for _, agg := range res.Aggs {
+		starts, err := store.List(agg, tsv.Minutely)
+		if err != nil {
+			return err
+		}
+		if n := len(starts); n > 0 {
+			last = max(last, starts[n-1])
 		}
 	}
-	sort.Strings(aggs)
-	if err := store.CascadeAll(aggs, last+60); err != nil {
+	if err := store.CascadeAll(res.Aggs, last+60); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "experiments: ingested %d snapshots (%s) into %s [%s backend]\n",
-		files, strings.Join(aggs, ", "), store.Dir(), store.Backend())
+		files, strings.Join(res.Aggs, ", "), store.Dir(), store.Backend())
 	return nil
 }
 

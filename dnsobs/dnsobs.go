@@ -140,7 +140,6 @@ var (
 	// NewSnapshotStoreBackend selects the backend by name
 	// (StoreBackendTSV or StoreBackendColumnar).
 	NewSnapshotStoreBackend = tsv.NewStoreBackend
-	AggregateSnapshots      = tsv.Aggregate
 	ReadSnapshot            = tsv.Read
 	// DecodeColumnarSnapshot decodes one columnar snapshot file;
 	// IsColumnarSnapshot sniffs the format.
@@ -197,7 +196,8 @@ var (
 
 // Analysis helpers: the paper's evaluation as a library.
 type (
-	// RunResult bundles a simulate→observe pass with its snapshots.
+	// RunResult bundles a simulate→observe pass with the store its
+	// snapshots went into; Total and Windows read them back.
 	RunResult = analysis.RunResult
 	// TrafficCDF is the Fig. 2 artifact.
 	TrafficCDF = analysis.TrafficCDF
@@ -211,7 +211,6 @@ type (
 
 // Analysis entry points.
 var (
-	Run             = analysis.Run
 	RunWith         = analysis.RunWith
 	DistributionCDF = analysis.DistributionCDF
 	ASTable         = analysis.ASTable

@@ -6,8 +6,9 @@ import (
 	"dnsobservatory/dnsobs"
 )
 
-// TestFacadeEndToEnd exercises the public API exactly as the README
-// quickstart does: simulate, summarize, ingest, aggregate.
+// TestFacadeEndToEnd exercises the public API the way the experiments
+// do: simulate, summarize and ingest into a snapshot store, then
+// aggregate the whole run through the query engine.
 func TestFacadeEndToEnd(t *testing.T) {
 	simCfg := dnsobs.DefaultSimulationConfig()
 	simCfg.Duration = 90
@@ -15,37 +16,26 @@ func TestFacadeEndToEnd(t *testing.T) {
 	simCfg.Resolvers = 30
 	simCfg.SLDs = 200
 
-	var snaps []*dnsobs.Snapshot
+	store, err := dnsobs.NewSnapshotStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := dnsobs.DefaultPipelineConfig()
 	cfg.SkipFreshObjects = false
-	pipe := dnsobs.NewPipeline(cfg,
-		[]dnsobs.Aggregation{
+	res := dnsobs.RunWith(store, simCfg, cfg, func(*dnsobs.Simulation) []dnsobs.Aggregation {
+		return []dnsobs.Aggregation{
 			{Name: "srvip", K: 300, Key: dnsobs.SrvIPKey},
 			{Name: "etld", K: 100, Key: dnsobs.ETLDKey(nil)},
-		},
-		func(s *dnsobs.Snapshot) { snaps = append(snaps, s) })
-
-	var summarizer dnsobs.Summarizer
-	var sum dnsobs.Summary
-	sim := dnsobs.NewSimulation(simCfg)
-	stats := sim.Run(func(tx *dnsobs.Transaction) {
-		if err := summarizer.Summarize(tx, &sum); err != nil {
-			t.Fatal(err)
 		}
-		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
 	})
-	pipe.Flush()
-
-	if stats.Transactions == 0 || len(snaps) == 0 {
-		t.Fatalf("stats=%+v snaps=%d", stats, len(snaps))
+	if res.Err != nil || res.Errors != 0 {
+		t.Fatalf("run: %v, %d summarize errors", res.Err, res.Errors)
 	}
-	var srvip []*dnsobs.Snapshot
-	for _, s := range snaps {
-		if s.Aggregation == "srvip" {
-			srvip = append(srvip, s)
-		}
+	windows, err := res.Windows("srvip")
+	if res.SimStats.Transactions == 0 || err != nil || len(windows) == 0 {
+		t.Fatalf("stats=%+v windows=%d err=%v", res.SimStats, len(windows), err)
 	}
-	total, err := dnsobs.AggregateSnapshots(srvip)
+	total, err := res.Total("srvip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +46,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if cdf.ShareOfTopN(len(cdf.All)) < 0.999 {
 		t.Errorf("CDF does not reach 1: %f", cdf.ShareOfTopN(len(cdf.All)))
 	}
-	rows := dnsobs.ASTable(total, sim.Infra.Routing, 5)
+	rows := dnsobs.ASTable(total, res.Sim.Infra.Routing, 5)
 	if len(rows) == 0 {
 		t.Error("empty AS table")
 	}

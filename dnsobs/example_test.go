@@ -2,13 +2,15 @@ package dnsobs_test
 
 import (
 	"fmt"
+	"os"
 
 	"dnsobservatory/dnsobs"
 )
 
 // ExampleNewPipeline runs one minute of synthetic passive DNS through
-// the Observatory and prints the three busiest nameservers. Counter
-// features are exact, so the output is reproducible for a fixed seed.
+// the Observatory into a snapshot store and asks the store for the three
+// busiest nameservers. Counter features are exact, so the output is
+// reproducible for a fixed seed.
 func ExampleNewPipeline() {
 	simCfg := dnsobs.DefaultSimulationConfig()
 	simCfg.Seed = 11
@@ -17,12 +19,26 @@ func ExampleNewPipeline() {
 	simCfg.Resolvers = 50
 	simCfg.SLDs = 400
 
-	var snaps []*dnsobs.Snapshot
+	dir, err := os.MkdirTemp("", "example-")
+	if err != nil {
+		fmt.Println("store:", err)
+		return
+	}
+	defer os.RemoveAll(dir)
+	store, err := dnsobs.NewColumnarSnapshotStore(dir)
+	if err != nil {
+		fmt.Println("store:", err)
+		return
+	}
 	cfg := dnsobs.DefaultPipelineConfig()
 	cfg.SkipFreshObjects = false
 	pipe := dnsobs.NewPipeline(cfg,
 		[]dnsobs.Aggregation{{Name: "srvip", K: 500, Key: dnsobs.SrvIPKey}},
-		func(s *dnsobs.Snapshot) { snaps = append(snaps, s) })
+		func(s *dnsobs.Snapshot) {
+			if err == nil {
+				err = store.Put(s)
+			}
+		})
 
 	var summarizer dnsobs.Summarizer
 	var sum dnsobs.Summary
@@ -33,16 +49,20 @@ func ExampleNewPipeline() {
 		}
 	})
 	pipe.Flush()
-
-	total, err := dnsobs.AggregateSnapshots(snaps)
 	if err != nil {
-		fmt.Println("aggregate:", err)
+		fmt.Println("put:", err)
 		return
 	}
-	total.SortByColumn("hits")
-	for i := 0; i < 3 && i < len(total.Rows); i++ {
-		hits, _ := total.Value(&total.Rows[i], "hits")
-		fmt.Printf("%d. %s %.0f queries/min\n", i+1, total.Rows[i].Key, hits)
+
+	top, err := dnsobs.QuerySnapshots(store, dnsobs.SnapshotQuery{
+		Agg: "srvip", Level: dnsobs.Minutely, OrderBy: "hits", K: 3, Columns: []string{"hits"},
+	})
+	if err != nil {
+		fmt.Println("query:", err)
+		return
+	}
+	for i, row := range top.Rows {
+		fmt.Printf("%d. %s %.0f queries/min\n", i+1, row.Key, row.Values[0])
 	}
 	// Output:
 	// 1. 13.1.13.6 2490 queries/min

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"net/netip"
+	"os"
 
 	"dnsobservatory/dnsobs"
 )
@@ -21,7 +22,15 @@ func main() {
 	// the interesting signal is the NXD concentration, not the timing.
 	simCfg.Mix.Botnet = 0.12
 
-	var rcodeSnaps, srvSnaps []*dnsobs.Snapshot
+	dir, err := os.MkdirTemp("", "botnet-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := dnsobs.NewColumnarSnapshotStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 	pipeCfg := dnsobs.DefaultPipelineConfig()
 	pipeCfg.SkipFreshObjects = false
 	pipe := dnsobs.NewPipeline(pipeCfg,
@@ -30,11 +39,8 @@ func main() {
 			{Name: "srvip", K: 2000, Key: dnsobs.SrvIPKey},
 		},
 		func(s *dnsobs.Snapshot) {
-			switch s.Aggregation {
-			case "rcode":
-				rcodeSnaps = append(rcodeSnaps, s)
-			case "srvip":
-				srvSnaps = append(srvSnaps, s)
+			if err := store.Put(s); err != nil {
+				log.Fatalf("put: %v", err)
 			}
 		})
 
@@ -59,34 +65,32 @@ func main() {
 	pipe.Flush()
 
 	// Global RCODE mix.
-	rcodes, err := dnsobs.AggregateSnapshots(rcodeSnaps)
+	rcodes, err := dnsobs.QuerySnapshots(store, dnsobs.SnapshotQuery{
+		Agg: "rcode", Level: dnsobs.Minutely, OrderBy: "hits", Columns: []string{"hits"},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rcodes.SortByColumn("hits")
 	fmt.Println("global RCODE mix (per minute):")
 	var total float64
-	for i := range rcodes.Rows {
-		v, _ := rcodes.Value(&rcodes.Rows[i], "hits")
-		total += v
+	for _, row := range rcodes.Rows {
+		total += row.Values[0]
 	}
-	for i := range rcodes.Rows {
-		row := &rcodes.Rows[i]
-		hits, _ := rcodes.Value(row, "hits")
+	for _, row := range rcodes.Rows {
+		hits := row.Values[0]
 		fmt.Printf("  %-12s %7.0f q/min (%.1f%%)\n", row.Key, hits, 100*hits/total)
 	}
 
 	// Where does the NXDOMAIN land?
-	servers, err := dnsobs.AggregateSnapshots(srvSnaps)
+	servers, err := dnsobs.QuerySnapshots(store, dnsobs.SnapshotQuery{
+		Agg: "srvip", Level: dnsobs.Minutely, OrderBy: "nxd", K: 8, Columns: []string{"nxd", "hits"},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	servers.SortByColumn("nxd")
 	fmt.Println("\ntop NXDOMAIN sinks (the first line of defence):")
-	for i := 0; i < 8 && i < len(servers.Rows); i++ {
-		row := &servers.Rows[i]
-		nxd, _ := servers.Value(row, "nxd")
-		hits, _ := servers.Value(row, "hits")
+	for _, row := range servers.Rows {
+		nxd, hits := row.Values[0], row.Values[1]
 		kind := "hosting"
 		if a, err := netip.ParseAddr(row.Key); err == nil {
 			switch {

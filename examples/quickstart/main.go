@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"dnsobservatory/dnsobs"
 )
@@ -19,13 +20,28 @@ func main() {
 	simCfg.Resolvers = 100
 	simCfg.SLDs = 1000
 
-	// Track the top 500 nameserver IPs, snapshot every 60 s.
-	var snapshots []*dnsobs.Snapshot
+	// Track the top 500 nameserver IPs, snapshot every 60 s, and put
+	// every snapshot into a columnar store as it is emitted.
+	dir, err := os.MkdirTemp("", "quickstart-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := dnsobs.NewColumnarSnapshotStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	snapshots := 0
 	pipeCfg := dnsobs.DefaultPipelineConfig()
 	pipeCfg.SkipFreshObjects = false // keep the demo output full
 	pipe := dnsobs.NewPipeline(pipeCfg,
 		[]dnsobs.Aggregation{{Name: "srvip", K: 500, Key: dnsobs.SrvIPKey}},
-		func(s *dnsobs.Snapshot) { snapshots = append(snapshots, s) })
+		func(s *dnsobs.Snapshot) {
+			if err := store.Put(s); err != nil {
+				log.Fatalf("put: %v", err)
+			}
+			snapshots++
+		})
 
 	// Feed the stream: parse raw packets, summarize, ingest.
 	var summarizer dnsobs.Summarizer
@@ -41,23 +57,19 @@ func main() {
 
 	fmt.Printf("processed %d transactions (%d client queries, %d cache hits)\n",
 		stats.Transactions, stats.ClientQueries, stats.CacheHits)
-	fmt.Printf("collected %d minutely snapshots\n\n", len(snapshots))
+	fmt.Printf("collected %d minutely snapshots\n\n", snapshots)
 
-	// Aggregate the whole run and show the busiest nameservers.
-	total, err := dnsobs.AggregateSnapshots(snapshots)
+	// Ask the store for the whole run's busiest nameservers.
+	top, err := dnsobs.QuerySnapshots(store, dnsobs.SnapshotQuery{
+		Agg: "srvip", Level: dnsobs.Minutely, OrderBy: "hits", K: 10,
+		Columns: []string{"hits", "delay_q50", "nxd", "qnamesa"},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	total.SortByColumn("hits")
 	fmt.Println("top 10 authoritative nameservers by queries/minute:")
-	for i, row := range total.Rows {
-		if i == 10 {
-			break
-		}
-		hits, _ := total.Value(&row, "hits")
-		delay, _ := total.Value(&row, "delay_q50")
-		nxd, _ := total.Value(&row, "nxd")
-		qnames, _ := total.Value(&row, "qnamesa")
+	for i, row := range top.Rows {
+		hits, delay, nxd, qnames := row.Values[0], row.Values[1], row.Values[2], row.Values[3]
 		fmt.Printf("%2d. %-16s %8.1f q/min  median delay %6.1f ms  NXD %5.1f%%  ~%.0f names/min\n",
 			i+1, row.Key, hits, delay, 100*nxd/hits, qnames)
 	}

@@ -2,7 +2,10 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dnsobservatory/internal/observatory"
@@ -10,9 +13,28 @@ import (
 	"dnsobservatory/internal/tsv"
 )
 
+// storeRoot holds the stores of runs that outlive one test.
+var storeRoot string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "analysis-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	storeRoot = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
 // testRun executes one small scenario shared by several tests.
 func testRun(t *testing.T) *RunResult {
 	t.Helper()
+	st, err := tsv.NewColumnarStore(filepath.Join(storeRoot, "shared"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	simCfg := simnet.DefaultConfig()
 	simCfg.Duration = 180
 	simCfg.QPS = 600
@@ -21,10 +43,13 @@ func testRun(t *testing.T) *RunResult {
 	obsCfg := observatory.DefaultConfig()
 	obsCfg.SkipFreshObjects = false
 	obsCfg.Features.HLLPrecision = 9
-	res := RunWith(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
+	res := RunWith(st, simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
 		return append(observatory.StandardAggregations(0.01),
 			QMinAggregation("qminpairs", 20000, sim))
 	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
 	if res.Errors > 0 {
 		t.Fatalf("%d summarize errors", res.Errors)
 	}

@@ -53,10 +53,14 @@ type TTLTrafficChange struct {
 // March vs April eSLD data) and returns the topN objects by absolute
 // query-rate change that also changed their TTL (§4.1, Fig. 8).
 func TTLTrafficChanges(before, after *tsv.Snapshot, topN int) []TTLTrafficChange {
+	inAfter := make(map[string]*tsv.Row, len(after.Rows))
+	for i := len(after.Rows) - 1; i >= 0; i-- { // backwards: the first occurrence wins, as Find's
+		inAfter[after.Rows[i].Key] = &after.Rows[i]
+	}
 	var out []TTLTrafficChange
 	for i := range before.Rows {
 		rb := &before.Rows[i]
-		ra := after.Find(rb.Key)
+		ra := inAfter[rb.Key]
 		if ra == nil {
 			continue
 		}

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"text/tabwriter"
 
 	"dnsobservatory/internal/analysis"
@@ -40,10 +43,15 @@ func (o Options) withDefaults() Options {
 }
 
 // Context caches the shared main-scenario run so that fig2, tab1, tab2,
-// fig3 and tab3 do not regenerate identical traffic.
+// fig3 and tab3 do not regenerate identical traffic. Every scenario it
+// runs writes its windows into a columnar store of its own, under one
+// temporary directory that Close removes; the experiments read them back
+// through the query engine.
 type Context struct {
 	opts Options
 	main *analysis.RunResult
+	dir  string // the stores' directory, made on first use
+	runs int    // stores made so far: the next one's name
 }
 
 // NewContext prepares an experiment context.
@@ -51,12 +59,51 @@ func NewContext(opts Options) *Context {
 	return &Context{opts: opts.withDefaults()}
 }
 
-// mainScenario is the default Observatory deployment: the full workload
-// mix, the standard aggregations, plus the qmin pair dataset.
-func (c *Context) mainScenario() *analysis.RunResult {
-	if c.main != nil {
-		return c.main
+// Close removes every store the context has made.
+func (c *Context) Close() {
+	os.RemoveAll(c.dir) // "" removes nothing
+	c.dir, c.main = "", nil
+}
+
+// run simulates one scenario into a new store of the context's. A store
+// that cannot be made is the run's error.
+func (c *Context) run(simCfg simnet.Config, obsCfg observatory.Config, aggsFor func(*simnet.Sim) []observatory.Aggregation) *analysis.RunResult {
+	if c.dir == "" {
+		dir, err := os.MkdirTemp("", "experiments-")
+		if err != nil {
+			return &analysis.RunResult{Err: err}
+		}
+		c.dir = dir
 	}
+	c.runs++
+	st, err := tsv.NewColumnarStore(filepath.Join(c.dir, strconv.Itoa(c.runs)))
+	if err != nil {
+		return &analysis.RunResult{Err: err}
+	}
+	return analysis.RunWith(st, simCfg, obsCfg, aggsFor)
+}
+
+// mainScenario runs the main scenario, once, into a store of the
+// context's.
+func (c *Context) mainScenario() *analysis.RunResult {
+	if c.main == nil {
+		c.main = c.run(c.mainConfig())
+	}
+	return c.main
+}
+
+// MainInto runs the main scenario straight into st, which the
+// experiments that share it then read: cmd/experiments -ingest.
+func (c *Context) MainInto(st *tsv.Store) *analysis.RunResult {
+	simCfg, obsCfg, aggsFor := c.mainConfig()
+	c.main = analysis.RunWith(st, simCfg, obsCfg, aggsFor)
+	return c.main
+}
+
+// mainConfig is the main scenario, the default Observatory deployment:
+// the full workload mix, the standard aggregations, plus the qmin pair
+// dataset.
+func (c *Context) mainConfig() (simnet.Config, observatory.Config, func(*simnet.Sim) []observatory.Aggregation) {
 	simCfg := simnet.DefaultConfig()
 	simCfg.Seed = c.opts.Seed
 	simCfg.Duration = 600 * c.opts.Scale
@@ -65,20 +112,10 @@ func (c *Context) mainScenario() *analysis.RunResult {
 	}
 	obsCfg := observatory.DefaultConfig()
 	obsCfg.SkipFreshObjects = false
-	c.main = analysis.RunWith(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
+	return simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
 		return append(observatory.StandardAggregations(0.1),
 			analysis.QMinAggregation("qminpairs", 30_000, sim))
-	})
-	return c.main
-}
-
-// MainSnapshots exposes the cached main-scenario snapshots per
-// aggregation, generating the scenario on first use. It feeds
-// store-backed workflows: ingest these into a SnapshotStore and the
-// experiment tables become answerable through the query engine instead
-// of in-memory scans.
-func (c *Context) MainSnapshots() map[string][]*tsv.Snapshot {
-	return c.mainScenario().Snapshots
+	}
 }
 
 // Experiment is one regenerable artifact.

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,7 +12,9 @@ import (
 
 func testContext(t *testing.T) *Context {
 	t.Helper()
-	return NewContext(Options{Scale: 0.05, Seed: 3, OutDir: t.TempDir()})
+	ctx := NewContext(Options{Scale: 0.05, Seed: 3, OutDir: t.TempDir()})
+	t.Cleanup(ctx.Close)
+	return ctx
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -87,6 +91,7 @@ func TestFig6WritesArtifact(t *testing.T) {
 	}
 	dir := t.TempDir()
 	ctx := NewContext(Options{Scale: 0.05, Seed: 3, OutDir: dir})
+	defer ctx.Close()
 	var buf bytes.Buffer
 	if err := ctx.Fig6(&buf); err != nil {
 		t.Fatal(err)
@@ -212,7 +217,77 @@ func TestOptionsDefaults(t *testing.T) {
 	if ctx.opts.Scale != 1 {
 		t.Error("context did not apply defaults")
 	}
-	_ = io.Discard
+}
+
+// TestContextStoresLifecycle: every scenario a context runs writes a
+// store under TMPDIR, and Close removes all of them; a TMPDIR that
+// cannot hold one is the experiment's error.
+func TestContextStoresLifecycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario run in -short mode")
+	}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	ctx := NewContext(Options{Scale: 0.05, Seed: 3})
+	for _, id := range []string{"tab2", "fig9"} {
+		if err := Find(id).Run(ctx, io.Discard); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	stores, _ := filepath.Glob(filepath.Join(tmp, "*", "*"))
+	if len(stores) != 2 {
+		t.Errorf("stores under TMPDIR: %v, want one per scenario", stores)
+	}
+	ctx.Close()
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Errorf("Close left %d entries under TMPDIR", len(left))
+	}
+
+	notDir := filepath.Join(tmp, "file")
+	if err := os.WriteFile(notDir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", notDir)
+	ctx = NewContext(Options{Scale: 0.05, Seed: 3})
+	defer ctx.Close()
+	for _, id := range []string{"tab2", "fig7"} {
+		var buf bytes.Buffer
+		if err := Find(id).Run(ctx, &buf); err == nil {
+			t.Errorf("%s ran without a store:\n%s", id, buf.String())
+		}
+	}
+}
+
+// TestMainScenarioGolden regenerates the experiments that share the
+// main scenario at the documented scale and seed, and requires their
+// text to be the committed experiments_output.txt sections: the figures
+// EXPERIMENTS.md quotes are what the code prints.
+func TestMainScenarioGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario run in -short mode")
+	}
+	golden, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewContext(Options{Scale: 1, Seed: 1})
+	defer ctx.Close()
+	for _, id := range []string{"fig2", "tab1", "tab2", "fig3", "tab3"} {
+		e := Find(id)
+		var buf bytes.Buffer
+		if err := e.Run(ctx, &buf); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		head := fmt.Sprintf("==== %s — %s ====\n", e.ID, e.Title)
+		at := strings.Index(string(golden), head)
+		end := strings.Index(string(golden[max(at, 0):]), "---- "+id+" done in ")
+		if at < 0 || end < 0 {
+			t.Fatalf("%s: no section in experiments_output.txt", id)
+		}
+		if want := string(golden[at+len(head) : at+end]); buf.String() != want {
+			t.Errorf("%s differs from experiments_output.txt:\n got:\n%s\nwant:\n%s", id, buf.String(), want)
+		}
+	}
 }
 
 // TestEncDNSExperiment runs the traffic-analysis workload end to end:

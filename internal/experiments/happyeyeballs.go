@@ -30,7 +30,7 @@ func (c *Context) Fig9(w io.Writer) error {
 	var pathological []string
 	obsCfg := observatory.DefaultConfig()
 	obsCfg.SkipFreshObjects = false
-	res := analysis.RunWith(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
+	res := c.run(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
 		cases := []struct {
 			idx    int
 			attl   uint32
@@ -94,7 +94,7 @@ func (c *Context) V6On(w io.Writer) error {
 	var enabled []string
 	obsCfg := observatory.DefaultConfig()
 	obsCfg.SkipFreshObjects = false
-	res := analysis.RunWith(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
+	res := c.run(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
 		for i := 0; i < 10; i++ {
 			z := sim.Universe.SLDs[5+i]
 			z.ATTL = 120

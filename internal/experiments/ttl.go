@@ -46,7 +46,7 @@ func (c *Context) Fig7(w io.Writer) error {
 	var target string
 	obsCfg := observatory.DefaultConfig()
 	obsCfg.SkipFreshObjects = false
-	res := analysis.RunWith(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
+	res := c.run(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
 		// The "xmsecu.com" analog: a popular surveillance-device domain.
 		z := sim.Universe.SLDs[4]
 		z.ATTL = ttlBefore
@@ -54,7 +54,11 @@ func (c *Context) Fig7(w io.Writer) error {
 		sim.Schedule(simnet.TTLChangeEvent(cut, target, 10))
 		return esldAggs(20000)
 	})
-	series := analysis.TTLSeries(res.Snapshots["esld"], target)
+	windows, err := res.Windows("esld")
+	if err != nil {
+		return err
+	}
+	series := analysis.TTLSeries(windows, target)
 	fmt.Fprintf(w, "Fig7: %s slashes TTL %d -> 10 s at t=%.0fs\n", target, ttlBefore, cut)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  minute\tqueries/min\tTTL")
@@ -121,7 +125,7 @@ func (c *Context) Fig8(w io.Writer) error {
 	}
 	obsCfg := observatory.DefaultConfig()
 	obsCfg.SkipFreshObjects = false
-	res := analysis.RunWith(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
+	res := c.run(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
 		for _, p := range plans {
 			z := sim.Universe.SLDs[p.idx]
 			// Start from a cacheable-but-expiring TTL so both halves
@@ -189,7 +193,7 @@ func (c *Context) Table4(w io.Writer) error {
 		}
 		return observatory.AAFQDNKey(sum)
 	}
-	res := analysis.RunWith(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
+	res := c.run(simCfg, obsCfg, func(sim *simnet.Sim) []observatory.Aggregation {
 		slds := sim.Universe.SLDs
 		normalize := func(idx int) *simnet.SLD {
 			z := slds[idx]
@@ -225,7 +229,10 @@ func (c *Context) Table4(w io.Writer) error {
 			{Name: "aafqdn", K: 20000, Key: aafqdnA},
 		}
 	})
-	hourly := res.Snapshots["aafqdn"]
+	hourly, err := res.Windows("aafqdn")
+	if err != nil {
+		return err
+	}
 	detected := analysis.DetectTTLChanges(hourly, 0.1)
 	classes := analysis.Classify(detected, gt)
 	fmt.Fprintf(w, "Table4: %d FQDNs with significant TTL changes across %d hourly files\n",

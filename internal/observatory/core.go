@@ -212,52 +212,37 @@ func (c *core) emitWindow(windowStart float64, dumps []*shardDump) {
 	start := time.Now()
 	defer func() { c.m.flush.Observe(time.Since(start).Seconds()) }()
 	cols, kinds := snapshotSchema()
-	parts := make([]*tsv.Snapshot, len(dumps))
 	for a, agg := range c.aggs {
-		if reg := c.m.reg; reg != nil {
-			var sum shardPart
-			for _, d := range dumps {
-				p := &d.parts[a]
-				sum.occupancy += p.occupancy
-				sum.active += p.active
-				sum.slabs += p.slabs
-				sum.fresh += p.fresh
-				sum.minCount = max(sum.minCount, p.minCount)
-				sum.evictions += p.evictions
-				sum.dropped += p.dropped
+		// Shard parts are key-disjoint (a key hashes to one shard), so the
+		// window is their rows side by side, sorted and cut at K — one
+		// worker may hold several shards, each with its slack — and their
+		// counts summed.
+		sum := shardPart{rows: dumps[0].parts[a].rows}
+		for i, d := range dumps {
+			p := &d.parts[a]
+			if i > 0 {
+				sum.rows = append(sum.rows, p.rows...)
 			}
+			sum.seenBefore += p.seenBefore
+			sum.seenAfter += p.seenAfter
+			sum.occupancy += p.occupancy
+			sum.active += p.active
+			sum.slabs += p.slabs
+			sum.fresh += p.fresh
+			sum.minCount = max(sum.minCount, p.minCount)
+			sum.evictions += p.evictions
+			sum.dropped += p.dropped
+		}
+		if reg := c.m.reg; reg != nil {
 			publishAggMetrics(reg, agg.Name, &sum)
 		}
-		for i, d := range dumps {
-			parts[i] = &tsv.Snapshot{
-				Aggregation: agg.Name,
-				Level:       tsv.Minutely,
-				Start:       int64(windowStart),
-				Columns:     cols,
-				Kinds:       kinds,
-				TotalBefore: d.parts[a].seenBefore,
-				TotalAfter:  d.parts[a].seenAfter,
-				Windows:     1,
-				Rows:        d.parts[a].rows,
-			}
+		sortRows(sum.rows)
+		if agg.K > 0 && len(sum.rows) > agg.K {
+			sum.rows = sum.rows[:agg.K]
 		}
-		if len(dumps) > 1 {
-			// Cannot fail: parts share one schema and window by construction.
-			if snap, err := tsv.MergeParts(agg.K, parts...); err == nil {
-				c.deliver(snap)
-			}
-			continue
-		}
-		// One part is the snapshot once sorted: no MergeParts, whose key
-		// map and row copy cost the serial replay 3 % of its allocated
-		// bytes. It is still cut at K — one worker may hold several
-		// shards, each with its slack.
-		snap := parts[0]
-		sortRows(snap.Rows)
-		if agg.K > 0 && len(snap.Rows) > agg.K {
-			snap.Rows = snap.Rows[:agg.K]
-		}
-		c.deliver(snap)
+		c.deliver(&tsv.Snapshot{Aggregation: agg.Name, Level: tsv.Minutely, Start: int64(windowStart),
+			Columns: cols, Kinds: kinds, Windows: 1, Rows: sum.rows,
+			TotalBefore: sum.seenBefore, TotalAfter: sum.seenAfter})
 	}
 	if c.det != nil {
 		var dparts []detect.WindowPart

@@ -10,8 +10,8 @@ import (
 // semantics (§2.4): counters average over all windows with missing
 // objects as zero, gauges average over the windows where the object
 // appears, modes take the window-weighted majority. It is the one
-// implementation behind Aggregate, the cascade and the query engine; the
-// last two feed it one file at a time and let each go before the next.
+// implementation behind the cascade and the query engine; both feed it
+// one file at a time and let each go before the next.
 //
 // Sums are bit-reproducible because the fold order is fixed: callers
 // fold files in ascending start order, and each fold adds a file's rows

@@ -79,7 +79,7 @@ func sameRows(t *testing.T, what string, want, got []Row) {
 // frozen aggregators it replaced, bit for bit: the query engine's
 // mergeWindows (first-appearance order) fed from snapshots and fed from
 // the columnar reader's scratch, under every kind of projection, and
-// the cascade's Aggregate.
+// the cascade's Aggregate, whose body is accumulator.snapshot.
 func TestAccumulatorMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		x := xorshift(seed * 7919)
@@ -148,14 +148,18 @@ func TestAccumulatorMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotAgg, err := Aggregate(snaps)
-		if err != nil {
-			t.Fatal(err)
+		acc := newAccumulator()
+		for _, s := range snaps {
+			if err := acc.foldSnapshot(s); err != nil {
+				t.Fatal(err)
+			}
 		}
-		sameRows(t, fmt.Sprintf("seed %d, Aggregate", seed), wantAgg.Rows, gotAgg.Rows)
+		gotAgg := acc.snapshot(snaps[0].Aggregation, snaps[0].Level+1, snaps[0].Start)
+		acc.release()
+		sameRows(t, fmt.Sprintf("seed %d, snapshot", seed), wantAgg.Rows, gotAgg.Rows)
 		wantAgg.Rows, gotAgg.Rows = nil, nil
 		if !reflect.DeepEqual(wantAgg, gotAgg) {
-			t.Fatalf("seed %d: Aggregate header %+v, want %+v", seed, gotAgg, wantAgg)
+			t.Fatalf("seed %d: snapshot header %+v, want %+v", seed, gotAgg, wantAgg)
 		}
 	}
 }
@@ -189,9 +193,6 @@ func TestAccumulatorSchemaChange(t *testing.T) {
 			t.Errorf("%s, foldFile: %v", name, err)
 		}
 		acc.release()
-		if _, err := Aggregate([]*Snapshot{a, other}); !errors.Is(err, ErrSchemaChange) {
-			t.Errorf("%s, Aggregate: %v", name, err)
-		}
 	}
 }
 

@@ -25,10 +25,7 @@ func TestModeAggregation(t *testing.T) {
 	for i := 7; i < 10; i++ {
 		snaps = append(snaps, modeSnap(int64(i)*60, 1, 86400))
 	}
-	out, err := Aggregate(snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := queryAll(t, snaps...)
 	k := out.Find("k")
 	if v, _ := out.Value(k, "ttl1"); v != 300 {
 		t.Errorf("ttl1 = %v, want mode 300", v)
@@ -39,23 +36,16 @@ func TestModeAggregationWeightsByWindows(t *testing.T) {
 	// One pre-aggregated file of 10 windows at 60 beats 4 files at 600.
 	snaps := []*Snapshot{modeSnap(0, 10, 60)}
 	for i := 1; i <= 4; i++ {
-		snaps[0].Level = Minutely
 		snaps = append(snaps, modeSnap(int64(i)*600, 1, 600))
 	}
-	out, err := Aggregate(snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := queryAll(t, snaps...)
 	if v, _ := out.Value(out.Find("k"), "ttl1"); v != 60 {
 		t.Errorf("ttl1 = %v, want 60 (10 windows vs 4)", v)
 	}
 }
 
 func TestModeTieBreaksLow(t *testing.T) {
-	out, err := Aggregate([]*Snapshot{modeSnap(0, 1, 600), modeSnap(60, 1, 60)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := queryAll(t, modeSnap(0, 1, 600), modeSnap(60, 1, 60))
 	if v, _ := out.Value(out.Find("k"), "ttl1"); v != 60 {
 		t.Errorf("tie = %v, want 60", v)
 	}

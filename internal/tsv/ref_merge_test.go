@@ -3,7 +3,8 @@ package tsv
 // The parent commit's two aggregators, frozen as the reference the
 // shared streaming accumulator is compared against: refMergeWindows
 // was the query engine's, refAggregate the cascade's. Only names
-// changed (ref prefix); do not "fix" anything here.
+// changed (ref prefix), and refAggregate's level checks went with the
+// ErrMixedLevels they returned; do not "fix" anything else here.
 
 import "sort"
 
@@ -113,9 +114,6 @@ func refAggregate(snaps []*Snapshot) (*Snapshot, error) {
 		return nil, ErrNothingToAgg
 	}
 	first := snaps[0]
-	if first.Level >= MaxLevel {
-		return nil, ErrMixedLevels
-	}
 	type acc struct {
 		sum     []float64
 		present []int // windows in which the value appeared (gauges)
@@ -133,9 +131,6 @@ func refAggregate(snaps []*Snapshot) (*Snapshot, error) {
 	var totalBefore, totalAfter uint64
 	minStart := first.Start
 	for _, s := range snaps {
-		if s.Level != first.Level {
-			return nil, ErrMixedLevels
-		}
 		if len(s.Columns) != len(first.Columns) {
 			return nil, ErrSchemaChange
 		}

@@ -103,13 +103,6 @@ type Snapshot struct {
 	// Windows counts how many base windows were averaged into this
 	// snapshot (1 for a freshly dumped file).
 	Windows int
-
-	// keyIndex maps each key to the index of its first row, built lazily
-	// by Find so repeated point lookups stop paying a linear scan.
-	// SortByColumn drops it; callers that reorder or replace Rows by hand
-	// get the same protection from the per-hit key check in Find.
-	keyIndex     map[string]int
-	keyIndexRows int // len(Rows) when keyIndex was built
 }
 
 // Errors returned by the codec and aggregator.
@@ -117,7 +110,6 @@ var (
 	ErrBadFile      = errors.New("tsv: malformed snapshot file")
 	ErrSchemaChange = errors.New("tsv: snapshots have different schemas")
 	ErrNothingToAgg = errors.New("tsv: no snapshots to aggregate")
-	ErrMixedLevels  = errors.New("tsv: snapshots from different levels")
 )
 
 // fileStem is the canonical file name without extension: the
@@ -397,68 +389,15 @@ func Read(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// Aggregate combines consecutive snapshots of one level into a snapshot
-// of the next level, per §2.4: counter features average over all input
-// windows with missing objects contributing zero; gauge features average
-// only over the windows where the object appears.
-func Aggregate(snaps []*Snapshot) (*Snapshot, error) {
-	if len(snaps) == 0 {
-		return nil, ErrNothingToAgg
-	}
-	first := snaps[0]
-	if first.Level >= MaxLevel {
-		return nil, ErrMixedLevels
-	}
-	acc := newAccumulator()
-	defer acc.release()
-	minStart := first.Start
-	for _, s := range snaps {
-		if s.Level != first.Level {
-			return nil, ErrMixedLevels
-		}
-		if err := acc.foldSnapshot(s); err != nil {
-			return nil, err
-		}
-		minStart = min(minStart, s.Start)
-	}
-	return acc.snapshot(first.Aggregation, first.Level+1, minStart), nil
-}
-
-// Find returns the first row for key, or nil. The first call builds a
-// key index, so a batch of point lookups costs one pass over the rows
-// instead of one scan per lookup. Find is not safe for concurrent use
-// (neither was the scan it replaces: callers sort and mutate snapshots
-// freely).
+// Find returns the first row for key, or nil. It scans: a caller with
+// many keys to look up builds its own map once.
 func (s *Snapshot) Find(key string) *Row {
-	if s.keyIndex == nil || s.keyIndexRows != len(s.Rows) {
-		// Build (or rebuild after rows were appended or truncated):
-		// first occurrence wins, matching the linear scan on duplicate
-		// keys.
-		idx := make(map[string]int, len(s.Rows))
-		for i := range s.Rows {
-			if _, dup := idx[s.Rows[i].Key]; !dup {
-				idx[s.Rows[i].Key] = i
-			}
+	for i := range s.Rows {
+		if s.Rows[i].Key == key {
+			return &s.Rows[i]
 		}
-		s.keyIndex, s.keyIndexRows = idx, len(s.Rows)
 	}
-	i, ok := s.keyIndex[key]
-	if !ok || i >= len(s.Rows) {
-		return nil
-	}
-	if s.Rows[i].Key != key {
-		// Rows changed under the index (reordered or rewritten in place
-		// without going through SortByColumn); fall back to the scan
-		// once and drop the stale index so the next Find rebuilds it.
-		s.keyIndex, s.keyIndexRows = nil, 0
-		for j := range s.Rows {
-			if s.Rows[j].Key == key {
-				return &s.Rows[j]
-			}
-		}
-		return nil
-	}
-	return &s.Rows[i]
+	return nil
 }
 
 // Value returns row's value in the named column; ok is false when the
@@ -472,10 +411,8 @@ func (s *Snapshot) Value(r *Row, column string) (float64, bool) {
 	return 0, false
 }
 
-// SortByColumn orders rows by the named column, descending. It drops
-// the lazy key index Find maintains, since row positions change.
+// SortByColumn orders rows by the named column, descending.
 func (s *Snapshot) SortByColumn(column string) {
-	s.keyIndex, s.keyIndexRows = nil, 0
 	idx := -1
 	for i, c := range s.Columns {
 		if c == column {

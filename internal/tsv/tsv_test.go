@@ -2,6 +2,7 @@ package tsv
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -110,6 +111,28 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// queryAll puts snaps into a fresh columnar store and reads them back as
+// one query over their level: the path a whole-run total takes.
+func queryAll(t *testing.T, snaps ...*Snapshot) *Snapshot {
+	t.Helper()
+	st, err := NewColumnarStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range snaps {
+		if err := st.Put(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := RunQuery(st, Query{Agg: snaps[0].Aggregation, Level: snaps[0].Level})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Snapshot{Aggregation: res.Agg, Level: res.Level, Start: res.From,
+		Columns: res.Columns, Kinds: res.Kinds, Rows: res.Rows,
+		TotalBefore: res.TotalBefore, TotalAfter: res.TotalAfter, Windows: res.Windows}
+}
+
 func TestAggregateCountersAndGauges(t *testing.T) {
 	// Object "a" in both windows, "b" only in the first.
 	s1 := snap("srvip", Minutely, 0, []Row{
@@ -119,11 +142,8 @@ func TestAggregateCountersAndGauges(t *testing.T) {
 	s2 := snap("srvip", Minutely, 60, []Row{
 		{Key: "a", Values: []float64{20, 200}},
 	})
-	out, err := Aggregate([]*Snapshot{s1, s2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Level != Decaminutely || out.Windows != 2 || out.Start != 0 {
+	out := queryAll(t, s1, s2)
+	if out.Level != Minutely || out.Windows != 2 || out.Start != 0 {
 		t.Errorf("meta: %+v", out)
 	}
 	a := out.Find("a")
@@ -150,15 +170,10 @@ func TestAggregateCountersAndGauges(t *testing.T) {
 func TestAggregateWeightsByWindows(t *testing.T) {
 	// Re-aggregating pre-aggregated snapshots must weight by window count.
 	s1 := snap("x", Decaminutely, 0, []Row{{Key: "a", Values: []float64{10, 10}}})
-	s1.Level = Decaminutely
 	s1.Windows = 10
 	s2 := snap("x", Decaminutely, 600, []Row{{Key: "a", Values: []float64{40, 40}}})
-	s2.Level = Decaminutely
 	s2.Windows = 10
-	out, err := Aggregate([]*Snapshot{s1, s2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := queryAll(t, s1, s2)
 	a := out.Find("a")
 	if math.Abs(a.Values[0]-25) > 1e-9 || math.Abs(a.Values[1]-25) > 1e-9 {
 		t.Errorf("a = %v", a.Values)
@@ -168,24 +183,37 @@ func TestAggregateWeightsByWindows(t *testing.T) {
 	}
 }
 
+// TestAggregateErrors: a query reads one level of one aggregation, so
+// what it can refuse is an empty range, a level beyond the cascade and
+// windows whose schemas differ.
 func TestAggregateErrors(t *testing.T) {
-	if _, err := Aggregate(nil); err != ErrNothingToAgg {
+	st, err := NewColumnarStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunQuery(st, Query{Agg: "x"}); !errors.Is(err, ErrNoData) {
 		t.Errorf("empty: %v", err)
+	}
+	if _, err := RunQuery(st, Query{Agg: "x", Level: MaxLevel + 1}); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("beyond max: %v", err)
 	}
 	s1 := snap("x", Minutely, 0, nil)
 	s2 := snap("x", Hourly, 0, nil)
-	if _, err := Aggregate([]*Snapshot{s1, s2}); err != ErrMixedLevels {
-		t.Errorf("mixed: %v", err)
-	}
-	s3 := snap("x", Minutely, 0, nil)
+	s3 := snap("x", Minutely, 60, nil)
 	s3.Columns = []string{"hits", "other"}
-	if _, err := Aggregate([]*Snapshot{s1, s3}); err != ErrSchemaChange {
-		t.Errorf("schema: %v", err)
+	for _, s := range []*Snapshot{s1, s2} {
+		if err := st.Put(s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	y := snap("x", Yearly, 0, nil)
-	y.Level = Yearly
-	if _, err := Aggregate([]*Snapshot{y}); err != ErrMixedLevels {
-		t.Errorf("beyond max: %v", err)
+	if res, err := RunQuery(st, Query{Agg: "x"}); err != nil || res.Windows != 1 {
+		t.Errorf("levels mixed into one answer: %+v, %v", res, err)
+	}
+	if err := st.Put(s3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunQuery(st, Query{Agg: "x"}); !errors.Is(err, ErrSchemaChange) {
+		t.Errorf("schema: %v", err)
 	}
 }
 
