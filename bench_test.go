@@ -199,6 +199,7 @@ func BenchmarkFeatureSetBytes(b *testing.B) {
 		sum := sums[n%len(sums)] // a copy: the corpus stays unkeyed and unhashed
 		n++
 		sum.QName = fmt.Sprintf("host%d.example.com.", key)
+		sum.QNameHash = hll.HashString(sum.QName) // Summarize hashed the corpus name
 		pipe.Ingest(&sum, now)
 	}
 	// 50 new keys a window, so the pools end up sized for 50 objects and

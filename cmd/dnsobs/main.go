@@ -154,10 +154,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 	store.FsyncOnPut = *walDir != ""
 
 	// Every layer publishes into the process-wide registry: the engines
-	// via Config.Metrics, the store and the dependency-free platform
-	// counters (hll, sie) via read-through registration.
+	// via Config.Metrics, the store, the dependency-free platform
+	// counters (hll, sie) and the Go runtime via read-through
+	// registration.
 	reg := metrics.Default()
 	observatory.InstrumentPlatform(reg)
+	metrics.InstrumentRuntime(reg)
 	store.Instrument(reg)
 
 	aggs := observatory.StandardAggregations(*factor)

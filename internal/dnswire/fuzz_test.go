@@ -78,9 +78,9 @@ func FuzzUnpackMessage(f *testing.F) {
 	})
 }
 
-// FuzzReadName asserts that ReadName never panics, stays in bounds, and
-// that every name it accepts is canonical and (when encodable) survives
-// an AppendName/ReadName round trip.
+// FuzzReadName asserts that ReadName never panics, stays in bounds,
+// agrees with ReadNameTo, and that every name it accepts is canonical
+// and (when encodable) survives an AppendName/ReadName round trip.
 func FuzzReadName(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		if len(s) > dnswire.HeaderLen {
@@ -91,6 +91,14 @@ func FuzzReadName(f *testing.F) {
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		name, end, err := dnswire.ReadName(data, 0)
+		var buf [255]byte
+		for i := range buf {
+			buf[i] = 0xff // what a buffer holds from an earlier name
+		}
+		to, toEnd, toErr := dnswire.ReadNameTo(&buf, data, 0)
+		if string(to) != name || toEnd != end || toErr != err {
+			t.Fatalf("ReadNameTo = %q, %d, %v; ReadName = %q, %d, %v", to, toEnd, toErr, name, end, err)
+		}
 		if err != nil {
 			return
 		}

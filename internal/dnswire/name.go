@@ -72,14 +72,26 @@ func AppendName(dst []byte, name string, cmap map[string]int) ([]byte, error) {
 // allocation.
 func ReadName(msg []byte, off int) (string, int, error) {
 	var buf [maxNameLen]byte
-	n, end, err := walkName(msg, off, &buf)
+	name, end, err := ReadNameTo(&buf, msg, off)
 	if err != nil {
 		return "", 0, err
 	}
-	if n == 0 {
-		return ".", end, nil
+	return string(name), end, nil
+}
+
+// ReadNameTo is ReadName into the caller's buffer: it returns the
+// canonical presentation form as a slice of dst, valid until dst is
+// written again, so the caller decides whether it becomes a string.
+func ReadNameTo(dst *[255]byte, msg []byte, off int) ([]byte, int, error) {
+	n, end, err := walkName(msg, off, dst)
+	if err != nil {
+		return nil, 0, err
 	}
-	return string(buf[:n]), end, nil
+	if n == 0 {
+		dst[0] = '.'
+		n = 1
+	}
+	return dst[:n], end, nil
 }
 
 // walkName validates the (possibly compressed) name at msg[off] and

@@ -178,6 +178,12 @@ func (r *Record) Name() string { return r.name(r.NameOff) }
 // or PTR record.
 func (r *Record) Target() string { return r.name(r.DataOff) }
 
+// TargetTo is Target written into dst (ReadNameTo's contract).
+func (r *Record) TargetTo(dst *[255]byte) []byte {
+	name, _, _ := ReadNameTo(dst, r.Msg, r.DataOff)
+	return name
+}
+
 // Addr returns the address of an A or AAAA record.
 func (r *Record) Addr() netip.Addr {
 	rd := r.Msg[r.DataOff : r.DataOff+r.DataLen]

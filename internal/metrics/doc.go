@@ -17,8 +17,9 @@
 //     layer can claim its family without coordination; registering the
 //     same name with a different metric type panics at wiring time.
 //   - Read-through CounterFunc/GaugeFunc adapt existing counters (store
-//     fsyncs, chaos injections, HLL promotions) without touching their
-//     hot paths: the function is called only at collection.
+//     fsyncs, chaos injections, HLL promotions, the Go runtime's own
+//     runtime/metrics — InstrumentRuntime) without touching their hot
+//     paths: the function is called only at collection.
 //   - No dependencies: the package imports only the standard library
 //     and nothing from this repository, so every layer can import it.
 //

@@ -40,14 +40,27 @@ func TestPrecomputeHashes(t *testing.T) {
 	}
 	// An answer address hashes as its text does, whichever way the text
 	// is had: formatted on the fly (every family, a mapped address, the
-	// zero Addr) or memoized by hand.
+	// zero Addr) or memoized by hand. A summary built by hand has its
+	// QName and endpoint texts hashed here, not trusted — also once it is
+	// copied into a Shared buffer.
 	addrs := Summary{
-		V4Addrs: []netip.Addr{netip.MustParseAddr("203.0.113.5"), netip.MustParseAddr("198.51.100.255"), {}},
-		V4Strs:  []string{"memo-v4"},
+		QName:      "built.example.org.",
+		Resolver:   netip.MustParseAddr("192.0.2.77"),
+		Nameserver: netip.MustParseAddr("2001:db8::53"),
+		V4Addrs:    []netip.Addr{netip.MustParseAddr("203.0.113.5"), netip.MustParseAddr("198.51.100.255"), {}},
+		V4Strs:     []string{"memo-v4"},
 		V6Addrs: []netip.Addr{netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("::ffff:192.0.2.1"),
 			netip.MustParseAddr("fe80::1%eth0"), netip.MustParseAddr("2001:db8:1111:2222:3333:4444:5555:6666")},
 	}
-	addrs.PrecomputeHashes(nil)
+	var shared Shared
+	shared.CopyFrom(&addrs)
+	for _, built := range []*Summary{&addrs, &shared.Summary} {
+		built.PrecomputeHashes(nil)
+		if built.QNameHash != hll.HashString("built.example.org.") || built.ResolverHash != hll.HashString("192.0.2.77") ||
+			built.NameserverHash != hll.HashString("2001:db8::53") {
+			t.Errorf("a summary built by hand has text hashes %x %x %x", built.QNameHash, built.ResolverHash, built.NameserverHash)
+		}
+	}
 	for i := range addrs.V4Addrs {
 		if addrs.V4Hashes[i] != hll.HashString(addrs.V4Text(i)) {
 			t.Errorf("V4Hashes[%d] is not the hash of %q", i, addrs.V4Text(i))

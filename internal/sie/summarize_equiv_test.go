@@ -4,11 +4,14 @@
 package sie_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"dnsobservatory/internal/dnswire"
+	"dnsobservatory/internal/hll"
 	"dnsobservatory/internal/ipwire"
 	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/simnet"
@@ -123,13 +126,30 @@ func emptyToNil(s sie.Summary) sie.Summary {
 	return s
 }
 
+// mangle returns a copy of answered tx with its response byte-flipped or
+// truncated: the rollback to the unanswered form and the error identity
+// are what a mangled transaction checks.
+func mangle(rng *rand.Rand, tx *sie.Transaction) *sie.Transaction {
+	m := *tx
+	m.ResponsePacket = append([]byte(nil), tx.ResponsePacket...)
+	if rng.Intn(2) == 0 {
+		m.ResponsePacket = m.ResponsePacket[:28+rng.Intn(len(m.ResponsePacket)-28)]
+	} else {
+		for f := 0; f < 1+rng.Intn(3); f++ {
+			m.ResponsePacket[28+rng.Intn(len(m.ResponsePacket)-28)] = byte(rng.Intn(256))
+		}
+	}
+	return &m
+}
+
 // TestSummarizeMatchesReference: over a simnet pool — as generated, and
 // with responses byte-flipped or truncated, in both strict and tolerant
 // mode — Summarize and the reference agree on the error and on every
 // field of the Summary (NSNames, SOAMinimum, HasRRSIG included). The
 // reference memoizes the answer addresses' texts and the walker does
 // not, so those are compared through V4Text/V6Text, which is how they
-// are read.
+// are read; Summarize also fills the three text hashes, which the
+// reference's value gets from sie.HashTexts.
 // The walker's Summary is recycled across transactions, as on the
 // ingest path, so stale state from the previous one would show.
 func TestSummarizeMatchesReference(t *testing.T) {
@@ -170,6 +190,7 @@ func TestSummarizeMatchesReference(t *testing.T) {
 				}
 			}
 			want.V4Strs, want.V6Strs = nil, nil
+			sie.HashTexts(&want)
 			if g, w := emptyToNil(*mode.got), emptyToNil(want); !reflect.DeepEqual(g, w) {
 				t.Fatalf("tx %d (keep=%v): summaries differ\n got: %+v\nwant: %+v",
 					n, mode.s.KeepUnparsableResponses, g, w)
@@ -198,19 +219,8 @@ func TestSummarizeMatchesReference(t *testing.T) {
 		if len(tx.ResponsePacket) == 0 || n%3 != 0 {
 			return
 		}
-		// Mangle the response: the rollback to the unanswered form and
-		// the error identity are what this half checks.
-		m := *tx
-		m.ResponsePacket = append([]byte(nil), tx.ResponsePacket...)
-		if rng.Intn(2) == 0 {
-			m.ResponsePacket = m.ResponsePacket[:28+rng.Intn(len(m.ResponsePacket)-28)]
-		} else {
-			for f := 0; f < 1+rng.Intn(3); f++ {
-				m.ResponsePacket[28+rng.Intn(len(m.ResponsePacket)-28)] = byte(rng.Intn(256))
-			}
-		}
 		mangled++
-		check(&m)
+		check(mangle(rng, tx))
 	})
 	// The pool must have exercised every branch the visitor has.
 	for name, c := range map[string]int{"answered": answered, "NS": withNS, "A": withV4,
@@ -218,5 +228,86 @@ func TestSummarizeMatchesReference(t *testing.T) {
 		if c == 0 {
 			t.Errorf("pool of %d transactions had no %s case", n, name)
 		}
+	}
+}
+
+// TestSummarizeWarmMatchesFresh: the intern table changes no summary. One
+// long-lived Summarizer, over 65 k simnet transactions and, in both
+// modes, every third one mangled as above when it was answered, gives
+// what a fresh Summarizer gives each transaction. The pool repeats its names (the
+// table hits) and holds more distinct texts than the table has slots
+// (they collide).
+func TestSummarizeWarmMatchesFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run in -short mode") // one goroutine; ≈ 10 s, 30 s under -race
+	}
+	cfg := simnet.DefaultConfig()
+	cfg.Duration = 30 // 65 k transactions, 24 k distinct texts
+	rng := rand.New(rand.NewSource(29))
+	var warm sie.Summarizer
+	var got sie.Summary
+	n := 0
+	simnet.New(cfg).Run(func(tx *sie.Transaction) {
+		n++
+		warm.KeepUnparsableResponses = false
+		warmMatchesFresh(t, &warm, tx, &got)
+		if len(tx.ResponsePacket) == 0 || n%3 != 0 {
+			return
+		}
+		m := mangle(rng, tx)
+		warmMatchesFresh(t, &warm, m, &got)
+		warm.KeepUnparsableResponses = true
+		warmMatchesFresh(t, &warm, m, &got)
+	})
+	if n < 50000 {
+		t.Fatalf("pool of %d transactions, want at least 50 000", n)
+	}
+}
+
+// FuzzSummarizeWarmMatchesFresh: whatever the packet bytes, a Summarizer
+// that has summarized other transactions gives what a fresh one gives.
+func FuzzSummarizeWarmMatchesFresh(f *testing.F) {
+	var warm sie.Summarizer
+	var got sie.Summary
+	for _, answered := range []bool{true, false} {
+		tx := sie.BudgetTx(f, "www.example.com.", answered)
+		f.Add(tx.QueryPacket, tx.ResponsePacket, false)
+		f.Add(tx.QueryPacket, tx.ResponsePacket, true)
+		for _, qname := range []string{"www.example.com.", "ns1.example.com.", "example.com."} {
+			if err := warm.Summarize(sie.BudgetTx(f, qname, answered), &got); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	queried := time.Unix(1554076800, 0)
+	f.Fuzz(func(t *testing.T, query, response []byte, keep bool) {
+		warm.KeepUnparsableResponses = keep
+		warmMatchesFresh(t, &warm, &sie.Transaction{QueryPacket: query, ResponsePacket: response,
+			QueryTime: queried, ResponseTime: queried.Add(23 * time.Millisecond)}, &got)
+	})
+}
+
+// warmMatchesFresh summarizes tx with warm into its recycled got, and
+// with a fresh Summarizer of the same mode, and requires the same error
+// and, on success, the same Summary field by field, whose three text
+// hashes are hll.HashString of the texts.
+func warmMatchesFresh(t *testing.T, warm *sie.Summarizer, tx *sie.Transaction, got *sie.Summary) {
+	t.Helper()
+	fresh := sie.Summarizer{KeepUnparsableResponses: warm.KeepUnparsableResponses}
+	var want sie.Summary
+	gotErr, wantErr := warm.Summarize(tx, got), fresh.Summarize(tx, &want)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("warm error %v, fresh error %v", gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if g, w := emptyToNil(*got), emptyToNil(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("keep=%v: summaries differ\n warm: %+v\nfresh: %+v", warm.KeepUnparsableResponses, g, w)
+	}
+	if got.QNameHash != hll.HashString(got.QName) || got.ResolverHash != hll.HashString(got.ResolverStr) ||
+		got.NameserverHash != hll.HashString(got.NameserverStr) {
+		t.Fatalf("text hashes %x %x %x are not those of %q %q %q", got.QNameHash, got.ResolverHash,
+			got.NameserverHash, got.QName, got.ResolverStr, got.NameserverStr)
 	}
 }

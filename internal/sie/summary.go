@@ -55,14 +55,14 @@ type Summary struct {
 	SOAMinimum uint32 // negative-caching TTL from an AUTHORITY SOA
 	HasSOA     bool
 
-	// Memoized textual forms. Formatting an address costs an allocation,
-	// and the endpoint texts are keys of several aggregations — so the
-	// Summarizer formats both exactly once and the accessors below fall
-	// back to formatting on demand for summaries built by hand. The
-	// answer addresses are only ever hashed (PrecomputeHashes, from a
-	// stack buffer), so the Summarizer leaves V4Strs/V6Strs empty; a
-	// summary built by hand may fill them. Empty string / short slice
-	// means "not memoized".
+	// Memoized textual forms. The endpoint texts are keys of several
+	// aggregations, so the Summarizer fills both (interned, like QName
+	// and NSNames: a text it made recently is handed out again) and the
+	// accessors below fall back to formatting on demand for summaries
+	// built by hand. The answer addresses are only ever hashed
+	// (PrecomputeHashes, from a stack buffer), so the Summarizer leaves
+	// V4Strs/V6Strs empty; a summary built by hand may fill them. Empty
+	// string / short slice means "not memoized".
 	ResolverStr   string
 	NameserverStr string
 	V4Strs        []string
@@ -74,6 +74,10 @@ type Summary struct {
 	// per transaction; PrecomputeHashes fills these once and HashesReady
 	// marks them valid. TLDHash/ESLDHash are only computed for NoError
 	// answers (the only case the feature extractor reads them).
+	// Summarize fills QNameHash, ResolverHash and NameserverHash already —
+	// it hashes those texts to intern them — and PrecomputeHashes hashes
+	// them again only for a summary built by hand; so whoever edits QName
+	// or an endpoint of a summarized Summary sets its hash too.
 	QNameHash      uint64
 	TLDHash        uint64
 	ESLDHash       uint64
@@ -84,6 +88,7 @@ type Summary struct {
 	V4Hashes       []uint64
 	V6Hashes       []uint64
 	HashesReady    bool
+	textsHashed    bool // Summarize set QNameHash, ResolverHash, NameserverHash
 
 	// DelayBucket, HopsBucket and SizeBucket are hints: the histogram
 	// buckets DelayMs, Hops and RespSize count into, as whoever prepared
@@ -147,9 +152,11 @@ func (sum *Summary) PrecomputeHashes(suffixes *publicsuffix.List) {
 	if suffixes == nil {
 		suffixes = publicsuffix.Default
 	}
-	sum.QNameHash = hll.HashString(sum.QName)
-	sum.ResolverHash = hll.HashString(sum.ResolverText())
-	sum.NameserverHash = hll.HashString(sum.NameserverText())
+	if !sum.textsHashed {
+		sum.QNameHash = hll.HashString(sum.QName)
+		sum.ResolverHash = hll.HashString(sum.ResolverText())
+		sum.NameserverHash = hll.HashString(sum.NameserverText())
+	}
 	etld, esld := suffixes.Split(sum.QName)
 	sum.ETLDOff, sum.ESLDOff = suffixOff(sum.QName, etld), suffixOff(sum.QName, esld)
 	if sum.Answered && sum.RCode == dnswire.RCodeNoError {
@@ -223,10 +230,13 @@ var (
 )
 
 // Summarizer converts transactions to summaries. It walks each DNS
-// payload in place (dnswire.Walk) instead of unpacking it, so per
-// transaction only what the summary stores becomes a string: the QNAME,
-// the NS targets, and the endpoint texts (resolver and nameserver share
-// one allocation).
+// payload in place (dnswire.Walk) instead of unpacking it, and the texts
+// a summary stores — the QNAME, the NS targets, the resolver and
+// nameserver addresses — are written into a stack buffer and interned:
+// traffic is Zipf-popular, so a text the Summarizer made recently is
+// handed out again, and only a text it has not seen lately becomes a
+// new string. The zero value is ready to use; it must not be copied
+// after first use, since copies would share the table.
 type Summarizer struct {
 	// KeepUnparsableResponses degrades a transaction with a malformed
 	// response to an unanswered one instead of failing, matching a
@@ -235,6 +245,26 @@ type Summarizer struct {
 
 	query    queryVisitor
 	response responseVisitor
+	texts    *textTable // allocated by the first Summarize
+}
+
+// textTable interns the texts of one Summarizer: direct-mapped, a slot
+// per value of the low bits of a text's hll hash, holding the last text
+// that hashed there. With 2¹⁴ slots (256 KB of string headers) the
+// replay-serial benchmark runs at 1.4 allocations per transaction, where
+// 2¹² gave 1.7 and 2¹⁶ gives 1.3 (DESIGN.md "The summarizer interns
+// what repeats").
+type textTable [1 << 14]string
+
+// intern returns text as a string, the one the slot already holds when
+// it is the same text, and the text's hll hash (hll.HashString of it).
+func (t *textTable) intern(text []byte) (string, uint64) {
+	h := hll.HashBytes(text)
+	slot := &t[h%uint64(len(t))]
+	if *slot != string(text) {
+		*slot = string(text)
+	}
+	return *slot, h
 }
 
 // queryVisitor keeps what a summary takes from the query message: the
@@ -261,7 +291,10 @@ func (v *queryVisitor) Record(sec string, r dnswire.Record) {
 }
 
 // responseVisitor folds the response message into out as it is walked.
-type responseVisitor struct{ out *Summary }
+type responseVisitor struct {
+	out   *Summary
+	texts *textTable
+}
 
 func (v *responseVisitor) Header(h dnswire.Header) {
 	v.out.RCode = h.Flags.RCode
@@ -291,7 +324,9 @@ func (v *responseVisitor) Record(sec string, r dnswire.Record) {
 		case dnswire.TypeNS:
 			out.AuthorityNS++
 			out.NSTTLs = append(out.NSTTLs, r.TTL)
-			out.NSNames = append(out.NSNames, r.Target())
+			var buf [255]byte
+			target, _ := v.texts.intern(r.TargetTo(&buf))
+			out.NSNames = append(out.NSNames, target)
 		case dnswire.TypeSOA:
 			out.HasSOA = true
 			// RFC 2308: the negative-caching TTL is the lesser of the
@@ -320,22 +355,27 @@ func (s *Summarizer) Summarize(tx *Transaction, out *Summary) error {
 	if err := dnswire.Walk(qpkt.Payload, &s.query); err != nil {
 		return err
 	}
-	var qname string
-	if s.query.nameOff != 0 {
-		qname, _, _ = dnswire.ReadName(qpkt.Payload, s.query.nameOff) // validated by Walk
+	if s.texts == nil {
+		s.texts = new(textTable)
 	}
-	// Both endpoint texts in one allocation (an address prints in at most
-	// 45 octets, so the scratch stays on the stack).
-	var ab [96]byte
-	text := qpkt.Src.AppendTo(ab[:0])
-	nres := len(text)
-	endpoints := string(qpkt.Dst.AppendTo(text))
+	var buf [255]byte // a name, or an address text (at most 45 octets)
+	var name []byte   // no question: QName is ""
+	if s.query.nameOff != 0 {
+		name, _, _ = dnswire.ReadNameTo(&buf, qpkt.Payload, s.query.nameOff) // validated by Walk
+	}
+	qname, qnameHash := s.texts.intern(name)
+	resolver, resolverHash := s.texts.intern(qpkt.Src.AppendTo(buf[:0]))
+	nameserver, nameserverHash := s.texts.intern(qpkt.Dst.AppendTo(buf[:0]))
 
 	*out = Summary{
 		Resolver:        qpkt.Src,
 		Nameserver:      qpkt.Dst,
-		ResolverStr:     endpoints[:nres],
-		NameserverStr:   endpoints[nres:],
+		ResolverStr:     resolver,
+		NameserverStr:   nameserver,
+		QNameHash:       qnameHash,
+		ResolverHash:    resolverHash,
+		NameserverHash:  nameserverHash,
+		textsHashed:     true,
 		SensorID:        tx.SensorID,
 		Workload:        tx.Workload,
 		ClientTransport: tx.ClientTransport,
@@ -371,7 +411,7 @@ func (s *Summarizer) Summarize(tx *Transaction, out *Summary) error {
 	// The visitor writes into out while the message is still being
 	// validated; a malformed response rolls back to the unanswered form.
 	unanswered := *out
-	s.response.out = out
+	s.response = responseVisitor{out: out, texts: s.texts}
 	if err := dnswire.Walk(rpkt.Payload, &s.response); err != nil {
 		*out = unanswered
 		if s.KeepUnparsableResponses {

@@ -78,9 +78,10 @@ func New(capacity int, halfLife float64, admitter *bloom.Filter) *Cache {
 // view, so composite keys built in a reusable buffer (the srcsrv
 // resolver>nameserver pair) cost no allocation at steady state, nor does
 // a key the admitter refuses. The views differ in one thing, when a key
-// enters the cache: a string is kept as it is, bytes are copied into a
-// new one (ISSUE 21 measured 3.10 → 3.36 allocations per transaction for
-// staging the pipeline's string keys as bytes).
+// enters the cache: a string is kept as it is — the pipeline's string
+// keys are texts the summarizer interned, views of them, or constants,
+// so keeping one allocates nothing — and bytes are copied into a new
+// one.
 func Observe[K ~string | ~[]byte](c *Cache, key K, now float64) *Entry {
 	c.hits++
 	if e, ok := c.entries[string(key)]; ok {
