@@ -252,15 +252,15 @@ func BenchmarkCascade(b *testing.B) {
 		}
 		return s
 	}
-	run := func(b *testing.B, parallelism int) {
+	run := func(b *testing.B, workers int) {
 		b.ReportAllocs()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			store, err := tsv.NewStore(b.TempDir())
 			if err != nil {
 				b.Fatal(err)
 			}
-			store.Parallelism = parallelism
 			for _, agg := range aggs {
 				for m := int64(0); m < 60; m++ {
 					if err := store.Put(mkSnap(agg, m*60)); err != nil {
@@ -275,7 +275,7 @@ func BenchmarkCascade(b *testing.B) {
 		}
 	}
 	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("pooled", func(b *testing.B) { run(b, 0) })
+	b.Run("pooled", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
 }
 
 // BenchmarkMetricsRecord measures the instrumentation record path the

@@ -111,9 +111,6 @@ type (
 	// retention in a directory. Both backends (TSV text and compressed
 	// columnar) share this type; see NewSnapshotStoreBackend.
 	SnapshotStore = tsv.Store
-	// SnapshotStorer is the read/write interface both backends satisfy;
-	// query clients and the web UI depend on it, not on a concrete store.
-	SnapshotStorer = tsv.SnapshotStore
 	// TimeLevel is a granularity of the cascade.
 	TimeLevel = tsv.Level
 

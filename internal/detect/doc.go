@@ -37,7 +37,7 @@
 // either view) is deterministic, the merged window snapshots
 // (MergeWindow over CollectWindow parts) are byte-identical between a
 // serial and a sharded deployment of the same Config — the same
-// contract spacesaving.Merge gives the volume aggregations.
+// contract the engine's key-hash shards give the volume aggregations.
 //
 // No method is safe for concurrent use on the same partition: callers
 // must guarantee one goroutine per partition (the sharded engine's

@@ -5,7 +5,6 @@ import (
 
 	"dnsobservatory/internal/detect"
 	"dnsobservatory/internal/features"
-	"dnsobservatory/internal/spacesaving"
 	"dnsobservatory/internal/tsv"
 )
 
@@ -22,7 +21,6 @@ import (
 type core struct {
 	cfg    Config
 	aggs   []Aggregation
-	aggIdx map[string]int
 	shards int
 	det    *detect.Detector
 	// prep folds nothing: it is the set summaries are prepared on, once
@@ -91,14 +89,10 @@ func (c *core) init(cfg Config, engine string, aggs []Aggregation, onSnapshot fu
 	*c = core{
 		cfg:        cfg,
 		aggs:       aggs,
-		aggIdx:     make(map[string]int, len(aggs)),
 		shards:     shards,
 		prep:       features.NewSet(cfg.Features),
 		onSnapshot: onSnapshot,
 		m:          newEngineMetrics(cfg.Metrics, engine),
-	}
-	for i, a := range aggs {
-		c.aggIdx[a.Name] = i
 	}
 	if cfg.Detect != nil {
 		dc := *cfg.Detect
@@ -290,26 +284,3 @@ func (c *core) RecordRejected() {
 // the engine publishes to its metrics registry, so the two views agree
 // by construction.
 func (c *core) Stats() EngineStats { return c.m.stats() }
-
-// Detector returns the attached detection layer, or nil when
-// Config.Detect was unset. Read its counters only while no ingest is in
-// flight (on the sharded engine: after Close).
-func (c *core) Detector() *detect.Detector { return c.det }
-
-// Caches returns the live per-shard Space-Saving caches of an
-// aggregation (shard order; the pipeline has one), or nil if it does not
-// exist. This reads live state: only use it while no ingest is in flight
-// (on the sharded engine: after Close).
-func (c *core) Caches(name string) []*spacesaving.Cache {
-	a, ok := c.aggIdx[name]
-	if !ok {
-		return nil
-	}
-	caches := make([]*spacesaving.Cache, c.shards)
-	for _, w := range c.workers {
-		for l, st := range w.states[a] {
-			caches[l*len(c.workers)+w.id] = st.cache
-		}
-	}
-	return caches
-}

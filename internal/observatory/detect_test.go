@@ -152,7 +152,7 @@ func TestShardedDetectConcurrentProducersAccounting(t *testing.T) {
 	wg.Wait()
 	eng.Close()
 
-	c := eng.Detector().Counters()
+	c := eng.det.Counters()
 	if c.Offered != producers*perProducer {
 		t.Fatalf("offered = %d, want %d", c.Offered, producers*perProducer)
 	}
@@ -169,22 +169,22 @@ func TestShardedDetectConcurrentProducersAccounting(t *testing.T) {
 	}
 }
 
-// TestSerialDetectAccessor covers the serial pipeline's accessor and
+// TestSerialDetectAccessor covers the serial pipeline's detector and
 // that detection stays off (nil) unless configured.
 func TestSerialDetectAccessor(t *testing.T) {
 	cfg := DefaultConfig()
 	p := New(cfg, shardedTestAggs(), nil)
-	if p.Detector() != nil {
-		t.Fatal("Detector() non-nil without cfg.Detect")
+	if p.det != nil {
+		t.Fatal("detector non-nil without cfg.Detect")
 	}
 	cfg.Detect = detectTestConfig()
 	p = New(cfg, shardedTestAggs(), nil)
-	if p.Detector() == nil {
-		t.Fatal("Detector() nil with cfg.Detect set")
+	if p.det == nil {
+		t.Fatal("detector nil with cfg.Detect set")
 	}
 	p.Ingest(sum("192.0.2.1", "198.51.100.1", "a.acc.com.", dnswire.TypeA), 1)
 	p.Flush()
-	if c := p.Detector().Counters(); c.Observed != 1 {
+	if c := p.det.Counters(); c.Observed != 1 {
 		t.Fatalf("observed = %d, want 1", c.Observed)
 	}
 }

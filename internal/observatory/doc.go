@@ -38,11 +38,9 @@
 // and must not call back into the engine. Aggregation state (cache,
 // record blocks, feature sets, pools) is only ever touched by the
 // goroutine that owns its shard, which is what lets the per-object
-// structures stay lock-free. spacesaving.Entry.State is engine-private:
-// the caches Pipeline.Cache, Sharded.Caches and MergedTop expose are for
-// reading keys, counts and rates; what hangs off State, and whether
-// anything does, changes with every fold and close, and its dynamic type
-// is not API.
+// structures stay lock-free. None of that state is API: what the engine
+// tracked is read from the snapshots it emits, or from the store they go
+// into, never from its live caches.
 //
 // Observability: set Config.Metrics to publish engine counters
 // (ingested/accepted/rejected/shed/panics/quarantined), flush-latency

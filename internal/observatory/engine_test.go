@@ -84,10 +84,10 @@ func (sh engineShape) build(cfg Config, aggs []Aggregation, onSnapshot func(*tsv
 	cfg, aggs = sh.guarded(cfg, aggs)
 	if sh.inline() {
 		p := New(cfg, aggs, onSnapshot)
-		return testEngine{p.Ingest, p.Flush, p.Caches, p.Stats, p}
+		return testEngine{p.Ingest, p.Flush, p.caches, p.Stats, p}
 	}
 	eng := NewSharded(ShardedConfig{Config: cfg, Shards: sh.shards, Workers: sh.workers, BatchSize: 64}, aggs, onSnapshot)
-	return testEngine{eng.Ingest, eng.Close, eng.Caches, eng.Stats, nil}
+	return testEngine{eng.Ingest, eng.Close, eng.caches, eng.Stats, nil}
 }
 
 // poisonHook is the chaos hook of the matrix tests: a worker panics on a
@@ -229,4 +229,22 @@ func TestSameStreamSameSnapshots(t *testing.T) {
 			requireSnapsEqual(t, first, second)
 		})
 	}
+}
+
+// caches is the white-box view of an aggregation's Space-Saving caches,
+// one per shard in shard order, or nil if the engine has no such
+// aggregation. Read it only while no ingest is in flight (on the sharded
+// engine: after Close).
+func (c *core) caches(name string) []*spacesaving.Cache {
+	a := slices.IndexFunc(c.aggs, func(agg Aggregation) bool { return agg.Name == name })
+	if a < 0 {
+		return nil
+	}
+	caches := make([]*spacesaving.Cache, c.shards)
+	for _, w := range c.workers {
+		for l, st := range w.states[a] {
+			caches[l*len(c.workers)+w.id] = st.cache
+		}
+	}
+	return caches
 }

@@ -93,7 +93,7 @@ func TestStreamToStorePipeline(t *testing.T) {
 	if len(starts) < 2 {
 		t.Fatalf("minutely files: %v", starts)
 	}
-	if err := store.Cascade("srvip", lastStart+600); err != nil {
+	if err := store.CascadeAll([]string{"srvip"}, lastStart+600); err != nil {
 		t.Fatal(err)
 	}
 	deca, err := store.List("srvip", tsv.Decaminutely)

@@ -145,8 +145,8 @@ func TestDeferredFoldMatchesEager(t *testing.T) {
 		windowStart := -1.0
 		for i := range stream {
 			ts := &stream[i]
-			if w.started && eng.pipe.WindowStart() != windowStart {
-				windowStart = eng.pipe.WindowStart()
+			if w.started && w.windowStart != windowStart {
+				windowStart = w.windowStart
 				active, slabs := int(mcfg.Metrics.Sum(MetricTopkActive)), int(mcfg.Metrics.Sum(MetricTopkSlabs))
 				closedOnSets += slabs
 				closedOnRecords += active - slabs
@@ -380,7 +380,7 @@ func TestStateBoundedUnderChurn(t *testing.T) {
 			}
 			churnWindow(w, p.Ingest)
 		}
-		if ev := p.Cache("qname").Evictions(); ev < uint64(windows)*200 {
+		if ev := p.caches("qname")[0].Evictions(); ev < uint64(windows)*200 {
 			t.Fatalf("stream too tame: %d evictions over %d windows", ev, windows)
 		}
 		requireSaturated(t, madeWarm, made(), 24+60+16+40)

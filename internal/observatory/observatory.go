@@ -478,15 +478,3 @@ func (p *Pipeline) Flush() {
 	p.closed = true
 	p.workers[0].finish()
 }
-
-// Cache exposes an aggregation's Space-Saving cache (for analyses that
-// read live state); nil if the aggregation does not exist.
-func (p *Pipeline) Cache(name string) *spacesaving.Cache {
-	if caches := p.Caches(name); caches != nil {
-		return caches[0]
-	}
-	return nil
-}
-
-// WindowStart returns the start of the current window.
-func (p *Pipeline) WindowStart() float64 { return p.workers[0].windowStart }

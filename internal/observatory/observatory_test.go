@@ -249,16 +249,6 @@ func TestEmptyWindowsProduceEmptySnapshots(t *testing.T) {
 	}
 }
 
-func TestCacheAccessor(t *testing.T) {
-	p := New(DefaultConfig(), []Aggregation{{Name: "srvip", K: 10, Key: SrvIPKey}}, nil)
-	if p.Cache("srvip") == nil {
-		t.Error("cache missing")
-	}
-	if p.Cache("nope") != nil {
-		t.Error("phantom cache")
-	}
-}
-
 func TestStandardAggregationsScaling(t *testing.T) {
 	aggs := StandardAggregations(1)
 	if aggs[0].K != 100_000 {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"dnsobservatory/internal/sie"
-	"dnsobservatory/internal/spacesaving"
 	"dnsobservatory/internal/tsv"
 )
 
@@ -352,17 +351,6 @@ func (s *Sharded) Close() {
 	}
 	close(s.merges)
 	<-s.mergeDone
-}
-
-// MergedTop merges the per-shard caches of an aggregation into a single
-// top-n list (spacesaving.Merge; exact because shards partition the key
-// space). Same liveness caveat as Caches.
-func (s *Sharded) MergedTop(name string, n int) []*spacesaving.Entry {
-	caches := s.Caches(name)
-	if caches == nil {
-		return nil
-	}
-	return spacesaving.Merge(n, caches...)
 }
 
 // run is the loop of one worker goroutine: fold every batch into the

@@ -266,41 +266,6 @@ func TestShardedCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestShardedMergedTop checks the live-state accessors after Close: the
-// merged per-shard caches must report every key with its exact count.
-func TestShardedMergedTop(t *testing.T) {
-	cfg := DefaultConfig()
-	eng := NewSharded(ShardedConfig{Config: cfg, Shards: 4, Workers: 2},
-		[]Aggregation{{Name: "qname", K: 100, Key: QNameKey, NoAdmitter: true}}, nil)
-	counts := map[string]uint64{"a.com.": 30, "b.com.": 20, "c.com.": 10}
-	i := 0
-	for name, n := range counts {
-		for j := uint64(0); j < n; j++ {
-			eng.Ingest(sum("192.0.2.1", "198.51.100.1", name, dnswire.TypeA), float64(i))
-			i++
-		}
-	}
-	eng.Close()
-	if eng.Caches("nope") != nil || eng.MergedTop("nope", 3) != nil {
-		t.Fatal("unknown aggregation should return nil")
-	}
-	if got := len(eng.Caches("qname")); got != 4 {
-		t.Fatalf("Caches: %d shards, want 4", got)
-	}
-	top := eng.MergedTop("qname", 3)
-	if len(top) != 3 {
-		t.Fatalf("MergedTop: %d entries, want 3", len(top))
-	}
-	for _, e := range top {
-		if e.Count != counts[e.Key] {
-			t.Errorf("%s: count %d, want %d", e.Key, e.Count, counts[e.Key])
-		}
-	}
-	if top[0].Key != "a.com." || top[1].Key != "b.com." || top[2].Key != "c.com." {
-		t.Errorf("order: %v %v %v", top[0].Key, top[1].Key, top[2].Key)
-	}
-}
-
 // TestShardedShardCapacity pins the sizing rule: even K split plus slack.
 func TestShardedShardCapacity(t *testing.T) {
 	for _, tc := range []struct{ k, shards, want int }{

@@ -29,9 +29,9 @@
 // every key as bytes measured 3.10 → 3.36 allocations per transaction
 // even before those texts were interned).
 //
-// Caches over key-disjoint partitions of one stream compose: Merge sums
-// counts and errors per key and keeps the strongest entries, which is the
-// standard parallel Space-Saving merge used by the sharded ingest engine.
+// Caches over key-disjoint partitions of one stream compose without a
+// merge: the sharded engine concatenates its shards' window rows and
+// keeps the strongest, since no key is in two of them.
 //
 // Concurrency: a Cache is single-owner — no internal locking; the
 // engine goroutine that owns the shard is the only one that touches it.

@@ -279,58 +279,6 @@ func (c *Cache) Entries(fn func(*Entry)) {
 	}
 }
 
-// Merge combines the live entries of several caches into one top-n list —
-// the standard parallel Space-Saving merge: counts, errors and rates of
-// duplicate keys are summed, then the strongest n entries (by count,
-// ties by key) survive. n <= 0 keeps every merged entry.
-//
-// The merge is exact when the caches track key-disjoint partitions of one
-// stream (the sharded ingest shape: every key hashes to exactly one
-// shard), because a key absent from a shard truly has count zero there.
-// For caches over overlapping streams the summed counts remain upper
-// bounds but may undercount keys evicted from some of the caches.
-//
-// Returned entries are copies: mutating them does not disturb the source
-// caches, and State is preserved only for keys contributed by a single
-// cache (a merged State would be ambiguous).
-func Merge(n int, caches ...*Cache) []*Entry {
-	total := 0
-	for _, c := range caches {
-		total += len(c.entries)
-	}
-	merged := make(map[string]*Entry, total)
-	for _, c := range caches {
-		for _, e := range c.entries {
-			m, ok := merged[e.Key]
-			if !ok {
-				cp := *e
-				cp.index = -1
-				merged[e.Key] = &cp
-				continue
-			}
-			m.Count += e.Count
-			m.Error += e.Error
-			m.Rate += e.Rate
-			if e.InsertedAt > m.InsertedAt {
-				m.InsertedAt = e.InsertedAt
-			}
-			if e.rateAt > m.rateAt {
-				m.rateAt = e.rateAt
-			}
-			m.State = nil
-		}
-	}
-	out := make([]*Entry, 0, len(merged))
-	for _, e := range merged {
-		out = append(out, e)
-	}
-	sortEntries(out)
-	if n > 0 && n < len(out) {
-		out = out[:n]
-	}
-	return out
-}
-
 // minHeap orders entries by ascending count so the eviction victim is at
 // the root. It is a flat index-based binary heap: Observe only ever
 // increments a count by one or replaces the root, so the two bounded

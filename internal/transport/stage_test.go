@@ -268,11 +268,14 @@ func TestReadTimeoutInsideAFrame(t *testing.T) {
 	}
 	defer conn.Close()
 	wire := seqWire("staller", 1, n)
+	// The collector arms its deadline at the read that takes the last
+	// bytes, which may come before Write returns here: a clock read after
+	// the write can be late, one before it never is.
+	stalled := time.Now()
 	if _, err := conn.Write(wire[:len(wire)-5]); err != nil { // the last frame never completes
 		t.Fatal(err)
 	}
-	stalled := time.Now()
-	conn.SetReadDeadline(stalled.Add(timeout + 2*time.Second))
+	conn.SetReadDeadline(time.Now().Add(timeout + 2*time.Second))
 	if _, err := io.Copy(io.Discard, conn); err != nil { // acknowledgements, then the cut
 		t.Fatalf("the collector left a sensor stalled inside a frame connected: %v", err)
 	}

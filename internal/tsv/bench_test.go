@@ -111,7 +111,7 @@ func BenchmarkColumnarCascade(b *testing.B) {
 				b.StopTimer()
 				st := benchStore(b, backend, 10, 2000)
 				b.StartTimer()
-				if err := st.Cascade("srvip", 600); err != nil {
+				if err := st.CascadeAll([]string{"srvip"}, 600); err != nil {
 					b.Fatal(err)
 				}
 			}

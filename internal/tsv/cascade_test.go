@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -35,7 +36,7 @@ func TestFullCascadeToDaily(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Cascade("srvip", minutes*60); err != nil {
+	if err := st.CascadeAll([]string{"srvip"}, minutes*60); err != nil {
 		t.Fatal(err)
 	}
 	for _, level := range []Level{Decaminutely, Hourly, Daily} {
@@ -99,7 +100,7 @@ func TestCascadePartialGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Cascade("x", 600); err != nil {
+	if err := st.CascadeAll([]string{"x"}, 600); err != nil {
 		t.Fatal(err)
 	}
 	got, err := st.Get("x", Decaminutely, 0)
@@ -118,8 +119,8 @@ func TestCascadePartialGroups(t *testing.T) {
 }
 
 func TestLevelMetadata(t *testing.T) {
-	if Minutely.Seconds() != 60 || Decaminutely.GroupSize() != 10 ||
-		Hourly.GroupSize() != 6 || Daily.GroupSize() != 24 {
+	if Minutely.Seconds() != 60 || Decaminutely.Seconds() != 10*60 ||
+		Hourly.Seconds() != 6*600 || Daily.Seconds() != 24*3600 {
 		t.Error("level metadata wrong")
 	}
 	names := map[string]bool{}
@@ -148,7 +149,7 @@ func TestStoreManyAggregations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := st.Cascade(agg, 1200); err != nil {
+		if err := st.CascadeAll([]string{agg}, 1200); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,14 +252,15 @@ func TestCascadeAllMatchesSerial(t *testing.T) {
 		}
 	}
 
+	// CascadeAll's pool is GOMAXPROCS wide: one worker, then eight.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial.Parallelism = 1
 	fill(serial)
 	for _, agg := range aggs {
-		if err := serial.Cascade(agg, 180*60); err != nil {
+		if err := serial.CascadeAll([]string{agg}, 180*60); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +269,7 @@ func TestCascadeAllMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel.Parallelism = 8
+	runtime.GOMAXPROCS(8)
 	fill(parallel)
 	if err := parallel.CascadeAll(aggs, 180*60); err != nil {
 		t.Fatal(err)

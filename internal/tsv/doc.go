@@ -13,9 +13,8 @@
 // Put writes to a uniquely numbered temp file and renames it into place
 // atomically, so concurrent puts (snapshot callbacks of engines that
 // share a store) never interleave bytes; the operation counters are
-// atomics. CascadeAll runs its own bounded worker pool
-// (Store.Parallelism) whose output is byte-identical to the serial
-// cascade. Instrument publishes the store counters and per-level
+// atomics. CascadeAll runs its own worker pool, GOMAXPROCS wide, whose
+// output is byte-identical to a serial cascade. Instrument publishes the store counters and per-level
 // cascade-duration histograms to a metrics registry without adding work
 // to Put itself.
 //

@@ -78,7 +78,7 @@ type Result struct {
 // metrics. The zero value with Store set is ready to use; Engine is
 // safe for concurrent use if the underlying store is.
 type Engine struct {
-	Store SnapshotStore
+	Store *Store
 
 	queries      atomic.Uint64
 	filesScanned atomic.Uint64
@@ -88,7 +88,7 @@ type Engine struct {
 }
 
 // NewEngine returns a query engine over st.
-func NewEngine(st SnapshotStore) *Engine { return &Engine{Store: st} }
+func NewEngine(st *Store) *Engine { return &Engine{Store: st} }
 
 // Instrument registers the engine's read-through counters and its
 // latency histogram with reg.
@@ -114,7 +114,7 @@ func (e *Engine) CorruptSkips() uint64 { return e.corruptSkips.Load() }
 
 // RunQuery executes q against st with a throwaway engine — the
 // convenience form for tools and tests.
-func RunQuery(st SnapshotStore, q Query) (*Result, error) {
+func RunQuery(st *Store, q Query) (*Result, error) {
 	return (&Engine{Store: st}).Run(q)
 }
 
@@ -199,7 +199,7 @@ func (e *Engine) run(q Query) (*Result, error) {
 				err = acc.foldSnapshot(first)
 			}
 			if err == nil {
-				err = e.fold(acc, q.Agg, q.Level, s, proj)
+				_, err = e.Store.scan(q.Agg, q.Level, s, proj, acc)
 			}
 		}
 		switch {
@@ -243,21 +243,6 @@ func (e *Engine) run(q Query) (*Result, error) {
 		res.Rows[i].Values = own[at:len(own):len(own)]
 	}
 	return res, nil
-}
-
-// fold reads one more file of the range into acc. The store's own
-// backends fold from the reader's scratch; any other SnapshotStore is
-// asked for the projected snapshot.
-func (e *Engine) fold(acc *accumulator, agg string, level Level, start int64, proj *Projection) error {
-	if st, ok := e.Store.(*Store); ok {
-		_, err := st.scan(agg, level, start, proj, acc)
-		return err
-	}
-	snap, err := e.Store.GetProjected(agg, level, start, proj)
-	if err != nil {
-		return err
-	}
-	return acc.foldSnapshot(snap)
 }
 
 // rowLess is the report order: descending value in the order column,

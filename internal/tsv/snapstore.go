@@ -15,40 +15,10 @@ const (
 	BackendColumnar = "columnar"
 )
 
-// SnapshotStore is the persistence layer behind the Observatory read
-// and write paths: the TSV backend (NewStore) and the columnar backend
-// (NewColumnarStore) both satisfy it, so the cascade, the query engine,
-// the web UI and the tools work against either. Both backends are the
-// same *Store machinery under different codecs, but consumers should
-// hold the interface so a remote or sharded store can slot in later.
-type SnapshotStore interface {
-	// Backend names the codec: BackendTSV or BackendColumnar.
-	Backend() string
-	// Dir returns the store's root directory.
-	Dir() string
-	// FileName returns the name Put would commit s under — the
-	// backend's extension applied to the canonical agg-level-start stem.
-	FileName(s *Snapshot) string
-	// Put commits one snapshot crash-safely.
-	Put(s *Snapshot) error
-	// Get loads the snapshot for (agg, level, start); a file that exists
-	// but cannot be decoded yields a *CorruptError.
-	Get(agg string, level Level, start int64) (*Snapshot, error)
-	// GetProjected is Get restricted to a projection: only the requested
-	// columns are materialized and only rows passing the key and range
-	// predicates are returned. The columnar backend skips undecoded
-	// blocks; the TSV backend decodes fully and filters, producing an
-	// identical result.
-	GetProjected(agg string, level Level, start int64, proj *Projection) (*Snapshot, error)
-	// List returns the stored window starts for (agg, level), ascending.
-	List(agg string, level Level) ([]int64, error)
-	// Cascade and CascadeAll build upper-level aggregates from closed
-	// windows; Retention deletes aggregated fine-grained files beyond
-	// the Retain caps.
-	Cascade(agg string, now int64) error
-	CascadeAll(aggs []string, now int64) error
-	Retention(agg string) error
-}
+// SnapshotStore is the store's former interface name, now an alias of
+// *Store. Only cmd/dnsbench still names it; the [benchmark] change that
+// next edits the harness removes it.
+type SnapshotStore = *Store
 
 // Pred is one predicate for pushdown: keep rows whose value in Col lies
 // in [Min, Max] (inclusive). Use -Inf / +Inf for open ends. NaN values

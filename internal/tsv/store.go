@@ -75,7 +75,7 @@ var columnarCodec = storeCodec{
 
 // ErrCorruptSnapshot matches (via errors.Is) any snapshot file the store
 // could open but not parse — truncated, bit-rotted, or half-written.
-// Callers that walk many files (Cascade) skip and count such files
+// Callers that walk many files (CascadeAll) skip and count such files
 // instead of aborting, since one bad file must not take down an entire
 // aggregation level.
 var ErrCorruptSnapshot = errors.New("tsv: corrupt snapshot file")
@@ -123,11 +123,6 @@ type Store struct {
 	// — the chaos-injection point for failing and short writes. Nil in
 	// production.
 	WrapWriter func(io.Writer) io.Writer
-	// Parallelism bounds the worker pool CascadeAll (and Cascade) uses to
-	// build upper-level aggregates; 0 means GOMAXPROCS. 1 gives the fully
-	// serial behavior. Output files are byte-identical at any setting:
-	// jobs within a level write disjoint files from identical inputs.
-	Parallelism int
 
 	corruptSkipped atomic.Uint64
 	tmpSeq         atomic.Uint64
@@ -157,8 +152,6 @@ type Store struct {
 	// populated by Instrument; nil slots are simply not observed.
 	cascadeSeconds [MaxLevel]*metrics.Histogram
 }
-
-var _ SnapshotStore = (*Store)(nil)
 
 // Instrument registers the store's counters with reg (rows written,
 // puts, fsyncs, corrupt-skips) and creates the per-level cascade
@@ -471,7 +464,7 @@ func (st *Store) cachedLevel(level Level) (map[string][]int64, error) {
 	}
 	cached := map[string][]int64{}
 	for _, e := range entries {
-		a, l, start, ext, err := parseStoreFileName(e.Name())
+		a, l, start, ext, err := parseFileName(e.Name())
 		if err != nil || l != level || ext != st.codec.ext {
 			continue
 		}
@@ -514,20 +507,6 @@ func (st *Store) invalidateLevel(level Level) {
 	st.listMu.Unlock()
 }
 
-// Cascade aggregates complete groups of files into the next level, for
-// every level below Yearly. A group is complete when GroupSize files of
-// the lower level fall within one upper-level window and that window has
-// closed (its end is at or before now). Newly produced files trigger
-// further cascading.
-//
-// A corrupt input file is skipped and counted (CorruptSkipped) rather
-// than failing the level: the upper aggregate is built from whatever
-// parses, matching the codec's contract that every committed file was
-// written whole — anything else is damage to route around.
-func (st *Store) Cascade(agg string, now int64) error {
-	return st.CascadeAll([]string{agg}, now)
-}
-
 // cascadeJob is one upper-level aggregate to build: the lower-level
 // start times of agg that fall into the upper window at window.
 type cascadeJob struct {
@@ -537,18 +516,22 @@ type cascadeJob struct {
 	starts []int64
 }
 
-// CascadeAll runs the cascade for every aggregation at once. Levels are
+// CascadeAll aggregates the closed windows of aggs into the next level,
+// for every level below Yearly: an upper-level window is built once its
+// end is at or before now, from the lower-level files inside it, and the
+// files it produces cascade further up in the same call. Levels are
 // sequential (upper levels consume the files lower levels just wrote),
 // but within a level every (aggregation, closed window) aggregate is an
 // independent job — disjoint input files, one distinct output file —
-// fanned over a worker pool bounded by Parallelism. The produced files
-// are identical to len(aggs) serial Cascade calls; only the wall clock
-// differs.
+// fanned over GOMAXPROCS workers. The files are the same at any
+// GOMAXPROCS; only the wall clock differs.
+//
+// A corrupt input file is skipped and counted (CorruptSkipped) rather
+// than failing the level: the upper aggregate is built from whatever
+// parses, matching the codec's contract that every committed file was
+// written whole — anything else is damage to route around.
 func (st *Store) CascadeAll(aggs []string, now int64) error {
-	workers := st.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	for level := Minutely; level < MaxLevel; level++ {
 		step := (level + 1).Seconds()
 		// One listing of each level serves every aggregation: the lower

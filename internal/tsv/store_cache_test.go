@@ -103,7 +103,7 @@ func TestRetentionInvalidatesListCache(t *testing.T) {
 		}
 		// Retention only removes files already folded upward, so cascade
 		// the complete decaminutely window first.
-		if err := st.Cascade("a", 600); err != nil {
+		if err := st.CascadeAll([]string{"a"}, 600); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := st.List("a", Minutely); err != nil {

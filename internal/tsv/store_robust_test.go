@@ -109,12 +109,12 @@ func TestCascadeSkipsCorruptFilesWithAccounting(t *testing.T) {
 		}
 	}
 	for _, start := range []int64{120, 300} {
-		path := filepath.Join(dir, (&Snapshot{Aggregation: "srvip", Level: Minutely, Start: start}).FileName())
+		path := filepath.Join(dir, st.FileName(&Snapshot{Aggregation: "srvip", Level: Minutely, Start: start}))
 		if err := os.WriteFile(path, []byte("#key\thits\nbroken"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Cascade("srvip", 600); err != nil {
+	if err := st.CascadeAll([]string{"srvip"}, 600); err != nil {
 		t.Fatalf("cascade failed on corrupt input: %v", err)
 	}
 	if got := st.CorruptSkipped(); got != 2 {
@@ -140,12 +140,12 @@ func TestCascadeAllCorruptGroupIsSkippedEntirely(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 10; i++ {
-		path := filepath.Join(dir, (&Snapshot{Aggregation: "srvip", Level: Minutely, Start: i * 60}).FileName())
+		path := filepath.Join(dir, st.FileName(&Snapshot{Aggregation: "srvip", Level: Minutely, Start: i * 60}))
 		if err := os.WriteFile(path, []byte("junk\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Cascade("srvip", 600); err != nil {
+	if err := st.CascadeAll([]string{"srvip"}, 600); err != nil {
 		t.Fatalf("cascade failed on all-corrupt group: %v", err)
 	}
 	if got := st.CorruptSkipped(); got != 10 {

@@ -45,16 +45,15 @@ const (
 type levelSpec struct {
 	name    string
 	seconds int64
-	group   int // how many lower-level files aggregate into one
 }
 
 var levels = []levelSpec{
-	{"min", 60, 0},
-	{"10min", 600, 10},
-	{"hour", 3600, 6},
-	{"day", 86400, 24},
-	{"month", 30 * 86400, 30},
-	{"year", 360 * 86400, 12},
+	{"min", 60},
+	{"10min", 600},
+	{"hour", 3600},
+	{"day", 86400},
+	{"month", 30 * 86400},
+	{"year", 360 * 86400},
 }
 
 // Name returns the level's short name used in file names.
@@ -73,10 +72,6 @@ func ParseLevel(name string) (l Level, ok bool) {
 
 // Seconds returns the level's window length.
 func (l Level) Seconds() int64 { return levels[l].seconds }
-
-// GroupSize returns how many files of the previous level form one file
-// of this level (0 for Minutely).
-func (l Level) GroupSize() int { return levels[l].group }
 
 // MaxLevel is the coarsest granularity.
 const MaxLevel = Yearly
@@ -129,47 +124,23 @@ func appendFileStem(b []byte, agg string, level Level, start int64) []byte {
 	return strconv.AppendInt(b, start, 10)
 }
 
-// FileName returns the canonical TSV file name. Stores name files
-// themselves (Store.FileName) so the columnar backend can use its own
-// extension; this method remains the TSV form for compatibility.
-func (s *Snapshot) FileName() string {
-	return s.fileStem() + ".tsv"
-}
-
-// ParseFileName inverts FileName for either backend extension (.tsv or
-// .col); ext reports which (empty for neither, which is an error).
-func parseStoreFileName(name string) (agg string, level Level, start int64, ext string, err error) {
-	switch {
-	case strings.HasSuffix(name, ".tsv"):
-		ext = ".tsv"
-	case strings.HasSuffix(name, ".col"):
-		ext = ".col"
-	default:
+// parseFileName inverts Store.FileName for either backend's extension,
+// .tsv or .col; ext reports which.
+func parseFileName(name string) (agg string, level Level, start int64, ext string, err error) {
+	stem, ext := name[:max(len(name)-4, 0)], name[max(len(name)-4, 0):]
+	parts := strings.Split(stem, "-")
+	if (ext != ".tsv" && ext != ".col") || len(parts) < 3 {
 		return "", 0, 0, "", ErrBadFile
-	}
-	agg, level, start, err = ParseFileName(name)
-	return agg, level, start, ext, err
-}
-
-// ParseFileName inverts FileName; it accepts both the .tsv and the
-// columnar .col extensions.
-func ParseFileName(name string) (agg string, level Level, start int64, err error) {
-	name = strings.TrimSuffix(name, ".tsv")
-	name = strings.TrimSuffix(name, ".col")
-	parts := strings.Split(name, "-")
-	if len(parts) < 3 {
-		return "", 0, 0, ErrBadFile
 	}
 	start, err = strconv.ParseInt(parts[len(parts)-1], 10, 64)
 	if err != nil {
-		return "", 0, 0, ErrBadFile
+		return "", 0, 0, "", ErrBadFile
 	}
 	level, ok := ParseLevel(parts[len(parts)-2])
 	if !ok {
-		return "", 0, 0, ErrBadFile
+		return "", 0, 0, "", ErrBadFile
 	}
-	agg = strings.Join(parts[:len(parts)-2], "-")
-	return agg, level, start, nil
+	return strings.Join(parts[:len(parts)-2], "-"), level, start, ext, nil
 }
 
 // encodeBuf is the scratch a snapshot file is built in: the file, which
@@ -273,7 +244,7 @@ func parseValue(f []byte) (float64, error) {
 
 // Read parses a snapshot written by WriteTo. Aggregation, Level and
 // Start are not stored in the file body (they live in the name) and are
-// left zero; callers set them from ParseFileName.
+// left zero; callers set them from the file name.
 //
 // The trailing #stats row doubles as an end-of-file marker: WriteTo
 // always emits it last, so its absence means the file was truncated —

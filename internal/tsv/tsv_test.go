@@ -25,25 +25,25 @@ func snap(agg string, level Level, start int64, rows []Row) *Snapshot {
 
 func TestFileNameRoundTrip(t *testing.T) {
 	s := snap("srvip", Hourly, 1546300800, nil)
-	name := s.FileName()
+	name := (&Store{codec: tsvCodec}).FileName(s)
 	if name != "srvip-hour-1546300800.tsv" {
 		t.Errorf("name = %q", name)
 	}
-	agg, level, start, err := ParseFileName(name)
-	if err != nil || agg != "srvip" || level != Hourly || start != 1546300800 {
-		t.Errorf("parsed %q %v %d %v", agg, level, start, err)
+	agg, level, start, ext, err := parseFileName(name)
+	if err != nil || agg != "srvip" || level != Hourly || start != 1546300800 || ext != ".tsv" {
+		t.Errorf("parsed %q %v %d %q %v", agg, level, start, ext, err)
 	}
-	// Aggregation names containing dashes survive.
+	// Aggregation names containing dashes survive, under either extension.
 	s2 := snap("src-srv", Minutely, 60, nil)
-	agg, level, start, err = ParseFileName(s2.FileName())
-	if err != nil || agg != "src-srv" || level != Minutely || start != 60 {
-		t.Errorf("dashed: %q %v %d %v", agg, level, start, err)
+	agg, level, start, ext, err = parseFileName((&Store{codec: columnarCodec}).FileName(s2))
+	if err != nil || agg != "src-srv" || level != Minutely || start != 60 || ext != ".col" {
+		t.Errorf("dashed: %q %v %d %q %v", agg, level, start, ext, err)
 	}
 }
 
 func TestParseFileNameErrors(t *testing.T) {
-	for _, name := range []string{"", "x.tsv", "a-b.tsv", "a-hour-xyz.tsv", "a-lightyear-12.tsv"} {
-		if _, _, _, err := ParseFileName(name); err == nil {
+	for _, name := range []string{"", "x.tsv", "a-b.tsv", "a-hour-xyz.tsv", "a-lightyear-12.tsv", "a-hour-12.txt", "a-hour-12"} {
+		if _, _, _, _, err := parseFileName(name); err == nil {
 			t.Errorf("%q accepted", name)
 		}
 	}
@@ -286,7 +286,7 @@ func TestStoreCascade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Cascade("srvip", 600); err != nil {
+	if err := st.CascadeAll([]string{"srvip"}, 600); err != nil {
 		t.Fatal(err)
 	}
 	got, err := st.Get("srvip", Decaminutely, 0)
@@ -301,14 +301,14 @@ func TestStoreCascade(t *testing.T) {
 	if err := st.Put(snap("srvip", Minutely, 600, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Cascade("srvip", 900); err != nil {
+	if err := st.CascadeAll([]string{"srvip"}, 900); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Get("srvip", Decaminutely, 600); err == nil {
 		t.Error("open window aggregated")
 	}
 	// Cascade is idempotent.
-	if err := st.Cascade("srvip", 600); err != nil {
+	if err := st.CascadeAll([]string{"srvip"}, 600); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -334,7 +334,7 @@ func TestStoreRetention(t *testing.T) {
 	}
 	// Aggregate the first decaminutely window, then retention may delete
 	// its minutely inputs.
-	if err := st.Cascade("srvip", 600); err != nil {
+	if err := st.CascadeAll([]string{"srvip"}, 600); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Retention("srvip"); err != nil {

@@ -6,7 +6,7 @@
 //	GET /healthz                         liveness + ingest counters
 //	GET /metrics                         Prometheus text exposition
 //	GET /api/metricsz                    metrics as JSON families
-//	GET /api/aggregations                aggregation names
+//	GET /api/aggregations                aggregation names, sorted
 //	GET /api/top/{agg}?n=50&col=hits     latest top objects as JSON
 //	GET /api/files/{agg}                 stored snapshot files
 //	GET /files/{agg}/{level}/{start}     one TSV file, as written

@@ -3,7 +3,6 @@ package webui
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -27,9 +26,9 @@ import (
 type Server struct {
 	mu     sync.RWMutex
 	latest map[string]*tsv.Snapshot
-	store  tsv.SnapshotStore // optional
-	engine *tsv.Engine       // non-nil iff store is
-	qOnce  sync.Once         // instruments engine on first Handler call
+	store  *tsv.Store  // optional
+	engine *tsv.Engine // non-nil iff store is
+	qOnce  sync.Once   // instruments engine on first Handler call
 
 	// Registry is the metrics registry served by /metrics and
 	// /api/metricsz and read by /healthz. Set before Handler;
@@ -68,13 +67,8 @@ type Server struct {
 }
 
 // NewServer returns a server; store may be nil when only live snapshots
-// are exposed. Any SnapshotStore backend works — the server reads
-// through the interface, so TSV and columnar stores serve the same
-// endpoints.
-func NewServer(store tsv.SnapshotStore) *Server {
-	if st, ok := store.(*tsv.Store); ok && st == nil {
-		store = nil // typed nil from callers still means "no store"
-	}
+// are exposed. Either backend serves the same endpoints.
+func NewServer(store *tsv.Store) *Server {
 	s := &Server{latest: map[string]*tsv.Snapshot{}, store: store}
 	if store != nil {
 		s.engine = tsv.NewEngine(store)
@@ -177,6 +171,7 @@ func (s *Server) handleAggregations(w http.ResponseWriter, r *http.Request) {
 		names = append(names, name)
 	}
 	s.mu.RUnlock()
+	slices.Sort(names)
 	writeJSON(w, names)
 }
 
@@ -480,8 +475,7 @@ func (s *Server) handleFile(w http.ResponseWriter, r *http.Request) {
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		fmt.Println("webui: encode:", err)
-	}
+	// An encode error is a client gone mid-response: too late for a
+	// status change.
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -231,18 +231,23 @@ func TestPprofGating(t *testing.T) {
 
 func TestAggregations(t *testing.T) {
 	s, ts := newTestServer(t, false)
-	s.OnSnapshot(snapshotFixture("srvip", 0))
-	s.OnSnapshot(snapshotFixture("qname", 0))
-	code, body := get(t, ts.URL+"/api/aggregations")
-	if code != 200 {
-		t.Fatalf("code %d", code)
+	for _, agg := range []string{"srvip", "qname", "esld", "aafqdn", "qtype"} {
+		s.OnSnapshot(snapshotFixture(agg, 0))
 	}
-	var names []string
-	if err := json.Unmarshal([]byte(body), &names); err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 {
-		t.Errorf("names = %v", names)
+	// Sorted, so every call gives the same answer: map order would
+	// differ between calls.
+	for i := 0; i < 5; i++ {
+		code, body := get(t, ts.URL+"/api/aggregations")
+		if code != 200 {
+			t.Fatalf("code %d", code)
+		}
+		var names []string
+		if err := json.Unmarshal([]byte(body), &names); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"aafqdn", "esld", "qname", "qtype", "srvip"}; !slices.Equal(names, want) {
+			t.Fatalf("names = %v, want %v", names, want)
+		}
 	}
 }
 
