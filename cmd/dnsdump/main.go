@@ -7,9 +7,10 @@
 //
 // With -snap it instead dumps one stored snapshot file as TSV text,
 // auto-detecting the on-disk format — the way to inspect the columnar
-// store's binary .col files:
+// store's binary .col files, named by the Unix second their window
+// starts at:
 //
-//	$ dnsdump -snap observatory-data/qname-min-60.col | head
+//	$ dnsdump -snap observatory-data/qname-min-1546300860.col | head
 package main
 
 import (

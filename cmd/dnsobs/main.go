@@ -213,11 +213,23 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			r.Count(), encErrs, *encIn)
 	}
 
-	// settle cascades every window that closed by now and applies
-	// retention. It runs when the first snapshot of a window arrives —
-	// the engines deliver windows in order, so every earlier window is
-	// complete then — and once more after the final flush.
-	settle := func(now int64) error {
+	// journal, with -wal, is the collector whose journal settled windows
+	// let go of; a failed checkpoint is reported once and ends them.
+	var journal *transport.Collector
+
+	// settle runs when the first snapshot of a window arrives — the
+	// engines deliver windows in order, so every earlier window is
+	// stored (and, under -wal, fsynced) then — and once more after the
+	// final flush. It checkpoints the journal through the first done
+	// transactions, the ones those windows hold, cascades every window
+	// that closed by now and applies retention.
+	settle := func(now int64, done uint64) error {
+		if journal != nil {
+			if err := journal.Checkpoint(done); err != nil {
+				fmt.Fprintln(stderr, "dnsobs: wal checkpoint:", err)
+				journal = nil
+			}
+		}
 		if err := store.CascadeAll(aggNames, now); err != nil {
 			return err
 		}
@@ -230,13 +242,11 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 	}
 
 	// The sharded engine calls onSnapshot from its merger goroutine, so
-	// store state is mutex-guarded. checkpoint, when set (serial engine
-	// over a -wal collector), advances the journal's consumer checkpoint
-	// after each snapshot lands.
+	// store state is mutex-guarded. first is the engine's FirstOfWindow.
 	var mu sync.Mutex
 	var snapErr error
 	var lastStart int64 = -1
-	var checkpoint func()
+	var first func() uint64
 	onSnapshot := func(s *tsv.Snapshot) {
 		ui.OnSnapshot(s)
 		mu.Lock()
@@ -245,7 +255,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			return
 		}
 		if s.Start > lastStart {
-			if snapErr = settle(s.Start); snapErr != nil {
+			if snapErr = settle(s.Start, first()); snapErr != nil {
 				return
 			}
 		}
@@ -253,9 +263,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			return
 		}
 		lastStart = s.Start
-		if checkpoint != nil {
-			checkpoint()
-		}
 	}
 	failed := func() error {
 		mu.Lock()
@@ -296,6 +303,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 		flush = eng.Close
 		reject = eng.RecordRejected
 		stats = eng.Stats
+		first = eng.FirstOfWindow
 		fmt.Fprintf(stderr, "dnsobs: sharded engine: %d shards, %d workers\n",
 			eng.Shards(), eng.Workers())
 	} else {
@@ -307,15 +315,14 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 		flush = pipe.Flush
 		reject = pipe.RecordRejected
 		stats = pipe.Stats
+		first = pipe.FirstOfWindow
 	}
 
 	// The transaction source. stop unblocks a Read in progress: closing
 	// the input for the stream path, closing the collector (which drains
-	// its queue, then closes the channel) for the listen path. finalize,
-	// with -wal, writes the final checkpoint and closes the journal.
+	// its queue, then closes the channel) for the listen path.
 	var src txSource
 	var stop func()
-	var finalize func()
 	if *listen != "" {
 		ln, err := transport.Listen(*listen)
 		if err != nil {
@@ -335,11 +342,13 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			// this concurrently with the ingest loop.
 			OnReject: func(error) { reject() },
 		})
-		// Both are idempotent: on an early return the collector stops,
-		// then its journal closes; after finalize they are no-ops.
+		// Both are idempotent: the collector stops (if an early return
+		// left it running), then its journal closes.
 		defer func() {
 			coll.Close()
-			coll.CloseWAL()
+			if err := coll.CloseWAL(); err != nil {
+				fmt.Fprintln(stderr, "dnsobs: wal close:", err)
+			}
 		}()
 		if *walDir != "" {
 			if err := coll.OpenWAL(*walDir, wal.Options{}); err != nil {
@@ -349,6 +358,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 				fmt.Fprintf(stderr, "dnsobs: wal: replaying %d unconfirmed transactions from %s\n", ws.Recovered, *walDir)
 			}
 			ui.WAL = func() any { ws, _ := coll.WALStatus(); return ws }
+			journal = coll
 		}
 
 		// Fleet membership: the ring tells this member which sensors it
@@ -396,35 +406,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			}
 		}()
 		ui.Sensors = func() any { return coll.Sensors() }
-		csrc := &collectorSource{c: coll.C()}
-		src = csrc
+		src = &collectorSource{c: coll.C()}
 		stop = coll.Close
-		if *walDir != "" {
-			if !useSharded {
-				// Snapshot n lands when transaction n+1 opens the next
-				// window, so everything before the current read is
-				// durably applied. The sharded engine applies out of
-				// order; it only checkpoints at shutdown.
-				ckptBroken := false
-				checkpoint = func() {
-					if csrc.n == 0 || ckptBroken {
-						return
-					}
-					if err := coll.Checkpoint(csrc.n - 1); err != nil {
-						fmt.Fprintln(stderr, "dnsobs: wal checkpoint:", err)
-						ckptBroken = true
-					}
-				}
-			}
-			finalize = func() {
-				if err := coll.Checkpoint(csrc.n); err != nil {
-					fmt.Fprintln(stderr, "dnsobs: wal checkpoint:", err)
-				}
-				if err := coll.CloseWAL(); err != nil {
-					fmt.Fprintln(stderr, "dnsobs: wal close:", err)
-				}
-			}
-		}
 		fmt.Fprintf(stderr, "dnsobs: listening for sensors on %s\n", *listen)
 	} else {
 		src = sie.NewReader(bufio.NewReaderSize(input, 1<<20))
@@ -481,7 +464,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 	summarizer.KeepUnparsableResponses = true
 	var tx sie.Transaction
 	var errs uint64
-	var base time.Time
 	wall := time.Now()
 	for {
 		err := src.Read(&tx)
@@ -504,20 +486,20 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			return err
 		}
 		sum := borrow()
-		if tx.QueryTime.IsZero() || tx.QueryTime.Before(base) || summarizer.Summarize(&tx, sum) != nil {
-			// Rejected: no timestamp; one backdated beyond the very first
-			// window, where no window exists to clamp it into (base is
-			// the zero time until then, so nothing is before it); or
-			// packets the summarizer cannot parse.
+		if tx.QueryTime.IsZero() || summarizer.Summarize(&tx, sum) != nil {
+			// Rejected: no timestamp, or packets the summarizer cannot
+			// parse. (A late one is not: the engine clamps it into the
+			// open window.)
 			errs++
 			discard()
 			reject()
 			continue
 		}
-		if base.IsZero() {
-			base = tx.QueryTime.Truncate(time.Minute)
-		}
-		ingest(tx.QueryTime.Sub(base).Seconds())
+		// Numbered by its index in the input, which is what the journal
+		// counts, and placed at its own time: a window is named by its
+		// minute, whichever run or replay writes it.
+		sum.Seq = src.Count() - 1
+		ingest(float64(tx.QueryTime.UnixNano()) / 1e9)
 		if err := failed(); err != nil {
 			return err
 		}
@@ -529,11 +511,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 	if err := failed(); err != nil {
 		return err
 	}
-	if err := settle(lastStart + 60); err != nil {
+	// The final checkpoint: a clean shutdown replays nothing.
+	if err := settle(lastStart+60, src.Count()); err != nil {
 		return err
-	}
-	if finalize != nil {
-		finalize() // final WAL checkpoint: a clean shutdown replays nothing
 	}
 	es := stats()
 	fmt.Fprintf(stderr, "dnsobs: %d transactions (%d unparsable) -> %s in %v\n",

@@ -101,6 +101,22 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
+// minuteOf is the start, in Unix seconds, of t's minute window: the name
+// dnsobs gives the window that holds a transaction of time t.
+func minuteOf(t time.Time) int64 { return t.Unix() - t.Unix()%60 }
+
+// firstAt returns the index of the first of txs at or after Unix second
+// start. dnsobs opens a window at its first transaction, so every
+// transaction before that one is held by an earlier window.
+func firstAt(txs []sie.Transaction, start int64) int {
+	for i := range txs {
+		if txs[i].QueryTime.Unix() >= start {
+			return i
+		}
+	}
+	return len(txs)
+}
+
 // runObs runs dnsobs to completion with args and fails the test on error.
 func runObs(t *testing.T, args ...string) string {
 	t.Helper()
@@ -147,15 +163,15 @@ func TestRunMatchesLibrary(t *testing.T) {
 	summarizer := sie.Summarizer{KeepUnparsableResponses: true}
 	var tx sie.Transaction
 	var sum sie.Summary
-	var base time.Time
+	var t0 int64
 	for r.Read(&tx) == nil {
-		if tx.QueryTime.IsZero() || tx.QueryTime.Before(base) || summarizer.Summarize(&tx, &sum) != nil {
+		if tx.QueryTime.IsZero() || summarizer.Summarize(&tx, &sum) != nil {
 			continue
 		}
-		if base.IsZero() {
-			base = tx.QueryTime.Truncate(time.Minute)
+		if t0 == 0 {
+			t0 = minuteOf(tx.QueryTime)
 		}
-		pipe.Ingest(&sum, tx.QueryTime.Sub(base).Seconds())
+		pipe.Ingest(&sum, float64(tx.QueryTime.UnixNano())/1e9)
 	}
 	pipe.Flush()
 	if err := store.CascadeAll(names, last+60); err != nil {
@@ -174,7 +190,8 @@ func TestRunMatchesLibrary(t *testing.T) {
 			}
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "lib", "qtype-10min-600.tsv")); err != nil {
+	second := t0 - t0%600 + 600
+	if _, err := os.Stat(filepath.Join(dir, "lib", fmt.Sprintf("qtype-10min-%d.tsv", second))); err != nil {
 		t.Fatalf("stream too short to cascade twice: %v", err)
 	}
 	sameDir("run")
@@ -259,26 +276,100 @@ func send(t *testing.T, addr, wal string, txs []sie.Transaction) {
 	}
 }
 
+// waitFile waits for path to exist.
+func waitFile(t *testing.T, path string) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		if _, err := os.Stat(path); err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s while the collector runs", filepath.Base(path))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestRunCascadesLive: a listening collector cascades each window as
 // the next one opens — the 10-minute file of the first ten minutes is
 // on disk while run is still serving, not only after it stops.
 func TestRunCascadesLive(t *testing.T) {
 	dir := t.TempDir()
 	addr, stop := collect(t, dir)
-	send(t, addr, "", simulate(t, 780, 1))
-	file := filepath.Join(dir, "obs", "qtype-10min-0.tsv")
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if _, err := os.Stat(file); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			stop()
-			t.Fatalf("no %s while the collector runs", filepath.Base(file))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	txs := simulate(t, 780, 1)
+	send(t, addr, "", txs)
+	t0 := minuteOf(txs[0].QueryTime)
+	waitFile(t, filepath.Join(dir, "obs", fmt.Sprintf("qtype-10min-%d.tsv", t0-t0%600)))
 	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// engines are the two engines dnsobs runs, by the flags that pick them.
+var engines = []struct {
+	name  string
+	flags []string
+}{
+	{"serial", nil},
+	{"sharded", []string{"-shards", "4", "-workers", "2"}},
+}
+
+// checkpointed opens the journal in walDir and returns how many of the
+// transactions in it its checkpoint covers and how many a restart on it
+// replays.
+func checkpointed(t *testing.T, walDir string) (covered, replay int) {
+	t.Helper()
+	log, err := wal.Open(walDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	ckpt := log.Checkpointed()
+	err = log.Replay(func(pos uint64, r wal.Record) error {
+		if r.Kind == wal.KindData && pos <= ckpt {
+			covered++
+		} else if r.Kind == wal.KindData {
+			replay++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return covered, replay
+}
+
+// copyDir copies the files of dir into a new directory: the image of a
+// journal whose writer is still running, as a crash would leave it.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	for name, b := range readDir(t, dir) {
+		if err := os.WriteFile(filepath.Join(out, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// journal leaves txs in a collector journal in walDir, acknowledged and
+// never consumed: a dnsobs started on it replays them all.
+func journal(t *testing.T, walDir string, txs []sie.Transaction) {
+	t.Helper()
+	coll := transport.NewCollector(transport.CollectorConfig{})
+	if err := coll.OpenWAL(walDir, wal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	addr := "unix:" + filepath.Join(t.TempDir(), "j")
+	ln, err := transport.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go coll.Serve(ln)
+	send(t, addr, "", txs)
+	coll.Close()
+	if err := coll.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -289,54 +380,129 @@ func TestRunCascadesLive(t *testing.T) {
 // those N — a restart replays nothing. The snapshots the checkpoints
 // confirm were fsynced before the journal let go of their input.
 func TestRunShutdownCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
 	txs := simulate(t, 150, 8)
 	// Within the collector's queue, so nothing spills past the drain.
 	if len(txs) >= 4096 {
 		t.Fatalf("%d transactions overflow the ingest queue", len(txs))
 	}
-	addr, stop := collect(t, dir, "-wal", walDir)
-	send(t, addr, "", txs)
-	if err := stop(); err != nil {
-		t.Fatal(err)
-	}
-	if n := metrics.Default().SumCounter("dnsobs_store_fsyncs_total"); n == 0 {
-		t.Fatal("-wal checkpointed the journal behind snapshots it never fsynced")
-	}
-
-	base := txs[0].QueryTime.Truncate(time.Minute)
+	t0 := minuteOf(txs[0].QueryTime)
 	var lastWindow int64
 	for _, tx := range txs {
-		lastWindow = max(lastWindow, int64(tx.QueryTime.Sub(base)/time.Minute)*60)
+		lastWindow = max(lastWindow, minuteOf(tx.QueryTime))
 	}
-	if lastWindow < 120 {
-		t.Fatalf("stream spans %d s, want several windows", lastWindow)
+	if lastWindow-t0 < 120 {
+		t.Fatalf("stream spans %d s, want several windows", lastWindow-t0)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "obs", fmt.Sprintf("qtype-min-%d.tsv", lastWindow))); err != nil {
-		t.Fatalf("final window not on disk: %v", err)
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			dir := t.TempDir()
+			walDir := filepath.Join(dir, "wal")
+			addr, stop := collect(t, dir, append([]string{"-wal", walDir}, e.flags...)...)
+			send(t, addr, "", txs)
+			if err := stop(); err != nil {
+				t.Fatal(err)
+			}
+			if n := metrics.Default().SumCounter("dnsobs_store_fsyncs_total"); n == 0 {
+				t.Fatal("-wal checkpointed the journal behind snapshots it never fsynced")
+			}
+			if _, err := os.Stat(filepath.Join(dir, "obs", fmt.Sprintf("qtype-min-%d.tsv", lastWindow))); err != nil {
+				t.Fatalf("final window not on disk: %v", err)
+			}
+			if covered, replay := checkpointed(t, walDir); covered != len(txs) || replay != 0 {
+				t.Fatalf("checkpoint covers %d transactions and leaves %d to replay; want %d and 0", covered, replay, len(txs))
+			}
+		})
 	}
+}
 
-	log, err := wal.Open(walDir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestRunCheckpointsPerWindow: once window k's first snapshot is on
+// disk, the journal's checkpoint covers every transaction of the windows
+// before k and none after, on either engine — so a crash replays window
+// k, the open window and the queue, not the journal.
+func TestRunCheckpointsPerWindow(t *testing.T) {
+	txs := simulate(t, 240, 8)
+	k := minuteOf(txs[0].QueryTime) + 120
+	// Through 45 s of window k+1: its first transaction closes window k,
+	// and the sharded engine's 256-transaction batch that holds it fills.
+	sent := firstAt(txs, k+60+45)
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			dir := t.TempDir()
+			walDir := filepath.Join(dir, "wal")
+			addr, stop := collect(t, dir, append([]string{"-wal", walDir}, e.flags...)...)
+			send(t, addr, "", txs[:sent])
+			waitFile(t, filepath.Join(dir, "obs", fmt.Sprintf("qtype-min-%d.tsv", k)))
+			covered, replay := checkpointed(t, copyDir(t, walDir))
+			t.Logf("window k landed: the checkpoint covers %d of %d transactions, a restart replays %d", covered, sent, replay)
+			if want := firstAt(txs, k); covered != want {
+				t.Errorf("checkpoint covers %d transactions; the windows before k hold %d", covered, want)
+			}
+			if err := stop(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	defer log.Close()
-	ckpt := log.Checkpointed()
-	var upTo, past int
-	err = log.Replay(func(pos uint64, r wal.Record) error {
-		if r.Kind == wal.KindData && pos <= ckpt {
-			upTo++
-		} else if r.Kind == wal.KindData {
-			past++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestRunCheckpointsFailedPut: a window that fails to store keeps its
+// transactions in the journal — the checkpoint covers only the windows
+// stored before it — and run returns the error.
+func TestRunCheckpointsFailedPut(t *testing.T) {
+	txs := simulate(t, 210, 8)
+	t0 := minuteOf(txs[0].QueryTime)
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			dir := t.TempDir()
+			walDir := filepath.Join(dir, "wal")
+			journal(t, walDir, txs)
+			// A directory where minute 1's etld snapshot goes fails its Put.
+			if err := os.MkdirAll(filepath.Join(dir, "obs", fmt.Sprintf("etld-min-%d.tsv", t0+60)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			_, stop := collect(t, dir, append([]string{"-wal", walDir}, e.flags...)...)
+			waitFile(t, filepath.Join(dir, "obs", fmt.Sprintf("srvip-min-%d.tsv", t0+60)))
+			if err := stop(); err == nil {
+				t.Fatal("run returned nil after a failed Put")
+			}
+			if covered, _ := checkpointed(t, walDir); covered != firstAt(txs, t0+60) {
+				t.Fatalf("checkpoint covers %d transactions; the one window stored whole holds %d", covered, firstAt(txs, t0+60))
+			}
+		})
 	}
-	if upTo != len(txs) || past != 0 {
-		t.Fatalf("checkpoint %d covers %d transactions and leaves %d to replay; want %d and 0", ckpt, upTo, past, len(txs))
+}
+
+// TestRunRestartKeepsArchive: a second run over a stream's later minutes,
+// into the same -dir, writes those minutes under their own names and
+// leaves the first run's earlier minutes byte for byte as they were.
+func TestRunRestartKeepsArchive(t *testing.T) {
+	dir := t.TempDir()
+	txs := simulate(t, 360, 4)
+	t0 := minuteOf(txs[0].QueryTime)
+	all, later := filepath.Join(dir, "all.sie"), filepath.Join(dir, "later.sie")
+	writeStream(t, all, txs)
+	writeStream(t, later, txs[firstAt(txs, t0+180):])
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			obs := filepath.Join(t.TempDir(), "obs")
+			runObs(t, append([]string{"-i", all, "-dir", obs, "-k", "0.01"}, e.flags...)...)
+			first := readDir(t, obs)
+			runObs(t, append([]string{"-i", later, "-dir", obs, "-k", "0.01"}, e.flags...)...)
+			second := readDir(t, obs)
+			kept := 0
+			for name, b := range first {
+				for m := t0; m < t0+180; m += 60 {
+					if strings.HasSuffix(name, fmt.Sprintf("-min-%d.tsv", m)) {
+						kept++
+						if !bytes.Equal(second[name], b) {
+							t.Errorf("%s: rewritten by the second run", name)
+						}
+					}
+				}
+			}
+			if kept < 3*len(observatory.StandardAggregations(0.01)) {
+				t.Fatalf("the first run wrote %d files of its first three minutes", kept)
+			}
+		})
 	}
 }
 
@@ -406,7 +572,8 @@ func TestRunCancelStream(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
 	w := sie.NewWriter(&buf)
-	for _, tx := range simulate(t, 65, 10) {
+	txs := simulate(t, 65, 10)
+	for _, tx := range txs {
 		if err := w.Write(&tx); err != nil {
 			t.Fatal(err)
 		}
@@ -417,7 +584,7 @@ func TestRunCancelStream(t *testing.T) {
 	if err := run(ctx, []string{"-report", "0", "-dir", dir}, &buf, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "qtype-min-0.tsv")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("qtype-min-%d.tsv", minuteOf(txs[0].QueryTime)))); err != nil {
 		t.Fatalf("final window not flushed: %v", err)
 	}
 }

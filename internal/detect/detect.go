@@ -140,7 +140,7 @@ func (c Config) withDefaults() Config {
 
 // Snapshot schemas. Score sits in column 0 so the canonical snapshot
 // ordering (descending first column) ranks by information content, and
-// MergeParts truncation keeps the strongest rows.
+// MergeWindow's cut keeps the strongest rows.
 var (
 	icColumns = []string{"score", "hits", "rate", "entropy", "sublen"}
 	icKinds   = []tsv.Kind{tsv.Gauge, tsv.Counter, tsv.Gauge, tsv.Gauge, tsv.Gauge}

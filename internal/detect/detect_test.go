@@ -242,14 +242,8 @@ func TestSerialBytesPathEquivalence(t *testing.T) {
 	}
 
 	we := float64(len(names)) / 20
-	icA, nodA, err := serial.MergeWindow(serial.CollectAll(0, we))
-	if err != nil {
-		t.Fatal(err)
-	}
-	icB, nodB, err := bytesPath.MergeWindow(bytesPath.CollectAll(0, we))
-	if err != nil {
-		t.Fatal(err)
-	}
+	icA, nodA := serial.MergeWindow(serial.CollectAll(0, we))
+	icB, nodB := bytesPath.MergeWindow(bytesPath.CollectAll(0, we))
 	if !bytes.Equal(encode(t, icA), encode(t, icB)) {
 		t.Fatal("detect_esld snapshots differ between string and bytes paths")
 	}
@@ -272,16 +266,10 @@ func TestMergeOrderIndependence(t *testing.T) {
 		d.Observe(qsum(fmt.Sprintf("q%d.host%d.org.", rng.Intn(40), rng.Intn(150))), float64(i)/30)
 	}
 	parts := d.CollectAll(0, 60)
-	ic1, nod1, err := d.MergeWindow(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ic1, nod1 := d.MergeWindow(parts)
 	shuffled := append([]WindowPart(nil), parts...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	ic2, nod2, err := d.MergeWindow(shuffled)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ic2, nod2 := d.MergeWindow(shuffled)
 	if !bytes.Equal(encode(t, ic1), encode(t, ic2)) {
 		t.Fatal("merged detect_esld depends on part order")
 	}
@@ -304,10 +292,7 @@ func TestWindowDeltasAndTotals(t *testing.T) {
 	if off != 3 || obs != 2 {
 		t.Fatalf("window 1 deltas: offered=%d observed=%d, want 3/2", off, obs)
 	}
-	ic, nod, err := d.MergeWindow(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ic, nod := d.MergeWindow(parts)
 	if ic.TotalBefore != 3 || ic.TotalAfter != 2 {
 		t.Fatalf("ic totals = %d/%d, want 3/2", ic.TotalBefore, ic.TotalAfter)
 	}
@@ -336,10 +321,7 @@ func TestMergeTruncatesToK(t *testing.T) {
 			d.Observe(qsum(name), float64(i))
 		}
 	}
-	ic, nod, err := d.MergeWindow(d.CollectAll(0, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ic, nod := d.MergeWindow(d.CollectAll(0, 60))
 	if len(ic.Rows) != 5 {
 		t.Fatalf("ic rows = %d, want K=5", len(ic.Rows))
 	}

@@ -92,7 +92,7 @@ func (d *Detector) CollectWindow(part int, windowStart, windowEnd float64) Windo
 
 	// The collection statistics row: pre-filter stream volume on one
 	// side, eSLD observations folded into this partition on the other.
-	// Summed across partitions by MergeParts, they describe the window.
+	// Summed across partitions by MergeWindow, they describe the window.
 	ic.TotalBefore, ic.TotalAfter = wp.Offered, wp.Observed
 	nod.TotalBefore, nod.TotalAfter = wp.Offered, wp.Observed
 
@@ -110,28 +110,36 @@ func (d *Detector) CollectAll(windowStart, windowEnd float64) []WindowPart {
 	return out
 }
 
-// MergeWindow unites the partition parts of one window into the two
-// final snapshots, ranked by descending score (detect_esld) and window
-// hits (detect_nod) and truncated to Config.K / Config.NODK rows.
-// Partitions are key-disjoint by construction, so the union is exact;
+// MergeWindow unites the partition parts of one window (at least one)
+// into the two final snapshots, ranked by descending score (detect_esld)
+// and window hits (detect_nod) and cut at Config.K / Config.NODK rows.
+// Partitions are key-disjoint by construction, so the window is their
+// rows side by side — the merge the engines do for aggregation shards;
 // since every deployment produces the same per-partition rows (see the
 // package comment), the merged snapshots are byte-identical regardless
 // of how partitions were grouped into workers.
-func (d *Detector) MergeWindow(parts []WindowPart) (ic, nod *tsv.Snapshot, err error) {
-	ics := make([]*tsv.Snapshot, len(parts))
-	nods := make([]*tsv.Snapshot, len(parts))
-	for i, p := range parts {
-		ics[i], nods[i] = p.IC, p.NOD
+func (d *Detector) MergeWindow(parts []WindowPart) (ic, nod *tsv.Snapshot) {
+	ic, nod = joinHeader(parts[0].IC), joinHeader(parts[0].NOD)
+	for _, p := range parts {
+		join(ic, p.IC)
+		join(nod, p.NOD)
 	}
-	ic, err = tsv.MergeParts(d.cfg.K, ics...)
-	if err != nil {
-		return nil, nil, err
-	}
-	nod, err = tsv.MergeParts(d.cfg.NODK, nods...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ic, nod, nil
+	ic.Rows = tsv.TopRows(ic.Rows, 0, d.cfg.K)
+	nod.Rows = tsv.TopRows(nod.Rows, 0, d.cfg.NODK)
+	return ic, nod
+}
+
+// joinHeader returns an empty snapshot of part's window and schema.
+func joinHeader(part *tsv.Snapshot) *tsv.Snapshot {
+	return &tsv.Snapshot{Aggregation: part.Aggregation, Level: part.Level, Start: part.Start,
+		Columns: part.Columns, Kinds: part.Kinds, Windows: part.Windows}
+}
+
+// join adds a key-disjoint part's rows and collection statistics to dst.
+func join(dst, part *tsv.Snapshot) {
+	dst.Rows = append(dst.Rows, part.Rows...)
+	dst.TotalBefore += part.TotalBefore
+	dst.TotalAfter += part.TotalAfter
 }
 
 // PublishWindow folds one window's counter deltas into the

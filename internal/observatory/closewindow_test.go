@@ -3,6 +3,7 @@ package observatory
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -198,11 +199,7 @@ func (r *refEngine) dump() {
 			}
 			st.refResetWindow()
 		}
-		snap, err := tsv.MergeParts(agg.K, parts...)
-		if err != nil {
-			panic(err)
-		}
-		r.out = append(r.out, snap)
+		r.out = append(r.out, refMergeParts(agg.K, parts...))
 	}
 }
 
@@ -672,4 +669,67 @@ func TestTopkActiveGauge(t *testing.T) {
 		check(t, cfg.Metrics)
 		eng.Close()
 	})
+}
+
+// refMergeParts is the oracle's merge of one window's shard parts, a
+// frozen copy of the tsv.MergeParts it used to call: rows united (a
+// duplicate key summed on Counter columns, the heavier part's value
+// elsewhere), statistics summed, rows in canonical order and cut at
+// topK when topK > 0.
+func refMergeParts(topK int, parts ...*tsv.Snapshot) *tsv.Snapshot {
+	first := parts[0]
+	out := &tsv.Snapshot{
+		Aggregation: first.Aggregation,
+		Level:       first.Level,
+		Start:       first.Start,
+		Columns:     first.Columns,
+		Kinds:       first.Kinds,
+		Windows:     first.Windows,
+	}
+	total := 0
+	for _, p := range parts {
+		total += len(p.Rows)
+	}
+	out.Rows = make([]tsv.Row, 0, total)
+	idx := make(map[string]int, total)
+	var owned []bool // whether out.Rows[i].Values is a private copy
+	for _, p := range parts {
+		out.TotalBefore += p.TotalBefore
+		out.TotalAfter += p.TotalAfter
+		for _, r := range p.Rows {
+			j, dup := idx[r.Key]
+			if !dup {
+				idx[r.Key] = len(out.Rows)
+				out.Rows = append(out.Rows, r)
+				owned = append(owned, false)
+				continue
+			}
+			dst := &out.Rows[j]
+			if !owned[j] {
+				dst.Values = append([]float64(nil), dst.Values...)
+				owned[j] = true
+			}
+			heavier := len(r.Values) > 0 && r.Values[0] > dst.Values[0]
+			for i := range dst.Values {
+				if first.Kinds[i] == tsv.Counter {
+					dst.Values[i] += r.Values[i]
+				} else if heavier {
+					dst.Values[i] = r.Values[i]
+				}
+			}
+		}
+	}
+	if len(first.Columns) > 0 {
+		sort.Slice(out.Rows, func(i, j int) bool {
+			vi, vj := out.Rows[i].Values[0], out.Rows[j].Values[0]
+			if vi != vj {
+				return vi > vj
+			}
+			return out.Rows[i].Key < out.Rows[j].Key
+		})
+	}
+	if topK > 0 && topK < len(out.Rows) {
+		out.Rows = out.Rows[:topK]
+	}
+	return out
 }

@@ -5,6 +5,7 @@ import (
 
 	"dnsobservatory/internal/detect"
 	"dnsobservatory/internal/features"
+	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/tsv"
 )
 
@@ -32,6 +33,10 @@ type core struct {
 	// inside the call that closed the window.
 	merges     chan *shardDump
 	onSnapshot func(*tsv.Snapshot)
+	// delivering is the first Seq of the window whose snapshots are
+	// being delivered (FirstOfWindow); only the delivering goroutine
+	// writes and reads it.
+	delivering uint64
 	closed     bool // the stream has ended: Flush or Close has run
 	// Ingest accounting (see EngineStats). Counters are atomic: workers
 	// bump panic counters concurrently with producers bumping the rest.
@@ -48,14 +53,17 @@ type worker struct {
 	done chan struct{}
 	// states[a][l] is the state of shard l*workers+id of aggregation a.
 	states [][]*aggState
-	// The open window, [windowStart, windowEnd), once started.
+	// The open window, [windowStart, windowEnd), once started, and the
+	// Seq of the first summary it holds.
 	windowStart, windowEnd float64
+	first                  uint64
 	started                bool
 }
 
 // shardDump is one worker's contribution to one window's snapshots.
 type shardDump struct {
 	windowStart float64
+	first       uint64      // the window's first Seq (see FirstOfWindow)
 	parts       []shardPart // indexed like aggs
 	// det holds the detection window parts of the partitions this worker
 	// owns (empty when detection is off).
@@ -112,29 +120,30 @@ func (c *core) init(cfg Config, engine string, aggs []Aggregation, onSnapshot fu
 	}
 }
 
-// enter places stream time now in the worker's window sequence, closing
-// every window it has crossed, and returns it clamped to the open
-// window: a now earlier than the window (a reordered or backdated
+// enter places sum, at stream time now, in the worker's window sequence,
+// closing every window it has crossed, and returns now clamped to the
+// open window: a now earlier than the window (a reordered or backdated
 // transaction) folds into the open window instead of corrupting decay
 // state. It runs once per item per worker, so the common case — still
 // in the open window — is kept small enough to inline (a plain method
 // with the loop inside read 5 % slower on the sharded replay), and
-// everything else is rollover's.
-func (w *worker) enter(now float64) float64 {
+// everything else, sum's Seq included, is rollover's.
+func (w *worker) enter(now float64, sum *sie.Summary) float64 {
 	if w.started && now >= w.windowStart && now < w.windowEnd {
 		return now
 	}
-	return w.rollover(now)
+	return w.rollover(now, sum)
 }
 
 // rollover is enter for a now outside the open window. The first window
 // is aligned to a multiple of WindowSec; every crossed window is closed,
-// the empty ones included.
-func (w *worker) rollover(now float64) float64 {
+// the empty ones included, and each window opened here starts at sum.
+func (w *worker) rollover(now float64, sum *sie.Summary) float64 {
 	win := w.eng.cfg.WindowSec
 	if !w.started {
 		w.windowStart = now - mod(now, win)
 		w.windowEnd = w.windowStart + win
+		w.first = sum.Seq
 		w.started = true
 	}
 	if now < w.windowStart {
@@ -144,6 +153,7 @@ func (w *worker) rollover(now float64) float64 {
 		w.closeWindow()
 		w.windowStart += win
 		w.windowEnd = w.windowStart + win
+		w.first = sum.Seq
 	}
 	return now
 }
@@ -172,7 +182,7 @@ func (w *worker) finish() {
 // window always gets one dump per worker and is never silently dropped.
 func (w *worker) closeWindow() {
 	c := w.eng
-	d := &shardDump{windowStart: w.windowStart, parts: make([]shardPart, len(c.aggs))}
+	d := &shardDump{windowStart: w.windowStart, first: w.first, parts: make([]shardPart, len(c.aggs))}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -201,10 +211,12 @@ func (w *worker) closeWindow() {
 // per aggregation plus the detection layer's two, and delivers them. An
 // aggregation's cache health, summed over the dumps, is published before
 // its snapshot is delivered: a consumer reads the gauges of the window it
-// is handed.
+// is handed. Every worker crossed into the window at the same summary, so
+// any dump's first is the window's.
 func (c *core) emitWindow(windowStart float64, dumps []*shardDump) {
 	start := time.Now()
 	defer func() { c.m.flush.Observe(time.Since(start).Seconds()) }()
+	c.delivering = dumps[0].first
 	cols, kinds := snapshotSchema()
 	for a, agg := range c.aggs {
 		// Shard parts are key-disjoint (a key hashes to one shard), so the
@@ -244,11 +256,9 @@ func (c *core) emitWindow(windowStart float64, dumps []*shardDump) {
 			dparts = append(dparts, d.det...)
 		}
 		if len(dparts) > 0 {
-			ic, nod, err := c.det.MergeWindow(dparts)
-			if err == nil {
-				c.deliver(ic)
-				c.deliver(nod)
-			}
+			ic, nod := c.det.MergeWindow(dparts)
+			c.deliver(ic)
+			c.deliver(nod)
 			c.det.PublishWindow(dparts)
 		}
 	}
@@ -268,6 +278,16 @@ func (c *core) deliver(snap *tsv.Snapshot) {
 	}()
 	c.onSnapshot(snap)
 }
+
+// FirstOfWindow returns, while a window's snapshots are being delivered,
+// the Seq of the first summary that window holds — for a window that
+// holds none, of the summary that opened the next one. Every summary
+// ingested before it is in an earlier window, so once a consumer has
+// stored every earlier window, those summaries are done with. Numbers
+// mean what their one producer made them mean (dnsobs: the index of the
+// transaction in its input). Call it from the snapshot callback only:
+// it is read and written on the goroutine that delivers.
+func (c *core) FirstOfWindow() uint64 { return c.delivering }
 
 // RecordRejected accounts one transaction rejected before reaching the
 // engine (malformed wire input the summarizer refused). Safe to call

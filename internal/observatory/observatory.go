@@ -442,7 +442,7 @@ func (p *Pipeline) Ingest(sum *sie.Summary, now float64) {
 		return
 	}
 	w := p.workers[0]
-	now = w.enter(now)
+	now = w.enter(now, sum)
 	p.m.ingested.Inc()
 	p.m.accepted.Inc()
 	// Once per transaction, before any key function: the esld and etld

@@ -362,7 +362,7 @@ func (s *Sharded) run(w *worker) {
 	defer close(w.done)
 	for b := range w.in {
 		for i, now := range b.nows {
-			s.processItem(w, b, i, w.enter(now))
+			s.processItem(w, b, i, w.enter(now, &b.sums[i].Summary))
 		}
 		if b.refs.Add(-1) == 0 { // the last worker to finish a batch recycles it
 			b.reset(&s.pool)

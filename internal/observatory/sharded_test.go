@@ -90,7 +90,7 @@ func requireSnapsEqual(t *testing.T, want, got []*tsv.Snapshot) {
 // fed through any configuration of the engine must yield the snapshots
 // the inline pipeline yields — keys partition across shards, every
 // worker crosses window boundaries at the same item, and the emit
-// reunites the rows (one sorted part, or MergeParts over several).
+// reunites the rows (one sorted part, or several side by side).
 func TestShardedMatchesSerial(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SkipFreshObjects = false

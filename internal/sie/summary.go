@@ -25,6 +25,15 @@ type Summary struct {
 	// of the client→resolver leg (Transport* constants); 0 = UDP/53.
 	ClientTransport uint32
 
+	// Seq is the number the producer gives the transaction, after
+	// Summarize (which leaves it 0); CopyFrom carries it. The engines
+	// read it only where a window begins, to tell which transactions a
+	// window holds (observatory FirstOfWindow), so numbers mean something
+	// only within one producer's sequence: dnsobs numbers each
+	// transaction by its index in the input, which is what a -wal
+	// collector's Checkpoint counts.
+	Seq uint64
+
 	QName string
 	QType dnswire.Type
 	QDots int // labels in QNAME

@@ -2,26 +2,22 @@ package tsv
 
 import (
 	"errors"
-	"sort"
+	"slices"
 )
 
-// ErrMixedParts is returned by MergeParts for snapshots that are not
-// partial views of one aggregation window.
-var ErrMixedParts = errors.New("tsv: snapshots are not parts of one window")
+// Errors returned by MergeParts.
+var (
+	ErrNothingToAgg = errors.New("tsv: no snapshots to aggregate")
+	ErrMixedParts   = errors.New("tsv: snapshots are not parts of one window")
+)
 
 // MergeParts merges partial snapshots of the SAME aggregation, level and
-// window — e.g. the key-hash shards of one Top-k universe — into a
-// single snapshot: rows are united, collection statistics are summed,
-// rows are ordered by descending first column (hits) with ties broken by
-// key, and, when topK > 0, only the strongest topK rows survive.
-//
-// Shard parts are key-disjoint by construction (each key hashes to one
-// shard), which makes the union exact. For robustness the helper still
-// tolerates duplicate keys: Counter columns are summed and Gauge/Mode
-// columns are taken from the row with more hits.
-//
-// The input snapshots are not modified; the merged snapshot shares their
-// row values only when no duplicate forces a copy.
+// window — the per-collector parts of one fleet window — into a single
+// snapshot: rows are united, collection statistics summed, rows put in
+// report order (descending first column, ties by key) and, when
+// topK > 0, cut at topK. A key in several parts becomes one row: Counter
+// columns are summed and Gauge/Mode columns taken from the part with
+// more hits. The parts are not modified.
 func MergeParts(topK int, parts ...*Snapshot) (*Snapshot, error) {
 	if len(parts) == 0 {
 		return nil, ErrNothingToAgg
@@ -35,25 +31,14 @@ func MergeParts(topK int, parts ...*Snapshot) (*Snapshot, error) {
 		Kinds:       first.Kinds,
 		Windows:     first.Windows,
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p.Rows)
-	}
-	out.Rows = make([]Row, 0, total)
-	idx := make(map[string]int, total)
-	var owned []bool // whether out.Rows[i].Values is a private copy
+	idx := map[string]int{}
 	for _, p := range parts {
 		if p.Aggregation != first.Aggregation || p.Level != first.Level ||
 			p.Start != first.Start || p.Windows != first.Windows {
 			return nil, ErrMixedParts
 		}
-		if len(p.Columns) != len(first.Columns) {
+		if !slices.Equal(p.Columns, first.Columns) || !slices.Equal(p.Kinds, first.Kinds) {
 			return nil, ErrSchemaChange
-		}
-		for i := range p.Columns {
-			if p.Columns[i] != first.Columns[i] || p.Kinds[i] != first.Kinds[i] {
-				return nil, ErrSchemaChange
-			}
 		}
 		out.TotalBefore += p.TotalBefore
 		out.TotalAfter += p.TotalAfter
@@ -61,15 +46,10 @@ func MergeParts(topK int, parts ...*Snapshot) (*Snapshot, error) {
 			j, dup := idx[r.Key]
 			if !dup {
 				idx[r.Key] = len(out.Rows)
-				out.Rows = append(out.Rows, r)
-				owned = append(owned, false)
+				out.Rows = append(out.Rows, Row{Key: r.Key, Values: slices.Clone(r.Values)})
 				continue
 			}
 			dst := &out.Rows[j]
-			if !owned[j] {
-				dst.Values = append([]float64(nil), dst.Values...)
-				owned[j] = true
-			}
 			heavier := len(r.Values) > 0 && r.Values[0] > dst.Values[0]
 			for i := range dst.Values {
 				if first.Kinds[i] == Counter {
@@ -80,17 +60,6 @@ func MergeParts(topK int, parts ...*Snapshot) (*Snapshot, error) {
 			}
 		}
 	}
-	if len(first.Columns) > 0 {
-		sort.Slice(out.Rows, func(i, j int) bool {
-			vi, vj := out.Rows[i].Values[0], out.Rows[j].Values[0]
-			if vi != vj {
-				return vi > vj
-			}
-			return out.Rows[i].Key < out.Rows[j].Key
-		})
-	}
-	if topK > 0 && topK < len(out.Rows) {
-		out.Rows = out.Rows[:topK]
-	}
+	out.Rows = TopRows(out.Rows, 0, topK)
 	return out, nil
 }

@@ -148,6 +148,12 @@ type Store struct {
 	readBytes     atomic.Uint64
 	readCalls     atomic.Uint64
 
+	// barren holds the cascadeWindows whose inputs were all corrupt:
+	// they never get an upper file, and Retention never deletes inputs
+	// no upper file has absorbed, so without it every CascadeAll would
+	// read and count them again. Kept for the life of the store.
+	barren sync.Map
+
 	// cascadeSeconds[level] is the per-level cascade duration histogram,
 	// populated by Instrument; nil slots are simply not observed.
 	cascadeSeconds [MaxLevel]*metrics.Histogram
@@ -507,12 +513,17 @@ func (st *Store) invalidateLevel(level Level) {
 	st.listMu.Unlock()
 }
 
-// cascadeJob is one upper-level aggregate to build: the lower-level
-// start times of agg that fall into the upper window at window.
-type cascadeJob struct {
+// cascadeWindow names the upper window of agg built from level's files.
+type cascadeWindow struct {
 	agg    string
 	level  Level
 	window int64
+}
+
+// cascadeJob is one upper-level aggregate to build: the lower-level
+// start times of agg that fall into the upper window.
+type cascadeJob struct {
+	cascadeWindow
 	starts []int64
 }
 
@@ -557,8 +568,12 @@ func (st *Store) CascadeAll(aggs []string, now int64) error {
 				if w+step > now {
 					break // this window and every later one still open
 				}
-				if _, ok := slices.BinarySearch(built[agg], w); !ok {
-					jobs = append(jobs, cascadeJob{agg: agg, level: level, window: w, starts: starts[i:j]})
+				if _, done := slices.BinarySearch(built[agg], w); done {
+					continue
+				}
+				cw := cascadeWindow{agg, level, w}
+				if _, barren := st.barren.Load(cw); !barren {
+					jobs = append(jobs, cascadeJob{cw, starts[i:j]})
 				}
 			}
 		}
@@ -611,7 +626,9 @@ func (st *Store) buildUpper(j cascadeJob) error {
 		}
 	}
 	if acc.files == 0 {
-		return nil // every input corrupt; nothing to aggregate
+		// Every input corrupt: nothing to aggregate, now or later.
+		st.barren.Store(j.cascadeWindow, true)
+		return nil
 	}
 	return st.Put(acc.snapshot(j.agg, j.level+1, j.window))
 }

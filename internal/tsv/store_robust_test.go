@@ -154,6 +154,18 @@ func TestCascadeAllCorruptGroupIsSkippedEntirely(t *testing.T) {
 	if _, err := st.Get("srvip", Decaminutely, 0); err == nil {
 		t.Error("aggregate produced from zero parsable inputs")
 	}
+	// The window never gets a file; a later pass does not read its
+	// inputs again, and counts nothing twice.
+	reads := st.ReadCalls()
+	if err := st.CascadeAll([]string{"srvip"}, 1200); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.CorruptSkipped(); got != 10 {
+		t.Errorf("second pass: CorruptSkipped = %d, want 10", got)
+	}
+	if got := st.ReadCalls(); got != reads {
+		t.Errorf("second pass read %d files, want 0", got-reads)
+	}
 }
 
 // failEveryWriter fails every write — the crudest chaos writer, used

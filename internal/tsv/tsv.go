@@ -104,7 +104,6 @@ type Snapshot struct {
 var (
 	ErrBadFile      = errors.New("tsv: malformed snapshot file")
 	ErrSchemaChange = errors.New("tsv: snapshots have different schemas")
-	ErrNothingToAgg = errors.New("tsv: no snapshots to aggregate")
 )
 
 // fileStem is the canonical file name without extension: the
