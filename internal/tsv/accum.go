@@ -107,8 +107,9 @@ func (a *accumulator) header(windows int, totalBefore, totalAfter uint64) {
 	a.totalAfter += totalAfter
 }
 
-// foldSnapshot folds a materialized snapshot. Its key strings are kept,
-// not copied: a Snapshot owns its memory.
+// foldSnapshot folds a materialized snapshot — a query's first file,
+// once a second one arrives. Its key strings are kept, not copied: a
+// Snapshot owns its memory.
 func (a *accumulator) foldSnapshot(s *Snapshot) error {
 	if a.files == 0 {
 		a.cols, a.kinds = s.Columns, s.Kinds
@@ -142,9 +143,9 @@ func (a *accumulator) foldSnapshot(s *Snapshot) error {
 	return nil
 }
 
-// foldFile folds the selected rows of an opened columnar file straight
-// from the reader's scratch: keys are looked up as byte views and
-// copied — one backing string per file — only on first appearance.
+// foldFile folds the selected rows of an opened file, of either codec,
+// straight from the reader's scratch: keys are looked up as byte views
+// and copied — one backing string per file — only on first appearance.
 func (a *accumulator) foldFile(f *colFile) error {
 	ncols := len(f.colIdx)
 	if a.files == 0 {

@@ -423,3 +423,44 @@ func TestQueryAllocBudget(t *testing.T) {
 		t.Errorf("top-k allocates %.1f objects per further window, budget 10", perWindow)
 	}
 }
+
+// TestFoldAllocsIndependentOfRows: folding a file into a warm
+// accumulator that already holds its keys allocates the same at 100
+// rows as at 10 000, on either codec — the file's path and handle, and
+// nothing per row. The columnar reader has always folded from its
+// scratch; this holds the text reader to the same.
+func TestFoldAllocsIndependentOfRows(t *testing.T) {
+	for _, backend := range []string{BackendTSV, BackendColumnar} {
+		st, err := NewStoreBackend(t.TempDir(), backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := xorshift(3)
+		for start, rows := range map[int64]int{0: 10000, 60: 100} {
+			s := hostileSnapshot(&x, start, 0, 1, false)
+			for i := 0; i < rows; i++ {
+				s.Rows = append(s.Rows, Row{Key: fmt.Sprintf("obj-%05d", i),
+					Values: []float64{float64(i), 3, 0.25, 300, float64(i % 7)}})
+			}
+			if err := st.Put(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		acc := newAccumulator()
+		fold := func(start int64) func() {
+			return func() {
+				if _, err := st.scan("test", Minutely, start, nil, acc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fold(0)() // every key held
+		small := testing.AllocsPerRun(20, fold(60))
+		big := testing.AllocsPerRun(20, fold(0))
+		t.Logf("%s: %.0f allocations per 100-row fold, %.0f per 10 000-row fold", backend, small, big)
+		if big != small {
+			t.Errorf("%s: a fold allocates %.0f objects at 10 000 rows and %.0f at 100", backend, big, small)
+		}
+		acc.release()
+	}
+}

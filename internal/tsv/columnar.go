@@ -588,7 +588,8 @@ func IsColumnar(data []byte) bool {
 
 // decodeColumnar is the in-memory form of the section reader: the same
 // code the store runs over an open file, here over a bytes.Reader. The
-// result is exactly applyProjection(fullDecode(data), proj).
+// result is exactly what the test oracle applyProjection makes of the
+// full decode.
 func decodeColumnar(data []byte, proj *Projection, stats *colStats) (*Snapshot, error) {
 	f := colFilePool.Get().(*colFile)
 	defer f.release()
@@ -607,7 +608,9 @@ const colProbeBytes = 512
 // colFile reads one DNSC1 file section by section through an
 // io.ReaderAt: header, bloom + column directory and footer always, the
 // key section unless the bloom rejects a point lookup, and of the
-// column sections only those the projection or a predicate names.
+// column sections only those the projection or a predicate names. The
+// text codec's reader (openText) fills the same fields from a TSV file,
+// so what reads an opened file serves both.
 //
 // A colFile is pooled scratch. Every slice below is reused from file to
 // file, and every []byte is a view into arena that dies at the next
@@ -643,10 +646,12 @@ type colFile struct {
 	predIdx []int
 
 	// Key section: dictionary entry d is dict[dictOff[d]:dictOff[d+1]];
-	// row i holds entry ids[i], or entry i when ids is nil.
+	// row i holds entry ids[i], or entry i when ids is nil. A TSV
+	// file's keys are copied into keys, and dict is that.
 	dict    []byte
 	dictOff []int
 	ids     []int
+	keys    []byte
 
 	// The selected rows, ascending, and the column sections read so far.
 	// colSlot maps a file column to its index in cols, -1 while unread.

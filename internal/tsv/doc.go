@@ -27,13 +27,17 @@
 // strconv's shortest 'g' formatting and ParseFloat, which take every
 // other cell, make of them.
 //
-// Reads decode into pooled scratch: a query borrows one accumulator,
-// which carries the reader scratch every file of the range is read
-// through, and returns it when it is done, so concurrent queries never
-// share scratch and a query's steady-state allocation does not depend
-// on the bytes in range. Byte views of a file die when the next file is
-// opened; whatever a caller receives — a Snapshot from Get or
-// GetProjected, a Result from Engine.Run — owns its memory and stays
+// Reads decode into pooled scratch, one kind for both codecs: the
+// columnar reader fills it section by section, the text reader parses
+// the whole file into it — keys copied back to back, the values of the
+// columns the read needs by column — and either way a Get materializes
+// it and a fold reads it in place. A query borrows one accumulator,
+// which carries the scratch every file of the range is read through,
+// and returns it when it is done, so concurrent queries never share
+// scratch and a query's steady-state allocation does not depend on the
+// bytes in range, on either backend. Byte views of a file die when the
+// next file is opened; whatever a caller receives — a Snapshot from Get
+// or GetProjected, a Result from Engine.Run — owns its memory and stays
 // valid after any number of later reads. A file that was listed but is
 // gone by the time a query opens it (Retention deletes before it
 // invalidates the listing) is skipped as a window that no longer

@@ -44,10 +44,6 @@ func FuzzParseSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(s.Kinds) > len(s.Columns) {
-			// Extra kind entries are tolerated on read; trim for re-write.
-			s.Kinds = s.Kinds[:len(s.Columns)]
-		}
 		var buf bytes.Buffer
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatalf("accepted snapshot does not re-serialize: %v", err)

@@ -3,8 +3,13 @@ package tsv
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -15,7 +20,7 @@ func errClass(err error) string {
 		return "ok"
 	case errors.Is(err, ErrUnknownColumn):
 		return "unknown-column"
-	case errors.Is(err, ErrBadColumnar), errors.Is(err, ErrCorruptSnapshot):
+	case errors.Is(err, ErrBadColumnar), errors.Is(err, ErrBadFile), errors.Is(err, ErrCorruptSnapshot):
 		return "corrupt"
 	}
 	return "other: " + err.Error()
@@ -114,6 +119,145 @@ func FuzzSectionReadMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rectangular reports whether a decoded snapshot gives one kind per
+// column and one value per column in every row.
+func rectangular(s *Snapshot) bool {
+	for _, r := range s.Rows {
+		if len(r.Values) != len(s.Columns) {
+			return false
+		}
+	}
+	return len(s.Kinds) == len(s.Columns)
+}
+
+// sameFold compares two accumulators' state: schema, keys in slot
+// order, totals, presence, every sum (bit for bit, any NaN equal to any
+// NaN, as in sameRows) and every mode tally.
+func sameFold(t *testing.T, what string, want, got *accumulator) {
+	t.Helper()
+	if !slices.Equal(want.cols, got.cols) || !slices.Equal(want.kinds, got.kinds) ||
+		!slices.Equal(want.keys, got.keys) || !slices.Equal(want.present, got.present) ||
+		want.files != got.files || want.windows != got.windows ||
+		want.totalBefore != got.totalBefore || want.totalAfter != got.totalAfter {
+		t.Fatalf("%s: fold state %q %v %q %v, want %q %v %q %v", what,
+			got.cols, got.kinds, got.keys, got.present, want.cols, want.kinds, want.keys, want.present)
+	}
+	for i, w := range want.sum {
+		if g := got.sum[i]; math.Float64bits(w) != math.Float64bits(g) && !(math.IsNaN(w) && math.IsNaN(g)) {
+			t.Fatalf("%s: sum cell %d is %v, want %v", what, i, g, w)
+		}
+	}
+	type tally struct {
+		cell int
+		bits uint64
+	}
+	modes := func(a *accumulator) map[tally]int {
+		m := map[tally]int{}
+		for c, n := range a.modes {
+			m[tally{c.cell, math.Float64bits(c.v)}] += n
+		}
+		return m
+	}
+	if w, g := modes(want), modes(got); !reflect.DeepEqual(w, g) {
+		t.Fatalf("%s: mode tallies %v, want %v", what, g, w)
+	}
+}
+
+// FuzzTSVReadMatchesReference is the differential contract of the text
+// codec's reader: on arbitrary bytes and every query shape it returns
+// the snapshot that the frozen scanner loop and applyProjection return,
+// or an error of the same class; it reads the file once and decodes no
+// columnar block; and folding what it read leaves an accumulator
+// exactly as folding the reference snapshot does.
+//
+// One difference is deliberate. A file the reference accepts although
+// its snapshot is not rectangular — not exactly one kind per column, or
+// a row read under an earlier #key line of another width — is
+// ErrBadFile: projecting or folding that snapshot indexed out of range.
+func FuzzTSVReadMatchesReference(f *testing.F) {
+	f.Add(fuzzSnapshotSeed())
+	var multi bytes.Buffer
+	x := xorshift(5)
+	if _, err := hostileSnapshot(&x, 0, 40, 3, true).WriteTo(&multi); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(multi.Bytes()) // NaN, -0, ±Inf, a Mode column, rows that share a key
+	f.Add([]byte("#key\thits\tnxd\n#kind\tc\na\t1\t2\n#stats\ttotal_before=1\ttotal_after=1\twindows=1\n"))
+	f.Add([]byte("#key\thits\na\t1\n#key\thits\tnxd\n#kind\tc\tc\n#stats\ttotal_before=1\ttotal_after=1\twindows=1\n"))
+	f.Add([]byte("#key\ta\tb\r\n#kind\tm\tx\n\n# note\nk\t1\t2e3\r\nk\t0x1p-2\tNaN\n#stats\twindows=2\tz=7\ttotal_before=1\ttotal_after=0"))
+	f.Add([]byte("#stats\ttotal_before=1\ttotal_after=1\twindows=1\n#key\t\n#kind\t\n\t5\n"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		full, refErr := refReadText(bytes.NewReader(data))
+		damaged := refErr == nil && !rectangular(full)
+		if damaged {
+			full = nil
+		}
+		for i, proj := range sectionPalette(full) {
+			src := &fencedReader{t: t, data: data}
+			cf := new(colFile)
+			gotErr := cf.openText(src, int64(len(data)), proj, nil)
+			if damaged {
+				if !errors.Is(gotErr, ErrBadFile) {
+					t.Fatalf("shape %d: reader says %v for a file without one kind and one value per column", i, gotErr)
+				}
+				continue
+			}
+			want, wantErr := full, refErr
+			if refErr == nil {
+				want, wantErr = applyProjection(full, proj)
+			}
+			if g, w := errClass(gotErr), errClass(wantErr); g != w {
+				t.Fatalf("shape %d: reader says %s (%v), reference %s (%v)", i, g, gotErr, w, wantErr)
+			}
+			if src.calls != min(len(data), 1) || src.bytes != len(data) || cf.counts != (colStats{readBytes: uint64(len(data)), readCalls: uint64(src.calls)}) {
+				t.Fatalf("shape %d: %d reads of %d bytes, counters %+v, for a %d-byte file", i, src.calls, src.bytes, cf.counts, len(data))
+			}
+			if gotErr != nil {
+				continue
+			}
+			sameSnapshot(t, want, cf.snapshot())
+			// Twice, so that the second fold finds every key held.
+			fromSnap, fromFile := newAccumulator(), newAccumulator()
+			for range 2 {
+				if err := fromSnap.foldSnapshot(want); err != nil {
+					t.Fatal(err)
+				}
+				if err := fromFile.foldFile(cf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameFold(t, fmt.Sprintf("shape %d", i), fromSnap, fromFile)
+			fromSnap.release()
+			fromFile.release()
+		}
+	})
+}
+
+// TestTSVLineCap: a line reaches the reader's 16 MiB cap exactly where
+// it reached the scanner's, with or without its newline.
+func TestTSVLineCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 16 MiB lines")
+	}
+	const stats = "#stats\ttotal_before=1\ttotal_after=1\twindows=1\t"
+	for _, n := range []int{maxLine - 2, maxLine - 1, maxLine} {
+		for _, tail := range []string{"\n", "\r\n", ""} {
+			line := stats + strings.Repeat("x", n-len(stats)) // the unterminated form ends the file
+			if tail != "" {
+				line = "#" + strings.Repeat("x", n-1) + tail + stats + "\n"
+			}
+			data := []byte("#key\thits\n#kind\tc\na\t1\n" + line)
+			_, wantErr := refReadText(bytes.NewReader(data))
+			_, gotErr := Read(bytes.NewReader(data))
+			t.Logf("line of %d bytes, tail %q: %v", n, tail, gotErr)
+			if g, w := errClass(gotErr), errClass(wantErr); g != w {
+				t.Fatalf("line of %d bytes, tail %q: reader says %s (%v), reference %s (%v)", n, tail, g, gotErr, w, wantErr)
+			}
+		}
+	}
 }
 
 // colLayout is where the sections of a valid file start.

@@ -40,7 +40,9 @@ func AtLeast(col string, min float64) Pred {
 
 // Projection restricts what GetProjected materializes: a column subset,
 // an exact-key filter, and value-range predicates. The zero value (or
-// nil) selects everything.
+// nil) selects everything. What it returns is defined by the test
+// oracle applyProjection over a whole decoded snapshot, which both
+// codecs' readers are held to.
 type Projection struct {
 	// Columns lists the columns to materialize, in the requested order;
 	// nil or empty means all columns in file order.
@@ -58,81 +60,6 @@ type Projection struct {
 // GetProjected would return the same snapshot.
 func (p *Projection) empty() bool {
 	return p == nil || (len(p.Columns) == 0 && p.Key == "" && len(p.Where) == 0)
-}
-
-// applyProjection is the reference implementation of projection +
-// predicate evaluation over a fully decoded snapshot. The TSV backend
-// uses it directly; the columnar fast path must produce byte-identical
-// results (asserted by TestProjectionEquivalence). snap is not
-// modified.
-func applyProjection(snap *Snapshot, proj *Projection) (*Snapshot, error) {
-	if proj.empty() {
-		return snap, nil
-	}
-	// Resolve projected and predicate columns against the schema first,
-	// so an unknown name is a typed error rather than a silent zero.
-	outCols := proj.Columns
-	if len(outCols) == 0 {
-		outCols = snap.Columns
-	}
-	colIdx := make([]int, len(outCols))
-	outKinds := make([]Kind, len(outCols))
-	for i, name := range outCols {
-		j, err := snap.columnIndex(name)
-		if err != nil {
-			return nil, err
-		}
-		colIdx[i] = j
-		outKinds[i] = snap.Kinds[j]
-	}
-	predIdx := make([]int, len(proj.Where))
-	for i, p := range proj.Where {
-		j, err := snap.columnIndex(p.Col)
-		if err != nil {
-			return nil, err
-		}
-		predIdx[i] = j
-	}
-	out := &Snapshot{
-		Aggregation: snap.Aggregation,
-		Level:       snap.Level,
-		Start:       snap.Start,
-		Columns:     append([]string(nil), outCols...),
-		Kinds:       outKinds,
-		TotalBefore: snap.TotalBefore,
-		TotalAfter:  snap.TotalAfter,
-		Windows:     snap.Windows,
-	}
-	var flat []float64
-	for ri := range snap.Rows {
-		r := &snap.Rows[ri]
-		if proj.Key != "" && r.Key != proj.Key {
-			continue
-		}
-		keep := true
-		for pi, p := range proj.Where {
-			if !p.matches(r.Values[predIdx[pi]]) {
-				keep = false
-				break
-			}
-		}
-		if !keep {
-			continue
-		}
-		if len(flat)+len(colIdx) > cap(flat) {
-			chunk := len(colIdx) * 256
-			if chunk < 1024 {
-				chunk = 1024
-			}
-			flat = make([]float64, 0, chunk)
-		}
-		start := len(flat)
-		for _, j := range colIdx {
-			flat = append(flat, r.Values[j])
-		}
-		out.Rows = append(out.Rows, Row{Key: r.Key, Values: flat[start:len(flat):len(flat)]})
-	}
-	return out, nil
 }
 
 // columnIndex resolves a column name to its index, with a typed error

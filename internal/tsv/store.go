@@ -1,7 +1,6 @@
 package tsv
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -26,51 +25,24 @@ type storeCodec struct {
 	name   string // backend name (BackendTSV, BackendColumnar)
 	ext    string // file extension, with dot
 	encode func(*Snapshot, io.Writer) (int64, error)
-	// load reads what proj needs of the size-byte file behind src, with
-	// f as its scratch and its read counters. Without acc it returns the
-	// projected snapshot; with one it folds the projected rows into it —
-	// straight from f where the codec reads selectively, so that no
-	// Snapshot is ever built — and returns nil.
-	load func(f *colFile, src io.ReaderAt, size int64, proj *Projection, acc *accumulator) (*Snapshot, error)
+	// open reads what proj needs of the size-byte file behind src into
+	// f, which then holds the projected values of the selected rows for
+	// f.snapshot to materialize or accumulator.foldFile to fold.
+	open func(f *colFile, src io.ReaderAt, size int64, proj *Projection, stats *colStats) error
 }
 
 var tsvCodec = storeCodec{
 	name:   BackendTSV,
 	ext:    ".tsv",
 	encode: (*Snapshot).WriteTo,
-	load: func(f *colFile, src io.ReaderAt, size int64, proj *Projection, acc *accumulator) (*Snapshot, error) {
-		// The row-oriented text format cannot skip anything: read and
-		// decode fully, then filter. The result is identical to the
-		// columnar fast path by construction.
-		f.attach(src, size, nil)
-		data, err := f.read(0, int(size))
-		if err != nil {
-			return nil, err
-		}
-		s, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		if s, err = applyProjection(s, proj); err != nil || acc == nil {
-			return s, err
-		}
-		return nil, acc.foldSnapshot(s)
-	},
+	open:   (*colFile).openText,
 }
 
 var columnarCodec = storeCodec{
 	name:   BackendColumnar,
 	ext:    ".col",
 	encode: EncodeColumnar,
-	load: func(f *colFile, src io.ReaderAt, size int64, proj *Projection, acc *accumulator) (*Snapshot, error) {
-		if err := f.open(src, size, proj, nil); err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			return f.snapshot(), nil
-		}
-		return nil, acc.foldFile(f)
-	},
+	open:   (*colFile).open,
 }
 
 // ErrCorruptSnapshot matches (via errors.Is) any snapshot file the store
@@ -327,17 +299,17 @@ func (st *Store) Get(agg string, level Level, start int64) (*Snapshot, error) {
 // projected columns are materialized and only rows passing the key and
 // range predicates are returned. The columnar backend reads only the
 // file sections the projection needs, skips whole blocks and answers
-// negative point lookups from the bloom index; the TSV backend decodes
-// fully and filters, with identical results. A nil or zero proj is a
-// plain Get.
+// negative point lookups from the bloom index; the TSV backend reads
+// and parses the whole file into the same scratch and filters there,
+// with identical results. A nil or zero proj is a plain Get.
 func (st *Store) GetProjected(agg string, level Level, start int64, proj *Projection) (*Snapshot, error) {
 	return st.scan(agg, level, start, proj, nil)
 }
 
 // scan reads the file of (agg, level, start) under proj. With acc nil
 // it returns the projected snapshot; otherwise it folds the projected
-// rows into acc — from the reader's scratch where the codec allows, so
-// no Snapshot is built — and returns nil.
+// rows into acc straight from the reader's scratch, so no Snapshot is
+// built, and returns nil.
 func (st *Store) scan(agg string, level Level, start int64, proj *Projection, acc *accumulator) (*Snapshot, error) {
 	path := st.path(agg, level, start)
 	file, err := os.Open(path)
@@ -361,7 +333,14 @@ func (st *Store) scan(agg string, level Level, start int64, proj *Projection, ac
 		defer f.release()
 	}
 	f.counts = colStats{}
-	s, err := st.codec.load(f, file, size, proj, acc)
+	var s *Snapshot
+	if err = st.codec.open(f, file, size, proj, nil); err == nil {
+		if acc == nil {
+			s = f.snapshot()
+		} else {
+			err = acc.foldFile(f)
+		}
+	}
 	cs := &f.counts
 	st.blocksDecoded.Add(cs.blocksDecoded)
 	st.blocksSkipped.Add(cs.blocksSkipped)

@@ -246,3 +246,59 @@ func TestPutFsyncOption(t *testing.T) {
 		t.Fatalf("round-trip mismatch: %+v", got.Rows)
 	}
 }
+
+// TestTSVKindCountIsCorrupt: a TSV file whose #kind line does not give
+// exactly one kind per column — short, missing or long — is corrupt. A
+// short or missing one used to be accepted, and folding the file then
+// indexed past its kinds, so a query over it panicked and so did a
+// cascade, on a worker goroutine. Both now skip the file and count it.
+func TestTSVKindCountIsCorrupt(t *testing.T) {
+	for name, kinds := range map[string]string{
+		"short":   "#kind\tc\n",
+		"missing": "",
+		"long":    "#kind\tc\tc\tg\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			st, err := NewStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 10; i++ {
+				s := robustSnap("srvip", Minutely, i*60, "a", 6)
+				s.Columns, s.Kinds = []string{"hits", "nxd"}, []Kind{Counter, Counter}
+				s.Rows[0].Values = []float64{6, 2}
+				if err := st.Put(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bad := "#key\thits\tnxd\n" + kinds + "a\t6\t2\n#stats\ttotal_before=10\ttotal_after=9\twindows=1\n"
+			path := filepath.Join(st.Dir(), st.FileName(&Snapshot{Aggregation: "srvip", Level: Minutely, Start: 0}))
+			if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunQuery(st, Query{Agg: "srvip", Level: Minutely})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Files != 9 || res.CorruptSkipped != 1 || res.From != 60 {
+				t.Fatalf("query: files=%d corrupt=%d from=%d, want 9, 1, 60", res.Files, res.CorruptSkipped, res.From)
+			}
+			if err := st.CascadeAll([]string{"srvip"}, 600); err != nil {
+				t.Fatal(err)
+			}
+			if got := st.CorruptSkipped(); got != 1 {
+				t.Fatalf("CorruptSkipped = %d, want 1", got)
+			}
+			up, err := st.Get("srvip", Decaminutely, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if up.Windows != 9 || up.Rows[0].Values[0] != 6 {
+				t.Fatalf("upper window: windows=%d hits=%v, want 9 and 6", up.Windows, up.Rows[0].Values[0])
+			}
+			if _, err := st.Get("srvip", Minutely, 0); !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("Get: %v, want a corrupt-snapshot error", err)
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -244,119 +245,201 @@ func parseValue(f []byte) (float64, error) {
 // Read parses a snapshot written by WriteTo. Aggregation, Level and
 // Start are not stored in the file body (they live in the name) and are
 // left zero; callers set them from the file name.
+func Read(r io.Reader) (*Snapshot, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	f := colFilePool.Get().(*colFile)
+	defer f.release()
+	if err := f.openText(bytes.NewReader(data), int64(len(data)), nil, nil); err != nil {
+		return nil, err
+	}
+	return f.snapshot(), nil
+}
+
+// maxLine bounds a line of text, its newline included: a longer one is
+// bufio.ErrTooLong, the error a 16 MiB bufio.Scanner gives.
+const maxLine = 16 << 20
+
+// openText is the text codec's reader: it decodes the file behind src
+// into f, the scratch the columnar reader fills — column names as views
+// of the file, kinds, the #stats totals, keys copied back to back into
+// f.keys as a dictionary with one entry per row, the values of the
+// projected and predicate columns and, as sel, the rows the
+// projection's Key and Where keep — so that f.snapshot and
+// accumulator.foldFile serve either codec.
 //
 // The trailing #stats row doubles as an end-of-file marker: WriteTo
 // always emits it last, so its absence means the file was truncated —
 // possibly at a clean line boundary, which no per-line check could
-// catch — and Read reports ErrBadFile.
-func Read(r io.Reader) (*Snapshot, error) {
-	sc := bufio.NewScanner(r)
-	// Start small — snapshot lines are tens of bytes, and the cascade
-	// parses hundreds of files per run — but allow pathological lines to
-	// grow the buffer up to 16 MiB.
-	sc.Buffer(make([]byte, 0, 4<<10), 16<<20)
-	s := &Snapshot{Windows: 1}
-	sawStats := false
-	// Row values are carved out of chunk-allocated backing arrays so a
-	// 30k-row file costs a handful of allocations, not one per row.
-	var flat []float64
-	for sc.Scan() {
-		// The scanner's own bytes: a row is split and parsed in place and
-		// only its key is copied out.
-		line := sc.Bytes()
+// catch — and the file is ErrBadFile. So is one that does not give
+// exactly one kind per column or one value per column in every row.
+// Only a file that parses is checked against the projection.
+func (f *colFile) openText(src io.ReaderAt, size int64, proj *Projection, stats *colStats) error {
+	f.attach(src, size, stats)
+	data, err := f.read(0, int(size))
+	if err != nil {
+		return err
+	}
+	nl, tab := []byte{'\n'}, []byte{'\t'}
+	// The last #key line names the columns. It is found, and the
+	// projection resolved against it, before any row is read, so that
+	// only the values the projection needs are kept.
+	at := -1
+	for i := 0; ; i++ {
+		j := bytes.Index(data[i:], []byte("#key\t"))
+		if j < 0 {
+			break
+		}
+		if i += j; i == 0 || data[i-1] == '\n' {
+			at = i
+		}
+	}
+	f.names = f.names[:0]
+	if at >= 0 {
+		line, _, _ := bytes.Cut(data[at+len("#key\t"):], nl)
+		line = bytes.TrimSuffix(line, []byte{'\r'})
+		for more := true; more; {
+			var name []byte
+			name, line, more = bytes.Cut(line, tab)
+			f.names = append(f.names, name)
+		}
+	}
+	resolveErr := f.resolve(proj)
+	if resolveErr == nil && !proj.empty() && len(proj.Columns) == 0 {
+		// A projection that names no column selects every column by
+		// name, as applyProjection does: a repeated name reads the
+		// first column that has it.
+		for oi, j := range f.colIdx {
+			f.colIdx[oi] = slices.IndexFunc(f.names, func(n []byte) bool { return bytes.Equal(n, f.names[j]) })
+		}
+	}
+	// Scratch is sized once, for as many rows as the file has lines.
+	maxRows := bytes.Count(data, nl) + 1
+	f.cols = slices.Grow(f.cols[:0], len(f.names))[:len(f.names)]
+	if resolveErr == nil {
+		for _, cols := range [2][]int{f.colIdx, f.predIdx} {
+			for _, j := range cols {
+				f.colSlot[j] = int32(j) // column j is kept in cols[j]
+				f.cols[j].vals = growSlice(f.cols[j].vals, maxRows)
+			}
+		}
+	}
+
+	f.kinds, f.keys = f.kinds[:0], f.keys[:0]
+	f.dictOff, f.ids = append(slices.Grow(f.dictOff[:0], maxRows+1), 0), nil
+	f.nrows, f.totalBefore, f.totalAfter, f.windows = 0, 0, 0, 1
+	nCols, ragged, sawStats := 0, false, false // nCols: fields of the last #key line read
+	for len(data) > 0 {
+		line, rest, _ := bytes.Cut(data, nl)
+		if len(line) >= maxLine {
+			return bufio.ErrTooLong
+		}
+		data = rest
+		line = bytes.TrimSuffix(line, []byte{'\r'})
 		switch {
 		case bytes.HasPrefix(line, []byte("#key\t")):
-			s.Columns = strings.Split(string(line), "\t")[1:]
+			nCols = bytes.Count(line, tab)
 		case bytes.HasPrefix(line, []byte("#kind\t")):
-			for _, k := range strings.Split(string(line), "\t")[1:] {
-				switch k {
+			for fields, more := line[len("#kind\t"):], true; more; {
+				var k []byte
+				k, fields, more = bytes.Cut(fields, tab)
+				switch string(k) {
 				case "c":
-					s.Kinds = append(s.Kinds, Counter)
+					f.kinds = append(f.kinds, Counter)
 				case "m":
-					s.Kinds = append(s.Kinds, Mode)
+					f.kinds = append(f.kinds, Mode)
 				default:
-					s.Kinds = append(s.Kinds, Gauge)
+					f.kinds = append(f.kinds, Gauge)
 				}
 			}
 		case bytes.HasPrefix(line, []byte("#stats\t")):
 			// All three keys must parse: a file cut mid-way through this
 			// line would otherwise still pass the end-of-file check.
 			statKeys := 0
-			for _, f := range strings.Split(string(line), "\t")[1:] {
-				k, v, ok := strings.Cut(f, "=")
+			for fields, more := line[len("#stats\t"):], true; more; {
+				var stat []byte
+				stat, fields, more = bytes.Cut(fields, tab)
+				k, v, ok := bytes.Cut(stat, []byte{'='})
 				if !ok {
 					continue
 				}
-				n, err := strconv.ParseUint(v, 10, 64)
+				n, err := strconv.ParseUint(string(v), 10, 64)
 				if err != nil {
-					return nil, ErrBadFile
+					return ErrBadFile
 				}
-				switch k {
+				switch string(k) {
 				case "total_before":
-					s.TotalBefore = n
+					f.totalBefore = n
 					statKeys++
 				case "total_after":
-					s.TotalAfter = n
+					f.totalAfter = n
 					statKeys++
 				case "windows":
-					s.Windows = int(n)
+					f.windows = int(n)
 					statKeys++
 				}
 			}
 			if statKeys != 3 {
-				return nil, ErrBadFile
+				return ErrBadFile
 			}
 			sawStats = true
 		case len(line) == 0 || line[0] == '#':
 			// Skip blanks and unknown comments.
 		default:
-			if s.Columns == nil {
-				return nil, ErrBadFile
+			key, fields, ok := bytes.Cut(line, tab)
+			if nCols == 0 || !ok {
+				return ErrBadFile
 			}
-			nCols := len(s.Columns)
-			tab := bytes.IndexByte(line, '\t')
-			if tab < 0 {
-				return nil, ErrBadFile
-			}
-			key, rest := line[:tab], line[tab+1:]
-			if len(flat)+nCols > cap(flat) {
-				chunk := nCols * 256
-				if chunk < 1024 {
-					chunk = 1024
-				}
-				flat = make([]float64, 0, chunk)
-			}
-			start := len(flat)
+			// A row read under an earlier #key line of another width is
+			// only checked: the file is rejected at the end.
+			ragged = ragged || nCols != len(f.names)
 			for i := 0; i < nCols; i++ {
-				var f []byte
-				if i == nCols-1 {
-					if bytes.IndexByte(rest, '\t') >= 0 {
-						return nil, ErrBadFile // too many fields
-					}
-					f = rest
-				} else {
-					t := bytes.IndexByte(rest, '\t')
-					if t < 0 {
-						return nil, ErrBadFile // too few fields
-					}
-					f, rest = rest[:t], rest[t+1:]
+				field, rest, more := bytes.Cut(fields, tab)
+				if more != (i < nCols-1) {
+					return ErrBadFile // too many or too few fields
 				}
-				v, err := parseValue(f)
+				v, err := parseValue(field)
 				if err != nil {
-					return nil, ErrBadFile
+					return ErrBadFile
 				}
-				flat = append(flat, v)
+				if resolveErr == nil && !ragged && f.colSlot[i] >= 0 {
+					f.cols[i].vals[f.nrows] = v
+				}
+				fields = rest
 			}
-			s.Rows = append(s.Rows, Row{Key: string(key), Values: flat[start:len(flat):len(flat)]})
+			f.keys = append(f.keys, key...)
+			f.dictOff = append(f.dictOff, len(f.keys))
+			f.nrows++
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if nCols == 0 || !sawStats || len(f.kinds) != len(f.names) || ragged {
+		return ErrBadFile
 	}
-	if s.Columns == nil || !sawStats {
-		return nil, ErrBadFile
+	if resolveErr != nil {
+		return resolveErr
 	}
-	return s, nil
+	f.dict = f.keys
+	var key string
+	var preds []Pred
+	if proj != nil {
+		key, preds = proj.Key, proj.Where
+	}
+	f.sel = slices.Grow(f.sel[:0], f.nrows)
+rows:
+	for i := 0; i < f.nrows; i++ {
+		if key != "" && string(f.dictKey(i)) != key {
+			continue
+		}
+		for pi, p := range preds {
+			if !p.matches(f.cols[f.predIdx[pi]].vals[i]) {
+				continue rows
+			}
+		}
+		f.sel = append(f.sel, i)
+	}
+	return nil
 }
 
 // Find returns the first row for key, or nil. It scans: a caller with
