@@ -99,9 +99,9 @@ func engineBenchSummaries() []sie.Summary {
 	return sums
 }
 
-// BenchmarkEngineIngest compares the two ways into the engine on the same
-// 8-aggregation load: the serial Pipeline, and the key-hash-sharded
-// engine with and without the copy into a pooled buffer. Run with
+// BenchmarkEngineIngest compares the two shapes of the engine on the same
+// 8-aggregation load: the inline shape (New), and the key-hash-sharded
+// worker shape (NewSharded) with and without the copy into a pooled buffer. Run with
 // -cpu 1,4 to see the scaling behaviour; docs/BENCH_HISTORY.md (PR 1)
 // has the first baseline.
 func BenchmarkEngineIngest(b *testing.B) {
@@ -386,7 +386,7 @@ func BenchmarkAblationFreshSkip(b *testing.B) {
 				for j := range sums {
 					pipe.Ingest(&sums[j], float64(j)/1000)
 				}
-				pipe.Flush()
+				pipe.Close()
 			}
 		})
 	}

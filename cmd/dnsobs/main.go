@@ -241,12 +241,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 		return nil
 	}
 
-	// The sharded engine calls onSnapshot from its merger goroutine, so
-	// store state is mutex-guarded. first is the engine's FirstOfWindow.
+	// The worker shape calls onSnapshot from its merger goroutine, so
+	// store state is mutex-guarded.
 	var mu sync.Mutex
 	var snapErr error
 	var lastStart int64 = -1
-	var first func() uint64
+	var eng *observatory.Engine
 	onSnapshot := func(s *tsv.Snapshot) {
 		ui.OnSnapshot(s)
 		mu.Lock()
@@ -255,7 +255,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			return
 		}
 		if s.Start > lastStart {
-			if snapErr = settle(s.Start, first()); snapErr != nil {
+			if snapErr = settle(s.Start, eng.FirstOfWindow()); snapErr != nil {
 				return
 			}
 		}
@@ -270,52 +270,22 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 		return snapErr
 	}
 
-	// borrow/ingest/discard/flush/reject/stats abstract over the two
-	// engines. borrow returns the summary to fill; ingest commits it at a
-	// stream time, discard drops it when the record is rejected, reject
-	// accounts a rejected record in the engine's ingest statistics.
-	var (
-		borrow  func() *sie.Summary
-		ingest  func(now float64)
-		discard func()
-		flush   func()
-		reject  func()
-		stats   func() observatory.EngineStats
-	)
 	engineCfg := observatory.DefaultConfig()
 	engineCfg.Metrics = reg
 	if *detectOn {
 		dc := detect.DefaultConfig()
 		engineCfg.Detect = &dc
 	}
-	useSharded := *sharded || *shards > 0 || *workers > 0
-	if useSharded {
-		eng := observatory.NewSharded(observatory.ShardedConfig{
+	if *sharded || *shards > 0 || *workers > 0 {
+		eng = observatory.NewSharded(observatory.ShardedConfig{
 			Config:  engineCfg,
 			Shards:  *shards,
 			Workers: *workers,
 		}, aggs, onSnapshot)
-		// Zero-copy path: summarize straight into pooled buffers.
-		var cur *sie.Shared
-		borrow = func() *sie.Summary { cur = eng.Borrow(); return &cur.Summary }
-		ingest = func(now float64) { eng.IngestShared(cur, now) }
-		discard = func() { eng.Discard(cur) }
-		flush = eng.Close
-		reject = eng.RecordRejected
-		stats = eng.Stats
-		first = eng.FirstOfWindow
 		fmt.Fprintf(stderr, "dnsobs: sharded engine: %d shards, %d workers\n",
 			eng.Shards(), eng.Workers())
 	} else {
-		pipe := observatory.New(engineCfg, aggs, onSnapshot)
-		var sum sie.Summary
-		borrow = func() *sie.Summary { return &sum }
-		ingest = func(now float64) { pipe.Ingest(&sum, now) }
-		discard = func() {}
-		flush = pipe.Flush
-		reject = pipe.RecordRejected
-		stats = pipe.Stats
-		first = pipe.FirstOfWindow
+		eng = observatory.New(engineCfg, aggs, onSnapshot)
 	}
 
 	// The transaction source. stop unblocks a Read in progress: closing
@@ -340,7 +310,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			// like an unparsable record from a stream file; the engine
 			// counters are atomic, so collector goroutines may call
 			// this concurrently with the ingest loop.
-			OnReject: func(error) { reject() },
+			OnReject: func(error) { eng.RecordRejected() },
 		})
 		// Both are idempotent: the collector stops (if an early return
 		// left it running), then its journal closes.
@@ -448,7 +418,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 					return
 				case <-tick.C:
 				}
-				cur := stats().Ingested
+				cur := eng.Stats().Ingested
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				fmt.Fprintf(stderr, "dnsobs: report: %.0f tx/s, heap %d MiB, topk %.0f objects\n",
@@ -477,7 +447,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 				// the stream is still in sync. (The listen path accounts
 				// these collector-side, via OnReject.)
 				errs++
-				reject()
+				eng.RecordRejected()
 				continue
 			}
 			if stopping.Load() {
@@ -485,21 +455,22 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			}
 			return err
 		}
-		sum := borrow()
-		if tx.QueryTime.IsZero() || summarizer.Summarize(&tx, sum) != nil {
+		// Summarized straight into a pooled buffer: no copy on either shape.
+		buf := eng.Borrow()
+		if tx.QueryTime.IsZero() || summarizer.Summarize(&tx, &buf.Summary) != nil {
 			// Rejected: no timestamp, or packets the summarizer cannot
 			// parse. (A late one is not: the engine clamps it into the
 			// open window.)
 			errs++
-			discard()
-			reject()
+			eng.Discard(buf)
+			eng.RecordRejected()
 			continue
 		}
 		// Numbered by its index in the input, which is what the journal
 		// counts, and placed at its own time: a window is named by its
 		// minute, whichever run or replay writes it.
-		sum.Seq = src.Count() - 1
-		ingest(float64(tx.QueryTime.UnixNano()) / 1e9)
+		buf.Summary.Seq = src.Count() - 1
+		eng.IngestShared(buf, float64(tx.QueryTime.UnixNano())/1e9)
 		if err := failed(); err != nil {
 			return err
 		}
@@ -507,7 +478,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			break
 		}
 	}
-	flush()
+	eng.Close()
 	if err := failed(); err != nil {
 		return err
 	}
@@ -515,10 +486,10 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 	if err := settle(lastStart+60, src.Count()); err != nil {
 		return err
 	}
-	es := stats()
+	es := eng.Stats()
 	fmt.Fprintf(stderr, "dnsobs: %d transactions (%d unparsable) -> %s in %v\n",
 		src.Count(), errs, *dir, time.Since(wall).Round(time.Millisecond))
-	fmt.Fprintf(stderr, "dnsobs: engine: ingested %d accepted %d rejected %d shed %d panics %d quarantined %d; store: %d corrupt snapshots skipped\n",
-		es.Ingested, es.Accepted, es.Rejected, es.Shed, es.Panics, es.Quarantined, store.CorruptSkipped())
+	fmt.Fprintf(stderr, "dnsobs: engine: ingested %d accepted %d rejected %d panics %d quarantined %d; store: %d corrupt snapshots skipped\n",
+		es.Ingested, es.Accepted, es.Rejected, es.Panics, es.Quarantined, store.CorruptSkipped())
 	return nil
 }

@@ -129,7 +129,7 @@ func runObs(t *testing.T, args ...string) string {
 
 // TestRunMatchesLibrary (golden): -i through run leaves a store byte-
 // identical to the library path over the same stream — reader,
-// summarizer, serial engine, Put, Flush, one cascade at the end — so
+// summarizer, inline engine, Put, Close, one cascade at the end — so
 // the per-window cascade and retention leave what the parent's
 // end-of-stream cascade left.
 func TestRunMatchesLibrary(t *testing.T) {
@@ -173,7 +173,7 @@ func TestRunMatchesLibrary(t *testing.T) {
 		}
 		pipe.Ingest(&sum, float64(tx.QueryTime.UnixNano())/1e9)
 	}
-	pipe.Flush()
+	pipe.Close()
 	if err := store.CascadeAll(names, last+60); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@
 //			pipe.Ingest(&sum, now)
 //		}
 //	}
-//	pipe.Flush()
+//	pipe.Close()
 //
 // Raw traffic can come from a real capture feed or from the bundled
 // synthetic Internet (dnsobs.NewSimulation), which stands in for the
@@ -67,9 +67,10 @@ var (
 
 // Pipeline types.
 type (
-	// Pipeline is the Observatory core: Top-k tracking plus feature
-	// accumulation per aggregation, dumped every window.
-	Pipeline = observatory.Pipeline
+	// Pipeline is the Observatory engine: Top-k tracking plus feature
+	// accumulation per aggregation, dumped every window. NewPipeline
+	// builds its inline shape; Close ends the stream.
+	Pipeline = observatory.Engine
 	// PipelineConfig tunes windows, decay, admission filters and
 	// feature sizing.
 	PipelineConfig = observatory.Config

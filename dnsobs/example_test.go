@@ -48,7 +48,7 @@ func ExampleNewPipeline() {
 			pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
 		}
 	})
-	pipe.Flush()
+	pipe.Close()
 	if err != nil {
 		fmt.Println("put:", err)
 		return

@@ -62,7 +62,7 @@ func main() {
 		}
 		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
 	})
-	pipe.Flush()
+	pipe.Close()
 
 	// Global RCODE mix.
 	rcodes, err := dnsobs.QuerySnapshots(store, dnsobs.SnapshotQuery{

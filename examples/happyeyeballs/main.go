@@ -50,7 +50,7 @@ func main() {
 		}
 		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
 	})
-	pipe.Flush()
+	pipe.Close()
 
 	fmt.Println("minute  queries/min  empty-AAAA share")
 	for _, s := range snapshots {

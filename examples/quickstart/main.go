@@ -53,7 +53,7 @@ func main() {
 		}
 		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
 	})
-	pipe.Flush()
+	pipe.Close()
 
 	fmt.Printf("processed %d transactions (%d client queries, %d cache hits)\n",
 		stats.Transactions, stats.ClientQueries, stats.CacheHits)

@@ -48,7 +48,7 @@ func main() {
 		}
 		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
 	})
-	pipe.Flush()
+	pipe.Close()
 
 	// Watch the per-minute TTL mode of every tracked FQDN and report
 	// significant changes (>=10% of responses behind the new value).

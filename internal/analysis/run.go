@@ -51,7 +51,7 @@ func RunWith(st *tsv.Store, simCfg simnet.Config, obsCfg observatory.Config, agg
 		res.Parsed++
 		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
 	})
-	pipe.Flush()
+	pipe.Close()
 	return res
 }
 

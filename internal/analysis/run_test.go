@@ -34,7 +34,7 @@ func frozenRun(simCfg simnet.Config, obsCfg observatory.Config, aggsFor func(*si
 			pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
 		}
 	})
-	pipe.Flush()
+	pipe.Close()
 	return snaps
 }
 

@@ -124,7 +124,7 @@ func (c *Context) Detect(w io.Writer) error {
 		}
 		pipe.Ingest(&sum, t)
 	})
-	pipe.Flush()
+	pipe.Close()
 	fmt.Fprintf(w, "detection workload: %d transactions (%d unparsable), %d distinct eSLDs, %.0f s\n",
 		parsed, errs, len(truth), simCfg.Duration)
 

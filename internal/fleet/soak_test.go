@@ -78,7 +78,7 @@ func soakTx(t testing.TB, s, w, i int, base time.Time) *sie.Transaction {
 // transactions for the test's lockstep barriers.
 type soakEngine struct {
 	store    *tsv.Store
-	pipe     *observatory.Pipeline
+	pipe     *observatory.Engine
 	aggNames []string
 	consumed atomic.Int64
 	done     chan struct{}
@@ -415,7 +415,7 @@ func TestFleetChaosSoak(t *testing.T) {
 		if int64(st.Enqueued) != surv.eng.consumed.Load() {
 			t.Errorf("%s enqueued %d but engine consumed %d", surv.name, st.Enqueued, surv.eng.consumed.Load())
 		}
-		surv.eng.pipe.Flush()
+		surv.eng.pipe.Close()
 	}
 
 	// Every duplicate is accounted: the displaced sensors retransmitted
@@ -453,7 +453,7 @@ func TestFleetChaosSoak(t *testing.T) {
 			}
 		}
 	}
-	bl.pipe.Flush()
+	bl.pipe.Close()
 	if err := bl.store.CascadeAll(bl.aggNames, soakWindows*60); err != nil {
 		t.Fatal(err)
 	}

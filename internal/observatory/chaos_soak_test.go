@@ -3,7 +3,6 @@ package observatory
 import (
 	"fmt"
 	"net/netip"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,7 +26,6 @@ func requireRegistryMatchesStats(t *testing.T, reg *metrics.Registry, es EngineS
 		{MetricIngested, es.Ingested},
 		{MetricAccepted, es.Accepted},
 		{MetricRejected, es.Rejected},
-		{MetricShed, es.Shed},
 		{MetricPanics, es.Panics},
 		{MetricQuarantined, es.Quarantined},
 	} {
@@ -78,7 +76,7 @@ func soakTx(t *testing.T, i int, base time.Time) *sie.Transaction {
 // path (summarize → reject or ingest), mirroring dnsobs: zero and
 // pre-base timestamps are rejected, everything else is clamped by the
 // engine. Returns the highest stream time fed.
-func soakFeed(t *testing.T, eng *Sharded, inj *chaos.Injector, n int) float64 {
+func soakFeed(t *testing.T, eng *Engine, inj *chaos.Injector, n int) float64 {
 	t.Helper()
 	base := time.Unix(1600000000, 0)
 	var summarizer sie.Summarizer
@@ -138,10 +136,10 @@ func requireFullWindowCoverage(t *testing.T, snaps map[string]map[int64]int) {
 	}
 }
 
-// TestChaosSoakBlockPolicy soaks the sharded engine (default Block
-// overload policy) against every stream fault class plus injected
-// worker panics, and asserts the ingest accounting invariant and that
-// no window is ever silently dropped. Run under -race.
+// TestChaosSoakBlockPolicy soaks the worker shape, whose full queues
+// block dispatch, against every stream fault class plus injected worker
+// panics, and asserts the ingest accounting invariant and that no window
+// is ever silently dropped. Run under -race.
 func TestChaosSoakBlockPolicy(t *testing.T) {
 	cfg := chaos.Uniform(0.02, 42)
 	cfg.PanicRate = 0.002
@@ -168,12 +166,9 @@ func TestChaosSoakBlockPolicy(t *testing.T) {
 	eng.Close()
 
 	es := eng.Stats()
-	if es.Ingested != es.Accepted+es.Rejected+es.Shed {
-		t.Errorf("accounting broken: ingested %d != accepted %d + rejected %d + shed %d",
-			es.Ingested, es.Accepted, es.Rejected, es.Shed)
-	}
-	if es.Shed != 0 {
-		t.Errorf("block policy shed %d batches", es.Shed)
+	if es.Ingested != es.Accepted+es.Rejected {
+		t.Errorf("accounting broken: ingested %d != accepted %d + rejected %d",
+			es.Ingested, es.Accepted, es.Rejected)
 	}
 	if es.Rejected == 0 {
 		t.Error("chaos stream produced no rejections (faults not reaching the summarizer?)")
@@ -196,66 +191,4 @@ func TestChaosSoakBlockPolicy(t *testing.T) {
 		t.Error("per-aggregation occupancy gauges never published")
 	}
 	requireFullWindowCoverage(t, snaps)
-}
-
-// TestChaosSoakShedPolicy forces overload (1-slot queues, 1-item
-// batches, a slow hook) under the Shed policy and asserts shedding is
-// accounted — the invariant must hold with Shed > 0 — and that all
-// aggregations emit the same set of windows. Run under -race.
-func TestChaosSoakShedPolicy(t *testing.T) {
-	inj := chaos.New(chaos.Config{Seed: 7}) // no faults; overload is the fault
-
-	econf := DefaultConfig()
-	econf.SkipFreshObjects = false
-	var hooked atomic.Uint64
-	econf.ChaosHook = func(*sie.Summary) {
-		if hooked.Add(1)%8 == 0 {
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
-
-	reg := metrics.NewRegistry()
-	econf.Metrics = reg
-
-	snaps := map[string]map[int64]int{}
-	eng := NewSharded(ShardedConfig{
-		Config: econf, Shards: 2, Workers: 2,
-		BatchSize: 1, QueueLen: 1, Overload: Shed,
-	}, shardedTestAggs(), func(s *tsv.Snapshot) {
-		if snaps[s.Aggregation] == nil {
-			snaps[s.Aggregation] = map[int64]int{}
-		}
-		snaps[s.Aggregation][s.Start]++
-	})
-
-	soakFeed(t, eng, inj, 6000)
-	eng.Close()
-
-	es := eng.Stats()
-	if es.Ingested != es.Accepted+es.Rejected+es.Shed {
-		t.Errorf("accounting broken: ingested %d != accepted %d + rejected %d + shed %d",
-			es.Ingested, es.Accepted, es.Rejected, es.Shed)
-	}
-	requireRegistryMatchesStats(t, reg, es)
-	if es.Shed == 0 {
-		t.Skip("overload never triggered on this machine; nothing to assert")
-	}
-	// Shedding drops batches, never windows: whatever windows survived
-	// must be identical across aggregations and emitted exactly once.
-	var ref map[int64]int
-	var refAgg string
-	for agg, starts := range snaps {
-		if ref == nil {
-			ref, refAgg = starts, agg
-			continue
-		}
-		if len(starts) != len(ref) {
-			t.Fatalf("window sets differ: %s has %d, %s has %d", refAgg, len(ref), agg, len(starts))
-		}
-		for s, n := range starts {
-			if n != 1 || ref[s] != 1 {
-				t.Fatalf("window %d: emitted %d times for %s, %d for %s", s, n, agg, ref[s], refAgg)
-			}
-		}
-	}
 }

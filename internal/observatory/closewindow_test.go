@@ -273,11 +273,11 @@ func TestCloseWindowMatchesFullScan(t *testing.T) {
 				for _, e := range events {
 					s := sum(e.resolver, e.ns, e.qname, e.qtype)
 					ref.ingest(s, e.now, poison && poisoned(s))
-					eng.ingest(s, e.now)
+					eng.Ingest(s, e.now)
 				}
 				ref.dump()
-				eng.close()
-				if es := eng.stats(); poison && es.Quarantined == 0 {
+				eng.Close()
+				if es := eng.Stats(); poison && es.Quarantined == 0 {
 					t.Fatal("the chaos hook never fired")
 				}
 				var evictions, refused uint64
@@ -527,15 +527,15 @@ func TestFreshEntriesTakeNoFold(t *testing.T) {
 				for _, e := range events {
 					s := sum(e.resolver, e.ns, e.qname, e.qtype)
 					ref.ingest(s, e.now, poison && poisoned(s))
-					eng.ingest(s, e.now)
-					if eng.pipe == nil {
+					eng.Ingest(s, e.now)
+					if !shape.inline() {
 						continue // a worker's states are its own while it runs
 					}
 					// Whatever holds state holds the marker exactly if it is fresh.
-					w, states := eng.pipe.inlineStates()
+					w, states := eng.inlineStates()
 					for _, st := range states {
 						st.cache.Entries(func(en *spacesaving.Entry) {
-							isFresh := fresh(en, &eng.pipe.cfg, w.windowStart)
+							isFresh := fresh(en, &eng.cfg, w.windowStart)
 							if en.State != nil && (en.State == freshMarker) != isFresh {
 								t.Fatalf("%s at %v: entry %q (inserted at %v, window from %v) holds %T", st.agg.Name, e.now, en.Key, en.InsertedAt, w.windowStart, en.State)
 							}
@@ -549,11 +549,11 @@ func TestFreshEntriesTakeNoFold(t *testing.T) {
 					}
 				}
 				ref.dump()
-				eng.close()
-				if es := eng.stats(); poison && es.Quarantined == 0 {
+				eng.Close()
+				if es := eng.Stats(); poison && es.Quarantined == 0 {
 					t.Fatal("the chaos hook never fired")
 				}
-				if eng.pipe != nil && ((skipped > 0) != skipFresh || clamped == 0) {
+				if shape.inline() && ((skipped > 0) != skipFresh || clamped == 0) {
 					t.Fatalf("%d marker sightings, %d of entries admitted at a window start", skipped, clamped)
 				}
 				sortSnaps(ref.out)

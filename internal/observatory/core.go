@@ -9,16 +9,15 @@ import (
 	"dnsobservatory/internal/tsv"
 )
 
-// core is the one engine both entry points configure: a grid of
-// aggregation states, [aggregation][shard], dealt to workers; the window
-// state machine every worker runs; the worker-side close; and the emit
-// that turns a window's dumps into snapshots. What differs between the
-// entry points is how a summary reaches an aggState and where a finished
-// dump goes:
+// core is what both shapes of the Engine share: a grid of aggregation
+// states, [aggregation][shard], dealt to workers; the window state
+// machine every worker runs; the worker-side close; and the emit that
+// turns a window's dumps into snapshots. What differs between the shapes
+// is how a summary reaches an aggState and where a finished dump goes:
 //
-//	          workers  shards  cache capacity       merger  fed by
-//	Pipeline  1        1       K                    none    the caller's goroutine, inline
-//	Sharded   W        S       shardCapacity(K, S)  yes     batches to worker goroutines
+//	                    workers  shards  cache capacity       merger  fed by
+//	inline (New)        1        1       K                    none    the caller's goroutine
+//	worker (NewSharded) W        S       shardCapacity(K, S)  yes     batches to worker goroutines
 type core struct {
 	cfg    Config
 	aggs   []Aggregation
@@ -37,19 +36,19 @@ type core struct {
 	// being delivered (FirstOfWindow); only the delivering goroutine
 	// writes and reads it.
 	delivering uint64
-	closed     bool // the stream has ended: Flush or Close has run
+	closed     bool // the stream has ended: Close has run
 	// Ingest accounting (see EngineStats). Counters are atomic: workers
 	// bump panic counters concurrently with producers bumping the rest.
 	m *engineMetrics
 }
 
 // worker owns the states of the shards dealt to it and the window they
-// are in. The pipeline's one worker runs on the caller's goroutine; the
-// sharded engine's run on their own, each fed through in.
+// are in. The inline shape's one worker runs on the caller's goroutine;
+// the worker shape's run on their own, each fed through in.
 type worker struct {
 	id   int
 	eng  *core
-	in   chan *shardBatch // nil on the pipeline's worker, as is done
+	in   chan *shardBatch // nil on the inline shape's worker, as is done
 	done chan struct{}
 	// states[a][l] is the state of shard l*workers+id of aggregation a.
 	states [][]*aggState
@@ -266,7 +265,7 @@ func (c *core) emitWindow(windowStart float64, dumps []*shardDump) {
 
 // deliver runs the snapshot callback, recovering a panic so a faulty
 // consumer cannot kill the merger (which would wedge Close) or unwind
-// the pipeline's caller in mid-close.
+// the inline shape's caller in mid-close.
 func (c *core) deliver(snap *tsv.Snapshot) {
 	if c.onSnapshot == nil {
 		return
@@ -298,9 +297,8 @@ func (c *core) RecordRejected() {
 }
 
 // Stats returns the engine's ingest accounting. Once the stream has been
-// dispatched (always, on the pipeline; on the sharded engine after Close
-// or at any moment no partial batch is pending), Ingested = Accepted +
-// Rejected + Shed; the pipeline never sheds. Stats reads the counters
-// the engine publishes to its metrics registry, so the two views agree
-// by construction.
+// dispatched (always, in the inline shape; in the worker shape after
+// Close or at any moment no partial batch is pending), Ingested =
+// Accepted + Rejected. Stats reads the counters the engine publishes to
+// its metrics registry, so the two views agree by construction.
 func (c *core) Stats() EngineStats { return c.m.stats() }

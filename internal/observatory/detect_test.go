@@ -60,7 +60,7 @@ func TestShardedDetectMatchesSerialBytes(t *testing.T) {
 	for _, e := range events {
 		sp.Ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
 	}
-	sp.Flush()
+	sp.Close()
 	sortSnaps(serial)
 	if len(serial) == 0 {
 		t.Fatal("serial pipeline emitted no detect snapshots")
@@ -183,7 +183,7 @@ func TestSerialDetectAccessor(t *testing.T) {
 		t.Fatal("detector nil with cfg.Detect set")
 	}
 	p.Ingest(sum("192.0.2.1", "198.51.100.1", "a.acc.com.", dnswire.TypeA), 1)
-	p.Flush()
+	p.Close()
 	if c := p.det.Counters(); c.Observed != 1 {
 		t.Fatalf("observed = %d, want 1", c.Observed)
 	}

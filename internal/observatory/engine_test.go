@@ -12,8 +12,8 @@ import (
 	"dnsobservatory/internal/tsv"
 )
 
-// engineShape is one configuration of the engine core: the inline
-// pipeline (no shards), or shards dealt to workers goroutines. With
+// engineShape is one shape of the Engine: inline (no shards), or shards
+// dealt to worker goroutines. With
 // admitterN set, engine and oracle run every aggregation the test hands
 // them behind a filter of that many keys.
 type engineShape struct {
@@ -23,7 +23,7 @@ type engineShape struct {
 }
 
 // engineMatrix is every configuration the engine-equivalence tests run:
-// the inline pipeline, then one shard, four on one worker (the merger is
+// the inline shape, then one shard, four on one worker (the merger is
 // handed one part of more than K rows), four on two, one each, and a
 // worker count that does not divide the shards. The rows keep the names
 // they had in the tests that grew into this table. The last row is what
@@ -69,25 +69,13 @@ func (sh engineShape) oracle(cfg Config, aggs []Aggregation) *refEngine {
 	return newRefEngine(cfg, aggs, sh.shards, func(k int) int { return shardCapacity(k, sh.shards) })
 }
 
-// testEngine is an engine of either kind behind the calls the matrix
-// tests make of it.
-type testEngine struct {
-	ingest func(*sie.Summary, float64)
-	close  func() // Flush or Close: ends the stream
-	caches func(name string) []*spacesaving.Cache
-	stats  func() EngineStats
-	pipe   *Pipeline // the inline engine, for white-box reads; nil otherwise
-}
-
 // build constructs the engine of this shape.
-func (sh engineShape) build(cfg Config, aggs []Aggregation, onSnapshot func(*tsv.Snapshot)) testEngine {
+func (sh engineShape) build(cfg Config, aggs []Aggregation, onSnapshot func(*tsv.Snapshot)) *Engine {
 	cfg, aggs = sh.guarded(cfg, aggs)
 	if sh.inline() {
-		p := New(cfg, aggs, onSnapshot)
-		return testEngine{p.Ingest, p.Flush, p.caches, p.Stats, p}
+		return New(cfg, aggs, onSnapshot)
 	}
-	eng := NewSharded(ShardedConfig{Config: cfg, Shards: sh.shards, Workers: sh.workers, BatchSize: 64}, aggs, onSnapshot)
-	return testEngine{eng.Ingest, eng.Close, eng.caches, eng.Stats, nil}
+	return NewSharded(ShardedConfig{Config: cfg, Shards: sh.shards, Workers: sh.workers, BatchSize: 64}, aggs, onSnapshot)
 }
 
 // poisonHook is the chaos hook of the matrix tests: a worker panics on a
@@ -105,10 +93,10 @@ func (sh engineShape) poisonHook(cfg Config) (Config, bool) {
 	return cfg, true
 }
 
-// inlineStates is the white-box view of a pipeline: its one worker, and
-// that worker's states, one per aggregation.
-func (p *Pipeline) inlineStates() (*worker, []*aggState) {
-	w := p.workers[0]
+// inlineStates is the white-box view of the inline shape: its one
+// worker, and that worker's states, one per aggregation.
+func (e *Engine) inlineStates() (*worker, []*aggState) {
+	w := e.workers[0]
 	states := make([]*aggState, len(w.states))
 	for a := range w.states {
 		states[a] = w.states[a][0]
@@ -131,9 +119,9 @@ func copySummary(sum *sie.Summary) sie.Summary {
 	return out
 }
 
-// TestPipelineIsSynchronous: the pipeline starts no goroutine, and every
-// snapshot of a window has been delivered when the Ingest that crosses
-// its boundary returns — the final ones when Flush returns. dnsbench's
+// TestPipelineIsSynchronous: the inline shape starts no goroutine, and
+// every snapshot of a window has been delivered when the Ingest that
+// crosses its boundary returns — the final ones when Close returns. dnsbench's
 // dump spans and dnsobs's per-snapshot WAL checkpoint depend on it.
 func TestPipelineIsSynchronous(t *testing.T) {
 	cfg := DefaultConfig()
@@ -160,17 +148,17 @@ func TestPipelineIsSynchronous(t *testing.T) {
 	if n := runtime.NumGoroutine(); n != before {
 		t.Errorf("%d goroutines before New, %d after four windows", before, n)
 	}
-	p.Flush()
+	p.Close()
 	if delivered != 5*perWindow {
-		t.Fatalf("%d snapshots delivered when Flush returned, want %d", delivered, 5*perWindow)
+		t.Fatalf("%d snapshots delivered when Close returned, want %d", delivered, 5*perWindow)
 	}
 }
 
 // TestSnapshotCallbackPanicIsRecovered: a consumer that panics costs its
 // snapshot and nothing else. The engine keeps ingesting, delivers the
 // next window, ends the stream, and reports the panic in Stats — on the
-// merger goroutine of the sharded engine, and on the caller's goroutine
-// of the pipeline, which it used to unwind.
+// merger goroutine of the worker shape, and on the caller's goroutine
+// in the inline shape, which it used to unwind.
 func TestSnapshotCallbackPanicIsRecovered(t *testing.T) {
 	for _, shape := range []engineShape{engineMatrix[0], engineMatrix[3]} {
 		t.Run(shape.name, func(t *testing.T) {
@@ -183,13 +171,13 @@ func TestSnapshotCallbackPanicIsRecovered(t *testing.T) {
 			})
 			s := sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA)
 			for _, now := range []float64{1, 61, 62, 121} {
-				eng.ingest(s, now)
+				eng.Ingest(s, now)
 			}
-			eng.close()
+			eng.Close()
 			if len(starts) != 3 || starts[0] != 0 || starts[1] != 60 || starts[2] != 120 {
 				t.Fatalf("windows delivered: %v, want 0, 60 and 120", starts)
 			}
-			if es := eng.stats(); es.Panics != 1 || es.Quarantined != 0 || es.Accepted != 4 {
+			if es := eng.Stats(); es.Panics != 1 || es.Quarantined != 0 || es.Accepted != 4 {
 				t.Errorf("Stats() = %+v, want 4 accepted, 1 panic, nothing quarantined", es)
 			}
 		})
@@ -212,9 +200,9 @@ func TestSameStreamSameSnapshots(t *testing.T) {
 			run := func() (snaps []*tsv.Snapshot, refused uint64) {
 				eng := shape.build(DefaultConfig(), churnAggs(), func(s *tsv.Snapshot) { snaps = append(snaps, s) })
 				for _, e := range events {
-					eng.ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
+					eng.Ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
 				}
-				eng.close()
+				eng.Close()
 				for _, c := range eng.caches("qname") {
 					refused += c.Dropped()
 				}

@@ -75,7 +75,7 @@ func TestStreamToStorePipeline(t *testing.T) {
 		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
 		n++
 	}
-	pipe.Flush()
+	pipe.Close()
 	if putErr != nil {
 		t.Fatal(putErr)
 	}

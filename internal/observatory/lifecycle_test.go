@@ -129,7 +129,7 @@ func TestDeferredFoldMatchesEager(t *testing.T) {
 		var got []*tsv.Snapshot
 		eng := shape.build(mcfg, lifecycleAggs(), func(s *tsv.Snapshot) { got = append(got, s) })
 		var evictedLogs, evictedSets, refused, closedOnRecords, closedOnSets int
-		w, states := eng.pipe.inlineStates()
+		w, states := eng.inlineStates()
 		for _, st := range states {
 			recycle := st.cache.OnEvictState
 			st.cache.OnEvictState = func(state any) {
@@ -152,13 +152,13 @@ func TestDeferredFoldMatchesEager(t *testing.T) {
 				closedOnRecords += active - slabs
 			}
 			ref.ingest(&ts.sum, ts.now, false)
-			eng.ingest(&ts.sum, ts.now)
+			eng.Ingest(&ts.sum, ts.now)
 			if !probe.From(&ts.sum) {
 				refused++
 			}
 		}
 		ref.dump()
-		eng.close()
+		eng.Close()
 		if evictedLogs == 0 || evictedSets == 0 || refused == 0 || closedOnRecords == 0 || closedOnSets == 0 {
 			t.Fatalf("stream too tame: %d record blocks and %d sets evicted, %d summaries refused, %d objects closed on records, %d on a set",
 				evictedLogs, evictedSets, refused, closedOnRecords, closedOnSets)
@@ -177,10 +177,10 @@ func TestDeferredFoldMatchesEager(t *testing.T) {
 				for i := range stream {
 					ts := &stream[i]
 					ref.ingest(&ts.sum, ts.now, false)
-					eng.ingest(&ts.sum, ts.now)
+					eng.Ingest(&ts.sum, ts.now)
 				}
 				ref.dump()
-				eng.close()
+				eng.Close()
 				sortSnaps(ref.out)
 				sortSnaps(got)
 				requireSnapsEqual(t, ref.out, got)
@@ -386,7 +386,7 @@ func TestStateBoundedUnderChurn(t *testing.T) {
 		requireSaturated(t, madeWarm, made(), 24+60+16+40)
 		requireFlat(t, "live heap", heapWarm, liveHeap(), heapSlack)
 		requireFlat(t, "goroutine count", uint64(goWarm), uint64(runtime.NumGoroutine()), 0)
-		p.Flush()
+		p.Close()
 	})
 
 	t.Run("sharded-w2", func(t *testing.T) {

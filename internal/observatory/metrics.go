@@ -13,7 +13,6 @@ const (
 	MetricIngested    = "dnsobs_engine_ingested_total"
 	MetricAccepted    = "dnsobs_engine_accepted_total"
 	MetricRejected    = "dnsobs_engine_rejected_total"
-	MetricShed        = "dnsobs_engine_shed_total"
 	MetricPanics      = "dnsobs_engine_panics_total"
 	MetricQuarantined = "dnsobs_engine_quarantined_total"
 	MetricFlush       = "dnsobs_engine_flush_seconds"
@@ -41,7 +40,6 @@ type engineMetrics struct {
 	ingested    *metrics.Counter
 	accepted    *metrics.Counter
 	rejected    *metrics.Counter
-	shed        *metrics.Counter
 	panics      *metrics.Counter
 	quarantined *metrics.Counter
 	flush       *metrics.Histogram
@@ -54,7 +52,6 @@ func newEngineMetrics(reg *metrics.Registry, engine string) *engineMetrics {
 		ingested:    reg.Counter(MetricIngested, "transactions offered to the platform, including rejects", "engine", engine),
 		accepted:    reg.Counter(MetricAccepted, "summaries dispatched into aggregation state", "engine", engine),
 		rejected:    reg.Counter(MetricRejected, "malformed transactions refused before feature extraction", "engine", engine),
-		shed:        reg.Counter(MetricShed, "summaries dropped by the overload policy", "engine", engine),
 		panics:      reg.Counter(MetricPanics, "recovered worker panics", "engine", engine),
 		quarantined: reg.Counter(MetricQuarantined, "summary folds abandoned to a panic", "engine", engine),
 		flush:       reg.Histogram(MetricFlush, "window snapshot flush latency", metrics.DurationBuckets, "engine", engine),
@@ -67,7 +64,6 @@ func (m *engineMetrics) stats() EngineStats {
 		Ingested:    m.ingested.Value(),
 		Accepted:    m.accepted.Value(),
 		Rejected:    m.rejected.Value(),
-		Shed:        m.shed.Value(),
 		Panics:      m.panics.Value(),
 		Quarantined: m.quarantined.Value(),
 	}

@@ -41,7 +41,7 @@ type Aggregation struct {
 	NoAdmitter bool
 }
 
-// Config tunes the pipeline.
+// Config tunes the engine.
 type Config struct {
 	// WindowSec is the statistics window; the paper dumps every 60 s.
 	WindowSec float64
@@ -57,11 +57,11 @@ type Config struct {
 	// (§2.4). Disable for ablation.
 	SkipFreshObjects bool
 	// ChaosHook, when set, runs for every summary a worker goroutine of
-	// the sharded engine processes, inside that worker's panic-recovery
+	// the worker shape processes, inside that worker's panic-recovery
 	// scope. It is the chaos-injection point for worker panics
-	// (chaos.Injector's PanicHook); leave nil in production. The pipeline
-	// folds on its caller's goroutine, outside any recovery scope, and
-	// runs no hook.
+	// (chaos.Injector's PanicHook); leave nil in production. The inline
+	// shape folds on its caller's goroutine, outside any recovery scope,
+	// and runs no hook.
 	ChaosHook func(*sie.Summary)
 	// Metrics, when set, is the registry the engine publishes its ingest
 	// accounting and per-aggregation cache health to. Nil means the
@@ -72,26 +72,26 @@ type Config struct {
 	// (internal/detect): every accepted summary also feeds the
 	// information-content and newly-observed-domain trackers, and each
 	// window dump additionally emits detect_esld and detect_nod
-	// snapshots through OnSnapshot. The serial and sharded engines
+	// snapshots through OnSnapshot. The inline and worker shapes
 	// produce byte-identical detection snapshots for the same stream
 	// (see the detect package comment).
 	Detect *detect.Config
 }
 
-// EngineStats is the ingest accounting every engine exposes via Stats().
+// EngineStats is the ingest accounting the engine exposes via Stats().
 // The invariant, once the stream is closed, is
 //
-//	Ingested = Accepted + Rejected + Shed
+//	Ingested = Accepted + Rejected
 //
 // Panics and Quarantined are diagnostics on top: Panics counts recovered
 // panics, and Quarantined counts per-worker summary folds that were
 // abandoned to one — the summary stays accepted, only the panicking
 // worker's contribution is lost, so quarantining never kills a window.
-// What is supervised: on both engines the close of a window (collecting
+// What is supervised: in both shapes the close of a window (collecting
 // its rows) and the delivery of each snapshot to the callback, which are
-// the same code; the per-transaction fold only on the sharded engine's
-// worker goroutines. A panic in the pipeline's fold unwinds its caller,
-// so a pipeline never quarantines.
+// the same code; the per-transaction fold only on the worker shape's
+// goroutines. A panic in the inline shape's fold unwinds its caller, so
+// that shape never quarantines.
 type EngineStats struct {
 	// Ingested counts every transaction offered to the platform,
 	// including ones rejected before reaching the engine.
@@ -101,7 +101,9 @@ type EngineStats struct {
 	// Rejected counts malformed transactions refused before feature
 	// extraction (recorded by the caller via RecordRejected).
 	Rejected uint64
-	// Shed counts summaries dropped by the overload policy.
+	// Shed is always zero: the engine never drops a summary. Only
+	// cmd/dnsbench, which checks Ingested = Accepted + Rejected + Shed,
+	// reads it.
 	Shed uint64
 	// Panics counts recovered panics: folds, closes and snapshot callbacks.
 	Panics uint64
@@ -203,7 +205,7 @@ type aggState struct {
 	// the cache. An entry evicted and re-admitted inside the window is
 	// listed once per object it monitored.
 	touched []*spacesaving.Entry
-	keyBuf  []byte // reusable KeyBytes buffer (serial ingest path)
+	keyBuf  []byte // reusable KeyBytes buffer (inline ingest path)
 	// lastEvict/lastDropped remember the cache counters at the previous
 	// metrics publish, so each window adds only its delta.
 	lastEvict   uint64
@@ -211,8 +213,8 @@ type aggState struct {
 }
 
 // newAggState builds the state of one shard of an aggregation, with a
-// cache of the given capacity (shards pass ⌈K/S⌉+slack; the serial
-// pipeline passes K).
+// cache of the given capacity (shards pass ⌈K/S⌉+slack; the inline
+// shape passes K).
 func newAggState(a Aggregation, cfg *Config, shard, capacity int) *aggState {
 	st := &aggState{agg: a}
 	if !a.NoAdmitter {
@@ -407,74 +409,4 @@ func sortRows(rows []tsv.Row) {
 		}
 		return cmp.Compare(a.Key, b.Key)
 	})
-}
-
-// Pipeline is the serial engine: the one-worker, one-shard configuration
-// of the engine core, fed inline on the caller's goroutine and with no
-// goroutine of its own. It is synchronous — every snapshot of a window
-// is delivered inside the Ingest or Flush call that closes it — and not
-// safe for concurrent use; use the Sharded engine (or shard streams
-// across pipelines) to parallelize.
-type Pipeline struct {
-	core
-}
-
-// New builds a pipeline over the given aggregations. onSnapshot, which
-// may be nil, receives each window's snapshot per aggregation.
-func New(cfg Config, aggs []Aggregation, onSnapshot func(*tsv.Snapshot)) *Pipeline {
-	p := new(Pipeline)
-	p.init(cfg, "serial", aggs, onSnapshot, 1, 1, func(k int) int { return k })
-	return p
-}
-
-// Ingest processes one summary observed at stream time now (seconds).
-// Crossing a window boundary closes the window and delivers its
-// snapshots first (see worker.enter for late data). Ingest prepares sum
-// in place (features.Set.Prepare); a summary other goroutines read must
-// be prepared before it is shared. After Flush it does nothing.
-//
-// Keys stay as the key functions return them — a string goes to
-// Cache.Observe as a string — and are not staged through a batch's byte
-// buffer as the sharded engine's are: a key that enters a cache as bytes
-// is copied where a string is kept.
-func (p *Pipeline) Ingest(sum *sie.Summary, now float64) {
-	if p.closed {
-		return
-	}
-	w := p.workers[0]
-	now = w.enter(now, sum)
-	p.m.ingested.Inc()
-	p.m.accepted.Inc()
-	// Once per transaction, before any key function: the esld and etld
-	// keys read the suffix walk it memoizes, and a fold records the hashes.
-	p.prep.Prepare(sum)
-	for _, shards := range w.states {
-		st := shards[0]
-		st.seenBefore++
-		if st.agg.KeyBytes != nil {
-			kb, ok := st.agg.KeyBytes(sum, st.keyBuf[:0])
-			st.keyBuf = kb[:0]
-			if ok {
-				st.fold(st.cache.ObserveBytes(kb, now), sum, w.windowStart, &p.cfg)
-			}
-			continue
-		}
-		if key, ok := st.agg.Key(sum); ok {
-			st.fold(st.cache.Observe(key, now), sum, w.windowStart, &p.cfg)
-		}
-	}
-	if p.det != nil {
-		p.det.Observe(sum, now)
-	}
-}
-
-// Flush ends the stream: it closes the open (possibly partial) window
-// and delivers its snapshots. Like Sharded.Close it does so once; later
-// Flush and Ingest calls do nothing.
-func (p *Pipeline) Flush() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	p.workers[0].finish()
 }

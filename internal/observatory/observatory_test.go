@@ -43,7 +43,7 @@ func TestPipelineWindowing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.Ingest(sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA), 60+float64(i))
 	}
-	p.Flush()
+	p.Close()
 
 	if len(snaps) != 2 {
 		t.Fatalf("snapshots = %d", len(snaps))
@@ -77,7 +77,7 @@ func TestSkipFreshObjects(t *testing.T) {
 	p.Ingest(sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA), 5)
 	p.Ingest(sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA), 65)
 	p.Ingest(sum("192.0.2.1", "198.51.100.2", "b.example.com.", dnswire.TypeA), 70)
-	p.Flush() // dumps window 1
+	p.Close() // dumps window 1
 
 	last := snaps[len(snaps)-1]
 	if last.Find("198.51.100.1") == nil {
@@ -104,7 +104,7 @@ func TestMultipleAggregations(t *testing.T) {
 			qn, dnswire.TypeA)
 		p.Ingest(s, float64(i)*0.01)
 	}
-	p.Flush()
+	p.Close()
 	for _, name := range []string{"srvip", "etld", "esld", "qname", "qtype", "rcode", "aafqdn", "srcsrv"} {
 		if len(byName[name]) == 0 {
 			t.Errorf("no snapshots for %s", name)
@@ -137,7 +137,7 @@ func TestSnapshotSortedByHits(t *testing.T) {
 			p.Ingest(sum("192.0.2.1", "198.51.100.1", fmt.Sprintf("q%d.example.com.", i), dnswire.TypeA), float64(j))
 		}
 	}
-	p.Flush()
+	p.Close()
 	rows := snaps[0].Rows
 	for i := 1; i < len(rows); i++ {
 		if rows[i-1].Values[0] < rows[i].Values[0] {
@@ -239,7 +239,7 @@ func TestEmptyWindowsProduceEmptySnapshots(t *testing.T) {
 	p.Ingest(sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA), 0)
 	// Jump 3 windows ahead.
 	p.Ingest(sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA), 185)
-	p.Flush()
+	p.Close()
 	if len(snaps) != 4 {
 		t.Fatalf("snapshots = %d, want 4", len(snaps))
 	}

@@ -1,6 +1,7 @@
 package observatory
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -99,9 +100,9 @@ func TestShardedMatchesSerial(t *testing.T) {
 		var snaps []*tsv.Snapshot
 		eng := shape.build(cfg, shardedTestAggs(), func(s *tsv.Snapshot) { snaps = append(snaps, s) })
 		for _, e := range events {
-			eng.ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
+			eng.Ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
 		}
-		eng.close()
+		eng.Close()
 		sortSnaps(snaps)
 		return snaps
 	}
@@ -129,7 +130,7 @@ func TestShardedZeroCopyPath(t *testing.T) {
 	for _, e := range events {
 		sp.Ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
 	}
-	sp.Flush()
+	sp.Close()
 	sortSnaps(serial)
 
 	var sharded []*tsv.Snapshot
@@ -227,10 +228,10 @@ func TestShardedCallerMayReuseSummary(t *testing.T) {
 	}
 }
 
-// TestShardedCloseIdempotent: ending the stream is idempotent on both
-// engines. The open window is closed once — a second Flush or Close
-// delivers nothing, where the pipeline's used to publish the window
-// again, empty, over the first — and an Ingest after it is a no-op that
+// TestShardedCloseIdempotent: ending the stream is idempotent in both
+// shapes. The open window is closed once — a second Close delivers
+// nothing, where the inline shape's used to publish the window again,
+// empty, over the first — and an Ingest after it is a no-op that
 // re-opens no window.
 func TestShardedCloseIdempotent(t *testing.T) {
 	aggs := []Aggregation{{Name: "srvip", K: 10, Key: SrvIPKey, NoAdmitter: true}}
@@ -240,19 +241,19 @@ func TestShardedCloseIdempotent(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			var snaps []*tsv.Snapshot
 			eng := shape.build(cfg, aggs, func(s *tsv.Snapshot) { snaps = append(snaps, s) })
-			eng.ingest(sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA), 5)
-			eng.close()
-			eng.close() // must not panic, deadlock or deliver
-			eng.ingest(sum("192.0.2.1", "198.51.100.2", "b.example.com.", dnswire.TypeA), 6)
-			eng.ingest(sum("192.0.2.1", "198.51.100.2", "b.example.com.", dnswire.TypeA), 70)
-			eng.close()
+			eng.Ingest(sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA), 5)
+			eng.Close()
+			eng.Close() // must not panic, deadlock or deliver
+			eng.Ingest(sum("192.0.2.1", "198.51.100.2", "b.example.com.", dnswire.TypeA), 6)
+			eng.Ingest(sum("192.0.2.1", "198.51.100.2", "b.example.com.", dnswire.TypeA), 70)
+			eng.Close()
 			if len(snaps) != 1 {
 				t.Fatalf("%d snapshots after ending the stream three times, want the one of window 0", len(snaps))
 			}
 			if s := snaps[0]; s.Start != 0 || s.TotalBefore != 1 || len(s.Rows) != 1 {
 				t.Fatalf("window %d holds %d rows of %d transactions, want window 0 with its one", s.Start, len(s.Rows), s.TotalBefore)
 			}
-			if es := eng.stats(); es.Ingested != 1 || es.Accepted != 1 {
+			if es := eng.Stats(); es.Ingested != 1 || es.Accepted != 1 {
 				t.Errorf("Stats() = %+v, want the one summary ingested before the end", es)
 			}
 		})
@@ -280,56 +281,32 @@ func TestShardedShardCapacity(t *testing.T) {
 	}
 }
 
-// TestBatchOwnsItsSummaries: a borrowed buffer has one owner at a time
-// and goes back to the pool once, whichever way it leaves the caller —
-// discarded, staged in a batch the workers fold, or staged in a batch
-// the overload policy sheds. N buffers are borrowed, sent down the three
-// ways, and read back from the pool after Close: no buffer twice, none
-// that was not borrowed, and all N where the pool keeps what it is given
-// (under the race detector it drops some on purpose).
-func TestBatchOwnsItsSummaries(t *testing.T) {
-	// One P, so that what the workers put this goroutine can get, and no
-	// collection to empty the pool in between.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	keeps := true
+// pinPool puts the test on one P with no collection, so that what the
+// engine puts in its pool this goroutine can get back, until the test
+// ends. It reports whether the pool keeps what it is given (under the
+// race detector it drops some on purpose).
+func pinPool(t *testing.T) (keeps bool) {
+	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	})
 	var probe sync.Pool
-	for i := 0; i < 64 && keeps; i++ {
+	for i := 0; i < 64; i++ {
 		x := new(int)
 		probe.Put(x)
-		keeps = probe.Get() == any(x)
-	}
-
-	cfg := DefaultConfig()
-	gate := make(chan struct{})
-	cfg.ChaosHook = func(*sie.Summary) { <-gate } // workers stall, queues fill, batches are shed
-	eng := NewSharded(ShardedConfig{Config: cfg, Shards: 2, Workers: 2, BatchSize: 4, QueueLen: 1, Overload: Shed},
-		[]Aggregation{{Name: "qname", K: 50, Key: QNameKey, NoAdmitter: true}}, nil)
-	const n = 48
-	borrowed := map[*sie.Shared]int{}
-	var bufs []*sie.Shared
-	for len(bufs) < n {
-		buf := eng.Borrow()
-		buf.Summary = *sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA)
-		borrowed[buf] = 0
-		bufs = append(bufs, buf)
-	}
-	if len(borrowed) != n {
-		t.Fatalf("%d borrows handed out %d buffers", n, len(borrowed))
-	}
-	for i, buf := range bufs {
-		if i%3 == 0 {
-			eng.Discard(buf)
-		} else {
-			eng.IngestShared(buf, float64(i))
+		if probe.Get() != any(x) {
+			return false
 		}
 	}
-	close(gate)
-	eng.Close()
-	if es := eng.Stats(); es.Shed == 0 || es.Accepted == 0 || es.Accepted+es.Shed != n-n/3 {
-		t.Fatalf("Stats() = %+v, want %d summaries, some folded and some shed", es, n-n/3)
-	}
+	return true
+}
 
+// requireReturnedOnce drains a closed engine's pool: no buffer twice,
+// none that was not borrowed, and every borrowed one where the pool
+// keeps what it is given.
+func requireReturnedOnce(t *testing.T, eng *Engine, borrowed map[*sie.Shared]int, keeps bool) {
+	t.Helper()
 	eng.pool.New = nil // an empty pool answers nil
 	back := 0
 	for x := eng.pool.Get(); x != nil; x = eng.pool.Get() {
@@ -341,7 +318,120 @@ func TestBatchOwnsItsSummaries(t *testing.T) {
 		borrowed[buf]++
 		back++
 	}
-	if keeps && back != n {
-		t.Errorf("%d of %d buffers came back to the pool", back, n)
+	if keeps && back != len(borrowed) {
+		t.Errorf("%d of %d buffers came back to the pool", back, len(borrowed))
 	}
+}
+
+// borrowN borrows n buffers from eng, all of them before any goes back,
+// and fills each with fill(i).
+func borrowN(t *testing.T, eng *Engine, n int, fill func(i int) *sie.Summary) ([]*sie.Shared, map[*sie.Shared]int) {
+	t.Helper()
+	borrowed := map[*sie.Shared]int{}
+	bufs := make([]*sie.Shared, n)
+	for i := range bufs {
+		bufs[i] = eng.Borrow()
+		bufs[i].Summary = *fill(i)
+		borrowed[bufs[i]] = 0
+	}
+	if len(borrowed) != n {
+		t.Fatalf("%d borrows handed out %d buffers", n, len(borrowed))
+	}
+	return bufs, borrowed
+}
+
+// TestBatchOwnsItsSummaries: a borrowed buffer has one owner at a time
+// and goes back to the pool once, whichever way it leaves the caller —
+// discarded, or staged in a batch the workers fold. The workers stall on
+// a gate while the first batches queue up, so discards and staging
+// interleave with batches in flight; the gate opens before the queues
+// fill, since a full queue blocks dispatch. N buffers are borrowed, sent
+// down the two ways, and read back from the pool after Close.
+func TestBatchOwnsItsSummaries(t *testing.T) {
+	keeps := pinPool(t)
+	cfg := DefaultConfig()
+	gate := make(chan struct{})
+	cfg.ChaosHook = func(*sie.Summary) { <-gate }
+	eng := NewSharded(ShardedConfig{Config: cfg, Shards: 2, Workers: 2, BatchSize: 4},
+		[]Aggregation{{Name: "qname", K: 50, Key: QNameKey, NoAdmitter: true}}, nil)
+	const n = 48
+	bufs, borrowed := borrowN(t, eng, n, func(int) *sie.Summary {
+		return sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA)
+	})
+	for i, buf := range bufs {
+		if i == n/2 {
+			// 16 staged, 4 batches dispatched: one in each worker's hands,
+			// three queued, and room for one more.
+			close(gate)
+		}
+		if i%3 == 0 {
+			eng.Discard(buf)
+		} else {
+			eng.IngestShared(buf, float64(i))
+		}
+	}
+	eng.Close()
+	if es := eng.Stats(); es.Accepted != n-n/3 || es.Ingested != n-n/3 {
+		t.Fatalf("Stats() = %+v, want %d summaries folded", es, n-n/3)
+	}
+	requireReturnedOnce(t, eng, borrowed, keeps)
+}
+
+// TestInlineSharedPathMatchesIngest: the inline shape fed through
+// Borrow, IngestShared and Discard delivers the same snapshots, byte for
+// byte, as fed through Ingest, and each borrowed buffer — ingested or
+// discarded — goes back to the pool once.
+func TestInlineSharedPathMatchesIngest(t *testing.T) {
+	keeps := pinPool(t)
+	cfg := DefaultConfig()
+	cfg.SkipFreshObjects = false
+	cfg.Detect = detectTestConfig()
+	events := shardedTestEvents(3000)
+	encode := func(snaps []*tsv.Snapshot) [][]byte {
+		sortSnaps(snaps)
+		var out [][]byte
+		for _, s := range snaps {
+			out = append(out, encodeSnap(t, s))
+		}
+		return out
+	}
+
+	var direct []*tsv.Snapshot
+	p := New(cfg, shardedTestAggs(), func(s *tsv.Snapshot) { direct = append(direct, s) })
+	for _, e := range events {
+		p.Ingest(sum(e.resolver, e.ns, e.qname, e.qtype), e.now)
+	}
+	p.Close()
+
+	var shared []*tsv.Snapshot
+	eng := New(cfg, shardedTestAggs(), func(s *tsv.Snapshot) { shared = append(shared, s) })
+	// Every fourth buffer is a decoy, discarded unread.
+	bufs, borrowed := borrowN(t, eng, len(events)*4/3, func(i int) *sie.Summary {
+		if i%4 == 3 {
+			return sum("192.0.2.99", "198.51.100.99", "decoy.example.", dnswire.TypeA)
+		}
+		e := events[i-i/4]
+		return sum(e.resolver, e.ns, e.qname, e.qtype)
+	})
+	for i, buf := range bufs {
+		if i%4 == 3 {
+			eng.Discard(buf)
+			continue
+		}
+		eng.IngestShared(buf, events[i-i/4].now)
+	}
+	eng.Close()
+	if es := eng.Stats(); es.Accepted != uint64(len(events)) {
+		t.Fatalf("Stats() = %+v, want %d summaries folded", es, len(events))
+	}
+	want, got := encode(direct), encode(shared)
+	if len(want) != len(got) {
+		t.Fatalf("%d snapshots through Ingest, %d through IngestShared", len(want), len(got))
+	}
+	for i := range want {
+		if !bytes.Equal(want[i], got[i]) {
+			t.Fatalf("snapshot %s differs between Ingest and IngestShared", snapKey(direct[i]))
+		}
+	}
+	requireReturnedOnce(t, eng, borrowed, keeps)
 }

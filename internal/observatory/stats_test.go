@@ -24,7 +24,7 @@ func TestPipelineStats(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.RecordRejected()
 	}
-	p.Flush()
+	p.Close()
 	es := p.Stats()
 	want := EngineStats{Ingested: 13, Accepted: 10, Rejected: 3}
 	if es != want {
@@ -54,7 +54,7 @@ func TestShardedQuarantineKeepsWindowAlive(t *testing.T) {
 	eng.Close()
 
 	es := eng.Stats()
-	if es.Ingested != es.Accepted+es.Rejected+es.Shed {
+	if es.Ingested != es.Accepted+es.Rejected {
 		t.Errorf("accounting broken: %+v", es)
 	}
 	if es.Ingested != 200 || es.Accepted != 200 {

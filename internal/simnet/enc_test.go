@@ -63,7 +63,7 @@ func ingestToStore(t *testing.T, dir string, sim *Sim) {
 		}
 		pipe.Ingest(&sum, tx.QueryTime.Sub(base).Seconds())
 	})
-	pipe.Flush()
+	pipe.Close()
 	if err := store.CascadeAll(aggNames, lastStart+60); err != nil {
 		t.Fatal(err)
 	}

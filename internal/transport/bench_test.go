@@ -25,11 +25,11 @@ func BenchmarkTransportIngest(b *testing.B) {
 		tx.ResponseTime = base.Add(5 * time.Millisecond)
 		txs[i] = tx
 	}
-	newPipe := func() *observatory.Pipeline {
+	newPipe := func() *observatory.Engine {
 		return observatory.New(observatory.DefaultConfig(),
 			observatory.StandardAggregations(0.01), func(*tsv.Snapshot) {})
 	}
-	ingest := func(pipe *observatory.Pipeline, summarizer *sie.Summarizer, sum *sie.Summary, tx *sie.Transaction) {
+	ingest := func(pipe *observatory.Engine, summarizer *sie.Summarizer, sum *sie.Summary, tx *sie.Transaction) {
 		if err := summarizer.Summarize(tx, sum); err != nil {
 			pipe.RecordRejected()
 			return

@@ -15,9 +15,8 @@ import (
 )
 
 // OverloadPolicy selects what a connection handler does when the
-// collector's ingest channel is full. It mirrors the sharded engine's
-// policy of the same name (observatory.Block / observatory.Shed) one
-// layer down the stack.
+// collector's ingest channel is full. It is the one place the spine may
+// drop a transaction: the engine above it only ever blocks.
 type OverloadPolicy int
 
 const (
@@ -836,6 +835,7 @@ func (c *Collector) deliver(a *arena, name string, epoch, seq uint64, raw []byte
 		// undecodable frame is a duplicate, not a second reject.
 		c.dmu.Unlock()
 		if !fresh {
+			a.takeBack()
 			c.m.deduped.Inc()
 			return false, nil
 		}
@@ -857,6 +857,7 @@ func (c *Collector) deliver(a *arena, name string, epoch, seq uint64, raw []byte
 		// Staged: synced writes it, in front of the first promise it survives.
 		pos, err = c.log.Stage(wal.Record{Kind: wal.KindData, Sensor: name, Epoch: epoch, Seq: seq, Payload: raw})
 		if err != nil {
+			a.takeBack()
 			c.journalFailed(err)
 			return true, err
 		}
@@ -868,13 +869,16 @@ func (c *Collector) deliver(a *arena, name string, epoch, seq uint64, raw []byte
 			c.nextRead = pos + 1
 		}
 	case c.log != nil:
+		a.takeBack()
 		c.behind = true
 		c.m.spilled.Inc()
 		c.kickTailer()
 	case c.cfg.Overload == Shed:
+		a.takeBack()
 		c.m.shed.Inc()
 	default: // Block
 		if !c.offer(tx, true) {
+			a.takeBack()
 			return true, errors.New("transport: collector closing")
 		}
 	}
@@ -891,12 +895,13 @@ const (
 
 // arena is what one reader of frames — a connection handler, the spill
 // tailer, an AbsorbLog call — decodes into: bodies carved from chunks,
-// transactions from slabs, not two mallocs a frame. Nothing is reused, so
-// as far as a holder can tell a transaction owns its bytes; holding one
-// pins its slab and the chunks under that slab's transactions, ≈ 40 KiB.
+// transactions from slabs, not two mallocs a frame. Nothing handed out is
+// reused, so as far as a holder can tell a transaction owns its bytes;
+// holding one pins its slab and the chunks under that slab's
+// transactions, ≈ 40 KiB.
 type arena struct {
-	chunk []byte            // unused tail of the current chunk
-	slab  []sie.Transaction // unused tail of the current slab
+	chunk, lastChunk []byte            // unused tail of the current chunk, and before the last decode
+	slab, lastSlab   []sie.Transaction // unused tail of the current slab, and before the last decode
 }
 
 // decode parses one frame body into a transaction that owns its bytes
@@ -911,12 +916,17 @@ func (a *arena) decode(raw []byte) (*sie.Transaction, error) {
 	}
 	body, tx := a.chunk[:len(raw):len(raw)], &a.slab[0]
 	copy(body, raw)
+	a.lastChunk, a.lastSlab = a.chunk, a.slab
 	if err := tx.Unmarshal(body); err != nil {
 		return nil, err
 	}
 	a.chunk, a.slab = a.chunk[len(raw):], a.slab[1:]
 	return tx, nil
 }
+
+// takeBack returns the last decode's space: its transaction, if any,
+// went to no holder (a duplicate, a spilled or a shed frame).
+func (a *arena) takeBack() { a.chunk, a.slab = a.lastChunk, a.lastSlab }
 
 // offer puts tx on the ingest channel if there is room and, when wait
 // is set, as soon as there is. It reports false for a full queue, or

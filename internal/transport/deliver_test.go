@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"testing"
@@ -178,6 +179,58 @@ func TestFullQueueArms(t *testing.T) {
 				if err := coll.CloseWAL(); err != nil {
 					t.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// TestUnqueuedFrameLeavesTheArena: a frame whose transaction is not
+// handed to the queue — spilled to the journal, shed, or a duplicate —
+// gives its decode space back to the handler's arena, where it used to
+// keep ≈ 230 bytes of body and a Transaction slot it never used.
+func TestUnqueuedFrameLeavesTheArena(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     CollectorConfig
+		journal bool
+	}{
+		{"wal", CollectorConfig{QueueLen: 1}, true},
+		{"shed", CollectorConfig{QueueLen: 1, Overload: Shed}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCollector(tc.cfg)
+			defer func() {
+				c.Close()
+				if err := c.CloseWAL(); err != nil {
+					t.Error(err)
+				}
+			}()
+			if tc.journal {
+				if err := c.OpenWAL(t.TempDir(), wal.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var a arena
+			deliver := func(seq uint64) {
+				t.Helper()
+				if _, err := c.deliver(&a, "s", 1, seq, testTx(int(seq)).Append(nil), false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deliver(1) // queued: the queue is full from here on
+			chunk, slab := len(a.chunk), len(a.slab)
+			deliver(2) // spilled or shed
+			deliver(1) // a duplicate
+			if len(a.chunk) != chunk || len(a.slab) != slab {
+				t.Errorf("arena tails %d bytes, %d slots after two unqueued frames; %d, %d before", len(a.chunk), len(a.slab), chunk, slab)
+			}
+			st := c.Stats()
+			if st.Enqueued != 1 || st.Deduped != 1 || st.Spilled+st.Shed != 1 {
+				t.Errorf("collector stats %+v: want one frame queued, one spilled or shed, one deduplicated", st)
+			}
+			// The space taken back was the unqueued frames', not the queued one's.
+			if got := (<-c.C()).Append(nil); !bytes.Equal(got, testTx(1).Append(nil)) {
+				t.Error("the queued transaction changed under the decodes that followed it")
 			}
 		})
 	}

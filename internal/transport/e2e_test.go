@@ -101,7 +101,7 @@ func ingestAll(t *testing.T, dir string, next func(*sie.Transaction) error) []st
 		}
 		pipe.Ingest(&sum, tx.QueryTime.Sub(base).Seconds())
 	}
-	pipe.Flush()
+	pipe.Close()
 	if err := store.CascadeAll(aggNames, lastStart+60); err != nil {
 		t.Fatal(err)
 	}

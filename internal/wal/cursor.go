@@ -28,6 +28,7 @@ type Cursor struct {
 	skip uint64      // whole records between off and next: a cursor opened mid-segment walks there
 	buf  []byte
 	wrap func(io.ReaderAt) io.ReaderAt // tests only: counts the reads
+	last string                        // the last record's Sensor, shared by the next of that sensor
 }
 
 // NewCursor returns a cursor positioned at start (1-based). A start
@@ -90,9 +91,9 @@ func (c *Cursor) Next() (pos uint64, rec Record, ok bool, err error) {
 		c.off, c.win, c.skip = int64(len(segMagic)), nil, c.next-base
 	}
 	for {
-		r, n, err := parseRecord(c.win)
+		r, n, err := parseRecord(c.win, c.last)
 		if err == nil {
-			c.win, c.off = c.win[n:], c.off+int64(n)
+			c.win, c.off, c.last = c.win[n:], c.off+int64(n), r.Sensor
 			if c.skip > 0 {
 				c.skip--
 				continue

@@ -59,9 +59,9 @@ func FuzzWALRecord(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Surface 1: the pure decoder over the raw stream.
-		off := 0
+		off, prev := 0, ""
 		for {
-			rec, n, err := parseRecord(data[off:])
+			rec, n, err := parseRecord(data[off:], prev)
 			if err != nil {
 				switch {
 				case errors.Is(err, io.EOF),
@@ -78,7 +78,11 @@ func FuzzWALRecord(f *testing.F) {
 			if len(rec.Payload) > MaxRecordBody {
 				t.Fatalf("over-long payload: %d bytes", len(rec.Payload))
 			}
-			off += n
+			// The previous record's name, shared or not, changes nothing.
+			if fresh, _, _ := parseRecord(data[off:], ""); fresh.Sensor != rec.Sensor {
+				t.Fatalf("sensor %q after %q, %q read on its own", rec.Sensor, prev, fresh.Sensor)
+			}
+			off, prev = off+n, rec.Sensor
 		}
 
 		// Surface 2: recovery over the same bytes as an active segment.

@@ -280,3 +280,66 @@ func TestCursorReadsAWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorSharesTheSensorName: a cursor reading one sensor's records
+// makes no string per record. The spill tailer reads most of a busy
+// collector's transactions back this way, and a string each made its
+// allocation count follow how much of a run happened to spill.
+func TestCursorSharesTheSensorName(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const n = 2000
+	payload := make([]byte, 240)
+	for i := 0; i < n; i++ {
+		if _, err := l.Stage(Record{Kind: KindData, Sensor: "spiller", Epoch: 3, Seq: uint64(i + 1), Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	cur := l.NewCursor(1)
+	defer cur.Close()
+	next := func() {
+		if _, rec, ok, err := cur.Next(); !ok || err != nil || rec.Sensor != "spiller" {
+			t.Fatalf("Next = (%q, %v, %v)", rec.Sensor, ok, err)
+		}
+	}
+	next() // opens the segment and sizes the read buffer
+	if allocs := testing.AllocsPerRun(n/2, next); allocs != 0 {
+		t.Errorf("Cursor.Next: %v allocations per record of one sensor, want 0", allocs)
+	}
+}
+
+// TestCursorKeepsEachSensorName: records of sensors that alternate,
+// repeat and share prefixes come back, through a cursor and through
+// Replay, each with exactly the name it was written with.
+func TestCursorKeepsEachSensorName(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	names := []string{"a", "b", "a", "a", "ab", "b", "", "b", "ba", "ba", "a"}
+	for i, name := range names {
+		if _, err := l.Append(Record{Kind: KindData, Sensor: name, Seq: uint64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := l.NewCursor(1)
+	defer cur.Close()
+	for i, want := range names {
+		if _, rec, ok, err := cur.Next(); !ok || err != nil || rec.Sensor != want {
+			t.Fatalf("cursor record %d: sensor %q (%v, %v), want %q", i+1, rec.Sensor, ok, err, want)
+		}
+	}
+	_, recs := collect(t, l)
+	for i, want := range names {
+		if recs[i].Sensor != want {
+			t.Fatalf("replayed record %d: sensor %q, want %q", i+1, recs[i].Sensor, want)
+		}
+	}
+}

@@ -260,7 +260,7 @@ func (l *Log) scanSegment(s *segment, last bool) error {
 	}
 	off := len(segMagic)
 	for off < len(b) {
-		rec, n, err := parseRecord(b[off:])
+		rec, n, err := parseRecord(b[off:], "")
 		if err != nil {
 			if !last {
 				return fmt.Errorf("%w: %s: offset %d: %v", ErrBadSegment, s.path, off, err)
@@ -283,9 +283,10 @@ func (l *Log) scanSegment(s *segment, last bool) error {
 // parseRecord decodes one record from the head of b. It returns the
 // record and its encoded length, io.EOF on empty input,
 // io.ErrUnexpectedEOF when b ends inside the record, and ErrBadRecord
-// for structural damage. The payload aliases b.
-func parseRecord(b []byte) (Record, int, error) {
-	var rec Record
+// for structural damage. The payload aliases b. A record of sensor (the
+// one read before it) shares that string instead of making its own.
+func parseRecord(b []byte, sensor string) (Record, int, error) {
+	rec := Record{Sensor: sensor}
 	if len(b) == 0 {
 		return rec, 0, io.EOF
 	}
@@ -309,7 +310,8 @@ func parseRecord(b []byte) (Record, int, error) {
 	return rec, recHeader + int(n), nil
 }
 
-// decodeBody parses a record body into rec. The payload aliases body.
+// decodeBody parses a record body into rec, keeping rec.Sensor when it
+// is the record's. The payload aliases body.
 func decodeBody(body []byte, rec *Record) error {
 	if len(body) < 1 {
 		return ErrBadRecord
@@ -335,7 +337,9 @@ func decodeBody(body []byte, rec *Record) error {
 		return ErrBadRecord
 	}
 	rec.Kind = kind
-	rec.Sensor = string(name)
+	if string(name) != rec.Sensor {
+		rec.Sensor = string(name)
+	}
 	rec.Epoch = epoch
 	rec.Seq = seq
 	rec.Payload = b[n:]

@@ -15,9 +15,13 @@
 # judged at BENCHMARK.json's 15 % bound. One count does not repeat on one
 # workload: net-durable's alloc_kb_per_op follows how far acknowledgements
 # lagged in the run, on either build — the sensor's unacknowledged buffer
-# doubles once more in a slow one (0.450-0.474 KB over twenty runs of one
-# commit, 5 of 10 clean pairs past 1 %) — so there it is judged at 5 %;
-# the object count, allocs_per_op, repeats to 0.1 % and keeps the 1 % rule.
+# doubles once more in a slow one (0.400-0.418 KB over ten runs of one
+# commit at seed 1, highest in the two slowest) — so there it is judged
+# at 5 %. Its object count, allocs_per_op, keeps the 1 % rule: ten runs
+# at seed 1 read 0.5751-0.5771 (0.35 %). It used to follow the share of
+# the run that spilled to the journal (0.85-1.48 for one commit), while
+# each record the spill tailer read back made a sensor string and each
+# spilled frame kept its arena space; neither does now.
 #
 # Timing spreads 10-20 % on a shared runner (cmd/dnsbench/NOISE.md).
 # Without <pairs> there is one pair per seed and timing is printed side
