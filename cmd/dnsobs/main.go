@@ -17,7 +17,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -29,37 +28,12 @@ import (
 	"dnsobservatory/internal/metrics"
 	"dnsobservatory/internal/observatory"
 	"dnsobservatory/internal/sie"
+	"dnsobservatory/internal/spine"
 	"dnsobservatory/internal/transport"
 	"dnsobservatory/internal/tsv"
 	"dnsobservatory/internal/wal"
 	"dnsobservatory/internal/webui"
 )
-
-// txSource abstracts where transactions come from: a framed stream file
-// (sie.Reader) or a transport collector fed by remote sensors.
-type txSource interface {
-	Read(*sie.Transaction) error
-	Count() uint64
-}
-
-// collectorSource adapts the collector's ingest channel to txSource,
-// returning io.EOF once the collector is closed and its queue drained.
-type collectorSource struct {
-	c <-chan *sie.Transaction
-	n uint64
-}
-
-func (s *collectorSource) Read(tx *sie.Transaction) error {
-	rx, ok := <-s.c
-	if !ok {
-		return io.EOF
-	}
-	*tx = *rx
-	s.n++
-	return nil
-}
-
-func (s *collectorSource) Count() uint64 { return s.n }
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -69,10 +43,9 @@ func main() {
 	os.Exit(cli.Exit("dnsobs", run(ctx, os.Args[1:], os.Stdin, os.Stderr)))
 }
 
-// run is main minus the process. It ingests until the input ends or ctx
-// is cancelled, then drains what was read, flushes the final window,
-// cascades, applies retention and — with -wal — checkpoints the
-// journal. Every failure comes back as an error, so deferred closes run.
+// run is main minus the process: flags, a source and the spine (DESIGN.md
+// "One spine"), fed until the input ends or ctx is cancelled. Every
+// failure comes back as an error, so deferred closes run.
 func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dnsobs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -149,38 +122,21 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 	if *retain > 0 {
 		store.Retain[tsv.Minutely] = *retain
 	}
-	// A checkpoint trims the journal behind the snapshots that consumed
-	// it, so under -wal those snapshots must be on stable storage first.
-	store.FsyncOnPut = *walDir != ""
 
-	// Every layer publishes into the process-wide registry: the engines
-	// via Config.Metrics, the store, the dependency-free platform
-	// counters (hll, sie) and the Go runtime via read-through
-	// registration.
+	// Every layer publishes into the process-wide registry: the engine,
+	// the store, the platform counters (hll, sie) and the Go runtime.
 	reg := metrics.Default()
 	observatory.InstrumentPlatform(reg)
 	metrics.InstrumentRuntime(reg)
 	store.Instrument(reg)
 
-	aggs := observatory.StandardAggregations(*factor)
-	var aggNames []string
-	for _, a := range aggs {
-		aggNames = append(aggNames, a.Name)
-	}
-	if *detectOn {
-		// Detection snapshots persist and cascade like any aggregation.
-		aggNames = append(aggNames, "detect_esld", "detect_nod")
-	}
-
 	ui := webui.NewServer(store)
 	ui.Registry = reg
 	ui.EnablePprof = *pprofOn
 
-	// The encrypted client-leg side channel: observations are summary
-	// statistics, not transactions — they accumulate into per-mode
-	// counters (wire bytes, messages, handshakes, decode errors) exposed
-	// through /metrics, /healthz and /api/encdns, next to the SIE-derived
-	// aggregations of the same traffic.
+	// The encrypted client-leg side channel: summary statistics, not
+	// transactions, accumulated into per-mode counters that /metrics,
+	// /healthz and /api/encdns serve beside the aggregations.
 	if *encIn != "" {
 		f, err := os.Open(*encIn)
 		if err != nil {
@@ -213,61 +169,33 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			r.Count(), encErrs, *encIn)
 	}
 
-	// journal, with -wal, is the collector whose journal settled windows
-	// let go of; a failed checkpoint is reported once and ends them.
-	var journal *transport.Collector
-
-	// settle runs when the first snapshot of a window arrives — the
-	// engines deliver windows in order, so every earlier window is
-	// stored (and, under -wal, fsynced) then — and once more after the
-	// final flush. It checkpoints the journal through the first done
-	// transactions, the ones those windows hold, cascades every window
-	// that closed by now and applies retention.
-	settle := func(now int64, done uint64) error {
-		if journal != nil {
-			if err := journal.Checkpoint(done); err != nil {
-				fmt.Fprintln(stderr, "dnsobs: wal checkpoint:", err)
-				journal = nil
+	// With -wal the collector is the spine's journal, so it is made
+	// first; it starts no goroutine before the spine is open.
+	var sp *spine.Spine
+	var coll *transport.Collector
+	var journal spine.Journal
+	if *listen != "" {
+		shedPolicy := transport.Block
+		if *overload == "shed" {
+			shedPolicy = transport.Shed
+		}
+		coll = transport.NewCollector(transport.CollectorConfig{
+			Metrics:  reg,
+			Overload: shedPolicy,
+			// A frame that is not a transaction counts like an
+			// unparsable stream record; any goroutine may count one.
+			OnReject: func(error) { sp.Engine().RecordRejected() },
+		})
+		// Both idempotent: the collector stops, then its journal closes.
+		defer func() {
+			coll.Close()
+			if err := coll.CloseWAL(); err != nil {
+				fmt.Fprintln(stderr, "dnsobs: wal close:", err)
 			}
+		}()
+		if *walDir != "" {
+			journal = walJournal{coll, stderr}
 		}
-		if err := store.CascadeAll(aggNames, now); err != nil {
-			return err
-		}
-		for _, name := range aggNames {
-			if err := store.Retention(name); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// The worker shape calls onSnapshot from its merger goroutine, so
-	// store state is mutex-guarded.
-	var mu sync.Mutex
-	var snapErr error
-	var lastStart int64 = -1
-	var eng *observatory.Engine
-	onSnapshot := func(s *tsv.Snapshot) {
-		ui.OnSnapshot(s)
-		mu.Lock()
-		defer mu.Unlock()
-		if snapErr != nil {
-			return
-		}
-		if s.Start > lastStart {
-			if snapErr = settle(s.Start, eng.FirstOfWindow()); snapErr != nil {
-				return
-			}
-		}
-		if snapErr = store.Put(s); snapErr != nil {
-			return
-		}
-		lastStart = s.Start
-	}
-	failed := func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		return snapErr
 	}
 
 	engineCfg := observatory.DefaultConfig()
@@ -276,50 +204,32 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 		dc := detect.DefaultConfig()
 		engineCfg.Detect = &dc
 	}
-	if *sharded || *shards > 0 || *workers > 0 {
-		eng = observatory.NewSharded(observatory.ShardedConfig{
-			Config:  engineCfg,
-			Shards:  *shards,
-			Workers: *workers,
-		}, aggs, onSnapshot)
-		fmt.Fprintf(stderr, "dnsobs: sharded engine: %d shards, %d workers\n",
-			eng.Shards(), eng.Workers())
-	} else {
-		eng = observatory.New(engineCfg, aggs, onSnapshot)
+	isSharded := *sharded || *shards > 0 || *workers > 0
+	sp = spine.Open(spine.Config{
+		Store:      store,
+		Aggs:       observatory.StandardAggregations(*factor),
+		Engine:     engineCfg,
+		Sharded:    isSharded,
+		Shards:     *shards,
+		Workers:    *workers,
+		Journal:    journal,
+		OnSnapshot: ui.OnSnapshot,
+	})
+	// Every return stops the engine; the success path closes it below.
+	defer sp.Abort()
+	if isSharded {
+		fmt.Fprintf(stderr, "dnsobs: sharded engine: %d shards, %d workers\n", sp.Engine().Shards(), sp.Engine().Workers())
 	}
 
-	// The transaction source. stop unblocks a Read in progress: closing
-	// the input for the stream path, closing the collector (which drains
-	// its queue, then closes the channel) for the listen path.
-	var src txSource
-	var stop func()
-	if *listen != "" {
+	// stop unblocks a read in progress: it closes the input, or the
+	// collector, which drains its queue and then closes the channel.
+	stop := func() { input.Close() }
+	if coll != nil {
 		ln, err := transport.Listen(*listen)
 		if err != nil {
 			return err
 		}
 		defer ln.Close()
-		shedPolicy := transport.Block
-		if *overload == "shed" {
-			shedPolicy = transport.Shed
-		}
-		coll := transport.NewCollector(transport.CollectorConfig{
-			Metrics:  reg,
-			Overload: shedPolicy,
-			// A frame that is not a transaction is accounted exactly
-			// like an unparsable record from a stream file; the engine
-			// counters are atomic, so collector goroutines may call
-			// this concurrently with the ingest loop.
-			OnReject: func(error) { eng.RecordRejected() },
-		})
-		// Both are idempotent: the collector stops (if an early return
-		// left it running), then its journal closes.
-		defer func() {
-			coll.Close()
-			if err := coll.CloseWAL(); err != nil {
-				fmt.Fprintln(stderr, "dnsobs: wal close:", err)
-			}
-		}()
 		if *walDir != "" {
 			if err := coll.OpenWAL(*walDir, wal.Options{}); err != nil {
 				return err
@@ -328,7 +238,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 				fmt.Fprintf(stderr, "dnsobs: wal: replaying %d unconfirmed transactions from %s\n", ws.Recovered, *walDir)
 			}
 			ui.WAL = func() any { ws, _ := coll.WALStatus(); return ws }
-			journal = coll
 		}
 
 		// Fleet membership: the ring tells this member which sensors it
@@ -376,16 +285,11 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 			}
 		}()
 		ui.Sensors = func() any { return coll.Sensors() }
-		src = &collectorSource{c: coll.C()}
 		stop = coll.Close
 		fmt.Fprintf(stderr, "dnsobs: listening for sensors on %s\n", *listen)
-	} else {
-		src = sie.NewReader(bufio.NewReaderSize(input, 1<<20))
-		stop = func() { input.Close() }
 	}
 
-	// Once ctx is cancelled, drain what has been read, flush the final
-	// partial window and return nil; stop unblocks a read in progress.
+	// Once ctx is cancelled, drain what has been read and close the spine.
 	var stopping atomic.Bool
 	defer context.AfterFunc(ctx, func() {
 		fmt.Fprintln(stderr, "dnsobs: draining (signal again to abort)")
@@ -418,7 +322,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 					return
 				case <-tick.C:
 				}
-				cur := eng.Stats().Ingested
+				cur := sp.Engine().Stats().Ingested
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				fmt.Fprintf(stderr, "dnsobs: report: %.0f tx/s, heap %d MiB, topk %.0f objects\n",
@@ -430,66 +334,66 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 		}()
 	}
 
-	var summarizer sie.Summarizer
-	summarizer.KeepUnparsableResponses = true
-	var tx sie.Transaction
-	var errs uint64
+	// Each transaction is placed at its own time: a window is named by
+	// its minute, whichever run or replay writes it.
+	at := func(tx *sie.Transaction) float64 { return float64(tx.QueryTime.UnixNano()) / 1e9 }
 	wall := time.Now()
-	for {
-		err := src.Read(&tx)
-		if err == io.EOF {
-			break
+	if coll != nil {
+		for tx := range coll.C() {
+			if err := sp.Ingest(tx, at(tx)); err != nil {
+				return err
+			}
 		}
-		if err != nil {
+	} else {
+		r := sie.NewReader(bufio.NewReaderSize(input, 1<<20))
+		var tx sie.Transaction
+		for {
+			err := r.Read(&tx)
 			var de *sie.DecodeError
 			if errors.As(err, &de) {
-				// The frame was sound but its body was not a transaction;
-				// the stream is still in sync. (The listen path accounts
-				// these collector-side, via OnReject.)
-				errs++
-				eng.RecordRejected()
+				// A sound frame whose body is not a transaction: the
+				// stream is still in sync.
+				sp.Reject()
 				continue
 			}
-			if stopping.Load() {
-				break // interrupted mid-read by stop
+			if err == io.EOF || err != nil && stopping.Load() {
+				break // the end, or a read interrupted by stop
 			}
-			return err
-		}
-		// Summarized straight into a pooled buffer: no copy on either shape.
-		buf := eng.Borrow()
-		if tx.QueryTime.IsZero() || summarizer.Summarize(&tx, &buf.Summary) != nil {
-			// Rejected: no timestamp, or packets the summarizer cannot
-			// parse. (A late one is not: the engine clamps it into the
-			// open window.)
-			errs++
-			eng.Discard(buf)
-			eng.RecordRejected()
-			continue
-		}
-		// Numbered by its index in the input, which is what the journal
-		// counts, and placed at its own time: a window is named by its
-		// minute, whichever run or replay writes it.
-		buf.Summary.Seq = src.Count() - 1
-		eng.IngestShared(buf, float64(tx.QueryTime.UnixNano())/1e9)
-		if err := failed(); err != nil {
-			return err
-		}
-		if stopping.Load() && *listen == "" {
-			break
+			if err != nil {
+				return err
+			}
+			if err := sp.Ingest(&tx, at(&tx)); err != nil {
+				return err
+			}
+			if stopping.Load() {
+				break
+			}
 		}
 	}
-	eng.Close()
-	if err := failed(); err != nil {
+	// A clean shutdown checkpoints everything read and replays nothing.
+	if err := sp.Close(); err != nil {
 		return err
 	}
-	// The final checkpoint: a clean shutdown replays nothing.
-	if err := settle(lastStart+60, src.Count()); err != nil {
-		return err
-	}
-	es := eng.Stats()
+	n, refused := sp.Counts()
+	es := sp.Engine().Stats()
 	fmt.Fprintf(stderr, "dnsobs: %d transactions (%d unparsable) -> %s in %v\n",
-		src.Count(), errs, *dir, time.Since(wall).Round(time.Millisecond))
+		n, refused, *dir, time.Since(wall).Round(time.Millisecond))
 	fmt.Fprintf(stderr, "dnsobs: engine: ingested %d accepted %d rejected %d panics %d quarantined %d; store: %d corrupt snapshots skipped\n",
 		es.Ingested, es.Accepted, es.Rejected, es.Panics, es.Quarantined, store.CorruptSkipped())
 	return nil
+}
+
+// walJournal is the -wal collector as the spine's journal. The spine
+// stops checkpointing after a failure, so the failure is reported once.
+type walJournal struct {
+	*transport.Collector
+	stderr io.Writer
+}
+
+func (j walJournal) Checkpoint(done uint64) error {
+	err := j.Collector.Checkpoint(done)
+	if err != nil {
+		fmt.Fprintln(j.stderr, "dnsobs: wal checkpoint:", err)
+	}
+	return err
 }

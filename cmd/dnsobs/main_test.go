@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -586,5 +587,51 @@ func TestRunCancelStream(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("qtype-min-%d.tsv", minuteOf(txs[0].QueryTime)))); err != nil {
 		t.Fatalf("final window not flushed: %v", err)
+	}
+}
+
+// settled waits for the goroutine count to fall to at most n and fails
+// the test, with every goroutine's stack, if it does not within 10 s.
+func settled(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > n; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines outlive run, %d were there before it:\n%s",
+				runtime.NumGoroutine(), n, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestRunErrorStopsEngine: a run that fails after the engine is built —
+// a window that cannot be stored, noticed minutes before the stream
+// ends, or an address that cannot be listened on — stops the worker
+// shape's goroutines before it returns.
+func TestRunErrorStopsEngine(t *testing.T) {
+	dir := t.TempDir()
+	txs := simulate(t, 600, 8)
+	stream := filepath.Join(dir, "s.sie")
+	writeStream(t, stream, txs)
+	t0 := minuteOf(txs[0].QueryTime)
+	obs := filepath.Join(dir, "obs")
+	if err := os.MkdirAll(filepath.Join(obs, fmt.Sprintf("etld-min-%d.tsv", t0+60)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"put", []string{"-i", stream}},
+		{"listen", []string{"-listen", "unix:" + filepath.Join(dir, "no", "such", "dir", "s")}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			var stderr syncBuffer
+			args := append([]string{"-report", "0", "-dir", obs, "-k", "0.01", "-workers", "2"}, c.args...)
+			if err := run(context.Background(), args, nil, &stderr); err == nil {
+				t.Fatalf("run %v returned nil", args)
+			}
+			settled(t, before)
+		})
 	}
 }

@@ -109,29 +109,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// ingestMain runs the main scenario straight into the store and
-// cascades, so -top queries can range over any level.
+// ingestMain runs the main scenario straight into the store, which
+// cascades it as dnsobs would, so -top queries can range over any level.
 func ingestMain(ctx *experiments.Context, store *tsv.Store, stderr io.Writer) error {
 	res := ctx.MainInto(store)
 	if res.Err != nil {
 		return res.Err
 	}
-	files := store.Puts()
-	var last int64
-	for _, agg := range res.Aggs {
-		starts, err := store.List(agg, tsv.Minutely)
-		if err != nil {
-			return err
-		}
-		if n := len(starts); n > 0 {
-			last = max(last, starts[n-1])
-		}
-	}
-	if err := store.CascadeAll(res.Aggs, last+60); err != nil {
-		return err
-	}
 	fmt.Fprintf(stderr, "experiments: ingested %d snapshots (%s) into %s [%s backend]\n",
-		files, strings.Join(res.Aggs, ", "), store.Dir(), store.Backend())
+		store.Puts(), strings.Join(res.Aggs, ", "), store.Dir(), store.Backend())
 	return nil
 }
 

@@ -12,18 +12,19 @@
 // policy, and the analysis helpers regenerate every table and figure of
 // the paper's evaluation.
 //
-// A minimal session:
+// A minimal session runs the spine, the pipeline the dnsobs binary runs:
+// each transaction is summarized and tracked, and each window is stored
+// and cascaded as the next one opens.
 //
-//	pipe := dnsobs.NewPipeline(dnsobs.DefaultPipelineConfig(),
-//		dnsobs.StandardAggregations(0.1), onSnapshot)
-//	var s dnsobs.Summarizer
-//	var sum dnsobs.Summary
+//	sp := dnsobs.OpenSpine(dnsobs.SpineConfig{
+//		Store:  store,
+//		Aggs:   dnsobs.StandardAggregations(0.1),
+//		Engine: dnsobs.DefaultPipelineConfig(),
+//	})
 //	for tx := range transactions {
-//		if err := s.Summarize(tx, &sum); err == nil {
-//			pipe.Ingest(&sum, now)
-//		}
+//		sp.Ingest(tx, now)
 //	}
-//	pipe.Close()
+//	err := sp.Close()
 //
 // Raw traffic can come from a real capture feed or from the bundled
 // synthetic Internet (dnsobs.NewSimulation), which stands in for the
@@ -38,6 +39,7 @@ import (
 	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/simnet"
 	"dnsobservatory/internal/spacesaving"
+	"dnsobservatory/internal/spine"
 	"dnsobservatory/internal/tsv"
 )
 
@@ -100,6 +102,18 @@ var (
 	ETLDKey   = observatory.ETLDKeyFunc
 	ESLDKey   = observatory.ESLDKeyFunc
 )
+
+// The spine: one open pipeline that summarizes, tracks, stores and
+// cascades, one transaction at a time (Ingest, then Close). SpineConfig
+// picks the store, the aggregations, the engine's configuration and
+// shape, and an optional journal and per-snapshot hook.
+type (
+	Spine       = spine.Spine
+	SpineConfig = spine.Config
+)
+
+// OpenSpine builds the engine and starts a stream.
+var OpenSpine = spine.Open
 
 // Time-series types: TSV snapshots and the aggregation cascade (§2.4).
 type (
@@ -194,8 +208,9 @@ var (
 
 // Analysis helpers: the paper's evaluation as a library.
 type (
-	// RunResult bundles a simulate→observe pass with the store its
-	// snapshots went into; Total and Windows read them back.
+	// RunResult bundles a simulate→observe pass through the spine with
+	// the store its snapshots went into; Total and Windows read them
+	// back.
 	RunResult = analysis.RunResult
 	// TrafficCDF is the Fig. 2 artifact.
 	TrafficCDF = analysis.TrafficCDF

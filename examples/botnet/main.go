@@ -33,36 +33,23 @@ func main() {
 	}
 	pipeCfg := dnsobs.DefaultPipelineConfig()
 	pipeCfg.SkipFreshObjects = false
-	pipe := dnsobs.NewPipeline(pipeCfg,
-		[]dnsobs.Aggregation{
+	res := dnsobs.RunWith(store, simCfg, pipeCfg, func(*dnsobs.Simulation) []dnsobs.Aggregation {
+		return []dnsobs.Aggregation{
 			{Name: "rcode", K: 16, Key: dnsobs.RCodeKey, NoAdmitter: true},
 			{Name: "srvip", K: 2000, Key: dnsobs.SrvIPKey},
-		},
-		func(s *dnsobs.Snapshot) {
-			if err := store.Put(s); err != nil {
-				log.Fatalf("put: %v", err)
-			}
-		})
-
-	sim := dnsobs.NewSimulation(simCfg)
+		}
+	})
+	if res.Err != nil {
+		log.Fatal(res.Err)
+	}
 	gtld := map[netip.Addr]bool{}
-	for _, s := range sim.Infra.GTLDServers {
+	for _, s := range res.Sim.Infra.GTLDServers {
 		gtld[s.Addr] = true
 	}
 	roots := map[netip.Addr]bool{}
-	for _, s := range sim.Infra.RootServers {
+	for _, s := range res.Sim.Infra.RootServers {
 		roots[s.Addr] = true
 	}
-
-	var summarizer dnsobs.Summarizer
-	var sum dnsobs.Summary
-	sim.Run(func(tx *dnsobs.Transaction) {
-		if err := summarizer.Summarize(tx, &sum); err != nil {
-			log.Fatal(err)
-		}
-		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
-	})
-	pipe.Close()
 
 	// Global RCODE mix.
 	rcodes, err := dnsobs.QuerySnapshots(store, dnsobs.SnapshotQuery{

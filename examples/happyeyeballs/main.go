@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"dnsobservatory/dnsobs"
 )
@@ -21,40 +22,42 @@ func main() {
 
 	const enableAt = 600
 
-	var snapshots []*dnsobs.Snapshot
+	dir, err := os.MkdirTemp("", "happyeyeballs-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := dnsobs.NewColumnarSnapshotStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 	pipeCfg := dnsobs.DefaultPipelineConfig()
 	pipeCfg.SkipFreshObjects = false
-	pipe := dnsobs.NewPipeline(pipeCfg,
-		[]dnsobs.Aggregation{{Name: "esld", K: 5000, Key: dnsobs.ESLDKey(nil)}},
-		func(s *dnsobs.Snapshot) { snapshots = append(snapshots, s) })
-
-	sim := dnsobs.NewSimulation(simCfg)
-	// Misconfigure a popular domain like the paper's network-time hosts:
-	// A TTL 750 s, negative TTL 15 s, no AAAA records.
-	victim := sim.Universe.SLDs[3]
-	victim.ATTL = 750
-	victim.NegTTL = 15
-	victim.IPv6 = false
-	for _, f := range victim.FQDNs {
-		f.V6Override = 0
-	}
-	sim.Schedule(dnsobs.V6EnableEvent(enableAt, victim.Name))
-	fmt.Printf("victim domain: %s (A TTL %d, negative TTL %d, IPv6 off until t=%ds)\n\n",
-		victim.Name, victim.ATTL, victim.NegTTL, enableAt)
-
-	var summarizer dnsobs.Summarizer
-	var sum dnsobs.Summary
-	sim.Run(func(tx *dnsobs.Transaction) {
-		if err := summarizer.Summarize(tx, &sum); err != nil {
-			log.Fatal(err)
+	var victim string
+	res := dnsobs.RunWith(store, simCfg, pipeCfg, func(sim *dnsobs.Simulation) []dnsobs.Aggregation {
+		// Misconfigure a popular domain like the paper's network-time
+		// hosts: A TTL 750 s, negative TTL 15 s, no AAAA records.
+		z := sim.Universe.SLDs[3]
+		z.ATTL = 750
+		z.NegTTL = 15
+		z.IPv6 = false
+		for _, f := range z.FQDNs {
+			f.V6Override = 0
 		}
-		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
+		victim = z.Name
+		sim.Schedule(dnsobs.V6EnableEvent(enableAt, victim))
+		fmt.Printf("victim domain: %s (A TTL %d, negative TTL %d, IPv6 off until t=%ds)\n\n",
+			victim, z.ATTL, z.NegTTL, enableAt)
+		return []dnsobs.Aggregation{{Name: "esld", K: 5000, Key: dnsobs.ESLDKey(nil)}}
 	})
-	pipe.Close()
+	snapshots, err := res.Windows("esld")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("minute  queries/min  empty-AAAA share")
 	for _, s := range snapshots {
-		row := s.Find(victim.Name)
+		row := s.Find(victim)
 		if row == nil {
 			continue
 		}

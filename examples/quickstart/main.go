@@ -31,33 +31,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	snapshots := 0
 	pipeCfg := dnsobs.DefaultPipelineConfig()
 	pipeCfg.SkipFreshObjects = false // keep the demo output full
-	pipe := dnsobs.NewPipeline(pipeCfg,
-		[]dnsobs.Aggregation{{Name: "srvip", K: 500, Key: dnsobs.SrvIPKey}},
-		func(s *dnsobs.Snapshot) {
-			if err := store.Put(s); err != nil {
-				log.Fatalf("put: %v", err)
-			}
-			snapshots++
-		})
+	sp := dnsobs.OpenSpine(dnsobs.SpineConfig{
+		Store:  store,
+		Aggs:   []dnsobs.Aggregation{{Name: "srvip", K: 500, Key: dnsobs.SrvIPKey}},
+		Engine: pipeCfg,
+	})
 
-	// Feed the stream: parse raw packets, summarize, ingest.
-	var summarizer dnsobs.Summarizer
-	var sum dnsobs.Summary
+	// Feed the stream: the spine parses raw packets, summarizes and
+	// ingests each transaction, and stores every window.
 	sim := dnsobs.NewSimulation(simCfg)
 	stats := sim.Run(func(tx *dnsobs.Transaction) {
-		if err := summarizer.Summarize(tx, &sum); err != nil {
-			log.Fatalf("summarize: %v", err)
-		}
-		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
+		sp.Ingest(tx, tx.QueryTime.Sub(simCfg.Start).Seconds())
 	})
-	pipe.Close()
+	if err := sp.Close(); err != nil {
+		log.Fatal(err)
+	}
+	snapshots, err := store.List("srvip", dnsobs.Minutely)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("processed %d transactions (%d client queries, %d cache hits)\n",
 		stats.Transactions, stats.ClientQueries, stats.CacheHits)
-	fmt.Printf("collected %d minutely snapshots\n\n", snapshots)
+	fmt.Printf("collected %d minutely snapshots\n\n", len(snapshots))
 
 	// Ask the store for the whole run's busiest nameservers.
 	top, err := dnsobs.QuerySnapshots(store, dnsobs.SnapshotQuery{

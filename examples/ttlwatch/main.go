@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"net/netip"
+	"os"
 
 	"dnsobservatory/dnsobs"
 )
@@ -18,37 +19,37 @@ func main() {
 	simCfg.QPS = 1500
 	simCfg.SLDs = 800
 
-	var snapshots []*dnsobs.Snapshot
+	dir, err := os.MkdirTemp("", "ttlwatch-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := dnsobs.NewColumnarSnapshotStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 	pipeCfg := dnsobs.DefaultPipelineConfig()
 	pipeCfg.SkipFreshObjects = false
-	pipe := dnsobs.NewPipeline(pipeCfg,
-		[]dnsobs.Aggregation{{Name: "aafqdn", K: 10000, Key: dnsobs.AAFQDNKey}},
-		func(s *dnsobs.Snapshot) { snapshots = append(snapshots, s) })
+	res := dnsobs.RunWith(store, simCfg, pipeCfg, func(sim *dnsobs.Simulation) []dnsobs.Aggregation {
+		// Stage two changes: a provider switch with the traditional TTL
+		// slash, and a renumbering into a cloud with a TTL raise after.
+		mover := sim.Universe.SLDs[4]
+		mover.ATTL = 600
+		sim.Schedule(dnsobs.TTLChangeEvent(600, mover.Name, 10))
+		sim.Schedule(dnsobs.NSChangeEvent(660, mover.Name, "dnsv2.example"))
 
-	sim := dnsobs.NewSimulation(simCfg)
-	// Stage two changes: a provider switch with the traditional TTL
-	// slash, and a renumbering into a cloud with a TTL raise after.
-	mover := sim.Universe.SLDs[4]
-	mover.ATTL = 600
-	sim.Schedule(dnsobs.TTLChangeEvent(600, mover.Name, 10))
-	sim.Schedule(dnsobs.NSChangeEvent(660, mover.Name, "dnsv2.example"))
-
-	renum := sim.Universe.SLDs[6]
-	renum.ATTL = 600
-	sim.Schedule(dnsobs.RenumberEvent(600, renum.Name,
-		netip.MustParseAddr("203.0.113.80"), 38400))
-	fmt.Printf("staged: %s switches DNS provider (TTL 600->10), %s renumbers (TTL 600->38400)\n\n",
-		mover.Name, renum.Name)
-
-	var summarizer dnsobs.Summarizer
-	var sum dnsobs.Summary
-	sim.Run(func(tx *dnsobs.Transaction) {
-		if err := summarizer.Summarize(tx, &sum); err != nil {
-			log.Fatal(err)
-		}
-		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
+		renum := sim.Universe.SLDs[6]
+		renum.ATTL = 600
+		sim.Schedule(dnsobs.RenumberEvent(600, renum.Name,
+			netip.MustParseAddr("203.0.113.80"), 38400))
+		fmt.Printf("staged: %s switches DNS provider (TTL 600->10), %s renumbers (TTL 600->38400)\n\n",
+			mover.Name, renum.Name)
+		return []dnsobs.Aggregation{{Name: "aafqdn", K: 10000, Key: dnsobs.AAFQDNKey}}
 	})
-	pipe.Close()
+	snapshots, err := res.Windows("aafqdn")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Watch the per-minute TTL mode of every tracked FQDN and report
 	// significant changes (>=10% of responses behind the new value).

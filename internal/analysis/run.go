@@ -7,6 +7,7 @@ import (
 	"dnsobservatory/internal/observatory"
 	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/simnet"
+	"dnsobservatory/internal/spine"
 	"dnsobservatory/internal/tsv"
 )
 
@@ -20,15 +21,18 @@ type RunResult struct {
 	// Aggs names the run's aggregations, sorted.
 	Aggs []string
 	// Err is the run's first store failure — a store that could not be
-	// opened, or a Put that failed. Every read returns it.
+	// opened, or a Put, cascade or retention that failed. Every read
+	// returns it.
 	Err   error
 	store *tsv.Store
 }
 
-// RunWith generates traffic from simCfg and feeds it through an
-// Observatory pipeline with the aggregations aggsFor builds from the
+// RunWith generates traffic from simCfg and feeds it through the
+// Observatory's spine with the aggregations aggsFor builds from the
 // instantiated scenario (e.g. the qmin dataset filters on the scenario's
-// root/TLD addresses), putting every snapshot into st as it is emitted.
+// root/TLD addresses): every window is stored in st and cascaded as the
+// next one opens, the way dnsobs archives a stream. Its clock is seconds
+// since simCfg.Start.
 func RunWith(st *tsv.Store, simCfg simnet.Config, obsCfg observatory.Config, aggsFor func(*simnet.Sim) []observatory.Aggregation) *RunResult {
 	res := &RunResult{Sim: simnet.New(simCfg), store: st}
 	aggs := aggsFor(res.Sim)
@@ -36,22 +40,13 @@ func RunWith(st *tsv.Store, simCfg simnet.Config, obsCfg observatory.Config, agg
 		res.Aggs = append(res.Aggs, a.Name)
 	}
 	slices.Sort(res.Aggs)
-	pipe := observatory.New(obsCfg, aggs, func(s *tsv.Snapshot) {
-		if res.Err == nil {
-			res.Err = st.Put(s)
-		}
-	})
-	var summarizer sie.Summarizer
-	var sum sie.Summary
+	sp := spine.Open(spine.Config{Store: st, Aggs: aggs, Engine: obsCfg})
 	res.SimStats = res.Sim.Run(func(tx *sie.Transaction) {
-		if err := summarizer.Summarize(tx, &sum); err != nil {
-			res.Errors++
-			return
-		}
-		res.Parsed++
-		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
+		sp.Ingest(tx, tx.QueryTime.Sub(simCfg.Start).Seconds())
 	})
-	pipe.Close()
+	res.Err = sp.Close()
+	n, refused := sp.Counts()
+	res.Parsed, res.Errors = n-refused, refused
 	return res
 }
 
@@ -83,13 +78,19 @@ func (r *RunResult) Windows(agg string) ([]*tsv.Snapshot, error) {
 	if r.Err != nil {
 		return nil, r.Err
 	}
-	starts, err := r.store.List(agg, tsv.Minutely)
+	return Windows(r.store, agg)
+}
+
+// Windows reads every minute-level window of agg back from st, in time
+// order.
+func Windows(st *tsv.Store, agg string) ([]*tsv.Snapshot, error) {
+	starts, err := st.List(agg, tsv.Minutely)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*tsv.Snapshot, len(starts))
 	for i, s := range starts {
-		if out[i], err = r.store.Get(agg, tsv.Minutely, s); err != nil {
+		if out[i], err = st.Get(agg, tsv.Minutely, s); err != nil {
 			return nil, err
 		}
 	}

@@ -1,11 +1,14 @@
 package analysis
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"dnsobservatory/internal/observatory"
@@ -144,11 +147,13 @@ func sameSnapshot(t *testing.T, what string, want, got *tsv.Snapshot) {
 // TestRunMatchesFrozenPath holds the store-backed reads to the in-memory
 // path they replaced, on both backends: Total to the fold of every
 // window, TotalBetween split at mid-run to the fold of each half, and
-// Windows to the emitted snapshots one by one.
+// Windows to the emitted snapshots one by one. The run is 11 minutes
+// long, so its live cascade must leave the 10-minute files one cascade
+// over its minute files leaves.
 func TestRunMatchesFrozenPath(t *testing.T) {
 	simCfg := simnet.DefaultConfig()
 	simCfg.Seed = 5
-	simCfg.Duration = 330
+	simCfg.Duration = 660
 	simCfg.QPS = 300
 	simCfg.Resolvers = 40
 	simCfg.SLDs = 300
@@ -210,7 +215,68 @@ func TestRunMatchesFrozenPath(t *testing.T) {
 					sameSnapshot(t, agg+" window", snaps[i], w)
 				}
 			}
+			sameCascade(t, st, res.Aggs)
 		})
+	}
+}
+
+// sameCascade requires the coarse files in st to be byte for byte those
+// one CascadeAll over a copy of its minute files writes.
+func sameCascade(t *testing.T, st *tsv.Store, aggs []string) {
+	t.Helper()
+	entries, err := os.ReadDir(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := tsv.NewStoreBackend(t.TempDir(), st.Backend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarse := map[string][]byte{}
+	var last int64
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(st.Dir(), e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(e.Name(), "-min-") {
+			coarse[e.Name()] = b
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(ref.Dir(), e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, agg := range aggs {
+		starts, err := st.List(agg, tsv.Minutely)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = max(last, starts[len(starts)-1])
+	}
+	if err := ref.CascadeAll(aggs, last+60); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, agg := range aggs {
+		starts, err := ref.List(agg, tsv.Decaminutely)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range starts {
+			want++
+			name := ref.FileName(&tsv.Snapshot{Aggregation: agg, Level: tsv.Decaminutely, Start: s})
+			b, err := os.ReadFile(filepath.Join(ref.Dir(), name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(coarse[name], b) {
+				t.Errorf("%s: the live cascade differs from one cascade at the end", name)
+			}
+		}
+	}
+	if want == 0 || len(coarse) != want {
+		t.Fatalf("the run cascaded %d files, one cascade at the end %d", len(coarse), want)
 	}
 }
 

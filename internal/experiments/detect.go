@@ -6,11 +6,13 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"dnsobservatory/internal/analysis"
 	"dnsobservatory/internal/detect"
 	"dnsobservatory/internal/observatory"
 	"dnsobservatory/internal/publicsuffix"
 	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/simnet"
+	"dnsobservatory/internal/spine"
 	"dnsobservatory/internal/tsv"
 )
 
@@ -74,17 +76,19 @@ func (c *Context) Detect(w io.Writer) error {
 	dc.NODMaxPerWindow = 8192
 	obsCfg.Detect = &dc
 
-	snaps := map[string][]*tsv.Snapshot{}
-	pipe := observatory.New(obsCfg, []observatory.Aggregation{
+	st, err := c.store()
+	if err != nil {
+		return err
+	}
+	sp := spine.Open(spine.Config{Store: st, Engine: obsCfg, Aggs: []observatory.Aggregation{
 		{Name: "esld", K: 10_000, Key: observatory.ESLDKeyFunc(nil)},
-	}, func(s *tsv.Snapshot) {
-		snaps[s.Aggregation] = append(snaps[s.Aggregation], s)
-	})
+	}})
 
 	// Ground truth and the online newly-observed reference model: for
 	// every window, which eSLDs were genuinely unseen for at least the
 	// horizon (strict) or at least horizon minus one bucket (band, the
-	// detector's guaranteed-forget tolerance).
+	// detector's guaranteed-forget tolerance). The truth summarizes each
+	// transaction a second time: the spine keeps its summary to itself.
 	suffixes := publicsuffix.Default
 	truth := map[string]*truthEntry{}
 	lastObs := map[string]float64{}
@@ -93,17 +97,15 @@ func (c *Context) Detect(w io.Writer) error {
 	bucketSec := float64(detectNODHorizonSec) / detectNODBucketCount
 
 	sim := simnet.New(simCfg)
-	var summarizer sie.Summarizer
+	summarizer := sie.Summarizer{KeepUnparsableResponses: true}
 	var sum sie.Summary
 	start := simCfg.Start
-	var parsed, errs uint64
 	sim.Run(func(tx *sie.Transaction) {
-		if err := summarizer.Summarize(tx, &sum); err != nil {
-			errs++
+		t := tx.QueryTime.Sub(start).Seconds()
+		sp.Ingest(tx, t) // a store failure is Close's error
+		if summarizer.Summarize(tx, &sum) != nil {
 			return
 		}
-		parsed++
-		t := tx.QueryTime.Sub(start).Seconds()
 		if esld := suffixes.ESLD(sum.QName); len(esld) > 1 {
 			key := strings.Clone(esld)
 			te := truth[key]
@@ -122,13 +124,20 @@ func (c *Context) Detect(w io.Writer) error {
 			}
 			lastObs[key] = t
 		}
-		pipe.Ingest(&sum, t)
 	})
-	pipe.Close()
+	if err := sp.Close(); err != nil {
+		return err
+	}
+	n, errs := sp.Counts()
 	fmt.Fprintf(w, "detection workload: %d transactions (%d unparsable), %d distinct eSLDs, %.0f s\n",
-		parsed, errs, len(truth), simCfg.Duration)
+		n-errs, errs, len(truth), simCfg.Duration)
 
-	icSnaps, nodSnaps, volSnaps := snaps[detect.AggESLD], snaps[detect.AggNOD], snaps["esld"]
+	var icSnaps, nodSnaps, volSnaps []*tsv.Snapshot
+	for agg, into := range map[string]*[]*tsv.Snapshot{detect.AggESLD: &icSnaps, detect.AggNOD: &nodSnaps, "esld": &volSnaps} {
+		if *into, err = analysis.Windows(st, agg); err != nil {
+			return err
+		}
+	}
 	if len(icSnaps) == 0 || len(volSnaps) == 0 {
 		return fmt.Errorf("experiments: no detection snapshots emitted")
 	}

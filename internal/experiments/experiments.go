@@ -65,18 +65,24 @@ func (c *Context) Close() {
 	c.dir, c.main = "", nil
 }
 
-// run simulates one scenario into a new store of the context's. A store
-// that cannot be made is the run's error.
-func (c *Context) run(simCfg simnet.Config, obsCfg observatory.Config, aggsFor func(*simnet.Sim) []observatory.Aggregation) *analysis.RunResult {
+// store makes a new store of the context's, under one temporary
+// directory made on first use.
+func (c *Context) store() (*tsv.Store, error) {
 	if c.dir == "" {
 		dir, err := os.MkdirTemp("", "experiments-")
 		if err != nil {
-			return &analysis.RunResult{Err: err}
+			return nil, err
 		}
 		c.dir = dir
 	}
 	c.runs++
-	st, err := tsv.NewColumnarStore(filepath.Join(c.dir, strconv.Itoa(c.runs)))
+	return tsv.NewColumnarStore(filepath.Join(c.dir, strconv.Itoa(c.runs)))
+}
+
+// run simulates one scenario into a new store of the context's. A store
+// that cannot be made is the run's error.
+func (c *Context) run(simCfg simnet.Config, obsCfg observatory.Config, aggsFor func(*simnet.Sim) []observatory.Aggregation) *analysis.RunResult {
+	st, err := c.store()
 	if err != nil {
 		return &analysis.RunResult{Err: err}
 	}

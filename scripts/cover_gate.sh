@@ -9,8 +9,9 @@
 # sharded deployments must merge byte-identically), the encrypted
 # client-leg model with its observation codec, and the command plumbing
 # (internal/cli: the sensor and fleet dial path of dnsgen and dnsprobe,
-# and the sticky-error sink that keeps a truncated stream from exiting 0)
-# are exactly the code that fails in production in ways unit demos never
+# and the sticky-error sink that keeps a truncated stream from exiting 0),
+# and the spine (the one engine → store → settle pipeline whose checkpoint
+# order is the journal's durability contract) are exactly the code that fails in production in ways unit demos never
 # hit, so CI refuses any change that drops their statement coverage
 # below the floor.
 #
@@ -20,7 +21,7 @@ set -eu
 FLOOR=80
 
 fail=0
-for pkg in ./internal/transport/ ./internal/wal/ ./internal/fleet/ ./internal/sie/ ./internal/tsv/ ./internal/webui/ ./internal/probe/ ./internal/detect/ ./internal/encwire/ ./internal/cli/; do
+for pkg in ./internal/transport/ ./internal/wal/ ./internal/fleet/ ./internal/sie/ ./internal/tsv/ ./internal/webui/ ./internal/probe/ ./internal/detect/ ./internal/encwire/ ./internal/cli/ ./internal/spine/; do
     out=$("$(command -v go)" test -count=1 -cover "$pkg" 2>&1) || {
         printf '%s\n' "$out" >&2
         echo "cover gate: tests failed in $pkg" >&2
