@@ -119,6 +119,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 	if err != nil {
 		return err
 	}
+	defer store.Close() // runs after the web UI's Close; a query still in flight reads on
 	if *retain > 0 {
 		store.Retain[tsv.Minutely] = *retain
 	}

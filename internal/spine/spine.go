@@ -49,6 +49,9 @@ type Spine struct {
 	summarizer sie.Summarizer
 	n, refused uint64 // Ingest calls; refusals among them and Reject calls
 	closed     bool
+	// cascades is whether settling cascades: the store's levels build
+	// on minute windows, so windows of another length are not.
+	cascades bool
 	// lastStart is the start of the last window stored. The goroutine
 	// that delivers windows owns it, and Close reads it once the engine
 	// has delivered its last.
@@ -61,6 +64,7 @@ type Spine struct {
 // Open builds the engine in the configured shape and starts a stream.
 func Open(cfg Config) *Spine {
 	s := &Spine{cfg: cfg, lastStart: -1}
+	s.cascades = cfg.Engine.WindowSec <= 0 || cfg.Engine.WindowSec == float64(tsv.Minutely.Seconds())
 	s.summarizer.KeepUnparsableResponses = true
 	for _, a := range cfg.Aggs {
 		s.names = append(s.names, a.Name)
@@ -179,15 +183,17 @@ func (s *Spine) deliver(snap *tsv.Snapshot) {
 }
 
 // settle lets the journal go of the first done transactions, cascades
-// every window closed by now and applies retention. A failed checkpoint
-// ends checkpointing only: the journal keeps what it holds for a restart
-// to replay.
+// every window closed by now (minute windows only) and applies
+// retention. A failed checkpoint ends checkpointing only: the journal
+// keeps what it holds for a restart to replay.
 func (s *Spine) settle(now int64, done uint64) error {
 	if s.cfg.Journal != nil && s.cfg.Journal.Checkpoint(done) != nil {
 		s.cfg.Journal = nil
 	}
-	if err := s.cfg.Store.CascadeAll(s.names, now); err != nil {
-		return err
+	if s.cascades {
+		if err := s.cfg.Store.CascadeAll(s.names, now); err != nil {
+			return err
+		}
 	}
 	for _, name := range s.names {
 		if err := s.cfg.Store.Retention(name); err != nil {

@@ -203,8 +203,7 @@ func TestProjectionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("proj %d: applyProjection: %v", i, err)
 		}
-		var cs colStats
-		got, err := decodeColumnar(data, proj, &cs)
+		got, err := decodeColumnar(data, proj)
 		if err != nil {
 			t.Fatalf("proj %d: decodeColumnar: %v", i, err)
 		}
@@ -220,7 +219,7 @@ func TestProjectionUnknownColumn(t *testing.T) {
 		{Where: []Pred{AtLeast("nope", 1)}},
 		{Key: "definitely-not-present", Columns: []string{"nope"}}, // must error even on bloom skip
 	} {
-		if _, err := decodeColumnar(data, proj, nil); !errors.Is(err, ErrUnknownColumn) {
+		if _, err := decodeColumnar(data, proj); !errors.Is(err, ErrUnknownColumn) {
 			t.Fatalf("proj %+v: want ErrUnknownColumn, got %v", proj, err)
 		}
 		full, err := DecodeColumnar(data)

@@ -144,7 +144,7 @@ func FuzzDecodeColumnar(f *testing.F) {
 		// Projection over the accepted file must also hold its own
 		// contract: typed errors, no panics.
 		if len(s.Columns) > 0 {
-			if _, err := decodeColumnar(data, &Projection{Columns: s.Columns[:1]}, nil); err != nil && !errors.Is(err, ErrBadColumnar) {
+			if _, err := decodeColumnar(data, &Projection{Columns: s.Columns[:1]}); err != nil && !errors.Is(err, ErrBadColumnar) {
 				t.Fatalf("untyped projection error: %v", err)
 			}
 		}

@@ -187,7 +187,7 @@ func (e *Engine) run(q Query) (*Result, error) {
 	for _, s := range starts {
 		var err error
 		if first == nil {
-			if first, err = e.Store.GetProjected(q.Agg, q.Level, s, proj); err == nil && q.OrderBy != "" {
+			if first, err = e.Store.scan(fileKey{q.Agg, q.Level, s}, proj, nil, true); err == nil && q.OrderBy != "" {
 				// Every column the query names is now resolved against
 				// a schema, before any other file is read.
 				if orderIdx, err = first.columnIndex(q.OrderBy); err != nil {
@@ -199,7 +199,7 @@ func (e *Engine) run(q Query) (*Result, error) {
 				err = acc.foldSnapshot(first)
 			}
 			if err == nil {
-				_, err = e.Store.scan(q.Agg, q.Level, s, proj, acc)
+				_, err = e.Store.scan(fileKey{q.Agg, q.Level, s}, proj, acc, true)
 			}
 		}
 		switch {

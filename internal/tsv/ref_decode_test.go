@@ -4,7 +4,8 @@ package tsv
 // reference the section-addressed reader is compared against
 // (FuzzSectionReadMatchesReference, the boundary-corruption table):
 // same snapshot or same error class on every input. Only names changed
-// (ref prefix); do not "fix" anything here.
+// (ref prefix), and a header that repeats a column name is malformed
+// (repeatsName, ref_read_test.go); do not "fix" anything else here.
 
 import (
 	"encoding/binary"
@@ -262,6 +263,9 @@ func refDecodeColumnar(data []byte, proj *Projection, stats *refColStats) (*Snap
 		}
 		s.Columns[i] = string(name)
 		s.Kinds[i] = kind
+	}
+	if repeatsName(s.Columns) {
+		return nil, r.fail("repeated column name")
 	}
 	nrows, err := r.length("row count", 1)
 	if err != nil {

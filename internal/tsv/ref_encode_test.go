@@ -453,7 +453,7 @@ func TestPutAllocBudget(t *testing.T) {
 		allocated(1, put(big)) // grow the recycled buffers to the larger file
 		bigBytes, bigObjs := allocated(20, put(big))
 		smallBytes, smallObjs := allocated(20, put(small))
-		info, err := os.Stat(st.path(big.Aggregation, big.Level, big.Start))
+		info, err := os.Stat(st.path(fileKey{big.Aggregation, big.Level, big.Start}))
 		if err != nil {
 			t.Fatal(err)
 		}

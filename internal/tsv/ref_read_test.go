@@ -5,13 +5,15 @@ package tsv
 // which built a whole Snapshot, and applyProjection, which the store ran
 // over it and which still defines what a projection returns
 // (TestProjectionEquivalence, FuzzTSVReadMatchesReference). Frozen as
-// the references the reader is held to; only Read's name changed. Do
-// not "fix" anything here.
+// the references the reader is held to; only Read's name changed, and
+// both now refuse a header that repeats a column name (repeatsName). Do
+// not "fix" anything else here.
 
 import (
 	"bufio"
 	"bytes"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -128,10 +130,23 @@ func refReadText(r io.Reader) (*Snapshot, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if s.Columns == nil || !sawStats {
+	if s.Columns == nil || !sawStats || repeatsName(s.Columns) {
 		return nil, ErrBadFile
 	}
 	return s, nil
+}
+
+// repeatsName reports whether a column name appears twice. It is the one
+// edit to the frozen readers here and in ref_decode_test.go: a header
+// that repeats a name is malformed in both codecs, because a projection
+// by name cannot tell the two columns apart.
+func repeatsName(cols []string) bool {
+	for i, c := range cols {
+		if slices.Contains(cols[:i], c) {
+			return true
+		}
+	}
+	return false
 }
 
 // applyProjection is the reference implementation of projection +

@@ -98,6 +98,13 @@ func FuzzSectionReadMatchesReference(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(multi.Bytes()) // three blocks per column, rows that share a key
+	repeated := randomSnapshot(5, 10, false)
+	repeated.Columns[2] = repeated.Columns[0]
+	var rep bytes.Buffer
+	if _, err := EncodeColumnar(repeated, &rep); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rep.Bytes()) // a header that names a column twice
 	f.Fuzz(func(t *testing.T, data []byte) {
 		full, _ := refDecodeColumnar(data, nil, nil)
 		for i, proj := range sectionPalette(full) {
@@ -188,6 +195,7 @@ func FuzzTSVReadMatchesReference(f *testing.F) {
 	f.Add([]byte("#key\thits\na\t1\n#key\thits\tnxd\n#kind\tc\tc\n#stats\ttotal_before=1\ttotal_after=1\twindows=1\n"))
 	f.Add([]byte("#key\ta\tb\r\n#kind\tm\tx\n\n# note\nk\t1\t2e3\r\nk\t0x1p-2\tNaN\n#stats\twindows=2\tz=7\ttotal_before=1\ttotal_after=0"))
 	f.Add([]byte("#stats\ttotal_before=1\ttotal_after=1\twindows=1\n#key\t\n#kind\t\n\t5\n"))
+	f.Add([]byte("#key\thits\tnxd\thits\n#kind\tc\tg\tc\na\t1\t2\t3\n#stats\ttotal_before=1\ttotal_after=1\twindows=1\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		full, refErr := refReadText(bytes.NewReader(data))
@@ -378,7 +386,7 @@ func TestSectionBoundaryCorruption(t *testing.T) {
 			sawCorrupt = sawCorrupt || want == "corrupt"
 			_, getErr := st.GetProjected(snap.Aggregation, snap.Level, snap.Start, proj)
 			acc := newAccumulator()
-			_, foldErr := st.scan(snap.Aggregation, snap.Level, snap.Start, proj, acc)
+			_, foldErr := st.scan(fileKey{snap.Aggregation, snap.Level, snap.Start}, proj, acc, false)
 			acc.release()
 			for how, err := range map[string]error{"GetProjected": getErr, "fold": foldErr} {
 				if got := errClass(err); got != want {
@@ -453,10 +461,13 @@ func TestSectionReadWindowGrows(t *testing.T) {
 }
 
 // TestSelectiveReadBytes holds the reader to what a query needs, with
-// the store's own read counters: a point miss reads the header, the
-// bloom and the footer — a few percent of the files in range — a
-// 3-of-40-column top-k the key section and three column sections, and a
-// full Get every byte exactly once.
+// the store's own read counters: a point miss on files it has not read
+// before reads the header, the bloom and the footer — a few percent of
+// the files in range — and nothing once the store holds them open with
+// their frames; a 3-of-40-column top-k the key section and three column
+// sections; and a full Get every byte exactly once. Each cold row runs
+// on a store of its own over the same files, so no row finds a file a
+// row before it left open.
 func TestSelectiveReadBytes(t *testing.T) {
 	const windows = 6
 	st := benchStore(t, BackendColumnar, windows, 2500)
@@ -468,30 +479,34 @@ func TestSelectiveReadBytes(t *testing.T) {
 		}
 		inRange += uint64(fi.Size())
 	}
-	read := func(fn func()) (bytes, calls uint64) {
+	read := func(st *Store, q Query) (bytes, calls uint64) {
 		b0, c0 := st.ReadBytes(), st.ReadCalls()
-		fn()
+		if _, err := RunQuery(st, q); err != nil {
+			t.Fatal(err)
+		}
 		return st.ReadBytes() - b0, st.ReadCalls() - c0
 	}
-	run := func(q Query) func() {
-		return func() {
-			if _, err := RunQuery(st, q); err != nil {
-				t.Fatal(err)
-			}
+	cold := func() *Store {
+		fresh, err := NewColumnarStore(st.Dir())
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { fresh.Close() })
+		return fresh
 	}
+	miss := Query{Agg: "srvip", Key: "absent.invalid.", Columns: []string{"hits", "f05", "f20"}}
 	for _, c := range []struct {
 		name     string
-		fn       func()
+		q        Query
 		maxShare float64
 		maxCalls uint64 // per file
 	}{
-		{"point miss", run(Query{Agg: "srvip", Key: "absent.invalid.", Columns: []string{"hits", "f05", "f20"}}), 0.05, 3},
-		{"point hit", run(Query{Agg: "srvip", Key: "obj-01234", Columns: []string{"hits", "f05", "f20"}}), 0.30, 7},
-		{"top-k of 3 columns", run(Query{Agg: "srvip", Columns: []string{"hits", "f05", "f20"}, OrderBy: "hits", K: 10}), 0.30, 7},
-		{"where scan", run(Query{Agg: "srvip", Columns: []string{"f05"}, Where: []Pred{AtLeast("hits", 99000)}}), 0.30, 6},
+		{"point miss", miss, 0.05, 3},
+		{"point hit", Query{Agg: "srvip", Key: "obj-01234", Columns: []string{"hits", "f05", "f20"}}, 0.30, 7},
+		{"top-k of 3 columns", Query{Agg: "srvip", Columns: []string{"hits", "f05", "f20"}, OrderBy: "hits", K: 10}, 0.30, 7},
+		{"where scan", Query{Agg: "srvip", Columns: []string{"f05"}, Where: []Pred{AtLeast("hits", 99000)}}, 0.30, 6},
 	} {
-		bytes, calls := read(c.fn)
+		bytes, calls := read(cold(), c.q)
 		share := float64(bytes) / float64(inRange)
 		t.Logf("%s: %d bytes of %d (%.1f%%) in %d reads", c.name, bytes, inRange, 100*share, calls)
 		if share > c.maxShare {
@@ -501,14 +516,18 @@ func TestSelectiveReadBytes(t *testing.T) {
 			t.Errorf("%s took %d reads over %d files, budget %d per file", c.name, calls, windows, c.maxCalls)
 		}
 	}
-	bytes, calls := read(func() {
-		for w := 0; w < windows; w++ {
-			if _, err := st.Get("srvip", Minutely, int64(w)*60); err != nil {
-				t.Fatal(err)
-			}
+	warm := cold()
+	read(warm, miss)
+	if bytes, calls := read(warm, miss); bytes != 0 || calls != 0 {
+		t.Errorf("point miss on a warm file table read %d bytes in %d reads: the kept frame's bloom answers it", bytes, calls)
+	}
+	b0, c0 := st.ReadBytes(), st.ReadCalls()
+	for w := 0; w < windows; w++ {
+		if _, err := st.Get("srvip", Minutely, int64(w)*60); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if bytes != inRange || calls != windows {
+	}
+	if bytes, calls := st.ReadBytes()-b0, st.ReadCalls()-c0; bytes != inRange || calls != windows {
 		t.Errorf("full Get read %d bytes of %d in %d reads: every byte is needed, once, and a file is one read",
 			bytes, inRange, calls)
 	}
