@@ -181,6 +181,7 @@ func run(args []string, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		defer store.Close()
 		res, err := tsv.NewEngine(store).Run(tsv.Query{Agg: *agg, Level: tsv.Minutely, K: *top})
 		if err != nil {
 			return err

@@ -78,6 +78,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		defer store.Close()
 		if *ingest {
 			if err := ingestMain(ctx, store, stderr); err != nil {
 				return fmt.Errorf("ingest: %w", err)

@@ -85,6 +85,7 @@ func TestRunIngestThenTop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	res, err := tsv.RunQuery(st, tsv.Query{Agg: "srvip", Level: tsv.Minutely, K: 3})
 	if err != nil {
 		t.Fatal(err)

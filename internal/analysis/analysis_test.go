@@ -35,6 +35,7 @@ func testRun(t *testing.T) *RunResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	simCfg := simnet.DefaultConfig()
 	simCfg.Duration = 180
 	simCfg.QPS = 600

@@ -48,10 +48,10 @@ func (o Options) withDefaults() Options {
 // temporary directory that Close removes; the experiments read them back
 // through the query engine.
 type Context struct {
-	opts Options
-	main *analysis.RunResult
-	dir  string // the stores' directory, made on first use
-	runs int    // stores made so far: the next one's name
+	opts   Options
+	main   *analysis.RunResult
+	dir    string       // the stores' directory, made on first use
+	stores []*tsv.Store // every store made so far, named by its number
 }
 
 // NewContext prepares an experiment context.
@@ -59,10 +59,14 @@ func NewContext(opts Options) *Context {
 	return &Context{opts: opts.withDefaults()}
 }
 
-// Close removes every store the context has made.
+// Close closes every store the context has made, so none holds a file
+// open, and removes them.
 func (c *Context) Close() {
+	for _, st := range c.stores {
+		st.Close()
+	}
 	os.RemoveAll(c.dir) // "" removes nothing
-	c.dir, c.main = "", nil
+	c.dir, c.main, c.stores = "", nil, nil
 }
 
 // store makes a new store of the context's, under one temporary
@@ -75,8 +79,11 @@ func (c *Context) store() (*tsv.Store, error) {
 		}
 		c.dir = dir
 	}
-	c.runs++
-	return tsv.NewColumnarStore(filepath.Join(c.dir, strconv.Itoa(c.runs)))
+	st, err := tsv.NewColumnarStore(filepath.Join(c.dir, strconv.Itoa(len(c.stores)+1)))
+	if err == nil {
+		c.stores = append(c.stores, st)
+	}
+	return st, err
 }
 
 // run simulates one scenario into a new store of the context's. A store

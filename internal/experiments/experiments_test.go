@@ -238,9 +238,15 @@ func TestContextStoresLifecycle(t *testing.T) {
 	if len(stores) != 2 {
 		t.Errorf("stores under TMPDIR: %v, want one per scenario", stores)
 	}
+	if len(openUnder(t, tmp)) == 0 {
+		t.Error("the scenarios' queries left no store file open: the check below shows nothing")
+	}
 	ctx.Close()
 	if left, _ := os.ReadDir(tmp); len(left) != 0 {
 		t.Errorf("Close left %d entries under TMPDIR", len(left))
+	}
+	if open := openUnder(t, tmp); len(open) != 0 {
+		t.Errorf("Close left descriptors open on removed files: %v", open)
 	}
 
 	notDir := filepath.Join(tmp, "file")
@@ -256,6 +262,26 @@ func TestContextStoresLifecycle(t *testing.T) {
 			t.Errorf("%s ran without a store:\n%s", id, buf.String())
 		}
 	}
+}
+
+// openUnder lists what this process's open descriptors point at under
+// dir, skipping the test where /proc/self/fd does not exist.
+func openUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skip("no /proc/self/fd:", err)
+	}
+	if real, err := filepath.EvalSymlinks(dir); err == nil {
+		dir = real
+	}
+	var open []string
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			open = append(open, target)
+		}
+	}
+	return open
 }
 
 // TestMainScenarioGolden regenerates the experiments that share the

@@ -100,6 +100,22 @@ func BenchmarkQueryPointLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryPastTableBound is a point miss over a day of minute
+// files, more than the file table holds: every query evicts and admits
+// as it goes. Set beside a store without the table (a parent tree), it
+// shows what a range past the bound costs.
+func BenchmarkQueryPastTableBound(b *testing.B) {
+	st := benchStore(b, BackendColumnar, 1440, 300)
+	q := Query{Agg: "srvip", Level: Minutely, Key: "absent.invalid.", Columns: []string{"hits"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunQuery(st, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkColumnarCascade compares a full minutely->decaminutely fold
 // on each backend: the cascade reads every column, so this bounds how
 // much the columnar codec costs when projection cannot help.

@@ -40,6 +40,7 @@ func newTestServer(t *testing.T, withStore bool) (*Server, *httptest.Server) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { store.Close() })
 	}
 	s := NewServer(store)
 	s.Registry = metrics.NewRegistry() // isolate from other tests
