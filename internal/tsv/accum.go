@@ -50,9 +50,10 @@ type accumulator struct {
 	bestW   []int
 	rowBuf  []Row
 	flatBuf []float64
-	// The reader scratch of the query the accumulator belongs to: every
-	// file it folds is read through this one.
-	file colFile
+	// The reader scratch of the query or cascade window the accumulator
+	// belongs to: every file it folds is read through file, except a
+	// query's first, which waits in first until a second one arrives.
+	file, first colFile
 }
 
 // modeCell is one observed value of one Mode cell (an index into sum).
@@ -84,6 +85,7 @@ func (a *accumulator) release() {
 	a.rowBuf, a.flatBuf = a.rowBuf[:0], a.flatBuf[:0]
 	a.windows, a.totalBefore, a.totalAfter = 0, 0, 0
 	a.file.detach()
+	a.first.detach()
 	accumulatorPool.Put(a)
 }
 
@@ -105,42 +107,6 @@ func (a *accumulator) header(windows int, totalBefore, totalAfter uint64) {
 	a.windows += windows
 	a.totalBefore += totalBefore
 	a.totalAfter += totalAfter
-}
-
-// foldSnapshot folds a materialized snapshot — a query's first file,
-// once a second one arrives. Its key strings are kept, not copied: a
-// Snapshot owns its memory.
-func (a *accumulator) foldSnapshot(s *Snapshot) error {
-	if a.files == 0 {
-		a.cols, a.kinds = s.Columns, s.Kinds
-	} else {
-		if len(s.Columns) != len(a.cols) {
-			return ErrSchemaChange
-		}
-		for i := range s.Columns {
-			if s.Columns[i] != a.cols[i] || s.Kinds[i] != a.kinds[i] {
-				return ErrSchemaChange
-			}
-		}
-	}
-	a.header(s.Windows, s.TotalBefore, s.TotalAfter)
-	ncols, w := len(a.cols), float64(s.Windows)
-	for ri := range s.Rows {
-		r := &s.Rows[ri]
-		slot, ok := a.idx[r.Key]
-		if !ok {
-			slot = a.newSlot(r.Key)
-		}
-		a.present[slot] += s.Windows
-		cell := int(slot) * ncols
-		for i, v := range r.Values[:min(len(r.Values), ncols)] {
-			a.sum[cell+i] += v * w
-			if a.kinds[i] == Mode && v != 0 {
-				a.modes[modeCell{cell + i, v}] += s.Windows
-			}
-		}
-	}
-	return nil
 }
 
 // foldFile folds the selected rows of an opened file, of either codec,

@@ -403,6 +403,17 @@ func TestQueryAllocBudget(t *testing.T) {
 	if perFile := (bigObjs - fewMissObjs) / (files - 4); perFile != 0 {
 		t.Errorf("point miss on a warm file table allocates %.2f objects per file, budget 0", perFile)
 	}
+	// A top-k's first file folds like every other: per row of it, the
+	// query keeps a copy of the key (9 bytes here) and builds no row.
+	topk := Query{Agg: "srvip", Columns: []string{"hits", "f05", "f20"}, OrderBy: "hits", K: 10}
+	smallTopBytes, _ := allocated(10, run(small, topk))
+	bigTopBytes, _ := allocated(10, run(big, topk))
+	perRow := (bigTopBytes - smallTopBytes) / (8000 - 2000)
+	t.Logf("top-k over %d files: %.0f B at 2000 rows, %.0f B at 8000 rows: %.1f B per row of the first file",
+		files, smallTopBytes, bigTopBytes, perRow)
+	if perRow > 12 {
+		t.Errorf("top-k allocates %.1f B per row of the first file, budget 12: the first file is being materialized", perRow)
+	}
 	// Cold: a first read opens the file, checks its frame and offers it
 	// to the table, which keeps a copy of the frame; an uncached read (a
 	// closed table's, and Get's and the cascade's) does only the first
@@ -434,10 +445,9 @@ func TestQueryAllocBudget(t *testing.T) {
 		t.Errorf("point miss allocates %.0f B per file, budget 1 KB", perFile)
 	}
 
-	// benchStore's windows all hold the same keys, so after the second
-	// file (the first is materialized, the second copies its new keys —
-	// none) every further window is the steady state.
-	topk := Query{Agg: "srvip", Columns: []string{"hits", "f05", "f20"}, OrderBy: "hits", K: 10}
+	// benchStore's windows all hold the same keys, so after the first
+	// file (whose keys the accumulator copies) every further window is
+	// the steady state.
 	few, many := topk, topk
 	few.To, many.To = 4*60, files*60
 	fewBytes, fewObjs := allocated(10, run(small, few))
@@ -477,7 +487,7 @@ func TestFoldAllocsIndependentOfRows(t *testing.T) {
 		acc := newAccumulator()
 		fold := func(start int64) func() {
 			return func() {
-				if _, err := st.scan(fileKey{"test", Minutely, start}, nil, acc, false); err != nil {
+				if err := st.fold(fileKey{"test", Minutely, start}, nil, acc, false); err != nil {
 					t.Fatal(err)
 				}
 			}

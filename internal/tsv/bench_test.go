@@ -142,7 +142,9 @@ func BenchmarkListLevel(b *testing.B) {
 	st := benchStore(b, BackendTSV, 200, 2)
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st.invalidateLevel(Minutely)
+			st.listMu.Lock()
+			st.listCache[Minutely] = nil
+			st.listMu.Unlock()
 			if _, err := st.List("srvip", Minutely); err != nil {
 				b.Fatal(err)
 			}

@@ -40,16 +40,19 @@
 // the whole file into it — keys copied back to back, the values of the
 // columns the read needs by column — and either way a Get materializes
 // it and a fold reads it in place. A query borrows one accumulator,
-// which carries the scratch every file of the range is read through,
-// and returns it when it is done, so concurrent queries never share
+// which carries the scratch every file of the range is read through
+// (the first file waits in a second reader of its own, and folds only
+// when a second file arrives), and returns it when it is done, so concurrent queries never share
 // scratch and a query's steady-state allocation does not depend on the
 // bytes in range, on either backend. Byte views of a file die when the
 // next file is opened; whatever a caller receives — a Snapshot from Get
 // or GetProjected, a Result from Engine.Run — owns its memory and stays
-// valid after any number of later reads. A file that was listed but is
-// gone by the time a query opens it (Retention deletes before it
-// invalidates the listing) is skipped as a window that no longer
-// exists; one that cannot be parsed is skipped and counted corrupt.
+// valid after any number of later reads. A level listing names exactly
+// the files on disk: Put's rename and Retention's removes change the
+// directory and the listing under one lock. A file that was listed but
+// is gone by the time a query opens it (a Retention ran in between) is
+// skipped as a window that no longer exists; one that cannot be parsed
+// is skipped and counted corrupt.
 //
 // The cascade reads the way a query does. A window is built when the
 // upper level's listing holds it, so a pass opens only the inputs of

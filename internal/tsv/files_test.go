@@ -148,6 +148,80 @@ func TestQueriesSeeOldOrNewFile(t *testing.T) {
 	})
 }
 
+// TestListingMatchesDiskAfterRace: beside a re-Put loop and a Retention
+// loop over the same windows, the level listing names exactly the files
+// on disk whenever no Put or Retention holds it, and still does once the
+// loops stop. When Put inserted into the listing after its rename, and
+// outside the listing's lock, the listing missed a renamed file for a
+// while, and a Retention that removed the file before a rescan let the
+// insert name a file that was gone.
+func TestListingMatchesDiskAfterRace(t *testing.T) {
+	const windows, rounds, puts = 4, 10, 40
+	bothBackends(t, func(t *testing.T, st *Store) {
+		st.Retain[Minutely] = 1
+		// The 10-minute window above lets Retention delete minutes.
+		if err := st.Put(&Snapshot{Aggregation: "race", Level: Decaminutely, Columns: []string{"hits", "nxd"},
+			Kinds: []Kind{Counter, Gauge}, Windows: 10}); err != nil {
+			t.Fatal(err)
+		}
+		onDisk := func() []int64 {
+			var starts []int64
+			for w := int64(0); w < windows; w++ {
+				if _, err := os.Stat(st.path(fileKey{"race", Minutely, w * 60})); err == nil {
+					starts = append(starts, w*60)
+				}
+			}
+			return starts
+		}
+		for round := 0; round < rounds; round++ {
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			errs := make(chan error, 2)
+			loop := func(step func() error) {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if err := step(); err != nil {
+						errs <- err
+						return
+					}
+					runtime.Gosched()
+				}
+			}
+			wg.Add(2)
+			go loop(func() error { return st.Retention("race") })
+			go loop(func() error {
+				st.listMu.Lock()
+				defer st.listMu.Unlock()
+				listing, err := st.cachedLevel(Minutely)
+				if listed, disk := listing["race"], onDisk(); err == nil && !slices.Equal(listed, disk) {
+					err = fmt.Errorf("the listing names %v, the disk holds %v", listed, disk)
+				}
+				return err
+			})
+			for v := 1; v <= puts; v++ {
+				if err := st.Put(versionSnap("race", int64(v%windows)*60, v)); err != nil {
+					t.Fatal(err)
+				}
+				runtime.Gosched()
+			}
+			close(done)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if listed, err := st.List("race", Minutely); err != nil || !slices.Equal(listed, onDisk()) {
+				t.Fatalf("round %d, after the loops: the listing names %v (%v), the disk holds %v", round, listed, err, onDisk())
+			}
+		}
+	})
+}
+
 // TestRetentionClosesDeletedFiles: once Retention returns, no
 // descriptor of the process points at a store file it deleted.
 func TestRetentionClosesDeletedFiles(t *testing.T) {

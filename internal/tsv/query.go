@@ -173,33 +173,34 @@ func (e *Engine) run(q Query) (*Result, error) {
 		}
 	}
 
-	// The first readable file is materialized and every later one
-	// folded into the accumulator as it is read, the first going in
-	// ahead of the second: one window passes through untouched, so a
+	// The first readable file waits in a reader of its own and folds,
+	// ahead of the next, only once there is another file to read: a
 	// single-file query returns the file's rows bit-exactly, and nothing
-	// but the first file and the accumulator outlives the file it came
+	// but the two readers and the accumulator outlives the file it came
 	// from.
 	res := &Result{Agg: q.Agg, Level: q.Level}
 	acc := newAccumulator()
 	defer acc.release()
-	var first *Snapshot
+	first := &acc.first
 	orderIdx := 0
 	for _, s := range starts {
+		k := fileKey{q.Agg, q.Level, s}
 		var err error
-		if first == nil {
-			if first, err = e.Store.scan(fileKey{q.Agg, q.Level, s}, proj, nil, true); err == nil && q.OrderBy != "" {
+		if res.Files == 0 {
+			if err = e.Store.scan(k, proj, first, true); err == nil && q.OrderBy != "" {
 				// Every column the query names is now resolved against
 				// a schema, before any other file is read.
-				if orderIdx, err = first.columnIndex(q.OrderBy); err != nil {
-					return res, err
+				orderIdx = slices.IndexFunc(first.colIdx, func(j int) bool { return string(first.names[j]) == q.OrderBy })
+				if orderIdx < 0 {
+					return res, &UnknownColumnError{Column: q.OrderBy}
 				}
 			}
 		} else {
 			if acc.files == 0 {
-				err = acc.foldSnapshot(first)
+				err = acc.foldFile(first)
 			}
 			if err == nil {
-				_, err = e.Store.scan(fileKey{q.Agg, q.Level, s}, proj, acc, true)
+				err = e.Store.fold(k, proj, acc, true)
 			}
 		}
 		switch {
@@ -208,8 +209,8 @@ func (e *Engine) run(q Query) (*Result, error) {
 			res.CorruptSkipped++
 			continue
 		case errors.Is(err, fs.ErrNotExist):
-			// Listed, then deleted (Retention removes files before it
-			// invalidates the listing): the window is no longer there.
+			// Listed, then removed by a Retention before it was read:
+			// the window is no longer there.
 			continue
 		default:
 			return res, err
@@ -220,17 +221,17 @@ func (e *Engine) run(q Query) (*Result, error) {
 		res.To = s
 		res.Files++
 	}
-	if first == nil {
+	if res.Files == 0 {
 		return res, fmt.Errorf("%w: every file in range was corrupt or gone", ErrNoData)
 	}
 
-	res.Columns = append([]string(nil), first.Columns...)
-	res.Kinds = append([]Kind(nil), first.Kinds...)
 	if res.Files == 1 {
-		res.Windows, res.TotalBefore, res.TotalAfter = first.Windows, first.TotalBefore, first.TotalAfter
-		res.Rows = TopRows(first.Rows, orderIdx, q.K)
+		s := first.snapshot()
+		res.Columns, res.Kinds, res.Windows, res.TotalBefore, res.TotalAfter = s.Columns, s.Kinds, s.Windows, s.TotalBefore, s.TotalAfter
+		res.Rows = TopRows(s.Rows, orderIdx, q.K)
 		return res, nil
 	}
+	res.Columns, res.Kinds = acc.cols, acc.kinds
 	res.Windows, res.TotalBefore, res.TotalAfter = acc.windows, acc.totalBefore, acc.totalAfter
 	acc.rowBuf, acc.flatBuf = acc.rows(acc.rowBuf, acc.flatBuf)
 	res.Rows = TopRows(acc.rowBuf, orderIdx, q.K)

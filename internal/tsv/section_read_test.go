@@ -386,7 +386,7 @@ func TestSectionBoundaryCorruption(t *testing.T) {
 			sawCorrupt = sawCorrupt || want == "corrupt"
 			_, getErr := st.GetProjected(snap.Aggregation, snap.Level, snap.Start, proj)
 			acc := newAccumulator()
-			_, foldErr := st.scan(fileKey{snap.Aggregation, snap.Level, snap.Start}, proj, acc, false)
+			foldErr := st.fold(fileKey{snap.Aggregation, snap.Level, snap.Start}, proj, acc, false)
 			acc.release()
 			for how, err := range map[string]error{"GetProjected": getErr, "fold": foldErr} {
 				if got := errClass(err); got != want {

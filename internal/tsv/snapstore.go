@@ -62,17 +62,6 @@ func (p *Projection) empty() bool {
 	return p == nil || (len(p.Columns) == 0 && p.Key == "" && len(p.Where) == 0)
 }
 
-// columnIndex resolves a column name to its index, with a typed error
-// for unknown names.
-func (s *Snapshot) columnIndex(name string) (int, error) {
-	for i, c := range s.Columns {
-		if c == name {
-			return i, nil
-		}
-	}
-	return 0, &UnknownColumnError{Column: name}
-}
-
 // UnknownColumnError names the missing column; it matches
 // ErrUnknownColumn under errors.Is.
 type UnknownColumnError struct{ Column string }

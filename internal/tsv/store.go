@@ -274,11 +274,19 @@ func (st *Store) Put(snap *Snapshot) error {
 		os.Remove(f.Name())
 		return err
 	}
-	if err := os.Rename(f.Name(), filepath.Join(st.dir, st.FileName(snap))); err != nil {
+	// The rename and the listing's insert are one step to a reader of
+	// the listing, as Retention's removes and its invalidation are: a
+	// listing names every file on disk and no other.
+	st.listMu.Lock()
+	err = os.Rename(f.Name(), filepath.Join(st.dir, st.FileName(snap)))
+	if err == nil {
+		st.notePut(snap.Aggregation, snap.Level, snap.Start)
+	}
+	st.listMu.Unlock()
+	if err != nil {
 		os.Remove(f.Name())
 		return err
 	}
-	st.notePut(snap.Aggregation, snap.Level, snap.Start)
 	st.files.drop(fileKey{snap.Aggregation, snap.Level, snap.Start})
 	st.puts.Add(1)
 	st.rowsWritten.Add(uint64(len(snap.Rows)))
@@ -316,7 +324,14 @@ func (st *Store) Get(agg string, level Level, start int64) (*Snapshot, error) {
 // and parses the whole file into the same scratch and filters there,
 // with identical results. A nil or zero proj is a plain Get.
 func (st *Store) GetProjected(agg string, level Level, start int64, proj *Projection) (*Snapshot, error) {
-	return st.scan(fileKey{agg, level, start}, proj, nil, false)
+	f := colFilePool.Get().(*colFile)
+	defer f.release()
+	if err := st.scan(fileKey{agg, level, start}, proj, f, false); err != nil {
+		return nil, err
+	}
+	s := f.snapshot()
+	s.Aggregation, s.Level, s.Start = agg, level, start
+	return s, nil
 }
 
 // Close closes the files the store holds open for queries; one a query
@@ -327,13 +342,12 @@ func (st *Store) Close() error {
 	return nil
 }
 
-// scan reads the file k names under proj. With acc nil it returns the
-// projected snapshot; otherwise it folds the projected rows into acc
-// straight from the reader's scratch, so no Snapshot is built, and
-// returns nil. A cached read goes through the file table: a file held
+// scan reads the file k names under proj into f, which then holds the
+// projected values of the selected rows for f.snapshot to materialize
+// or accumulator.foldFile to fold: neither reads the file again. A cached read goes through the file table: a file held
 // there is read without opening it or checking its frame again, and one
 // that is not is offered to the table once it has been read whole.
-func (st *Store) scan(k fileKey, proj *Projection, acc *accumulator, cached bool) (*Snapshot, error) {
+func (st *Store) scan(k fileKey, proj *Projection, f *colFile, cached bool) error {
 	var e *openFile
 	var gen uint64
 	if cached {
@@ -346,33 +360,16 @@ func (st *Store) scan(k fileKey, proj *Projection, acc *accumulator, cached bool
 		e = &cold
 		var err error
 		if cold.file, err = os.Open(st.path(k)); err != nil {
-			return nil, err
+			return err
 		}
 		// Seek, not Stat: the size is all that is needed, and Stat
 		// allocates a FileInfo per file in range.
 		if cold.size, err = cold.file.Seek(0, io.SeekEnd); err != nil {
 			cold.file.Close()
-			return nil, err
+			return err
 		}
 	}
-	// A query reads all its files through the one scratch its
-	// accumulator carries; a lone Get borrows one.
-	var f *colFile
-	if acc != nil {
-		f = &acc.file
-	} else {
-		f = colFilePool.Get().(*colFile)
-		defer f.release()
-	}
-	var s *Snapshot
 	err := st.codec.open(f, e.file, e.size, proj, e.frame)
-	if err == nil {
-		if acc == nil {
-			s = f.snapshot()
-		} else {
-			err = acc.foldFile(f)
-		}
-	}
 	if e == &cold && (err != nil || !cached || !st.files.admit(k, cold.file, cold.size, f.colFrame, gen)) {
 		cold.file.Close()
 	}
@@ -384,18 +381,24 @@ func (st *Store) scan(k fileKey, proj *Projection, acc *accumulator, cached bool
 	st.readCalls.Add(cs.readCalls)
 	if err != nil {
 		var ioErr *fs.PathError
-		if errors.Is(err, ErrUnknownColumn) || errors.Is(err, ErrSchemaChange) || errors.As(err, &ioErr) {
+		if errors.Is(err, ErrUnknownColumn) || errors.As(err, &ioErr) {
 			// A schema mismatch between query and file is the caller's
 			// error and a failed read the system's; neither is file
 			// damage.
-			return nil, err
+			return err
 		}
-		return nil, &CorruptError{Path: st.path(k), Err: err}
+		return &CorruptError{Path: st.path(k), Err: err}
 	}
-	if s != nil {
-		s.Aggregation, s.Level, s.Start = k.agg, k.level, k.start
+	return nil
+}
+
+// fold reads the file k names under proj and folds it into acc, through
+// the reader acc carries for every file after a query's first.
+func (st *Store) fold(k fileKey, proj *Projection, acc *accumulator, cached bool) error {
+	if err := st.scan(k, proj, &acc.file, cached); err != nil {
+		return err
 	}
-	return s, nil
+	return acc.foldFile(&acc.file)
 }
 
 // path names the file k names the way FileName and filepath.Join
@@ -500,10 +503,8 @@ func (st *Store) cachedLevel(level Level) (map[string][]int64, error) {
 // notePut inserts a freshly committed file into the level's cached
 // listing, keeping it warm through a cascade (which lists the level it
 // just wrote on the next pass). A cold cache stays cold: the next
-// listLevel scan will see the file.
+// listLevel scan will see the file. The caller holds listMu.
 func (st *Store) notePut(agg string, level Level, start int64) {
-	st.listMu.Lock()
-	defer st.listMu.Unlock()
 	m := st.listCache[level]
 	if m == nil {
 		return
@@ -517,14 +518,6 @@ func (st *Store) notePut(agg string, level Level, start int64) {
 	copy(starts[i+1:], starts[i:])
 	starts[i] = start
 	m[agg] = starts
-}
-
-// invalidateLevel drops one level's cached listing (after Retention
-// deletes files).
-func (st *Store) invalidateLevel(level Level) {
-	st.listMu.Lock()
-	st.listCache[level] = nil
-	st.listMu.Unlock()
 }
 
 // cascadeWindow names the upper window of agg built from level's files.
@@ -633,7 +626,7 @@ func (st *Store) buildUpper(j cascadeJob) error {
 	acc := newAccumulator()
 	defer acc.release()
 	for _, s := range j.starts {
-		if _, err := st.scan(fileKey{j.agg, j.level, s}, nil, acc, false); errors.Is(err, ErrCorruptSnapshot) {
+		if err := st.fold(fileKey{j.agg, j.level, s}, nil, acc, false); errors.Is(err, ErrCorruptSnapshot) {
 			st.corruptSkipped.Add(1)
 		} else if err != nil {
 			return err
@@ -674,7 +667,9 @@ func (st *Store) Retention(agg string) error {
 				upperStarts[u] = true
 			}
 		}
-		removed := false
+		// The removes and the listing's invalidation are one step to a
+		// reader of the listing (see Put).
+		st.listMu.Lock()
 		for _, s := range starts[:len(starts)-keep] {
 			if level < MaxLevel {
 				w := s - s%(level+1).Seconds()
@@ -682,17 +677,18 @@ func (st *Store) Retention(agg string) error {
 					continue // not yet aggregated; keep
 				}
 			}
-			// A file already gone is what Retention wants: a Put that
-			// raced an earlier pass can leave it listed.
-			if err := os.Remove(st.path(fileKey{agg, level, s})); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				st.invalidateLevel(level)
-				return err
+			st.listCache[level] = nil
+			// A file already gone is what Retention wants: a Retention
+			// beside this one may have taken it.
+			if err = os.Remove(st.path(fileKey{agg, level, s})); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				break
 			}
+			err = nil
 			st.files.drop(fileKey{agg, level, s})
-			removed = true
 		}
-		if removed {
-			st.invalidateLevel(level)
+		st.listMu.Unlock()
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -201,9 +201,9 @@ func TestQueryEndpointMetrics(t *testing.T) {
 }
 
 // TestQueryEndpointFileGoneAfterListing is the Retention race: a file
-// the store listed is deleted before the query opens it (Retention
-// removes files before it invalidates the listing). The window is no
-// longer there; the query answers from the rest instead of failing.
+// the store listed is deleted before the query opens it (a Retention
+// between the query's listing and its read). The window is no longer
+// there; the query answers from the rest instead of failing.
 func TestQueryEndpointFileGoneAfterListing(t *testing.T) {
 	for _, backend := range []string{tsv.BackendTSV, tsv.BackendColumnar} {
 		t.Run(backend, func(t *testing.T) {

@@ -175,32 +175,21 @@ func (s *Server) handleAggregations(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, names)
 }
 
-// topRow is the JSON shape of one object.
-type topRow struct {
-	Rank   int                `json:"rank"`
-	Key    string             `json:"key"`
-	Values map[string]float64 `json:"values"`
-}
-
-// ranked returns snap's strongest n rows by column col, or false when it
-// has no such column. It ranks a copy of the rows (tsv.TopRows) and only
-// reads the snapshot, which is shared: every request for the aggregation
-// is handed the same one, and whoever gave it to OnSnapshot may still be
-// using it — dnsobs goes on to store it.
-func ranked(snap *tsv.Snapshot, col string, n int) ([]topRow, bool) {
+// ranked returns snap's strongest n rows by column col with snap's
+// columns, or nothing when snap is nil or has no such column. It ranks a
+// copy of the rows (tsv.TopRows) and only reads the snapshot, which is
+// shared: every request for the aggregation is handed the same one, and
+// whoever gave it to OnSnapshot may still be using it — dnsobs goes on
+// to store it.
+func ranked(snap *tsv.Snapshot, col string, n int) ([]tsv.Row, []string) {
+	if snap == nil {
+		return nil, nil
+	}
 	idx := slices.Index(snap.Columns, col)
 	if idx < 0 {
-		return nil, false
+		return nil, nil
 	}
-	var rows []topRow
-	for i, r := range tsv.TopRows(snap.Rows, idx, n) {
-		row := topRow{Rank: i + 1, Key: r.Key, Values: map[string]float64{}}
-		for c, name := range snap.Columns {
-			row.Values[name] = r.Values[c]
-		}
-		rows = append(rows, row)
-	}
-	return rows, true
+	return tsv.TopRows(snap.Rows, idx, n), snap.Columns
 }
 
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
@@ -225,17 +214,20 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	if col == "" {
 		col = "hits"
 	}
-	rows, ok := ranked(snap, col, n)
-	if !ok {
+	if !slices.Contains(snap.Columns, col) {
 		http.Error(w, "unknown column", http.StatusBadRequest)
 		return
 	}
-	out := struct {
-		Aggregation string   `json:"aggregation"`
-		WindowStart int64    `json:"window_start"`
-		Rows        []topRow `json:"rows"`
-	}{Aggregation: agg, WindowStart: snap.Start, Rows: rows}
-	writeJSON(w, out)
+	rw := newRowWriter()
+	rw.string("aggregation", agg)
+	rw.int("window_start", snap.Start)
+	if rows, cols := ranked(snap, col, n); rows == nil {
+		rw.field("rows")
+		rw.b = append(rw.b, "null"...) // a snapshot with no rows: always null here
+	} else {
+		rw.rows("rows", rows, cols)
+	}
+	rw.send(w)
 }
 
 // Detection snapshot aggregation names. Mirrors detect.AggESLD and
@@ -269,25 +261,17 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	rank := func(snap *tsv.Snapshot, col string) []topRow {
-		if snap == nil {
-			return []topRow{}
-		}
-		rows, _ := ranked(snap, col, n)
-		return append([]topRow{}, rows...)
+	rw := newRowWriter()
+	if ic != nil {
+		rw.int("window_start", ic.Start)
+	} else {
+		rw.int("window_start", nod.Start)
 	}
-	out := struct {
-		WindowStart   int64    `json:"window_start"`
-		HeavyHitters  []topRow `json:"heavy_hitters"`
-		NewlyObserved []topRow `json:"newly_observed"`
-	}{HeavyHitters: rank(ic, "score"), NewlyObserved: rank(nod, "hits")}
-	switch {
-	case ic != nil:
-		out.WindowStart = ic.Start
-	case nod != nil:
-		out.WindowStart = nod.Start
-	}
-	writeJSON(w, out)
+	rows, cols := ranked(ic, "score", n)
+	rw.rows("heavy_hitters", rows, cols)
+	rows, cols = ranked(nod, "hits", n)
+	rw.rows("newly_observed", rows, cols)
+	rw.send(w)
 }
 
 // handleEncDNS serves GET /api/encdns — the encrypted-client-leg
@@ -333,14 +317,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Level = level
 	}
-	for name, dst := range map[string]*int64{"from": &q.From, "to": &q.To} {
-		if v := qp.Get(name); v != "" {
+	for _, p := range [...]struct {
+		name string
+		dst  *int64
+	}{{"from", &q.From}, {"to", &q.To}} {
+		if v := qp.Get(p.name); v != "" {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				http.Error(w, "bad "+name, http.StatusBadRequest)
+				http.Error(w, "bad "+p.name, http.StatusBadRequest)
 				return
 			}
-			*dst = n
+			*p.dst = n
 		}
 	}
 	if v := qp.Get("k"); v != "" {
@@ -393,30 +380,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	out := struct {
-		Aggregation    string   `json:"aggregation"`
-		Level          string   `json:"level"`
-		From           int64    `json:"from"`
-		To             int64    `json:"to"`
-		Windows        int      `json:"windows"`
-		Files          int      `json:"files"`
-		CorruptSkipped int      `json:"corrupt_skipped,omitempty"`
-		Columns        []string `json:"columns"`
-		Rows           []topRow `json:"rows"`
-	}{
-		Aggregation: res.Agg, Level: res.Level.Name(),
-		From: res.From, To: res.To,
-		Windows: res.Windows, Files: res.Files, CorruptSkipped: res.CorruptSkipped,
-		Columns: res.Columns, Rows: []topRow{},
+	rw := newRowWriter()
+	rw.string("aggregation", res.Agg)
+	rw.string("level", res.Level.Name())
+	rw.int("from", res.From)
+	rw.int("to", res.To)
+	rw.int("windows", int64(res.Windows))
+	rw.int("files", int64(res.Files))
+	if res.CorruptSkipped != 0 {
+		rw.int("corrupt_skipped", int64(res.CorruptSkipped))
 	}
-	for i := range res.Rows {
-		row := topRow{Rank: i + 1, Key: res.Rows[i].Key, Values: map[string]float64{}}
-		for c, name := range res.Columns {
-			row.Values[name] = res.Rows[i].Values[c]
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	writeJSON(w, out)
+	rw.strings("columns", res.Columns)
+	rw.rows("rows", res.Rows, res.Columns)
+	rw.send(w)
 }
 
 func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
