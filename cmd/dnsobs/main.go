@@ -207,14 +207,13 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 	}
 	isSharded := *sharded || *shards > 0 || *workers > 0
 	sp = spine.Open(spine.Config{
-		Store:      store,
-		Aggs:       observatory.StandardAggregations(*factor),
-		Engine:     engineCfg,
-		Sharded:    isSharded,
-		Shards:     *shards,
-		Workers:    *workers,
-		Journal:    journal,
-		OnSnapshot: ui.OnSnapshot,
+		Store:   store,
+		Aggs:    observatory.StandardAggregations(*factor),
+		Engine:  engineCfg,
+		Sharded: isSharded,
+		Shards:  *shards,
+		Workers: *workers,
+		Journal: journal,
 	})
 	// Every return stops the engine; the success path closes it below.
 	defer sp.Abort()

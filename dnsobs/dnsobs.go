@@ -106,7 +106,7 @@ var (
 // The spine: one open pipeline that summarizes, tracks, stores and
 // cascades, one transaction at a time (Ingest, then Close). SpineConfig
 // picks the store, the aggregations, the engine's configuration and
-// shape, and an optional journal and per-snapshot hook.
+// shape, and an optional journal.
 type (
 	Spine       = spine.Spine
 	SpineConfig = spine.Config

@@ -1,8 +1,8 @@
-// Web status: run the Observatory over live synthetic traffic with the
-// sharded engine, whose snapshot callbacks arrive from an engine
-// goroutine, and serve the current top-k lists over HTTP while the
-// stream flows — the paper's planned public web interface, end to
-// end. The program prints a few polls of its own API and exits.
+// Web status: run the Observatory over synthetic traffic with the
+// sharded engine, whose windows are stored from an engine goroutine,
+// and serve the newest stored top-k lists over HTTP — the paper's
+// planned public web interface over its snapshot archive, end to end.
+// The program prints a few polls of its own API and exits.
 package main
 
 import (
@@ -11,10 +11,10 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 
 	"dnsobservatory/dnsobs"
 	"dnsobservatory/internal/metrics"
-	"dnsobservatory/internal/observatory"
 	"dnsobservatory/internal/webui"
 )
 
@@ -24,11 +24,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// One registry shared by the engine (which publishes ingest counts)
-	// and the web UI (whose /healthz and /metrics read them) — no
-	// per-transaction counting hook to remember.
+	// Every window goes into a columnar store, and the web UI answers
+	// from it.
+	dir, err := os.MkdirTemp("", "webstatus-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := dnsobs.NewColumnarSnapshotStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// One registry shared by the engine (which publishes ingest and
+	// window counts) and the web UI (whose /healthz and /metrics read
+	// them) — no per-transaction counting hook to remember.
 	reg := metrics.Default()
-	ui := webui.NewServer(nil)
+	ui := webui.NewServer(store)
 	ui.Registry = reg
 	srv := &http.Server{Handler: ui.Handler()}
 	go srv.Serve(ln)
@@ -39,12 +50,15 @@ func main() {
 	cfg := dnsobs.DefaultPipelineConfig()
 	cfg.SkipFreshObjects = false
 	cfg.Metrics = reg
-	pipe := observatory.NewSharded(observatory.ShardedConfig{Config: cfg},
-		[]dnsobs.Aggregation{
+	sp := dnsobs.OpenSpine(dnsobs.SpineConfig{
+		Store: store,
+		Aggs: []dnsobs.Aggregation{
 			{Name: "srvip", K: 1000, Key: dnsobs.SrvIPKey},
 			{Name: "qtype", K: 32, Key: dnsobs.QTypeKey, NoAdmitter: true},
 		},
-		ui.OnSnapshot)
+		Engine:  cfg,
+		Sharded: true,
+	})
 
 	simCfg := dnsobs.DefaultSimulationConfig()
 	simCfg.Duration = 180
@@ -52,16 +66,13 @@ func main() {
 	simCfg.Resolvers = 80
 	simCfg.SLDs = 800
 
-	var summarizer dnsobs.Summarizer
-	var sum dnsobs.Summary
 	sim := dnsobs.NewSimulation(simCfg)
 	stats := sim.Run(func(tx *dnsobs.Transaction) {
-		if err := summarizer.Summarize(tx, &sum); err != nil {
-			log.Fatal(err)
-		}
-		pipe.Ingest(&sum, tx.QueryTime.Sub(simCfg.Start).Seconds())
+		sp.Ingest(tx, tx.QueryTime.Sub(simCfg.Start).Seconds())
 	})
-	pipe.Close()
+	if err := sp.Close(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("streamed %d transactions through the pipeline\n\n", stats.Transactions)
 
 	// Poll our own API like a dashboard would.

@@ -29,9 +29,6 @@ type Options struct {
 	OutDir string
 }
 
-// DefaultOptions runs each experiment in seconds-to-a-minute.
-func DefaultOptions() Options { return Options{Scale: 1, Seed: 1} }
-
 func (o Options) withDefaults() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1

@@ -1,5 +1,4 @@
-// Package fleet shards sensors across a set of collectors and merges
-// their outputs back into one global view.
+// Package fleet shards sensors across a set of collectors.
 //
 // Placement is a consistent-hash Ring over sensor names: deterministic
 // (both ends compute the same owner), and minimally disruptive on
@@ -12,12 +11,10 @@
 // batch, which the collector-side (sensor, epoch, seq) dedup reduces
 // to exactly-once.
 //
-// The read side is MergeStores: per-collector minute snapshots of one
-// window are key-disjoint parts of the global window (each sensor
-// reports to one collector), so tsv.MergeParts unites them exactly;
-// cascading the merged store derives the coarser levels. Failover
-// composes with the transport's durable ingest: a dead collector's
-// write-ahead log is absorbed past its last checkpoint by the
-// survivors (transport.Collector.AbsorbLog), each taking the sensors
-// the ring now assigns to it.
+// Each collector stores the windows of the sensors it owns; there is no
+// merged copy of the fleet's windows. Failover composes with the
+// transport's durable ingest: a dead collector's write-ahead log is
+// absorbed past its last checkpoint by the survivors
+// (transport.Collector.AbsorbLog), each taking the sensors the ring now
+// assigns to it.
 package fleet

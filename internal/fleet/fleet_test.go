@@ -6,8 +6,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"dnsobservatory/internal/tsv"
 )
 
 func keys(n int) []string {
@@ -250,81 +248,5 @@ func TestRoutedConnFeedback(t *testing.T) {
 	rc.Read(nil)
 	if !isDown(rt, "n") {
 		t.Fatal("hard read error did not mark the member down")
-	}
-}
-
-func mkSnap(start int64, rows []tsv.Row, before, after uint64) *tsv.Snapshot {
-	return &tsv.Snapshot{
-		Aggregation: "x", Level: tsv.Minutely, Start: start,
-		Columns: []string{"hits"}, Kinds: []tsv.Kind{tsv.Counter},
-		Windows: 1, Rows: rows, TotalBefore: before, TotalAfter: after,
-	}
-}
-
-// TestMergeStores: per-collector partial windows unite exactly — rows
-// joined in canonical order, statistics summed — and windows present in
-// only one source pass through unchanged.
-func TestMergeStores(t *testing.T) {
-	newStore := func() *tsv.Store {
-		s, err := tsv.NewStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	src1, src2, dst := newStore(), newStore(), newStore()
-	if err := src1.Put(mkSnap(0, []tsv.Row{{Key: "a", Values: []float64{5}}, {Key: "b", Values: []float64{2}}}, 7, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := src2.Put(mkSnap(0, []tsv.Row{{Key: "c", Values: []float64{9}}}, 9, 9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := src2.Put(mkSnap(60, []tsv.Row{{Key: "d", Values: []float64{1}}}, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := MergeStores(dst, 0, []string{"x"}, src1, src2); err != nil {
-		t.Fatal(err)
-	}
-	m0, err := dst.Get("x", tsv.Minutely, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"c", "a", "b"} // descending hits
-	if len(m0.Rows) != len(want) {
-		t.Fatalf("merged rows = %+v", m0.Rows)
-	}
-	for i, k := range want {
-		if m0.Rows[i].Key != k {
-			t.Fatalf("row %d = %q, want %q (canonical order)", i, m0.Rows[i].Key, k)
-		}
-	}
-	if m0.TotalBefore != 16 || m0.TotalAfter != 16 {
-		t.Fatalf("totals not summed: %+v", m0)
-	}
-	m60, err := dst.Get("x", tsv.Minutely, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m60.Rows) != 1 || m60.Rows[0].Key != "d" {
-		t.Fatalf("singleton window mangled: %+v", m60.Rows)
-	}
-
-	// topK truncates the merged window like a single-node run would.
-	dstK := newStore()
-	if err := MergeStores(dstK, 2, []string{"x"}, src1, src2); err != nil {
-		t.Fatal(err)
-	}
-	k0, err := dstK.Get("x", tsv.Minutely, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(k0.Rows) != 2 || k0.Rows[0].Key != "c" || k0.Rows[1].Key != "a" {
-		t.Fatalf("topK merge = %+v", k0.Rows)
-	}
-
-	// An aggregation absent everywhere merges to nothing, not an error.
-	if err := MergeStores(newStore(), 0, []string{"ghost"}, src1, src2); err != nil {
-		t.Fatal(err)
 	}
 }

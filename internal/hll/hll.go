@@ -283,32 +283,6 @@ func (s *Sketch) Count() uint64 {
 	return uint64(e + 0.5)
 }
 
-// Merge folds other into s (register-wise max) across any combination
-// of small and dense forms. Both sketches must have the same precision.
-// other is read-only.
-func (s *Sketch) Merge(other *Sketch) error {
-	if s.p != other.p {
-		return ErrPrecision
-	}
-	if other.dense {
-		if !s.dense {
-			s.promote()
-		}
-		for i, r := range other.regs {
-			s.setDense(uint32(i), r)
-		}
-		return nil
-	}
-	for _, e := range other.small[:other.n] {
-		if s.dense { // s may promote mid-merge
-			s.setDense(e>>rankBits, uint8(e&rankMask))
-		} else {
-			s.addSmall(e)
-		}
-	}
-	return nil
-}
-
 // Reset clears the sketch back to the (empty) small form. O(1): dense
 // registers are cleared lazily at the next promotion, so pooled feature
 // sets pay nothing per window for sketches that stay small.

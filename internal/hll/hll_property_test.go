@@ -1,46 +1,9 @@
 package hll
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-// Merge must be commutative and idempotent, and merging can only grow
-// the estimate (registers take maxima).
-func TestMergePropertiesQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	f := func(na, nb uint16) bool {
-		a, b := MustNew(10), MustNew(10)
-		for i := 0; i < int(na)%2000; i++ {
-			a.Add(fmt.Sprintf("a%d", rng.Intn(5000)))
-		}
-		for i := 0; i < int(nb)%2000; i++ {
-			b.Add(fmt.Sprintf("b%d", rng.Intn(5000)))
-		}
-		ab, ba := MustNew(10), MustNew(10)
-		ab.Merge(a)
-		ab.Merge(b)
-		ba.Merge(b)
-		ba.Merge(a)
-		if ab.Count() != ba.Count() {
-			return false
-		}
-		// Idempotence.
-		before := ab.Count()
-		ab.Merge(b)
-		if ab.Count() != before {
-			return false
-		}
-		// Monotonicity: the union estimate is at least each part's.
-		return float64(ab.Count()) >= float64(a.Count())*0.95 &&
-			float64(ab.Count()) >= float64(b.Count())*0.95
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
 
 // Adding elements never decreases the estimate.
 func TestMonotoneQuick(t *testing.T) {

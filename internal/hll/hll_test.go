@@ -76,48 +76,6 @@ func TestAccuracyAtScale(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, b := MustNew(12), MustNew(12)
-	for i := 0; i < 5000; i++ {
-		a.Add(fmt.Sprintf("a-%d", i))
-		b.Add(fmt.Sprintf("b-%d", i))
-	}
-	// Overlap: b also gets half of a's items.
-	for i := 0; i < 2500; i++ {
-		b.Add(fmt.Sprintf("a-%d", i))
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	got := float64(a.Count())
-	relErr := math.Abs(got-10000) / 10000
-	if relErr > 0.08 {
-		t.Errorf("merged estimate %v, relative error %.3f", got, relErr)
-	}
-}
-
-func TestMergePrecisionMismatch(t *testing.T) {
-	a, b := MustNew(12), MustNew(14)
-	if err := a.Merge(b); err != ErrPrecision {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestMergeIdempotent(t *testing.T) {
-	a, b := MustNew(10), MustNew(10)
-	for i := 0; i < 1000; i++ {
-		a.Add(fmt.Sprintf("x-%d", i))
-		b.Add(fmt.Sprintf("x-%d", i))
-	}
-	before := a.Count()
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != before {
-		t.Errorf("merging identical sketch changed estimate %d -> %d", before, a.Count())
-	}
-}
-
 func TestReset(t *testing.T) {
 	s := MustNew(10)
 	for i := 0; i < 100; i++ {

@@ -179,27 +179,6 @@ func refEstimateHist(hist []uint32, p uint8) float64 {
 	return raw
 }
 
-func (s *refSketch) merge(other *refSketch) {
-	if other.dense {
-		if !s.dense {
-			s.promote()
-		}
-		for i, r := range other.regs {
-			s.setDense(uint32(i), r)
-		}
-		return
-	}
-	for _, list := range [2][]uint32{other.sparse, other.buf} {
-		for _, e := range list {
-			if s.dense {
-				s.setDense(e>>rankBits, uint8(e&rankMask))
-			} else {
-				s.addSparse(e>>rankBits, uint8(e&rankMask))
-			}
-		}
-	}
-}
-
 func (s *refSketch) reset() {
 	s.dense = false
 	s.sparse = s.sparse[:0]
@@ -275,12 +254,12 @@ func TestEstimateDoesNotMutateSparse(t *testing.T) {
 
 // FuzzEstimateMatchesReference drives a sketch and the frozen one
 // through the same adds (by hash and by AddUint64, single and in runs of
-// one repeated hash), merges, resets and estimates. Every estimate must
-// agree bit for bit, whichever form either is in — the sketch promotes
-// at its 33rd register, the reference past m/4 of them — and the dense
-// flag must be what the register count says: set once the sketch has
-// held more registers than its array has slots, or has merged a dense
-// one, which from m/4 registers on is where the reference has it too.
+// one repeated hash), resets and estimates. Every estimate must agree
+// bit for bit, whichever form either is in — the sketch promotes at its
+// 33rd register, the reference past m/4 of them — and the dense flag
+// must be what the register count says: set once the sketch has held
+// more registers than its array has slots, which from m/4 registers on
+// is where the reference has it too.
 func FuzzEstimateMatchesReference(f *testing.F) {
 	seed := func(p uint8, ops ...uint64) []byte {
 		b := []byte{p}
@@ -301,7 +280,7 @@ func FuzzEstimateMatchesReference(f *testing.F) {
 	f.Add(seed(1, many[:200]...))
 	f.Add(seed(0, append(many[:20:20], 1, 2, 3, 0, 3)...))
 	// The precisions of ISSUE 20's matrix (p = 4 + first byte), both
-	// operands crossing the array's threshold: b by 40 adds, a by merging it.
+	// sketches crossing the array's threshold by 40 adds each.
 	var cross []uint64
 	for i := uint64(0); i < 40; i++ {
 		cross = append(cross, mix64(i)&^7|5, mix64(i+100)&^7|6) // an add to b, an AddUint64 to a
@@ -313,7 +292,7 @@ func FuzzEstimateMatchesReference(f *testing.F) {
 		f.Add(seed(p, cross...))
 	}
 	// A repeated hash is skipped only while it is the last one handed in:
-	// not across a Reset, and not after a Reset and the merge of a dense b.
+	// not across a Reset.
 	f.Add(seed(6, 15, 15, 3, 0, 3, 15, 3, 23, 15, 15, 3))
 	f.Add(seed(6, append(append([]uint64{15, 3}, cross...), 0, 1, 15, 3, 0, 15, 3)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -321,7 +300,7 @@ func FuzzEstimateMatchesReference(f *testing.F) {
 			return
 		}
 		p := 4 + data[0]%15
-		a, b := MustNew(p), MustNew(p) // a is driven; b is merged into it
+		a, b := MustNew(p), MustNew(p)
 		ra, rb := &refSketch{p: p}, &refSketch{p: p}
 		check := func(what string, s *Sketch, r *refSketch) {
 			t.Helper()
@@ -342,11 +321,6 @@ func FuzzEstimateMatchesReference(f *testing.F) {
 			case 0:
 				a.Reset()
 				ra.reset()
-			case 1: // fold b into a, as it stands
-				if err := a.Merge(b); err != nil {
-					t.Fatal(err)
-				}
-				ra.merge(rb)
 			case 2:
 				b.Reset()
 				rb.reset()

@@ -109,79 +109,9 @@ func TestSparseDenseIdenticalEstimates(t *testing.T) {
 	}
 }
 
-// TestMergeFormMatrix checks every small/dense merge combination, in
-// either order, produces the exact estimate of the dense union and of
-// the frozen reference's merge: two small sketches whose union still
-// fits the array, two whose union outgrows it in mid-merge, small with
-// dense (naturally promoted and forced), dense with dense.
-func TestMergeFormMatrix(t *testing.T) {
-	fill := func(s *Sketch, prefix string, n int) *Sketch {
-		for i := 0; i < n; i++ {
-			s.Add(fmt.Sprintf("%s-%d", prefix, i))
-		}
-		return s
-	}
-	refFill := func(prefix string, n int) *refSketch {
-		r := &refSketch{p: 10}
-		for i := 0; i < n; i++ {
-			r.addHash(HashString(fmt.Sprintf("%s-%d", prefix, i)))
-		}
-		return r
-	}
-	natural := func() *Sketch { return MustNew(10) }
-	forced := func() *Sketch { return forceDense(MustNew(10)) }
-	cases := []struct {
-		name           string
-		a, b           func() *Sketch
-		na, nb         int
-		aDense, bDense bool // the operands' forms going in
-		dense          bool // the result's
-	}{
-		{"small+small", natural, natural, 12, 15, false, false, false},
-		{"small+small, crossing", natural, natural, 25, 25, false, false, true},
-		{"small+dense", natural, natural, 20, 150, false, true, true},
-		{"small+forced dense", natural, forced, 20, 10, false, true, true},
-		{"dense+small", natural, natural, 150, 20, true, false, true},
-		{"forced dense+small", forced, natural, 10, 20, true, false, true},
-		{"dense+dense", natural, natural, 120, 150, true, true, true},
-		{"dense+forced dense", natural, forced, 120, 150, true, true, true},
-	}
-	for _, tc := range cases {
-		for _, swap := range []bool{false, true} {
-			name := tc.name
-			if swap {
-				name += ", swapped"
-				tc.a, tc.b, tc.na, tc.nb = tc.b, tc.a, tc.nb, tc.na
-				tc.aDense, tc.bDense = tc.bDense, tc.aDense
-			}
-			a, b := fill(tc.a(), "a", tc.na), fill(tc.b(), "b", tc.nb)
-			if a.Dense() != tc.aDense || b.Dense() != tc.bDense {
-				t.Fatalf("%s: operands dense %v and %v, want %v and %v", name, a.Dense(), b.Dense(), tc.aDense, tc.bDense)
-			}
-			held := *b
-			if err := a.Merge(b); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if b.n != held.n || b.small != held.small || b.dense != held.dense {
-				t.Errorf("%s: Merge changed its read-only operand", name)
-			}
-			want := fill(fill(forced(), "a", tc.na), "b", tc.nb).Estimate()
-			ra := refFill("a", tc.na)
-			ra.merge(refFill("b", tc.nb))
-			if got := a.Estimate(); got != want || got != ra.estimate() {
-				t.Errorf("%s: merged estimate %v, dense union %v, reference %v", name, got, want, ra.estimate())
-			}
-			if a.Dense() != tc.dense {
-				t.Errorf("%s: merged sketch dense %v, want %v", name, a.Dense(), tc.dense)
-			}
-		}
-	}
-}
-
 // TestSparseDensePropertyQuick is the randomized form of the
-// equivalence guarantee: arbitrary interleavings of adds, merges and
-// resets keep a natural sketch and a forced-dense twin in exact
-// agreement.
+// equivalence guarantee: arbitrary interleavings of adds and resets
+// keep a natural sketch and a forced-dense twin in exact agreement.
 func TestSparseDensePropertyQuick(t *testing.T) {
 	f := func(seed int64, ops uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -192,19 +122,6 @@ func TestSparseDensePropertyQuick(t *testing.T) {
 				nat.Reset()
 				den.Reset()
 				den.promote()
-			case 1, 2: // merge in a random batch, alternating forms
-				mNat, mDen := MustNew(8), forceDense(MustNew(8))
-				for i, n := 0, rng.Intn(200); i < n; i++ {
-					v := fmt.Sprintf("m%d", rng.Intn(400))
-					mNat.Add(v)
-					mDen.Add(v)
-				}
-				if err := nat.Merge(mNat); err != nil {
-					return false
-				}
-				if err := den.Merge(mDen); err != nil {
-					return false
-				}
 			default: // a burst of adds
 				for i, n := 0, rng.Intn(120); i < n; i++ {
 					v := fmt.Sprintf("v%d", rng.Intn(600))

@@ -2,16 +2,11 @@ package metrics
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"math"
 	"strconv"
 	"strings"
 )
-
-// errBoundsMismatch rejects merging histogram snapshots with different
-// bucket layouts.
-var errBoundsMismatch = errors.New("metrics: histogram bucket bounds differ")
 
 // PrometheusContentType is the Content-Type of WritePrometheus output.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"

@@ -129,22 +129,3 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.Sum = math.Float64frombits(h.sum.Load())
 	return s
 }
-
-// Merge folds other into s. The two snapshots must have identical
-// bucket bounds.
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) error {
-	if len(s.Bounds) != len(other.Bounds) {
-		return errBoundsMismatch
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != other.Bounds[i] {
-			return errBoundsMismatch
-		}
-	}
-	for i := range s.Counts {
-		s.Counts[i] += other.Counts[i]
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
-	return nil
-}

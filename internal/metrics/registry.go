@@ -141,8 +141,9 @@ func (r *Registry) Sum(name string) float64 {
 // SumCounter is Sum for counter families, kept in uint64 end to end:
 // counters are uint64 internally, and totalling through float64 loses
 // precision above 2^53 — reachable on a long-lived 200 k tx/s feed —
-// which could make a reported total non-monotone. Non-counter children
-// contribute nothing.
+// which could make a reported total non-monotone. A histogram child
+// contributes its observation count (its _count series, a counter);
+// gauge children contribute nothing.
 func (r *Registry) SumCounter(name string) uint64 {
 	var total uint64
 	for _, ch := range r.familyChildren(name) {
@@ -151,6 +152,8 @@ func (r *Registry) SumCounter(name string) uint64 {
 			total += ch.c.Value()
 		case ch.cfn != nil:
 			total += ch.cfn()
+		case ch.h != nil:
+			total += ch.h.count.Load()
 		}
 	}
 	return total

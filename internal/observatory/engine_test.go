@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"dnsobservatory/internal/dnswire"
 	"dnsobservatory/internal/sie"
@@ -119,6 +120,22 @@ func copySummary(sum *sie.Summary) sie.Summary {
 	return out
 }
 
+// settledGoroutines returns the process's goroutine count once it has
+// held still for five looks 10 ms apart (or after 5 s): an earlier
+// test's goroutines may still be on their way out.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still, deadline := 0, time.Now().Add(5*time.Second); still < 5 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
 // TestPipelineIsSynchronous: the inline shape starts no goroutine, and
 // every snapshot of a window has been delivered when the Ingest that
 // crosses its boundary returns — the final ones when Close returns. dnsbench's
@@ -128,7 +145,7 @@ func TestPipelineIsSynchronous(t *testing.T) {
 	cfg.SkipFreshObjects = false
 	cfg.Detect = detectTestConfig()
 	const perWindow = 2 + 2 // two aggregations, two detect snapshots
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	delivered := 0
 	p := New(cfg, statsAggs(), func(*tsv.Snapshot) { delivered++ })
 	s := sum("192.0.2.1", "198.51.100.1", "a.example.com.", dnswire.TypeA)

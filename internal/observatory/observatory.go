@@ -71,8 +71,8 @@ type Config struct {
 	// Detect, when set, attaches the streaming detection layer
 	// (internal/detect): every accepted summary also feeds the
 	// information-content and newly-observed-domain trackers, and each
-	// window dump additionally emits detect_esld and detect_nod
-	// snapshots through OnSnapshot. The inline and worker shapes
+	// window dump additionally delivers detect_esld and detect_nod
+	// snapshots to the snapshot callback. The inline and worker shapes
 	// produce byte-identical detection snapshots for the same stream
 	// (see the detect package comment).
 	Detect *detect.Config

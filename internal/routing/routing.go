@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 )
 
@@ -140,38 +139,4 @@ func isDigits(s string) bool {
 		}
 	}
 	return true
-}
-
-// OrgShare is one row of an organization ranking.
-type OrgShare struct {
-	Org  string
-	ASNs map[uint32]bool
-	Hits uint64
-}
-
-// RankOrgs groups per-ASN hit counts by organization name and returns
-// organizations by descending hits — the join performed for Table 1.
-func (t *Table) RankOrgs(hitsByASN map[uint32]uint64) []OrgShare {
-	byOrg := map[string]*OrgShare{}
-	for asn, hits := range hitsByASN {
-		org := OrgName(t.ASName(asn))
-		os, ok := byOrg[org]
-		if !ok {
-			os = &OrgShare{Org: org, ASNs: map[uint32]bool{}}
-			byOrg[org] = os
-		}
-		os.ASNs[asn] = true
-		os.Hits += hits
-	}
-	out := make([]OrgShare, 0, len(byOrg))
-	for _, os := range byOrg {
-		out = append(out, *os)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hits != out[j].Hits {
-			return out[i].Hits > out[j].Hits
-		}
-		return out[i].Org < out[j].Org
-	})
-	return out
 }

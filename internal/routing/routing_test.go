@@ -95,23 +95,6 @@ func TestOrgName(t *testing.T) {
 	}
 }
 
-func TestRankOrgs(t *testing.T) {
-	var tb Table
-	tb.SetASName(1, "AMAZON-02 - Amazon, US")
-	tb.SetASName(2, "AMAZON-77 - Amazon, US")
-	tb.SetASName(3, "GOOGLE - Google LLC, US")
-	ranks := tb.RankOrgs(map[uint32]uint64{1: 100, 2: 50, 3: 120})
-	if len(ranks) != 2 {
-		t.Fatalf("ranks = %+v", ranks)
-	}
-	if ranks[0].Org != "AMAZON" || ranks[0].Hits != 150 || len(ranks[0].ASNs) != 2 {
-		t.Errorf("rank0 = %+v", ranks[0])
-	}
-	if ranks[1].Org != "GOOGLE" || ranks[1].Hits != 120 {
-		t.Errorf("rank1 = %+v", ranks[1])
-	}
-}
-
 func TestLookupEmptyTable(t *testing.T) {
 	var tb Table
 	if _, ok := tb.Lookup(netip.MustParseAddr("1.2.3.4")); ok {

@@ -45,10 +45,6 @@ func (r *Resolver) store(key string, ttl uint32, now float64, negative bool) {
 	r.cache[key] = cacheEntry{expires: now + float64(ttl), negative: negative}
 }
 
-// CacheLen returns the number of live-or-stale cache entries (for tests
-// and memory accounting).
-func (r *Resolver) CacheLen() int { return len(r.cache) }
-
 // gc drops expired entries; the simulator calls it periodically so that
 // long runs stay bounded.
 func (r *Resolver) gc(now float64) {

@@ -323,14 +323,6 @@ func (s *SLD) initKey() {
 	s.sigCache = map[string]dnswire.RR{}
 }
 
-// InvalidateSignatures drops cached RRSIGs; events that change records
-// (renumbering, TTL changes) call this through bumpSerial.
-func (s *SLD) InvalidateSignatures() {
-	if s.sigCache != nil {
-		s.sigCache = map[string]dnswire.RR{}
-	}
-}
-
 func (s *SLD) buildCum() {
 	s.fqdnCum = cumWeights(len(s.FQDNs), func(i int) float64 { return s.FQDNs[i].Weight })
 }

@@ -231,29 +231,6 @@ func (h *Histogram) quantiles(qs, out []float64) {
 	}
 }
 
-// Merge adds other's observations into h. Both histograms must have been
-// created with the same parameters; mismatched shapes are merged
-// bucket-by-index up to the shorter length.
-func (h *Histogram) Merge(other *Histogram) {
-	from, to := other.lo, min(other.hi, int32(len(h.counts)))
-	for i := from; i < to; i++ {
-		h.counts[i] += other.counts[i]
-	}
-	if from < to {
-		h.lo, h.hi = min(h.lo, from), max(h.hi, to)
-	}
-	h.n += other.n
-	h.sum += other.sum
-	if other.n > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-}
-
 // Reset clears the histogram for the next time window.
 func (h *Histogram) Reset() {
 	if h.lo < h.hi {

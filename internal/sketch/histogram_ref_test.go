@@ -84,26 +84,6 @@ func (h *refHistogram) quantile(q float64) float64 {
 	return h.max
 }
 
-func (h *refHistogram) merge(other *refHistogram) {
-	n := len(h.counts)
-	if len(other.counts) < n {
-		n = len(other.counts)
-	}
-	for i := 0; i < n; i++ {
-		h.counts[i] += other.counts[i]
-	}
-	h.n += other.n
-	h.sum += other.sum
-	if other.n > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-}
-
 func (h *refHistogram) reset() {
 	clear(h.counts)
 	h.n = 0
@@ -148,9 +128,8 @@ func sameAsRef(t *testing.T, what string, h *Histogram, ref *refHistogram) {
 
 // FuzzQuartilesMatchQuantile drives two histograms and their frozen
 // twins through arbitrary observations (zero, negatives, values past
-// the last bound, infinities and NaN among them), merges of the second
-// into the first, and resets followed by reuse, comparing after every
-// step.
+// the last bound, infinities and NaN among them) and resets followed by
+// reuse, comparing after every step.
 func FuzzQuartilesMatchQuantile(f *testing.F) {
 	seed := func(ops ...float64) []byte {
 		var b []byte
@@ -173,9 +152,6 @@ func FuzzQuartilesMatchQuantile(f *testing.F) {
 			case bits&3 == 1: // observe into the second histogram
 				b.Observe(v)
 				rb.observe(v)
-			case bits&31 == 2:
-				a.Merge(b)
-				ra.merge(rb)
 			case bits&31 == 18:
 				a.Reset()
 				ra.reset()
@@ -246,7 +222,7 @@ func FuzzBucketHintMatchesSearch(f *testing.F) {
 }
 
 // TestHistogramMatchesReference runs the fuzzer's comparison over a
-// seeded stream long enough to fill, merge and reuse every bucket.
+// seeded stream long enough to fill and reuse every bucket.
 func TestHistogramMatchesReference(t *testing.T) {
 	a, b := NewHistogram(60_000, 1.15), NewHistogram(60_000, 1.15)
 	ra, rb := newRefHistogram(60_000, 1.15), newRefHistogram(60_000, 1.15)
@@ -268,9 +244,6 @@ func TestHistogramMatchesReference(t *testing.T) {
 		case r%3 == 0:
 			b.Observe(v)
 			rb.observe(v)
-		case r%1009 == 1:
-			a.Merge(b)
-			ra.merge(rb)
 		case r%2003 == 2:
 			a.Reset()
 			ra.reset()
@@ -290,20 +263,16 @@ func TestHistogramMatchesReference(t *testing.T) {
 
 // TestHistogramResetClearsOnlyRange: a reset histogram equals a fresh
 // one wherever its observations lay — the first bucket, the overflow
-// bucket, or spread by a merge — and a count planted outside the
-// tracked range survives the reset, which is how a test can see that
-// the reset did not sweep all the buckets.
+// bucket or both — and a count planted outside the tracked range
+// survives the reset, which is how a test can see that the reset did
+// not sweep all the buckets.
 func TestHistogramResetClearsOnlyRange(t *testing.T) {
 	fresh := NewHistogram(1000, 1.15)
 	last := len(fresh.counts) - 1
-	other := NewHistogram(1000, 1.15)
-	other.Observe(3)
-	other.Observe(400)
 	for name, fill := range map[string]func(h *Histogram){
 		"first bucket":    func(h *Histogram) { h.Observe(0); h.Observe(-5); h.Observe(1) },
 		"overflow bucket": func(h *Histogram) { h.Observe(1e9); h.Observe(math.Inf(1)) },
 		"both ends":       func(h *Histogram) { h.Observe(0); h.Observe(1e9) },
-		"merged":          func(h *Histogram) { h.Observe(50); h.Merge(other) },
 		"nothing":         func(h *Histogram) {},
 	} {
 		h := NewHistogram(1000, 1.15)

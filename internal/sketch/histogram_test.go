@@ -106,32 +106,6 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(1000, 1.2)
-	b := NewHistogram(1000, 1.2)
-	c := NewHistogram(1000, 1.2)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 2000; i++ {
-		v := rng.Float64() * 900
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		c.Observe(v)
-	}
-	a.Merge(b)
-	if a.N() != c.N() {
-		t.Fatalf("merged n = %d, want %d", a.N(), c.N())
-	}
-	if math.Abs(a.Mean()-c.Mean()) > 1e-9 {
-		t.Errorf("merged mean %f != %f", a.Mean(), c.Mean())
-	}
-	if math.Abs(a.Quantile(0.5)-c.Quantile(0.5)) > 1e-9 {
-		t.Errorf("merged median %f != %f", a.Quantile(0.5), c.Quantile(0.5))
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	h := NewHistogram(100, 1.2)
 	h.Observe(5)
@@ -210,23 +184,6 @@ func TestTopValuesCap(t *testing.T) {
 	}
 	if tv.Total() != 100 {
 		t.Errorf("total = %d", tv.Total())
-	}
-}
-
-func TestTopValuesMerge(t *testing.T) {
-	a, b := NewTopValues(8), NewTopValues(8)
-	for i := 0; i < 10; i++ {
-		a.Observe(1)
-		b.Observe(1)
-		b.Observe(2)
-	}
-	a.Merge(b)
-	if a.Total() != 30 {
-		t.Errorf("total = %d", a.Total())
-	}
-	top := a.Top(2)
-	if top[0].Value != 1 || top[0].Count != 20 || top[1].Value != 2 || top[1].Count != 10 {
-		t.Errorf("merged top: %+v", top)
 	}
 }
 

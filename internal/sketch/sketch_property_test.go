@@ -38,35 +38,6 @@ func TestQuantileBoundsQuick(t *testing.T) {
 	}
 }
 
-// Merging two histograms equals observing the union stream, for every
-// aggregate the Observatory reads.
-func TestHistogramMergeEquivalenceQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	f := func(na, nb uint8) bool {
-		a := NewHistogram(1e4, 1.15)
-		b := NewHistogram(1e4, 1.15)
-		u := NewHistogram(1e4, 1.15)
-		for i := 0; i < int(na); i++ {
-			v := rng.Float64() * 9000
-			a.Observe(v)
-			u.Observe(v)
-		}
-		for i := 0; i < int(nb); i++ {
-			v := rng.Float64() * 9000
-			b.Observe(v)
-			u.Observe(v)
-		}
-		a.Merge(b)
-		if a.N() != u.N() || a.Min() != u.Min() || a.Max() != u.Max() {
-			return false
-		}
-		return abs(a.Mean()-u.Mean()) < 1e-9 && abs(a.Quantile(0.5)-u.Quantile(0.5)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // The TopValues total always equals the number of observations and the
 // share of any reported value never exceeds 1.
 func TestTopValuesInvariantsQuick(t *testing.T) {
@@ -88,11 +59,4 @@ func TestTopValuesInvariantsQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -41,26 +41,21 @@ func (t *TopValues) Init(maxTracked int) {
 	*t = TopValues{maxTracked: min(maxTracked, MaxTracked)}
 }
 
-// Observe records one occurrence of v.
+// Observe records one occurrence of v, admitting v while the table has
+// room and lumping it into "other" once it is full.
 func (t *TopValues) Observe(v uint32) {
 	t.total++
-	t.add(v, 1)
-}
-
-// add credits c occurrences of v to its slot, admitting v while the
-// table has room and lumping it into "other" once it is full.
-func (t *TopValues) add(v uint32, c uint64) {
 	for i, tracked := range t.vals[:t.n] {
 		if tracked == v {
-			t.counts[i] += c
+			t.counts[i]++
 			return
 		}
 	}
 	if t.n >= t.maxTracked {
-		t.other += c
+		t.other++
 		return
 	}
-	t.vals[t.n], t.counts[t.n] = v, c
+	t.vals[t.n], t.counts[t.n] = v, 1
 	t.n++
 }
 
@@ -114,16 +109,6 @@ func (t *TopValues) Distinct() int { return t.n }
 
 // Total returns the number of observations.
 func (t *TopValues) Total() uint64 { return t.total }
-
-// Merge folds other's counts into t, respecting t's cap; other's values
-// are admitted in other's order of first sight.
-func (t *TopValues) Merge(other *TopValues) {
-	for i, v := range other.vals[:other.n] {
-		t.add(v, other.counts[i])
-	}
-	t.other += other.other
-	t.total += other.total
-}
 
 // Reset clears the tracker for the next time window.
 func (t *TopValues) Reset() { t.n, t.other, t.total = 0, 0, 0 }

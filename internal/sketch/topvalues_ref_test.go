@@ -62,18 +62,6 @@ func (t *refTopValues) Mode() (uint32, float64, bool) {
 	return top[0].Value, top[0].Share, true
 }
 
-func (t *refTopValues) Merge(other *refTopValues) {
-	for v, c := range other.counts {
-		if _, ok := t.counts[v]; !ok && len(t.counts) >= t.maxTracked {
-			t.other += c
-		} else {
-			t.counts[v] += c
-		}
-	}
-	t.other += other.other
-	t.total += other.total
-}
-
 // sameReport compares everything a TopValues exposes against the
 // reference, at every n a caller could ask for.
 func sameReport(t *testing.T, ctx string, got *TopValues, want *refTopValues) {
@@ -100,45 +88,22 @@ func sameReport(t *testing.T, ctx string, got *TopValues, want *refTopValues) {
 
 // TestTopValuesMatchesMapForm drives the array form and the map form
 // with the same random streams — skewed, uniform, and with more distinct
-// values than the tracker holds — and merges pairs of them.
+// values than the tracker holds.
 func TestTopValuesMatchesMapForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 300; trial++ {
 		maxTracked := []int{1, 4, 8, MaxTracked}[trial%4]
 		universe := []int{1, 3, maxTracked, 2 * maxTracked, 5 * maxTracked}[rng.Intn(5)]
-		stream := func() (*TopValues, *refTopValues) {
-			got, want := NewTopValues(maxTracked), newRefTopValues(maxTracked)
-			for i, n := 0, rng.Intn(400); i < n; i++ {
-				v := uint32(rng.Intn(universe))
-				if rng.Intn(3) == 0 {
-					v = uint32(rng.Intn(1 + universe/4)) // a heavy head, so counts tie and differ
-				}
-				got.Observe(v)
-				want.Observe(v)
+		a, ra := NewTopValues(maxTracked), newRefTopValues(maxTracked)
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			v := uint32(rng.Intn(universe))
+			if rng.Intn(3) == 0 {
+				v = uint32(rng.Intn(1 + universe/4)) // a heavy head, so counts tie and differ
 			}
-			return got, want
+			a.Observe(v)
+			ra.Observe(v)
 		}
-		a, ra := stream()
 		sameReport(t, "stream", a, ra)
-		b, rb := stream()
-		// The map form admits a merged-in value in map order, so once the
-		// union overflows the tracker which values it keeps is random;
-		// the two forms are comparable on merges that fit.
-		union := map[uint32]bool{}
-		for v := range ra.counts {
-			union[v] = true
-		}
-		for v := range rb.counts {
-			union[v] = true
-		}
-		a.Merge(b)
-		ra.Merge(rb)
-		if len(union) <= maxTracked {
-			sameReport(t, "merge", a, ra)
-		} else if a.Total() != ra.total || a.Distinct() != maxTracked || len(ra.counts) != maxTracked {
-			t.Fatalf("overflowing merge: total %d/%d, distinct %d/%d, cap %d",
-				a.Total(), ra.total, a.Distinct(), len(ra.counts), maxTracked)
-		}
 		a.Reset()
 		sameReport(t, "reset", a, newRefTopValues(maxTracked))
 	}

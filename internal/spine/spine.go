@@ -32,9 +32,6 @@ type Config struct {
 	Shards, Workers int
 	// Journal, when set, is checkpointed as windows are stored.
 	Journal Journal
-	// OnSnapshot, when set, sees every snapshot before it is stored, on
-	// the goroutine that delivers it.
-	OnSnapshot func(*tsv.Snapshot)
 }
 
 // errAborted gates what the engine delivers after Abort.
@@ -162,9 +159,6 @@ func (s *Spine) failed() error {
 // the first snapshot of a window finds every earlier one stored: that is
 // when they settle.
 func (s *Spine) deliver(snap *tsv.Snapshot) {
-	if s.cfg.OnSnapshot != nil {
-		s.cfg.OnSnapshot(snap)
-	}
 	if s.failed() != nil {
 		return
 	}

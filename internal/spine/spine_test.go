@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dnsobservatory/internal/detect"
+	"dnsobservatory/internal/metrics"
 	"dnsobservatory/internal/observatory"
 	"dnsobservatory/internal/sie"
 	"dnsobservatory/internal/simnet"
@@ -265,8 +266,9 @@ func TestFailedPutStops(t *testing.T) {
 }
 
 // TestAbortStoresNothingMore: after Abort the open window is not stored
-// and no checkpoint covers it, though the per-snapshot hook still sees
-// every window; Close then returns the abort. (The worker shape may not
+// and no checkpoint covers it, though the engine still emits every
+// window (its flush histogram counts them); Close then returns the
+// abort. (The worker shape may not
 // have delivered the closed windows yet either, so they may go unstored
 // too.)
 func TestAbortStoresNothingMore(t *testing.T) {
@@ -275,10 +277,10 @@ func TestAbortStoresNothingMore(t *testing.T) {
 	half := firstAt(txs, w2) + 10
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
-			var seen int
+			reg := metrics.NewRegistry()
 			sp, j := open(t, t.TempDir(), func(c *Config) {
 				shape.set(c)
-				c.OnSnapshot = func(*tsv.Snapshot) { seen++ }
+				c.Engine.Metrics = reg
 			}, 0)
 			if err := ingest(sp, txs[:half]); err != nil {
 				t.Fatal(err)
@@ -293,8 +295,8 @@ func TestAbortStoresNothingMore(t *testing.T) {
 					t.Errorf("a checkpoint covers %d transactions, past the windows closed before Abort", c.done)
 				}
 			}
-			if seen != 3*len(j.aggs) {
-				t.Errorf("OnSnapshot saw %d snapshots of 3 windows", seen)
+			if n := reg.SumCounter(observatory.MetricFlush); n != 3 {
+				t.Errorf("the engine emitted %d windows, want 3", n)
 			}
 			starts, err := j.st.List("qtype", tsv.Minutely)
 			if err != nil {

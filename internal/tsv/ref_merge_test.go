@@ -4,9 +4,14 @@ package tsv
 // shared streaming accumulator is compared against: refMergeWindows
 // was the query engine's, refAggregate the cascade's. Only names
 // changed (ref prefix), and refAggregate's level checks went with the
-// ErrMixedLevels they returned; do not "fix" anything else here.
+// ErrMixedLevels they returned, and refAggregate's empty-input error is
+// its own now that ErrNothingToAgg is gone; do not "fix" anything else
+// here.
 
-import "sort"
+import (
+	"errors"
+	"sort"
+)
 
 // refMergeWindows aggregates the projected snapshots of a range with the
 // cascade's semantics — counters average over all windows with missing
@@ -111,7 +116,7 @@ func refMergeWindows(snaps []*Snapshot, res *Result) ([]Row, error) {
 // only over the windows where the object appears.
 func refAggregate(snaps []*Snapshot) (*Snapshot, error) {
 	if len(snaps) == 0 {
-		return nil, ErrNothingToAgg
+		return nil, errors.New("tsv: no snapshots to aggregate")
 	}
 	first := snaps[0]
 	type acc struct {

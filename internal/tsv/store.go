@@ -449,13 +449,12 @@ func (st *Store) List(agg string, level Level) ([]int64, error) {
 // effectiveness.
 func (st *Store) ListCacheHits() uint64 { return st.listHits.Load() }
 
-// ListCacheMisses returns how many listLevel calls had to scan the
-// directory.
+// ListCacheMisses returns how many listings had to scan the directory.
 func (st *Store) ListCacheMisses() uint64 { return st.listMisses.Load() }
 
-// listLevel returns the start times of every stored file at one level,
+// Listing returns the start times of every stored file at one level,
 // grouped by aggregation and ascending, as a copy the caller may keep.
-func (st *Store) listLevel(level Level) (map[string][]int64, error) {
+func (st *Store) Listing(level Level) (map[string][]int64, error) {
 	st.listMu.Lock()
 	defer st.listMu.Unlock()
 	cached, err := st.cachedLevel(level)
@@ -503,7 +502,7 @@ func (st *Store) cachedLevel(level Level) (map[string][]int64, error) {
 // notePut inserts a freshly committed file into the level's cached
 // listing, keeping it warm through a cascade (which lists the level it
 // just wrote on the next pass). A cold cache stays cold: the next
-// listLevel scan will see the file. The caller holds listMu.
+// listing's scan will see the file. The caller holds listMu.
 func (st *Store) notePut(agg string, level Level, start int64) {
 	m := st.listCache[level]
 	if m == nil {
@@ -555,11 +554,11 @@ func (st *Store) CascadeAll(aggs []string, now int64) error {
 		// One listing of each level serves every aggregation: the lower
 		// one holds the inputs, the upper one what is already built — a
 		// pass with nothing new to build opens no file.
-		byAgg, err := st.listLevel(level)
+		byAgg, err := st.Listing(level)
 		if err != nil {
 			return err
 		}
-		built, err := st.listLevel(level + 1)
+		built, err := st.Listing(level + 1)
 		if err != nil {
 			return err
 		}

@@ -1,15 +1,16 @@
-// Package webui exposes the Observatory's live state over HTTP — the
+// Package webui exposes the Observatory's snapshot store over HTTP — the
 // paper's planned "web interface" for sharing collected data. It serves
-// the latest snapshot of each aggregation as JSON, queries over the
-// snapshot store, the stored TSV files verbatim, the process metrics
-// registry, and a health endpoint.
+// the newest stored window of each aggregation as JSON, queries over
+// the store, the stored TSV files verbatim, the process metrics
+// registry, and a health endpoint. A server with no store serves only
+// the status endpoints.
 //
-//	GET /healthz                         liveness + ingest counters
+//	GET /healthz                         liveness, transactions, windows
 //	GET /metrics                         Prometheus text exposition
 //	GET /api/metricsz                    metrics as JSON families
-//	GET /api/aggregations                aggregation names, sorted
-//	GET /api/top/{agg}?n=50&col=hits     latest top objects as JSON
-//	GET /api/detect?n=50                 latest detection window
+//	GET /api/aggregations                stored aggregation names, sorted
+//	GET /api/top/{agg}?n=50&col=hits     newest window's top objects
+//	GET /api/detect?n=50                 newest detection window
 //	GET /api/encdns                      encrypted-leg accounting
 //	GET /api/query?agg=…                 a query over the store
 //	GET /api/files/{agg}                 stored snapshot files
@@ -21,11 +22,11 @@
 // row. Their bodies are byte for byte what encoding/json wrote for rows
 // of {"rank","key","values"}, values keyed by column name in sorted
 // order, except that a NaN or ±Inf value is null (encoding/json could
-// not write the response at all). The other endpoints use
-// encoding/json.
+// not write the response at all) and an empty /api/top is "rows":[]
+// (not null). The other endpoints use encoding/json.
 //
-// Concurrency: a Server is safe for concurrent use — snapshot state is
-// RWMutex-guarded, and the handlers otherwise read only the metrics
-// registry (itself concurrency-safe) and the store. Configure Registry
-// and EnablePprof before calling Handler.
+// Concurrency: a Server is safe for concurrent use — it keeps no state
+// of its own between requests, and the handlers read only the metrics
+// registry and the store, both concurrency-safe. Configure Registry and
+// EnablePprof before calling Handler.
 package webui

@@ -159,6 +159,7 @@ func TestQueryEndpointErrors(t *testing.T) {
 		"agg=srvip&k=bogus":           http.StatusBadRequest,
 		"agg=srvip&from=500&to=100":   http.StatusBadRequest, // inverted range
 		"agg=srvip&cols=nope":         http.StatusBadRequest, // unknown column
+		"agg=srvip&cols=hits,hits":    http.StatusBadRequest, // a column named twice
 		"agg=srvip&order=nope":        http.StatusBadRequest,
 		"agg=srvip&where=hits":        http.StatusBadRequest, // malformed pred
 		"agg=srvip&where=:1:2":        http.StatusBadRequest, // empty pred column

@@ -1,6 +1,7 @@
 package webui
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"math"
@@ -10,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"dnsobservatory/internal/metrics"
 	"dnsobservatory/internal/tsv"
@@ -19,13 +19,12 @@ import (
 // Server is the HTTP facade. The zero value is not usable; create with
 // NewServer. Server is safe for concurrent use.
 //
-// The server reads transaction counts from the metrics registry the
-// engines publish to (there is no per-transaction hook to remember to
-// call): wire the same registry into observatory.Config.Metrics, or
-// leave Registry nil to use metrics.Default().
+// The server reads transaction and window counts from the metrics
+// registry the engines publish to (there is no per-transaction or
+// per-window hook to remember to call): wire the same registry into
+// observatory.Config.Metrics, or leave Registry nil to use
+// metrics.Default(). Every window it reports it reads from the store.
 type Server struct {
-	mu     sync.RWMutex
-	latest map[string]*tsv.Snapshot
 	store  *tsv.Store  // optional
 	engine *tsv.Engine // non-nil iff store is
 	qOnce  sync.Once   // instruments engine on first Handler call
@@ -38,52 +37,32 @@ type Server struct {
 	// default: profiling endpoints expose internals and cost CPU, so
 	// they are opt-in (the dnsobs -pprof flag).
 	EnablePprof bool
-	// Sensors, when set, adds its result under the "sensors" key in
-	// /healthz — dnsobs wires it to the transport collector's per-sensor
-	// liveness so operators see which feeds are up. Declared as func()
-	// any to keep webui decoupled from the transport package.
-	Sensors func() any
-	// WAL, when set, adds its result under the "wal" key in /healthz —
-	// dnsobs wires it to the collector's journal status (size, lag,
-	// last checkpoint). Same decoupling convention as Sensors.
-	WAL func() any
-	// Fleet, when set, adds its result under the "fleet" key in
-	// /healthz — dnsobs wires it to the fleet router's member list so
-	// operators see placement and cooldowns.
-	Fleet func() any
-	// Probe, when set, adds its result under the "probe" key in
-	// /healthz — dnsprobe wires it to the probe engine's Status so
-	// operators see queue depth, in-flight probes and the outcome
-	// counters. Same decoupling convention as Sensors.
-	Probe func() any
-	// Enc, when set, serves GET /api/encdns and adds its result under
-	// the "enc" key in /healthz — dnsobs wires it to the encwire
-	// accumulator's Status (per-mode message, byte and handshake
-	// counters of the encrypted client leg). Same decoupling convention
-	// as Sensors.
-	Enc func() any
-
-	windows atomic.Uint64
+	// The /healthz hooks: each, when set, adds its result under its
+	// lower-case name ("sensors", "wal", "fleet", "probe", "enc"). They
+	// are func() any to keep webui decoupled from the packages they
+	// report on. dnsobs wires Sensors to the transport collector's
+	// per-sensor liveness, WAL to its journal status (size, lag, last
+	// checkpoint), Fleet to the fleet router's members and cooldowns,
+	// and Enc to the encwire accumulator's Status (per-mode message,
+	// byte and handshake counters), which GET /api/encdns serves too;
+	// dnsprobe wires Probe to the probe engine's Status (queue depth,
+	// in-flight probes, outcome counters).
+	Sensors, WAL, Fleet, Probe, Enc func() any
 }
 
-// NewServer returns a server; store may be nil when only live snapshots
-// are exposed. Either backend serves the same endpoints.
+// NewServer returns a server; store may be nil when only the status
+// endpoints are served. Either backend serves the same endpoints.
 func NewServer(store *tsv.Store) *Server {
-	s := &Server{latest: map[string]*tsv.Snapshot{}, store: store}
+	s := &Server{store: store}
 	if store != nil {
 		s.engine = tsv.NewEngine(store)
 	}
 	return s
 }
 
-// OnSnapshot records a freshly dumped snapshot; hook it into the
-// pipeline's snapshot callback.
-func (s *Server) OnSnapshot(snap *tsv.Snapshot) {
-	s.mu.Lock()
-	s.latest[snap.Aggregation] = snap
-	s.mu.Unlock()
-	s.windows.Add(1)
-}
+// OnSnapshot does nothing: the server answers from the store. It stays
+// only for cmd/dnsbench, which still calls it.
+func (s *Server) OnSnapshot(*tsv.Snapshot) {}
 
 // registry returns the effective metrics registry.
 func (s *Server) registry() *metrics.Registry {
@@ -99,13 +78,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /api/metricsz", s.handleMetricsz)
-	mux.HandleFunc("GET /api/aggregations", s.handleAggregations)
-	mux.HandleFunc("GET /api/top/{agg}", s.handleTop)
-	mux.HandleFunc("GET /api/detect", s.handleDetect)
+	mux.HandleFunc("GET /api/aggregations", s.stored(s.handleAggregations))
+	mux.HandleFunc("GET /api/top/{agg}", s.stored(s.handleTop))
+	mux.HandleFunc("GET /api/detect", s.stored(s.handleDetect))
 	mux.HandleFunc("GET /api/encdns", s.handleEncDNS)
-	mux.HandleFunc("GET /api/query", s.handleQuery)
-	mux.HandleFunc("GET /api/files/{agg}", s.handleFiles)
-	mux.HandleFunc("GET /files/{agg}/{level}/{start}", s.handleFile)
+	mux.HandleFunc("GET /api/query", s.stored(s.handleQuery))
+	mux.HandleFunc("GET /api/files/{agg}", s.stored(s.handleFiles))
+	mux.HandleFunc("GET /files/{agg}/{level}/{start}", s.stored(s.handleFile))
 	if s.engine != nil {
 		s.qOnce.Do(func() { s.engine.Instrument(s.registry()) })
 	}
@@ -119,35 +98,38 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// stored is h on a server with a store; without one, every endpoint
+// that reads the store answers 404.
+func (s *Server) stored(h http.HandlerFunc) http.HandlerFunc {
+	if s.store != nil {
+		return h
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "no store attached", http.StatusNotFound)
+	}
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	health := map[string]any{
 		"ok":           true,
 		"transactions": s.registry().SumCounter(observatoryIngested),
-		"windows":      s.windows.Load(),
+		"windows":      s.registry().SumCounter(observatoryFlush),
 	}
-	if s.Sensors != nil {
-		health["sensors"] = s.Sensors()
-	}
-	if s.WAL != nil {
-		health["wal"] = s.WAL()
-	}
-	if s.Fleet != nil {
-		health["fleet"] = s.Fleet()
-	}
-	if s.Probe != nil {
-		health["probe"] = s.Probe()
-	}
-	if s.Enc != nil {
-		health["enc"] = s.Enc()
+	for key, hook := range map[string]func() any{"sensors": s.Sensors, "wal": s.WAL, "fleet": s.Fleet, "probe": s.Probe, "enc": s.Enc} {
+		if hook != nil {
+			health[key] = hook()
+		}
 	}
 	writeJSON(w, health)
 }
 
-// observatoryIngested is the engine family /healthz reports. Mirrors
-// observatory.MetricIngested; the string is duplicated to keep webui
-// free of an import cycle risk and usable with any engine that
-// publishes the family.
-const observatoryIngested = "dnsobs_engine_ingested_total"
+// The engine families /healthz reads: observatory.MetricIngested, and
+// MetricFlush, observed once per window. Spelled out to keep webui
+// usable with any engine that publishes them.
+const (
+	observatoryIngested = "dnsobs_engine_ingested_total"
+	observatoryFlush    = "dnsobs_engine_flush_seconds"
+)
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", metrics.PrometheusContentType)
@@ -165,68 +147,85 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAggregations(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.latest))
-	for name := range s.latest {
+	listing, err := s.store.Listing(tsv.Minutely)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	names := make([]string, 0, len(listing))
+	for name := range listing {
 		names = append(names, name)
 	}
-	s.mu.RUnlock()
 	slices.Sort(names)
 	writeJSON(w, names)
 }
 
-// ranked returns snap's strongest n rows by column col with snap's
-// columns, or nothing when snap is nil or has no such column. It ranks a
-// copy of the rows (tsv.TopRows) and only reads the snapshot, which is
-// shared: every request for the aggregation is handed the same one, and
-// whoever gave it to OnSnapshot may still be using it — dnsobs goes on
-// to store it.
-func ranked(snap *tsv.Snapshot, col string, n int) ([]tsv.Row, []string) {
-	if snap == nil {
-		return nil, nil
+// newest returns the start of agg's newest minute window, and false when
+// the store holds none.
+func (s *Server) newest(agg string) (int64, bool, error) {
+	starts, err := s.store.List(agg, tsv.Minutely)
+	if len(starts) == 0 {
+		return 0, false, err
 	}
-	idx := slices.Index(snap.Columns, col)
-	if idx < 0 {
-		return nil, nil
-	}
-	return tsv.TopRows(snap.Rows, idx, n), snap.Columns
+	return starts[len(starts)-1], true, nil
 }
 
+// ranked returns the strongest n rows by col of agg's minute window at
+// start, with its columns: a query of that one file, which the engine
+// answers with the file's rows as stored. A window Retention took since
+// it was listed has no rows.
+func (s *Server) ranked(agg string, start int64, col string, n int) ([]tsv.Row, []string, error) {
+	switch res, err := s.engine.Run(tsv.Query{Agg: agg, Level: tsv.Minutely, From: start, To: start + 1, K: n, OrderBy: col}); {
+	case errors.Is(err, tsv.ErrNoData):
+		return nil, nil, nil
+	case err != nil:
+		return nil, nil, err
+	default:
+		return res.Rows, res.Columns, nil
+	}
+}
+
+// parseN reads the ?n cap of /api/top and /api/detect (default 50),
+// answering 400 when it is malformed.
+func parseN(w http.ResponseWriter, r *http.Request) (int, bool) {
+	n, err := strconv.Atoi(cmp.Or(r.URL.Query().Get("n"), "50"))
+	if err != nil || n < 1 || n > 100000 {
+		http.Error(w, "bad n", http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
+}
+
+// handleTop serves GET /api/top/{agg} — the strongest ?n rows (default
+// 50) by ?col (default hits) of agg's newest minute window.
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	agg := r.PathValue("agg")
-	s.mu.RLock()
-	snap := s.latest[agg]
-	s.mu.RUnlock()
-	if snap == nil {
+	start, ok, err := s.newest(agg)
+	switch {
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	case !ok:
 		http.Error(w, "unknown aggregation", http.StatusNotFound)
 		return
 	}
-	n := 50
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 || v > 100000 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
+	n, ok := parseN(w, r)
+	if !ok {
+		return
 	}
-	col := r.URL.Query().Get("col")
-	if col == "" {
-		col = "hits"
-	}
-	if !slices.Contains(snap.Columns, col) {
+	rows, cols, err := s.ranked(agg, start, cmp.Or(r.URL.Query().Get("col"), "hits"), n)
+	switch {
+	case errors.Is(err, tsv.ErrUnknownColumn):
 		http.Error(w, "unknown column", http.StatusBadRequest)
+		return
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	rw := newRowWriter()
 	rw.string("aggregation", agg)
-	rw.int("window_start", snap.Start)
-	if rows, cols := ranked(snap, col, n); rows == nil {
-		rw.field("rows")
-		rw.b = append(rw.b, "null"...) // a snapshot with no rows: always null here
-	} else {
-		rw.rows("rows", rows, cols)
-	}
+	rw.int("window_start", start)
+	rw.rows("rows", rows, cols)
 	rw.send(w)
 }
 
@@ -238,39 +237,49 @@ const (
 	detectNOD  = "detect_nod"
 )
 
-// handleDetect serves GET /api/detect — the latest detection window in
+// handleDetect serves GET /api/detect — the newest detection window in
 // one response: information-content heavy hitters ranked by score and
 // newly observed domains ranked by hits. ?n caps each list (default
-// 50). 404 until the first detection window has been dumped (the
-// engines only emit these snapshots when detection is enabled).
+// 50). 404 while the store holds no detection window (the engines only
+// emit these snapshots when detection is enabled).
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	ic := s.latest[detectESLD]
-	nod := s.latest[detectNOD]
-	s.mu.RUnlock()
-	if ic == nil && nod == nil {
+	ic, icOK, err := s.newest(detectESLD)
+	nod, nodOK, err2 := s.newest(detectNOD)
+	switch {
+	case err != nil || err2 != nil:
+		http.Error(w, errors.Join(err, err2).Error(), http.StatusInternalServerError)
+		return
+	case !icOK && !nodOK:
 		http.Error(w, "detection not enabled", http.StatusNotFound)
 		return
 	}
-	n := 50
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 || v > 100000 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
+	n, ok := parseN(w, r)
+	if !ok {
+		return
+	}
+	start := ic
+	if !icOK {
+		start = nod
 	}
 	rw := newRowWriter()
-	if ic != nil {
-		rw.int("window_start", ic.Start)
-	} else {
-		rw.int("window_start", nod.Start)
+	rw.int("window_start", start)
+	for _, l := range [...]struct {
+		name, agg, col string
+		start          int64
+		ok             bool
+	}{{"heavy_hitters", detectESLD, "score", ic, icOK}, {"newly_observed", detectNOD, "hits", nod, nodOK}} {
+		var rows []tsv.Row
+		var cols []string
+		if l.ok {
+			// A window without the column lists no rows.
+			if rows, cols, err = s.ranked(l.agg, l.start, l.col, n); err != nil && !errors.Is(err, tsv.ErrUnknownColumn) {
+				rowWriters.Put(rw)
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+		}
+		rw.rows(l.name, rows, cols)
 	}
-	rows, cols := ranked(ic, "score", n)
-	rw.rows("heavy_hitters", rows, cols)
-	rows, cols = ranked(nod, "hits", n)
-	rw.rows("newly_observed", rows, cols)
 	rw.send(w)
 }
 
@@ -303,10 +312,6 @@ func (s *Server) handleEncDNS(w http.ResponseWriter, r *http.Request) {
 // Rows aggregate over the matched windows with the cascade's semantics
 // and rank by descending order-column value, ties by ascending key.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if s.engine == nil {
-		http.Error(w, "no store attached", http.StatusNotFound)
-		return
-	}
 	qp := r.URL.Query()
 	q := tsv.Query{Agg: qp.Get("agg"), Level: tsv.Minutely, K: 50, Key: qp.Get("key"), OrderBy: qp.Get("order")}
 	if lv := qp.Get("level"); lv != "" {
@@ -340,6 +345,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if cols := qp.Get("cols"); cols != "" {
 		q.Columns = strings.Split(cols, ",")
+		for i, c := range q.Columns { // each row would hold it once
+
+			if slices.Contains(q.Columns[:i], c) {
+				http.Error(w, "bad cols", http.StatusBadRequest)
+				return
+			}
+		}
 	}
 	for _, spec := range qp["where"] {
 		parts := strings.Split(spec, ":")
@@ -348,21 +360,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		p := tsv.Pred{Col: parts[0], Min: math.Inf(-1), Max: math.Inf(1)}
-		if parts[1] != "" {
-			v, err := strconv.ParseFloat(parts[1], 64)
+		for i, bound := range [2]*float64{&p.Min, &p.Max} {
+			if parts[i+1] == "" {
+				continue
+			}
+			v, err := strconv.ParseFloat(parts[i+1], 64)
 			if err != nil {
-				http.Error(w, "bad where min", http.StatusBadRequest)
+				http.Error(w, "bad where "+[2]string{"min", "max"}[i], http.StatusBadRequest)
 				return
 			}
-			p.Min = v
-		}
-		if parts[2] != "" {
-			v, err := strconv.ParseFloat(parts[2], 64)
-			if err != nil {
-				http.Error(w, "bad where max", http.StatusBadRequest)
-				return
-			}
-			p.Max = v
+			*bound = v
 		}
 		q.Where = append(q.Where, p)
 	}
@@ -396,10 +403,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		http.Error(w, "no store attached", http.StatusNotFound)
-		return
-	}
 	agg := r.PathValue("agg")
 	type fileInfo struct {
 		Level string `json:"level"`
@@ -422,10 +425,6 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFile(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		http.Error(w, "no store attached", http.StatusNotFound)
-		return
-	}
 	agg := r.PathValue("agg")
 	start, err := strconv.ParseInt(r.PathValue("start"), 10, 64)
 	if err != nil {

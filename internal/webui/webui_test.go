@@ -2,11 +2,13 @@ package webui
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +30,16 @@ func snapshotFixture(agg string, start int64) *tsv.Snapshot {
 			{Key: "198.51.100.3", Values: []float64{50, 1}},
 		},
 		Windows: 1,
+	}
+}
+
+// put stores snaps, failing the test on the first error.
+func put(t *testing.T, st *tsv.Store, snaps ...*tsv.Snapshot) {
+	t.Helper()
+	for _, snap := range snaps {
+		if err := st.Put(snap); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -66,9 +78,10 @@ func get(t *testing.T, url string) (int, string) {
 func TestHealthz(t *testing.T) {
 	s, ts := newTestServer(t, false)
 	// /healthz reads what the engines publish to the registry: no
-	// per-transaction hook the wiring could forget.
+	// per-transaction or per-window hook the wiring could forget. The
+	// flush histogram is observed once per window.
 	s.Registry.Counter(observatoryIngested, "", "engine", "serial").Add(2)
-	s.OnSnapshot(snapshotFixture("srvip", 0))
+	s.Registry.Histogram(observatoryFlush, "", metrics.DurationBuckets, "engine", "serial").Observe(0.001)
 	code, body := get(t, ts.URL+"/healthz")
 	if code != 200 {
 		t.Fatalf("code %d", code)
@@ -231,9 +244,9 @@ func TestPprofGating(t *testing.T) {
 }
 
 func TestAggregations(t *testing.T) {
-	s, ts := newTestServer(t, false)
+	s, ts := newTestServer(t, true)
 	for _, agg := range []string{"srvip", "qname", "esld", "aafqdn", "qtype"} {
-		s.OnSnapshot(snapshotFixture(agg, 0))
+		put(t, s.store, snapshotFixture(agg, 0))
 	}
 	// Sorted, so every call gives the same answer: map order would
 	// differ between calls.
@@ -253,8 +266,11 @@ func TestAggregations(t *testing.T) {
 }
 
 func TestTop(t *testing.T) {
-	s, ts := newTestServer(t, false)
-	s.OnSnapshot(snapshotFixture("srvip", 60))
+	s, ts := newTestServer(t, true)
+	// The newest window answers, not the busier one before it.
+	older := snapshotFixture("srvip", 0)
+	older.Rows = append(older.Rows, tsv.Row{Key: "198.51.100.9", Values: []float64{5000, 1}})
+	put(t, s.store, older, snapshotFixture("srvip", 60))
 	code, body := get(t, ts.URL+"/api/top/srvip?n=2")
 	if code != 200 {
 		t.Fatalf("code %d: %s", code, body)
@@ -292,8 +308,8 @@ func TestTop(t *testing.T) {
 }
 
 func TestTopErrors(t *testing.T) {
-	s, ts := newTestServer(t, false)
-	s.OnSnapshot(snapshotFixture("srvip", 0))
+	s, ts := newTestServer(t, true)
+	put(t, s.store, snapshotFixture("srvip", 0))
 	for path, want := range map[string]int{
 		"/api/top/unknown":       404,
 		"/api/top/srvip?n=0":     400,
@@ -344,6 +360,18 @@ func TestStorelessFileEndpoints(t *testing.T) {
 	}
 }
 
+// TestStorelessRowEndpoints: the windows /api/top, /api/detect and
+// /api/aggregations report are the store's, so a server with none
+// answers them as /api/query does.
+func TestStorelessRowEndpoints(t *testing.T) {
+	_, ts := newTestServer(t, false)
+	for _, path := range []string{"/api/top/srvip", "/api/detect", "/api/aggregations"} {
+		if code, body := get(t, ts.URL+path); code != 404 || body != "no store attached\n" {
+			t.Errorf("%s without store: %d %q", path, code, body)
+		}
+	}
+}
+
 func detectFixture(agg string, cols []string, start int64) *tsv.Snapshot {
 	return &tsv.Snapshot{
 		Aggregation: agg,
@@ -366,15 +394,19 @@ func detectFixture(agg string, cols []string, start int64) *tsv.Snapshot {
 }
 
 func TestDetectEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, false)
+	s, ts := newTestServer(t, true)
 
 	// 404 until a detection window lands.
 	if code, _ := get(t, ts.URL+"/api/detect"); code != 404 {
 		t.Fatalf("no-detect code = %d, want 404", code)
 	}
 
-	s.OnSnapshot(detectFixture(detectESLD, []string{"score", "hits", "rate", "entropy", "sublen"}, 120))
-	s.OnSnapshot(detectFixture(detectNOD, []string{"hits", "first_seen"}, 120))
+	esld := []string{"score", "hits", "rate", "entropy", "sublen"}
+	older := detectFixture(detectESLD, esld, 60)
+	older.Rows[0].Values[0] = 99 // the top of an older window
+	put(t, s.store, older,
+		detectFixture(detectESLD, esld, 120),
+		detectFixture(detectNOD, []string{"hits", "first_seen"}, 120))
 	code, body := get(t, ts.URL+"/api/detect")
 	if code != 200 {
 		t.Fatalf("code %d: %s", code, body)
@@ -422,8 +454,8 @@ func TestDetectEndpoint(t *testing.T) {
 func TestDetectEndpointOneSided(t *testing.T) {
 	// Only the NOD snapshot present: the endpoint still serves, with an
 	// empty heavy-hitter list and the NOD window start.
-	s, ts := newTestServer(t, false)
-	s.OnSnapshot(detectFixture(detectNOD, []string{"hits", "first_seen"}, 60))
+	s, ts := newTestServer(t, true)
+	put(t, s.store, detectFixture(detectNOD, []string{"hits", "first_seen"}, 60))
 	code, body := get(t, ts.URL+"/api/detect")
 	if code != 200 {
 		t.Fatalf("code %d", code)
@@ -441,57 +473,174 @@ func TestDetectEndpointOneSided(t *testing.T) {
 	}
 }
 
-// TestRankingLeavesTheSnapshotAlone: the snapshot behind /api/top and
-// /api/detect is shared — by every request, and with whoever handed it
-// to OnSnapshot, who goes on to store it — so a request ranks a copy of
-// its rows. Requests on two columns run next to an encoder of the same
-// snapshot (run under -race: sorting the shared rows in place was a
-// data race, and could store a window with rows doubled or missing),
-// and the rows are in the order they arrived in when it is all over.
-func TestRankingLeavesTheSnapshotAlone(t *testing.T) {
-	s, ts := newTestServer(t, false)
-	snap := snapshotFixture("srvip", 60)
-	det := snapshotFixture(detectNOD, 60)
-	for i := 0; i < 400; i++ {
-		row := tsv.Row{Key: "203.0.113." + strconv.Itoa(i), Values: []float64{float64(i * 7 % 401), float64(i * 3 % 397)}}
-		snap.Rows = append(snap.Rows, row)
-		det.Rows = append(det.Rows, row)
+// versionSnap is version v of agg's window at start: four rows whose
+// values name v, so an answer shows which file it was read from.
+func versionSnap(agg string, start int64, v int) *tsv.Snapshot {
+	s := &tsv.Snapshot{Aggregation: agg, Level: tsv.Minutely, Start: start,
+		Columns: []string{"hits", "nxd"}, Kinds: []tsv.Kind{tsv.Counter, tsv.Gauge}, Windows: 1}
+	for i := 0; i < 4; i++ {
+		s.Rows = append(s.Rows, tsv.Row{Key: fmt.Sprintf("k%d", i), Values: []float64{float64(1000*v + 10*i), float64(v)}})
 	}
-	arrived := [2][]tsv.Row{slices.Clone(snap.Rows), slices.Clone(det.Rows)}
-	s.OnSnapshot(snap)
-	s.OnSnapshot(det)
+	return s
+}
 
-	var wg sync.WaitGroup
-	for _, path := range []string{"/api/top/srvip?n=5", "/api/top/srvip?n=500&col=nxd", "/api/detect?n=5"} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				resp, err := http.Get(ts.URL + path)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != 200 {
-					t.Errorf("%s: code %d", path, resp.StatusCode)
-				}
+// TestTopSeesOldOrNewFile: /api/top reads the newest window while a
+// writer re-Puts it (and the windows before it) and Retention deletes
+// the older minutes. Every answer is one whole version of the newest
+// window, the old file or the new one: never a mix of two, a 404 or an
+// error.
+func TestTopSeesOldOrNewFile(t *testing.T) {
+	const windows = 4
+	for _, backend := range []string{tsv.BackendTSV, tsv.BackendColumnar} {
+		t.Run(backend, func(t *testing.T) {
+			store, err := tsv.NewStoreBackend(t.TempDir(), backend)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
+			t.Cleanup(func() { store.Close() })
+			store.Retain[tsv.Minutely] = 2
+			// The 10-minute window above lets Retention delete minutes.
+			put(t, store, &tsv.Snapshot{Aggregation: "race", Level: tsv.Decaminutely, Columns: []string{"hits", "nxd"},
+				Kinds: []tsv.Kind{tsv.Counter, tsv.Gauge}, Windows: 10})
+			for w := int64(0); w < windows; w++ {
+				put(t, store, versionSnap("race", w*60, 0))
+			}
+			s := NewServer(store)
+			s.Registry = metrics.NewRegistry()
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(ts.Close)
+
+			done := make(chan struct{})
+			errs := make(chan error, 3)
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						if err := topIsOneVersion(ts.URL+"/api/top/race?n=3", (windows-1)*60); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if err := store.Retention("race"); err != nil {
+						errs <- err
+						return
+					}
+					runtime.Gosched()
+				}
+			}()
+			for v := 1; v <= 200; v++ {
+				put(t, store, versionSnap("race", int64(v%windows)*60, v))
+				runtime.Gosched()
+			}
+			close(done)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
 	}
-	for i := 0; i < 20; i++ { // the store's encode of the same snapshots
-		if _, err := snap.WriteTo(io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := det.WriteTo(io.Discard); err != nil {
-			t.Fatal(err)
+}
+
+// topIsOneVersion fetches url, an /api/top of versionSnap windows, and
+// reports an answer that is not the window at start read whole from one
+// version: its three strongest rows, ranked.
+func topIsOneVersion(url string, start int64) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	var out struct {
+		WindowStart int64 `json:"window_start"`
+		Rows        []struct {
+			Key    string             `json:"key"`
+			Values map[string]float64 `json:"values"`
+		} `json:"rows"`
+	}
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil || out.WindowStart != start || len(out.Rows) != 3 {
+		return fmt.Errorf("status %d: %s", resp.StatusCode, body)
+	}
+	v := out.Rows[0].Values["nxd"]
+	for i, r := range out.Rows {
+		if r.Key != fmt.Sprintf("k%d", 3-i) || r.Values["nxd"] != v || r.Values["hits"] != 1000*v+float64(10*(3-i)) {
+			return fmt.Errorf("not one version of the window: %s", body)
 		}
 	}
-	wg.Wait()
-	for i, sn := range []*tsv.Snapshot{snap, det} {
-		if !slices.EqualFunc(sn.Rows, arrived[i], func(a, b tsv.Row) bool { return a.Key == b.Key && &a.Values[0] == &b.Values[0] }) {
-			t.Errorf("%s: the requests reordered the shared snapshot's rows", sn.Aggregation)
+	return nil
+}
+
+// TestServesStoreOfEarlierProcess: the windows a server reports are the
+// store's, so a server over a directory an earlier process wrote answers
+// /api/top, /api/detect and /api/aggregations at once, before any window
+// of its own has closed.
+func TestServesStoreOfEarlierProcess(t *testing.T) {
+	dir := t.TempDir()
+	earlier, err := tsv.NewColumnarStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(t, earlier, snapshotFixture("srvip", 60),
+		detectFixture(detectESLD, []string{"score", "hits"}, 60),
+		detectFixture(detectNOD, []string{"hits", "first_seen"}, 60))
+	if err := earlier.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := tsv.NewColumnarStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	s := NewServer(store)
+	s.Registry = metrics.NewRegistry()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for path, want := range map[string]string{
+		"/api/aggregations":  `["detect_esld","detect_nod","srvip"]`,
+		"/api/top/srvip?n=1": `{"aggregation":"srvip","window_start":60,"rows":[{"rank":1,"key":"198.51.100.2","values":{"hits":300,"nxd":200}}]}`,
+		"/api/detect?n=1": `{"window_start":60,` +
+			`"heavy_hitters":[{"rank":1,"key":"hot.example.","values":{"hits":20,"score":10}}],` +
+			`"newly_observed":[{"rank":1,"key":"hot.example.","values":{"first_seen":20,"hits":10}}]}`,
+	} {
+		if code, body := get(t, ts.URL+path); code != http.StatusOK || body != want+"\n" {
+			t.Errorf("%s: status %d\n got %q\nwant %q", path, code, body, want)
+		}
+	}
+}
+
+// TestRowEndpointsUnreadableStore: a store whose directory cannot be
+// listed is a server error, not an aggregation that is not there.
+func TestRowEndpointsUnreadableStore(t *testing.T) {
+	s, ts := newTestServer(t, true)
+	if err := os.RemoveAll(s.store.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/api/top/srvip", "/api/detect", "/api/aggregations"} {
+		if code, body := get(t, ts.URL+path); code != http.StatusInternalServerError {
+			t.Errorf("%s over a removed directory: %d %q", path, code, body)
 		}
 	}
 }

@@ -2,7 +2,7 @@
 # Coverage gate: the wire-facing packages must stay well tested. The
 # frame decoder, the transport state machines (reconnect, overload,
 # drain, WAL spill/dedup), the write-ahead log with its crash-recovery
-# scan, the fleet ring/router/merge, the snapshot store with its binary
+# scan, the fleet ring and router, the snapshot store with its binary
 # columnar codec, the query HTTP surface, and the active probe engine
 # (cache, singleflight, rate limits, retry ladder), and the streaming
 # detection layer (partitioned heavy-hitter/NOD state whose serial and
