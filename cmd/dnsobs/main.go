@@ -63,8 +63,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 		workers  = fs.Int("workers", 0, "sharded engine: worker goroutines (0 = GOMAXPROCS, capped at 16)")
 		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the web UI (requires -http)")
 		report   = fs.Duration("report", 60*time.Second, "self-report interval for the health log line (0 disables)")
-		walDir   = fs.String("wal", "", "with -listen: journal accepted frames to a write-ahead log in this directory (durable ingest: spill instead of shed, replay after a crash)")
-		overload = fs.String("overload", "block", "with -listen: full-queue policy, block (backpressure) or shed (drop with accounting); a -wal collector spills instead")
+		walDir   = fs.String("wal", "", "with -listen: journal accepted frames to a write-ahead log in this directory and feed the engine from it (durable ingest: a full queue neither stalls sensors nor sheds, and a restart replays what was not stored)")
+		overload = fs.String("overload", "block", "with -listen: full-queue policy, block (backpressure) or shed (drop with accounting); with -wal the backlog waits in the journal instead")
 		fleetN   = fs.String("fleet", "", "this collector's fleet member name (with -peers)")
 		peers    = fs.String("peers", "", "fleet membership as name=addr,name=addr,... including this member (with -fleet)")
 		absorb   = fs.String("absorb", "", "comma-separated WAL directories of dead fleet peers to absorb before serving (frames past their last checkpoint re-enter ingest; with -fleet, filtered to sensors this member now owns)")
@@ -88,8 +88,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stderr io.Writer) 
 	case (*fleetN == "") != (*peers == ""):
 		return errors.New("-fleet and -peers go together")
 	case *absorb != "" && *walDir == "":
-		// Without a journal of our own the absorbed backlog has nowhere
-		// to spill and could deadlock a full queue.
+		// The absorbed backlog waits in our own journal until the engine
+		// reads it; without one it would have to fit the queue before the
+		// engine starts, or deadlock.
 		return errors.New("-absorb requires -wal")
 	case *overload != "block" && *overload != "shed":
 		return fmt.Errorf("unknown -overload policy %q (block or shed)", *overload)

@@ -53,6 +53,11 @@ type Spine struct {
 	// that delivers windows owns it, and Close reads it once the engine
 	// has delivered its last.
 	lastStart int64
+	// stored is each aggregation's newest minute window in the store at
+	// Open. Windows up to it are warm-up: a restart replays from the first
+	// transaction of the window being stored, and a fresh engine's version
+	// of a stored window is not stored again.
+	stored map[string]int64
 
 	mu  sync.Mutex
 	err error // the first failure: nothing is stored or settled after it
@@ -68,6 +73,12 @@ func Open(cfg Config) *Spine {
 	}
 	if cfg.Engine.Detect != nil {
 		s.names = append(s.names, detect.AggESLD, detect.AggNOD)
+	}
+	s.stored = map[string]int64{}
+	for _, name := range s.names {
+		if starts, _ := cfg.Store.List(name, tsv.Minutely); len(starts) > 0 {
+			s.stored[name] = starts[len(starts)-1]
+		}
 	}
 	if cfg.Journal != nil {
 		cfg.Store.FsyncOnPut = true
@@ -159,7 +170,7 @@ func (s *Spine) failed() error {
 // the first snapshot of a window finds every earlier one stored: that is
 // when they settle.
 func (s *Spine) deliver(snap *tsv.Snapshot) {
-	if s.failed() != nil {
+	if last, ok := s.stored[snap.Aggregation]; s.failed() != nil || ok && snap.Start <= last {
 		return
 	}
 	var err error

@@ -1,6 +1,7 @@
 package spine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -333,6 +334,66 @@ func TestNoJournalNoFsync(t *testing.T) {
 	for _, name := range []string{"detect_esld", "detect_nod"} {
 		if starts, err := st.List(name, tsv.Decaminutely); err != nil || len(starts) == 0 {
 			t.Errorf("%s: no 10-minute window (%v)", name, err)
+		}
+	}
+}
+
+// TestReplayedWindowsAreNotStoredAgain is a restart: a first run stops
+// once minute 3 is stored, and a second replays the stream from minute
+// 3's first transaction — where a journal checkpointed by the first
+// would start it — into the same store. The windows the store holds are
+// the new engine's warm-up: every file the first run left is byte for
+// byte what it was. A fresh engine's own minute 3 would have lost every
+// object it saw for the first time (qname's went from 186 rows to 0).
+func TestReplayedWindowsAreNotStoredAgain(t *testing.T) {
+	txs := stream(t, 360)
+	m3 := windows(txs)[3]
+	for _, backend := range []string{tsv.BackendTSV, tsv.BackendColumnar} {
+		for _, shape := range shapes {
+			t.Run(backend+"/"+shape.name, func(t *testing.T) {
+				dir := t.TempDir()
+				run := func(txs []sie.Transaction) {
+					st, err := tsv.NewStoreBackend(dir, backend)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer st.Close()
+					cfg := Config{Store: st, Aggs: observatory.StandardAggregations(0.01), Engine: observatory.DefaultConfig()}
+					shape.set(&cfg)
+					sp := Open(cfg)
+					if err := ingest(sp, txs); err != nil {
+						t.Fatal(err)
+					}
+					if err := sp.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				files := func() map[string][]byte {
+					names, err := filepath.Glob(filepath.Join(dir, "*-*-*"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					out := map[string][]byte{}
+					for _, name := range names {
+						if out[filepath.Base(name)], err = os.ReadFile(name); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return out
+				}
+				run(txs[:firstAt(txs, m3+60)])
+				first := files()
+				run(txs[firstAt(txs, m3):])
+				second := files()
+				if len(first) == 0 || len(second) <= len(first) {
+					t.Fatalf("%d files after the first run, %d after the second", len(first), len(second))
+				}
+				for name, b := range first {
+					if !bytes.Equal(second[name], b) {
+						t.Errorf("%s: rewritten by the replay", name)
+					}
+				}
+			})
 		}
 	}
 }

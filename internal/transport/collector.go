@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"io"
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -59,9 +61,10 @@ type CollectorConfig struct {
 	QueueLen int
 	// Overload selects what a journal-less collector does with a full
 	// queue: Block (default) applies backpressure, Shed drops with
-	// accounting. A collector with a WAL (OpenWAL) needs neither: the
-	// frame is already in the log, so it spills and a tailer replays —
-	// reads never stall and nothing drops.
+	// accounting. A collector with a WAL (OpenWAL) needs neither: its
+	// handlers journal and acknowledge, and the one tailer that feeds the
+	// queue from the journal waits for room — reads never stall and
+	// nothing drops.
 	Overload OverloadPolicy
 	// ReadTimeout, when positive, is the per-frame read deadline: a
 	// sensor that stalls mid-stream longer than this is cut (it will
@@ -69,7 +72,8 @@ type CollectorConfig struct {
 	ReadTimeout time.Duration
 	// DisableAcks suppresses acknowledgements entirely (chaos tests:
 	// a collector that accepts frames but never confirms them, forcing
-	// full retransmission to its successor).
+	// full retransmission to its successor). With a journal it also
+	// syncs nothing before a connection ends, so delivers nothing sooner.
 	DisableAcks bool
 	// SensorGrace is how long a disconnected sensor's liveness record
 	// is retained — Connected=false with the disconnect reason — before
@@ -84,7 +88,8 @@ type CollectorConfig struct {
 	WrapConn func(net.Conn) net.Conn
 	// OnReject, when set, is called for every well-framed Data payload
 	// that failed to decode as a transaction (so the pipeline can
-	// account it as rejected, keeping the EngineStats invariant).
+	// account it as rejected, keeping the EngineStats invariant). With a
+	// journal the tailer calls it, when it reads the frame back.
 	OnReject func(err error)
 }
 
@@ -92,7 +97,8 @@ type CollectorConfig struct {
 // transaction streams into one ordered ingest channel: per-sensor
 // sequence order is preserved — across a redial too, even while the
 // old connection's handler is still working through its buffer (see
-// deliver) — and interleaving between sensors is arrival order.
+// deliver) — and interleaving between sensors is arrival order (with a
+// journal, claim order, which is journal-position order).
 // Transactions on the channel own their buffers; the consumer may hold
 // them indefinitely.
 //
@@ -100,15 +106,15 @@ type CollectorConfig struct {
 // epoch, seq) replays against a sliding window and acknowledges
 // accepted sequence numbers, so a reconnecting sensor retransmits its
 // unacknowledged batch and only the genuinely-new frames pass. With a
-// WAL attached (OpenWAL), accepted frames are journaled before they are
-// acknowledged, overload spills to the log instead of dropping or
-// stalling, and a restart replays everything past the last consumer
-// checkpoint.
+// WAL attached (OpenWAL), the journal is the queue: handlers journal
+// accepted frames and acknowledge them once synced, one tailer reads
+// the journal in position order and is the only sender on the channel,
+// and a restart delivers everything past the last consumer checkpoint.
 //
 // Concurrency contract: Serve may be called for several listeners
 // (e.g. one TCP, one Unix); each connection runs on its own goroutine.
-// Close stops accepting, cuts every connection, waits for the
-// handlers, then closes the ingest channel — transactions already
+// Close stops accepting, cuts every connection, waits for the handlers
+// and the tailer, then closes the ingest channel — transactions already
 // queued remain readable, so the consumer drains by ranging until the
 // channel closes. The WAL stays open through Close so the consumer can
 // take a final Checkpoint after draining; CloseWAL releases it.
@@ -116,7 +122,7 @@ type Collector struct {
 	cfg CollectorConfig
 	out chan *sie.Transaction
 	// stop unblocks whoever waits on a full ingest channel — a handler
-	// under the Block policy, the spill tailer — once Close begins.
+	// under the Block policy, the journal tailer — once Close begins.
 	stop chan struct{}
 
 	// mu guards the connections and the liveness records. It is never
@@ -128,39 +134,40 @@ type Collector struct {
 	conns     map[net.Conn]struct{}
 	sensors   map[string]*sensorState
 
-	// dmu is the delivery section (see deliver); it guards everything
-	// down to recovered. A journal-less collector has the same state
-	// with no log in it.
+	// dmu is the delivery section (see deliver); it guards dedup. A
+	// journal-less collector has the same section with no log in it.
 	dmu sync.Mutex
 	// dedup is the seen-sequence state, keyed sensor name → epoch.
 	// Deliberately separate from the liveness records: those are pruned
 	// after SensorGrace, dedup marks must outlive a long disconnect.
 	dedup map[string]map[uint64]*epochWindow
-	// log is the journal, nil until OpenWAL. OpenWAL runs before the
-	// first connection and the pointer never changes afterwards, so it
-	// is also read without dmu, by callers that must not wait behind a
-	// blocked delivery (Checkpoint, WALStatus, the ack barrier).
-	log *wal.Log
-	// behind is true while the tailer owns delivery: frames journaled
-	// at a position the tailer has not reached yet must not be enqueued
-	// directly, or they would jump the queue order.
-	behind bool
-	// nextRead is the journal position delivery has reached: everything
-	// below it is either enqueued or checkpointed.
-	nextRead uint64
+	// log is the journal, nil until OpenWAL; recovered is what OpenWAL
+	// found past the checkpoint. OpenWAL runs before the first connection
+	// and neither changes afterwards.
+	log       *wal.Log
+	recovered uint64
+	jerr      atomic.Pointer[error] // the first journal failure; poisons acks
+
+	// tmu guards the tailer's ledger; the tailer never waits behind a
+	// delivery section.
+	tmu sync.Mutex
+	// durable is the highest journal position a durability barrier has
+	// covered. The tailer reads no further, so it never writes the
+	// journal itself; nextRead is where it reads next.
+	durable, nextRead uint64
 	// posLog maps enqueue order to journal positions: posLog[i] is the
 	// position of the (consumedBase+i+1)-th transaction ever enqueued.
-	// Checkpoint(consumed) indexes it to find the trim position.
+	// Checkpoint(consumed) indexes it to find the trim position. The
+	// tailer appends an entry before its send, so a consumer that has
+	// received a transaction always finds its position here.
 	posLog       []uint64
 	consumedBase uint64
-	jerr         error  // first journal failure; poisons acks
-	recovered    uint64 // data records re-enqueued by restart recovery
 
-	kick chan struct{} // wakes the spill tailer
+	kick chan struct{} // wakes the tailer after a durability barrier
 
 	serveWG sync.WaitGroup // accept loops
 	connWG  sync.WaitGroup // connection handlers
-	tailWG  sync.WaitGroup // the spill tailer, once a journal is attached
+	tailWG  sync.WaitGroup // the tailer, once a journal is attached
 
 	m *collectorMetrics
 }
@@ -243,9 +250,9 @@ type SensorStatus struct {
 //
 //	Frames + Replayed = Deduped + DecodeErrors + Shed + Enqueued + Spilled
 //
-// — every received frame is deduplicated, rejected, shed, enqueued
-// directly, or spilled; and every spilled, recovered or absorbed
-// transaction re-enters through Replayed.
+// — every frame received on a connection, recovered from the journal or
+// absorbed from a peer's is deduplicated, rejected, shed or enqueued,
+// and counted once. (Spilled is always 0.)
 type CollectorStats struct {
 	// Connections counts accepted sensor connections.
 	Connections uint64
@@ -256,22 +263,21 @@ type CollectorStats struct {
 	// DecodeErrors counts well-framed payloads that were not valid
 	// transactions.
 	DecodeErrors uint64
-	// Deduped counts sequenced frames dropped as already-seen
-	// (sensor, epoch, seq) replays.
+	// Deduped counts sequenced frames received on a connection and
+	// dropped as already-seen (sensor, epoch, seq) replays. An absorbed
+	// record already seen is AbsorbLog's deduped return, not counted here.
 	Deduped uint64
 	// Acks counts acknowledgement frames sent to sensors.
 	Acks uint64
-	// Spilled counts journaled transactions deferred to the spill
-	// tailer because the ingest queue was full.
+	// Spilled is always 0: with a journal every frame reaches the queue
+	// through it, so none leaves another path for it. Kept only because
+	// cmd/dnsbench reads it (ROADMAP 5(h)).
 	Spilled uint64
-	// Replayed counts journal-sourced acceptances: spill drains,
-	// restart recovery, and logs absorbed from dead peers. An absorbed
-	// transaction that itself spills counts twice — once at absorption
-	// and once when the tailer drains it — matching its two appearances
-	// on the other side of the identity (Spilled and Enqueued).
+	// Replayed counts what enters from outside this process's
+	// connections: records past the checkpoint at OpenWAL, and records
+	// AbsorbLog took from a dead peer's journal. Each counts once.
 	Replayed uint64
-	// Enqueued counts transactions put on the ingest channel, from
-	// either path.
+	// Enqueued counts transactions put on the ingest channel.
 	Enqueued uint64
 }
 
@@ -282,9 +288,10 @@ type WALStatus struct {
 	SizeBytes  int64  `json:"size_bytes"`
 	LastPos    uint64 `json:"last_pos"`
 	Checkpoint uint64 `json:"checkpoint"`
-	// Behind reports the spill tailer owning delivery (queue pressure).
+	// Behind reports synced journal records the tailer has not yet
+	// delivered (queue pressure, or a barrier it has not caught up with).
 	Behind bool `json:"behind"`
-	// Recovered counts transactions re-enqueued by restart recovery.
+	// Recovered counts the records past the checkpoint at OpenWAL.
 	Recovered uint64 `json:"recovered"`
 	// Error is the first journal failure, empty while healthy. A
 	// failed journal stops acknowledgements: sensors buffer and
@@ -319,12 +326,12 @@ func NewCollector(cfg CollectorConfig) *Collector {
 }
 
 // OpenWAL attaches a journal in dir and recovers it: dedup windows are
-// rebuilt from every retained record, and records past the last
-// checkpoint — journaled but never confirmed consumed — are re-
-// enqueued in position order. Call it after NewCollector and before
-// the first connection. From then on a full queue spills to the journal
-// whatever cfg.Overload says, and acknowledgements are sent only after
-// the journal is synced.
+// rebuilt from every retained record, and the tailer starts at the last
+// checkpoint, so records journaled but never confirmed consumed are
+// delivered again, in position order. Call it after NewCollector and
+// before the first connection. From then on handlers only journal and
+// acknowledge once the journal is synced, the tailer alone feeds the
+// queue, and cfg.Overload has nothing to decide.
 func (c *Collector) OpenWAL(dir string, opts wal.Options) error {
 	c.dmu.Lock()
 	defer c.dmu.Unlock()
@@ -351,14 +358,11 @@ func (c *Collector) OpenWAL(dir string, opts wal.Options) error {
 		return err
 	}
 	c.log = log
-	c.nextRead = ckpt + 1
 	c.recovered = pending
-	c.behind = pending > 0
+	c.m.replayed.Add(pending)
+	c.nextRead, c.durable = ckpt+1, log.LastPos() // what recovery read is in the files
 	c.tailWG.Add(1)
-	go c.tailer()
-	if c.behind {
-		c.kickTailer()
-	}
+	go c.tailer(log.NewCursor(ckpt + 1))
 	reg := c.cfg.Metrics
 	reg.GaugeFunc(MetricWALSize, "journal bytes appended and retained (up to 256 KiB of them staged, not yet written)",
 		func() float64 { return float64(log.Size()) }, "role", "collector")
@@ -387,13 +391,14 @@ func (c *Collector) WALStatus() (WALStatus, bool) {
 		SizeBytes:  log.Size(),
 		LastPos:    log.LastPos(),
 		Checkpoint: log.Checkpointed(),
+		Recovered:  c.recovered,
 	}
-	c.dmu.Lock()
-	st.Behind, st.Recovered = c.behind, c.recovered
-	if c.jerr != nil {
-		st.Error = c.jerr.Error()
+	if err := c.jerr.Load(); err != nil {
+		st.Error = (*err).Error()
 	}
-	c.dmu.Unlock()
+	c.tmu.Lock()
+	st.Behind = c.nextRead <= c.durable
+	c.tmu.Unlock()
 	return st, true
 }
 
@@ -407,19 +412,16 @@ func (c *Collector) Checkpoint(consumed uint64) error {
 	if log == nil {
 		return nil
 	}
-	c.dmu.Lock()
+	c.tmu.Lock()
 	if consumed <= c.consumedBase || len(c.posLog) == 0 {
-		c.dmu.Unlock()
+		c.tmu.Unlock()
 		return nil
 	}
-	n := consumed - c.consumedBase
-	if n > uint64(len(c.posLog)) {
-		n = uint64(len(c.posLog))
-	}
+	n := min(consumed-c.consumedBase, uint64(len(c.posLog)))
 	pos := c.posLog[n-1]
 	c.posLog = append(c.posLog[:0], c.posLog[n:]...)
 	c.consumedBase += n
-	c.dmu.Unlock()
+	c.tmu.Unlock()
 	if _, err := log.Append(wal.Record{Kind: wal.KindCheckpoint, Seq: pos}); err != nil {
 		return err
 	}
@@ -434,9 +436,10 @@ func (c *Collector) Checkpoint(consumed uint64) error {
 // peer but never confirmed consumed — goes through deliver as if its
 // sensor had retransmitted it. keep filters by sensor name (nil takes
 // everything): in a fleet, each survivor absorbs exactly the sensors
-// the rebalanced ring assigns to it. Returns how many were absorbed and
-// how many were already seen; with a nil error they are synced into
-// this collector's journal. The peer's log must not have a live writer.
+// the rebalanced ring assigns to it. Returns how many were absorbed
+// (counted in Replayed) and how many were already seen; with a nil
+// error they are synced into this collector's journal. The peer's log
+// must not have a live writer.
 func (c *Collector) AbsorbLog(peer *wal.Log, keep func(sensor string) bool) (absorbed, deduped uint64, err error) {
 	ckpt := peer.Checkpointed()
 	var a arena
@@ -444,12 +447,13 @@ func (c *Collector) AbsorbLog(peer *wal.Log, keep func(sensor string) bool) (abs
 		if r.Kind != wal.KindData || pos <= ckpt || (keep != nil && !keep(r.Sensor)) {
 			return nil
 		}
-		fresh, err := c.deliver(&a, r.Sensor, r.Epoch, r.Seq, r.Payload, true)
+		fresh, err := c.deliver(&a, r.Sensor, r.Epoch, r.Seq, r.Payload)
 		switch {
 		case err != nil:
 			return err
 		case fresh:
 			absorbed++
+			c.m.replayed.Inc()
 		default:
 			deduped++
 		}
@@ -462,8 +466,9 @@ func (c *Collector) AbsorbLog(peer *wal.Log, keep func(sensor string) bool) (abs
 }
 
 // C returns the ordered ingest channel. It closes after Close, once
-// every handler has exited; queued transactions remain readable. One
-// may be held indefinitely: what it pins meanwhile is under arena.
+// every handler and the tailer have exited; queued transactions remain
+// readable. One may be held indefinitely: what it pins meanwhile is
+// under arena.
 func (c *Collector) C() <-chan *sie.Transaction { return c.out }
 
 // Stats returns a snapshot of the collector's counters.
@@ -475,7 +480,6 @@ func (c *Collector) Stats() CollectorStats {
 		DecodeErrors: c.m.decodeErrors.Value(),
 		Deduped:      c.m.deduped.Value(),
 		Acks:         c.m.acks.Value(),
-		Spilled:      c.m.spilled.Value(),
 		Replayed:     c.m.replayed.Value(),
 		Enqueued:     c.m.enqueued.Value(),
 	}
@@ -567,11 +571,11 @@ func (c *Collector) Serve(ln net.Listener) error {
 }
 
 // Close stops accepting, cuts every live connection, waits for the
-// handlers and the spill tailer, and closes the ingest channel. Safe
-// to call once; transactions already queued stay readable after it
-// returns, and the WAL stays open for a final Checkpoint (CloseWAL
-// releases it). Frames spilled but not yet replayed stay in the
-// journal — the next OpenWAL re-enqueues them.
+// handlers and the tailer, and closes the ingest channel. Safe to call
+// once; it never waits on the consumer. Transactions already queued
+// stay readable after it returns, and the WAL stays open for a final
+// Checkpoint (CloseWAL releases it). Journaled frames the tailer could
+// not queue stay past the checkpoint — the next OpenWAL delivers them.
 func (c *Collector) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -765,7 +769,10 @@ func (c *Collector) handle(conn net.Conn) {
 			unseen++
 			// A duplicate and an undecodable frame are acknowledged like
 			// any other: retransmitting either cannot help.
-			_, err := c.deliver(&a, name, epoch, seq, txb, false)
+			fresh, err := c.deliver(&a, name, epoch, seq, txb)
+			if !fresh {
+				c.m.deduped.Inc()
+			}
 			if err == nil {
 				err = maybeAck(false)
 			}
@@ -801,31 +808,40 @@ func (r *deadlineReader) Read(p []byte) (int, error) {
 	return r.Conn.Read(p)
 }
 
-// deliver is the one path a frame takes to the ingest channel, from a
-// connection or (replay) from an absorbed journal. Inside one critical
-// section it claims (sensor, epoch, seq), appends the raw bytes to the
-// journal if there is one, and offers the decoded transaction to the
-// queue. fresh is false for a sequence number already claimed; err is
-// non-nil when the caller should stop (a failed journal append, or
-// Close while waiting for room).
+// deliver is the one path a frame takes towards the ingest channel,
+// from a connection or (AbsorbLog) from a dead peer's journal. fresh is
+// false for a sequence number already claimed; err is non-nil when the
+// caller should stop (a failed journal, or Close while waiting for
+// room).
 //
-// Order holds by construction. Two connections of one (sensor, epoch) —
+// The critical section claims (sensor, epoch, seq) and then, with a
+// journal, stages the raw bytes — the tailer decodes and enqueues them
+// once a barrier has synced them, in journal-position order, which is
+// claim order. Without a journal it enqueues the decoded transaction. So
+// order holds by construction: two connections of one (sensor, epoch) —
 // a redial and the predecessor still working through its buffer — each
-// run through the sequence numbers in ascending order; a number is
-// claimed by exactly one of them; and nothing with a later number can
-// be claimed, let alone journaled or enqueued, before that claim's
-// section has ended. Queue order is journal-position order for the
-// same reason: an append and its enqueue cannot be separated by
-// another handler's, so nextRead never regresses past a position
-// already delivered and the tailer never delivers one twice.
+// run through the sequence numbers in ascending order, a number is
+// claimed by exactly one of them, and nothing with a later number can be
+// claimed, let alone journaled or enqueued, before that claim's section
+// has ended.
 //
-// A full queue is the only place the configurations differ. With a
-// journal the frame is already in it: it spills, and the tailer
-// replays it. Without one, Shed drops it, and Block waits for room
-// holding the section — deliberately across a channel send — so every
-// other handler queues up behind this one in the order it will enqueue
-// in, instead of overtaking it.
-func (c *Collector) deliver(a *arena, name string, epoch, seq uint64, raw []byte, replay bool) (fresh bool, err error) {
+// Without a journal a full queue is where the policies differ: Shed
+// drops the frame, and Block waits for room holding the section —
+// deliberately across a channel send — so every other handler queues up
+// behind this one in the order it will enqueue in.
+func (c *Collector) deliver(a *arena, name string, epoch, seq uint64, raw []byte) (fresh bool, err error) {
+	if c.log != nil {
+		c.dmu.Lock()
+		defer c.dmu.Unlock()
+		if !c.claim(name, epoch, seq) {
+			return false, nil
+		}
+		// Staged: synced writes it, in front of the first promise it survives.
+		if _, err = c.log.Stage(wal.Record{Kind: wal.KindData, Sensor: name, Epoch: epoch, Seq: seq, Payload: raw}); err != nil {
+			c.journalFailed(err)
+		}
+		return true, err
+	}
 	// Decoding stays outside the section; a duplicate pays for one it
 	// did not need, which only a retransmission ever does.
 	tx, derr := a.decode(raw)
@@ -836,53 +852,30 @@ func (c *Collector) deliver(a *arena, name string, epoch, seq uint64, raw []byte
 		c.dmu.Unlock()
 		if !fresh {
 			a.takeBack()
-			c.m.deduped.Inc()
-			return false, nil
+		} else {
+			c.reject(derr)
 		}
-		c.m.decodeErrors.Inc()
-		if c.cfg.OnReject != nil {
-			c.cfg.OnReject(derr)
-		}
-		return true, nil
+		return fresh, nil
 	}
 	defer c.dmu.Unlock()
-	if replay {
-		// An absorbed frame that spills counts as a replay now (the
-		// absorb accepted it) and again when the tailer drains it —
-		// both sides of the accounting identity see the spill cycle.
-		c.m.replayed.Inc()
-	}
-	var pos uint64
-	if c.log != nil {
-		// Staged: synced writes it, in front of the first promise it survives.
-		pos, err = c.log.Stage(wal.Record{Kind: wal.KindData, Sensor: name, Epoch: epoch, Seq: seq, Payload: raw})
-		if err != nil {
-			a.takeBack()
-			c.journalFailed(err)
-			return true, err
-		}
-	}
 	switch {
-	case !c.behind && c.offer(tx, false):
-		if c.log != nil {
-			c.posLog = append(c.posLog, pos)
-			c.nextRead = pos + 1
-		}
-	case c.log != nil:
-		a.takeBack()
-		c.behind = true
-		c.m.spilled.Inc()
-		c.kickTailer()
+	case c.offer(tx, false):
 	case c.cfg.Overload == Shed:
 		a.takeBack()
 		c.m.shed.Inc()
-	default: // Block
-		if !c.offer(tx, true) {
-			a.takeBack()
-			return true, errors.New("transport: collector closing")
-		}
+	case !c.offer(tx, true): // Block
+		a.takeBack()
+		return true, errors.New("transport: collector closing")
 	}
 	return true, nil
+}
+
+// reject counts a frame that is not a transaction.
+func (c *Collector) reject(err error) {
+	c.m.decodeErrors.Inc()
+	if c.cfg.OnReject != nil {
+		c.cfg.OnReject(err)
+	}
 }
 
 const (
@@ -893,12 +886,12 @@ const (
 	slabTxs = 8192 / int(unsafe.Sizeof(sie.Transaction{}))
 )
 
-// arena is what one reader of frames — a connection handler, the spill
-// tailer, an AbsorbLog call — decodes into: bodies carved from chunks,
-// transactions from slabs, not two mallocs a frame. Nothing handed out is
-// reused, so as far as a holder can tell a transaction owns its bytes;
-// holding one pins its slab and the chunks under that slab's
-// transactions, ≈ 40 KiB.
+// arena is what one reader of frames — a journal-less connection handler
+// or AbsorbLog call, or the journal tailer — decodes into: bodies carved
+// from chunks, transactions from slabs, not two mallocs a frame. Nothing
+// handed out is reused, so as far as a holder can tell a transaction
+// owns its bytes; holding one pins its slab and the chunks under that
+// slab's transactions, ≈ 40 KiB.
 type arena struct {
 	chunk, lastChunk []byte            // unused tail of the current chunk, and before the last decode
 	slab, lastSlab   []sie.Transaction // unused tail of the current slab, and before the last decode
@@ -925,7 +918,7 @@ func (a *arena) decode(raw []byte) (*sie.Transaction, error) {
 }
 
 // takeBack returns the last decode's space: its transaction, if any,
-// went to no holder (a duplicate, a spilled or a shed frame).
+// went to no holder (a duplicate, a shed frame, or one Close left).
 func (a *arena) takeBack() { a.chunk, a.slab = a.lastChunk, a.lastSlab }
 
 // offer puts tx on the ingest channel if there is room and, when wait
@@ -948,121 +941,102 @@ func (c *Collector) offer(tx *sie.Transaction, wait bool) bool {
 	return true
 }
 
-// journalFailed records the first journal failure. Acknowledgements
-// stop; delivery of what is already queued continues. The caller holds
-// dmu.
+// journalFailed records the first journal failure: acknowledgements
+// stop, and so does the tailer, at the last barrier that held.
 func (c *Collector) journalFailed(err error) {
-	if c.jerr == nil {
-		c.jerr = err
-	}
+	first := err // its own variable: inlined, &err would put the caller's on the heap
+	c.jerr.CompareAndSwap(nil, &first)
 }
 
 // synced is the durability barrier in front of an acknowledgement:
 // never acknowledge a frame the journal has not persisted. It writes
-// what any connection staged since the last one, and fsyncs. Once the
-// journal has failed it returns that first failure — acks stop entirely,
-// and the sensor keeps buffering instead of being lied to. Without a
-// journal an acknowledgement promises the queue only, and that is done.
+// what any connection staged since the last one, fsyncs, and wakes the
+// tailer to deliver what it covered. Once the journal has failed it
+// returns that first failure — acks and deliveries stop, and the sensor
+// keeps buffering instead of being lied to. Without a journal an
+// acknowledgement promises the queue only, and that is done.
 func (c *Collector) synced() error {
 	if c.log == nil {
 		return nil
 	}
-	c.dmu.Lock()
-	err := c.jerr
-	c.dmu.Unlock()
-	if err != nil {
+	if err := c.jerr.Load(); err != nil {
+		return *err
+	}
+	end := c.log.LastPos() // the Sync writes at least what is staged now
+	if err := c.log.Sync(); err != nil {
+		c.journalFailed(err)
 		return err
 	}
-	if err = c.log.Sync(); err != nil {
-		c.dmu.Lock()
-		c.journalFailed(err)
-		c.dmu.Unlock()
-	}
-	return err
-}
-
-func (c *Collector) kickTailer() {
+	c.tmu.Lock()
+	c.durable = max(c.durable, end)
+	c.tmu.Unlock()
 	select {
 	case c.kick <- struct{}{}:
 	default:
 	}
+	return nil
 }
 
-// tailer is the replay half of spill-then-replay: whenever delivery
-// falls behind the journal it drains the journal into the queue, then
-// hands delivery back to the direct path.
-func (c *Collector) tailer() {
+// tailer is the one sender on C() once a journal is attached, and the
+// only writer of posLog. It reads the journal in position order from
+// the checkpoint, up to what the last barrier synced, and enqueues each
+// data record's transaction, waiting for room: backpressure lands on the
+// journal while the handlers go on acknowledging.
+//
+// Once Close has begun and the handlers have gone — each syncs as it
+// exits — it makes one last pass to the journal's end that offers
+// without waiting and stops at the first full queue. What it leaves
+// stays past the checkpoint, and the next OpenWAL delivers it.
+func (c *Collector) tailer(cur *wal.Cursor) {
 	defer c.tailWG.Done()
-	var a arena // one for all drains: a fresh one per drain, let alone per record, wastes a chunk each
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-c.kick:
-			if !c.drainJournal(&a) {
-				return
-			}
-		}
-	}
-}
-
-// drainJournal reads forward from nextRead and feeds the queue until it
-// has caught up with the appends (blocking — backpressure lands on the
-// journal, which is exactly where it is durable). While behind is set
-// it is the only sender, so it offers outside the delivery section and
-// handlers keep spilling meanwhile. It reports false when Close began
-// before it was done; what it did not reach stays journaled past
-// nextRead, and the next OpenWAL re-enqueues it.
-func (c *Collector) drainJournal(a *arena) bool {
-	c.dmu.Lock()
-	behind, start := c.behind, c.nextRead
-	c.dmu.Unlock()
-	if !behind {
-		return true
-	}
-	cur := c.log.NewCursor(start)
 	defer cur.Close()
-	for {
-		pos, rec, ok, err := cur.Next()
-		if err != nil || !ok {
-			// A failed journal ends the spill; otherwise this is caught
-			// up — unless an append slipped in between the read and this
-			// check, in which case keep going.
-			c.dmu.Lock()
-			if err != nil {
-				c.journalFailed(err)
-			}
-			done := err != nil || cur.Pos() > c.log.LastPos()
-			if done {
-				c.behind = false
-			}
-			c.dmu.Unlock()
-			if done {
-				return true
+	var a arena
+	closing := false
+	for end := uint64(0); ; {
+		if cur.Pos() > end {
+			c.tmu.Lock()
+			c.nextRead, end = cur.Pos(), c.durable
+			c.tmu.Unlock()
+			switch {
+			case cur.Pos() <= end:
+			case closing:
+				return
+			default:
+				select {
+				case <-c.kick:
+				case <-c.stop:
+					c.connWG.Wait()
+					closing = true
+				}
 			}
 			continue
 		}
-		sent := false
-		if rec.Kind == wal.KindData {
-			tx, derr := a.decode(rec.Payload)
-			switch {
-			case derr != nil:
-				// Only decodable frames are ever journaled: treat this as
-				// corruption-equivalent and skip it, accounted.
-				c.m.decodeErrors.Inc()
-			case !c.offer(tx, true):
-				return false
-			default:
-				c.m.replayed.Inc()
-				sent = true
+		pos, rec, ok, err := cur.Next()
+		if !ok { // a broken journal, or one that holds less than a barrier synced
+			c.journalFailed(cmp.Or(err, io.ErrUnexpectedEOF))
+			return
+		}
+		if rec.Kind != wal.KindData {
+			continue
+		}
+		tx, derr := a.decode(rec.Payload)
+		if derr != nil {
+			c.reject(derr)
+			continue
+		}
+		c.tmu.Lock()
+		c.posLog = append(c.posLog, pos)
+		c.tmu.Unlock()
+		for !c.offer(tx, !closing) {
+			if closing {
+				c.tmu.Lock()
+				c.posLog = c.posLog[:len(c.posLog)-1]
+				c.tmu.Unlock()
+				return
 			}
+			c.connWG.Wait() // Close began while the queue was full: try again, then the last pass
+			closing = true
 		}
-		c.dmu.Lock()
-		if sent {
-			c.posLog = append(c.posLog, pos)
-		}
-		c.nextRead = pos + 1
-		c.dmu.Unlock()
 	}
 }
 

@@ -47,8 +47,8 @@ func TestOverlappingConnectionsKeepOrder(t *testing.T) {
 	}{
 		// A handler blocked on the full queue while its twin runs ahead.
 		{"block", CollectorConfig{QueueLen: 4, Overload: Block}, false, 100 * time.Millisecond},
-		// A queue that keeps filling and draining: direct enqueues, spills
-		// and the tailer's hand-backs interleave.
+		// A queue that keeps filling and draining: both handlers journal
+		// and acknowledge while the tailer waits for room.
 		{"wal", CollectorConfig{QueueLen: 64}, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,10 +119,10 @@ func TestOverlappingConnectionsKeepOrder(t *testing.T) {
 
 // TestFullQueueArms: a full queue is the one place the collector's
 // configurations differ, and each arm moves its own counter. With a
-// journal the frame spills and the tailer replays it (whatever Overload
-// says); without one, Shed drops it and Block stops reading until there
-// is room. Either way every frame lands in exactly one term of the
-// accounting identity.
+// journal every frame is acknowledged and the rest wait in the journal
+// for the tailer (whatever Overload says); without one, Shed drops it
+// and Block stops reading until there is room. Either way every frame
+// lands in exactly one term of the accounting identity.
 func TestFullQueueArms(t *testing.T) {
 	const queueLen, n = 4, 50
 	for _, tc := range []struct {
@@ -130,13 +130,13 @@ func TestFullQueueArms(t *testing.T) {
 		overload OverloadPolicy
 		journal  bool
 		// With nobody consuming, the collector settles at these counts…
-		frames, spilled, shed uint64
+		frames, shed uint64
 		// …and this many transactions reach a consumer that then drains.
 		delivered int
 	}{
-		{"journal-spills", Shed, true, n, n - queueLen, 0, n},
-		{"shed-drops", Shed, false, n, 0, n - queueLen, queueLen},
-		{"block-waits", Block, false, queueLen + 1, 0, 0, n},
+		{"journal-waits", Shed, true, n, 0, n},
+		{"shed-drops", Shed, false, n, n - queueLen, queueLen},
+		{"block-waits", Block, false, queueLen + 1, 0, n},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coll, addr := startCollector(t, CollectorConfig{QueueLen: queueLen, Overload: tc.overload})
@@ -145,16 +145,34 @@ func TestFullQueueArms(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			conn := dialSensor(t, addr)
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer conn.Close()
+			acked := make(chan uint64, 1)
+			go func() { acked <- lastAck(conn) }()
 			if _, err := conn.Write(seqWire("arms", 1, n)); err != nil {
 				t.Fatal(err)
 			}
 
 			waitFor(t, func() bool {
 				st := coll.Stats()
-				return st.Frames == tc.frames && st.Enqueued == queueLen && st.Spilled == tc.spilled && st.Shed == tc.shed
+				return st.Frames == tc.frames && st.Enqueued == queueLen && st.Shed == tc.shed
 			})
+			if tc.journal {
+				// Acknowledgements follow the journal, not the queue.
+				conn.(*net.TCPConn).CloseWrite()
+				if got := <-acked; got != n {
+					t.Fatalf("acknowledged through %d of %d frames with nobody consuming", got, n)
+				}
+				if ws, _ := coll.WALStatus(); !ws.Behind {
+					t.Errorf("wal status %+v: want behind, with %d frames waiting in the journal", ws, n-queueLen)
+				}
+			}
+			if st := coll.Stats(); st.Spilled != 0 || st.Enqueued != queueLen {
+				t.Errorf("collector stats %+v: want %d queued and nothing spilled", st, queueLen)
+			}
 			for i := 1; i <= tc.delivered; i++ {
 				select {
 				case tx := <-coll.C():
@@ -171,7 +189,7 @@ func TestFullQueueArms(t *testing.T) {
 				t.Errorf("%d transactions delivered beyond the expected %d", extra, tc.delivered)
 			}
 			st := coll.Stats()
-			if st.Spilled != tc.spilled || st.Shed != tc.shed || st.Replayed != st.Spilled ||
+			if st.Spilled != 0 || st.Shed != tc.shed || st.Replayed != 0 ||
 				st.Frames+st.Replayed != st.Deduped+st.DecodeErrors+st.Shed+st.Enqueued+st.Spilled {
 				t.Errorf("accounting: %+v", st)
 			}
@@ -184,18 +202,37 @@ func TestFullQueueArms(t *testing.T) {
 	}
 }
 
+// lastAck reads a collector's acknowledgements until the connection
+// ends and returns the highest sequence number acknowledged.
+func lastAck(conn net.Conn) uint64 {
+	fr := NewFrameReader(conn)
+	var last uint64
+	for {
+		typ, payload, err := fr.Next()
+		if err != nil {
+			return last
+		}
+		if seq, err := ParseAck(payload); typ == FrameAck && err == nil {
+			last = max(last, seq)
+		}
+	}
+}
+
 // TestUnqueuedFrameLeavesTheArena: a frame whose transaction is not
-// handed to the queue — spilled to the journal, shed, or a duplicate —
-// gives its decode space back to the handler's arena, where it used to
-// keep ≈ 230 bytes of body and a Transaction slot it never used.
+// handed to the queue — shed, or a duplicate — gives its decode space
+// back to the handler's arena, where it used to keep ≈ 230 bytes of body
+// and a Transaction slot it never used. With a journal the handler
+// decodes nothing at all: the tailer does, once a barrier has covered
+// the frame, and what does not fit the queue waits in the journal.
 func TestUnqueuedFrameLeavesTheArena(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		cfg     CollectorConfig
 		journal bool
+		shed    uint64
 	}{
-		{"wal", CollectorConfig{QueueLen: 1}, true},
-		{"shed", CollectorConfig{QueueLen: 1, Overload: Shed}, false},
+		{"wal", CollectorConfig{QueueLen: 1}, true, 0},
+		{"shed", CollectorConfig{QueueLen: 1, Overload: Shed}, false, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCollector(tc.cfg)
@@ -211,22 +248,31 @@ func TestUnqueuedFrameLeavesTheArena(t *testing.T) {
 				}
 			}
 			var a arena
-			deliver := func(seq uint64) {
+			deliver := func(seq uint64, want bool) {
 				t.Helper()
-				if _, err := c.deliver(&a, "s", 1, seq, testTx(int(seq)).Append(nil), false); err != nil {
-					t.Fatal(err)
+				if fresh, err := c.deliver(&a, "s", 1, seq, testTx(int(seq)).Append(nil)); err != nil || fresh != want {
+					t.Fatalf("deliver(%d) = %v, %v; want fresh=%v", seq, fresh, err, want)
 				}
 			}
-			deliver(1) // queued: the queue is full from here on
+			deliver(1, true) // queued: the queue is full from here on
 			chunk, slab := len(a.chunk), len(a.slab)
-			deliver(2) // spilled or shed
-			deliver(1) // a duplicate
+			deliver(2, true)  // shed, or waiting in the journal
+			deliver(1, false) // a duplicate
 			if len(a.chunk) != chunk || len(a.slab) != slab {
 				t.Errorf("arena tails %d bytes, %d slots after two unqueued frames; %d, %d before", len(a.chunk), len(a.slab), chunk, slab)
 			}
-			st := c.Stats()
-			if st.Enqueued != 1 || st.Deduped != 1 || st.Spilled+st.Shed != 1 {
-				t.Errorf("collector stats %+v: want one frame queued, one spilled or shed, one deduplicated", st)
+			if tc.journal && (a.chunk != nil || a.slab != nil) {
+				t.Error("a handler with a journal decoded a frame")
+			}
+			if err := c.synced(); err != nil { // the barrier in front of an acknowledgement
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return c.Stats().Enqueued == 1 })
+			if st := c.Stats(); st.Enqueued != 1 || st.Shed != tc.shed || st.Spilled != 0 {
+				t.Errorf("collector stats %+v: want one frame queued and the other shed or waiting", st)
+			}
+			if ws, ok := c.WALStatus(); ok != tc.journal || (ok && !ws.Behind) {
+				t.Errorf("wal status %+v (ok=%v): want frame 2 waiting in a journal, if there is one", ws, ok)
 			}
 			// The space taken back was the unqueued frames', not the queued one's.
 			if got := (<-c.C()).Append(nil); !bytes.Equal(got, testTx(1).Append(nil)) {

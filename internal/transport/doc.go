@@ -22,36 +22,35 @@
 //
 // Collector is the server: it accepts many concurrent sensor
 // connections and fans their streams into one ordered ingest channel
-// with a bounded queue. Every frame takes one path to that channel
-// (Collector.deliver): claimed, journaled if there is a journal, and
-// enqueued inside one critical section. It is decoded into memory its
-// reader shares out (bodies from 16 KiB chunks, transactions from 8 KiB
-// slabs) and never reuses: a consumer may hold a transaction forever, and
-// pins its slab and that slab's chunks while it does. A full queue is the
-// only place configurations differ — a journal spills, and without one
-// the Block/Shed overload policy decides, mirroring the sharded engine
-// one layer up. Retransmission makes delivery at-least-once on the wire;
-// the collector turns it into effectively-once at the channel by
-// deduplicating on (sensor, epoch, seq) — a sequence number already
+// with a bounded queue. Retransmission makes delivery at-least-once on
+// the wire; the collector turns it into effectively-once at the channel
+// by deduplicating on (sensor, epoch, seq) — a sequence number already
 // claimed for that sensor epoch is counted in Deduped and dropped. The
 // epoch (chosen by the sensor, random per incarnation) scopes the
-// sequence space: a sensor that restarts without its WAL starts a
-// fresh epoch and is not misjudged against the old one's window.
+// sequence space: a sensor that restarts without its WAL starts a fresh
+// epoch and is not misjudged against the old one's window. Transactions
+// are decoded into memory their reader shares out (bodies from 16 KiB
+// chunks, transactions from 8 KiB slabs) and never reuses: a consumer
+// may hold one forever, and pins its slab and that slab's chunks.
 //
-// A collector can itself journal: OpenWAL attaches a write-ahead log
-// that absorbs bursts the bounded queue cannot (frames spill to disk
-// and a tailer replays them in order), persists acknowledged-but-
-// unconsumed frames across a crash (a frame is staged in memory until the
-// Sync in front of its acknowledgement; one lost before that is one its
-// sensor still holds), and is the unit of hand-off
-// between fleet members — AbsorbLog replays a dead peer's journal
-// through the same dedup gate, so a surviving collector adopts the dead
-// one's sensors without loss or double counting (see internal/fleet).
+// Without a journal a handler claims, decodes and enqueues in one
+// critical section (Collector.deliver), and at a full queue the
+// Block/Shed overload policy decides, mirroring the sharded engine one
+// layer up. With one (OpenWAL) the journal is the queue: a handler
+// claims and stages the frame in one section and acknowledges it once a
+// Sync has made it durable (a frame lost before that is one its sensor
+// still holds); one tailer reads the journal from the consumer's
+// checkpoint and is the only sender on the channel, so a full queue
+// stalls no read and drops nothing. A restart delivers what was never
+// checkpointed, and the journal is the unit of hand-off between fleet
+// members — AbsorbLog takes a dead peer's journal through the same dedup
+// gate, so a survivor adopts the dead one's sensors without loss or
+// double counting (see internal/fleet).
 //
 // Concurrency contract: a Sensor is owned by one goroutine (Stats is
 // the exception). A Collector runs one goroutine per connection plus
-// one per Serve call, plus one WAL tailer when a journal is attached.
-// Two connections of one sensor — a redial while the old connection's
+// one per Serve call, plus the tailer when a journal is attached. Two
+// connections of one sensor — a redial while the old connection's
 // handler still has frames buffered — are safe: each sequence number
 // reaches the channel exactly once, in sequence order, whichever
 // handler carries it. Close stops accepting, cuts the connections,

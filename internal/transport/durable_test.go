@@ -62,10 +62,11 @@ func TestSensorWALRestartRetransmits(t *testing.T) {
 	}
 }
 
-// TestCollectorWALSpillAndReplay is overload under a WAL: a full ingest
-// queue spills to the journal instead of shedding or stalling, frames
-// are acknowledged on journal durability alone, and the tailer replays
-// the spill into the queue in journal order once the consumer drains.
+// TestCollectorWALSpillAndReplay is overload under a WAL: with a full
+// ingest queue the backlog waits in the journal instead of being shed or
+// stalling the sensor, frames are acknowledged on journal durability
+// alone, and the tailer feeds the queue in journal order once the
+// consumer drains. Nothing spills: the journal is the only path.
 func TestCollectorWALSpillAndReplay(t *testing.T) {
 	coll, addr := startCollector(t, CollectorConfig{QueueLen: 4})
 	if err := coll.OpenWAL(t.TempDir(), wal.Options{}); err != nil {
@@ -85,14 +86,14 @@ func TestCollectorWALSpillAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := coll.Stats()
-	if st.Spilled == 0 {
-		t.Fatalf("nothing spilled with a %d-deep queue: %+v", 4, st)
+	if st.Spilled != 0 || st.Enqueued > 4 {
+		t.Fatalf("collector stats %+v: want at most the %d-deep queue enqueued and nothing spilled", st, 4)
 	}
 	if ws, ok := coll.WALStatus(); !ok || !ws.Behind {
 		t.Fatalf("wal status = %+v, ok=%v; want behind", ws, ok)
 	}
 
-	// Drain: direct enqueues plus the tailer's replay, in order.
+	// Drain: the tailer's deliveries, in order.
 	var txs []*sie.Transaction
 	for len(txs) < n {
 		select {
@@ -109,8 +110,11 @@ func TestCollectorWALSpillAndReplay(t *testing.T) {
 	}
 	waitFor(t, func() bool { st := coll.Stats(); return st.Enqueued == n })
 	st = coll.Stats()
-	if st.Replayed != st.Spilled {
-		t.Errorf("replayed %d != spilled %d at quiescence", st.Replayed, st.Spilled)
+	if st.Replayed != 0 || st.Spilled != 0 {
+		t.Errorf("replayed %d, spilled %d: want 0 and 0 with nothing recovered or absorbed", st.Replayed, st.Spilled)
+	}
+	if ws, _ := coll.WALStatus(); ws.Behind {
+		t.Errorf("wal status %+v: behind after everything was delivered", ws)
 	}
 	if st.Frames+st.Replayed != st.Deduped+st.DecodeErrors+st.Shed+st.Enqueued+st.Spilled {
 		t.Errorf("accounting identity broken: %+v", st)
@@ -196,9 +200,6 @@ func TestCollectorWALRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return coll2.Stats().Deduped == n })
-	// The replayer counts a transaction after handing it over, so the
-	// last one may have been received above before it was counted.
-	waitFor(t, func() bool { return coll2.Stats().Replayed >= n-consumed })
 	if got := coll2.Stats().Replayed; got != n-consumed {
 		t.Errorf("replayed = %d, want %d", got, n-consumed)
 	}
@@ -212,7 +213,8 @@ func TestCollectorWALRestartRecovery(t *testing.T) {
 // surviving collector absorbs a dead peer's log past its checkpoint,
 // delivering the work the peer accepted but never finished — and a
 // second absorb (or a sensor retransmission of the same frames) dedups
-// completely.
+// completely. Each absorbed frame counts in Replayed once, whether the
+// survivor enqueues it directly or journals it for its tailer.
 func TestCollectorAbsorbLog(t *testing.T) {
 	peerDir := t.TempDir()
 	const n, consumed = 30, 10
@@ -242,35 +244,102 @@ func TestCollectorAbsorbLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The survivor absorbs the orphaned tail.
-	surv, _ := startCollector(t, CollectorConfig{})
-	peerLog, err := wal.Open(peerDir, wal.Options{})
-	if err != nil {
+	for _, tc := range []struct {
+		name    string
+		journal bool
+	}{{"direct", false}, {"journal", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The survivor absorbs the orphaned tail.
+			surv, _ := startCollector(t, CollectorConfig{})
+			if tc.journal {
+				if err := surv.OpenWAL(t.TempDir(), wal.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			peerLog, err := wal.Open(peerDir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan []*sie.Transaction, 1)
+			go func() { done <- drain(surv) }()
+			absorbed, deduped, err := surv.AbsorbLog(peerLog, nil)
+			if err != nil || absorbed != n-consumed || deduped != 0 {
+				t.Fatalf("first absorb: absorbed=%d deduped=%d err=%v", absorbed, deduped, err)
+			}
+			absorbed, deduped, err = surv.AbsorbLog(peerLog, nil)
+			if err != nil || absorbed != 0 || deduped != n-consumed {
+				t.Fatalf("second absorb: absorbed=%d deduped=%d err=%v", absorbed, deduped, err)
+			}
+			peerLog.Close()
+			waitFor(t, func() bool { return surv.Stats().Enqueued == n-consumed })
+			surv.Close()
+			txs := <-done
+			if len(txs) != n-consumed {
+				t.Fatalf("survivor delivered %d, want %d", len(txs), n-consumed)
+			}
+			for i, tx := range txs {
+				if !bytes.Equal(tx.QueryPacket, testTx(consumed+i).QueryPacket) {
+					t.Fatalf("absorbed transaction %d mismatched", i)
+				}
+			}
+			st := surv.Stats()
+			if st.Replayed != n-consumed || st.Frames+st.Replayed != st.Deduped+st.DecodeErrors+st.Shed+st.Enqueued+st.Spilled {
+				t.Errorf("collector stats %+v: want %d replayed, each once", st, n-consumed)
+			}
+			if err := surv.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCheckpointWhileTailerDelivers: a consumer checkpoints after every
+// transaction it takes while the tailer keeps delivering into a short
+// queue. Every trim position is the journal position of exactly the last
+// transaction consumed — never an earlier one, which would replay work
+// already applied, and never a later one, which would lose work not yet
+// applied. Run it under -race.
+func TestCheckpointWhileTailerDelivers(t *testing.T) {
+	const n = 2000
+	coll, addr := startCollector(t, CollectorConfig{QueueLen: 8})
+	if err := coll.OpenWAL(t.TempDir(), wal.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan []*sie.Transaction, 1)
-	go func() { done <- drain(surv) }()
-	absorbed, deduped, err := surv.AbsorbLog(peerLog, nil)
-	if err != nil || absorbed != n-consumed || deduped != 0 {
-		t.Fatalf("first absorb: absorbed=%d deduped=%d err=%v", absorbed, deduped, err)
+	conn := dialSensor(t, addr)
+	defer conn.Close()
+	go conn.Write(seqWire("ckpt", 1, n))
+
+	trims := make(map[uint64]uint64, n) // consumed → trim position
+	for consumed := uint64(1); consumed <= n; consumed++ {
+		select {
+		case <-coll.C():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stalled at %d of %d transactions", consumed-1, n)
+		}
+		if err := coll.Checkpoint(consumed); err != nil {
+			t.Fatal(err)
+		}
+		trims[consumed] = coll.log.Checkpointed()
 	}
-	absorbed, deduped, err = surv.AbsorbLog(peerLog, nil)
-	if err != nil || absorbed != 0 || deduped != n-consumed {
-		t.Fatalf("second absorb: absorbed=%d deduped=%d err=%v", absorbed, deduped, err)
+	// seqWire's frame i is the i-th transaction: the record at a trim
+	// position must carry exactly the consumed count as its sequence.
+	seqAt := map[uint64]uint64{}
+	if err := coll.log.Replay(func(pos uint64, r wal.Record) error {
+		if r.Kind == wal.KindData {
+			seqAt[pos] = r.Seq
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	peerLog.Close()
-	surv.Close()
-	txs := <-done
-	if len(txs) != n-consumed {
-		t.Fatalf("survivor delivered %d, want %d", len(txs), n-consumed)
-	}
-	for i, tx := range txs {
-		if !bytes.Equal(tx.QueryPacket, testTx(consumed+i).QueryPacket) {
-			t.Fatalf("absorbed transaction %d mismatched", i)
+	for consumed, pos := range trims {
+		if seq, ok := seqAt[pos]; !ok || seq != consumed {
+			t.Fatalf("after %d consumed the checkpoint trims to position %d, which holds sequence %d (data: %v)", consumed, pos, seq, ok)
 		}
 	}
-	if got := surv.Stats().Replayed; got != n-consumed {
-		t.Errorf("replayed = %d, want %d", got, n-consumed)
+	coll.Close()
+	if err := coll.CloseWAL(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -42,13 +42,11 @@ const (
 	// MetricAcks counts acknowledgement frames the collector sent.
 	MetricAcks = "dnsobs_transport_acks_total"
 	// MetricEnqueued counts transactions the collector put on its
-	// ingest channel, from the live stream or the journal.
+	// ingest channel.
 	MetricEnqueued = "dnsobs_transport_enqueued_total"
-	// MetricWALSpilled counts journaled transactions deferred to the
-	// spill tailer because the ingest queue was full.
-	MetricWALSpilled = "dnsobs_wal_spilled_total"
-	// MetricWALReplayed counts transactions enqueued from the journal:
-	// spill drains, restart recovery, absorbed peer logs.
+	// MetricWALReplayed counts transactions that entered from a journal
+	// rather than a connection: records past the checkpoint at OpenWAL,
+	// and records absorbed from a dead peer's journal.
 	MetricWALReplayed = "dnsobs_wal_replayed_total"
 	// MetricWALAppends counts journal record appends.
 	MetricWALAppends = "dnsobs_wal_appends_total"
@@ -80,7 +78,6 @@ type collectorMetrics struct {
 	deduped        *metrics.Counter
 	acks           *metrics.Counter
 	enqueued       *metrics.Counter
-	spilled        *metrics.Counter
 	replayed       *metrics.Counter
 }
 
@@ -96,8 +93,7 @@ func newCollectorMetrics(reg *metrics.Registry) *collectorMetrics {
 		deduped:        reg.Counter(MetricDeduped, "sequenced frames dropped as already-seen replays", "role", "collector"),
 		acks:           reg.Counter(MetricAcks, "acknowledgement frames sent to sensors", "role", "collector"),
 		enqueued:       reg.Counter(MetricEnqueued, "transactions put on the ingest channel", "role", "collector"),
-		spilled:        reg.Counter(MetricWALSpilled, "journaled transactions deferred to the spill tailer", "role", "collector"),
-		replayed:       reg.Counter(MetricWALReplayed, "transactions enqueued from the journal", "role", "collector"),
+		replayed:       reg.Counter(MetricWALReplayed, "transactions recovered from the journal at start or absorbed from a peer's", "role", "collector"),
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"dnsobservatory/internal/metrics"
 	"dnsobservatory/internal/sie"
+	"dnsobservatory/internal/wal"
 )
 
 // testTx builds a minimal transaction (transport does not care whether
@@ -426,52 +427,71 @@ func TestCollectorRejectsReservedFrame(t *testing.T) {
 	}
 }
 
+// TestCollectorCountsDecodeErrors: a well-framed payload that is not a
+// transaction is counted once, in DecodeErrors and OnReject, and its
+// retransmission is a duplicate. With a journal the frame is journaled
+// and acknowledged like any other, and counted when the tailer reads it.
 func TestCollectorCountsDecodeErrors(t *testing.T) {
-	var rejects int
-	rejected := make(chan struct{}, 8)
-	coll, addr := startCollector(t, CollectorConfig{
-		OnReject: func(error) { rejects++; rejected <- struct{}{} },
-	})
-	got := make(chan []*sie.Transaction, 1)
-	go func() { got <- drain(coll) }()
+	for _, tc := range []struct {
+		name    string
+		journal bool
+	}{{"direct", false}, {"journal", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rejects int
+			rejected := make(chan struct{}, 8)
+			coll, addr := startCollector(t, CollectorConfig{
+				OnReject: func(error) { rejects++; rejected <- struct{}{} },
+			})
+			if tc.journal {
+				if err := coll.OpenWAL(t.TempDir(), wal.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := make(chan []*sie.Transaction, 1)
+			go func() { got <- drain(coll) }()
 
-	send := func(wire []byte) {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(AppendFrame(wire, FrameBye, nil)); err != nil {
-			t.Fatal(err)
-		}
-		// Read the acknowledgements until the collector hangs up after
-		// the Bye: closing with acks unread would reset the connection.
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		io.Copy(io.Discard, conn)
-		conn.Close()
-	}
-	// A well-framed payload that is not a transaction (no query packet).
-	bad := AppendSeqData(AppendHelloEpoch(nil, "bad", 3), 1, []byte{0xff, 0xff, 0xff})
-	// Followed by a good one: the stream stays in sync.
-	good := testTx(1)
-	send(AppendSeqData(bad, 2, good.Append(nil)))
-	<-rejected
-	// The sensor redials and retransmits the undecodable frame: it was
-	// claimed before it was counted, so it is a duplicate now — not a
-	// second reject, or EngineStats.Rejected would drift.
-	send(bad)
+			send := func(wire []byte) {
+				t.Helper()
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := conn.Write(AppendFrame(wire, FrameBye, nil)); err != nil {
+					t.Fatal(err)
+				}
+				// Read the acknowledgements until the collector hangs up after
+				// the Bye: closing with acks unread would reset the connection.
+				conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+				io.Copy(io.Discard, conn)
+				conn.Close()
+			}
+			// A well-framed payload that is not a transaction (no query packet).
+			bad := AppendSeqData(AppendHelloEpoch(nil, "bad", 3), 1, []byte{0xff, 0xff, 0xff})
+			// Followed by a good one: the stream stays in sync.
+			good := testTx(1)
+			send(AppendSeqData(bad, 2, good.Append(nil)))
+			<-rejected
+			// The sensor redials and retransmits the undecodable frame: it was
+			// claimed before it was counted, so it is a duplicate now — not a
+			// second reject, or EngineStats.Rejected would drift.
+			send(bad)
 
-	waitFor(t, func() bool { return coll.Stats().Frames == 3 })
-	coll.Close()
-	txs := <-got
-	if len(txs) != 1 || !bytes.Equal(txs[0].QueryPacket, good.QueryPacket) {
-		t.Fatalf("good transaction lost after a decode error: %d", len(txs))
-	}
-	if st := coll.Stats(); st.DecodeErrors != 1 || st.Deduped != 1 {
-		t.Errorf("DecodeErrors = %d, Deduped = %d, want 1 and 1", st.DecodeErrors, st.Deduped)
-	}
-	if rejects != 1 {
-		t.Errorf("OnReject ran %d times, want 1", rejects)
+			waitFor(t, func() bool { return coll.Stats().Frames == 3 })
+			coll.Close()
+			txs := <-got
+			if len(txs) != 1 || !bytes.Equal(txs[0].QueryPacket, good.QueryPacket) {
+				t.Fatalf("good transaction lost after a decode error: %d", len(txs))
+			}
+			if st := coll.Stats(); st.DecodeErrors != 1 || st.Deduped != 1 {
+				t.Errorf("DecodeErrors = %d, Deduped = %d, want 1 and 1", st.DecodeErrors, st.Deduped)
+			}
+			if rejects != 1 {
+				t.Errorf("OnReject ran %d times, want 1", rejects)
+			}
+			if err := coll.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

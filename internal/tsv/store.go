@@ -487,7 +487,7 @@ func (st *Store) cachedLevel(level Level) (map[string][]int64, error) {
 	cached := map[string][]int64{}
 	for _, e := range entries {
 		a, l, start, ext, err := parseFileName(e.Name())
-		if err != nil || l != level || ext != st.codec.ext {
+		if err != nil || l != level || ext != st.codec.ext || e.IsDir() { // a directory is no window
 			continue
 		}
 		cached[a] = append(cached[a], start)

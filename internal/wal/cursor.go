@@ -11,7 +11,7 @@ import (
 const cursorWindow = 64 << 10
 
 // Cursor reads records in position order while appends continue — the
-// tailing reader behind spill-then-replay. It holds its own read
+// tailing reader a collector feeds its queue from. It holds its own read
 // handle, so it never blocks the appender beyond the brief metadata
 // lookups under the log lock (and the flush, once it has caught up with
 // what is staged). A Cursor is for one goroutine; it is safe against

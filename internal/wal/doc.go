@@ -35,8 +35,8 @@
 // A write that fails is cut back out of the file, so nothing flushed
 // later lands behind a torn record.
 //
-// Cursor tails the log while appends continue — the replay half of
-// spill-then-replay. TrimTo garbage-collects sealed segments below a
+// Cursor tails the log while appends continue — the reader a collector
+// feeds its queue from. TrimTo garbage-collects sealed segments below a
 // consumer checkpoint; Reset drops everything (a fully-acknowledged
 // sensor log) while keeping positions monotone.
 package wal

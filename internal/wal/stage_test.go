@@ -282,9 +282,9 @@ func TestCursorReadsAWindow(t *testing.T) {
 }
 
 // TestCursorSharesTheSensorName: a cursor reading one sensor's records
-// makes no string per record. The spill tailer reads most of a busy
-// collector's transactions back this way, and a string each made its
-// allocation count follow how much of a run happened to spill.
+// makes no string per record. A collector's tailer reads every one of its
+// transactions back this way, and a string each would put one allocation
+// per transaction back.
 func TestCursorSharesTheSensorName(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{})
 	if err != nil {

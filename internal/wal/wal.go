@@ -53,7 +53,7 @@ const MaxSensorName = 256
 type Kind uint8
 
 const (
-	// KindData carries one spilled frame payload (a serialized
+	// KindData carries one journaled frame payload (a serialized
 	// transaction) under the writer's (sensor, epoch, seq) identity.
 	KindData Kind = 1
 	// KindAck marks every data record with Seq' <= Seq as delivered

@@ -41,8 +41,8 @@ type Server struct {
 	// lower-case name ("sensors", "wal", "fleet", "probe", "enc"). They
 	// are func() any to keep webui decoupled from the packages they
 	// report on. dnsobs wires Sensors to the transport collector's
-	// per-sensor liveness, WAL to its journal status (size, lag, last
-	// checkpoint), Fleet to the fleet router's members and cooldowns,
+	// per-sensor liveness, WAL to its journal status (size, whether
+	// the tailer is behind, last checkpoint), Fleet to the fleet router's members and cooldowns,
 	// and Enc to the encwire accumulator's Status (per-mode message,
 	// byte and handshake counters), which GET /api/encdns serves too;
 	// dnsprobe wires Probe to the probe engine's Status (queue depth,
@@ -409,7 +409,7 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 		Start int64  `json:"start"`
 		Name  string `json:"name"`
 	}
-	var files []fileInfo
+	files := []fileInfo{} // an aggregation with no files is [], like the other lists
 	for level := tsv.Minutely; level <= tsv.MaxLevel; level++ {
 		starts, err := s.store.List(agg, level)
 		if err != nil {

@@ -350,6 +350,26 @@ func TestFilesAndDownload(t *testing.T) {
 	}
 }
 
+// TestFilesOfAnEmptyAggregation: an aggregation with no files lists as
+// [], as /api/aggregations and /api/query's rows do, not as null.
+func TestFilesOfAnEmptyAggregation(t *testing.T) {
+	for _, backend := range []string{tsv.BackendTSV, tsv.BackendColumnar} {
+		t.Run(backend, func(t *testing.T) {
+			store, err := tsv.NewStoreBackend(t.TempDir(), backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { store.Close() })
+			put(t, store, snapshotFixture("srvip", 120))
+			ts := httptest.NewServer(NewServer(store).Handler())
+			t.Cleanup(ts.Close)
+			if code, body := get(t, ts.URL+"/api/files/qname"); code != 200 || body != "[]\n" {
+				t.Errorf("files of an aggregation with none: %d %q, want 200 and []", code, body)
+			}
+		})
+	}
+}
+
 func TestStorelessFileEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, false)
 	if code, _ := get(t, ts.URL+"/api/files/srvip"); code != 404 {
